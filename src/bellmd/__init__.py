@@ -62,7 +62,6 @@ from .mdsearch import (
     SearchOutcome,
     TradeoffCurve,
     TradeoffPoint,
-    envelope_min_cmd,
     max_chsh_under_budget,
     min_cmd_for_chsh,
     tradeoff_curve,

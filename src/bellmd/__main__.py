@@ -1,0 +1,6 @@
+"""Entry point for ``python -m bellmd``."""
+
+from .cli import run
+
+if __name__ == "__main__":
+    run()

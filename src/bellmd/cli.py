@@ -209,10 +209,10 @@ def cmd_mi(args) -> int:
 
 def _load_config(args) -> SearchConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    config = read_search_config(path) if path else SearchConfig()
+    values = read_search_config(path) if path else {}
     if args.seed is not None:
-        config = SearchConfig(**{**config.__dict__, "seed": args.seed})
-    return config
+        values["seed"] = args.seed
+    return SearchConfig(**values)
 
 
 def cmd_optimize(args) -> int:

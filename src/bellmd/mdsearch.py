@@ -1,22 +1,31 @@
-"""Search for hidden-variable models trading setting dependence against CHSH value.
+"""Least setting dependence for a CHSH value, built in closed form.
 
-Two directions are supported: minimize the dependence (in bits) subject to
-reaching a target CHSH value, and maximize the CHSH value under a
-dependence budget.  Both run simulated annealing over the model's
-conditional distributions and response tables: Dirichlet perturbations of
-one conditional row at a time (with concentrations drawn across several
-orders of magnitude, so moves range from coarse jumps to fine polish) plus
-clipped Gaussian coordinate steps on the response tables.  Constraints are
-handled by an exact penalty whose weight doubles on restart while no
-feasible incumbent exists.
+Two directions are supported: minimize the dependence I(lambda; settings)
+in bits subject to reaching a target CHSH value, and maximize the CHSH
+value under a dependence budget.  Both are pinned to the canonical
+scenario: two settings per party, uniform setting marginal.  There the
+optimum has a closed form and the optimal model is built directly.
 
-Restarts are independent: restart r draws from the stream (seed, r), and
-the best incumbent is selected with a deterministic tie-break (better
-objective, then lower dependence, then earlier discovery), so a fixed seed
-reproduces results bit for bit regardless of how restarts are scheduled.
+Why the model built here is optimal:
 
-The search is pinned to the canonical scenario: two settings per party,
-uniform setting marginal.
+* The hidden variable can be taken to be a deterministic strategy without
+  loss of generality.  Stochastic responses are mixtures of deterministic
+  ones, and splitting each lambda into (lambda, strategy) with
+  setting-independent weights leaves both the statistics and I unchanged.
+* Coarse-graining the strategies to the 8 correlator sign patterns they
+  realize keeps the correlators and, by data processing, only lowers I.
+* What is left is a rate-distortion problem (Blahut, IEEE Trans. IT 18:460,
+  1972).  The source is the uniform joint setting s, the reproduction
+  alphabet is the 8 classes, and the distortion is 1 where a class
+  disagrees with the CHSH sign pattern at s.  CHSH = 4 - 8 x for mean
+  distortion x, so x = (4 - s) / 8.  The symmetric optimum is uniform on
+  the 4 classes that disagree at exactly one joint setting, with
+  p(lambda | s) = x where lambda disagrees at s and (1 - x) / 3 elsewhere.
+  Its dependence is I = 2 - h(x) - (1 - x) log2 3: 0.046274 bits at
+  2 sqrt 2 (Hall, PRA 84, 022102, 2011) and log2(4/3) bits at s = 4.
+
+Every result is re-verified: the CHSH value and the dependence reported are
+recomputed from the returned model with ``chsh_value`` and ``cmd``.
 """
 
 from __future__ import annotations
@@ -28,56 +37,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .inequalities import chsh_value
 from .infotheory import CmdReport, cmd
-from .lhv import LhvModel, SettingSpace
+from .lhv import LhvModel, SettingSpace, predict
 
-_FEAS_HEADROOM = 1e-12  # float headroom on a hard budget; never a real slack
+_FEAS_HEADROOM = 1e-12  # float headroom on a hard constraint; never a real slack
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the annealer; defaults are sized for the 2x2 CHSH scenario."""
+    """Run settings recorded in the manifest; the exact solver reads none of them."""
 
-    lambda_count: int = 8
-    restarts: int = 32
-    max_iterations: int = 20000
-    initial_temperature: float = 0.01
-    temperature_decay: float = 0.99925
-    penalty_weight: float = 200.0
     seed: int = 0
-    tolerance_s: float = 1e-3
-    tolerance_cmd: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.lambda_count <= 0 or self.restarts <= 0 or self.max_iterations <= 0:
-            raise InputError("lambda_count, restarts and max_iterations must be positive")
-        if self.initial_temperature <= 0.0:
-            raise InputError("initial temperature must be positive")
-        if not 0.0 < self.temperature_decay < 1.0:
-            raise InputError("temperature decay must lie strictly between 0 and 1")
-        if self.penalty_weight <= 0.0:
-            raise InputError("penalty weight must be positive")
         if self.seed < 0:
             raise InputError("seed must be nonnegative")
-        if self.tolerance_s <= 0.0 or self.tolerance_cmd <= 0.0:
-            raise InputError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Best model found, with the optimizer's claimed objective values.
+    """Optimal model with its recomputed CHSH value and dependence.
 
-    ``feasible`` is False when the iteration budget ran out before any
-    model satisfied the constraint; the best incumbent by constraint
-    violation is still carried.
+    ``feasible`` is False if the recomputed values miss the constraint by
+    more than float headroom; the model is still carried.
     """
 
     model: LhvModel
     cmd_report: CmdReport
     chsh: float
     feasible: bool
-    restart_index: int
-    iteration: int
 
 
 @dataclass(frozen=True)
@@ -92,29 +81,16 @@ class TradeoffCurve:
     points: tuple[TradeoffPoint, ...]
 
 
-# --- fast evaluation on raw arrays (uniform 2x2 settings) -------------------
+# --- the optimal model (uniform 2x2 settings) --------------------------------
 
 _SIGN_PATTERN = np.array([1.0, 1.0, 1.0, -1.0])
 # the 8 correlator sign patterns realizable by deterministic strategies
 _CLASS_PATTERNS = np.array(
     [p for p in itertools.product((1.0, -1.0), repeat=4) if np.prod(p) > 0]
 )
-
-
-def _fast_eval(lgs: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> tuple[float, float]:
-    """(symmetrized CHSH, dependence bits) for raw arrays under uniform settings."""
-    da = 2.0 * ra - 1.0
-    db = 2.0 * rb - 1.0
-    prod = (da[:, None, :] * db[None, :, :]).reshape(4, -1)
-    e = (lgs * prod).sum(axis=1)
-    s_value = float(np.abs(e.sum() - 2.0 * e).max())
-    pj = 0.25 * lgs
-    pl = pj.sum(axis=0)
-    mask = pj > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = pj * (np.log2(pj) - np.log2(0.25 * pl[None, :]))
-    bits = float(terms[mask].sum()) if mask.any() else 0.0
-    return s_value, max(bits, 0.0)
+# the 4 of them that disagree with the CHSH signs at exactly one joint setting
+_ONE_DISAGREEMENT = _CLASS_PATTERNS[(_CLASS_PATTERNS != _SIGN_PATTERN).sum(axis=1) == 1]
+_FULL_BUDGET_BITS = math.log2(4.0 / 3.0)  # what CHSH = 4 costs
 
 
 def _set_class_responses(ra: np.ndarray, rb: np.ndarray, col: int, pattern: np.ndarray) -> None:
@@ -124,227 +100,67 @@ def _set_class_responses(ra: np.ndarray, rb: np.ndarray, col: int, pattern: np.n
     rb[0, col], rb[1, col] = (y0 + 1) / 2, (y1 + 1) / 2
 
 
-def _class_responses(lambda_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic responses realizing the 8 correlator classes, tiled to lambda_count."""
-    ra = np.zeros((2, lambda_count))
-    rb = np.zeros((2, lambda_count))
-    for l in range(lambda_count):
-        _set_class_responses(ra, rb, l, _CLASS_PATTERNS[l % 8])
-    return ra, rb
+def _bits(x: float) -> float:
+    """I = 2 - h(x) - (1 - x) log2 3, the dependence at disagreement rate x.
 
-
-def _tilt_rows(eta: float, lambda_count: int) -> np.ndarray:
-    """Conditional rows proportional to exp(eta * agreement with the CHSH signs)."""
-    agree = (_CLASS_PATTERNS * _SIGN_PATTERN[None, :]).T  # (4, 8)
-    full = np.tile(agree, (1, (lambda_count + 7) // 8))[:, :lambda_count]
-    w = np.exp(eta * full)
-    return w / w.sum(axis=1, keepdims=True)
-
-
-def _initial_states(
-    kind: int, lambda_count: int, rng: np.random.Generator, tilt_eta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if kind == 0:  # best setting-independent deterministic point: S=2, 0 bits
-        ra, rb = _class_responses(lambda_count)
-        lgs = np.zeros((4, lambda_count))
-        lgs[:, 0] = 1.0  # class (+,+,+,+)
-        return lgs, ra, rb
-    if kind == 1:
-        # fully setting-determined point: disjoint two-lambda support per
-        # setting, exactly 2 dependence bits and S = 4 when lambda_count >= 8
-        lgs = np.zeros((4, lambda_count))
-        ra = np.zeros((2, lambda_count))
-        rb = np.zeros((2, lambda_count))
-        for s in range(4):
-            agreeing = [k for k in range(8) if _CLASS_PATTERNS[k][s] == _SIGN_PATTERN[s]][:2]
-            for j, k in enumerate(agreeing):
-                col = (2 * s + j) % lambda_count
-                lgs[s, col] += 0.5
-                _set_class_responses(ra, rb, col, _CLASS_PATTERNS[k])
-        lgs /= lgs.sum(axis=1, keepdims=True)
-        return lgs, ra, rb
-    if kind == 2:  # exponential tilt matched to the constraint by bisection
-        ra, rb = _class_responses(lambda_count)
-        return _tilt_rows(tilt_eta, lambda_count), ra, rb
-    lgs = rng.gamma(1.0, size=(4, lambda_count))
-    lgs /= lgs.sum(axis=1, keepdims=True)
-    return lgs, rng.random((2, lambda_count)), rng.random((2, lambda_count))
-
-
-def _bisect_tilt(
-    lambda_count: int, accept, lo_ok: bool, lo: float = 0.0, hi: float = 60.0
-) -> float:
-    """Largest (or smallest) eta in [lo, hi] whose tilt rows satisfy ``accept``."""
-    ra, rb = _class_responses(lambda_count)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if accept(*_fast_eval(_tilt_rows(mid, lambda_count), ra, rb)) == lo_ok:
-            lo = mid
-        else:
-            hi = mid
-    return lo if lo_ok else hi
-
-
-def _anneal(
-    cfg: SearchConfig,
-    penalized,
-    is_feasible,
-    rank_key,
-    tilt_eta: float,
-):
-    """Shared annealing loop; returns the best incumbent across restarts.
-
-    ``penalized(s, bits, weight)`` is the objective to minimize,
-    ``is_feasible(s, bits)`` the constraint, and ``rank_key(s, bits)`` the
-    deterministic ordering among feasible incumbents (lower is better).
+    Evaluated as x log2(4x) + (1 - x) log2(4(1 - x)/3) through log1p: near
+    x = 1/4 the textbook form cancels to 4e-16 absolute error, which would
+    move S*(budget) by ~1e-8 at tiny budgets.
     """
-    best = None  # (rank, restart, iteration, lgs, ra, rb, s, bits)
-    fallback = None  # least-violating incumbent if nothing is feasible
-    weight = cfg.penalty_weight
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
-        lgs, ra, rb = _initial_states(restart % 4, cfg.lambda_count, rng, tilt_eta)
-        s_val, bits = _fast_eval(lgs, ra, rb)
-        current = penalized(s_val, bits, weight)
-        temperature = cfg.initial_temperature
+    u = 4.0 * x - 1.0
+    first = x * math.log1p(u) if x > 0.0 else 0.0
+    return (first + (1.0 - x) * math.log1p(-u / 3.0)) / math.log(2.0)
 
-        def consider(iteration: int) -> None:
-            nonlocal best, fallback
-            if is_feasible(s_val, bits):
-                key = (rank_key(s_val, bits), restart, iteration)
-                if best is None or key < best[0:1] + best[1:3]:
-                    best = (key[0], restart, iteration, lgs.copy(), ra.copy(), rb.copy(), s_val, bits)
-            else:
-                key = (penalized(s_val, bits, weight), restart, iteration)
-                if fallback is None or key < fallback[0:1] + fallback[1:3]:
-                    fallback = (key[0], restart, iteration, lgs.copy(), ra.copy(), rb.copy(), s_val, bits)
 
-        consider(0)
-        for iteration in range(1, cfg.max_iterations + 1):
-            temperature *= cfg.temperature_decay
-            if rng.random() < 0.85:
-                s_idx = int(rng.integers(4))
-                concentration = 10.0 ** rng.uniform(1.5, 6.0)
-                proposal = rng.gamma(concentration * lgs[s_idx] + 0.02)
-                total = proposal.sum()
-                if total <= 0.0:
-                    continue
-                proposal /= total
-                new_lgs = lgs.copy()
-                new_lgs[s_idx] = proposal
-                s_new, bits_new = _fast_eval(new_lgs, ra, rb)
-                candidate = penalized(s_new, bits_new, weight)
-                delta = candidate - current
-                if delta <= 0.0 or rng.random() < math.exp(-delta / max(temperature, 1e-300)):
-                    lgs, current, s_val, bits = new_lgs, candidate, s_new, bits_new
-                    consider(iteration)
-            else:
-                party = int(rng.integers(2))
-                table = ra if party == 0 else rb
-                row = int(rng.integers(2))
-                col = int(rng.integers(cfg.lambda_count))
-                step = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, -0.5))
-                new_table = table.copy()
-                new_table[row, col] = min(max(new_table[row, col] + step, 0.0), 1.0)
-                if party == 0:
-                    s_new, bits_new = _fast_eval(lgs, new_table, rb)
-                else:
-                    s_new, bits_new = _fast_eval(lgs, ra, new_table)
-                candidate = penalized(s_new, bits_new, weight)
-                delta = candidate - current
-                if delta <= 0.0 or rng.random() < math.exp(-delta / max(temperature, 1e-300)):
-                    if party == 0:
-                        ra = new_table
-                    else:
-                        rb = new_table
-                    current, s_val, bits = candidate, s_new, bits_new
-                    consider(iteration)
-        if best is None:
-            weight *= 2.0
-    chosen = best if best is not None else fallback
-    _, restart, iteration, lgs, ra, rb, s_val, bits = chosen
-    model = LhvModel(SettingSpace(), lgs / lgs.sum(axis=1, keepdims=True), ra, rb)
-    return model, s_val, bits, best is not None, restart, iteration
+def _optimal_model(x: float) -> LhvModel:
+    """p(lambda | s) = x where lambda disagrees at s, (1 - x) / 3 elsewhere."""
+    ra = np.zeros((2, 4))
+    rb = np.zeros((2, 4))
+    for col, pattern in enumerate(_ONE_DISAGREEMENT):
+        _set_class_responses(ra, rb, col, pattern)
+    disagrees = (_ONE_DISAGREEMENT != _SIGN_PATTERN).T  # (setting, lambda)
+    rows = np.where(disagrees, x, (1.0 - x) / 3.0)
+    return LhvModel(SettingSpace(), rows, ra, rb)
+
+
+def _verified(x: float, meets) -> SearchOutcome:
+    """The model at rate x, with CHSH and dependence recomputed from it."""
+    model = _optimal_model(x)
+    s_value, report = chsh_value(predict(model)), cmd(model)
+    return SearchOutcome(model, report, s_value, feasible=meets(s_value, report.raw_bits))
 
 
 def min_cmd_for_chsh(target_s: float, cfg: SearchConfig | None = None) -> SearchOutcome:
-    """Minimize dependence bits subject to reaching a target CHSH value.
+    """Least dependence bits that reach a target CHSH value.
 
-    Certifies an upper bound on the minimum: the returned model satisfies
-    chsh >= target_s - tolerance_s and its dependence was pushed as low as
-    the annealer managed within the budget.
+    The returned model reaches ``target_s`` exactly (up to float rounding)
+    at the rate-distortion minimum.  ``cfg`` is accepted for its seed only.
     """
-    cfg = cfg or SearchConfig()
     if not 2.0 < target_s <= 4.0:
         raise InputError(
             f"target {target_s} must lie in (2, 4]: values up to 2 need no setting dependence"
         )
-    floor = target_s - cfg.tolerance_s
-
-    def penalized(s, bits, weight):
-        return bits + weight * max(0.0, floor - s)
-
-    def is_feasible(s, bits):
-        return s >= floor
-
-    def rank_key(s, bits):
-        return bits
-
-    tilt_eta = _bisect_tilt(
-        cfg.lambda_count,
-        lambda s, bits: s >= floor + 0.5 * cfg.tolerance_s,
-        lo_ok=False,
-    )
-    model, s_val, bits, feasible, restart, iteration = _anneal(
-        cfg, penalized, is_feasible, rank_key, tilt_eta
-    )
-    return SearchOutcome(
-        model=model,
-        cmd_report=cmd(model),
-        chsh=s_val,
-        feasible=feasible,
-        restart_index=restart,
-        iteration=iteration,
-    )
+    return _verified((4.0 - target_s) / 8.0, lambda s, bits: s >= target_s - _FEAS_HEADROOM)
 
 
 def max_chsh_under_budget(budget_bits: float, cfg: SearchConfig | None = None) -> SearchOutcome:
-    """Maximize the CHSH value among models within a dependence budget.
+    """Largest CHSH value among models within a dependence budget.
 
-    The budget is treated as hard (float headroom only): tolerance_cmd is
-    the slack allowed when *re-verifying* a returned model, not a margin
-    the search may spend, so a zero budget reproduces the classical bound.
+    The budget is hard: the rate x is bisected on [0, 1/4] to the smallest
+    value whose closed-form dependence fits, so a zero budget reproduces
+    the classical bound.  ``cfg`` is accepted for its seed only.
     """
-    cfg = cfg or SearchConfig()
-    if budget_bits < 0.0:
-        raise InputError("budget must be nonnegative")
-    cap = budget_bits + _FEAS_HEADROOM
-
-    def penalized(s, bits, weight):
-        return -s + weight * max(0.0, bits - cap)
-
-    def is_feasible(s, bits):
-        return bits <= cap
-
-    def rank_key(s, bits):
-        return (-s, bits)
-
-    tilt_eta = _bisect_tilt(
-        cfg.lambda_count,
-        lambda s, bits: bits <= 0.98 * budget_bits,
-        lo_ok=True,
-    )
-    model, s_val, bits, feasible, restart, iteration = _anneal(
-        cfg, penalized, is_feasible, rank_key, tilt_eta
-    )
-    return SearchOutcome(
-        model=model,
-        cmd_report=cmd(model),
-        chsh=s_val,
-        feasible=feasible,
-        restart_index=restart,
-        iteration=iteration,
-    )
+    if not (math.isfinite(budget_bits) and budget_bits >= 0.0):
+        raise InputError(f"budget {budget_bits} must be finite and nonnegative")
+    lo, hi = 0.0, 0.25  # _bits(hi) <= budget_bits < _bits(lo)
+    if budget_bits >= _FULL_BUDGET_BITS:
+        hi = 0.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _bits(mid) <= budget_bits:
+            hi = mid
+        else:
+            lo = mid
+    return _verified(hi, lambda s, bits: bits <= budget_bits + _FEAS_HEADROOM)
 
 
 def tradeoff_curve(budgets, cfg: SearchConfig | None = None) -> TradeoffCurve:
@@ -353,12 +169,11 @@ def tradeoff_curve(budgets, cfg: SearchConfig | None = None) -> TradeoffCurve:
     A model feasible at a smaller budget stays feasible at any larger one,
     so each point carries the best model seen at or below its budget.
     """
-    cfg = cfg or SearchConfig()
     budget_list = [float(b) for b in budgets]
     if not budget_list:
         raise InputError("need at least one budget")
-    if any(b < 0.0 for b in budget_list):
-        raise InputError("budgets must be nonnegative")
+    if not all(math.isfinite(b) and b >= 0.0 for b in budget_list):
+        raise InputError("budgets must be finite and nonnegative")
     if sorted(budget_list) != budget_list:
         raise InputError("budgets must be sorted ascending")
     points: list[TradeoffPoint] = []
@@ -371,19 +186,3 @@ def tradeoff_curve(budgets, cfg: SearchConfig | None = None) -> TradeoffCurve:
         points.append(point)
         best_so_far = point
     return TradeoffCurve(points=tuple(points))
-
-
-def envelope_min_cmd(results: list[tuple[float, SearchOutcome]]) -> list[tuple[float, float]]:
-    """Monotone envelope of certified bits over ascending CHSH targets.
-
-    A model certified for a higher target also certifies every lower one,
-    so the certified bits at a target may be replaced by any smaller value
-    achieved further up the grid.
-    """
-    targets = [t for t, _ in results]
-    if sorted(targets) != targets:
-        raise InputError("targets must be sorted ascending")
-    bits = [r.cmd_report.raw_bits for _, r in results]
-    for i in range(len(bits) - 2, -1, -1):
-        bits[i] = min(bits[i], bits[i + 1])
-    return list(zip(targets, bits))

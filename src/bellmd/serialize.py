@@ -19,7 +19,6 @@ from .errors import InputError
 from .hilbert import OperatorMatrix, StateVector
 from .inequalities import ChshScenario, KcbsScenario
 from .lhv import LhvModel, SettingSpace
-from .mdsearch import SearchConfig
 
 
 def format_float(x: float) -> str:
@@ -238,21 +237,11 @@ def read_kcbs_scenario(path: Path | str) -> KcbsScenario:
 
 # --- search configuration ----------------------------------------------------
 
-_CONFIG_FIELDS = {
-    "lambda_count": int,
-    "restarts": int,
-    "max_iterations": int,
-    "initial_temperature": float,
-    "temperature_decay": float,
-    "penalty_weight": float,
-    "seed": int,
-    "tolerance_s": float,
-    "tolerance_cmd": float,
-}
+_CONFIG_FIELDS = {"seed": int}
 
 
-def read_search_config(path: Path | str) -> SearchConfig:
-    """Parse a flat key=value config file; every field is optional."""
+def read_search_config(path: Path | str) -> dict:
+    """Parse a flat key=value config file into a dict; every field is optional."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -268,7 +257,7 @@ def read_search_config(path: Path | str) -> SearchConfig:
             values[key] = _CONFIG_FIELDS[key](value.strip())
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: bad value for '{key}': {value.strip()!r}") from exc
-    return SearchConfig(**values)
+    return values
 
 
 def write_curve_csv(path: Path | str, rows: list[tuple[float, float, str]]) -> None:

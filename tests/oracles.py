@@ -97,3 +97,33 @@ def bloch_observable(direction: np.ndarray) -> np.ndarray:
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def min_bits_closed_form(s: float) -> float:
+    """Least dependence (bits) reaching CHSH value s under uniform 2x2 settings.
+
+    The rate-distortion closed form I(s) = 2 - h(x) - (1 - x) log2 3 with
+    x = (4 - s) / 8.  It is evaluated in the offset d = s - 2, as
+    x log2(4x) + (1 - x) log2(4(1 - x)/3) with 4x = 1 - d/2 and
+    4(1 - x)/3 = 1 + d/6, so it keeps full relative precision near s = 2.
+    """
+    d = s - 2.0
+    if d <= 0.0:
+        return 0.0
+    assert d <= 2.0, "CHSH values above 4 are not reachable"
+    first = (2.0 - d) / 8.0 * math.log1p(-d / 2.0) if d < 2.0 else 0.0
+    return (first + (6.0 + d) / 8.0 * math.log1p(d / 6.0)) / math.log(2.0)
+
+
+def max_chsh_closed_form(bits: float) -> float:
+    """Largest CHSH value reachable within ``bits``: min_bits_closed_form inverted by bisection."""
+    lo, hi = 2.0, 4.0
+    if min_bits_closed_form(hi) <= bits:
+        return hi
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if min_bits_closed_form(mid) <= bits:
+            lo = mid
+        else:
+            hi = mid
+    return lo

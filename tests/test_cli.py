@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellmd
 from bellmd.cli import asset_path, main
+from oracles import min_bits_closed_form
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -188,7 +194,7 @@ class TestOptimizeCommand:
     @pytest.fixture
     def quick_config(self, tmp_path):
         path = tmp_path / "quick.cfg"
-        path.write_text("restarts = 4\nmax_iterations = 1500\n")
+        path.write_text("seed = 5\n")
         return path
 
     def test_zero_budget(self, capsys, tmp_path, quick_config):
@@ -250,26 +256,61 @@ class TestOptimizeCommand:
         monkeypatch.setenv("BELLMD_CONFIG", str(quick_config))
         out_dir = tmp_path / "env-run"
         code, stdout, _ = run_cli(
-            capsys, "optimize", "--budget", "0", "--seed", "1",
-            "--out-dir", str(out_dir),
+            capsys, "optimize", "--budget", "0", "--out-dir", str(out_dir),
         )
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["configuration"]["restarts"] == 4
+        assert manifest["configuration"]["seed"] == 5
+        assert manifest["seed"] == 5
 
-    def test_tsirelson_target_certifies_small_dependence(self, capsys, tmp_path):
-        # a little under 0.07 bits suffices even at the quantum maximum
-        cfg = tmp_path / "mid.cfg"
-        cfg.write_text("restarts = 8\nmax_iterations = 6000\n")
+    def test_seed_flag_overrides_config_file(self, capsys, tmp_path, quick_config):
+        out_dir = tmp_path / "override"
+        code, _, _ = run_cli(
+            capsys, "optimize", "--budget", "0", "--seed", "1",
+            "--config", str(quick_config), "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 1
+
+    @pytest.mark.parametrize("key", [
+        "lambda_count", "restarts", "max_iterations", "initial_temperature",
+        "temperature_decay", "penalty_weight", "tolerance_s", "tolerance_cmd",
+    ])
+    def test_annealer_config_key_exits_2(self, capsys, tmp_path, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key} = 4\n")
+        out_dir = tmp_path / "old"
+        code, _, stderr = run_cli(
+            capsys, "optimize", "--budget", "0.1", "--config", str(cfg),
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert f"unknown config key '{key}'" in stderr
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--budget", "nan"), ("--budget", "inf"), ("--budget", "-inf"),
+        ("--curve", "0,nan"), ("--curve", "0,inf"),
+    ])
+    def test_non_finite_budget_exits_2_without_data_files(self, capsys, tmp_path, flag, value):
+        out_dir = tmp_path / "bad"
+        code, _, stderr = run_cli(capsys, "optimize", f"{flag}={value}", "--out-dir", str(out_dir))
+        assert code == 2
+        assert "finite" in stderr
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_tsirelson_target_certifies_small_dependence(self, capsys, tmp_path, quick_config):
+        # 0.046274 bits reach the quantum maximum (Hall's value)
         out_dir = tmp_path / "tsirelson"
         code, stdout, _ = run_cli(
             capsys, "optimize", "--target-s", "2.8284", "--seed", "1",
-            "--config", str(cfg), "--out-dir", str(out_dir),
+            "--config", str(quick_config), "--out-dir", str(out_dir),
         )
         assert code == 0
         result = json.loads(stdout)
         assert result["feasible"] is True
-        assert result["raw_bits"] <= 0.07
+        assert abs(result["raw_bits"] - min_bits_closed_form(2.8284)) <= 1e-12
+        assert result["raw_bits"] <= 0.0463
 
     def test_byte_reproducibility_of_data_files(self, capsys, tmp_path, quick_config):
         dirs = [tmp_path / "r1", tmp_path / "r2"]
@@ -287,6 +328,16 @@ def test_version_flag(capsys):
     code, stdout, _ = run_cli(capsys, "--version")
     assert code == 0
     assert "bellmd" in stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(bellmd.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "bellmd", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"bellmd {bellmd.__version__}"
 
 
 def test_internal_invariant_breach_exits_3(capsys, monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 from bellmd.errors import InputError
 from bellmd.inequalities import bell_optimal_scenario, kcbs_pentagram
 from bellmd.lhv import CorrelationTable, brans_construct
-from bellmd.mdsearch import SearchConfig
 from bellmd.serialize import (
     dumps_json,
     format_float,
@@ -121,19 +120,10 @@ class TestScenarioRoundTrips:
 class TestSearchConfigFile:
     def test_full_and_partial_files(self, tmp_path):
         path = tmp_path / "config.txt"
-        path.write_text(
-            "# annealer knobs\n"
-            "lambda_count = 6\n"
-            "restarts=4\n"
-            "max_iterations = 1000  # short run\n"
-            "tolerance_s = 5e-3\n"
-        )
-        cfg = read_search_config(path)
-        assert cfg.lambda_count == 6
-        assert cfg.restarts == 4
-        assert cfg.max_iterations == 1000
-        assert cfg.tolerance_s == 5e-3
-        assert cfg.seed == SearchConfig().seed  # untouched default
+        path.write_text("# run settings\nseed=7  # fixed\n")
+        assert read_search_config(path) == {"seed": 7}
+        path.write_text("# nothing set\n\n")
+        assert read_search_config(path) == {}  # every key is optional
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -143,13 +133,13 @@ class TestSearchConfigFile:
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "config.txt"
-        path.write_text("restarts = soon\n")
-        with pytest.raises(InputError, match="restarts"):
+        path.write_text("seed = soon\n")
+        with pytest.raises(InputError, match="seed"):
             read_search_config(path)
 
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "config.txt"
-        path.write_text("restarts 4\n")
+        path.write_text("seed 4\n")
         with pytest.raises(InputError, match="key=value"):
             read_search_config(path)
 
