@@ -15,13 +15,11 @@ from .hilbert import (
     OperatorMatrix,
     ProjectiveMeasurement,
     StateVector,
-    apply,
     basis_state,
     born_probabilities,
     expectation,
     identity,
     pauli_x,
-    pauli_y,
     pauli_z,
     rotated_zx,
     tensor,
@@ -31,7 +29,6 @@ from .infotheory import (
     CmdReport,
     JointDistribution,
     cmd,
-    conditional_entropy,
     entropy_bits,
     mutual_information,
     setting_lambda_joint,
@@ -75,6 +72,7 @@ from .teleport import (
     branch_decomposition,
     run_teleportation,
     sample_outcome_counts,
+    sample_outcomes,
     verify_no_setting_choice,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances

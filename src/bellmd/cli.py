@@ -50,6 +50,7 @@ from .teleport import (
     TeleportInput,
     branch_decomposition,
     run_teleportation,
+    sample_outcomes,
     verify_no_setting_choice,
 )
 
@@ -103,6 +104,8 @@ def _resolve_input(inp_args) -> TeleportInput:
 
 
 def cmd_teleport(args) -> int:
+    if args.seed < 0:
+        raise InputError("--seed must be nonnegative")
     manifest = _Manifest(
         "teleport",
         {
@@ -117,16 +120,13 @@ def cmd_teleport(args) -> int:
         raise InputError("--trials must be positive")
 
     # the four possible transcripts are fixed by the input; trials only
-    # resample which branch occurred
+    # resample which branch occurred, so the file stores each transcript once
     canonical = [run_teleportation(inp, forced_outcome=k) for k in range(4)]
     if args.force_outcome is not None:
-        if args.force_outcome not in (0, 1, 2, 3):
-            raise InputError("--force-outcome must be in 0..3")
         outcomes = np.full(args.trials, args.force_outcome)
     else:
-        probs = np.array([p for p, _ in branch_decomposition(inp)])
-        rng = np.random.default_rng(args.seed)
-        outcomes = rng.choice(4, size=args.trials, p=probs / probs.sum())
+        probs = [p for p, _ in branch_decomposition(inp)]
+        outcomes = sample_outcomes(probs, args.trials, args.seed)
     counts = np.bincount(outcomes, minlength=4)
     summary = {
         "input": [[inp.a.real, inp.a.imag], [inp.b.real, inp.b.imag]],
@@ -136,12 +136,13 @@ def cmd_teleport(args) -> int:
         "min_fidelity": min(t.fidelity for t in canonical),
         "measurement_report": verify_no_setting_choice(),
     }
-    doc = {
-        "summary": summary,
-        "transcripts": [canonical[k].to_json_dict() for k in outcomes],
-    }
     if args.out:
-        dump_json(args.out, doc)
+        dump_json(args.out, {
+            "summary": summary,
+            "transcripts": [t.to_json_dict() for t in canonical],
+            # one ASCII digit per trial: the outcome index, in trial order
+            "outcomes": (outcomes.astype(np.uint8) + 48).tobytes().decode("ascii"),
+        })
         manifest.add_output(args.out)
         manifest.write(str(args.out) + ".manifest.json")
     print(dumps_json(summary))
@@ -149,9 +150,6 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_chsh(args) -> int:
-    modes = [args.scenario is not None, args.model is not None, args.deterministic_max]
-    if sum(modes) != 1:
-        raise InputError("choose exactly one of --scenario, --model, --deterministic-max")
     manifest = _Manifest(
         "chsh",
         {"scenario": args.scenario, "model": args.model,
@@ -184,8 +182,6 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_mi(args) -> int:
-    if (args.table is None) == (args.model is None):
-        raise InputError("choose exactly one of --table, --model")
     if args.table is not None:
         try:
             values = [float(v) for v in args.table.split(",")]
@@ -216,12 +212,7 @@ def _load_config(args) -> SearchConfig:
 
 
 def cmd_optimize(args) -> int:
-    modes = [args.target_s is not None, args.budget is not None, args.curve is not None]
-    if sum(modes) != 1:
-        raise InputError("choose exactly one of --target-s, --budget, --curve")
     config = _load_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(
         "optimize",
         {**config.__dict__, "target_s": args.target_s, "budget": args.budget,
@@ -231,66 +222,61 @@ def cmd_optimize(args) -> int:
     if args.config:
         manifest.add_input(args.config)
 
+    # solve first: a run that fails on its input leaves no directory behind
     if args.target_s is not None:
         outcome = min_cmd_for_chsh(args.target_s, config)
-        model_path = out_dir / "min_cmd_model.json"
-        write_model(model_path, outcome.model)
-        report_path = out_dir / "min_cmd_report.json"
-        dump_json(report_path, {
+        models = {"min_cmd_model.json": outcome.model}
+        reports = {"min_cmd_report.json": {
             "target_s": args.target_s,
             "chsh_value": outcome.chsh,
             "cmd": outcome.cmd_report.to_json_dict(),
             "feasible": outcome.feasible,
             "budget_exhausted": not outcome.feasible,
-        })
-        manifest.add_output(model_path)
-        manifest.add_output(report_path)
-        print(dumps_json({
+        }}
+        summary = {
             "chsh_value": outcome.chsh,
             "raw_bits": outcome.cmd_report.raw_bits,
             "feasible": outcome.feasible,
-        }))
+        }
     elif args.budget is not None:
         outcome = max_chsh_under_budget(args.budget, config)
-        model_path = out_dir / "budget_model.json"
-        write_model(model_path, outcome.model)
-        report_path = out_dir / "budget_report.json"
-        dump_json(report_path, {
+        models = {"budget_model.json": outcome.model}
+        reports = {"budget_report.json": {
             "budget_bits": args.budget,
             "best_chsh": outcome.chsh,
             "cmd": outcome.cmd_report.to_json_dict(),
-        })
-        manifest.add_output(model_path)
-        manifest.add_output(report_path)
-        print(dumps_json({"best_chsh": outcome.chsh,
-                          "raw_bits": outcome.cmd_report.raw_bits}))
+        }}
+        summary = {"best_chsh": outcome.chsh, "raw_bits": outcome.cmd_report.raw_bits}
     else:
         try:
             budgets = [float(v) for v in args.curve.split(",")]
         except ValueError as exc:
             raise InputError(f"--curve must be comma-separated numbers: {exc}") from exc
-        curve = tradeoff_curve(budgets, config)
-        rows = []
-        for k, point in enumerate(curve.points):
-            model_file = f"curve_model_{k}.json"
-            write_model(out_dir / model_file, point.model)
-            manifest.add_output(out_dir / model_file)
-            rows.append((point.budget_bits, point.best_chsh, model_file))
-        csv_path = out_dir / "curve.csv"
-        write_curve_csv(csv_path, rows)
-        manifest.add_output(csv_path)
-        print(dumps_json({"points": [
-            {"budget_bits": p.budget_bits, "best_chsh": p.best_chsh}
-            for p in curve.points
-        ]}))
+        points = tradeoff_curve(budgets, config).points
+        models = {f"curve_model_{k}.json": p.model for k, p in enumerate(points)}
+        reports = {}
+        summary = {"points": [
+            {"budget_bits": p.budget_bits, "best_chsh": p.best_chsh} for p in points
+        ]}
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, model in models.items():
+        write_model(out_dir / name, model)
+        manifest.add_output(out_dir / name)
+    for name, doc in reports.items():
+        dump_json(out_dir / name, doc)
+        manifest.add_output(out_dir / name)
+    if args.curve is not None:
+        rows = [(p.budget_bits, p.best_chsh, name) for p, name in zip(points, models)]
+        write_curve_csv(out_dir / "curve.csv", rows)
+        manifest.add_output(out_dir / "curve.csv")
+    print(dumps_json(summary))
     manifest.write(out_dir / "manifest.json")
     return 0
 
 
 def cmd_kcbs(args) -> int:
-    modes = [args.classical_min, args.quantum_optimal, args.scenario is not None]
-    if sum(modes) != 1:
-        raise InputError("choose exactly one of --classical-min, --quantum-optimal, --scenario")
     if args.classical_min:
         doc = {"kcbs_value": kcbs_classical_min(), "source": "noncontextual_enumeration"}
     elif args.quantum_optimal:
@@ -320,26 +306,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", action="store_true", help="draw a random normalized input")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--force-outcome", type=int, default=None)
+    p.add_argument("--force-outcome", type=int, choices=range(4), default=None)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_teleport)
 
     p = sub.add_parser("chsh", help="evaluate the CHSH statistic")
-    p.add_argument("--scenario", type=Path, default=None)
-    p.add_argument("--model", type=Path, default=None)
-    p.add_argument("--deterministic-max", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--scenario", type=Path, default=None)
+    mode.add_argument("--model", type=Path, default=None)
+    mode.add_argument("--deterministic-max", action="store_true")
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_chsh)
 
     p = sub.add_parser("mi", help="mutual information of a 2x2 table or a model")
-    p.add_argument("--table", type=str, default=None, help='"p00,p01,p10,p11"')
-    p.add_argument("--model", type=Path, default=None)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--table", type=str, default=None, help='"p00,p01,p10,p11"')
+    mode.add_argument("--model", type=Path, default=None)
     p.set_defaults(func=cmd_mi)
 
     p = sub.add_parser("optimize", help="search models trading dependence against CHSH")
-    p.add_argument("--target-s", type=float, default=None)
-    p.add_argument("--budget", type=float, default=None)
-    p.add_argument("--curve", type=str, default=None, help='"b1,b2,..."')
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--target-s", type=float, default=None)
+    mode.add_argument("--budget", type=float, default=None)
+    mode.add_argument("--curve", type=str, default=None, help='"b1,b2,..."')
     p.add_argument("--config", type=Path, default=None,
                    help=f"key=value config file (default ${CONFIG_ENV_VAR})")
     p.add_argument("--seed", type=int, default=None)
@@ -347,9 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("kcbs", help="evaluate the five-cycle contextuality statistic")
-    p.add_argument("--classical-min", action="store_true")
-    p.add_argument("--quantum-optimal", action="store_true")
-    p.add_argument("--scenario", type=Path, default=None)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--classical-min", action="store_true")
+    mode.add_argument("--quantum-optimal", action="store_true")
+    mode.add_argument("--scenario", type=Path, default=None)
     p.set_defaults(func=cmd_kcbs)
     return parser
 

@@ -37,28 +37,20 @@ def _as_complex_vector(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Complex amplitude vector, unit length unless an explicit norm is recorded.
+    """Complex amplitude vector of unit length.
 
-    The default constructor enforces sum(|amplitude|^2) == 1 within the
-    normalization tolerance.  Non-unitary maps produce vectors with an
-    explicit ``norm`` field instead (see :func:`apply`).
+    The constructor enforces sum(|amplitude|^2) == 1 within the
+    normalization tolerance.
     """
 
     amplitudes: np.ndarray
-    norm: float = 1.0
 
     def __post_init__(self) -> None:
         arr = _as_complex_vector(self.amplitudes)
         object.__setattr__(self, "amplitudes", arr)
-        object.__setattr__(self, "norm", float(self.norm))
-        if self.norm < 0.0 or not math.isfinite(self.norm):
-            raise InputError("norm must be a finite nonnegative real")
         actual = float(np.sum(np.abs(arr) ** 2))
-        if abs(actual - self.norm**2) > DEFAULT_TOLERANCES.normalization:
-            raise InputError(
-                f"amplitudes have squared norm {actual:.12g}, "
-                f"expected {self.norm ** 2:.12g}"
-            )
+        if abs(actual - 1.0) > DEFAULT_TOLERANCES.normalization:
+            raise InputError(f"amplitudes have squared norm {actual:.12g}, expected 1")
 
     @property
     def dim(self) -> int:
@@ -110,11 +102,6 @@ class OperatorMatrix:
         tol = DEFAULT_TOLERANCES.arithmetic if tol is None else tol
         return float(np.max(np.abs(self.entries - self.entries.conj().T))) <= tol
 
-    def is_unitary(self, tol: float | None = None) -> bool:
-        tol = DEFAULT_TOLERANCES.operator if tol is None else tol
-        gram = self.entries @ self.entries.conj().T
-        return float(np.max(np.abs(gram - np.eye(self.dim)))) <= tol
-
 
 def identity(dim: int) -> OperatorMatrix:
     return OperatorMatrix(np.eye(dim, dtype=np.complex128), hermitian=True)
@@ -122,10 +109,6 @@ def identity(dim: int) -> OperatorMatrix:
 
 def pauli_x() -> OperatorMatrix:
     return OperatorMatrix(np.array([[0, 1], [1, 0]], dtype=np.complex128), hermitian=True)
-
-
-def pauli_y() -> OperatorMatrix:
-    return OperatorMatrix(np.array([[0, -1j], [1j, 0]], dtype=np.complex128), hermitian=True)
 
 
 def pauli_z() -> OperatorMatrix:
@@ -199,28 +182,10 @@ def tensor_op(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(np.kron(a.entries, b.entries), hermitian=a.hermitian and b.hermitian)
 
 
-def apply(op: OperatorMatrix, s: StateVector) -> StateVector:
-    """Matrix-vector product.
-
-    Unitary operators return a unit vector (renormalized to absorb float
-    drift); anything else returns the raw image with its norm recorded in
-    the ``norm`` field.
-    """
-    if op.dim != s.dim:
-        raise InputError(f"operator dimension {op.dim} does not match state dimension {s.dim}")
-    image = op.entries @ s.amplitudes
-    length = float(np.linalg.norm(image))
-    if op.is_unitary():
-        return StateVector(image / length)
-    return StateVector(image, norm=length)
-
-
 def born_probabilities(m: ProjectiveMeasurement, s: StateVector) -> list[float]:
     """Outcome probabilities <s|P_i|s>; clamped against float residue, sum checked."""
     if m.dim != s.dim:
         raise InputError(f"measurement dimension {m.dim} does not match state dimension {s.dim}")
-    if abs(s.norm - 1.0) > DEFAULT_TOLERANCES.normalization:
-        raise InputError("Born probabilities need a normalized state")
     probs = []
     for p in m.projectors:
         value = float(np.vdot(s.amplitudes, p.entries @ s.amplitudes).real)

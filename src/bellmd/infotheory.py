@@ -55,9 +55,6 @@ class JointDistribution:
     def col_marginal(self) -> np.ndarray:
         return self.probabilities.sum(axis=0)
 
-    def transpose(self) -> JointDistribution:
-        return JointDistribution(self.probabilities.T)
-
 
 def entropy_bits(distribution) -> float:
     """Shannon entropy in bits, with the 0 log 0 = 0 convention."""
@@ -80,14 +77,6 @@ def _mutual_information_bits(joint: np.ndarray, row_m: np.ndarray, col_m: np.nda
 def mutual_information(j: JointDistribution) -> float:
     """I(row; col) = sum p(x,y) log2[ p(x,y) / (p(x) p(y)) ] in bits."""
     return _mutual_information_bits(j.probabilities, j.row_marginal(), j.col_marginal())
-
-
-def conditional_entropy(j: JointDistribution) -> float:
-    """H(col | row) in bits: joint entropy minus row entropy."""
-    value = entropy_bits(j.probabilities) - entropy_bits(j.row_marginal())
-    if value < -_CLAMP:
-        raise InvariantError(f"conditional entropy {value:.3g} below the float-residue clamp")
-    return max(value, 0.0)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from json.encoder import _make_iterencode, encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -25,50 +24,67 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _to_plain(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return _to_plain(obj.tolist())
-    if isinstance(obj, Path):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {k: _to_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_plain(v) for v in obj]
-    return obj
+_INDENT = "  "
 
 
-class _Float17Encoder(json.JSONEncoder):
-    """json.JSONEncoder with floats rendered at 17 significant digits."""
+def _emit(obj, depth: int, out: list[str]) -> None:
+    """Append the JSON text of ``obj``, nested ``depth`` levels deep, to ``out``.
 
-    def iterencode(self, o, _one_shot: bool = False):
-        markers: dict | None = {} if self.check_circular else None
-        encoder = encode_basestring_ascii if self.ensure_ascii else encode_basestring
+    Matches ``json.dumps(..., indent=2)`` except that floats carry 17
+    significant digits.  numpy scalars and arrays, tuples and ``Path`` values
+    are written as their plain JSON counterparts.
+    """
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float {obj!r} is not serializable")
+        out.append(format_float(obj))
+    elif isinstance(obj, (str, Path)):
+        out.append(json.dumps(str(obj)))
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), depth, out)
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = "\n" + _INDENT * (depth + 1)
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out.append(sep + json.dumps(key) + ": ")
+            _emit(value, depth + 1, out)
+            sep = "," + inner
+        out.append("\n" + _INDENT * depth + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = "\n" + _INDENT * (depth + 1)
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _emit(value, depth + 1, out)
+            sep = "," + inner
+        out.append("\n" + _INDENT * depth + "]")
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
-        def floatstr(x):
-            if not math.isfinite(x):
-                raise ValueError(f"non-finite float {x!r} is not serializable")
-            return format_float(x)
 
-        iterator = _make_iterencode(
-            markers, self.default, encoder, self.indent, floatstr,
-            self.key_separator, self.item_separator, self.sort_keys,
-            self.skipkeys, False,
-        )
-        return iterator(o, 0)
+def dumps_json(obj) -> str:
+    """JSON text of ``obj`` with a 2-space indent and 17-digit floats."""
+    out: list[str] = []
+    _emit(obj, 0, out)
+    return "".join(out)
 
 
-def dumps_json(obj, indent: int | None = 2) -> str:
-    return json.dumps(_to_plain(obj), cls=_Float17Encoder, indent=indent)
-
-
-def dump_json(path: Path | str, obj, indent: int | None = 2) -> None:
-    Path(path).write_text(dumps_json(obj, indent=indent) + "\n", encoding="utf-8")
+def dump_json(path: Path | str, obj) -> None:
+    Path(path).write_text(dumps_json(obj) + "\n", encoding="utf-8")
 
 
 def load_json(path: Path | str):

@@ -66,8 +66,9 @@ class TeleportInput:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
-        total = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(total - 1.0) > DEFAULT_TOLERANCES.normalization:
+        # x * x overflows to inf where ** raises; nan fails the comparison
+        total = sum(x * x for x in (self.a.real, self.a.imag, self.b.real, self.b.imag))
+        if not abs(total - 1.0) <= DEFAULT_TOLERANCES.normalization:
             raise InputError(f"input amplitudes have squared norm {total:.12g}, expected 1")
 
     def state(self) -> StateVector:
@@ -120,46 +121,36 @@ def branch_decomposition(inp: TeleportInput) -> list[tuple[float, StateVector]]:
     return branches
 
 
-def run_teleportation(
-    inp: TeleportInput,
-    forced_outcome: int | None = None,
-    seed: int = 0,
-) -> TeleportTranscript:
-    """Execute one teleportation round.
-
-    The measurement outcome is sampled from the exact branch probabilities
-    under the given seed, unless ``forced_outcome`` selects a branch
-    deterministically.
-    """
+def run_teleportation(inp: TeleportInput, forced_outcome: int) -> TeleportTranscript:
+    """Execute one teleportation round in the branch ``forced_outcome`` selects."""
+    if forced_outcome not in (0, 1, 2, 3):
+        raise InputError(f"forced outcome {forced_outcome} must be in 0..3")
+    outcome = int(forced_outcome)
     branches = branch_decomposition(inp)
-    probs = [p for p, _ in branches]
-    if forced_outcome is None:
-        rng = np.random.default_rng(seed)
-        outcome = int(rng.choice(4, p=np.asarray(probs) / sum(probs)))
-    else:
-        if forced_outcome not in (0, 1, 2, 3):
-            raise InputError(f"forced outcome {forced_outcome} must be in 0..3")
-        outcome = int(forced_outcome)
     pre = branches[outcome][1]
     corrected = _correction_matrices()[outcome] @ pre.amplitudes
     bob_final = StateVector(corrected)
     return TeleportTranscript(
         outcome_index=outcome,
-        outcome_probability=probs[outcome],
+        outcome_probability=branches[outcome][0],
         correction_applied=CORRECTION_LABELS[outcome],
         bob_final=bob_final,
         fidelity=min(bob_final.fidelity(inp.state()), 1.0),
     )
 
 
-def sample_outcome_counts(inp: TeleportInput, trials: int, seed: int = 0) -> np.ndarray:
-    """Outcome histogram over many rounds, sampled from the exact branch probabilities."""
+def sample_outcomes(probabilities, trials: int, seed: int = 0) -> np.ndarray:
+    """Outcome index of each of ``trials`` rounds, drawn from the 4 branch probabilities."""
     if trials <= 0:
         raise InputError("trials must be positive")
-    probs = np.array([p for p, _ in branch_decomposition(inp)])
-    rng = np.random.default_rng(seed)
-    outcomes = rng.choice(4, size=trials, p=probs / probs.sum())
-    return np.bincount(outcomes, minlength=4)
+    p = np.asarray(probabilities, dtype=float)
+    return np.random.default_rng(seed).choice(4, size=trials, p=p / p.sum())
+
+
+def sample_outcome_counts(inp: TeleportInput, trials: int, seed: int = 0) -> np.ndarray:
+    """Outcome histogram over many rounds, sampled from the exact branch probabilities."""
+    probs = [p for p, _ in branch_decomposition(inp)]
+    return np.bincount(sample_outcomes(probs, trials, seed), minlength=4)
 
 
 def verify_no_setting_choice(scenario: object | None = None) -> dict:

@@ -31,7 +31,12 @@ class TestTeleportCommand:
         assert summary["min_fidelity"] == 1.0
         assert summary["measurement_report"]["measurement_count"] == 1
         doc = json.loads(out.read_text())
-        assert len(doc["transcripts"]) == 10
+        assert set(doc) == {"summary", "transcripts", "outcomes"}
+        assert doc["summary"] == summary
+        assert len(doc["outcomes"]) == 10
+        assert [t["outcome_index"] for t in doc["transcripts"]] == [0, 1, 2, 3]
+        counts = [doc["outcomes"].count(str(k)) for k in range(4)]
+        assert counts == summary["outcome_counts"]
         manifest = json.loads((tmp_path / "run.json.manifest.json").read_text())
         assert manifest["subcommand"] == "teleport"
         assert str(out) in manifest["output_files"]
@@ -60,7 +65,8 @@ class TestTeleportCommand:
         )
         assert code == 0
         doc = json.loads(out.read_text())
-        assert all(t["correction_applied"] == "sigma_x" for t in doc["transcripts"])
+        assert doc["outcomes"] == "22"
+        assert doc["transcripts"][2]["correction_applied"] == "sigma_x"
 
     def test_non_normalized_input_exits_2(self, capsys):
         code, _, stderr = run_cli(capsys, "teleport", "--a-re", "1", "--b-re", "1")
@@ -69,6 +75,26 @@ class TestTeleportCommand:
 
     def test_bad_flag_exits_2(self, capsys):
         assert run_cli(capsys, "teleport", "--no-such-flag")[0] == 2
+
+    @pytest.mark.parametrize("extra", [["--trials", "5"], ["--random"]])
+    def test_negative_seed_exits_2_without_files(self, capsys, tmp_path, extra):
+        out = tmp_path / "neg.json"
+        code, _, stderr = run_cli(capsys, "teleport", "--seed", "-1", *extra, "--out", str(out))
+        assert code == 2
+        assert "--seed must be nonnegative" in stderr
+        assert not any(tmp_path.iterdir())
+
+    def test_file_size_does_not_grow_with_transcripts(self, capsys, tmp_path):
+        # four transcripts plus one digit per trial; a transcript per trial was 34.6 MB
+        out = tmp_path / "big.json"
+        code, stdout, _ = run_cli(
+            capsys, "teleport", "--random", "--seed", "7", "--trials", "100000", "--out", str(out),
+        )
+        assert code == 0
+        assert out.stat().st_size <= 110_000
+        doc = json.loads(out.read_text())
+        assert [doc["outcomes"].count(str(k)) for k in range(4)] == \
+            json.loads(stdout)["outcome_counts"]
 
     def test_byte_reproducibility(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -297,7 +323,7 @@ class TestOptimizeCommand:
         code, _, stderr = run_cli(capsys, "optimize", f"{flag}={value}", "--out-dir", str(out_dir))
         assert code == 2
         assert "finite" in stderr
-        assert not out_dir.exists() or not any(out_dir.iterdir())
+        assert not out_dir.exists()
 
     def test_tsirelson_target_certifies_small_dependence(self, capsys, tmp_path, quick_config):
         # 0.046274 bits reach the quantum maximum (Hall's value)
@@ -322,6 +348,26 @@ class TestOptimizeCommand:
             assert code == 0
         for name in ("budget_model.json", "budget_report.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["chsh", "--out", "o.json"],
+    ["chsh", "--deterministic-max", "--model", "m.json", "--out", "o.json"],
+    ["mi"],
+    ["mi", "--table", "0.25,0.25,0.25,0.25", "--model", "m.json"],
+    ["optimize", "--out-dir", "d"],
+    ["optimize", "--budget", "0", "--target-s", "2.5", "--out-dir", "d"],
+    ["kcbs"],
+    ["kcbs", "--classical-min", "--quantum-optimal"],
+    ["teleport", "--force-outcome", "4", "--out", "o.json"],
+    ["teleport", "--force-outcome", "-1", "--out", "o.json"],
+], ids=lambda argv: " ".join(argv))
+def test_mode_errors_exit_2_at_parse_time(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error:" in stderr
+    assert not any(tmp_path.iterdir())
 
 
 def test_version_flag(capsys):

@@ -9,13 +9,11 @@ from bellmd.hilbert import (
     OperatorMatrix,
     ProjectiveMeasurement,
     StateVector,
-    apply,
     basis_state,
     born_probabilities,
     expectation,
     identity,
     pauli_x,
-    pauli_y,
     pauli_z,
     rotated_zx,
     tensor,
@@ -55,12 +53,6 @@ class TestStateVector:
         with pytest.raises(InputError):
             StateVector([1.0, 1.0])
         StateVector([SQRT2_INV, SQRT2_INV])  # fine
-
-    def test_explicit_norm_bookkeeping(self):
-        s = StateVector([0.5, 0.0], norm=0.5)
-        assert s.norm == 0.5
-        with pytest.raises(InputError):
-            StateVector([0.5, 0.0], norm=1.0)
 
     def test_rejects_junk(self):
         with pytest.raises(InputError):
@@ -113,44 +105,6 @@ class TestTensor:
         with pytest.raises(InputError):
             tensor(big, mid)
         assert tensor(big, basis_state(4, 0)).dim == 64
-
-
-class TestApply:
-    def test_bit_flip_restores_swapped_amplitudes(self, rng):
-        a, b = random_qubit_pair(rng)
-        swapped = StateVector([b, a])
-        out = apply(pauli_x(), swapped)
-        assert np.allclose(out.amplitudes, [a, b], atol=1e-12)
-
-    def test_identity_is_noop(self, rng):
-        s = StateVector(oracles.random_state(2, rng))
-        out = apply(identity(2), s)
-        assert np.allclose(out.amplitudes, s.amplitudes, atol=1e-12)
-
-    def test_phase_flip_on_plus(self):
-        plus = StateVector([SQRT2_INV, SQRT2_INV])
-        out = apply(pauli_z(), plus)
-        assert np.allclose(out.amplitudes, [SQRT2_INV, -SQRT2_INV], atol=1e-15)
-
-    def test_unitary_preserves_norm(self, rng):
-        for _ in range(50):
-            theta = rng.uniform(0, 2 * math.pi)
-            op = rotated_zx(theta)
-            s = StateVector(oracles.random_state(2, rng))
-            out = apply(op, s)
-            assert abs(out.norm - 1.0) <= 1e-10
-            assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
-
-    def test_projector_records_norm(self):
-        plus = StateVector([SQRT2_INV, SQRT2_INV])
-        proj = OperatorMatrix(np.array([[1, 0], [0, 0]], dtype=complex), hermitian=True)
-        out = apply(proj, plus)
-        assert abs(out.norm - SQRT2_INV) <= 1e-12
-        assert np.allclose(out.amplitudes, [SQRT2_INV, 0], atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            apply(identity(4), basis_state(2, 0))
 
 
 class TestBornProbabilities:
@@ -247,10 +201,6 @@ class TestOperatorAndMeasurementValidation:
     def test_hermitian_flag_checked(self):
         with pytest.raises(InputError):
             OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex), hermitian=True)
-
-    def test_pauli_y_is_hermitian_and_unitary(self):
-        op = pauli_y()
-        assert op.is_hermitian() and op.is_unitary()
 
     def test_incomplete_projector_set_rejected(self):
         p0 = OperatorMatrix(np.array([[1, 0], [0, 0]], dtype=complex), hermitian=True)

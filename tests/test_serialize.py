@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,45 @@ from bellmd.serialize import (
     write_model,
 )
 
+PINNED_DOC_TEXT = (
+    '{\n'
+    '  "nested": {\n'
+    '    "list": [\n'
+    '      1,\n'
+    '      2.5,\n'
+    '      [\n'
+    '        true,\n'
+    '        null\n'
+    '      ]\n'
+    '    ],\n'
+    '    "tuple": [\n'
+    '      3,\n'
+    '      "x"\n'
+    '    ],\n'
+    '    "empty_dict": {},\n'
+    '    "empty_list": []\n'
+    '  },\n'
+    '  "numpy": {\n'
+    '    "f64": 0.10000000000000001,\n'
+    '    "i64": -7,\n'
+    '    "flag": false,\n'
+    '    "array": [\n'
+    '      [\n'
+    '        0.5,\n'
+    '        -0\n'
+    '      ],\n'
+    '      [\n'
+    '        1e-300,\n'
+    '        0.66666666666666663\n'
+    '      ]\n'
+    '    ]\n'
+    '  },\n'
+    '  "path": "runs/out.json",\n'
+    '  "none": null,\n'
+    '  "text": "Bell \\u2013 \\u03bb caf\\u00e9 \\"q\\"\\n"\n'
+    '}'
+)
+
 
 class TestFloatFormat:
     def test_seventeen_significant_digits(self):
@@ -37,8 +77,28 @@ class TestFloatFormat:
         assert recovered == values
 
     def test_json_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            dumps_json({"x": math.inf})
+        for bad in (math.inf, -math.inf, math.nan, np.float64("nan")):
+            with pytest.raises(ValueError):
+                dumps_json({"x": [bad]})
+
+    def test_pinned_bytes(self):
+        # expected text written by the json.JSONEncoder-based encoder this emitter replaced
+        doc = {
+            "nested": {"list": [1, 2.5, [True, None]], "tuple": (3, "x"),
+                       "empty_dict": {}, "empty_list": []},
+            "numpy": {"f64": np.float64(0.1), "i64": np.int64(-7), "flag": np.bool_(False),
+                      "array": np.array([[0.5, -0.0], [1e-300, 2.0 / 3.0]])},
+            "path": Path("runs") / "out.json",
+            "none": None,
+            "text": "Bell \u2013 \u03bb caf\u00e9 \"q\"\n",
+        }
+        assert dumps_json(doc) == PINNED_DOC_TEXT
+
+    def test_unsupported_values_rejected(self):
+        with pytest.raises(TypeError):
+            dumps_json({"z": 1j})
+        with pytest.raises(TypeError):
+            dumps_json({1: "non-string key"})
 
 
 class TestModelRoundTrip:

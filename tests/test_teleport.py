@@ -14,6 +14,7 @@ from bellmd.teleport import (
     branch_decomposition,
     run_teleportation,
     sample_outcome_counts,
+    sample_outcomes,
     verify_no_setting_choice,
 )
 
@@ -88,13 +89,12 @@ def test_sampled_outcome_frequencies(rng):
 
 def test_sampling_is_seed_deterministic():
     inp = TeleportInput(0.6, 0.8)
-    t1 = run_teleportation(inp, seed=42)
-    t2 = run_teleportation(inp, seed=42)
-    assert t1.outcome_index == t2.outcome_index
-    assert np.array_equal(t1.bob_final.amplitudes, t2.bob_final.amplitudes)
-    assert np.array_equal(
-        sample_outcome_counts(inp, 1000, seed=5), sample_outcome_counts(inp, 1000, seed=5)
-    )
+    probs = [p for p, _ in branch_decomposition(inp)]
+    outcomes = sample_outcomes(probs, 1000, seed=5)
+    assert np.array_equal(outcomes, sample_outcomes(probs, 1000, seed=5))
+    assert not np.array_equal(outcomes, sample_outcomes(probs, 1000, seed=6))
+    counts = sample_outcome_counts(inp, 1000, seed=5)
+    assert np.array_equal(counts, np.bincount(outcomes, minlength=4))
 
 
 def test_forced_outcome_validated():
