@@ -18,6 +18,7 @@ from .hilbert import (
     basis_state,
     born_probabilities,
     expectation,
+    expectations,
     identity,
     pauli_x,
     pauli_z,
@@ -44,7 +45,6 @@ from .inequalities import (
     kcbs_pentagram,
     kcbs_value,
     lhv_chsh_max,
-    outcome_projectors,
 )
 from .lhv import (
     CorrelationTable,

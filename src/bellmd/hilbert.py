@@ -198,13 +198,34 @@ def born_probabilities(m: ProjectiveMeasurement, s: StateVector) -> list[float]:
     return probs
 
 
+def expectations(ops, s: StateVector) -> np.ndarray:
+    """<s|A|s> for every hermitian operator A in a stack of shape (..., d, d).
+
+    The whole stack is checked at once: matching dimension, finite entries,
+    hermiticity within the arithmetic tolerance, and a real result within
+    the operator tolerance.
+    """
+    arr = np.asarray(ops, dtype=np.complex128)
+    if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
+        raise InputError(f"operators must be square matrices, got shape {arr.shape}")
+    if arr.shape[-1] != s.dim:
+        raise InputError(
+            f"operator dimension {arr.shape[-1]} does not match state dimension {s.dim}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise InputError("operator entries must be finite")
+    residue = float(np.max(np.abs(arr - np.swapaxes(arr, -1, -2).conj()), initial=0.0))
+    if residue > DEFAULT_TOLERANCES.arithmetic:
+        raise InputError("expectation requires a hermitian operator")
+    psi = s.amplitudes
+    # psi^dagger (A psi), grouped as np.vdot groups it, so one operator gives the same bits
+    values = (psi.conj() @ (arr @ psi)[..., None])[..., 0]
+    residue = float(np.max(np.abs(values.imag), initial=0.0))
+    if residue > DEFAULT_TOLERANCES.operator:
+        raise InvariantError(f"expectation has imaginary residue {residue:.3g}")
+    return values.real
+
+
 def expectation(op: OperatorMatrix, s: StateVector) -> float:
     """<s|op|s> for a hermitian operator."""
-    if op.dim != s.dim:
-        raise InputError(f"operator dimension {op.dim} does not match state dimension {s.dim}")
-    if not op.is_hermitian():
-        raise InputError("expectation requires a hermitian operator")
-    value = complex(np.vdot(s.amplitudes, op.entries @ s.amplitudes))
-    if abs(value.imag) > DEFAULT_TOLERANCES.operator:
-        raise InvariantError(f"expectation has imaginary residue {value.imag:.3g}")
-    return float(value.real)
+    return float(expectations(op.entries, s))

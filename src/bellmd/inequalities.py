@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .hilbert import OperatorMatrix, StateVector, expectation, tensor_op
+from .hilbert import OperatorMatrix, StateVector, expectations
+# the benchmark tracer (bench/workloads.py) wraps these two names in this module
+from .hilbert import expectation, tensor_op  # noqa: F401
 from .lhv import CorrelationTable, SettingSpace
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -60,27 +62,29 @@ def chsh_value(t: CorrelationTable) -> float:
     return float(np.max(np.abs(total - 2.0 * e)))
 
 
-def outcome_projectors(op: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Eigenprojectors (1 +/- A)/2 of a +/-1-valued observable."""
-    eye = np.eye(op.dim)
-    plus = OperatorMatrix((eye + op.entries) / 2.0, hermitian=True)
-    minus = OperatorMatrix((eye - op.entries) / 2.0, hermitian=True)
-    return plus, minus
-
-
 def chsh_quantum(s: ChshScenario) -> CorrelationTable:
-    """Quantum correlation table E(a_i, b_j) = <state| A_i (x) B_j |state>."""
-    corr = np.zeros((2, 2))
-    joint = np.zeros((2, 2, 2, 2))
-    for i, a_op in enumerate(s.alice_observables):
-        a_projs = outcome_projectors(a_op)
-        for j, b_op in enumerate(s.bob_observables):
-            b_projs = outcome_projectors(b_op)
-            corr[i, j] = expectation(tensor_op(a_op, b_op), s.state)
-            for x, pa in enumerate(a_projs):
-                for y, pb in enumerate(b_projs):
-                    joint[i, j, x, y] = max(expectation(tensor_op(pa, pb), s.state), 0.0)
-            joint[i, j] /= joint[i, j].sum()
+    """Quantum correlation table E(a_i, b_j) = <state| A_i (x) B_j |state>.
+
+    The joint table holds <state| P_i^x (x) Q_j^y |state> for the outcome
+    projectors (1 +/- A)/2, clamped at 0 and renormalized per setting pair.
+    Every product is one broadcast multiply in ``np.kron`` layout, which
+    rounds exactly as ``np.kron`` does (einsum may fuse multiply-adds).
+    """
+    alice = np.stack([op.entries for op in s.alice_observables])
+    bob = np.stack([op.entries for op in s.bob_observables])
+    eye = np.eye(2)
+    # [setting, outcome] -> (1 + A)/2 for outcome 0, (1 - A)/2 for outcome 1
+    alice_projs = np.stack([eye + alice, eye - alice], axis=1) / 2.0
+    bob_projs = np.stack([eye + bob, eye - bob], axis=1) / 2.0
+    # axes (a, b, i, j, k, l) -> A_a[i, k] B_b[j, l], i.e. kron(A_a, B_b)[2i + j, 2k + l]
+    products = alice[:, None, :, None, :, None] * bob[None, :, None, :, None, :]
+    corr = expectations(products.reshape(2, 2, 4, 4), s.state)
+    # axes (a, b, x, y, i, j, k, l) likewise for the projectors
+    proj_products = (alice_projs[:, None, :, None, :, None, :, None]
+                     * bob_projs[None, :, None, :, None, :, None, :])
+    joint = expectations(proj_products.reshape(2, 2, 2, 2, 4, 4), s.state)
+    joint = np.maximum(joint, 0.0)
+    joint /= joint.sum(axis=(2, 3), keepdims=True)
     return CorrelationTable(corr, joint)
 
 
@@ -175,12 +179,11 @@ def kcbs_pentagram(state: StateVector | None = None) -> KcbsScenario:
 
 def kcbs_value(s: KcbsScenario) -> float:
     """Five-cycle correlator sum: sum_i <state| A_i A_{i+1} |state>."""
-    total = 0.0
-    for i in range(5):
-        product = s.observable(i).entries @ s.observable(i + 1).entries
-        # neighbor projectors are orthogonal, so the product is hermitian
-        total += expectation(OperatorMatrix(product, hermitian=True), s.state)
-    return total
+    v = s.vectors
+    observables = 2.0 * (v[:, :, None] * v[:, None, :]) - np.eye(3)
+    # neighbor projectors are orthogonal, so each product is hermitian
+    products = observables @ np.roll(observables, -1, axis=0)
+    return float(expectations(products, s.state).sum())
 
 
 def kcbs_classical_min() -> float:

@@ -92,6 +92,10 @@ def load_json(path: Path | str):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def sha256_file(path: Path | str) -> str:
@@ -102,6 +106,23 @@ def _field(doc: dict, name: str, context: str):
     if not isinstance(doc, dict) or name not in doc:
         raise InputError(f"{context}: missing field '{name}'")
     return doc[name]
+
+
+def _int_field(doc: dict, name: str, context: str) -> int:
+    value = _field(doc, name, context)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(
+            f"{context}: field '{name}' must be an integer, got {value!r:.40}"
+        ) from exc
+
+
+def _float_array_field(doc: dict, name: str, context: str) -> np.ndarray:
+    try:
+        return np.array(_field(doc, name, context), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{context}: field '{name}' must be a regular array of numbers") from exc
 
 
 # --- complex payloads --------------------------------------------------------
@@ -167,12 +188,12 @@ def write_model(path: Path | str, model: LhvModel) -> None:
 def model_from_doc(doc: dict, context: str = "model") -> LhvModel:
     settings = _field(doc, "settings", context)
     space = SettingSpace(
-        alice_settings=int(_field(settings, "alice", f"{context}.settings")),
-        bob_settings=int(_field(settings, "bob", f"{context}.settings")),
-        marginal=np.array(_field(settings, "marginal", f"{context}.settings"), dtype=float),
+        alice_settings=_int_field(settings, "alice", f"{context}.settings"),
+        bob_settings=_int_field(settings, "bob", f"{context}.settings"),
+        marginal=_float_array_field(settings, "marginal", f"{context}.settings"),
     )
-    lgs = np.array(_field(doc, "lambda_given_settings", context), dtype=float)
-    declared = int(_field(doc, "lambda_count", context))
+    lgs = _float_array_field(doc, "lambda_given_settings", context)
+    declared = _int_field(doc, "lambda_count", context)
     if lgs.ndim != 2 or lgs.shape[1] != declared:
         raise InputError(
             f"{context}: lambda_given_settings shape {lgs.shape} does not match "
@@ -181,8 +202,8 @@ def model_from_doc(doc: dict, context: str = "model") -> LhvModel:
     return LhvModel(
         setting_space=space,
         lambda_given_settings=lgs,
-        alice_response=np.array(_field(doc, "alice_response", context), dtype=float),
-        bob_response=np.array(_field(doc, "bob_response", context), dtype=float),
+        alice_response=_float_array_field(doc, "alice_response", context),
+        bob_response=_float_array_field(doc, "bob_response", context),
     )
 
 
@@ -240,9 +261,8 @@ def write_kcbs_scenario(path: Path | str, scenario: KcbsScenario) -> None:
 
 
 def kcbs_scenario_from_doc(doc: dict, context: str = "scenario") -> KcbsScenario:
-    vectors = np.array(_field(doc, "vectors", context), dtype=float)
     return KcbsScenario(
-        vectors=vectors,
+        vectors=_float_array_field(doc, "vectors", context),
         state=state_from_doc(_field(doc, "state", context), f"{context}.state"),
     )
 
@@ -258,8 +278,12 @@ _CONFIG_FIELDS = {"seed": int}
 
 def read_search_config(path: Path | str) -> dict:
     """Parse a flat key=value config file into a dict; every field is optional."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

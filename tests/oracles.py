@@ -127,3 +127,38 @@ def max_chsh_closed_form(bits: float) -> float:
         else:
             hi = mid
     return lo
+
+
+def chsh_quantum_reference(alice, bob, state) -> tuple[np.ndarray, np.ndarray]:
+    """(correlators, joint table) of two-qubit observables, one np.kron at a time.
+
+    ``alice`` and ``bob`` hold two 2x2 +/-1-valued observables each.  The
+    joint table is indexed [i, j, x, y] with outcome 0 for +1 and 1 for -1.
+    """
+    psi = np.asarray(state, dtype=complex)
+    eye = np.eye(2)
+    corr = np.zeros((2, 2))
+    joint = np.zeros((2, 2, 2, 2))
+    for i in range(2):
+        for j in range(2):
+            corr[i, j] = np.vdot(psi, np.kron(alice[i], bob[j]) @ psi).real
+            for x, sign_a in enumerate((1.0, -1.0)):
+                for y, sign_b in enumerate((1.0, -1.0)):
+                    pa = (eye + sign_a * np.asarray(alice[i])) / 2.0
+                    pb = (eye + sign_b * np.asarray(bob[j])) / 2.0
+                    joint[i, j, x, y] = np.vdot(psi, np.kron(pa, pb) @ psi).real
+    return corr, joint
+
+
+def kcbs_reference(vectors, state) -> float:
+    """sum_i <state| A_i A_{i+1} |state> with A_i = 2 |v_i><v_i| - 1, one product at a time."""
+    psi = np.asarray(state, dtype=complex)
+    ops = [2.0 * np.outer(v, v) - np.eye(3) for v in np.asarray(vectors, dtype=float)]
+    return sum(np.vdot(psi, ops[i] @ ops[(i + 1) % 5] @ psi).real for i in range(5))
+
+
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random proper rotation of real 3-space."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q

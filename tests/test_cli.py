@@ -370,6 +370,58 @@ def test_mode_errors_exit_2_at_parse_time(capsys, tmp_path, monkeypatch, argv):
     assert not any(tmp_path.iterdir())
 
 
+def _brans_with(edit):
+    doc = json.loads(asset_path("brans.json").read_text())
+    edit(doc)
+    return json.dumps(doc)
+
+
+# name -> (file contents as bytes or text, what the error message must name)
+MALFORMED_INPUTS = {
+    "non-utf8": (b'{"state": "\xff\xfe"}', "UTF-8"),
+    "deep": ("[" * 100_000, "nested"),
+    "alice-abc": (_brans_with(lambda d: d["settings"].update(alice="abc")), "'alice'"),
+    "alice-null": (_brans_with(lambda d: d["settings"].update(alice=None)), "'alice'"),
+    "lambda-count-list": (_brans_with(lambda d: d.update(lambda_count=[1])),
+                          "'lambda_count'"),
+    "lambda-given-settings-text": (_brans_with(
+        lambda d: d["lambda_given_settings"][0].__setitem__(0, "x")),
+        "'lambda_given_settings'"),
+}
+JSON_READERS = (
+    ["chsh", "--scenario", "in", "--out", "o.json"],
+    ["chsh", "--model", "in", "--out", "o.json"],
+    ["mi", "--model", "in"],
+    ["kcbs", "--scenario", "in"],
+)
+MODEL_READERS = (JSON_READERS[1], JSON_READERS[2])
+CONFIG_READER = ["optimize", "--budget", "0.1", "--config", "in", "--out-dir", "d"]
+MALFORMED_CASES = (
+    [(argv, "non-utf8") for argv in JSON_READERS + (CONFIG_READER,)]
+    + [(argv, "deep") for argv in JSON_READERS]
+    + [(argv, kind) for argv in MODEL_READERS
+       for kind in ("alice-abc", "alice-null", "lambda-count-list",
+                    "lambda-given-settings-text")]
+)
+
+
+@pytest.mark.parametrize("argv,kind", MALFORMED_CASES,
+                         ids=lambda v: v if isinstance(v, str) else " ".join(v[:2]))
+def test_malformed_input_file_exits_2_without_output(capsys, tmp_path, monkeypatch, argv, kind):
+    monkeypatch.chdir(tmp_path)
+    content, named = MALFORMED_INPUTS[kind]
+    path = tmp_path / "in"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith("error:")
+    assert named in stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
 def test_version_flag(capsys):
     code, stdout, _ = run_cli(capsys, "--version")
     assert code == 0

@@ -12,6 +12,7 @@ from bellmd.hilbert import (
     basis_state,
     born_probabilities,
     expectation,
+    expectations,
     identity,
     pauli_x,
     pauli_z,
@@ -195,6 +196,41 @@ class TestExpectation:
                 value = expectation(op, s)
                 eigs = oracles.charpoly_eigenvalues(herm)
                 assert eigs[0] - 1e-8 <= value <= eigs[-1] + 1e-8
+
+
+class TestExpectations:
+    def test_single_operator_matches_expectation_exactly(self, rng):
+        for dim in (2, 3, 4):
+            for _ in range(25):
+                raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                op = OperatorMatrix((raw + raw.conj().T) / 2.0, hermitian=True)
+                s = StateVector(oracles.random_state(dim, rng))
+                assert expectation(op, s) == expectations(op.entries, s)
+
+    def test_stack_shape_is_kept(self, rng):
+        s = StateVector(oracles.random_state(2, rng))
+        ops = np.stack([pauli_x().entries, pauli_z().entries, identity(2).entries] * 2)
+        values = expectations(ops.reshape(2, 3, 2, 2), s)
+        assert values.shape == (2, 3)
+        assert values[0, 0] == expectation(pauli_x(), s)
+        assert values[1, 2] == pytest.approx(1.0, abs=1e-15)
+
+    def test_one_non_hermitian_member_rejected(self):
+        ghost = np.array([[0, 1], [0, 0]], dtype=complex)
+        ops = np.stack([pauli_x().entries, ghost, pauli_z().entries])
+        with pytest.raises(InputError, match="hermitian"):
+            expectations(ops, basis_state(2, 0))
+
+    def test_dimension_mismatch_rejected(self):
+        ops = np.stack([pauli_x().entries, pauli_z().entries])
+        with pytest.raises(InputError, match="does not match state dimension"):
+            expectations(ops, basis_state(4, 0))
+
+    def test_nan_entry_rejected(self):
+        ops = np.stack([pauli_x().entries, pauli_z().entries])
+        ops[1, 0, 0] = np.nan
+        with pytest.raises(InputError, match="finite"):
+            expectations(ops, basis_state(2, 0))
 
 
 class TestOperatorAndMeasurementValidation:

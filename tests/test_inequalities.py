@@ -18,7 +18,6 @@ from bellmd.inequalities import (
     kcbs_pentagram,
     kcbs_value,
     lhv_chsh_max,
-    outcome_projectors,
 )
 from bellmd.lhv import CorrelationTable, SettingSpace
 
@@ -102,15 +101,33 @@ class TestChshQuantum:
             scenario = ChshScenario((obs[0], obs[1]), (obs[2], obs[3]), state)
             assert chsh_value(chsh_quantum(scenario)) <= TSIRELSON + 1e-6
 
-    def test_joint_tables_match_projector_expectations(self, rng):
+    def test_joint_tables_match_projector_expectations(self):
         scenario = bell_optimal_scenario()
         table = chsh_quantum(scenario)
+        _, projector_expectations = oracles.chsh_quantum_reference(
+            [op.entries for op in scenario.alice_observables],
+            [op.entries for op in scenario.bob_observables],
+            scenario.state.amplitudes,
+        )
+        assert np.max(np.abs(table.joint - projector_expectations)) <= 1e-12
         signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
         implied = np.einsum("abij,ij->ab", table.joint, signs)
         assert np.max(np.abs(implied - table.correlators)) <= 1e-12
-        plus, minus = outcome_projectors(pauli_z())
-        assert np.allclose(plus.entries, [[1, 0], [0, 0]], atol=1e-15)
-        assert np.allclose(minus.entries, [[0, 0], [0, 1]], atol=1e-15)
+
+    def test_matches_kron_reference_on_random_scenarios(self, rng):
+        for _ in range(50):
+            alice = [oracles.bloch_observable(oracles.random_unit_bloch(rng)) for _ in range(2)]
+            bob = [oracles.bloch_observable(oracles.random_unit_bloch(rng)) for _ in range(2)]
+            state = oracles.random_state(4, rng)
+            scenario = ChshScenario(
+                tuple(OperatorMatrix(a, hermitian=True) for a in alice),
+                tuple(OperatorMatrix(b, hermitian=True) for b in bob),
+                StateVector(state),
+            )
+            table = chsh_quantum(scenario)
+            corr, joint = oracles.chsh_quantum_reference(alice, bob, state)
+            assert np.max(np.abs(table.correlators - corr)) <= 1e-12
+            assert np.max(np.abs(table.joint - joint)) <= 1e-12
 
     def test_observables_must_square_to_identity(self):
         bad = OperatorMatrix(0.5 * np.eye(2, dtype=complex), hermitian=True)
@@ -173,6 +190,14 @@ class TestKcbs:
         scenario = KcbsScenario(base.vectors, state)
         value = kcbs_value(scenario)
         assert value >= -3.0 + 0.5  # far from the contextual regime
+
+    def test_matches_reference_on_rotated_pentagrams(self, rng):
+        base = kcbs_pentagram().vectors
+        for _ in range(20):
+            vectors = base @ oracles.random_rotation(rng).T
+            state = oracles.random_state(3, rng)
+            value = kcbs_value(KcbsScenario(vectors, StateVector(state)))
+            assert abs(value - oracles.kcbs_reference(vectors, state)) <= 1e-12
 
     def test_value_range(self):
         scenario = kcbs_pentagram()
