@@ -131,14 +131,20 @@ class KcbsScenario:
             raise InputError(f"need five 3-vectors, got shape {vecs.shape}")
         if not np.all(np.isfinite(vecs)):
             raise InputError("vectors must be finite")
-        tol = DEFAULT_TOLERANCES.operator
         lengths = np.linalg.norm(vecs, axis=1)
-        if np.any(np.abs(lengths - 1.0) > tol):
+        if np.any(np.abs(lengths - 1.0) > DEFAULT_TOLERANCES.operator):
             raise InputError("all five vectors must be unit length")
+        # A_i A_{i+1} has hermiticity residue up to 4 |v_i . v_{i+1}|, and
+        # kcbs_value rejects a residue above `arithmetic`; an eighth of it
+        # leaves that check a factor 2 for rounding, so every scenario evaluates
+        ortho_tol = DEFAULT_TOLERANCES.arithmetic / 8.0
         for i in range(5):
             dot = float(vecs[i] @ vecs[(i + 1) % 5])
-            if abs(dot) > tol:
-                raise InputError(f"vectors {i} and {(i + 1) % 5} must be orthogonal")
+            if abs(dot) > ortho_tol:
+                raise InputError(
+                    f"vectors {i} and {(i + 1) % 5} must be orthogonal: "
+                    f"|v_{i} . v_{(i + 1) % 5}| = {abs(dot):.3g} > {ortho_tol:.3g}"
+                )
         if self.state.dim != 3:
             raise InputError("state must be a qutrit")
         vecs.setflags(write=False)

@@ -121,30 +121,68 @@ def branch_decomposition(inp: TeleportInput) -> list[tuple[float, StateVector]]:
     return branches
 
 
+def branch_transcripts(inp: TeleportInput) -> tuple[TeleportTranscript, ...]:
+    """The transcript of each of the 4 branches, list index = outcome index.
+
+    The branch decomposition and the corrections are computed once for all
+    four; each receiver state is validated and compared with the sent state.
+    """
+    sent = inp.state()
+    transcripts = []
+    for k, ((prob, pre), correction) in enumerate(
+        zip(branch_decomposition(inp), _correction_matrices())
+    ):
+        bob_final = StateVector(correction @ pre.amplitudes)
+        transcripts.append(TeleportTranscript(
+            outcome_index=k,
+            outcome_probability=prob,
+            correction_applied=CORRECTION_LABELS[k],
+            bob_final=bob_final,
+            fidelity=min(bob_final.fidelity(sent), 1.0),
+        ))
+    return tuple(transcripts)
+
+
 def run_teleportation(inp: TeleportInput, forced_outcome: int) -> TeleportTranscript:
     """Execute one teleportation round in the branch ``forced_outcome`` selects."""
     if forced_outcome not in (0, 1, 2, 3):
         raise InputError(f"forced outcome {forced_outcome} must be in 0..3")
-    outcome = int(forced_outcome)
-    branches = branch_decomposition(inp)
-    pre = branches[outcome][1]
-    corrected = _correction_matrices()[outcome] @ pre.amplitudes
-    bob_final = StateVector(corrected)
-    return TeleportTranscript(
-        outcome_index=outcome,
-        outcome_probability=branches[outcome][0],
-        correction_applied=CORRECTION_LABELS[outcome],
-        bob_final=bob_final,
-        fidelity=min(bob_final.fidelity(inp.state()), 1.0),
-    )
+    return branch_transcripts(inp)[int(forced_outcome)]
 
 
 def sample_outcomes(probabilities, trials: int, seed: int = 0) -> np.ndarray:
-    """Outcome index of each of ``trials`` rounds, drawn from the 4 branch probabilities."""
+    """Outcome index (``uint8``) of each of ``trials`` rounds, drawn from 4 probabilities.
+
+    The probabilities are normalized by their sum.  The draws are those of
+    ``default_rng(seed).choice(4, size=trials, p=p / p.sum())``, draw for
+    draw: one uniform per trial, counted against the normalized cumulative
+    sums, which is ``choice``'s own inverse-CDF step without its search.
+    """
     if trials <= 0:
         raise InputError("trials must be positive")
     p = np.asarray(probabilities, dtype=float)
-    return np.random.default_rng(seed).choice(4, size=trials, p=p / p.sum())
+    if p.shape != (4,):
+        raise InputError(f"need 4 outcome probabilities, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise InputError("outcome probabilities must be finite")
+    if np.any(p < 0):
+        raise InputError("outcome probabilities must be nonnegative")
+    with np.errstate(over="ignore"):
+        total = p.sum()
+    if not total > 0:
+        raise InputError("outcome probabilities must have a positive sum")
+    p = p / total
+    # the sum check choice makes; it fails when the raw sum overflowed to inf
+    if not abs(p.sum() - 1.0) <= math.sqrt(np.finfo(float).eps):
+        raise InputError("outcome probabilities do not sum to 1 after normalizing")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random(trials)
+    # u < 1 = cdf[3], so counting cdf[0..2] <= u is searchsorted(cdf, u, side="right")
+    outcomes = (u >= cdf[0]).view(np.uint8)
+    outcomes += u >= cdf[1]
+    outcomes += u >= cdf[2]
+    return outcomes
 
 
 def sample_outcome_counts(inp: TeleportInput, trials: int, seed: int = 0) -> np.ndarray:

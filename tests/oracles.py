@@ -162,3 +162,9 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     q = q * np.sign(np.diag(r))
     return q if np.linalg.det(q) > 0 else -q
+
+
+def sample_outcomes_reference(p, trials: int, seed: int) -> np.ndarray:
+    """Outcome indices drawn by numpy's own weighted ``choice`` on the normalized p."""
+    p = np.asarray(p, dtype=float)
+    return np.random.default_rng(seed).choice(4, size=trials, p=p / p.sum())

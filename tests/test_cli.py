@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -95,6 +96,37 @@ class TestTeleportCommand:
         doc = json.loads(out.read_text())
         assert [doc["outcomes"].count(str(k)) for k in range(4)] == \
             json.loads(stdout)["outcome_counts"]
+
+    def test_readme_example_golden_bytes(self, capsys, tmp_path):
+        # digest of the file the README example wrote before the threshold sampler
+        out = tmp_path / "teleport.json"
+        code, _, _ = run_cli(
+            capsys, "teleport", "--random", "--seed", "7", "--trials", "100000", "--out", str(out),
+        )
+        assert code == 0
+        data = out.read_bytes()
+        assert len(data) == 102_055
+        assert hashlib.sha256(data).hexdigest() == \
+            "7acb42d472dae261bb85c04c0101f79ae64a64b7c73d1d6fe3237dab6e8099b9"
+
+        forced = tmp_path / "forced.json"
+        code, _, _ = run_cli(
+            capsys, "teleport", "--force-outcome", "2", "--trials", "5", "--out", str(forced),
+        )
+        assert code == 0
+        assert json.loads(forced.read_text())["outcomes"] == "22222"
+
+    @pytest.mark.parametrize("extra", [["--random"], ["--force-outcome", "1"]])
+    def test_unallocatable_trials_exit_2_without_files(self, capsys, tmp_path, extra):
+        # 10**15 float64 draws are 8 PB, beyond any 64-bit address space, so the
+        # allocation fails at once without touching memory
+        out = tmp_path / "huge.json"
+        code, _, stderr = run_cli(
+            capsys, "teleport", *extra, "--trials", str(10**15), "--out", str(out),
+        )
+        assert code == 2
+        assert stderr.startswith("error: ") and "allocate" in stderr
+        assert not any(tmp_path.iterdir())
 
     def test_byte_reproducibility(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -207,6 +239,20 @@ class TestKcbsCommand:
         code, stdout, _ = run_cli(capsys, "kcbs", "--scenario", str(path))
         assert code == 0
         assert json.loads(stdout)["kcbs_value"] >= -3.0
+
+    def test_tilted_scenario_file_exits_2(self, capsys, tmp_path):
+        # within the old 1e-10 orthogonality gate, but kcbs_value could not evaluate it
+        from bellmd.inequalities import kcbs_pentagram
+        from bellmd.serialize import dumps_json, kcbs_scenario_to_doc
+
+        doc = kcbs_scenario_to_doc(kcbs_pentagram())
+        v0, v1 = np.array(doc["vectors"][0]), np.array(doc["vectors"][1])
+        doc["vectors"][1] = (v1 + 5e-11 * v0).tolist()
+        path = tmp_path / "tilted.json"
+        path.write_text(dumps_json(doc))
+        code, _, stderr = run_cli(capsys, "kcbs", "--scenario", str(path))
+        assert code == 2
+        assert "vectors 0 and 1 must be orthogonal" in stderr
 
     def test_malformed_scenario_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -218,3 +218,27 @@ class TestKcbs:
             KcbsScenario(shuffled, good.state)
         with pytest.raises(InputError):
             KcbsScenario(good.vectors, StateVector([1, 0]))
+
+    def test_tilt_within_operator_tolerance_rejected_by_name(self):
+        # a 5e-11 tilt passed the old 1e-10 orthogonality gate, then failed
+        # kcbs_value's hermiticity check
+        good = kcbs_pentagram()
+        vectors = good.vectors.copy()
+        vectors[1] += 5e-11 * vectors[0]
+        with pytest.raises(InputError, match="vectors 0 and 1 must be orthogonal"):
+            KcbsScenario(vectors, good.state)
+
+    def test_every_constructed_scenario_evaluates(self, rng):
+        base = kcbs_pentagram().vectors
+        built = 0
+        for _ in range(2000):
+            vectors = base @ oracles.random_rotation(rng).T
+            i = int(rng.integers(5))
+            vectors[(i + 1) % 5] += rng.uniform(-2e-13, 2e-13) * vectors[i]
+            try:
+                scenario = KcbsScenario(vectors, StateVector(oracles.random_state(3, rng)))
+            except InputError:
+                continue
+            built += 1
+            assert -5.0 <= kcbs_value(scenario) <= 5.0
+        assert 500 <= built < 2000

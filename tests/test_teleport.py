@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from bellmd.errors import InputError
 from bellmd.hilbert import StateVector
 from bellmd.inequalities import bell_optimal_scenario
@@ -12,6 +13,7 @@ from bellmd.teleport import (
     TeleportationProtocol,
     bell_state,
     branch_decomposition,
+    branch_transcripts,
     run_teleportation,
     sample_outcome_counts,
     sample_outcomes,
@@ -95,6 +97,50 @@ def test_sampling_is_seed_deterministic():
     assert not np.array_equal(outcomes, sample_outcomes(probs, 1000, seed=6))
     counts = sample_outcome_counts(inp, 1000, seed=5)
     assert np.array_equal(counts, np.bincount(outcomes, minlength=4))
+
+
+def test_sampler_matches_generator_choice(rng):
+    # the threshold sampler must reproduce numpy's weighted choice draw for draw;
+    # a numpy release that changes choice's algorithm fails here
+    cases = [[0, 0, 0, 1], [1, 0, 0, 0], [.5, 0, .5, 0], [0, .3, 0, .7], [1, 1, 1, 1],
+             [0.25, 0.25, 0.25, 0.25], [1e-300, 0, 0, 1], [3, 0, 0, 0]]
+    for _ in range(50):
+        cases.append([t.outcome_probability for t in branch_transcripts(random_input(rng))])
+    for _ in range(1000):
+        p = rng.dirichlet(np.ones(4))
+        p[rng.random(4) < 0.25] = 0.0
+        if p.sum() > 0:
+            cases.append(p)
+    assert len(cases) >= 1000
+    for seed, p in enumerate(cases):
+        trials = int(rng.integers(1, 2000))
+        got = sample_outcomes(p, trials, seed=seed)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, oracles.sample_outcomes_reference(p, trials, seed)), p
+
+
+@pytest.mark.parametrize("p", [
+    [np.nan, 0.25, 0.25, 0.25],
+    [np.inf, 0.25, 0.25, 0.25],
+    [1e308, 1e308, 0, 0],  # finite entries whose sum overflows
+    [-0.1, 0.4, 0.4, 0.3],
+    [0, 0, 0, 0],
+    [0.5, 0.5],
+    [[0.25, 0.25], [0.25, 0.25]],
+])
+def test_sampler_rejects_bad_probabilities(p):
+    with pytest.raises(InputError):
+        sample_outcomes(p, 10)
+
+
+def test_branch_transcripts_match_each_branch(rng):
+    inp = random_input(rng)
+    transcripts = branch_transcripts(inp)
+    assert [t.outcome_index for t in transcripts] == [0, 1, 2, 3]
+    for k, (t, (prob, _)) in enumerate(zip(transcripts, branch_decomposition(inp))):
+        assert t.to_json_dict() == run_teleportation(inp, forced_outcome=k).to_json_dict()
+        assert t.outcome_probability == prob
+        assert t.correction_applied == CORRECTION_LABELS[k]
 
 
 def test_forced_outcome_validated():
