@@ -13,10 +13,8 @@ from .errors import InputError, InvariantError
 from .hilbert import (
     MAX_TENSOR_DIM,
     OperatorMatrix,
-    ProjectiveMeasurement,
     StateVector,
     basis_state,
-    born_probabilities,
     expectation,
     expectations,
     identity,
@@ -55,9 +53,7 @@ from .lhv import (
     predict,
 )
 from .mdsearch import (
-    SearchConfig,
     SearchOutcome,
-    TradeoffCurve,
     TradeoffPoint,
     max_chsh_under_budget,
     min_cmd_for_chsh,
@@ -66,8 +62,6 @@ from .mdsearch import (
 from .teleport import (
     TeleportInput,
     TeleportTranscript,
-    TeleportationProtocol,
-    bell_measurement,
     bell_state,
     branch_decomposition,
     run_teleportation,
@@ -75,4 +69,4 @@ from .teleport import (
     sample_outcomes,
     verify_no_setting_choice,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES

@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage or input error, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from importlib import resources
@@ -34,14 +33,13 @@ from .inequalities import (
     lhv_chsh_max,
 )
 from .lhv import predict
-from .mdsearch import SearchConfig, max_chsh_under_budget, min_cmd_for_chsh, tradeoff_curve
+from .mdsearch import max_chsh_under_budget, min_cmd_for_chsh, tradeoff_curve
 from .serialize import (
     dump_json,
     dumps_json,
     read_chsh_scenario,
     read_kcbs_scenario,
     read_model,
-    read_search_config,
     sha256_file,
     write_curve_csv,
     write_model,
@@ -54,8 +52,6 @@ from .teleport import (
 )
 # the benchmark tracer (bench/workloads.py) wraps these two names in this module
 from .teleport import branch_decomposition, run_teleportation  # noqa: F401
-
-CONFIG_ENV_VAR = "BELLMD_CONFIG"
 
 
 def asset_path(name: str) -> Path:
@@ -191,7 +187,7 @@ def cmd_mi(args) -> int:
         if len(values) != 4:
             raise InputError(f"--table needs 4 entries p00,p01,p10,p11, got {len(values)}")
         total = sum(values)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise InputError(f"--table sums to {total:.12g}, expected 1 within 1e-9")
         if min(values) < 0.0:
             raise InputError("--table entries must be nonnegative")
@@ -204,28 +200,20 @@ def cmd_mi(args) -> int:
     return 0
 
 
-def _load_config(args) -> SearchConfig:
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    values = read_search_config(path) if path else {}
-    if args.seed is not None:
-        values["seed"] = args.seed
-    return SearchConfig(**values)
-
-
 def cmd_optimize(args) -> int:
-    config = _load_config(args)
+    # the solver is exact and reads no seed; it is recorded in the manifest only
+    if args.seed < 0:
+        raise InputError("--seed must be nonnegative")
     manifest = _Manifest(
         "optimize",
-        {**config.__dict__, "target_s": args.target_s, "budget": args.budget,
+        {"seed": args.seed, "target_s": args.target_s, "budget": args.budget,
          "curve": args.curve},
-        config.seed,
+        args.seed,
     )
-    if args.config:
-        manifest.add_input(args.config)
 
     # solve first: a run that fails on its input leaves no directory behind
     if args.target_s is not None:
-        outcome = min_cmd_for_chsh(args.target_s, config)
+        outcome = min_cmd_for_chsh(args.target_s)
         models = {"min_cmd_model.json": outcome.model}
         reports = {"min_cmd_report.json": {
             "target_s": args.target_s,
@@ -240,7 +228,7 @@ def cmd_optimize(args) -> int:
             "feasible": outcome.feasible,
         }
     elif args.budget is not None:
-        outcome = max_chsh_under_budget(args.budget, config)
+        outcome = max_chsh_under_budget(args.budget)
         models = {"budget_model.json": outcome.model}
         reports = {"budget_report.json": {
             "budget_bits": args.budget,
@@ -253,7 +241,7 @@ def cmd_optimize(args) -> int:
             budgets = [float(v) for v in args.curve.split(",")]
         except ValueError as exc:
             raise InputError(f"--curve must be comma-separated numbers: {exc}") from exc
-        points = tradeoff_curve(budgets, config).points
+        points = tradeoff_curve(budgets)
         models = {f"curve_model_{k}.json": p.model for k, p in enumerate(points)}
         reports = {}
         summary = {"points": [
@@ -330,9 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--target-s", type=float, default=None)
     mode.add_argument("--budget", type=float, default=None)
     mode.add_argument("--curve", type=str, default=None, help='"b1,b2,..."')
-    p.add_argument("--config", type=Path, default=None,
-                   help=f"key=value config file (default ${CONFIG_ENV_VAR})")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="recorded in the manifest")
     p.add_argument("--out-dir", type=Path, default=Path("."))
     p.set_defaults(func=cmd_optimize)
 

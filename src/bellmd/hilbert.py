@@ -1,7 +1,7 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-State vectors, hermitian observables, and projective measurements with
-Born-rule statistics.  Everything is validated eagerly and immutable
+State vectors, hermitian observables, tensor products and batched
+expectation values.  Everything is validated eagerly and immutable
 afterwards, so values can be shared freely across threads.  All spaces in
 this package are tiny (dimension at most 8 for two-qubit-plus-ancilla work,
 3 for qutrit work), so a dense numpy representation is used throughout.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -121,55 +120,6 @@ def rotated_zx(angle: float) -> OperatorMatrix:
     return OperatorMatrix(np.array([[c, s], [s, -c]], dtype=np.complex128), hermitian=True)
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectiveMeasurement:
-    """Complete set of orthogonal projectors (idempotent, pairwise orthogonal, summing to 1)."""
-
-    projectors: tuple[OperatorMatrix, ...]
-
-    def __post_init__(self) -> None:
-        projs = tuple(self.projectors)
-        if not projs:
-            raise InputError("measurement needs at least one projector")
-        object.__setattr__(self, "projectors", projs)
-        dim = projs[0].dim
-        tol = DEFAULT_TOLERANCES.operator
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for i, p in enumerate(projs):
-            if p.dim != dim:
-                raise InputError("projectors must share one dimension")
-            m = p.entries
-            if float(np.max(np.abs(m - m.conj().T))) > tol:
-                raise InputError(f"projector {i} is not hermitian")
-            if float(np.max(np.abs(m @ m - m))) > tol:
-                raise InputError(f"projector {i} is not idempotent")
-            total += m
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                cross = projs[i].entries @ projs[j].entries
-                if float(np.max(np.abs(cross))) > tol:
-                    raise InputError(f"projectors {i} and {j} are not orthogonal")
-        if float(np.max(np.abs(total - np.eye(dim)))) > tol:
-            raise InputError("projectors do not sum to the identity")
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].dim
-
-    @property
-    def outcome_count(self) -> int:
-        return len(self.projectors)
-
-    @classmethod
-    def from_basis(cls, states: Iterable[StateVector]) -> ProjectiveMeasurement:
-        """Rank-1 projectors |s><s| for an orthonormal basis."""
-        projs = []
-        for s in states:
-            v = s.amplitudes
-            projs.append(OperatorMatrix(np.outer(v, v.conj()), hermitian=True))
-        return cls(tuple(projs))
-
-
 def tensor(u: StateVector, v: StateVector, max_dim: int = MAX_TENSOR_DIM) -> StateVector:
     """Kronecker product u (x) v with the left factor as the high-order index."""
     out_dim = u.dim * v.dim
@@ -180,22 +130,6 @@ def tensor(u: StateVector, v: StateVector, max_dim: int = MAX_TENSOR_DIM) -> Sta
 
 def tensor_op(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(np.kron(a.entries, b.entries), hermitian=a.hermitian and b.hermitian)
-
-
-def born_probabilities(m: ProjectiveMeasurement, s: StateVector) -> list[float]:
-    """Outcome probabilities <s|P_i|s>; clamped against float residue, sum checked."""
-    if m.dim != s.dim:
-        raise InputError(f"measurement dimension {m.dim} does not match state dimension {s.dim}")
-    probs = []
-    for p in m.projectors:
-        value = float(np.vdot(s.amplitudes, p.entries @ s.amplitudes).real)
-        if value < -DEFAULT_TOLERANCES.arithmetic:
-            raise InvariantError(f"negative Born probability {value:.3g}")
-        probs.append(min(max(value, 0.0), 1.0))
-    total = sum(probs)
-    if abs(total - 1.0) > DEFAULT_TOLERANCES.normalization:
-        raise InvariantError(f"Born probabilities sum to {total:.12g}")
-    return probs
 
 
 def expectations(ops, s: StateVector) -> np.ndarray:

@@ -150,11 +150,6 @@ class KcbsScenario:
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
 
-    def observable(self, i: int) -> OperatorMatrix:
-        """A_i = 2 |v_i><v_i| - 1, a +/-1-valued observable."""
-        v = self.vectors[i % 5]
-        return OperatorMatrix(2.0 * np.outer(v, v) - np.eye(3), hermitian=True)
-
 
 def kcbs_pentagram(state: StateVector | None = None) -> KcbsScenario:
     """Closed-form five-cycle configuration with the apex state along z.
@@ -175,7 +170,8 @@ def kcbs_pentagram(state: StateVector | None = None) -> KcbsScenario:
             for k in range(5)
         ]
     )
-    # kill float residue in the orthogonality so construction meets the 1e-10 gate
+    # kill float residue so construction meets KcbsScenario's gates: unit
+    # length within `operator`, neighbour orthogonality within `arithmetic` / 8
     for i in range(5):
         vecs[i] /= np.linalg.norm(vecs[i])
     if state is None:

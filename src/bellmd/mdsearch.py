@@ -45,17 +45,6 @@ _FEAS_HEADROOM = 1e-12  # float headroom on a hard constraint; never a real slac
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    """Run settings recorded in the manifest; the exact solver reads none of them."""
-
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise InputError("seed must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SearchOutcome:
     """Optimal model with its recomputed CHSH value and dependence.
 
@@ -74,11 +63,6 @@ class TradeoffPoint:
     budget_bits: float
     best_chsh: float
     model: LhvModel
-
-
-@dataclass(frozen=True)
-class TradeoffCurve:
-    points: tuple[TradeoffPoint, ...]
 
 
 # --- the optimal model (uniform 2x2 settings) --------------------------------
@@ -130,11 +114,11 @@ def _verified(x: float, meets) -> SearchOutcome:
     return SearchOutcome(model, report, s_value, feasible=meets(s_value, report.raw_bits))
 
 
-def min_cmd_for_chsh(target_s: float, cfg: SearchConfig | None = None) -> SearchOutcome:
+def min_cmd_for_chsh(target_s: float) -> SearchOutcome:
     """Least dependence bits that reach a target CHSH value.
 
     The returned model reaches ``target_s`` exactly (up to float rounding)
-    at the rate-distortion minimum.  ``cfg`` is accepted for its seed only.
+    at the rate-distortion minimum.
     """
     if not 2.0 < target_s <= 4.0:
         raise InputError(
@@ -143,12 +127,12 @@ def min_cmd_for_chsh(target_s: float, cfg: SearchConfig | None = None) -> Search
     return _verified((4.0 - target_s) / 8.0, lambda s, bits: s >= target_s - _FEAS_HEADROOM)
 
 
-def max_chsh_under_budget(budget_bits: float, cfg: SearchConfig | None = None) -> SearchOutcome:
+def max_chsh_under_budget(budget_bits: float) -> SearchOutcome:
     """Largest CHSH value among models within a dependence budget.
 
     The budget is hard: the rate x is bisected on [0, 1/4] to the smallest
     value whose closed-form dependence fits, so a zero budget reproduces
-    the classical bound.  ``cfg`` is accepted for its seed only.
+    the classical bound.
     """
     if not (math.isfinite(budget_bits) and budget_bits >= 0.0):
         raise InputError(f"budget {budget_bits} must be finite and nonnegative")
@@ -163,7 +147,7 @@ def max_chsh_under_budget(budget_bits: float, cfg: SearchConfig | None = None) -
     return _verified(hi, lambda s, bits: bits <= budget_bits + _FEAS_HEADROOM)
 
 
-def tradeoff_curve(budgets, cfg: SearchConfig | None = None) -> TradeoffCurve:
+def tradeoff_curve(budgets) -> tuple[TradeoffPoint, ...]:
     """Best CHSH value per dependence budget, post-processed to a monotone envelope.
 
     A model feasible at a smaller budget stays feasible at any larger one,
@@ -179,10 +163,10 @@ def tradeoff_curve(budgets, cfg: SearchConfig | None = None) -> TradeoffCurve:
     points: list[TradeoffPoint] = []
     best_so_far: TradeoffPoint | None = None
     for budget in budget_list:
-        outcome = max_chsh_under_budget(budget, cfg)
+        outcome = max_chsh_under_budget(budget)
         point = TradeoffPoint(budget_bits=budget, best_chsh=outcome.chsh, model=outcome.model)
         if best_so_far is not None and best_so_far.best_chsh > point.best_chsh:
             point = TradeoffPoint(budget, best_so_far.best_chsh, best_so_far.model)
         points.append(point)
         best_so_far = point
-    return TradeoffCurve(points=tuple(points))
+    return tuple(points)

@@ -1,4 +1,4 @@
-"""File formats: model/scenario JSON documents, CSV curves, config files.
+"""File formats: model/scenario JSON documents and CSV curves.
 
 All floats are serialized with 17 significant digits, which round-trips
 IEEE-754 doubles bit-exactly; readers therefore reconstruct exactly the
@@ -109,13 +109,13 @@ def _field(doc: dict, name: str, context: str):
 
 
 def _int_field(doc: dict, name: str, context: str) -> int:
+    """A JSON integer, or a float with no fractional part; never a bool or a string."""
     value = _field(doc, name, context)
-    try:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(
-            f"{context}: field '{name}' must be an integer, got {value!r:.40}"
-        ) from exc
+    raise InputError(f"{context}: field '{name}' must be an integer, got {value!r:.40}")
 
 
 def _float_array_field(doc: dict, name: str, context: str) -> np.ndarray:
@@ -269,35 +269,6 @@ def kcbs_scenario_from_doc(doc: dict, context: str = "scenario") -> KcbsScenario
 
 def read_kcbs_scenario(path: Path | str) -> KcbsScenario:
     return kcbs_scenario_from_doc(load_json(path), context=str(path))
-
-
-# --- search configuration ----------------------------------------------------
-
-_CONFIG_FIELDS = {"seed": int}
-
-
-def read_search_config(path: Path | str) -> dict:
-    """Parse a flat key=value config file into a dict; every field is optional."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InputError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_FIELDS:
-            raise InputError(f"{path}:{lineno}: unknown config key '{key}'")
-        try:
-            values[key] = _CONFIG_FIELDS[key](value.strip())
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: bad value for '{key}': {value.strip()!r}") from exc
-    return values
 
 
 def write_curve_csv(path: Path | str, rows: list[tuple[float, float, str]]) -> None:

@@ -15,20 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .hilbert import (
-    ProjectiveMeasurement,
-    StateVector,
-    identity,
-    pauli_x,
-    pauli_z,
-    tensor,
-)
+from .hilbert import StateVector, identity, pauli_x, pauli_z, tensor
 from .tolerances import DEFAULT_TOLERANCES
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 # Entangled-basis order: (|00>+|11>), (|00>-|11>), (|01>+|10>), (|01>-|10>), all /sqrt(2)
-BELL_LABELS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 _BELL_VECTORS = (
     np.array([1, 0, 0, 1], dtype=np.complex128) * _SQRT2_INV,
     np.array([1, 0, 0, -1], dtype=np.complex128) * _SQRT2_INV,
@@ -43,10 +35,6 @@ def bell_state(index: int) -> StateVector:
     if not 0 <= index < 4:
         raise InputError(f"entangled-basis index {index} must be in 0..3")
     return StateVector(_BELL_VECTORS[index])
-
-
-def bell_measurement() -> ProjectiveMeasurement:
-    return ProjectiveMeasurement.from_basis(bell_state(k) for k in range(4))
 
 
 def _correction_matrices() -> tuple[np.ndarray, ...]:
@@ -93,16 +81,6 @@ class TeleportTranscript:
             "bob_final": [[z.real, z.imag] for z in self.bob_final.amplitudes],
             "fidelity": self.fidelity,
         }
-
-
-class TeleportationProtocol:
-    """Static description of the protocol; it exposes exactly one measurement."""
-
-    name = "teleportation"
-
-    @property
-    def measurements(self) -> tuple[ProjectiveMeasurement, ...]:
-        return (bell_measurement(),)
 
 
 def branch_decomposition(inp: TeleportInput) -> list[tuple[float, StateVector]]:
@@ -191,29 +169,16 @@ def sample_outcome_counts(inp: TeleportInput, trials: int, seed: int = 0) -> np.
     return np.bincount(sample_outcomes(probs, trials, seed), minlength=4)
 
 
-def verify_no_setting_choice(scenario: object | None = None) -> dict:
-    """Machine-readable inventory of how many measurements each party can choose from.
+def verify_no_setting_choice() -> dict:
+    """Machine-readable inventory of the measurements the teleportation protocol offers.
 
-    With no argument this reports on the teleportation protocol, which
-    offers exactly one measurement and therefore no setting choice.  A
-    two-party scenario object exposing ``alice_observables`` and
-    ``bob_observables`` (such as a CHSH scenario) is reported per party.
+    The sender makes one fixed entangled-basis measurement (the one
+    ``branch_decomposition`` resolves), so no party chooses a setting,
+    unlike the two observables per party of a CHSH scenario.
     """
-    if scenario is None:
-        scenario = TeleportationProtocol()
-    if hasattr(scenario, "alice_observables") and hasattr(scenario, "bob_observables"):
-        alice = len(scenario.alice_observables)
-        bob = len(scenario.bob_observables)
-        return {
-            "protocol": type(scenario).__name__,
-            "measurement_count": max(alice, bob),
-            "measurements_per_party": {"alice": alice, "bob": bob},
-            "setting_choice_required": alice > 1 or bob > 1,
-        }
-    measurements = tuple(scenario.measurements)
     return {
-        "protocol": getattr(scenario, "name", type(scenario).__name__),
-        "measurement_count": len(measurements),
-        "measurements_per_party": {"alice": len(measurements)},
-        "setting_choice_required": len(measurements) > 1,
+        "protocol": "teleportation",
+        "measurement_count": 1,
+        "measurements_per_party": {"alice": 1},
+        "setting_choice_required": False,
     }

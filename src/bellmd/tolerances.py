@@ -9,9 +9,12 @@ from dataclasses import dataclass
 class Tolerances:
     """Absolute tolerances used throughout the package.
 
-    normalization: state norms and Born-rule probability sums
-    operator: idempotence, orthogonality, unitarity of matrices
-    arithmetic: hermiticity, probability-table sums, correlator identities
+    normalization: squared norms of state vectors and teleport inputs, and
+        the entropy bound on a model's dependence
+    operator: CHSH observables squaring to 1, unit length of KCBS vectors,
+        imaginary residue of expectation values
+    arithmetic: hermiticity, probability-table entries and sums, correlator
+        identities; an eighth of it bounds KCBS neighbour orthogonality
     """
 
     normalization: float = 1e-9

@@ -20,7 +20,7 @@ from bellmd.inequalities import (
     lhv_chsh_max,
 )
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct, predict
-from bellmd.mdsearch import SearchConfig, min_cmd_for_chsh, tradeoff_curve
+from bellmd.mdsearch import min_cmd_for_chsh, tradeoff_curve
 from bellmd.teleport import TeleportInput, run_teleportation, sample_outcome_counts
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -100,7 +100,7 @@ def test_criterion_4_brans_endpoint():
 
 def test_criterion_5_hall_threshold_hard():
     watch = _Stopwatch(120.0)
-    outcome = min_cmd_for_chsh(2.05, SearchConfig(seed=1))
+    outcome = min_cmd_for_chsh(2.05)
     ok = outcome.feasible and outcome.cmd_report.raw_bits <= 0.05
     _verdict("5 hall threshold (hard)", ok, watch,
              f"raw_bits={outcome.cmd_report.raw_bits:.6f} at S={outcome.chsh:.6f}")
@@ -108,7 +108,7 @@ def test_criterion_5_hall_threshold_hard():
 
 def test_criterion_5_hall_threshold_stretch():
     watch = _Stopwatch(600.0)
-    outcome = min_cmd_for_chsh(TSIRELSON - 1e-3, SearchConfig(seed=1))
+    outcome = min_cmd_for_chsh(TSIRELSON - 1e-3)
     ok = outcome.feasible and outcome.cmd_report.raw_bits <= 0.07
     _verdict("5 hall threshold (stretch)", ok, watch,
              f"raw_bits={outcome.cmd_report.raw_bits:.6f} at S={outcome.chsh:.6f}")
@@ -144,12 +144,12 @@ def test_criterion_7_kcbs():
 def test_criterion_8_tradeoff_curve_shape():
     watch = _Stopwatch(900.0)
     budgets = [0.0, 0.0663, 0.5, 1.0, 2.0]
-    curve = tradeoff_curve(budgets, SearchConfig(seed=1))
-    values = [p.best_chsh for p in curve.points]
+    curve = tradeoff_curve(budgets)
+    values = [p.best_chsh for p in curve]
     monotone = all(values[i] <= values[i + 1] + 1e-12 for i in range(len(values) - 1))
     endpoints = abs(values[0] - 2.0) <= 1e-3 and abs(values[-1] - 4.0) <= 1e-3
     budgets_respected = all(
-        cmd(p.model).raw_bits <= p.budget_bits + 1e-3 for p in curve.points
+        cmd(p.model).raw_bits <= p.budget_bits + 1e-3 for p in curve
     )
     ok = monotone and endpoints and budgets_respected
     _verdict("8 tradeoff curve", ok, watch,

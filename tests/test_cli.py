@@ -203,9 +203,10 @@ class TestMiCommand:
         assert abs(json.loads(stdout)["mutual_information_bits"] - expected) <= atol
 
     def test_bad_sum_exits_2(self, capsys):
-        code, _, stderr = run_cli(capsys, "mi", "--table", "0.5,0.5,0.5,0.5")
-        assert code == 2
-        assert "sums to" in stderr
+        for table in ("0.5,0.5,0.5,0.5", "nan,0,0,1"):
+            code, _, stderr = run_cli(capsys, "mi", "--table", table)
+            assert code == 2
+            assert "sums to" in stderr
 
     def test_model_report(self, capsys):
         code, stdout, _ = run_cli(capsys, "mi", "--model", str(asset_path("brans.json")))
@@ -263,17 +264,11 @@ class TestKcbsCommand:
 
 
 class TestOptimizeCommand:
-    @pytest.fixture
-    def quick_config(self, tmp_path):
-        path = tmp_path / "quick.cfg"
-        path.write_text("seed = 5\n")
-        return path
-
-    def test_zero_budget(self, capsys, tmp_path, quick_config):
+    def test_zero_budget(self, capsys, tmp_path):
         out_dir = tmp_path / "run"
         code, stdout, _ = run_cli(
             capsys, "optimize", "--budget", "0", "--seed", "1",
-            "--config", str(quick_config), "--out-dir", str(out_dir),
+            "--out-dir", str(out_dir),
         )
         assert code == 0
         assert abs(json.loads(stdout)["best_chsh"] - 2.0) <= 1e-3
@@ -282,11 +277,11 @@ class TestOptimizeCommand:
         referenced = {name.rsplit("/", 1)[-1] for name in manifest["output_files"]}
         assert written == referenced
 
-    def test_target_mode_writes_model_and_report(self, capsys, tmp_path, quick_config):
+    def test_target_mode_writes_model_and_report(self, capsys, tmp_path):
         out_dir = tmp_path / "run"
         code, stdout, _ = run_cli(
             capsys, "optimize", "--target-s", "2.2", "--seed", "2",
-            "--config", str(quick_config), "--out-dir", str(out_dir),
+            "--out-dir", str(out_dir),
         )
         assert code == 0
         result = json.loads(stdout)
@@ -301,11 +296,11 @@ class TestOptimizeCommand:
         model = read_model(out_dir / "min_cmd_model.json")
         assert abs(chsh_value(predict(model)) - result["chsh_value"]) <= 1e-9
 
-    def test_curve_mode(self, capsys, tmp_path, quick_config):
+    def test_curve_mode(self, capsys, tmp_path):
         out_dir = tmp_path / "curve"
         code, stdout, _ = run_cli(
             capsys, "optimize", "--curve", "0,2", "--seed", "1",
-            "--config", str(quick_config), "--out-dir", str(out_dir),
+            "--out-dir", str(out_dir),
         )
         assert code == 0
         points = json.loads(stdout)["points"]
@@ -316,39 +311,51 @@ class TestOptimizeCommand:
         assert len(lines) == 3
         assert (out_dir / "curve_model_0.json").exists()
 
-    def test_infeasible_target_exits_2(self, capsys, tmp_path, quick_config):
+    def test_infeasible_target_exits_2(self, capsys, tmp_path):
         code, _, stderr = run_cli(
-            capsys, "optimize", "--target-s", "1.9", "--config", str(quick_config),
+            capsys, "optimize", "--target-s", "1.9", "--seed", "5",
             "--out-dir", str(tmp_path / "x"),
         )
         assert code == 2
         assert "target" in stderr
 
-    def test_env_var_config(self, capsys, tmp_path, quick_config, monkeypatch):
-        monkeypatch.setenv("BELLMD_CONFIG", str(quick_config))
-        out_dir = tmp_path / "env-run"
-        code, stdout, _ = run_cli(
-            capsys, "optimize", "--budget", "0", "--out-dir", str(out_dir),
+    def test_seed_recorded_in_manifest(self, capsys, tmp_path):
+        out_dir = tmp_path / "seeded"
+        code, _, _ = run_cli(
+            capsys, "optimize", "--budget", "0", "--seed", "1", "--out-dir", str(out_dir),
         )
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["configuration"]["seed"] == 5
-        assert manifest["seed"] == 5
+        assert manifest["configuration"]["seed"] == 1
+        assert manifest["seed"] == 1
 
-    def test_seed_flag_overrides_config_file(self, capsys, tmp_path, quick_config):
-        out_dir = tmp_path / "override"
-        code, _, _ = run_cli(
-            capsys, "optimize", "--budget", "0", "--seed", "1",
-            "--config", str(quick_config), "--out-dir", str(out_dir),
+    def test_negative_seed_exits_2_without_output(self, capsys, tmp_path):
+        out_dir = tmp_path / "d"
+        code, _, stderr = run_cli(
+            capsys, "optimize", "--seed", "-1", "--budget", "0.1", "--out-dir", str(out_dir),
         )
+        assert code == 2
+        assert "--seed must be nonnegative" in stderr
+        assert not out_dir.exists()
+
+    def test_env_var_config(self, capsys, tmp_path, monkeypatch):
+        # BELLMD_CONFIG is no longer read: a file it names leaves the seed at 0
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("seed = 5\n")
+        monkeypatch.setenv("BELLMD_CONFIG", str(cfg))
+        out_dir = tmp_path / "env-run"
+        code, _, _ = run_cli(capsys, "optimize", "--budget", "0", "--out-dir", str(out_dir))
         assert code == 0
-        assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 1
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["configuration"]["seed"] == 0
+        assert manifest["seed"] == 0
 
     @pytest.mark.parametrize("key", [
         "lambda_count", "restarts", "max_iterations", "initial_temperature",
         "temperature_decay", "penalty_weight", "tolerance_s", "tolerance_cmd",
     ])
     def test_annealer_config_key_exits_2(self, capsys, tmp_path, key):
+        # --config is gone: a former config file fails at parse time, whatever it holds
         cfg = tmp_path / "old.cfg"
         cfg.write_text(f"{key} = 4\n")
         out_dir = tmp_path / "old"
@@ -357,7 +364,7 @@ class TestOptimizeCommand:
             "--out-dir", str(out_dir),
         )
         assert code == 2
-        assert f"unknown config key '{key}'" in stderr
+        assert "unrecognized arguments: --config" in stderr
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag,value", [
@@ -371,12 +378,12 @@ class TestOptimizeCommand:
         assert "finite" in stderr
         assert not out_dir.exists()
 
-    def test_tsirelson_target_certifies_small_dependence(self, capsys, tmp_path, quick_config):
+    def test_tsirelson_target_certifies_small_dependence(self, capsys, tmp_path):
         # 0.046274 bits reach the quantum maximum (Hall's value)
         out_dir = tmp_path / "tsirelson"
         code, stdout, _ = run_cli(
             capsys, "optimize", "--target-s", "2.8284", "--seed", "1",
-            "--config", str(quick_config), "--out-dir", str(out_dir),
+            "--out-dir", str(out_dir),
         )
         assert code == 0
         result = json.loads(stdout)
@@ -384,12 +391,12 @@ class TestOptimizeCommand:
         assert abs(result["raw_bits"] - min_bits_closed_form(2.8284)) <= 1e-12
         assert result["raw_bits"] <= 0.0463
 
-    def test_byte_reproducibility_of_data_files(self, capsys, tmp_path, quick_config):
+    def test_byte_reproducibility_of_data_files(self, capsys, tmp_path):
         dirs = [tmp_path / "r1", tmp_path / "r2"]
         for d in dirs:
             code, _, _ = run_cli(
                 capsys, "optimize", "--budget", "0.1", "--seed", "9",
-                "--config", str(quick_config), "--out-dir", str(d),
+                "--out-dir", str(d),
             )
             assert code == 0
         for name in ("budget_model.json", "budget_report.json"):
@@ -428,8 +435,11 @@ MALFORMED_INPUTS = {
     "deep": ("[" * 100_000, "nested"),
     "alice-abc": (_brans_with(lambda d: d["settings"].update(alice="abc")), "'alice'"),
     "alice-null": (_brans_with(lambda d: d["settings"].update(alice=None)), "'alice'"),
+    "alice-fraction": (_brans_with(lambda d: d["settings"].update(alice=2.7)), "'alice'"),
     "lambda-count-list": (_brans_with(lambda d: d.update(lambda_count=[1])),
                           "'lambda_count'"),
+    "lambda-count-fraction": (_brans_with(lambda d: d.update(lambda_count=16.9)),
+                              "'lambda_count'"),
     "lambda-given-settings-text": (_brans_with(
         lambda d: d["lambda_given_settings"][0].__setitem__(0, "x")),
         "'lambda_given_settings'"),
@@ -441,13 +451,12 @@ JSON_READERS = (
     ["kcbs", "--scenario", "in"],
 )
 MODEL_READERS = (JSON_READERS[1], JSON_READERS[2])
-CONFIG_READER = ["optimize", "--budget", "0.1", "--config", "in", "--out-dir", "d"]
 MALFORMED_CASES = (
-    [(argv, "non-utf8") for argv in JSON_READERS + (CONFIG_READER,)]
+    [(argv, "non-utf8") for argv in JSON_READERS]
     + [(argv, "deep") for argv in JSON_READERS]
     + [(argv, kind) for argv in MODEL_READERS
-       for kind in ("alice-abc", "alice-null", "lambda-count-list",
-                    "lambda-given-settings-text")]
+       for kind in ("alice-abc", "alice-null", "alice-fraction", "lambda-count-list",
+                    "lambda-count-fraction", "lambda-given-settings-text")]
 )
 
 

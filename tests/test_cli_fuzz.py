@@ -26,7 +26,7 @@ NUMBER_LIST = st.one_of(
 INPUT_FILE = st.sampled_from([
     str(asset_path("bell-optimal.json")), str(asset_path("brans.json")),
     str(asset_path("kcbs-pentagram.json")), "garbage.json", "list.json",
-    "good.cfg", "bad.cfg", "missing.json", ".",
+    "missing.json", ".",
 ])
 OUTPUT_FILE = st.sampled_from(["out.json", "no-such-dir/out.json", ".", "garbage.json"])
 
@@ -36,7 +36,7 @@ VALUES = {
     "--trials": st.integers(-3, 10_000).map(str),
     "--force-outcome": st.integers(-2, 5).map(str),
     "--out": OUTPUT_FILE,
-    "--scenario": INPUT_FILE, "--model": INPUT_FILE, "--config": INPUT_FILE,
+    "--scenario": INPUT_FILE, "--model": INPUT_FILE,
     "--table": NUMBER_LIST, "--curve": NUMBER_LIST,
     "--target-s": st.one_of(st.floats(1.5, 4.5).map(repr), NUMBER),
     "--budget": st.one_of(st.floats(-0.1, 2.5).map(repr), NUMBER),
@@ -49,7 +49,7 @@ FLAGS = {
                       "--trials", "--force-outcome", "--out"]),
     "chsh": (["--scenario", "--model", "--deterministic-max"], ["--out"]),
     "mi": (["--table", "--model"], []),
-    "optimize": (["--target-s", "--budget", "--curve"], ["--config", "--seed", "--out-dir"]),
+    "optimize": (["--target-s", "--budget", "--curve"], ["--seed", "--out-dir"]),
     "kcbs": (["--classical-min", "--quantum-optimal", "--scenario"], []),
 }
 
@@ -73,11 +73,8 @@ def invocations(draw) -> list[str]:
 @hypothesis.given(argv=invocations())
 def test_every_invocation_exits_0_or_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("BELLMD_CONFIG", raising=False)
     (tmp_path / "garbage.json").write_text("not json {")
     (tmp_path / "list.json").write_text("[1, 2]")
-    (tmp_path / "good.cfg").write_text("seed = 4\n")
-    (tmp_path / "bad.cfg").write_text("warp_factor = 9\n")
     code = main(argv)
     captured = capsys.readouterr()
     assert code in (0, 2), (argv, code, captured.err)

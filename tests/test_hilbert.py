@@ -7,10 +7,8 @@ import oracles
 from bellmd.errors import InputError
 from bellmd.hilbert import (
     OperatorMatrix,
-    ProjectiveMeasurement,
     StateVector,
     basis_state,
-    born_probabilities,
     expectation,
     expectations,
     identity,
@@ -110,15 +108,16 @@ class TestTensor:
 
 class TestBornProbabilities:
     def test_eigenstate_of_entangled_basis(self):
-        from bellmd.teleport import bell_measurement, bell_state
+        from bellmd.teleport import bell_state
 
-        probs = born_probabilities(bell_measurement(), bell_state(0))
+        state = bell_state(0).amplitudes
+        probs = [abs(np.vdot(bell_state(k).amplitudes, state)) ** 2 for k in range(4)]
         assert np.allclose(probs, [1, 0, 0, 0], atol=1e-12)
 
     def test_combined_state_is_uniform_over_branches(self, rng):
         # oracle: project |psi>|pair> on (entangled basis (x) identity) by
         # explicit sums; every branch has weight exactly 1/4
-        from bellmd.teleport import bell_state
+        from bellmd.teleport import TeleportInput, bell_state, branch_decomposition
 
         for _ in range(10):
             a, b = random_qubit_pair(rng)
@@ -133,40 +132,8 @@ class TestBornProbabilities:
                 expected.append(weight)
             assert np.allclose(expected, 0.25, atol=1e-12)
 
-            measurement = ProjectiveMeasurement(
-                tuple(
-                    tensor_op(
-                        OperatorMatrix(
-                            np.outer(bell_state(k).amplitudes,
-                                     bell_state(k).amplitudes.conj()),
-                            hermitian=True,
-                        ),
-                        identity(2),
-                    )
-                    for k in range(4)
-                )
-            )
-            probs = born_probabilities(measurement, StateVector(total))
+            probs = [p for p, _ in branch_decomposition(TeleportInput(a, b))]
             assert np.allclose(probs, expected, atol=1e-12)
-
-    def test_z_measurement_of_plus(self):
-        plus = StateVector([SQRT2_INV, SQRT2_INV])
-        m = ProjectiveMeasurement.from_basis([basis_state(2, 0), basis_state(2, 1)])
-        assert np.allclose(born_probabilities(m, plus), [0.5, 0.5], atol=1e-12)
-
-    def test_random_bases_sum_to_one(self, rng):
-        for dim in (2, 3, 4):
-            for _ in range(10):
-                raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                q, _ = np.linalg.qr(raw)
-                m = ProjectiveMeasurement.from_basis(StateVector(q[:, k]) for k in range(dim))
-                s = StateVector(oracles.random_state(dim, rng))
-                assert abs(sum(born_probabilities(m, s)) - 1.0) <= 1e-9
-
-    def test_dimension_mismatch(self):
-        m = ProjectiveMeasurement.from_basis([basis_state(2, 0), basis_state(2, 1)])
-        with pytest.raises(InputError):
-            born_probabilities(m, basis_state(4, 0))
 
 
 class TestExpectation:
@@ -237,22 +204,3 @@ class TestOperatorAndMeasurementValidation:
     def test_hermitian_flag_checked(self):
         with pytest.raises(InputError):
             OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex), hermitian=True)
-
-    def test_incomplete_projector_set_rejected(self):
-        p0 = OperatorMatrix(np.array([[1, 0], [0, 0]], dtype=complex), hermitian=True)
-        with pytest.raises(InputError):
-            ProjectiveMeasurement((p0,))
-
-    def test_non_orthogonal_projectors_rejected(self):
-        p0 = OperatorMatrix(np.array([[1, 0], [0, 0]], dtype=complex), hermitian=True)
-        plus = StateVector([SQRT2_INV, SQRT2_INV])
-        p_plus = OperatorMatrix(
-            np.outer(plus.amplitudes, plus.amplitudes.conj()), hermitian=True
-        )
-        with pytest.raises(InputError):
-            ProjectiveMeasurement((p0, p_plus))
-
-    def test_non_idempotent_rejected(self):
-        half = OperatorMatrix(0.5 * np.eye(2, dtype=complex), hermitian=True)
-        with pytest.raises(InputError):
-            ProjectiveMeasurement((half, half))

@@ -203,12 +203,6 @@ class TestKcbs:
         scenario = kcbs_pentagram()
         assert -5.0 <= kcbs_value(scenario) <= 5.0
 
-    def test_observables_are_reflections(self):
-        scenario = kcbs_pentagram()
-        for i in range(5):
-            op = scenario.observable(i)
-            assert np.allclose(op.entries @ op.entries, np.eye(3), atol=1e-12)
-
     def test_invalid_geometry_rejected(self):
         good = kcbs_pentagram()
         with pytest.raises(InputError):

@@ -14,7 +14,6 @@ from bellmd.serialize import (
     read_chsh_scenario,
     read_kcbs_scenario,
     read_model,
-    read_search_config,
     write_chsh_scenario,
     write_curve_csv,
     write_kcbs_scenario,
@@ -175,33 +174,6 @@ class TestScenarioRoundTrips:
         path.write_text("not json at all {")
         with pytest.raises(InputError, match="not valid JSON"):
             read_model(path)
-
-
-class TestSearchConfigFile:
-    def test_full_and_partial_files(self, tmp_path):
-        path = tmp_path / "config.txt"
-        path.write_text("# run settings\nseed=7  # fixed\n")
-        assert read_search_config(path) == {"seed": 7}
-        path.write_text("# nothing set\n\n")
-        assert read_search_config(path) == {}  # every key is optional
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "config.txt"
-        path.write_text("warp_factor = 9\n")
-        with pytest.raises(InputError, match="warp_factor"):
-            read_search_config(path)
-
-    def test_bad_value_rejected(self, tmp_path):
-        path = tmp_path / "config.txt"
-        path.write_text("seed = soon\n")
-        with pytest.raises(InputError, match="seed"):
-            read_search_config(path)
-
-    def test_missing_equals_rejected(self, tmp_path):
-        path = tmp_path / "config.txt"
-        path.write_text("seed 4\n")
-        with pytest.raises(InputError, match="key=value"):
-            read_search_config(path)
 
 
 def test_curve_csv_header_and_precision(tmp_path):

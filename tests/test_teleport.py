@@ -6,11 +6,9 @@ import pytest
 import oracles
 from bellmd.errors import InputError
 from bellmd.hilbert import StateVector
-from bellmd.inequalities import bell_optimal_scenario
 from bellmd.teleport import (
     CORRECTION_LABELS,
     TeleportInput,
-    TeleportationProtocol,
     bell_state,
     branch_decomposition,
     branch_transcripts,
@@ -161,22 +159,21 @@ def test_transcript_serialization_shape():
 
 def test_protocol_exposes_single_measurement():
     report = verify_no_setting_choice()
+    assert list(report) == [
+        "protocol", "measurement_count", "measurements_per_party", "setting_choice_required",
+    ]
+    assert report["protocol"] == "teleportation"
     assert report["measurement_count"] == 1
+    assert report["measurements_per_party"] == {"alice": 1}
     assert report["setting_choice_required"] is False
-    assert verify_no_setting_choice() == report  # pure, idempotent
-
-
-def test_chsh_scenario_reports_two_per_party():
-    report = verify_no_setting_choice(bell_optimal_scenario())
-    assert report["measurement_count"] == 2
-    assert report["measurements_per_party"] == {"alice": 2, "bob": 2}
-    assert report["setting_choice_required"] is True
+    report["measurements_per_party"]["bob"] = 2
+    assert verify_no_setting_choice()["measurements_per_party"] == {"alice": 1}  # a fresh copy
 
 
 def test_entangled_pair_is_a_valid_state():
     pair = bell_state(0)
     assert isinstance(pair, StateVector)
     assert np.allclose(pair.amplitudes, [SQRT2_INV, 0, 0, SQRT2_INV], atol=1e-15)
-    protocol = TeleportationProtocol()
-    assert len(protocol.measurements) == 1
-    assert protocol.measurements[0].outcome_count == 4
+    # the four measurement outcomes form an orthonormal basis
+    basis = np.stack([bell_state(k).amplitudes for k in range(4)])
+    assert np.allclose(basis.conj() @ basis.T, np.eye(4), atol=1e-15)
