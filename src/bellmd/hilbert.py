@@ -1,6 +1,6 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-State vectors, hermitian observables, tensor products and batched
+State vectors, exactly hermitian observables, tensor products and batched
 expectation values.  Everything is validated eagerly and immutable
 afterwards, so values can be shared freely across threads.  All spaces in
 this package are tiny (dimension at most 8 for two-qubit-plus-ancilla work,
@@ -76,10 +76,13 @@ def basis_state(dim: int, index: int) -> StateVector:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Square complex matrix; ``hermitian`` asserts entries == entries^dagger."""
+    """Matrix A with max |A - A^dagger| <= `arithmetic`, stored as A/2 + A^dagger/2.
+
+    Stored entries equal their adjoint exactly, so products of them are exactly
+    hermitian; an exactly hermitian A with normal entries is kept bit for bit.
+    """
 
     entries: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=np.complex128)
@@ -87,49 +90,45 @@ class OperatorMatrix:
             raise InputError(f"operator must be a nonempty square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise InputError("operator entries must be finite")
-        object.__setattr__(self, "entries", _freeze(arr))
-        if self.hermitian:
-            residue = float(np.max(np.abs(arr - arr.conj().T)))
-            if residue > DEFAULT_TOLERANCES.arithmetic:
-                raise InputError(f"hermitian flag set but max |A - A^dagger| = {residue:.3g}")
+        adjoint = arr.conj().T
+        residue = float(np.max(np.abs(arr - adjoint)))
+        if residue > DEFAULT_TOLERANCES.arithmetic:
+            raise InputError(f"operator must be hermitian: max |A - A^dagger| = {residue:.3g}")
+        object.__setattr__(self, "entries", _freeze(arr * 0.5 + adjoint * 0.5))
 
     @property
     def dim(self) -> int:
         return int(self.entries.shape[0])
 
-    def is_hermitian(self, tol: float | None = None) -> bool:
-        tol = DEFAULT_TOLERANCES.arithmetic if tol is None else tol
-        return float(np.max(np.abs(self.entries - self.entries.conj().T))) <= tol
-
 
 def identity(dim: int) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(dim, dtype=np.complex128), hermitian=True)
+    return OperatorMatrix(np.eye(dim, dtype=np.complex128))
 
 
 def pauli_x() -> OperatorMatrix:
-    return OperatorMatrix(np.array([[0, 1], [1, 0]], dtype=np.complex128), hermitian=True)
+    return OperatorMatrix(np.array([[0, 1], [1, 0]], dtype=np.complex128))
 
 
 def pauli_z() -> OperatorMatrix:
-    return OperatorMatrix(np.array([[1, 0], [0, -1]], dtype=np.complex128), hermitian=True)
+    return OperatorMatrix(np.array([[1, 0], [0, -1]], dtype=np.complex128))
 
 
 def rotated_zx(angle: float) -> OperatorMatrix:
     """cos(angle) sigma_z + sin(angle) sigma_x: a +/-1-valued spin observable in the zx plane."""
     c, s = math.cos(angle), math.sin(angle)
-    return OperatorMatrix(np.array([[c, s], [s, -c]], dtype=np.complex128), hermitian=True)
+    return OperatorMatrix(np.array([[c, s], [s, -c]], dtype=np.complex128))
 
 
-def tensor(u: StateVector, v: StateVector, max_dim: int = MAX_TENSOR_DIM) -> StateVector:
+def tensor(u: StateVector, v: StateVector) -> StateVector:
     """Kronecker product u (x) v with the left factor as the high-order index."""
     out_dim = u.dim * v.dim
-    if out_dim > max_dim:
-        raise InputError(f"tensor product dimension {out_dim} exceeds the configured max {max_dim}")
+    if out_dim > MAX_TENSOR_DIM:
+        raise InputError(f"tensor product dimension {out_dim} exceeds the max {MAX_TENSOR_DIM}")
     return StateVector(np.kron(u.amplitudes, v.amplitudes))
 
 
 def tensor_op(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    return OperatorMatrix(np.kron(a.entries, b.entries), hermitian=a.hermitian and b.hermitian)
+    return OperatorMatrix(np.kron(a.entries, b.entries))
 
 
 def expectations(ops, s: StateVector) -> np.ndarray:

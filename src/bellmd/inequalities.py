@@ -19,10 +19,12 @@ from .errors import InputError
 from .hilbert import OperatorMatrix, StateVector, expectations
 # the benchmark tracer (bench/workloads.py) wraps these two names in this module
 from .hilbert import expectation, tensor_op  # noqa: F401
-from .lhv import CorrelationTable, SettingSpace
+from .lhv import CorrelationTable
 from .tolerances import DEFAULT_TOLERANCES
 
 KCBS_QUANTUM_OPTIMAL = 5.0 - 4.0 * math.sqrt(5.0)
+
+_OBSERVABLE_NAMES = [f"{party} observable {k}" for party in ("alice", "bob") for k in (0, 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,15 +40,20 @@ class ChshScenario:
         bob = tuple(self.bob_observables)
         if len(alice) != 2 or len(bob) != 2:
             raise InputError("each party needs exactly two observables")
-        for label, ops in (("alice", alice), ("bob", bob)):
-            for k, op in enumerate(ops):
-                if op.dim != 2:
-                    raise InputError(f"{label} observable {k} must act on a qubit")
-                if not op.is_hermitian():
-                    raise InputError(f"{label} observable {k} must be hermitian")
-                square = op.entries @ op.entries
-                if float(np.max(np.abs(square - np.eye(2)))) > DEFAULT_TOLERANCES.operator:
-                    raise InputError(f"{label} observable {k} must square to the identity")
+        for name, op in zip(_OBSERVABLE_NAMES, alice + bob):
+            if op.dim != 2:
+                raise InputError(f"{name} must act on a qubit")
+        # max |A^2 - 1| <= t keeps A's eigenvalues within 1 + t in magnitude, so on a
+        # unit state |<A (x) B>| - 1 and the shift that clamping the projector tables
+        # (eigenvalues down to -t/2) gives the implied correlators each stay within 2t;
+        # CorrelationTable allows `arithmetic` for both, a quarter leaves 2x for rounding
+        square_tol = DEFAULT_TOLERANCES.arithmetic / 4.0
+        stack = np.stack([op.entries for op in alice + bob])
+        residues = np.max(np.abs(stack @ stack - np.eye(2)), axis=(1, 2))
+        i = int(np.argmax(residues > square_tol))  # the first observable that fails, if any
+        if residues[i] > square_tol:
+            raise InputError(f"{_OBSERVABLE_NAMES[i]} must square to the identity: "
+                             f"max |A^2 - 1| = {residues[i]:.3g} > {square_tol:.3g}")
         if self.state.dim != 4:
             raise InputError("shared state must live in the 4-dimensional two-qubit space")
         object.__setattr__(self, "alice_observables", alice)
@@ -88,16 +95,8 @@ def chsh_quantum(s: ChshScenario) -> CorrelationTable:
     return CorrelationTable(corr, joint)
 
 
-def lhv_chsh_max(setting_space: SettingSpace | None = None) -> float:
-    """Brute-force CHSH maximum over all 16 deterministic setting-independent strategies.
-
-    The bound does not depend on the setting marginal; the argument is
-    accepted only to assert the 2x2 shape.
-    """
-    if setting_space is not None and (
-        setting_space.alice_settings != 2 or setting_space.bob_settings != 2
-    ):
-        raise InputError("deterministic CHSH enumeration needs 2x2 settings")
+def lhv_chsh_max() -> float:
+    """Brute-force CHSH maximum over all 16 deterministic setting-independent strategies."""
     best = 0.0
     for fa in itertools.product((1.0, -1.0), repeat=2):
         for fb in itertools.product((1.0, -1.0), repeat=2):

@@ -157,11 +157,11 @@ def operator_to_doc(op: OperatorMatrix) -> list:
     return _complex_to_pairs(op.entries)
 
 
-def operator_from_doc(data, context: str, hermitian: bool) -> OperatorMatrix:
+def operator_from_doc(data, context: str) -> OperatorMatrix:
     values = _pairs_to_complex(data, context)
     if values.ndim != 2:
         raise InputError(f"{context}: operator must be a matrix of [re, im] pairs")
-    return OperatorMatrix(values, hermitian=hermitian)
+    return OperatorMatrix(values)
 
 
 # --- hidden-variable models --------------------------------------------------
@@ -234,11 +234,11 @@ def chsh_scenario_from_doc(doc: dict, context: str = "scenario") -> ChshScenario
         raise InputError(f"{context}: bob_observables must list exactly 2 matrices")
     return ChshScenario(
         alice_observables=tuple(
-            operator_from_doc(m, f"{context}.alice_observables[{k}]", hermitian=True)
+            operator_from_doc(m, f"{context}.alice_observables[{k}]")
             for k, m in enumerate(alice)
         ),
         bob_observables=tuple(
-            operator_from_doc(m, f"{context}.bob_observables[{k}]", hermitian=True)
+            operator_from_doc(m, f"{context}.bob_observables[{k}]")
             for k, m in enumerate(bob)
         ),
         state=state_from_doc(_field(doc, "state", context), f"{context}.state"),

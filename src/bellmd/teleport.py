@@ -89,7 +89,7 @@ def branch_decomposition(inp: TeleportInput) -> list[tuple[float, StateVector]]:
     Probabilities are branch norms of the combined three-qubit state and
     equal 1/4 for every normalized input.
     """
-    total = tensor(inp.state(), bell_state(0), max_dim=8)
+    total = tensor(inp.state(), bell_state(0))
     grid = total.amplitudes.reshape(4, 2)  # leading two qubits major
     branches = []
     for k in range(4):

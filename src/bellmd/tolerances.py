@@ -11,10 +11,11 @@ class Tolerances:
 
     normalization: squared norms of state vectors and teleport inputs, and
         the entropy bound on a model's dependence
-    operator: CHSH observables squaring to 1, unit length of KCBS vectors,
-        imaginary residue of expectation values
-    arithmetic: hermiticity, probability-table entries and sums, correlator
-        identities; an eighth of it bounds KCBS neighbour orthogonality
+    operator: unit length of KCBS vectors, imaginary residue of expectation
+        values
+    arithmetic: hermiticity of every operator, probability-table entries and
+        sums, correlator identities; a quarter of it bounds CHSH observables
+        squaring to 1, an eighth KCBS neighbour orthogonality
     """
 
     normalization: float = 1e-9

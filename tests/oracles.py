@@ -94,6 +94,28 @@ def bloch_observable(direction: np.ndarray) -> np.ndarray:
     return np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
 
 
+def perturbed_observable(direction: np.ndarray, stretch: float, shift: float,
+                         skew: float) -> np.ndarray:
+    """(1 + stretch) n.sigma + shift * 1, plus ``skew`` on entry [0, 1] alone.
+
+    The skew gives max |A - A^dagger| = |skew|.  It points along the
+    off-diagonal direction whose hermitian part is orthogonal to n in Bloch
+    space, so it leaves A^2 unchanged to first order; stretch and shift alone
+    move A^2 - 1, by about 2 |stretch| + 2 |shift|.
+    """
+    x, y, _ = direction
+    a = (1.0 + stretch) * bloch_observable(direction) + shift * np.eye(2)
+    a[0, 1] += skew * complex(y, x) / max(math.hypot(x, y), 1e-300)
+    return a
+
+
+def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of a hermitian matrix for its largest eigenvalue."""
+    _, vecs = np.linalg.eigh(matrix)
+    v = vecs[:, -1]
+    return v / np.linalg.norm(v)
+
+
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)

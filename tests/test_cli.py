@@ -187,6 +187,24 @@ class TestChshCommand:
     def test_mode_required(self, capsys):
         assert run_cli(capsys, "chsh")[0] == 2
 
+    def test_observables_within_hermitian_tolerance_load_or_are_named(self, capsys, tmp_path):
+        # each party's first setting 9e-13 from hermitian, sigma_z second, on
+        # (|00> + |11>)/sqrt(2): A (x) A has residue 1.8e-12, which evaluation
+        # used to reject after the file had loaded
+        sigma_z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+        pair = json.loads(asset_path("bell-optimal.json").read_text())["state"]
+        for off_diagonal, code_wanted in (([1.0, 9e-13], 0), ([1.0 + 9e-13, 0.0], 2)):
+            near = [[[0.0, 0.0], off_diagonal], [[1.0, 0.0], [0.0, 0.0]]]
+            path = tmp_path / "near.json"
+            path.write_text(json.dumps({"alice_observables": [near, sigma_z],
+                                        "bob_observables": [near, sigma_z], "state": pair}))
+            code, stdout, stderr = run_cli(capsys, "chsh", "--scenario", str(path))
+            assert code == code_wanted, stderr
+            if code == 0:
+                assert json.loads(stdout)["chsh_value"] <= 2.0 * math.sqrt(2.0) + 1e-9
+            else:  # symmetrized to 1 + 4.5e-13, which squares 9e-13 away from 1
+                assert "alice observable 0 must square to the identity" in stderr
+
 
 class TestMiCommand:
     @pytest.mark.parametrize(
@@ -423,8 +441,8 @@ def test_mode_errors_exit_2_at_parse_time(capsys, tmp_path, monkeypatch, argv):
     assert not any(tmp_path.iterdir())
 
 
-def _brans_with(edit):
-    doc = json.loads(asset_path("brans.json").read_text())
+def _asset_with(name, edit):
+    doc = json.loads(asset_path(name).read_text())
     edit(doc)
     return json.dumps(doc)
 
@@ -433,16 +451,33 @@ def _brans_with(edit):
 MALFORMED_INPUTS = {
     "non-utf8": (b'{"state": "\xff\xfe"}', "UTF-8"),
     "deep": ("[" * 100_000, "nested"),
-    "alice-abc": (_brans_with(lambda d: d["settings"].update(alice="abc")), "'alice'"),
-    "alice-null": (_brans_with(lambda d: d["settings"].update(alice=None)), "'alice'"),
-    "alice-fraction": (_brans_with(lambda d: d["settings"].update(alice=2.7)), "'alice'"),
-    "lambda-count-list": (_brans_with(lambda d: d.update(lambda_count=[1])),
+    "alice-abc": (_asset_with("brans.json", lambda d: d["settings"].update(alice="abc")),
+                  "'alice'"),
+    "alice-null": (_asset_with("brans.json", lambda d: d["settings"].update(alice=None)),
+                   "'alice'"),
+    "alice-fraction": (_asset_with("brans.json", lambda d: d["settings"].update(alice=2.7)),
+                       "'alice'"),
+    "lambda-count-list": (_asset_with("brans.json", lambda d: d.update(lambda_count=[1])),
                           "'lambda_count'"),
-    "lambda-count-fraction": (_brans_with(lambda d: d.update(lambda_count=16.9)),
+    "lambda-count-fraction": (_asset_with("brans.json", lambda d: d.update(lambda_count=16.9)),
                               "'lambda_count'"),
-    "lambda-given-settings-text": (_brans_with(
-        lambda d: d["lambda_given_settings"][0].__setitem__(0, "x")),
+    "lambda-given-settings-text": (_asset_with(
+        "brans.json", lambda d: d["lambda_given_settings"][0].__setitem__(0, "x")),
         "'lambda_given_settings'"),
+    "observable-non-hermitian": (_asset_with(
+        "bell-optimal.json", lambda d: d["alice_observables"][0][0].__setitem__(1, [1.0, 0.0])),
+        "must be hermitian"),
+    "observable-square": (_asset_with(
+        "bell-optimal.json", lambda d: d["alice_observables"].__setitem__(
+            0, [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]])),
+        "alice observable 0 must square to the identity"),
+    "observable-3x3": (_asset_with(
+        "bell-optimal.json", lambda d: d["bob_observables"].__setitem__(
+            1, [[[float(i == j), 0.0] for j in range(3)] for i in range(3)])),
+        "bob observable 1 must act on a qubit"),
+    "state-3": (_asset_with(
+        "bell-optimal.json", lambda d: d.update(state=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])),
+        "4-dimensional"),
 }
 JSON_READERS = (
     ["chsh", "--scenario", "in", "--out", "o.json"],
@@ -457,6 +492,8 @@ MALFORMED_CASES = (
     + [(argv, kind) for argv in MODEL_READERS
        for kind in ("alice-abc", "alice-null", "alice-fraction", "lambda-count-list",
                     "lambda-count-fraction", "lambda-given-settings-text")]
+    + [(JSON_READERS[0], kind) for kind in ("observable-non-hermitian", "observable-square",
+                                            "observable-3x3", "state-3")]
 )
 
 

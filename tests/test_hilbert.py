@@ -149,16 +149,16 @@ class TestExpectation:
         assert abs(expectation(pauli_z(), basis_state(2, 0)) - 1.0) <= 1e-15
 
     def test_rejects_non_hermitian(self):
-        ghost = OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex))
-        with pytest.raises(InputError):
-            expectation(ghost, basis_state(2, 0))
+        ghost = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(InputError, match="must be hermitian"):
+            OperatorMatrix(ghost)
 
     def test_within_eigenvalue_range(self, rng):
         for dim in (2, 4):
             for _ in range(25):
                 raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 herm = (raw + raw.conj().T) / 2.0
-                op = OperatorMatrix(herm, hermitian=True)
+                op = OperatorMatrix(herm)
                 s = StateVector(oracles.random_state(dim, rng))
                 value = expectation(op, s)
                 eigs = oracles.charpoly_eigenvalues(herm)
@@ -170,7 +170,7 @@ class TestExpectations:
         for dim in (2, 3, 4):
             for _ in range(25):
                 raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                op = OperatorMatrix((raw + raw.conj().T) / 2.0, hermitian=True)
+                op = OperatorMatrix((raw + raw.conj().T) / 2.0)
                 s = StateVector(oracles.random_state(dim, rng))
                 assert expectation(op, s) == expectations(op.entries, s)
 
@@ -202,5 +202,30 @@ class TestExpectations:
 
 class TestOperatorAndMeasurementValidation:
     def test_hermitian_flag_checked(self):
-        with pytest.raises(InputError):
-            OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex), hermitian=True)
+        with pytest.raises(InputError, match=r"max \|A - A\^dagger\| = 1$"):
+            OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(InputError, match="must be hermitian"):
+            OperatorMatrix(np.array([[0, 1], [1 + 2e-12, 0]], dtype=complex))
+        within = OperatorMatrix(np.array([[0, 1], [1 + 5e-13, 0]], dtype=complex)).entries
+        assert within[0, 1] == within[1, 0]
+        assert abs(within[0, 1] - (1 + 2.5e-13)) <= 1e-15
+
+    def test_stored_entries_are_exactly_hermitian(self, rng):
+        for dim in (2, 3, 4):
+            for _ in range(50):
+                raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                near = (raw + raw.conj().T) / 2.0 + rng.uniform(-3e-13, 3e-13, size=(dim, dim))
+                entries = OperatorMatrix(near).entries
+                assert np.array_equal(entries, entries.conj().T)
+                assert np.max(np.abs(entries - near)) <= 1e-12
+
+    def test_exactly_hermitian_input_is_stored_bit_for_bit(self, rng):
+        pairs = [(pauli_x(), [[0, 1], [1, 0]]), (pauli_z(), [[1, 0], [0, -1]])]
+        for t in np.linspace(-7.0, 7.0, 201):
+            c, s = math.cos(t), math.sin(t)
+            pairs.append((rotated_zx(t), [[c, s], [s, -c]]))
+        for _ in range(500):
+            bloch = oracles.bloch_observable(oracles.random_unit_bloch(rng))
+            pairs.append((OperatorMatrix(bloch), bloch))
+        for op, raw in pairs:
+            assert op.entries.tobytes() == np.array(raw, dtype=complex).tobytes()

@@ -19,7 +19,7 @@ from bellmd.inequalities import (
     kcbs_value,
     lhv_chsh_max,
 )
-from bellmd.lhv import CorrelationTable, SettingSpace
+from bellmd.lhv import CorrelationTable
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -74,8 +74,7 @@ class TestChshQuantum:
         state = StateVector([1, 0, 0, 0])
         for _ in range(50):
             obs = [
-                OperatorMatrix(oracles.bloch_observable(oracles.random_unit_bloch(rng)),
-                               hermitian=True)
+                OperatorMatrix(oracles.bloch_observable(oracles.random_unit_bloch(rng)))
                 for _ in range(4)
             ]
             scenario = ChshScenario((obs[0], obs[1]), (obs[2], obs[3]), state)
@@ -93,8 +92,7 @@ class TestChshQuantum:
     def test_tsirelson_bound_holds_empirically(self, rng):
         for _ in range(100):
             obs = [
-                OperatorMatrix(oracles.bloch_observable(oracles.random_unit_bloch(rng)),
-                               hermitian=True)
+                OperatorMatrix(oracles.bloch_observable(oracles.random_unit_bloch(rng)))
                 for _ in range(4)
             ]
             state = StateVector(oracles.random_state(4, rng))
@@ -120,8 +118,8 @@ class TestChshQuantum:
             bob = [oracles.bloch_observable(oracles.random_unit_bloch(rng)) for _ in range(2)]
             state = oracles.random_state(4, rng)
             scenario = ChshScenario(
-                tuple(OperatorMatrix(a, hermitian=True) for a in alice),
-                tuple(OperatorMatrix(b, hermitian=True) for b in bob),
+                tuple(OperatorMatrix(a) for a in alice),
+                tuple(OperatorMatrix(b) for b in bob),
                 StateVector(state),
             )
             table = chsh_quantum(scenario)
@@ -130,19 +128,50 @@ class TestChshQuantum:
             assert np.max(np.abs(table.joint - joint)) <= 1e-12
 
     def test_observables_must_square_to_identity(self):
-        bad = OperatorMatrix(0.5 * np.eye(2, dtype=complex), hermitian=True)
+        bad = OperatorMatrix(0.5 * np.eye(2, dtype=complex))
         state = StateVector([1, 0, 0, 0])
         with pytest.raises(InputError):
             ChshScenario((bad, pauli_x()), (pauli_z(), pauli_x()), state)
+        # [[0, 1 + d], [1 + d, 0]] squares to (1 + d)^2; d up to 5e-11 passed the
+        # old 1e-10 gate, then failed CorrelationTable's [-1, 1] check
+        pair = StateVector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
+        for d in (1e-12, 2.5e-11, 4.9e-11):
+            stretched = OperatorMatrix(np.array([[0, 1 + d], [1 + d, 0]], dtype=complex))
+            with pytest.raises(InputError, match=r"bob observable 1 must square to the "
+                                                 r"identity: max \|A\^2 - 1\| = .* > 2.5e-13"):
+                ChshScenario((pauli_z(), pauli_x()), (pauli_z(), stretched), pair)
+        within = OperatorMatrix(np.array([[0, 1 + 1e-13], [1 + 1e-13, 0]], dtype=complex))
+        table = chsh_quantum(ChshScenario((within, pauli_z()), (within, pauli_z()), pair))
+        assert abs(table.correlators[0, 0] - 1.0) <= 1e-12
+
+    def test_every_constructed_scenario_evaluates(self, rng):
+        built = 0
+        for _ in range(2000):
+            # up to both gates: max |A - A^dagger| <= 1e-12 and max |A^2 - 1| <= 2.5e-13
+            ops = [oracles.perturbed_observable(
+                oracles.random_unit_bloch(rng), *rng.uniform(-1e-13, 1e-13, size=2),
+                rng.uniform(-1.1e-12, 1.1e-12)) for _ in range(4)]
+            if rng.integers(2):
+                state = oracles.random_state(4, rng)
+            else:  # where |<A (x) B>| and the clamped projector tables peak
+                state = oracles.top_eigenvector(np.kron(ops[rng.integers(2)],
+                                                        ops[2 + rng.integers(2)]))
+            try:
+                scenario = ChshScenario(
+                    tuple(OperatorMatrix(a) for a in ops[:2]),
+                    tuple(OperatorMatrix(b) for b in ops[2:]),
+                    StateVector(state),
+                )
+            except InputError:
+                continue
+            built += 1
+            assert chsh_value(chsh_quantum(scenario)) <= TSIRELSON + 1e-9
+        assert 500 <= built < 2000
 
 
 class TestDeterministicEnumeration:
     def test_maximum_is_exactly_two(self):
         assert lhv_chsh_max() == 2.0
-
-    def test_marginal_independent(self):
-        skew = SettingSpace(marginal=[0.7, 0.1, 0.1, 0.1])
-        assert lhv_chsh_max(skew) == 2.0
 
     def test_constant_strategies_already_attain_two(self):
         best = 0.0
@@ -151,10 +180,6 @@ class TestDeterministicEnumeration:
                 table = CorrelationTable.from_correlators(np.full((2, 2), xa * yb))
                 best = max(best, chsh_value(table))
         assert best == 2.0
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(InputError):
-            lhv_chsh_max(SettingSpace(alice_settings=3, bob_settings=2))
 
 
 class TestKcbs:

@@ -1,9 +1,11 @@
-"""Property test of the batched CHSH kernel on random Bloch observables and states.
+"""Property tests of the batched CHSH kernel on random Bloch observables and states.
 
 Every drawn scenario must give a proper joint table (nonnegative, each
 setting pair summing to 1), correlators equal to the signed joint sums,
-and a CHSH value within the Tsirelson bound.  Examples are derandomized
-so the suite stays deterministic.
+and a CHSH value within the Tsirelson bound.  Observables perturbed up to
+both construction gates (hermiticity and squaring to 1) must evaluate
+whenever the scenario constructs.  Examples are derandomized so the suite
+stays deterministic.
 """
 
 import math
@@ -11,9 +13,10 @@ import math
 import numpy as np
 import pytest
 
+from bellmd.errors import InputError
 from bellmd.hilbert import OperatorMatrix, StateVector
 from bellmd.inequalities import ChshScenario, chsh_quantum, chsh_value
-from oracles import bloch_observable
+from oracles import bloch_observable, perturbed_observable, top_eigenvector
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -37,7 +40,7 @@ STATE = (st.lists(UNIT, min_size=8, max_size=8)
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @hypothesis.given(directions=st.lists(BLOCH, min_size=4, max_size=4), state=STATE)
 def test_joint_table_is_a_distribution_consistent_with_correlators(directions, state):
-    ops = [OperatorMatrix(bloch_observable(d), hermitian=True) for d in directions]
+    ops = [OperatorMatrix(bloch_observable(d)) for d in directions]
     table = chsh_quantum(ChshScenario((ops[0], ops[1]), (ops[2], ops[3]), StateVector(state)))
     assert np.all(table.joint >= 0.0)
     assert np.max(np.abs(table.joint.sum(axis=(2, 3)) - 1.0)) <= 1e-12
@@ -45,3 +48,27 @@ def test_joint_table_is_a_distribution_consistent_with_correlators(directions, s
     implied = np.einsum("abxy,xy->ab", table.joint, signs)
     assert np.max(np.abs(implied - table.correlators)) <= 1e-12
     assert chsh_value(table) <= TSIRELSON + 1e-9
+
+
+# max |A^2 - 1| is about 2 |stretch| + 2 |shift|, against a gate of 2.5e-13;
+# max |A - A^dagger| = |skew|, against a gate of 1e-12
+STRETCH = st.floats(-1e-13, 1e-13, allow_nan=False)
+SKEW = st.floats(-1.1e-12, 1.1e-12, allow_nan=False)
+PERTURBATION = st.tuples(STRETCH, STRETCH, SKEW)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(directions=st.lists(BLOCH, min_size=4, max_size=4),
+                  perturbations=st.lists(PERTURBATION, min_size=4, max_size=4),
+                  state=STATE, pair=st.none() | st.tuples(st.sampled_from([0, 1]),
+                                                          st.sampled_from([2, 3])))
+def test_scenarios_at_the_construction_gates_evaluate(directions, perturbations, state, pair):
+    raw = [perturbed_observable(d, *p) for d, p in zip(directions, perturbations)]
+    if pair is not None:  # the state where |<A (x) B>| and the clamped tables peak
+        state = top_eigenvector(np.kron(raw[pair[0]], raw[pair[1]]))
+    try:
+        ops = [OperatorMatrix(a) for a in raw]
+        scenario = ChshScenario((ops[0], ops[1]), (ops[2], ops[3]), StateVector(state))
+    except InputError:
+        return
+    assert chsh_value(chsh_quantum(scenario)) <= TSIRELSON + 1e-9
