@@ -43,10 +43,10 @@ class ChshScenario:
         for name, op in zip(_OBSERVABLE_NAMES, alice + bob):
             if op.dim != 2:
                 raise InputError(f"{name} must act on a qubit")
-        # max |A^2 - 1| <= t keeps A's eigenvalues within 1 + t in magnitude, so on a
-        # unit state |<A (x) B>| - 1 and the shift that clamping the projector tables
-        # (eigenvalues down to -t/2) gives the implied correlators each stay within 2t;
-        # CorrelationTable allows `arithmetic` for both, a quarter leaves 2x for rounding
+        # max |A^2 - 1| <= t keeps A's eigenvalues within t of +/-1, so (1 +/- A)/2 has
+        # eigenvalues in [-t/2, 1 + t/2] and chsh_quantum's clamped, renormalized tables
+        # and their correlators stay within a few t of an exact +/-1 measurement's. Nothing
+        # downstream rejects a larger t; t = `arithmetic` / 4 keeps that gap at rounding
         square_tol = DEFAULT_TOLERANCES.arithmetic / 4.0
         stack = np.stack([op.entries for op in alice + bob])
         residues = np.max(np.abs(stack @ stack - np.eye(2)), axis=(1, 2))
@@ -70,7 +70,7 @@ def chsh_value(t: CorrelationTable) -> float:
 
 
 def chsh_quantum(s: ChshScenario) -> CorrelationTable:
-    """Quantum correlation table E(a_i, b_j) = <state| A_i (x) B_j |state>.
+    """Quantum correlation table of a scenario, correlators implied by the projector tables.
 
     The joint table holds <state| P_i^x (x) Q_j^y |state> for the outcome
     projectors (1 +/- A)/2, clamped at 0 and renormalized per setting pair.
@@ -83,16 +83,13 @@ def chsh_quantum(s: ChshScenario) -> CorrelationTable:
     # [setting, outcome] -> (1 + A)/2 for outcome 0, (1 - A)/2 for outcome 1
     alice_projs = np.stack([eye + alice, eye - alice], axis=1) / 2.0
     bob_projs = np.stack([eye + bob, eye - bob], axis=1) / 2.0
-    # axes (a, b, i, j, k, l) -> A_a[i, k] B_b[j, l], i.e. kron(A_a, B_b)[2i + j, 2k + l]
-    products = alice[:, None, :, None, :, None] * bob[None, :, None, :, None, :]
-    corr = expectations(products.reshape(2, 2, 4, 4), s.state)
-    # axes (a, b, x, y, i, j, k, l) likewise for the projectors
+    # axes (a, b, x, y, i, j, k, l) -> P_a^x[i, k] Q_b^y[j, l], i.e. kron(P, Q)[2i + j, 2k + l]
     proj_products = (alice_projs[:, None, :, None, :, None, :, None]
                      * bob_projs[None, :, None, :, None, :, None, :])
     joint = expectations(proj_products.reshape(2, 2, 2, 2, 4, 4), s.state)
     joint = np.maximum(joint, 0.0)
     joint /= joint.sum(axis=(2, 3), keepdims=True)
-    return CorrelationTable(corr, joint)
+    return CorrelationTable(joint)
 
 
 def lhv_chsh_max() -> float:

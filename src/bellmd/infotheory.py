@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InvariantError
-from .lhv import LhvModel
+from .lhv import LhvModel, _distribution_rows
 from .tolerances import DEFAULT_TOLERANCES
 
-_ATOL = DEFAULT_TOLERANCES.arithmetic
 _CLAMP = 1e-12
 
 
@@ -30,16 +29,8 @@ class JointDistribution:
         arr = np.array(self.probabilities, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise InputError("joint distribution must be a nonempty 2-d table")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("joint distribution entries must be finite")
-        if np.any(arr < -_ATOL):
-            raise InputError("joint distribution entries must be nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > _ATOL:
-            raise InputError(f"joint distribution sums to {total:.15g}, expected 1")
-        arr = np.clip(arr, 0.0, None)
-        arr.setflags(write=False)
-        object.__setattr__(self, "probabilities", arr)
+        flat = _distribution_rows("joint distribution", arr.reshape(-1))
+        object.__setattr__(self, "probabilities", flat.reshape(arr.shape))
 
     @property
     def rows(self) -> int:

@@ -13,7 +13,7 @@ the shape of p(lambda | a, b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,8 @@ def _distribution_rows(name: str, table, columns: int | None = None) -> np.ndarr
         raise InputError(f"{name} entries must be nonnegative")
     sums = arr.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > _ATOL):
+        if sums.size == 1:
+            raise InputError(f"{name} sums to {sums[0]:.15g}, expected 1")
         raise InputError(f"{name} rows must each sum to 1 within {_ATOL:g}")
     arr = np.clip(arr, 0.0, None)
     arr.setflags(write=False)
@@ -67,11 +69,6 @@ class SettingSpace:
     @property
     def n_joint(self) -> int:
         return self.alice_settings * self.bob_settings
-
-    def joint_index(self, a: int, b: int) -> int:
-        if not (0 <= a < self.alice_settings and 0 <= b < self.bob_settings):
-            raise InputError(f"setting pair ({a}, {b}) out of range")
-        return a * self.bob_settings + b
 
 
 def _response_table(name: str, table, settings: int, lambda_count: int) -> np.ndarray:
@@ -126,41 +123,27 @@ class LhvModel:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationTable:
-    """Per-setting correlators E(a, b) plus joint outcome probabilities.
+    """Joint outcome probabilities per setting pair, and the correlators they imply.
 
     joint[a, b, i, j] is p(x, y | a, b) with index 0 meaning outcome +1 and
-    index 1 meaning outcome -1.
+    index 1 meaning outcome -1; correlators[a, b] = E(a, b) is derived from it
+    as p(+,+) - p(+,-) - p(-,+) + p(-,-), so |E| <= 1, up to the entry and sum
+    tolerances, follows from the joint checks.
     """
 
-    correlators: np.ndarray
     joint: np.ndarray
+    correlators: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        corr = np.array(self.correlators, dtype=float)
         joint = np.array(self.joint, dtype=float)
-        if corr.ndim != 2:
-            raise InputError("correlators must be a 2-d table indexed by settings")
-        if joint.shape != corr.shape + (2, 2):
-            raise InputError(
-                f"joint table must have shape {corr.shape + (2, 2)}, got {joint.shape}"
-            )
-        if not (np.all(np.isfinite(corr)) and np.all(np.isfinite(joint))):
-            raise InputError("correlation table entries must be finite")
-        if np.any(np.abs(corr) > 1.0 + _ATOL):
-            raise InputError("correlators must lie in [-1, 1]")
-        if np.any(joint < -_ATOL):
-            raise InputError("joint outcome probabilities must be nonnegative")
-        sums = joint.sum(axis=(2, 3))
-        if np.any(np.abs(sums - 1.0) > _ATOL):
-            raise InputError("each joint outcome table must sum to 1")
-        signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        implied = np.einsum("abij,ij->ab", joint, signs)
-        if np.max(np.abs(implied - corr)) > _ATOL:
-            raise InputError("correlators are inconsistent with the joint outcome tables")
+        if joint.ndim != 4 or joint.shape[2:] != (2, 2):
+            raise InputError(f"joint table must have shape (a, b, 2, 2), got {joint.shape}")
+        rows = _distribution_rows("joint outcome table", joint.reshape(-1, 4))
+        joint = rows.reshape(joint.shape)
+        corr = joint[..., 0, 0] - joint[..., 0, 1] - joint[..., 1, 0] + joint[..., 1, 1]
         corr.setflags(write=False)
-        joint.setflags(write=False)
-        object.__setattr__(self, "correlators", corr)
         object.__setattr__(self, "joint", joint)
+        object.__setattr__(self, "correlators", corr)
 
     @classmethod
     def from_correlators(cls, correlators) -> CorrelationTable:
@@ -171,7 +154,7 @@ class CorrelationTable:
         joint = np.stack(
             [np.stack([same, diff], axis=-1), np.stack([diff, same], axis=-1)], axis=-2
         )
-        return cls(corr, joint)
+        return cls(joint)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -187,13 +170,10 @@ def predict(model: LhvModel) -> CorrelationTable:
     pb = model.bob_response
     pa2 = np.stack([pa, 1.0 - pa])  # outcome-indexed: [x, a, lambda]
     pb2 = np.stack([pb, 1.0 - pb])
-    joint = np.einsum("abl,ial,jbl->abij", w, pa2, pb2)
-    da, db = 2.0 * pa - 1.0, 2.0 * pb - 1.0
-    corr = np.einsum("abl,al,bl->ab", w, da, db)
-    return CorrelationTable(corr, joint)
+    return CorrelationTable(np.einsum("abl,ial,jbl->abij", w, pa2, pb2))
 
 
-def brans_construct(target: CorrelationTable, setting_space: SettingSpace | None = None) -> LhvModel:
+def brans_construct(target: CorrelationTable) -> LhvModel:
     """Fully setting-determined model reproducing an arbitrary correlation table.
 
     The hidden variable enumerates (joint setting, outcome pair); its
@@ -204,27 +184,18 @@ def brans_construct(target: CorrelationTable, setting_space: SettingSpace | None
     the setting entropy.
     """
     n_a, n_b = target.shape
-    if setting_space is None:
-        setting_space = SettingSpace(n_a, n_b)
-    if (setting_space.alice_settings, setting_space.bob_settings) != (n_a, n_b):
-        raise InputError("setting space does not match the target table shape")
-    n_joint = setting_space.n_joint
-    outcome_pairs = ((0, 0), (0, 1), (1, 0), (1, 1))  # index 0 -> +1, 1 -> -1
-    lam = n_joint * 4
-    lgs = np.zeros((n_joint, lam))
-    alice = np.zeros((n_a, lam))
-    bob = np.zeros((n_b, lam))
-    for a in range(n_a):
-        for b in range(n_b):
-            s = setting_space.joint_index(a, b)
-            for k, (i, j) in enumerate(outcome_pairs):
-                l = s * 4 + k
-                lgs[s, l] = target.joint[a, b, i, j]
-                alice[:, l] = 1.0 if i == 0 else 0.0
-                bob[:, l] = 1.0 if j == 0 else 0.0
+    n_joint = n_a * n_b
+    # lambda = 4 s + 2 i + j for joint setting s = a * n_b + b and outcome pair (i, j),
+    # index 0 -> +1, 1 -> -1
+    lgs = np.zeros((n_joint, n_joint, 4))
+    lgs[np.arange(n_joint), np.arange(n_joint)] = target.joint.reshape(n_joint, 4)
+    lgs = lgs.reshape(n_joint, 4 * n_joint)
+    i, j = np.divmod(np.arange(4 * n_joint) % 4, 2)
+    alice = np.tile(i == 0, (n_a, 1)).astype(float)
+    bob = np.tile(j == 0, (n_b, 1)).astype(float)
     # guard against float residue in the target rows
     lgs /= lgs.sum(axis=1, keepdims=True)
-    return LhvModel(setting_space, lgs, alice, bob)
+    return LhvModel(SettingSpace(n_a, n_b), lgs, alice, bob)
 
 
 def measurement_independent(model: LhvModel, tolerance: float = 1e-9) -> bool:

@@ -165,6 +165,23 @@ class TestChshCommand:
         expected = [[inv, inv], [inv, -inv]]
         assert np.max(np.abs(np.array(doc["correlators"]) - expected)) <= 1e-9
 
+    def test_scenario_and_model_assets_print_the_same_bytes(self, capsys):
+        scenario = run_cli(capsys, "chsh", "--scenario", str(asset_path("bell-optimal.json")))
+        model = run_cli(capsys, "chsh", "--model", str(asset_path("brans.json")))
+        assert scenario == model
+        assert scenario[1] == '{\n  "chsh_value": %r\n}\n' % math.sqrt(8.0)
+
+    def test_state_rounded_to_ten_digits_evaluates(self, capsys, tmp_path):
+        # squared norm 1 + 9e-11 loads under the 1e-9 gate; it used to exit 2
+        # with "correlators are inconsistent with the joint outcome tables"
+        doc = json.loads(asset_path("bell-optimal.json").read_text())
+        doc["state"] = [[0.7071067812, 0.0], [0.0, 0.0], [0.0, 0.0], [0.7071067812, 0.0]]
+        path = tmp_path / "rounded.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, stderr = run_cli(capsys, "chsh", "--scenario", str(path))
+        assert code == 0, stderr
+        assert abs(json.loads(stdout)["chsh_value"] - 2.0 * math.sqrt(2.0)) <= 1e-9
+
     def test_malformed_scenario_names_field(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"alice_observables": []}')

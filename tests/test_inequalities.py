@@ -144,6 +144,14 @@ class TestChshQuantum:
         table = chsh_quantum(ChshScenario((within, pauli_z()), (within, pauli_z()), pair))
         assert abs(table.correlators[0, 0] - 1.0) <= 1e-12
 
+    def test_state_inside_the_norm_gate_evaluates(self):
+        # a squared norm of 1 + 1e-10 passes StateVector's 1e-9 gate; the correlators
+        # used to stay unnormalized and fail CorrelationTable's 1e-12 consistency check
+        base = bell_optimal_scenario()
+        state = StateVector(base.state.amplitudes * math.sqrt(1.0 + 1e-10))
+        scenario = ChshScenario(base.alice_observables, base.bob_observables, state)
+        assert abs(chsh_value(chsh_quantum(scenario)) - TSIRELSON) <= 1e-9
+
     def test_every_constructed_scenario_evaluates(self, rng):
         built = 0
         for _ in range(2000):
@@ -156,6 +164,8 @@ class TestChshQuantum:
             else:  # where |<A (x) B>| and the clamped projector tables peak
                 state = oracles.top_eigenvector(np.kron(ops[rng.integers(2)],
                                                         ops[2 + rng.integers(2)]))
+            # squared norm across StateVector's 1e-9 gate and a little past it
+            state = state * math.sqrt(1.0 + rng.uniform(-1.1e-9, 1.1e-9))
             try:
                 scenario = ChshScenario(
                     tuple(OperatorMatrix(a) for a in ops[:2]),

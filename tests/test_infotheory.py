@@ -144,9 +144,9 @@ class TestCmd:
             assert abs(report.normalized * report.setting_entropy_bits - report.raw_bits) <= 1e-9
 
     def test_nonuniform_setting_marginal(self):
-        space = SettingSpace(marginal=[0.7, 0.1, 0.1, 0.1])
-        target = CorrelationTable.from_correlators(0.25 * np.ones((2, 2)))
-        model = brans_construct(target, space)
+        brans = brans_construct(CorrelationTable.from_correlators(0.25 * np.ones((2, 2))))
+        model = LhvModel(SettingSpace(marginal=[0.7, 0.1, 0.1, 0.1]),
+                         brans.lambda_given_settings, brans.alice_response, brans.bob_response)
         report = cmd(model)
         expected_entropy = oracles.entropy_direct([0.7, 0.1, 0.1, 0.1])
         assert abs(report.setting_entropy_bits - expected_entropy) <= 1e-12

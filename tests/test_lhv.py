@@ -94,9 +94,7 @@ class TestBransConstruct:
         for _ in range(40):
             joint = rng.gamma(1.0, size=(2, 2, 2, 2))
             joint /= joint.sum(axis=(2, 3), keepdims=True)
-            signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-            corr = np.einsum("abij,ij->ab", joint, signs)
-            target = CorrelationTable(corr, joint)
+            target = CorrelationTable(joint)
             table = predict(brans_construct(target))
             assert np.max(np.abs(table.joint - target.joint)) <= 1e-12
             assert np.max(np.abs(table.correlators - target.correlators)) <= 1e-12
@@ -157,14 +155,22 @@ class TestValidation:
         with pytest.raises(InputError):
             SettingSpace(alice_settings=0)
 
-    def test_correlation_table_consistency(self):
-        joint = np.full((2, 2, 2, 2), 0.25)
-        with pytest.raises(InputError):
-            CorrelationTable(np.ones((2, 2)), joint)  # correlators disagree with joint
-
     def test_correlators_capped(self):
         with pytest.raises(InputError):
             CorrelationTable.from_correlators([[1.5, 0.0], [0.0, 0.0]])
+
+    def test_correlators_are_the_read_only_signed_joint_sums(self, rng):
+        joint = rng.gamma(1.0, size=(2, 3, 2, 2))
+        joint /= joint.sum(axis=(2, 3), keepdims=True)
+        table = CorrelationTable(joint)
+        p = table.joint
+        expected = p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
+        assert table.shape == (2, 3)
+        assert np.array_equal(table.correlators, expected)
+        with pytest.raises(ValueError):
+            table.correlators[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            CorrelationTable(joint, np.zeros((2, 3)))  # joint is the only field
 
 
 def test_nonsquare_setting_spaces_supported():

@@ -3,8 +3,9 @@
 Every drawn scenario must give a proper joint table (nonnegative, each
 setting pair summing to 1), correlators equal to the signed joint sums,
 and a CHSH value within the Tsirelson bound.  Observables perturbed up to
-both construction gates (hermiticity and squaring to 1) must evaluate
-whenever the scenario constructs.  Examples are derandomized so the suite
+the construction gates (hermiticity and squaring to 1), on states whose
+squared norm is perturbed across its gate, must evaluate whenever the
+scenario constructs.  Examples are derandomized so the suite
 stays deterministic.
 """
 
@@ -55,17 +56,22 @@ def test_joint_table_is_a_distribution_consistent_with_correlators(directions, s
 STRETCH = st.floats(-1e-13, 1e-13, allow_nan=False)
 SKEW = st.floats(-1.1e-12, 1.1e-12, allow_nan=False)
 PERTURBATION = st.tuples(STRETCH, STRETCH, SKEW)
+# squared norm of the state, against StateVector's gate of 1e-9
+NORM_OFFSET = st.floats(-1.1e-9, 1.1e-9, allow_nan=False)
 
 
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @hypothesis.given(directions=st.lists(BLOCH, min_size=4, max_size=4),
                   perturbations=st.lists(PERTURBATION, min_size=4, max_size=4),
                   state=STATE, pair=st.none() | st.tuples(st.sampled_from([0, 1]),
-                                                          st.sampled_from([2, 3])))
-def test_scenarios_at_the_construction_gates_evaluate(directions, perturbations, state, pair):
+                                                          st.sampled_from([2, 3])),
+                  norm_offset=NORM_OFFSET)
+def test_scenarios_at_the_construction_gates_evaluate(directions, perturbations, state, pair,
+                                                      norm_offset):
     raw = [perturbed_observable(d, *p) for d, p in zip(directions, perturbations)]
     if pair is not None:  # the state where |<A (x) B>| and the clamped tables peak
         state = top_eigenvector(np.kron(raw[pair[0]], raw[pair[1]]))
+    state = state * math.sqrt(1.0 + norm_offset)
     try:
         ops = [OperatorMatrix(a) for a in raw]
         scenario = ChshScenario((ops[0], ops[1]), (ops[2], ops[3]), StateVector(state))
