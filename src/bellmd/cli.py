@@ -89,6 +89,14 @@ class _Manifest:
         dump_json(path, doc)
 
 
+def _write_out(path: Path, doc: dict, manifest: _Manifest) -> None:
+    """Write an ``--out`` data file and its manifest, creating its directory like ``--out-dir``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    dump_json(path, doc)
+    manifest.add_output(path)
+    manifest.write(str(path) + ".manifest.json")
+
+
 def _resolve_input(inp_args) -> TeleportInput:
     if inp_args.random:
         rng = np.random.default_rng(inp_args.seed)
@@ -134,14 +142,12 @@ def cmd_teleport(args) -> int:
         "measurement_report": verify_no_setting_choice(),
     }
     if args.out:
-        dump_json(args.out, {
+        _write_out(args.out, {
             "summary": summary,
             "transcripts": [t.to_json_dict() for t in canonical],
             # one ASCII digit per trial: the outcome index, in trial order
             "outcomes": (outcomes + 48).tobytes().decode("ascii"),
-        })
-        manifest.add_output(args.out)
-        manifest.write(str(args.out) + ".manifest.json")
+        }, manifest)
     print(dumps_json(summary))
     return 0
 
@@ -171,9 +177,7 @@ def cmd_chsh(args) -> int:
             "joint_outcome_probabilities": table.joint.tolist(),
         }
     if args.out:
-        dump_json(args.out, doc)
-        manifest.add_output(args.out)
-        manifest.write(str(args.out) + ".manifest.json")
+        _write_out(args.out, doc, manifest)
     print(dumps_json(doc if args.deterministic_max else {"chsh_value": doc["chsh_value"]}))
     return 0
 

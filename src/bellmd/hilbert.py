@@ -101,6 +101,26 @@ class OperatorMatrix:
         return int(self.entries.shape[0])
 
 
+def _operator_stack(stack: np.ndarray) -> list[OperatorMatrix] | None:
+    """OperatorMatrix of each matrix in a complex stack, checked in one pass.
+
+    Entries equal those built one by one, bit for bit.  None if any matrix
+    would fail OperatorMatrix's checks, so that the caller can name it.
+    """
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0 \
+            or not np.all(np.isfinite(stack)):
+        return None
+    adjoint = np.swapaxes(stack, -1, -2).conj()
+    if float(np.max(np.abs(stack - adjoint))) > DEFAULT_TOLERANCES.arithmetic:
+        return None
+    ops = []
+    for entries in stack * 0.5 + adjoint * 0.5:
+        op = object.__new__(OperatorMatrix)
+        object.__setattr__(op, "entries", _freeze(entries))
+        ops.append(op)
+    return ops
+
+
 def identity(dim: int) -> OperatorMatrix:
     return OperatorMatrix(np.eye(dim, dtype=np.complex128))
 
@@ -150,6 +170,11 @@ def expectations(ops, s: StateVector) -> np.ndarray:
     residue = float(np.max(np.abs(arr - np.swapaxes(arr, -1, -2).conj()), initial=0.0))
     if residue > DEFAULT_TOLERANCES.arithmetic:
         raise InputError("expectation requires a hermitian operator")
+    return _hermitian_expectations(arr, s)
+
+
+def _hermitian_expectations(arr: np.ndarray, s: StateVector) -> np.ndarray:
+    """``expectations`` of a finite hermitian stack; checks only the imaginary residue."""
     psi = s.amplitudes
     # psi^dagger (A psi), grouped as np.vdot groups it, so one operator gives the same bits
     values = (psi.conj() @ (arr @ psi)[..., None])[..., 0]

@@ -17,6 +17,7 @@ from .lhv import LhvModel, _distribution_rows
 from .tolerances import DEFAULT_TOLERANCES
 
 _CLAMP = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +59,14 @@ def _mutual_information_bits(joint: np.ndarray, row_m: np.ndarray, col_m: np.nda
     mask = joint > 0.0
     if not mask.any():
         return 0.0
-    outer = np.outer(row_m, col_m)
-    value = float((joint[mask] * np.log2(joint[mask] / outer[mask])).sum())
+    p = joint[mask]
+    outer = np.outer(row_m, col_m)[mask]
+    if outer.min() >= _TINY:
+        ratio = p / outer
+    else:  # p(x) p(y) underflowed where p(x, y) did not: divide by one marginal at a time
+        rows, cols = np.nonzero(mask)
+        ratio = p / row_m[rows] / col_m[cols]
+    value = float((p * np.log2(ratio)).sum())
     if value < -_CLAMP:
         raise InvariantError(f"mutual information {value:.3g} below the float-residue clamp")
     return max(value, 0.0)

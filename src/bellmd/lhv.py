@@ -35,14 +35,18 @@ def _distribution_rows(name: str, table, columns: int | None = None) -> np.ndarr
         raise InputError(f"{name} entries must be finite")
     if np.any(arr < -_ATOL):
         raise InputError(f"{name} entries must be nonnegative")
-    sums = arr.sum(axis=1)
+    # the sums are those of the rows as kept, after the clip
+    arr = np.clip(arr, 0.0, None)
+    _check_sums(name, arr.sum(axis=1))
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_sums(name: str, sums: np.ndarray) -> None:
     if np.any(np.abs(sums - 1.0) > _ATOL):
         if sums.size == 1:
             raise InputError(f"{name} sums to {sums[0]:.15g}, expected 1")
         raise InputError(f"{name} rows must each sum to 1 within {_ATOL:g}")
-    arr = np.clip(arr, 0.0, None)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,11 +143,26 @@ class CorrelationTable:
         if joint.ndim != 4 or joint.shape[2:] != (2, 2):
             raise InputError(f"joint table must have shape (a, b, 2, 2), got {joint.shape}")
         rows = _distribution_rows("joint outcome table", joint.reshape(-1, 4))
-        joint = rows.reshape(joint.shape)
+        self._set(rows.reshape(joint.shape))
+
+    def _set(self, joint: np.ndarray) -> None:
         corr = joint[..., 0, 0] - joint[..., 0, 1] - joint[..., 1, 0] + joint[..., 1, 1]
         corr.setflags(write=False)
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "correlators", corr)
+
+    @classmethod
+    def _derived(cls, joint: np.ndarray) -> CorrelationTable:
+        """Table that takes over ``joint``, an array computed from validated inputs.
+
+        Such an array is finite and nonnegative by construction; only the
+        per-setting sums, which rounding can still move, are checked.
+        """
+        _check_sums("joint outcome table", joint.reshape(-1, 4).sum(axis=1))
+        joint.setflags(write=False)
+        table = object.__new__(cls)
+        table._set(joint)
+        return table
 
     @classmethod
     def from_correlators(cls, correlators) -> CorrelationTable:
@@ -170,7 +189,7 @@ def predict(model: LhvModel) -> CorrelationTable:
     pb = model.bob_response
     pa2 = np.stack([pa, 1.0 - pa])  # outcome-indexed: [x, a, lambda]
     pb2 = np.stack([pb, 1.0 - pb])
-    return CorrelationTable(np.einsum("abl,ial,jbl->abij", w, pa2, pb2))
+    return CorrelationTable._derived(np.einsum("abl,ial,jbl->abij", w, pa2, pb2))
 
 
 def brans_construct(target: CorrelationTable) -> LhvModel:

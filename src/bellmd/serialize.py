@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .hilbert import OperatorMatrix, StateVector
+from .hilbert import OperatorMatrix, StateVector, _operator_stack
 from .inequalities import ChshScenario, KcbsScenario
 from .lhv import LhvModel, SettingSpace
 
@@ -232,15 +232,18 @@ def chsh_scenario_from_doc(doc: dict, context: str = "scenario") -> ChshScenario
         raise InputError(f"{context}: alice_observables must list exactly 2 matrices")
     if not isinstance(bob, list) or len(bob) != 2:
         raise InputError(f"{context}: bob_observables must list exactly 2 matrices")
+    # one decode and check over the stack; any defect decodes the matrices one
+    # by one, so that the error names the field
+    try:
+        ops = _operator_stack(_pairs_to_complex(alice + bob, context))
+    except InputError:
+        ops = None
+    ops = ops or [operator_from_doc(m, f"{context}.{party}_observables[{k}]")
+                  for party, matrices in (("alice", alice), ("bob", bob))
+                  for k, m in enumerate(matrices)]
     return ChshScenario(
-        alice_observables=tuple(
-            operator_from_doc(m, f"{context}.alice_observables[{k}]")
-            for k, m in enumerate(alice)
-        ),
-        bob_observables=tuple(
-            operator_from_doc(m, f"{context}.bob_observables[{k}]")
-            for k, m in enumerate(bob)
-        ),
+        alice_observables=tuple(ops[:2]),
+        bob_observables=tuple(ops[2:]),
         state=state_from_doc(_field(doc, "state", context), f"{context}.state"),
     )
 

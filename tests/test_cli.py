@@ -204,6 +204,23 @@ class TestChshCommand:
     def test_mode_required(self, capsys):
         assert run_cli(capsys, "chsh")[0] == 2
 
+    def test_rows_over_one_after_the_clip_exit_2_naming_the_field(self, capsys, tmp_path):
+        # each row sums to 1 + 9.4e-13 but to 1 + 4.9e-12 once its negatives clip to 0;
+        # the model used to load and then fail in predict on the joint outcome table
+        row = [1.0 + 4.9e-12] + [-0.99e-12] * 4
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "lambda_count": 5,
+            "settings": {"alice": 2, "bob": 2, "marginal": [0.25] * 4},
+            "lambda_given_settings": [row] * 4,
+            "alice_response": [[1.0] * 5] * 2,
+            "bob_response": [[1.0] * 5] * 2,
+        }))
+        code, stdout, stderr = run_cli(capsys, "chsh", "--model", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: lambda_given_settings rows must each sum to 1")
+
     def test_observables_within_hermitian_tolerance_load_or_are_named(self, capsys, tmp_path):
         # each party's first setting 9e-13 from hermitian, sigma_z second, on
         # (|00> + |11>)/sqrt(2): A (x) A has residue 1.8e-12, which evaluation
@@ -529,6 +546,21 @@ def test_malformed_input_file_exits_2_without_output(capsys, tmp_path, monkeypat
     assert stderr.startswith("error:")
     assert named in stderr
     assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
+def test_readme_out_commands_create_the_missing_directory(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["teleport", "--random", "--seed", "7", "--trials", "100000", "--out",
+         "runs/teleport.json"],
+        ["chsh", "--model", str(asset_path("brans.json")), "--out", "runs/brans-table.json"],
+    ):
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == 0, stderr
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+        "brans-table.json", "brans-table.json.manifest.json",
+        "teleport.json", "teleport.json.manifest.json",
+    ]
 
 
 def test_version_flag(capsys):

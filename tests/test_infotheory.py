@@ -153,6 +153,17 @@ class TestCmd:
         assert abs(report.raw_bits - expected_entropy) <= 1e-9
         assert abs(report.normalized - 1.0) <= 1e-9
 
+    def test_setting_too_rare_for_the_product_of_marginals(self):
+        # p(lambda) p(s) = 1.9e-342 underflows to 0 while p(lambda, s) = 1.37e-171
+        # does not; the score used to come out as inf and raise InvariantError
+        rare = 1.37e-171
+        model = LhvModel(SettingSpace(1, 2, marginal=[1.0, rare]), [[1.0, 0.0], [0.0, 1.0]],
+                         np.zeros((1, 2)), np.zeros((2, 2)))
+        report = cmd(model)
+        assert report.raw_bits == report.setting_entropy_bits
+        assert report.normalized == 1.0
+        assert abs(report.raw_bits / oracles.entropy_direct([1.0, rare]) - 1.0) <= 1e-12
+
 
 class TestValidation:
     def test_joint_distribution_must_sum_to_one(self):

@@ -4,6 +4,7 @@ import pytest
 import oracles
 from bellmd.errors import InputError
 from bellmd.inequalities import bell_optimal_scenario, chsh_quantum, chsh_value
+from bellmd.infotheory import JointDistribution
 from bellmd.lhv import (
     CorrelationTable,
     LhvModel,
@@ -154,6 +155,16 @@ class TestValidation:
             SettingSpace(marginal=[0.5, 0.5, 0.5, 0.5])
         with pytest.raises(InputError):
             SettingSpace(alice_settings=0)
+
+    def test_sums_are_checked_after_the_clip(self):
+        # the entries sum to 1 + 9.4e-13 but keep 1 + 4.9e-12 once the negatives clip to 0
+        row = [1.0 + 4.9e-12] + [-0.99e-12] * 4
+        with pytest.raises(InputError, match="lambda_given_settings rows must each sum to 1"):
+            LhvModel(SettingSpace(), np.tile(row, (4, 1)), np.ones((2, 5)), np.ones((2, 5)))
+        with pytest.raises(InputError, match=r"setting marginal sums to 1\.0000000000049"):
+            SettingSpace(alice_settings=1, bob_settings=5, marginal=row)
+        with pytest.raises(InputError, match=r"joint distribution sums to 1\.0000000000049"):
+            JointDistribution([row])
 
     def test_correlators_capped(self):
         with pytest.raises(InputError):

@@ -5,18 +5,24 @@ setting pair summing to 1), correlators equal to the signed joint sums,
 and a CHSH value within the Tsirelson bound.  Observables perturbed up to
 the construction gates (hermiticity and squaring to 1), on states whose
 squared norm is perturbed across its gate, must evaluate whenever the
-scenario constructs.  Examples are derandomized so the suite
-stays deterministic.
+scenario constructs.  ``chsh_quantum`` skips the hermiticity scan of its
+products and the re-validation of its table; every drawn scenario must
+give the same bits as the path that runs both checks.  Examples are
+derandomized so the suite stays deterministic.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from bellmd import hilbert, inequalities
 from bellmd.errors import InputError
 from bellmd.hilbert import OperatorMatrix, StateVector
 from bellmd.inequalities import ChshScenario, chsh_quantum, chsh_value
+from bellmd.lhv import CorrelationTable
+from bellmd.tolerances import DEFAULT_TOLERANCES
 from oracles import bloch_observable, perturbed_observable, top_eigenvector
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -32,6 +38,22 @@ def _unit(values) -> np.ndarray | None:
     return v / norm if norm > 1e-3 else None
 
 
+def assert_matches_the_checked_path(scenario: ChshScenario) -> CorrelationTable:
+    table = chsh_quantum(scenario)
+    with mock.patch.object(inequalities, "_hermitian_expectations", hilbert.expectations), \
+            mock.patch.object(CorrelationTable, "_derived", staticmethod(CorrelationTable)):
+        checked = chsh_quantum(scenario)
+    revalidated = CorrelationTable(table.joint)
+    for other in (checked, revalidated):
+        assert other.joint.tobytes() == table.joint.tobytes()
+        assert other.correlators.tobytes() == table.correlators.tobytes()
+    assert not table.joint.flags.writeable and not table.correlators.flags.writeable
+    assert np.all(np.isfinite(table.joint)) and np.all(table.joint >= 0.0)
+    sums = table.joint.sum(axis=(2, 3))
+    assert np.max(np.abs(sums - 1.0)) <= DEFAULT_TOLERANCES.arithmetic
+    return table
+
+
 BLOCH = st.lists(UNIT, min_size=3, max_size=3).map(_unit).filter(lambda v: v is not None)
 STATE = (st.lists(UNIT, min_size=8, max_size=8)
          .map(lambda v: _unit(np.asarray(v[:4]) + 1j * np.asarray(v[4:])))
@@ -42,9 +64,8 @@ STATE = (st.lists(UNIT, min_size=8, max_size=8)
 @hypothesis.given(directions=st.lists(BLOCH, min_size=4, max_size=4), state=STATE)
 def test_joint_table_is_a_distribution_consistent_with_correlators(directions, state):
     ops = [OperatorMatrix(bloch_observable(d)) for d in directions]
-    table = chsh_quantum(ChshScenario((ops[0], ops[1]), (ops[2], ops[3]), StateVector(state)))
-    assert np.all(table.joint >= 0.0)
-    assert np.max(np.abs(table.joint.sum(axis=(2, 3)) - 1.0)) <= 1e-12
+    table = assert_matches_the_checked_path(
+        ChshScenario((ops[0], ops[1]), (ops[2], ops[3]), StateVector(state)))
     signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
     implied = np.einsum("abxy,xy->ab", table.joint, signs)
     assert np.max(np.abs(implied - table.correlators)) <= 1e-12
@@ -77,4 +98,4 @@ def test_scenarios_at_the_construction_gates_evaluate(directions, perturbations,
         scenario = ChshScenario((ops[0], ops[1]), (ops[2], ops[3]), StateVector(state))
     except InputError:
         return
-    assert chsh_value(chsh_quantum(scenario)) <= TSIRELSON + 1e-9
+    assert chsh_value(assert_matches_the_checked_path(scenario)) <= TSIRELSON + 1e-9

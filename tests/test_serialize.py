@@ -6,19 +6,24 @@ import numpy as np
 import pytest
 
 from bellmd.errors import InputError
-from bellmd.inequalities import bell_optimal_scenario, kcbs_pentagram
+from bellmd.inequalities import ChshScenario, bell_optimal_scenario, kcbs_pentagram
 from bellmd.lhv import CorrelationTable, brans_construct
 from bellmd.serialize import (
+    chsh_scenario_from_doc,
+    chsh_scenario_to_doc,
     dumps_json,
     format_float,
+    operator_from_doc,
     read_chsh_scenario,
     read_kcbs_scenario,
     read_model,
+    state_from_doc,
     write_chsh_scenario,
     write_curve_csv,
     write_kcbs_scenario,
     write_model,
 )
+from oracles import perturbed_observable
 
 PINNED_DOC_TEXT = (
     '{\n'
@@ -174,6 +179,70 @@ class TestScenarioRoundTrips:
         path.write_text("not json at all {")
         with pytest.raises(InputError, match="not valid JSON"):
             read_model(path)
+
+
+def _observables_one_by_one(doc: dict) -> ChshScenario:
+    """The CHSH decode that builds and checks each observable on its own."""
+    ops = [operator_from_doc(m, f"scenario.{party}_observables[{k}]")
+           for party in ("alice", "bob") for k, m in enumerate(doc[f"{party}_observables"])]
+    return ChshScenario(tuple(ops[:2]), tuple(ops[2:]),
+                        state_from_doc(doc["state"], "scenario.state"))
+
+
+def _pairs(matrix) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
+
+
+# kind -> a matrix document with that defect
+OBSERVABLE_DEFECTS = {
+    "non-numeric pair": [[["x", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    "null entry": [[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    "ragged rows": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+    "triple instead of pair": [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                               [[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]],
+    "flat list of pairs": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]],
+    "not a list": "sigma_z",
+    "empty": [],
+    "2x3": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]],
+    "3x3": _pairs(np.diag([1.0, -1.0, 1.0])),
+    "nan": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+    "inf": [[[1.0, 0.0], [0.0, float("inf")]], [[0.0, 0.0], [-1.0, 0.0]]],
+    "-inf imaginary": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, -float("inf")]]],
+    "non-hermitian": [[[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.0], [0.0, 0.0]]],
+    "not squaring to 1": _pairs(0.5 * np.eye(2)),
+}
+SLOTS = {"alice 0": [("alice", 0)], "alice 1": [("alice", 1)], "bob 0": [("bob", 0)],
+         "bob 1": [("bob", 1)],
+         "every slot": [(party, k) for party in ("alice", "bob") for k in (0, 1)]}
+
+
+@pytest.mark.parametrize("slot", SLOTS)
+@pytest.mark.parametrize("defect", OBSERVABLE_DEFECTS)
+def test_stacked_observable_decode_raises_as_one_by_one(slot, defect):
+    doc = json.loads(json.dumps(chsh_scenario_to_doc(bell_optimal_scenario())))
+    for party, k in SLOTS[slot]:
+        doc[f"{party}_observables"][k] = OBSERVABLE_DEFECTS[defect]
+    with pytest.raises(Exception) as wanted:
+        _observables_one_by_one(doc)
+    with pytest.raises(Exception) as got:
+        chsh_scenario_from_doc(doc)
+    assert (type(got.value), str(got.value)) == (type(wanted.value), str(wanted.value))
+
+
+def test_stacked_observable_decode_keeps_the_bits(rng):
+    # observables up to 1e-12 from hermitian, which the decode symmetrizes
+    for _ in range(200):
+        doc = json.loads(json.dumps(chsh_scenario_to_doc(bell_optimal_scenario())))
+        for party in ("alice", "bob"):
+            directions = rng.normal(size=(2, 3))
+            doc[f"{party}_observables"] = [_pairs(perturbed_observable(
+                n / np.linalg.norm(n), 0.0, 0.0, rng.uniform(-1e-12, 1e-12)))
+                for n in directions]
+        stacked, one_by_one = chsh_scenario_from_doc(doc), _observables_one_by_one(doc)
+        for got, wanted in zip(stacked.alice_observables + stacked.bob_observables,
+                               one_by_one.alice_observables + one_by_one.bob_observables):
+            assert got.entries.tobytes() == wanted.entries.tobytes()
+            assert not got.entries.flags.writeable
 
 
 def test_curve_csv_header_and_precision(tmp_path):
