@@ -62,11 +62,12 @@ def _mutual_information_bits(joint: np.ndarray, row_m: np.ndarray, col_m: np.nda
     p = joint[mask]
     outer = np.outer(row_m, col_m)[mask]
     if outer.min() >= _TINY:
-        ratio = p / outer
-    else:  # p(x) p(y) underflowed where p(x, y) did not: divide by one marginal at a time
+        log_ratio = np.log2(p / outer)
+    else:  # p(x) p(y) underflowed where p(x, y) did not: one marginal at a time, and
+        # the second in logs, since 1 / p(y) overflows for a subnormal p(y)
         rows, cols = np.nonzero(mask)
-        ratio = p / row_m[rows] / col_m[cols]
-    value = float((p * np.log2(ratio)).sum())
+        log_ratio = np.log2(p / row_m[rows]) - np.log2(col_m[cols])
+    value = float((p * log_ratio).sum())
     if value < -_CLAMP:
         raise InvariantError(f"mutual information {value:.3g} below the float-residue clamp")
     return max(value, 0.0)
@@ -106,11 +107,16 @@ def setting_lambda_joint(model: LhvModel) -> JointDistribution:
 
 
 def cmd(model: LhvModel) -> CmdReport:
-    """Score a model's measurement dependence in bits (raw and normalized)."""
-    joint = setting_lambda_joint(model)
-    raw = mutual_information(joint)
+    """Score a model's measurement dependence in bits (raw and normalized).
+
+    A checked model's weights are a distribution, so they are scored without a re-check.
+    """
+    weights = model.setting_space.marginal[:, None] * model.lambda_given_settings
+    joint = np.ascontiguousarray(weights.T)  # laid out as setting_lambda_joint stores it
+    lambda_marginal = joint.sum(axis=1)
+    raw = _mutual_information_bits(joint, lambda_marginal, joint.sum(axis=0))
     setting_entropy = entropy_bits(model.setting_space.marginal)
-    lambda_entropy = entropy_bits(joint.row_marginal())
+    lambda_entropy = entropy_bits(lambda_marginal)
     if raw > min(setting_entropy, lambda_entropy) + DEFAULT_TOLERANCES.normalization:
         raise InvariantError(
             f"mutual information {raw:.12g} exceeds the entropy bound "

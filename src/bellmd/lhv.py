@@ -21,9 +21,12 @@ from .errors import InputError
 from .tolerances import DEFAULT_TOLERANCES
 
 _ATOL = DEFAULT_TOLERANCES.arithmetic
+# the row sums a model enters with: a quarter of the tolerance keeps predict's
+# outcome rows within it, and cmd's mutual information above its -_ATOL clamp
+_ROW_ATOL = _ATOL / 4
 
 
-def _distribution_rows(name: str, table, columns: int | None = None) -> np.ndarray:
+def _distribution_rows(name: str, table, columns: int | None = None, atol=_ATOL) -> np.ndarray:
     arr = np.array(table, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -37,16 +40,16 @@ def _distribution_rows(name: str, table, columns: int | None = None) -> np.ndarr
         raise InputError(f"{name} entries must be nonnegative")
     # the sums are those of the rows as kept, after the clip
     arr = np.clip(arr, 0.0, None)
-    _check_sums(name, arr.sum(axis=1))
+    _check_sums(name, arr.sum(axis=1), atol)
     arr.setflags(write=False)
     return arr
 
 
-def _check_sums(name: str, sums: np.ndarray) -> None:
-    if np.any(np.abs(sums - 1.0) > _ATOL):
+def _check_sums(name: str, sums: np.ndarray, atol=_ATOL) -> None:
+    if np.any(np.abs(sums - 1.0) > atol):
         if sums.size == 1:
             raise InputError(f"{name} sums to {sums[0]:.15g}, expected 1")
-        raise InputError(f"{name} rows must each sum to 1 within {_ATOL:g}")
+        raise InputError(f"{name} rows must each sum to 1 within {atol:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +70,7 @@ class SettingSpace:
         marginal = self.marginal
         if marginal is None:
             marginal = np.full(n, 1.0 / n)
-        marginal = _distribution_rows("setting marginal", marginal, columns=n)[0]
+        marginal = _distribution_rows("setting marginal", marginal, columns=n, atol=_ROW_ATOL)[0]
         object.__setattr__(self, "marginal", marginal)
 
     @property
@@ -88,6 +91,42 @@ def _response_table(name: str, table, settings: int, lambda_count: int) -> np.nd
     return arr
 
 
+def _model_tables(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...] | None:
+    """A model's three tables checked in one pass over their stack, or None on any defect.
+
+    The bounds reject NaN and inf too: NaN fails them all, +inf in a row fails its sum.
+    """
+    try:
+        arrays = [np.array(t, dtype=float) for t in (lgs, alice, bob)]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    n, n_a = space.n_joint, space.alice_settings
+    lam = arrays[0].shape[1] if arrays[0].ndim == 2 else 0
+    if lam == 0 or [a.shape for a in arrays] != [(n, lam), (n_a, lam), (space.bob_settings, lam)]:
+        return None
+    stack = np.concatenate(arrays)
+    if not (stack.min() >= -_ATOL and stack[n:].max() <= 1.0 + _ATOL):
+        return None
+    np.clip(stack, 0.0, None, out=stack)
+    np.minimum(stack[n:], 1.0, out=stack[n:])
+    if not np.abs(stack[:n].sum(axis=1) - 1.0).max() <= _ROW_ATOL:
+        return None
+    stack.setflags(write=False)
+    return stack[:n], stack[n:n + n_a], stack[n + n_a:]
+
+
+def _model_tables_one_by_one(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...]:
+    """The tables checked field by field; the first defect raises, naming its field."""
+    lgs = _distribution_rows("lambda_given_settings", lgs)
+    if lgs.shape[0] != space.n_joint:
+        raise InputError(f"lambda_given_settings needs {space.n_joint} rows, got {lgs.shape[0]}")
+    lam = lgs.shape[1]
+    alice = _response_table("alice_response", alice, space.alice_settings, lam)
+    bob = _response_table("bob_response", bob, space.bob_settings, lam)
+    _check_sums("lambda_given_settings", lgs.sum(axis=1), _ROW_ATOL)
+    return lgs, alice, bob
+
+
 @dataclass(frozen=True, eq=False)
 class LhvModel:
     """Hidden-variable distribution plus factorizable +/-1 response tables.
@@ -103,22 +142,13 @@ class LhvModel:
     bob_response: np.ndarray
 
     def __post_init__(self) -> None:
-        space = self.setting_space
-        lgs = _distribution_rows("lambda_given_settings", self.lambda_given_settings)
-        if lgs.shape[0] != space.n_joint:
-            raise InputError(
-                f"lambda_given_settings needs {space.n_joint} rows, got {lgs.shape[0]}"
-            )
-        lam = lgs.shape[1]
-        object.__setattr__(self, "lambda_given_settings", lgs)
-        object.__setattr__(
-            self, "alice_response",
-            _response_table("alice_response", self.alice_response, space.alice_settings, lam),
-        )
-        object.__setattr__(
-            self, "bob_response",
-            _response_table("bob_response", self.bob_response, space.bob_settings, lam),
-        )
+        fields = ("lambda_given_settings", "alice_response", "bob_response")
+        tables = [getattr(self, name) for name in fields]
+        # on any defect the tables are checked one by one, so that the error names the field
+        checked = (_model_tables(self.setting_space, *tables)
+                   or _model_tables_one_by_one(self.setting_space, *tables))
+        for name, table in zip(fields, checked):
+            object.__setattr__(self, name, table)
 
     @property
     def lambda_count(self) -> int:

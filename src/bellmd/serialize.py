@@ -121,7 +121,7 @@ def _int_field(doc: dict, name: str, context: str) -> int:
 def _float_array_field(doc: dict, name: str, context: str) -> np.ndarray:
     try:
         return np.array(_field(doc, name, context), dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge integer
         raise InputError(f"{context}: field '{name}' must be a regular array of numbers") from exc
 
 
@@ -130,7 +130,7 @@ def _float_array_field(doc: dict, name: str, context: str) -> np.ndarray:
 def _pairs_to_complex(data, context: str) -> np.ndarray:
     try:
         arr = np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{context}: expected numeric [re, im] pairs") from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise InputError(f"{context}: expected [re, im] pairs, got shape {arr.shape}")

@@ -14,8 +14,8 @@ class Tolerances:
     operator: unit length of KCBS vectors, imaginary residue of expectation
         values
     arithmetic: hermiticity of every operator, probability-table entries and
-        sums; a quarter of it bounds CHSH observables squaring to 1, an
-        eighth KCBS neighbour orthogonality
+        sums; a quarter of it bounds CHSH observables squaring to 1 and the
+        row sums of a model's tables, an eighth KCBS neighbour orthogonality
     """
 
     normalization: float = 1e-9

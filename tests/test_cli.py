@@ -454,6 +454,34 @@ class TestOptimizeCommand:
         for name in ("budget_model.json", "budget_report.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    # sha256 of every data file (all but the manifest) that each run wrote before
+    # LhvModel checked its tables in one pass and cmd scored the weights directly
+    GOLDEN_DATA_FILES = {
+        ("--target-s", "2.8284271247461903"): {
+            "min_cmd_model.json": "0f568e6294c7b08314d00062048e620e58ac9936e52fbd8d00f65cc21440d461",
+            "min_cmd_report.json": "5e19f770e3f75b5be29726be47f1b6ec0eefd227a37305985d0951c4a77d7831",
+        },
+        ("--budget", "0.03"): {
+            "budget_model.json": "05c101aa4be174c11bac51a8386c4c6af6fd120102f96738d0382de590113f2e",
+            "budget_report.json": "158fdd22b27fa85e84707196e84ec2c05c5b75f2127b99218dd88e63fb756a34",
+        },
+        ("--curve", "0,0.01,0.05,0.2075"): {
+            "curve.csv": "0c4f04a6daf24e9d22c6a809428b12ba80c05a6485684f8ff7cfb507fa4500ec",
+            "curve_model_0.json": "967e422482d4c6b103ab01502a0d177bd08166abfd8c8dcf2ed1c98f81dbbebf",
+            "curve_model_1.json": "36ea85721cbe23a0b8ec6c4ac2b9021494c1dd825f6569a89317e08538ca41bb",
+            "curve_model_2.json": "060a95441eb90a1370dd7566afb0592b2d21c0518bdbaab46b04e4fb39efab63",
+            "curve_model_3.json": "3da9d2dbda940605d49eb20e1c194c0e09c322d58d0385533909b1f55a1c00b5",
+        },
+    }
+
+    @pytest.mark.parametrize("mode", GOLDEN_DATA_FILES, ids=" ".join)
+    def test_golden_data_file_bytes(self, capsys, tmp_path, mode):
+        code, _, _ = run_cli(capsys, "optimize", *mode, "--out-dir", str(tmp_path))
+        assert code == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir() if p.name != "manifest.json"}
+        assert written == self.GOLDEN_DATA_FILES[mode]
+
 
 @pytest.mark.parametrize("argv", [
     ["chsh", "--out", "o.json"],
@@ -546,6 +574,35 @@ def test_malformed_input_file_exits_2_without_output(capsys, tmp_path, monkeypat
     assert stderr.startswith("error:")
     assert named in stderr
     assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
+def _with_huge_integer(name, edit):
+    # 1 followed by 400 zeros: a JSON integer that no float can hold
+    return _asset_with(name, lambda d: edit(d, 10**400))
+
+
+@pytest.mark.parametrize("argv,content,named", [
+    (["mi", "--model", "in"], _with_huge_integer(
+        "brans.json", lambda d, big: d["settings"]["marginal"].__setitem__(0, big)),
+     "settings: field 'marginal'"),
+    (["chsh", "--model", "in"], _with_huge_integer(
+        "brans.json", lambda d, big: d["alice_response"][1].__setitem__(2, big)),
+     "field 'alice_response'"),
+    (["chsh", "--scenario", "in"], _with_huge_integer(
+        "bell-optimal.json", lambda d, big: d["bob_observables"][1][0][1].__setitem__(0, big)),
+     "in.bob_observables[1]: expected numeric [re, im] pairs"),
+    (["chsh", "--scenario", "in"], _with_huge_integer(
+        "bell-optimal.json", lambda d, big: d["state"][3].__setitem__(1, big)),
+     "in.state: expected numeric [re, im] pairs"),
+], ids=["mi-marginal", "chsh-response", "chsh-observable", "chsh-state"])
+def test_integer_past_the_float_range_exits_2_naming_the_field(
+        capsys, tmp_path, monkeypatch, argv, content, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in").write_text(content)
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and named in stderr
 
 
 def test_readme_out_commands_create_the_missing_directory(capsys, tmp_path, monkeypatch):

@@ -164,6 +164,15 @@ class TestCmd:
         assert report.normalized == 1.0
         assert abs(report.raw_bits / oracles.entropy_direct([1.0, rare]) - 1.0) <= 1e-12
 
+    def test_subnormal_setting_scores_its_entropy(self):
+        # p(s) = 5e-324 is the least subnormal, so 1 / p(s) overflows to inf; the score
+        # used to come out as inf and raise InvariantError
+        model = LhvModel(SettingSpace(1, 2, marginal=[1.0, 5e-324]), [[1.0, 0.0], [0.0, 1.0]],
+                         np.zeros((1, 2)), np.zeros((2, 2)))
+        report = cmd(model)
+        assert report.raw_bits == report.setting_entropy_bits > 0.0
+        assert report.normalized == 1.0
+
 
 class TestValidation:
     def test_joint_distribution_must_sum_to_one(self):

@@ -166,6 +166,19 @@ class TestValidation:
         with pytest.raises(InputError, match=r"joint distribution sums to 1\.0000000000049"):
             JointDistribution([row])
 
+    def test_entry_rows_sum_to_one_within_a_quarter_of_the_tolerance(self):
+        # rows 5e-13 over one used to load, and their derived tables could then
+        # fail predict's row sums or cmd's clamp
+        row = np.array([0.5, 0.5]) * (1.0 + 5e-13)
+        with pytest.raises(InputError, match="lambda_given_settings rows must each sum to 1 within 2.5e-13"):
+            LhvModel(SettingSpace(), np.tile(row, (4, 1)), np.ones((2, 2)), np.ones((2, 2)))
+        with pytest.raises(InputError, match=r"setting marginal sums to 1\.0000000000005, expected 1"):
+            SettingSpace(alice_settings=1, bob_settings=2, marginal=row)
+        inside = np.array([0.5, 0.5]) * (1.0 + 2e-13)
+        model = LhvModel(SettingSpace(1, 2, inside), np.tile(inside, (2, 1)),
+                         np.ones((1, 2)), np.ones((2, 2)))
+        assert np.array_equal(model.lambda_given_settings, np.tile(inside, (2, 1)))
+
     def test_correlators_capped(self):
         with pytest.raises(InputError):
             CorrelationTable.from_correlators([[1.5, 0.0], [0.0, 0.0]])
@@ -182,6 +195,67 @@ class TestValidation:
             table.correlators[0, 0] = 0.0
         with pytest.raises(TypeError):
             CorrelationTable(joint, np.zeros((2, 3)))  # joint is the only field
+
+
+LGS = np.full((4, 3), 1.0 / 3.0)
+RESPONSE = np.full((2, 3), 0.5)
+FIELDS = ("lambda_given_settings", "alice_response", "bob_response")
+
+
+def _with_entry(table: np.ndarray, value: float) -> np.ndarray:
+    table = table.copy()
+    table[0, 1] = value
+    return table
+
+
+# one defect per field, with the exception and message each field's own check raised
+# before LhvModel checked its three tables in one pass
+DEFECTS = [
+    *[(f"{field}-{label}", {field: _with_entry(LGS if field == FIELDS[0] else RESPONSE, value)},
+       InputError, f"{field} entries must be finite")
+      for field in FIELDS for label, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf))],
+    ("lambda_given_settings-below", {FIELDS[0]: _with_entry(LGS, -2e-12)},
+     InputError, "lambda_given_settings entries must be nonnegative"),
+    *[(f"{field}-{label}", {field: _with_entry(RESPONSE, value)},
+       InputError, f"{field} entries must lie in [0, 1]")
+      for field in FIELDS[1:] for label, value in (("below", -2e-12), ("above", 1.0 + 2e-12))],
+    *[(f"{field}-shape", {field: np.full((2, 4), 0.5)},
+       InputError, f"{field} must have shape (2, 3), got (2, 4)") for field in FIELDS[1:]],
+    *[(f"{field}-1d", {field: np.full(3, 0.5)},
+       InputError, f"{field} must have shape (2, 3), got (3,)") for field in FIELDS[1:]],
+    ("lambda_given_settings-rows", {FIELDS[0]: LGS[:3]},
+     InputError, "lambda_given_settings needs 4 rows, got 3"),
+    ("lambda_given_settings-3d", {FIELDS[0]: LGS[None]},
+     InputError, "lambda_given_settings must be a 2-d table"),
+    ("lambda_given_settings-1d", {FIELDS[0]: LGS[0]},
+     InputError, "lambda_given_settings needs 4 rows, got 1"),
+    ("lambda_given_settings-sum", {FIELDS[0]: np.vstack([LGS[:3], 1.5 * LGS[3:]])},
+     InputError, "lambda_given_settings rows must each sum to 1 within 1e-12"),
+    ("no-lambda", {field: np.zeros((n, 0)) for field, n in zip(FIELDS, (4, 2, 2))},
+     InputError, "lambda_given_settings rows must each sum to 1 within 1e-12"),
+    ("lambda_given_settings-text", {FIELDS[0]: [[1.0, "x", 0.0]] * 4},
+     ValueError, "could not convert string to float: 'x'"),
+    ("ragged-alice-after-nan-lambda", {FIELDS[0]: _with_entry(LGS, np.nan),
+                                       FIELDS[1]: [[0.5], [0.5, 0.5]]},
+     InputError, "lambda_given_settings entries must be finite"),
+]
+
+
+@pytest.mark.parametrize("tables,error,message", [d[1:] for d in DEFECTS],
+                         ids=[d[0] for d in DEFECTS])
+def test_a_defect_raises_as_each_field_checked_alone(tables, error, message):
+    with pytest.raises(error) as raised:
+        LhvModel(SettingSpace(), **{**dict(zip(FIELDS, (LGS, RESPONSE, RESPONSE))), **tables})
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_a_flat_row_is_the_one_setting_table():
+    flat = LhvModel(SettingSpace(1, 1), [0.25, 0.75], [[1.0, 0.0]], [[0.0, 1.0]])
+    table = LhvModel(SettingSpace(1, 1), [[0.25, 0.75]], [[1.0, 0.0]], [[0.0, 1.0]])
+    for name in FIELDS:
+        assert getattr(flat, name).tobytes() == getattr(table, name).tobytes()
+        assert not getattr(flat, name).flags.writeable
 
 
 def test_nonsquare_setting_spaces_supported():

@@ -3,12 +3,15 @@
 Counters pin the hot paths: decoding a CHSH file and evaluating it builds
 no ``OperatorMatrix`` and no ``CorrelationTable`` through their checking
 constructors and never calls ``expectations``, and ``predict`` builds no
-checked ``CorrelationTable``.  A change that puts a re-check back on those
-paths fails here.  The property test below shows that what ``predict``
-no longer checks still holds: on models whose rows sum to 1 up to rounding,
-with entries down to the tolerance below 0 and responses up to it outside
-[0, 1], every model that constructs passes ``predict`` and ``cmd``, and
-its table is the one the checking constructor would build.
+checked ``CorrelationTable``.  On the score path, ``LhvModel`` checks its
+three tables in one pass, without the per-field checks, and ``cmd`` scores
+the model's weights without building a ``JointDistribution``.  A change
+that puts a re-check back on those paths fails here.  The property tests
+below show that what these paths no longer check still holds: on models
+whose rows sum to 1 up to rounding, or as far from 1 as the entry bound
+allows, with entries down to the tolerance below 0 and responses up to it
+outside [0, 1], every model that constructs passes ``predict`` and
+``cmd``, and its table is the one the checking constructor would build.
 """
 
 import collections
@@ -16,10 +19,11 @@ import collections
 import numpy as np
 import pytest
 
-from bellmd import hilbert, inequalities
+from bellmd import hilbert, inequalities, lhv
 from bellmd.cli import asset_path
 from bellmd.hilbert import OperatorMatrix, pauli_z
-from bellmd.infotheory import cmd
+from bellmd.errors import InputError
+from bellmd.infotheory import JointDistribution, cmd, mutual_information, setting_lambda_joint
 from bellmd.inequalities import chsh_quantum
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, predict
 from bellmd.serialize import read_chsh_scenario, read_model
@@ -31,9 +35,8 @@ st = pytest.importorskip("hypothesis.strategies")
 TOL = DEFAULT_TOLERANCES.arithmetic
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Counts of calls to each checking entry point, by name."""
+def _counted(monkeypatch, *targets) -> collections.Counter:
+    """Counts of calls to each (owner, name) target, keyed 'owner.name'."""
     counts = collections.Counter()
 
     def count(owner, name):
@@ -45,11 +48,24 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(OperatorMatrix, "__post_init__")
-    count(CorrelationTable, "__post_init__")
-    count(hilbert, "expectations")
-    count(inequalities, "expectations")
+    for owner, name in targets:
+        count(owner, name)
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of calls to each checking entry point of the quantum and table paths."""
+    return _counted(monkeypatch, (OperatorMatrix, "__post_init__"),
+                    (CorrelationTable, "__post_init__"), (hilbert, "expectations"),
+                    (inequalities, "expectations"))
+
+
+@pytest.fixture
+def score_calls(monkeypatch):
+    """Counts of calls to each per-field model check and to the joint's checking constructor."""
+    return _counted(monkeypatch, (lhv, "_distribution_rows"), (lhv, "_response_table"),
+                    (JointDistribution, "__post_init__"))
 
 
 def test_the_counters_see_the_checked_paths(calls):
@@ -71,6 +87,27 @@ def test_predict_does_not_recheck_its_table(calls):
     model = read_model(asset_path("brans.json"))
     predict(model)
     assert not calls
+
+
+def test_the_score_counters_see_the_checked_paths(score_calls):
+    brans = read_model(asset_path("brans.json"))
+    score_calls.clear()
+    with pytest.raises(InputError, match="alice_response"):
+        LhvModel(brans.setting_space, brans.lambda_given_settings, [[2.0]], brans.bob_response)
+    setting_lambda_joint(brans)
+    assert score_calls == {"bellmd.lhv._distribution_rows": 1, "bellmd.lhv._response_table": 1,
+                           "JointDistribution.__post_init__": 1}
+
+
+def test_a_model_is_checked_in_one_pass_and_scored_without_a_recheck(score_calls):
+    brans = read_model(asset_path("brans.json"))
+    score_calls.clear()
+    model = LhvModel(brans.setting_space, brans.lambda_given_settings.tolist(),
+                     brans.alice_response.tolist(), brans.bob_response.tolist())
+    assert not score_calls
+    report = cmd(model)
+    assert not score_calls
+    assert report.raw_bits == mutual_information(setting_lambda_joint(model)) == 2.0
 
 
 ENTRY = st.one_of(st.floats(0.0, 1.0), st.floats(-TOL, 0.0))
@@ -99,10 +136,47 @@ def models(draw):
 @hypothesis.given(model=models())
 def test_every_model_that_constructs_predicts_a_checked_table(model):
     table = predict(model)
-    assert cmd(model).raw_bits >= 0.0
+    assert cmd(model).raw_bits == mutual_information(setting_lambda_joint(model)) >= 0.0
     revalidated = CorrelationTable(table.joint)
     assert revalidated.joint.tobytes() == table.joint.tobytes()
     assert revalidated.correlators.tobytes() == table.correlators.tobytes()
     assert not table.joint.flags.writeable and not table.correlators.flags.writeable
     assert np.all(np.isfinite(table.joint)) and np.all(table.joint >= 0.0)
     assert np.max(np.abs(table.joint.sum(axis=(2, 3)) - 1.0)) <= TOL
+
+
+EDGE = st.floats(0.9 * lhv._ROW_ATOL, lhv._ROW_ATOL)
+
+
+def _at_the_edge(draw, rows: np.ndarray) -> np.ndarray:
+    """Rows each scaled by 1 +- 0.9 to 1 times the entry row-sum bound."""
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(rows),
+                                   max_size=len(rows))))
+    factors = np.array(draw(st.lists(EDGE, min_size=len(rows), max_size=len(rows))))
+    return rows * (1.0 + signs * factors)[:, None]
+
+
+@st.composite
+def edge_models(draw):
+    """Models whose rows, and often the marginal, sum to 1 as far off as the bound allows.
+
+    Measurement-independent rows, and a single hidden value, are drawn often:
+    there the excess mass alone moves cmd's mutual information below zero.
+    """
+    n_a, n_b, lam = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    marginal = _at_the_edge(draw, _rows(draw, 1, n_a * n_b))[0] if draw(st.booleans()) else None
+    rows = _rows(draw, 1, lam) if draw(st.booleans()) else _rows(draw, n_a * n_b, lam)
+    lgs = _at_the_edge(draw, np.repeat(rows, n_a * n_b // len(rows), axis=0))
+    responses = [np.array(draw(st.lists(st.lists(RESPONSE, min_size=lam, max_size=lam),
+                                        min_size=n, max_size=n))) for n in (n_a, n_b)]
+    try:
+        return LhvModel(SettingSpace(n_a, n_b, marginal), lgs, *responses)
+    except InputError:  # rounding took a row past the bound
+        hypothesis.reject()
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(model=edge_models())
+def test_every_model_at_the_row_sum_edge_predicts_and_scores(model):
+    assert np.max(np.abs(predict(model).joint.sum(axis=(2, 3)) - 1.0)) <= TOL
+    assert cmd(model).raw_bits == mutual_information(setting_lambda_joint(model)) >= 0.0
