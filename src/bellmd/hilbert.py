@@ -2,7 +2,9 @@
 
 State vectors, exactly hermitian observables, tensor products and batched
 expectation values.  Everything is validated eagerly and immutable
-afterwards, so values can be shared freely across threads.  All spaces in
+afterwards, so values can be shared freely across threads.  A CHSH
+scenario's four observables are not built as ``OperatorMatrix`` values:
+``ChshScenario`` checks them as one stack, by the same gates.  All spaces in
 this package are tiny (dimension at most 8 for two-qubit-plus-ancilla work,
 3 for qutrit work), so a dense numpy representation is used throughout.
 """
@@ -99,26 +101,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return int(self.entries.shape[0])
-
-
-def _operator_stack(stack: np.ndarray) -> list[OperatorMatrix] | None:
-    """OperatorMatrix of each matrix in a complex stack, checked in one pass.
-
-    Entries equal those built one by one, bit for bit.  None if any matrix
-    would fail OperatorMatrix's checks, so that the caller can name it.
-    """
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0 \
-            or not np.all(np.isfinite(stack)):
-        return None
-    adjoint = np.swapaxes(stack, -1, -2).conj()
-    if float(np.max(np.abs(stack - adjoint))) > DEFAULT_TOLERANCES.arithmetic:
-        return None
-    ops = []
-    for entries in stack * 0.5 + adjoint * 0.5:
-        op = object.__new__(OperatorMatrix)
-        object.__setattr__(op, "entries", _freeze(entries))
-        ops.append(op)
-    return ops
 
 
 def identity(dim: int) -> OperatorMatrix:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .hilbert import OperatorMatrix, StateVector, _hermitian_expectations, expectations
+from .hilbert import StateVector, _hermitian_expectations, expectations
 # the benchmark tracer (bench/workloads.py) wraps these two names in this module
 from .hilbert import expectation, tensor_op  # noqa: F401
 from .lhv import CorrelationTable
@@ -31,35 +31,51 @@ _OBSERVABLE_NAMES = [f"{party} observable {k}" for party in ("alice", "bob") for
 
 @dataclass(frozen=True, eq=False)
 class ChshScenario:
-    """Two +/-1 observables per party and a shared two-qubit state."""
+    """Two +/-1 observables per party and a shared two-qubit state.
 
-    alice_observables: tuple[OperatorMatrix, OperatorMatrix]
-    bob_observables: tuple[OperatorMatrix, OperatorMatrix]
+    ``observables`` is one read-only complex (4, 2, 2) array, alice 0, alice 1,
+    bob 0, bob 1, built from any four matrices, each stored as A/2 + A^dagger/2
+    as ``OperatorMatrix`` stores it.  The checks, in order, each over all four
+    observables and naming or reporting the first that fails: shape (square,
+    then a qubit's), finite entries, max |A - A^dagger| <= `arithmetic`, max
+    |A^2 - 1| <= `arithmetic` / 4; then the state's dimension.
+    """
+
+    observables: np.ndarray
     state: StateVector
 
     def __post_init__(self) -> None:
-        alice = tuple(self.alice_observables)
-        bob = tuple(self.bob_observables)
-        if len(alice) != 2 or len(bob) != 2:
+        if len(self.observables) != 4:
             raise InputError("each party needs exactly two observables")
-        for name, op in zip(_OBSERVABLE_NAMES, alice + bob):
-            if op.dim != 2:
+        for name, op in zip(_OBSERVABLE_NAMES, self.observables):
+            shape = np.shape(op)
+            if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+                raise InputError(f"operator must be a nonempty square matrix, got shape {shape}")
+            if shape != (2, 2):
                 raise InputError(f"{name} must act on a qubit")
+        ops = np.array(self.observables, dtype=np.complex128)
+        if not np.isfinite(ops).all():
+            raise InputError("operator entries must be finite")
+        adjoint = ops.swapaxes(1, 2).conj()
+        residues = np.abs(ops - adjoint).max(axis=(1, 2))
+        if residues.max() > DEFAULT_TOLERANCES.arithmetic:
+            i = int(np.argmax(residues > DEFAULT_TOLERANCES.arithmetic))  # the first that fails
+            raise InputError(f"operator must be hermitian: max |A - A^dagger| = {residues[i]:.3g}")
+        ops = np.add(ops * 0.5, adjoint * 0.5, out=adjoint)
         # max |A^2 - 1| <= t keeps A's eigenvalues within t of +/-1, so (1 +/- A)/2 has
         # eigenvalues in [-t/2, 1 + t/2] and chsh_quantum's clamped, renormalized tables
         # and their correlators stay within a few t of an exact +/-1 measurement's. Nothing
         # downstream rejects a larger t; t = `arithmetic` / 4 keeps that gap at rounding
         square_tol = DEFAULT_TOLERANCES.arithmetic / 4.0
-        stack = np.array([op.entries for op in alice + bob])
-        residues = np.max(np.abs(stack @ stack - np.eye(2)), axis=(1, 2))
-        i = int(np.argmax(residues > square_tol))  # the first observable that fails, if any
-        if residues[i] > square_tol:
+        residues = np.abs(ops @ ops - np.eye(2)).max(axis=(1, 2))
+        if residues.max() > square_tol:
+            i = int(np.argmax(residues > square_tol))
             raise InputError(f"{_OBSERVABLE_NAMES[i]} must square to the identity: "
                              f"max |A^2 - 1| = {residues[i]:.3g} > {square_tol:.3g}")
         if self.state.dim != 4:
             raise InputError("shared state must live in the 4-dimensional two-qubit space")
-        object.__setattr__(self, "alice_observables", alice)
-        object.__setattr__(self, "bob_observables", bob)
+        ops.setflags(write=False)
+        object.__setattr__(self, "observables", ops)
 
 
 def chsh_value(t: CorrelationTable) -> float:
@@ -79,8 +95,7 @@ def chsh_quantum(s: ChshScenario) -> CorrelationTable:
     Every product is one broadcast multiply in ``np.kron`` layout, which
     rounds exactly as ``np.kron`` does (einsum may fuse multiply-adds).
     """
-    # np.array stacks these small arrays as np.stack does, at a third of the call cost
-    ops = np.array([op.entries for op in s.alice_observables + s.bob_observables])
+    ops = s.observables
     eye = np.eye(2)
     # [observable, outcome] -> (1 + A)/2 for outcome 0, (1 - A)/2 for outcome 1
     projs = np.array([eye + ops, eye - ops]).swapaxes(0, 1) / 2.0
@@ -110,11 +125,8 @@ def bell_optimal_scenario() -> ChshScenario:
     from .hilbert import pauli_x, pauli_z, rotated_zx
 
     state = StateVector(np.array([1, 0, 0, 1], dtype=np.complex128) / math.sqrt(2.0))
-    return ChshScenario(
-        alice_observables=(pauli_z(), pauli_x()),
-        bob_observables=(rotated_zx(math.pi / 4.0), rotated_zx(-math.pi / 4.0)),
-        state=state,
-    )
+    observables = (pauli_z(), pauli_x(), rotated_zx(math.pi / 4.0), rotated_zx(-math.pi / 4.0))
+    return ChshScenario([op.entries for op in observables], state)
 
 
 @dataclass(frozen=True, eq=False)

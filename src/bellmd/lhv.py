@@ -78,53 +78,61 @@ class SettingSpace:
         return self.alice_settings * self.bob_settings
 
 
-def _response_table(name: str, table, settings: int, lambda_count: int) -> np.ndarray:
-    arr = np.array(table, dtype=float)
-    if arr.shape != (settings, lambda_count):
-        raise InputError(f"{name} must have shape ({settings}, {lambda_count}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} entries must be finite")
-    if np.any(arr < -_ATOL) or np.any(arr > 1.0 + _ATOL):
-        raise InputError(f"{name} entries must lie in [0, 1]")
-    arr = np.clip(arr, 0.0, 1.0)
-    arr.setflags(write=False)
-    return arr
+_FIELDS = ("lambda_given_settings", "alice_response", "bob_response")
 
 
-def _model_tables(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...] | None:
-    """A model's three tables checked in one pass over their stack, or None on any defect.
-
-    The bounds reject NaN and inf too: NaN fails them all, +inf in a row fails its sum.
-    """
-    try:
-        arrays = [np.array(t, dtype=float) for t in (lgs, alice, bob)]
-    except (TypeError, ValueError, OverflowError):
-        return None
+def _model_tables(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...]:
+    """A model's three tables checked in one pass over their stack, in ``LhvModel``'s order."""
     n, n_a = space.n_joint, space.alice_settings
-    lam = arrays[0].shape[1] if arrays[0].ndim == 2 else 0
-    if lam == 0 or [a.shape for a in arrays] != [(n, lam), (n_a, lam), (space.bob_settings, lam)]:
-        return None
+    lgs = np.array(lgs, dtype=float)
+    if lgs.ndim == 1:  # a flat row is the one-setting table
+        lgs = lgs.reshape(1, -1)
+    if lgs.ndim != 2:
+        raise InputError("lambda_given_settings must be a 2-d table")
+    if lgs.shape[0] != n:
+        raise InputError(f"lambda_given_settings needs {n} rows, got {lgs.shape[0]}")
+    arrays, lam, defect = [lgs], lgs.shape[1], None
+    for name, table, rows in zip(_FIELDS[1:], (alice, bob), (n_a, space.bob_settings)):
+        try:
+            arr = np.array(table, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            defect = exc
+            break
+        if arr.shape != (rows, lam):
+            defect = InputError(f"{name} must have shape ({rows}, {lam}), got {arr.shape}")
+            break
+        arrays.append(arr)
     stack = np.concatenate(arrays)
-    if not (stack.min() >= -_ATOL and stack[n:].max() <= 1.0 + _ATOL):
-        return None
-    np.clip(stack, 0.0, None, out=stack)
-    np.minimum(stack[n:], 1.0, out=stack[n:])
-    if not np.abs(stack[:n].sum(axis=1) - 1.0).max() <= _ROW_ATOL:
-        return None
+    # the bounds reject NaN too, and +inf in a row fails its sum; `initial` lets tables
+    # with no hidden value reach the sum check
+    ok = stack.min(initial=0.0) >= -_ATOL and stack[n:].max(initial=1.0) <= 1.0 + _ATOL
+    if ok:
+        np.clip(stack, 0.0, None, out=stack)
+        np.minimum(stack[n:], 1.0, out=stack[n:])
+        ok = np.abs(stack[:n].sum(axis=1) - 1.0).max() <= _ROW_ATOL
+    if not ok:
+        _raise_entry_defect(stack, n, n_a)
+    if defect is not None:  # a response table that did not stack, after those before it pass
+        raise defect
     stack.setflags(write=False)
     return stack[:n], stack[n:n + n_a], stack[n + n_a:]
 
 
-def _model_tables_one_by_one(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...]:
-    """The tables checked field by field; the first defect raises, naming its field."""
-    lgs = _distribution_rows("lambda_given_settings", lgs)
-    if lgs.shape[0] != space.n_joint:
-        raise InputError(f"lambda_given_settings needs {space.n_joint} rows, got {lgs.shape[0]}")
-    lam = lgs.shape[1]
-    alice = _response_table("alice_response", alice, space.alice_settings, lam)
-    bob = _response_table("bob_response", bob, space.bob_settings, lam)
-    _check_sums("lambda_given_settings", lgs.sum(axis=1), _ROW_ATOL)
-    return lgs, alice, bob
+def _raise_entry_defect(stack: np.ndarray, n: int, n_a: int) -> None:
+    """Raise the first entry defect in field order, from per-field masks over the stack."""
+    finite = np.isfinite(stack)
+    outside = stack < -_ATOL
+    outside[n:] |= stack[n:] > 1.0 + _ATOL
+    for name, rows in zip(_FIELDS, (slice(0, n), slice(n, n + n_a), slice(n + n_a, None))):
+        if not finite[rows].all():
+            raise InputError(f"{name} entries must be finite")
+        if outside[rows].any():
+            bounds = "be nonnegative" if rows.start == 0 else "lie in [0, 1]"
+            raise InputError(f"{name} entries must {bounds}")
+        if rows.start == 0:  # the sums are those of the rows as kept, after the clip
+            sums = np.clip(stack[rows], 0.0, None).sum(axis=1)
+            _check_sums(name, sums)
+            _check_sums(name, sums, _ROW_ATOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +140,14 @@ class LhvModel:
     """Hidden-variable distribution plus factorizable +/-1 response tables.
 
     lambda_given_settings has one row per joint setting (each a distribution
-    over lambda); alice_response[a, l] and bob_response[b, l] give the
-    probability of outcome +1.
+    over lambda; a flat row is the one-setting table); alice_response[a, l] and
+    bob_response[b, l] give the probability of outcome +1.
+
+    The tables are checked in one pass, in that field order; for each, its
+    conversion and shape, then finite entries, then entries within
+    `arithmetic` of [0, 1] ([0, inf) for lambda_given_settings), then its row
+    sums within `arithmetic` / 4 of 1 after the clip.  The first defect raises,
+    naming its field, or numpy's own error for a table that does not convert.
     """
 
     setting_space: SettingSpace
@@ -142,12 +156,8 @@ class LhvModel:
     bob_response: np.ndarray
 
     def __post_init__(self) -> None:
-        fields = ("lambda_given_settings", "alice_response", "bob_response")
-        tables = [getattr(self, name) for name in fields]
-        # on any defect the tables are checked one by one, so that the error names the field
-        checked = (_model_tables(self.setting_space, *tables)
-                   or _model_tables_one_by_one(self.setting_space, *tables))
-        for name, table in zip(fields, checked):
+        tables = [getattr(self, name) for name in _FIELDS]
+        for name, table in zip(_FIELDS, _model_tables(self.setting_space, *tables)):
             object.__setattr__(self, name, table)
 
     @property

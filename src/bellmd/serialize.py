@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .hilbert import OperatorMatrix, StateVector, _operator_stack
+from .hilbert import StateVector
 from .inequalities import ChshScenario, KcbsScenario
 from .lhv import LhvModel, SettingSpace
 
@@ -134,7 +134,9 @@ def _pairs_to_complex(data, context: str) -> np.ndarray:
         raise InputError(f"{context}: expected numeric [re, im] pairs") from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise InputError(f"{context}: expected [re, im] pairs, got shape {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    # re + 1j * im rounds to (re + copysign(0, im)) + (im + 0)j, which this sum gives
+    # without the nan and warning that 1j * inf gives
+    return arr.view(np.complex128)[..., 0] + np.copysign(0.0, arr[..., 1])
 
 
 def _complex_to_pairs(arr: np.ndarray) -> list:
@@ -151,17 +153,6 @@ def state_from_doc(data, context: str) -> StateVector:
     if values.ndim != 1:
         raise InputError(f"{context}: state must be a flat list of [re, im] pairs")
     return StateVector(values)
-
-
-def operator_to_doc(op: OperatorMatrix) -> list:
-    return _complex_to_pairs(op.entries)
-
-
-def operator_from_doc(data, context: str) -> OperatorMatrix:
-    values = _pairs_to_complex(data, context)
-    if values.ndim != 2:
-        raise InputError(f"{context}: operator must be a matrix of [re, im] pairs")
-    return OperatorMatrix(values)
 
 
 # --- hidden-variable models --------------------------------------------------
@@ -214,9 +205,10 @@ def read_model(path: Path | str) -> LhvModel:
 # --- inequality scenarios ----------------------------------------------------
 
 def chsh_scenario_to_doc(scenario: ChshScenario) -> dict:
+    observables = _complex_to_pairs(scenario.observables)
     return {
-        "alice_observables": [operator_to_doc(o) for o in scenario.alice_observables],
-        "bob_observables": [operator_to_doc(o) for o in scenario.bob_observables],
+        "alice_observables": observables[:2],
+        "bob_observables": observables[2:],
         "state": state_to_doc(scenario.state),
     }
 
@@ -226,26 +218,25 @@ def write_chsh_scenario(path: Path | str, scenario: ChshScenario) -> None:
 
 
 def chsh_scenario_from_doc(doc: dict, context: str = "scenario") -> ChshScenario:
-    alice = _field(doc, "alice_observables", context)
-    bob = _field(doc, "bob_observables", context)
-    if not isinstance(alice, list) or len(alice) != 2:
-        raise InputError(f"{context}: alice_observables must list exactly 2 matrices")
-    if not isinstance(bob, list) or len(bob) != 2:
-        raise InputError(f"{context}: bob_observables must list exactly 2 matrices")
-    # one decode and check over the stack; any defect decodes the matrices one
-    # by one, so that the error names the field
-    try:
-        ops = _operator_stack(_pairs_to_complex(alice + bob, context))
-    except InputError:
-        ops = None
-    ops = ops or [operator_from_doc(m, f"{context}.{party}_observables[{k}]")
-                  for party, matrices in (("alice", alice), ("bob", bob))
-                  for k, m in enumerate(matrices)]
-    return ChshScenario(
-        alice_observables=tuple(ops[:2]),
-        bob_observables=tuple(ops[2:]),
-        state=state_from_doc(_field(doc, "state", context), f"{context}.state"),
-    )
+    """Scenario of a document, its defects raised in this order.
+
+    Each matrix's [re, im] structure is checked as it converts, then the
+    state, then ``ChshScenario`` checks the observables.
+    """
+    parties = [(party, _field(doc, f"{party}_observables", context)) for party in ("alice", "bob")]
+    for party, listed in parties:
+        if not isinstance(listed, list) or len(listed) != 2:
+            raise InputError(f"{context}: {party}_observables must list exactly 2 matrices")
+    matrices = []
+    for party, listed in parties:
+        for k, data in enumerate(listed):
+            field = f"{context}.{party}_observables[{k}]"
+            values = _pairs_to_complex(data, field)
+            if values.ndim != 2:
+                raise InputError(f"{field}: operator must be a matrix of [re, im] pairs")
+            matrices.append(values)
+    state = state_from_doc(_field(doc, "state", context), f"{context}.state")
+    return ChshScenario(matrices, state)
 
 
 def read_chsh_scenario(path: Path | str) -> ChshScenario:

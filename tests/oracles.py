@@ -190,3 +190,21 @@ def sample_outcomes_reference(p, trials: int, seed: int) -> np.ndarray:
     """Outcome indices drawn by numpy's own weighted ``choice`` on the normalized p."""
     p = np.asarray(p, dtype=float)
     return np.random.default_rng(seed).choice(4, size=trials, p=p / p.sum())
+
+
+def operator_from_doc(data, context: str):
+    """``OperatorMatrix`` of one [re, im] matrix document, decoded and checked alone.
+
+    The one-by-one reference for the CHSH decode, which checks a scenario's
+    four observables as one stack in ``ChshScenario``.  It reuses the
+    library's pair conversion and ``OperatorMatrix``'s own checks, which are
+    not the path it is compared with.
+    """
+    from bellmd.errors import InputError
+    from bellmd.hilbert import OperatorMatrix
+    from bellmd.serialize import _pairs_to_complex
+
+    values = _pairs_to_complex(data, context)
+    if values.ndim != 2:
+        raise InputError(f"{context}: operator must be a matrix of [re, im] pairs")
+    return OperatorMatrix(values)

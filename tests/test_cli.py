@@ -537,6 +537,12 @@ MALFORMED_INPUTS = {
         "bell-optimal.json", lambda d: d["bob_observables"].__setitem__(
             1, [[[float(i == j), 0.0] for j in range(3)] for i in range(3)])),
         "bob observable 1 must act on a qubit"),
+    "observable-inf": (_asset_with(
+        "bell-optimal.json", lambda d: d["bob_observables"][0][1][0].__setitem__(1, math.inf)),
+        "operator entries must be finite"),
+    "state-inf": (_asset_with(
+        "bell-optimal.json", lambda d: d["state"][0].__setitem__(1, -math.inf)),
+        "state vector amplitudes must be finite"),
     "state-3": (_asset_with(
         "bell-optimal.json", lambda d: d.update(state=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])),
         "4-dimensional"),
@@ -555,7 +561,8 @@ MALFORMED_CASES = (
        for kind in ("alice-abc", "alice-null", "alice-fraction", "lambda-count-list",
                     "lambda-count-fraction", "lambda-given-settings-text")]
     + [(JSON_READERS[0], kind) for kind in ("observable-non-hermitian", "observable-square",
-                                            "observable-3x3", "state-3")]
+                                            "observable-3x3", "observable-inf", "state-inf",
+                                            "state-3")]
 )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from bellmd.errors import InputError
-from bellmd.hilbert import OperatorMatrix, StateVector, pauli_x, pauli_z, rotated_zx
+from bellmd.hilbert import StateVector, pauli_x, pauli_z, rotated_zx
 from bellmd.inequalities import (
     KCBS_QUANTUM_OPTIMAL,
     ChshScenario,
@@ -65,47 +65,36 @@ class TestChshQuantum:
     def test_same_pair_first_correlator_is_one(self):
         # both parties measuring the same pair (z and the 45-degree zx mix)
         # are perfectly correlated on the shared pair state
-        pair = (pauli_z(), rotated_zx(math.pi / 4.0))
+        pair = [pauli_z().entries, rotated_zx(math.pi / 4.0).entries]
         state = StateVector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
-        table = chsh_quantum(ChshScenario(pair, pair, state))
+        table = chsh_quantum(ChshScenario(pair + pair, state))
         assert abs(table.correlators[0, 0] - 1.0) <= 1e-12
 
     def test_product_state_never_violates(self, rng):
         state = StateVector([1, 0, 0, 0])
         for _ in range(50):
-            obs = [
-                OperatorMatrix(oracles.bloch_observable(oracles.random_unit_bloch(rng)))
-                for _ in range(4)
-            ]
-            scenario = ChshScenario((obs[0], obs[1]), (obs[2], obs[3]), state)
+            obs = [oracles.bloch_observable(oracles.random_unit_bloch(rng)) for _ in range(4)]
+            scenario = ChshScenario(obs, state)
             assert chsh_value(chsh_quantum(scenario)) <= 2.0 + 1e-9
 
     def test_singlet_reaches_tsirelson_via_symmetrization(self):
         singlet = StateVector(np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2.0))
-        scenario = ChshScenario(
-            (pauli_z(), pauli_x()),
-            (rotated_zx(math.pi / 4.0), rotated_zx(-math.pi / 4.0)),
-            singlet,
-        )
+        observables = (pauli_z(), pauli_x(), rotated_zx(math.pi / 4.0), rotated_zx(-math.pi / 4.0))
+        scenario = ChshScenario([op.entries for op in observables], singlet)
         assert abs(chsh_value(chsh_quantum(scenario)) - TSIRELSON) <= 1e-9
 
     def test_tsirelson_bound_holds_empirically(self, rng):
         for _ in range(100):
-            obs = [
-                OperatorMatrix(oracles.bloch_observable(oracles.random_unit_bloch(rng)))
-                for _ in range(4)
-            ]
+            obs = [oracles.bloch_observable(oracles.random_unit_bloch(rng)) for _ in range(4)]
             state = StateVector(oracles.random_state(4, rng))
-            scenario = ChshScenario((obs[0], obs[1]), (obs[2], obs[3]), state)
+            scenario = ChshScenario(obs, state)
             assert chsh_value(chsh_quantum(scenario)) <= TSIRELSON + 1e-6
 
     def test_joint_tables_match_projector_expectations(self):
         scenario = bell_optimal_scenario()
         table = chsh_quantum(scenario)
         _, projector_expectations = oracles.chsh_quantum_reference(
-            [op.entries for op in scenario.alice_observables],
-            [op.entries for op in scenario.bob_observables],
-            scenario.state.amplitudes,
+            scenario.observables[:2], scenario.observables[2:], scenario.state.amplitudes,
         )
         assert np.max(np.abs(table.joint - projector_expectations)) <= 1e-12
         signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -117,31 +106,27 @@ class TestChshQuantum:
             alice = [oracles.bloch_observable(oracles.random_unit_bloch(rng)) for _ in range(2)]
             bob = [oracles.bloch_observable(oracles.random_unit_bloch(rng)) for _ in range(2)]
             state = oracles.random_state(4, rng)
-            scenario = ChshScenario(
-                tuple(OperatorMatrix(a) for a in alice),
-                tuple(OperatorMatrix(b) for b in bob),
-                StateVector(state),
-            )
-            table = chsh_quantum(scenario)
+            table = chsh_quantum(ChshScenario(alice + bob, StateVector(state)))
             corr, joint = oracles.chsh_quantum_reference(alice, bob, state)
             assert np.max(np.abs(table.correlators - corr)) <= 1e-12
             assert np.max(np.abs(table.joint - joint)) <= 1e-12
 
     def test_observables_must_square_to_identity(self):
-        bad = OperatorMatrix(0.5 * np.eye(2, dtype=complex))
+        bad = 0.5 * np.eye(2, dtype=complex)
         state = StateVector([1, 0, 0, 0])
         with pytest.raises(InputError):
-            ChshScenario((bad, pauli_x()), (pauli_z(), pauli_x()), state)
+            ChshScenario([bad, pauli_x().entries, pauli_z().entries, pauli_x().entries], state)
         # [[0, 1 + d], [1 + d, 0]] squares to (1 + d)^2; d up to 5e-11 passed the
         # old 1e-10 gate, then failed CorrelationTable's [-1, 1] check
         pair = StateVector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
         for d in (1e-12, 2.5e-11, 4.9e-11):
-            stretched = OperatorMatrix(np.array([[0, 1 + d], [1 + d, 0]], dtype=complex))
+            stretched = np.array([[0, 1 + d], [1 + d, 0]], dtype=complex)
             with pytest.raises(InputError, match=r"bob observable 1 must square to the "
                                                  r"identity: max \|A\^2 - 1\| = .* > 2.5e-13"):
-                ChshScenario((pauli_z(), pauli_x()), (pauli_z(), stretched), pair)
-        within = OperatorMatrix(np.array([[0, 1 + 1e-13], [1 + 1e-13, 0]], dtype=complex))
-        table = chsh_quantum(ChshScenario((within, pauli_z()), (within, pauli_z()), pair))
+                ChshScenario([pauli_z().entries, pauli_x().entries, pauli_z().entries, stretched],
+                             pair)
+        within = np.array([[0, 1 + 1e-13], [1 + 1e-13, 0]], dtype=complex)
+        table = chsh_quantum(ChshScenario([within, pauli_z().entries] * 2, pair))
         assert abs(table.correlators[0, 0] - 1.0) <= 1e-12
 
     def test_state_inside_the_norm_gate_evaluates(self):
@@ -149,7 +134,7 @@ class TestChshQuantum:
         # used to stay unnormalized and fail CorrelationTable's 1e-12 consistency check
         base = bell_optimal_scenario()
         state = StateVector(base.state.amplitudes * math.sqrt(1.0 + 1e-10))
-        scenario = ChshScenario(base.alice_observables, base.bob_observables, state)
+        scenario = ChshScenario(base.observables, state)
         assert abs(chsh_value(chsh_quantum(scenario)) - TSIRELSON) <= 1e-9
 
     def test_every_constructed_scenario_evaluates(self, rng):
@@ -167,11 +152,7 @@ class TestChshQuantum:
             # squared norm across StateVector's 1e-9 gate and a little past it
             state = state * math.sqrt(1.0 + rng.uniform(-1.1e-9, 1.1e-9))
             try:
-                scenario = ChshScenario(
-                    tuple(OperatorMatrix(a) for a in ops[:2]),
-                    tuple(OperatorMatrix(b) for b in ops[2:]),
-                    StateVector(state),
-                )
+                scenario = ChshScenario(ops, StateVector(state))
             except InputError:
                 continue
             built += 1

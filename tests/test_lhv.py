@@ -238,6 +238,15 @@ DEFECTS = [
     ("ragged-alice-after-nan-lambda", {FIELDS[0]: _with_entry(LGS, np.nan),
                                        FIELDS[1]: [[0.5], [0.5, 0.5]]},
      InputError, "lambda_given_settings entries must be finite"),
+    # defects in two fields: the first field in the order lambda_given_settings,
+    # alice_response, bob_response raises; the per-field checks raised a response's
+    # defect before a row sum between 2.5e-13 and 1e-12 off 1
+    ("alice-above-and-bob-nan", {FIELDS[1]: _with_entry(RESPONSE, 1.0 + 2e-12),
+                                 FIELDS[2]: _with_entry(RESPONSE, np.nan)},
+     InputError, "alice_response entries must lie in [0, 1]"),
+    ("lambda-sum-near-and-bob-shape", {FIELDS[0]: LGS * (1.0 + 5e-13),
+                                       FIELDS[2]: np.full((2, 4), 0.5)},
+     InputError, "lambda_given_settings rows must each sum to 1 within 2.5e-13"),
 ]
 
 

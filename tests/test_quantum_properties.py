@@ -19,7 +19,7 @@ import pytest
 
 from bellmd import hilbert, inequalities
 from bellmd.errors import InputError
-from bellmd.hilbert import OperatorMatrix, StateVector
+from bellmd.hilbert import StateVector
 from bellmd.inequalities import ChshScenario, chsh_quantum, chsh_value
 from bellmd.lhv import CorrelationTable
 from bellmd.tolerances import DEFAULT_TOLERANCES
@@ -63,9 +63,8 @@ STATE = (st.lists(UNIT, min_size=8, max_size=8)
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @hypothesis.given(directions=st.lists(BLOCH, min_size=4, max_size=4), state=STATE)
 def test_joint_table_is_a_distribution_consistent_with_correlators(directions, state):
-    ops = [OperatorMatrix(bloch_observable(d)) for d in directions]
-    table = assert_matches_the_checked_path(
-        ChshScenario((ops[0], ops[1]), (ops[2], ops[3]), StateVector(state)))
+    ops = [bloch_observable(d) for d in directions]
+    table = assert_matches_the_checked_path(ChshScenario(ops, StateVector(state)))
     signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
     implied = np.einsum("abxy,xy->ab", table.joint, signs)
     assert np.max(np.abs(implied - table.correlators)) <= 1e-12
@@ -94,8 +93,7 @@ def test_scenarios_at_the_construction_gates_evaluate(directions, perturbations,
         state = top_eigenvector(np.kron(raw[pair[0]], raw[pair[1]]))
     state = state * math.sqrt(1.0 + norm_offset)
     try:
-        ops = [OperatorMatrix(a) for a in raw]
-        scenario = ChshScenario((ops[0], ops[1]), (ops[2], ops[3]), StateVector(state))
+        scenario = ChshScenario(raw, StateVector(state))
     except InputError:
         return
     assert chsh_value(assert_matches_the_checked_path(scenario)) <= TSIRELSON + 1e-9

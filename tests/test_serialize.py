@@ -13,7 +13,6 @@ from bellmd.serialize import (
     chsh_scenario_to_doc,
     dumps_json,
     format_float,
-    operator_from_doc,
     read_chsh_scenario,
     read_kcbs_scenario,
     read_model,
@@ -23,7 +22,7 @@ from bellmd.serialize import (
     write_kcbs_scenario,
     write_model,
 )
-from oracles import perturbed_observable
+from oracles import operator_from_doc, perturbed_observable
 
 PINNED_DOC_TEXT = (
     '{\n'
@@ -152,8 +151,7 @@ class TestScenarioRoundTrips:
         path = tmp_path / "scenario.json"
         write_chsh_scenario(path, scenario)
         loaded = read_chsh_scenario(path)
-        for orig, back in zip(scenario.alice_observables, loaded.alice_observables):
-            assert np.array_equal(orig.entries, back.entries)
+        assert loaded.observables.tobytes() == scenario.observables.tobytes()
         assert np.array_equal(scenario.state.amplitudes, loaded.state.amplitudes)
 
     def test_chsh_missing_state_named(self, tmp_path):
@@ -181,12 +179,16 @@ class TestScenarioRoundTrips:
             read_model(path)
 
 
+def _operators_one_by_one(doc: dict) -> list:
+    """Each observable of a CHSH document as an OperatorMatrix, decoded and checked alone."""
+    return [operator_from_doc(m, f"scenario.{party}_observables[{k}]")
+            for party in ("alice", "bob") for k, m in enumerate(doc[f"{party}_observables"])]
+
+
 def _observables_one_by_one(doc: dict) -> ChshScenario:
     """The CHSH decode that builds and checks each observable on its own."""
-    ops = [operator_from_doc(m, f"scenario.{party}_observables[{k}]")
-           for party in ("alice", "bob") for k, m in enumerate(doc[f"{party}_observables"])]
-    return ChshScenario(tuple(ops[:2]), tuple(ops[2:]),
-                        state_from_doc(doc["state"], "scenario.state"))
+    ops = _operators_one_by_one(doc)
+    return ChshScenario([op.entries for op in ops], state_from_doc(doc["state"], "scenario.state"))
 
 
 def _pairs(matrix) -> list:
@@ -214,6 +216,21 @@ OBSERVABLE_DEFECTS = {
 SLOTS = {"alice 0": [("alice", 0)], "alice 1": [("alice", 1)], "bob 0": [("bob", 0)],
          "bob 1": [("bob", 1)],
          "every slot": [(party, k) for party in ("alice", "bob") for k in (0, 1)]}
+# two defects in two slots: the decode checks each matrix's structure as it converts, then
+# ChshScenario runs each check over all four observables before the next, so the check
+# that comes first raises, for whichever slot fails it first.  The one-by-one reference
+# checks slot by slot, so these are pinned by their messages.
+TWO_DEFECTS = {
+    "nan bob 0, non-hermitian alice 1": ({("bob", 0): "nan", ("alice", 1): "non-hermitian"},
+                                         "operator entries must be finite"),
+    "nan bob 0, 3x3 alice 1": ({("bob", 0): "nan", ("alice", 1): "3x3"},
+                               "alice observable 1 must act on a qubit"),
+    "square alice 0, non-hermitian bob 1": (
+        {("alice", 0): "not squaring to 1", ("bob", 1): "non-hermitian"},
+        "operator must be hermitian: max |A - A^dagger| = 0.5"),
+    "nan alice 0, ragged bob 1": ({("alice", 0): "nan", ("bob", 1): "ragged rows"},
+                                  "scenario.bob_observables[1]: expected numeric [re, im] pairs"),
+}
 
 
 @pytest.mark.parametrize("slot", SLOTS)
@@ -229,6 +246,16 @@ def test_stacked_observable_decode_raises_as_one_by_one(slot, defect):
     assert (type(got.value), str(got.value)) == (type(wanted.value), str(wanted.value))
 
 
+@pytest.mark.parametrize("slots,message", TWO_DEFECTS.values(), ids=TWO_DEFECTS)
+def test_two_observable_defects_raise_in_check_order(slots, message):
+    doc = json.loads(json.dumps(chsh_scenario_to_doc(bell_optimal_scenario())))
+    for (party, k), defect in slots.items():
+        doc[f"{party}_observables"][k] = OBSERVABLE_DEFECTS[defect]
+    with pytest.raises(InputError) as got:
+        chsh_scenario_from_doc(doc)
+    assert str(got.value) == message
+
+
 def test_stacked_observable_decode_keeps_the_bits(rng):
     # observables up to 1e-12 from hermitian, which the decode symmetrizes
     for _ in range(200):
@@ -238,11 +265,10 @@ def test_stacked_observable_decode_keeps_the_bits(rng):
             doc[f"{party}_observables"] = [_pairs(perturbed_observable(
                 n / np.linalg.norm(n), 0.0, 0.0, rng.uniform(-1e-12, 1e-12)))
                 for n in directions]
-        stacked, one_by_one = chsh_scenario_from_doc(doc), _observables_one_by_one(doc)
-        for got, wanted in zip(stacked.alice_observables + stacked.bob_observables,
-                               one_by_one.alice_observables + one_by_one.bob_observables):
-            assert got.entries.tobytes() == wanted.entries.tobytes()
-            assert not got.entries.flags.writeable
+        stacked = chsh_scenario_from_doc(doc).observables
+        wanted = np.array([op.entries for op in _operators_one_by_one(doc)])
+        assert stacked.tobytes() == wanted.tobytes()
+        assert not stacked.flags.writeable
 
 
 def test_curve_csv_header_and_precision(tmp_path):

@@ -1,32 +1,35 @@
-"""Inputs are validated once, where they enter; derived values skip the re-check.
+"""Inputs are checked once, where they enter; derived values skip the re-check.
 
-Counters pin the hot paths: decoding a CHSH file and evaluating it builds
-no ``OperatorMatrix`` and no ``CorrelationTable`` through their checking
-constructors and never calls ``expectations``, and ``predict`` builds no
-checked ``CorrelationTable``.  On the score path, ``LhvModel`` checks its
-three tables in one pass, without the per-field checks, and ``cmd`` scores
-the model's weights without building a ``JointDistribution``.  A change
-that puts a re-check back on those paths fails here.  The property tests
-below show that what these paths no longer check still holds: on models
-whose rows sum to 1 up to rounding, or as far from 1 as the entry bound
-allows, with entries down to the tolerance below 0 and responses up to it
-outside [0, 1], every model that constructs passes ``predict`` and
-``cmd``, and its table is the one the checking constructor would build.
+Counters pin one check per input.  A CHSH file, sound or defective, runs
+``ChshScenario``'s check of its four observables once, as one stack, and
+builds no ``OperatorMatrix``; evaluating it builds no checked
+``CorrelationTable`` and never calls ``expectations``, and ``predict``
+builds no checked ``CorrelationTable``.  A model, sound or defective, runs
+``LhvModel``'s one-pass check of its three tables once, and never the
+per-field checks, and ``cmd`` scores the model's weights without building a
+``JointDistribution``.  A change that puts a second check back on those
+paths fails here.  The property tests below show that what these paths no
+longer check still holds: on models whose rows sum to 1 up to rounding, or
+as far from 1 as the entry bound allows, with entries down to the tolerance
+below 0 and responses up to it outside [0, 1], every model that constructs
+passes ``predict`` and ``cmd``, and its table is the one the checking
+constructor would build.
 """
 
 import collections
+import json
 
 import numpy as np
 import pytest
 
 from bellmd import hilbert, inequalities, lhv
 from bellmd.cli import asset_path
-from bellmd.hilbert import OperatorMatrix, pauli_z
+from bellmd.hilbert import OperatorMatrix
 from bellmd.errors import InputError
 from bellmd.infotheory import JointDistribution, cmd, mutual_information, setting_lambda_joint
-from bellmd.inequalities import chsh_quantum
+from bellmd.inequalities import ChshScenario, bell_optimal_scenario, chsh_quantum
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, predict
-from bellmd.serialize import read_chsh_scenario, read_model
+from bellmd.serialize import chsh_scenario_to_doc, read_chsh_scenario, read_model
 from bellmd.tolerances import DEFAULT_TOLERANCES
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -56,31 +59,55 @@ def _counted(monkeypatch, *targets) -> collections.Counter:
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of calls to each checking entry point of the quantum and table paths."""
-    return _counted(monkeypatch, (OperatorMatrix, "__post_init__"),
-                    (CorrelationTable, "__post_init__"), (hilbert, "expectations"),
-                    (inequalities, "expectations"))
+    return _counted(monkeypatch, (ChshScenario, "__post_init__"),
+                    (OperatorMatrix, "__post_init__"), (CorrelationTable, "__post_init__"),
+                    (hilbert, "expectations"), (inequalities, "expectations"))
 
 
 @pytest.fixture
 def score_calls(monkeypatch):
-    """Counts of calls to each per-field model check and to the joint's checking constructor."""
-    return _counted(monkeypatch, (lhv, "_distribution_rows"), (lhv, "_response_table"),
+    """Counts of calls to the model check, the per-field row check and the joint's constructor."""
+    return _counted(monkeypatch, (lhv, "_model_tables"), (lhv, "_distribution_rows"),
                     (JointDistribution, "__post_init__"))
 
 
 def test_the_counters_see_the_checked_paths(calls):
-    pauli_z()
+    bell_optimal_scenario()  # four observables built as OperatorMatrix, then one scenario
     CorrelationTable.from_correlators(np.zeros((2, 2)))
     hilbert.expectations(np.eye(2), hilbert.basis_state(2, 0))
     inequalities.kcbs_value(inequalities.kcbs_pentagram())
-    assert calls == {"OperatorMatrix.__post_init__": 1, "CorrelationTable.__post_init__": 1,
-                     "bellmd.hilbert.expectations": 1, "bellmd.inequalities.expectations": 1}
+    assert calls == {"ChshScenario.__post_init__": 1, "OperatorMatrix.__post_init__": 4,
+                     "CorrelationTable.__post_init__": 1, "bellmd.hilbert.expectations": 1,
+                     "bellmd.inequalities.expectations": 1}
 
 
 def test_a_chsh_file_is_checked_once_on_decode(calls):
     table = chsh_quantum(read_chsh_scenario(asset_path("bell-optimal.json")))
     assert abs(inequalities.chsh_value(table) - 2.0 * np.sqrt(2.0)) <= 1e-12
-    assert not calls
+    assert calls == {"ChshScenario.__post_init__": 1}
+
+
+# slot -> a matrix document that decodes but fails one of ChshScenario's checks
+CHSH_DEFECTS = {
+    "nan": ("alice", 1, [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]),
+    "inf": ("bob", 0, [[[1.0, 0.0], [0.0, float("inf")]], [[0.0, 0.0], [-1.0, 0.0]]]),
+    "non-hermitian": ("bob", 1, [[[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]),
+    "3x3": ("alice", 0, [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]),
+    "not squaring to 1": ("alice", 0, [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]),
+}
+
+
+@pytest.mark.parametrize("defect", CHSH_DEFECTS)
+def test_a_defective_chsh_file_is_checked_once(calls, tmp_path, defect):
+    party, k, matrix = CHSH_DEFECTS[defect]
+    doc = chsh_scenario_to_doc(bell_optimal_scenario())
+    doc[f"{party}_observables"][k] = matrix
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    calls.clear()
+    with pytest.raises(InputError):
+        read_chsh_scenario(path)
+    assert calls == {"ChshScenario.__post_init__": 1}
 
 
 def test_predict_does_not_recheck_its_table(calls):
@@ -92,21 +119,45 @@ def test_predict_does_not_recheck_its_table(calls):
 def test_the_score_counters_see_the_checked_paths(score_calls):
     brans = read_model(asset_path("brans.json"))
     score_calls.clear()
-    with pytest.raises(InputError, match="alice_response"):
-        LhvModel(brans.setting_space, brans.lambda_given_settings, [[2.0]], brans.bob_response)
+    SettingSpace(marginal=[0.25] * 4)  # the marginal's row check
     setting_lambda_joint(brans)
-    assert score_calls == {"bellmd.lhv._distribution_rows": 1, "bellmd.lhv._response_table": 1,
+    assert score_calls == {"bellmd.lhv._distribution_rows": 1,
                            "JointDistribution.__post_init__": 1}
 
 
-def test_a_model_is_checked_in_one_pass_and_scored_without_a_recheck(score_calls):
+def _brans_tables() -> dict:
     brans = read_model(asset_path("brans.json"))
+    return {"setting_space": brans.setting_space,
+            "lambda_given_settings": brans.lambda_given_settings.tolist(),
+            "alice_response": brans.alice_response.tolist(),
+            "bob_response": brans.bob_response.tolist()}
+
+
+# field -> a table of brans.json's shape with one defect, or of the wrong shape
+MODEL_DEFECTS = {
+    "lambda_given_settings": lambda t: [t[0][:1] + [float("nan")] + t[0][2:]] + t[1:],
+    "alice_response": lambda t: [[2.0] + t[0][1:], t[1]],
+    "bob_response": lambda t: [t[0]],
+}
+
+
+@pytest.mark.parametrize("field", MODEL_DEFECTS)
+def test_a_defective_model_is_checked_once(score_calls, field):
+    tables = _brans_tables()
+    tables[field] = MODEL_DEFECTS[field](tables[field])
     score_calls.clear()
-    model = LhvModel(brans.setting_space, brans.lambda_given_settings.tolist(),
-                     brans.alice_response.tolist(), brans.bob_response.tolist())
-    assert not score_calls
+    with pytest.raises(InputError, match=field):
+        LhvModel(**tables)
+    assert score_calls == {"bellmd.lhv._model_tables": 1}
+
+
+def test_a_model_is_checked_in_one_pass_and_scored_without_a_recheck(score_calls):
+    tables = _brans_tables()
+    score_calls.clear()
+    model = LhvModel(**tables)
+    assert score_calls == {"bellmd.lhv._model_tables": 1}
     report = cmd(model)
-    assert not score_calls
+    assert score_calls == {"bellmd.lhv._model_tables": 1}
     assert report.raw_bits == mutual_information(setting_lambda_joint(model)) == 2.0
 
 
@@ -120,7 +171,8 @@ def _rows(draw, count: int, width: int) -> np.ndarray:
                                  min_size=count, max_size=count)))
     positive = np.where(raw > 0.0, raw, 0.0).sum(axis=1, keepdims=True)
     hypothesis.assume(np.all(positive > 0.0))
-    return np.where(raw > 0.0, raw / positive, raw)
+    # only the positive entries are divided: another entry over a subnormal sum overflows
+    return np.divide(raw, positive, out=raw, where=raw > 0.0)
 
 
 @st.composite
