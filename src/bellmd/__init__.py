@@ -11,27 +11,15 @@ __version__ = "0.1.0"
 
 from .errors import InputError, InvariantError
 from .hilbert import (
-    MAX_TENSOR_DIM,
     OperatorMatrix,
     StateVector,
-    basis_state,
-    expectation,
     expectations,
     identity,
     pauli_x,
     pauli_z,
     rotated_zx,
-    tensor,
-    tensor_op,
 )
-from .infotheory import (
-    CmdReport,
-    JointDistribution,
-    cmd,
-    entropy_bits,
-    mutual_information,
-    setting_lambda_joint,
-)
+from .infotheory import CmdReport, cmd, entropy_bits
 from .inequalities import (
     KCBS_QUANTUM_OPTIMAL,
     ChshScenario,
@@ -62,10 +50,6 @@ from .mdsearch import (
 from .teleport import (
     TeleportInput,
     TeleportTranscript,
-    bell_state,
-    branch_decomposition,
-    run_teleportation,
-    sample_outcome_counts,
     sample_outcomes,
     verify_no_setting_choice,
 )

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InputError, InvariantError
-from .infotheory import JointDistribution, cmd, mutual_information
+from .infotheory import _mutual_information_bits, cmd
 from .inequalities import (
     KCBS_QUANTUM_OPTIMAL,
     chsh_quantum,
@@ -196,7 +196,7 @@ def cmd_mi(args) -> int:
         if min(values) < 0.0:
             raise InputError("--table entries must be nonnegative")
         table = np.array(values, dtype=float).reshape(2, 2) / total
-        bits = mutual_information(JointDistribution(table))
+        bits = _mutual_information_bits(table, table.sum(1), table.sum(0))
         print(dumps_json({"mutual_information_bits": bits}))
     else:
         report = cmd(read_model(args.model))

@@ -1,12 +1,12 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-State vectors, exactly hermitian observables, tensor products and batched
-expectation values.  Everything is validated eagerly and immutable
-afterwards, so values can be shared freely across threads.  A CHSH
-scenario's four observables are not built as ``OperatorMatrix`` values:
-``ChshScenario`` checks them as one stack, by the same gates.  All spaces in
-this package are tiny (dimension at most 8 for two-qubit-plus-ancilla work,
-3 for qutrit work), so a dense numpy representation is used throughout.
+State vectors, exactly hermitian observables and batched expectation
+values.  Everything is validated eagerly and immutable afterwards, so
+values can be shared freely across threads.  A CHSH scenario's four
+observables are not built as ``OperatorMatrix`` values: ``ChshScenario``
+checks them as one stack, by the same gates.  All spaces in this package are
+tiny (dimension at most 4 for two-qubit work, 3 for qutrit work), so a dense
+numpy representation is used throughout.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import InputError, InvariantError
 from .tolerances import DEFAULT_TOLERANCES
-
-MAX_TENSOR_DIM = 64
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -68,14 +66,6 @@ class StateVector:
         return float(abs(self.overlap(other)) ** 2)
 
 
-def basis_state(dim: int, index: int) -> StateVector:
-    if not 0 <= index < dim:
-        raise InputError(f"basis index {index} out of range for dimension {dim}")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(amps)
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Matrix A with max |A - A^dagger| <= `arithmetic`, stored as A/2 + A^dagger/2.
@@ -121,15 +111,8 @@ def rotated_zx(angle: float) -> OperatorMatrix:
     return OperatorMatrix(np.array([[c, s], [s, -c]], dtype=np.complex128))
 
 
-def tensor(u: StateVector, v: StateVector) -> StateVector:
-    """Kronecker product u (x) v with the left factor as the high-order index."""
-    out_dim = u.dim * v.dim
-    if out_dim > MAX_TENSOR_DIM:
-        raise InputError(f"tensor product dimension {out_dim} exceeds the max {MAX_TENSOR_DIM}")
-    return StateVector(np.kron(u.amplitudes, v.amplitudes))
-
-
 def tensor_op(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
+    """Kronecker product a (x) b with the left factor as the high-order index."""
     return OperatorMatrix(np.kron(a.entries, b.entries))
 
 

@@ -54,13 +54,16 @@ class ChshScenario:
             if shape != (2, 2):
                 raise InputError(f"{name} must act on a qubit")
         ops = np.array(self.observables, dtype=np.complex128)
-        if not np.isfinite(ops).all():
-            raise InputError("operator entries must be finite")
+        finite = np.isfinite(ops).all(axis=(1, 2))
+        if not finite.all():
+            i = int(np.argmin(finite))  # the first that fails
+            raise InputError(f"{_OBSERVABLE_NAMES[i]}: operator entries must be finite")
         adjoint = ops.swapaxes(1, 2).conj()
         residues = np.abs(ops - adjoint).max(axis=(1, 2))
         if residues.max() > DEFAULT_TOLERANCES.arithmetic:
-            i = int(np.argmax(residues > DEFAULT_TOLERANCES.arithmetic))  # the first that fails
-            raise InputError(f"operator must be hermitian: max |A - A^dagger| = {residues[i]:.3g}")
+            i = int(np.argmax(residues > DEFAULT_TOLERANCES.arithmetic))
+            raise InputError(f"{_OBSERVABLE_NAMES[i]}: operator must be hermitian: "
+                             f"max |A - A^dagger| = {residues[i]:.3g}")
         ops = np.add(ops * 0.5, adjoint * 0.5, out=adjoint)
         # max |A^2 - 1| <= t keeps A's eigenvalues within t of +/-1, so (1 +/- A)/2 has
         # eigenvalues in [-t/2, 1 + t/2] and chsh_quantum's clamped, renormalized tables

@@ -12,40 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InvariantError
-from .lhv import LhvModel, _distribution_rows
+from .errors import InvariantError
+from .lhv import LhvModel
 from .tolerances import DEFAULT_TOLERANCES
 
 _CLAMP = 1e-12
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True, eq=False)
-class JointDistribution:
-    """Joint probability table over two discrete variables (rows x cols)."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.probabilities, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise InputError("joint distribution must be a nonempty 2-d table")
-        flat = _distribution_rows("joint distribution", arr.reshape(-1))
-        object.__setattr__(self, "probabilities", flat.reshape(arr.shape))
-
-    @property
-    def rows(self) -> int:
-        return int(self.probabilities.shape[0])
-
-    @property
-    def cols(self) -> int:
-        return int(self.probabilities.shape[1])
-
-    def row_marginal(self) -> np.ndarray:
-        return self.probabilities.sum(axis=1)
-
-    def col_marginal(self) -> np.ndarray:
-        return self.probabilities.sum(axis=0)
 
 
 def entropy_bits(distribution) -> float:
@@ -73,11 +45,6 @@ def _mutual_information_bits(joint: np.ndarray, row_m: np.ndarray, col_m: np.nda
     return max(value, 0.0)
 
 
-def mutual_information(j: JointDistribution) -> float:
-    """I(row; col) = sum p(x,y) log2[ p(x,y) / (p(x) p(y)) ] in bits."""
-    return _mutual_information_bits(j.probabilities, j.row_marginal(), j.col_marginal())
-
-
 @dataclass(frozen=True)
 class CmdReport:
     """Setting-dependence score of a model.
@@ -100,19 +67,13 @@ class CmdReport:
         }
 
 
-def setting_lambda_joint(model: LhvModel) -> JointDistribution:
-    """Joint distribution of (hidden variable, joint setting) implied by a model."""
-    weights = model.setting_space.marginal[:, None] * model.lambda_given_settings
-    return JointDistribution(weights.T)  # rows: lambda, cols: joint setting
-
-
 def cmd(model: LhvModel) -> CmdReport:
     """Score a model's measurement dependence in bits (raw and normalized).
 
     A checked model's weights are a distribution, so they are scored without a re-check.
     """
     weights = model.setting_space.marginal[:, None] * model.lambda_given_settings
-    joint = np.ascontiguousarray(weights.T)  # laid out as setting_lambda_joint stores it
+    joint = np.ascontiguousarray(weights.T)  # rows: lambda, cols: joint setting
     lambda_marginal = joint.sum(axis=1)
     raw = _mutual_information_bits(joint, lambda_marginal, joint.sum(axis=0))
     setting_entropy = entropy_bits(model.setting_space.marginal)

@@ -1,4 +1,4 @@
-"""File formats: model/scenario JSON documents and CSV curves.
+"""File formats: model JSON documents, scenario JSON documents (read only) and CSV curves.
 
 All floats are serialized with 17 significant digits, which round-trips
 IEEE-754 doubles bit-exactly; readers therefore reconstruct exactly the
@@ -139,15 +139,6 @@ def _pairs_to_complex(data, context: str) -> np.ndarray:
     return arr.view(np.complex128)[..., 0] + np.copysign(0.0, arr[..., 1])
 
 
-def _complex_to_pairs(arr: np.ndarray) -> list:
-    stacked = np.stack([arr.real, arr.imag], axis=-1)
-    return stacked.tolist()
-
-
-def state_to_doc(state: StateVector) -> list:
-    return _complex_to_pairs(state.amplitudes)
-
-
 def state_from_doc(data, context: str) -> StateVector:
     values = _pairs_to_complex(data, context)
     if values.ndim != 1:
@@ -204,19 +195,6 @@ def read_model(path: Path | str) -> LhvModel:
 
 # --- inequality scenarios ----------------------------------------------------
 
-def chsh_scenario_to_doc(scenario: ChshScenario) -> dict:
-    observables = _complex_to_pairs(scenario.observables)
-    return {
-        "alice_observables": observables[:2],
-        "bob_observables": observables[2:],
-        "state": state_to_doc(scenario.state),
-    }
-
-
-def write_chsh_scenario(path: Path | str, scenario: ChshScenario) -> None:
-    dump_json(path, chsh_scenario_to_doc(scenario))
-
-
 def chsh_scenario_from_doc(doc: dict, context: str = "scenario") -> ChshScenario:
     """Scenario of a document, its defects raised in this order.
 
@@ -241,17 +219,6 @@ def chsh_scenario_from_doc(doc: dict, context: str = "scenario") -> ChshScenario
 
 def read_chsh_scenario(path: Path | str) -> ChshScenario:
     return chsh_scenario_from_doc(load_json(path), context=str(path))
-
-
-def kcbs_scenario_to_doc(scenario: KcbsScenario) -> dict:
-    return {
-        "vectors": scenario.vectors.tolist(),
-        "state": state_to_doc(scenario.state),
-    }
-
-
-def write_kcbs_scenario(path: Path | str, scenario: KcbsScenario) -> None:
-    dump_json(path, kcbs_scenario_to_doc(scenario))
 
 
 def kcbs_scenario_from_doc(doc: dict, context: str = "scenario") -> KcbsScenario:

@@ -15,26 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .hilbert import StateVector, identity, pauli_x, pauli_z, tensor
+from .hilbert import StateVector, identity, pauli_x, pauli_z
 from .tolerances import DEFAULT_TOLERANCES
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 # Entangled-basis order: (|00>+|11>), (|00>-|11>), (|01>+|10>), (|01>-|10>), all /sqrt(2)
-_BELL_VECTORS = (
-    np.array([1, 0, 0, 1], dtype=np.complex128) * _SQRT2_INV,
-    np.array([1, 0, 0, -1], dtype=np.complex128) * _SQRT2_INV,
-    np.array([0, 1, 1, 0], dtype=np.complex128) * _SQRT2_INV,
-    np.array([0, 1, -1, 0], dtype=np.complex128) * _SQRT2_INV,
-)
+_BELL_VECTORS = np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=np.complex128
+) * _SQRT2_INV
 
 CORRECTION_LABELS = ("identity", "sigma_z", "sigma_x", "sigma_z.sigma_x")
-
-
-def bell_state(index: int) -> StateVector:
-    if not 0 <= index < 4:
-        raise InputError(f"entangled-basis index {index} must be in 0..3")
-    return StateVector(_BELL_VECTORS[index])
 
 
 def _correction_matrices() -> tuple[np.ndarray, ...]:
@@ -87,13 +78,13 @@ def branch_decomposition(inp: TeleportInput) -> list[tuple[float, StateVector]]:
     """Exact (probability, receiver pre-correction state) for each of the 4 outcomes.
 
     Probabilities are branch norms of the combined three-qubit state and
-    equal 1/4 for every normalized input.
+    equal 1/4 for every normalized input.  All four branches are one
+    product of the conjugated entangled basis with the state, laid out as
+    (sender's two qubits, receiver's qubit).
     """
-    total = tensor(inp.state(), bell_state(0))
-    grid = total.amplitudes.reshape(4, 2)  # leading two qubits major
+    grid = np.kron(inp.state().amplitudes, _BELL_VECTORS[0]).reshape(4, 2)
     branches = []
-    for k in range(4):
-        raw = _BELL_VECTORS[k].conj() @ grid
+    for raw in _BELL_VECTORS.conj() @ grid:
         prob = float(np.sum(np.abs(raw) ** 2))
         branches.append((prob, StateVector(raw / math.sqrt(prob))))
     return branches
@@ -163,18 +154,12 @@ def sample_outcomes(probabilities, trials: int, seed: int = 0) -> np.ndarray:
     return outcomes
 
 
-def sample_outcome_counts(inp: TeleportInput, trials: int, seed: int = 0) -> np.ndarray:
-    """Outcome histogram over many rounds, sampled from the exact branch probabilities."""
-    probs = [p for p, _ in branch_decomposition(inp)]
-    return np.bincount(sample_outcomes(probs, trials, seed), minlength=4)
-
-
 def verify_no_setting_choice() -> dict:
     """Machine-readable inventory of the measurements the teleportation protocol offers.
 
-    The sender makes one fixed entangled-basis measurement (the one
-    ``branch_decomposition`` resolves), so no party chooses a setting,
-    unlike the two observables per party of a CHSH scenario.
+    The sender makes one fixed entangled-basis measurement (the one whose
+    four branches ``branch_transcripts`` builds), so no party chooses a
+    setting, unlike the two observables per party of a CHSH scenario.
     """
     return {
         "protocol": "teleportation",

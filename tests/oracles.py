@@ -192,13 +192,15 @@ def sample_outcomes_reference(p, trials: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).choice(4, size=trials, p=p / p.sum())
 
 
-def operator_from_doc(data, context: str):
+def operator_from_doc(data, context: str, name: str):
     """``OperatorMatrix`` of one [re, im] matrix document, decoded and checked alone.
 
     The one-by-one reference for the CHSH decode, which checks a scenario's
     four observables as one stack in ``ChshScenario``.  It reuses the
     library's pair conversion and ``OperatorMatrix``'s own checks, which are
-    not the path it is compared with.
+    not the path it is compared with.  A square matrix that fails on its
+    entries (finite, then hermitian) is named as ``name``, the observable it
+    stands for, as ``ChshScenario`` names it.
     """
     from bellmd.errors import InputError
     from bellmd.hilbert import OperatorMatrix
@@ -207,4 +209,57 @@ def operator_from_doc(data, context: str):
     values = _pairs_to_complex(data, context)
     if values.ndim != 2:
         raise InputError(f"{context}: operator must be a matrix of [re, im] pairs")
-    return OperatorMatrix(values)
+    try:
+        return OperatorMatrix(values)
+    except InputError as exc:
+        if values.shape[0] != values.shape[1] or values.shape[0] == 0:
+            raise  # the shape error, which names no observable
+        raise InputError(f"{name}: {exc}") from None
+
+
+def setting_lambda_joint(model) -> np.ndarray:
+    """(hidden variable, joint setting) table of a model: its setting marginal times its rows."""
+    return (model.setting_space.marginal[:, None] * model.lambda_given_settings).T
+
+
+def checked_mutual_information(joint) -> float:
+    """I(row; col) in bits of a joint table, checked as a distribution and then scored.
+
+    The checked reference for ``cmd``, which scores a model's weights without
+    a re-check: the table passes the library's distribution check as one
+    flat row, then goes to the scoring that ``cmd`` and ``mi --table`` share.
+    """
+    from bellmd import lhv
+    from bellmd.infotheory import _mutual_information_bits
+
+    arr = np.array(joint, dtype=float)
+    table = lhv._distribution_rows("joint distribution", arr.reshape(-1)).reshape(arr.shape)
+    return _mutual_information_bits(table, table.sum(axis=1), table.sum(axis=0))
+
+
+def teleport_branches_reference(a: complex, b: complex) -> list[tuple[float, np.ndarray]]:
+    """(probability, corrected receiver state) of each teleport outcome, by np.kron.
+
+    The sender's qubit a|0> + b|1> and the pair (|00> + |11>)/sqrt(2) form
+    the three-qubit state as one ``np.kron``; each entangled-basis vector,
+    itself built from ``np.kron`` of basis states, is contracted with the
+    sender's two qubits one at a time, and the Pauli correction of its
+    outcome is applied to the receiver's qubit.
+    """
+    zero, one = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    r = 1.0 / math.sqrt(2.0)
+    basis = [r * (np.kron(zero, zero) + np.kron(one, one)),
+             r * (np.kron(zero, zero) - np.kron(one, one)),
+             r * (np.kron(zero, one) + np.kron(one, zero)),
+             r * (np.kron(zero, one) - np.kron(one, zero))]
+    z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    corrections = [np.eye(2), z, x, z @ x]
+    sent = np.array([a, b], dtype=complex)
+    total = np.kron(sent, basis[0])
+    branches = []
+    for vector, correction in zip(basis, corrections):
+        receiver = np.array([np.vdot(np.kron(vector, basis_bit), total)
+                             for basis_bit in (zero, one)])
+        prob = float(np.vdot(receiver, receiver).real)
+        branches.append((prob, correction @ (receiver / math.sqrt(prob))))
+    return branches

@@ -4,12 +4,14 @@ Each test prints a PASS/FAIL line (visible with ``pytest -s``) and enforces
 a wall-clock ceiling alongside the numeric gate.
 """
 
+import json
 import math
 import time
 
 import numpy as np
 
-from bellmd.infotheory import JointDistribution, cmd, mutual_information
+from bellmd.cli import main
+from bellmd.infotheory import cmd
 from bellmd.inequalities import (
     bell_optimal_scenario,
     chsh_quantum,
@@ -21,7 +23,7 @@ from bellmd.inequalities import (
 )
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct, predict
 from bellmd.mdsearch import min_cmd_for_chsh, tradeoff_curve
-from bellmd.teleport import TeleportInput, run_teleportation, sample_outcome_counts
+from bellmd.teleport import TeleportInput, branch_transcripts, run_teleportation, sample_outcomes
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -44,11 +46,16 @@ def _verdict(name: str, ok: bool, watch: _Stopwatch, detail: str) -> None:
     assert in_time, f"{name}: exceeded {watch.limit:.0f}s ({watch.elapsed:.2f}s)"
 
 
-def test_criterion_1_mutual_information_golden_values():
+def _mi_table(capsys, table: str) -> float:
+    assert main(["mi", "--table", table]) == 0
+    return json.loads(capsys.readouterr().out)["mutual_information_bits"]
+
+
+def test_criterion_1_mutual_information_golden_values(capsys):
     watch = _Stopwatch(1.0)
-    independent = mutual_information(JointDistribution([[0.25, 0.25], [0.25, 0.25]]))
-    determined = mutual_information(JointDistribution([[0.5, 0.0], [0.0, 0.5]]))
-    partial = mutual_information(JointDistribution([[0.3252, 0.1748], [0.1748, 0.3252]]))
+    independent = _mi_table(capsys, "0.25,0.25,0.25,0.25")
+    determined = _mi_table(capsys, "0.5,0,0,0.5")
+    partial = _mi_table(capsys, "0.3252,0.1748,0.1748,0.3252")
     ok = (
         independent == 0.0
         and abs(determined - 1.0) <= 1e-12
@@ -125,7 +132,8 @@ def test_criterion_6_teleportation():
         for outcome_index in range(4):
             transcript = run_teleportation(inp, forced_outcome=outcome_index)
             worst_gap = max(worst_gap, abs(transcript.fidelity - 1.0))
-    counts = sample_outcome_counts(TeleportInput(0.6, 0.8), trials=100_000, seed=1)
+    probs = [t.outcome_probability for t in branch_transcripts(TeleportInput(0.6, 0.8))]
+    counts = np.bincount(sample_outcomes(probs, trials=100_000, seed=1), minlength=4)
     freqs = counts / counts.sum()
     ok = worst_gap <= 1e-12 and bool(np.all(np.abs(freqs - 0.25) <= 0.01))
     _verdict("6 teleportation", ok, watch,

@@ -190,10 +190,7 @@ class TestChshCommand:
         assert "bob_observables" in stderr  # the first missing field is named
 
     def test_wrong_observable_count_names_field(self, capsys, tmp_path):
-        from bellmd.serialize import chsh_scenario_to_doc
-        from bellmd.inequalities import bell_optimal_scenario
-
-        doc = chsh_scenario_to_doc(bell_optimal_scenario())
+        doc = json.loads(asset_path("bell-optimal.json").read_text())
         doc["alice_observables"] = doc["alice_observables"][:1]
         bad = tmp_path / "bad2.json"
         bad.write_text(json.dumps(doc))
@@ -254,6 +251,20 @@ class TestMiCommand:
         assert code == 0
         assert abs(json.loads(stdout)["mutual_information_bits"] - expected) <= atol
 
+    @pytest.mark.parametrize(
+        "table,printed",
+        [
+            ("0.25,0.25,0.25,0.25", "0"),
+            ("0.5,0,0,0.5", "1"),
+            ("0.3252,0.1748,0.1748,0.3252", "0.066289685953557859"),
+            ("1,0,0,0", "0"),
+        ],
+    )
+    def test_table_stdout_bytes_are_pinned(self, capsys, table, printed):
+        code, stdout, _ = run_cli(capsys, "mi", "--table", table)
+        assert code == 0
+        assert stdout == '{\n  "mutual_information_bits": ' + printed + "\n}\n"
+
     def test_bad_sum_exits_2(self, capsys):
         for table in ("0.5,0.5,0.5,0.5", "nan,0,0,1"):
             code, _, stderr = run_cli(capsys, "mi", "--table", table)
@@ -281,24 +292,20 @@ class TestKcbsCommand:
         assert abs(value - (5.0 - 4.0 * math.sqrt(5.0))) <= 1e-9
 
     def test_scenario_file(self, capsys, tmp_path):
-        from bellmd.inequalities import KcbsScenario, kcbs_pentagram
-        from bellmd.hilbert import StateVector
-        from bellmd.serialize import write_kcbs_scenario
-
-        base = kcbs_pentagram()
-        scenario = KcbsScenario(base.vectors, StateVector(base.vectors[0].astype(complex)))
+        # the pentagram with the state along its first vector
+        doc = json.loads(asset_path("kcbs-pentagram.json").read_text())
+        doc["state"] = [[v, 0.0] for v in doc["vectors"][0]]
         path = tmp_path / "kcbs.json"
-        write_kcbs_scenario(path, scenario)
+        path.write_text(json.dumps(doc))
         code, stdout, _ = run_cli(capsys, "kcbs", "--scenario", str(path))
         assert code == 0
         assert json.loads(stdout)["kcbs_value"] >= -3.0
 
     def test_tilted_scenario_file_exits_2(self, capsys, tmp_path):
         # within the old 1e-10 orthogonality gate, but kcbs_value could not evaluate it
-        from bellmd.inequalities import kcbs_pentagram
-        from bellmd.serialize import dumps_json, kcbs_scenario_to_doc
+        from bellmd.serialize import dumps_json
 
-        doc = kcbs_scenario_to_doc(kcbs_pentagram())
+        doc = json.loads(asset_path("kcbs-pentagram.json").read_text())
         v0, v1 = np.array(doc["vectors"][0]), np.array(doc["vectors"][1])
         doc["vectors"][1] = (v1 + 5e-11 * v0).tolist()
         path = tmp_path / "tilted.json"
@@ -647,10 +654,10 @@ def test_internal_invariant_breach_exits_3(capsys, monkeypatch):
     from bellmd.errors import InvariantError
     import bellmd.cli as cli_module
 
-    def explode(_):
+    def explode(*_):
         raise InvariantError("synthetic breach")
 
-    monkeypatch.setattr(cli_module, "mutual_information", explode)
+    monkeypatch.setattr(cli_module, "_mutual_information_bits", explode)
     code, _, stderr = run_cli(capsys, "mi", "--table", "0.25,0.25,0.25,0.25")
     assert code == 3
     assert "internal error" in stderr

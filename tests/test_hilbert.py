@@ -8,18 +8,19 @@ from bellmd.errors import InputError
 from bellmd.hilbert import (
     OperatorMatrix,
     StateVector,
-    basis_state,
     expectation,
     expectations,
     identity,
     pauli_x,
     pauli_z,
     rotated_zx,
-    tensor,
     tensor_op,
 )
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
+ZERO = StateVector([1.0, 0.0])
+# the entangled basis (|00>+|11>), (|00>-|11>), (|01>+|10>), (|01>-|10>), all /sqrt(2)
+ENTANGLED_BASIS = SQRT2_INV * np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]])
 
 
 def random_qubit_pair(rng):
@@ -62,69 +63,64 @@ class TestStateVector:
 
 class TestTensor:
     def test_basis_times_basis(self):
-        out = tensor(basis_state(2, 0), basis_state(2, 0))
-        assert np.allclose(out.amplitudes, [1, 0, 0, 0], atol=1e-15)
+        zero = OperatorMatrix(np.diag([1.0, 0.0]))
+        out = tensor_op(zero, zero)
+        assert np.allclose(out.entries, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-15)
 
     def test_plus_times_zero(self):
-        plus = StateVector([SQRT2_INV, SQRT2_INV])
-        out = tensor(plus, basis_state(2, 0))
-        assert np.allclose(out.amplitudes, [SQRT2_INV, 0, SQRT2_INV, 0], atol=1e-15)
+        # the left factor is the high-order index
+        plus = OperatorMatrix(np.full((2, 2), 0.5))
+        out = tensor_op(plus, OperatorMatrix(np.diag([1.0, 0.0])))
+        wanted = np.zeros((4, 4))
+        wanted[np.ix_([0, 2], [0, 2])] = 0.5
+        assert np.allclose(out.entries, wanted, atol=1e-15)
 
     def test_entangled_basis_regrouping(self, rng):
         # the 8-dim combined state regroups into the four entangled-basis
         # branches, each carrying the matching image of the input qubit
-        from bellmd.teleport import bell_state
+        from bellmd.teleport import TeleportInput, branch_decomposition
 
         for _ in range(20):
             a, b = random_qubit_pair(rng)
-            psi = StateVector([a, b])
-            pair = bell_state(0)
-            total = tensor(psi, pair)
+            total = np.kron([a, b], ENTANGLED_BASIS[0])
             images = [
                 np.array([a, b]), np.array([a, -b]),
                 np.array([b, a]), np.array([-b, a]),
             ]
             rebuilt = np.zeros(8, dtype=complex)
-            for k in range(4):
-                rebuilt += 0.5 * np.kron(bell_state(k).amplitudes, images[k])
-            assert np.max(np.abs(rebuilt - total.amplitudes)) <= 1e-12
+            for k, (prob, pre) in enumerate(branch_decomposition(TeleportInput(a, b))):
+                assert np.max(np.abs(pre.amplitudes - images[k])) <= 1e-12
+                rebuilt += math.sqrt(prob) * np.kron(ENTANGLED_BASIS[k], pre.amplitudes)
+            assert np.max(np.abs(rebuilt - total)) <= 1e-12
 
     def test_associativity(self, rng):
-        for _ in range(20):
-            u = StateVector(oracles.random_state(2, rng))
-            v = StateVector(oracles.random_state(2, rng))
-            w = StateVector(oracles.random_state(3, rng))
-            left = tensor(tensor(u, v), w)
-            right = tensor(u, tensor(v, w))
-            assert np.max(np.abs(left.amplitudes - right.amplitudes)) <= 1e-12
+        def random_op(dim):
+            raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            return OperatorMatrix((raw + raw.conj().T) / 2.0)
 
-    def test_dimension_cap(self):
-        big = StateVector(np.ones(16) / 4.0)
-        mid = StateVector(np.ones(8) / math.sqrt(8.0))
-        with pytest.raises(InputError):
-            tensor(big, mid)
-        assert tensor(big, basis_state(4, 0)).dim == 64
+        for _ in range(20):
+            u, v, w = random_op(2), random_op(2), random_op(3)
+            left = tensor_op(tensor_op(u, v), w)
+            right = tensor_op(u, tensor_op(v, w))
+            assert np.max(np.abs(left.entries - right.entries)) <= 1e-12
 
 
 class TestBornProbabilities:
     def test_eigenstate_of_entangled_basis(self):
-        from bellmd.teleport import bell_state
-
-        state = bell_state(0).amplitudes
-        probs = [abs(np.vdot(bell_state(k).amplitudes, state)) ** 2 for k in range(4)]
+        projectors = ENTANGLED_BASIS[:, :, None] * ENTANGLED_BASIS[:, None, :]
+        probs = expectations(projectors, StateVector(ENTANGLED_BASIS[0]))
         assert np.allclose(probs, [1, 0, 0, 0], atol=1e-12)
 
     def test_combined_state_is_uniform_over_branches(self, rng):
         # oracle: project |psi>|pair> on (entangled basis (x) identity) by
         # explicit sums; every branch has weight exactly 1/4
-        from bellmd.teleport import TeleportInput, bell_state, branch_decomposition
+        from bellmd.teleport import TeleportInput, branch_decomposition
 
         for _ in range(10):
             a, b = random_qubit_pair(rng)
-            total = tensor(StateVector([a, b]), bell_state(0)).amplitudes
+            total = np.kron([a, b], ENTANGLED_BASIS[0])
             expected = []
-            for k in range(4):
-                bk = bell_state(k).amplitudes
+            for bk in ENTANGLED_BASIS:
                 weight = 0.0
                 for j in range(2):
                     amp = sum(bk[m].conjugate() * total[2 * m + j] for m in range(4))
@@ -138,15 +134,14 @@ class TestBornProbabilities:
 
 class TestExpectation:
     def test_parallel_correlations_of_shared_pair(self):
-        from bellmd.teleport import bell_state
-
+        pair = StateVector(ENTANGLED_BASIS[0])
         zz = tensor_op(pauli_z(), pauli_z())
         zx = tensor_op(pauli_z(), pauli_x())
-        assert abs(expectation(zz, bell_state(0)) - 1.0) <= 1e-12
-        assert abs(expectation(zx, bell_state(0))) <= 1e-12
+        assert abs(expectation(zz, pair) - 1.0) <= 1e-12
+        assert abs(expectation(zx, pair)) <= 1e-12
 
     def test_eigenvector(self):
-        assert abs(expectation(pauli_z(), basis_state(2, 0)) - 1.0) <= 1e-15
+        assert abs(expectation(pauli_z(), ZERO) - 1.0) <= 1e-15
 
     def test_rejects_non_hermitian(self):
         ghost = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -186,18 +181,18 @@ class TestExpectations:
         ghost = np.array([[0, 1], [0, 0]], dtype=complex)
         ops = np.stack([pauli_x().entries, ghost, pauli_z().entries])
         with pytest.raises(InputError, match="hermitian"):
-            expectations(ops, basis_state(2, 0))
+            expectations(ops, ZERO)
 
     def test_dimension_mismatch_rejected(self):
         ops = np.stack([pauli_x().entries, pauli_z().entries])
         with pytest.raises(InputError, match="does not match state dimension"):
-            expectations(ops, basis_state(4, 0))
+            expectations(ops, StateVector([1.0, 0.0, 0.0, 0.0]))
 
     def test_nan_entry_rejected(self):
         ops = np.stack([pauli_x().entries, pauli_z().entries])
         ops[1, 0, 0] = np.nan
         with pytest.raises(InputError, match="finite"):
-            expectations(ops, basis_state(2, 0))
+            expectations(ops, ZERO)
 
 
 class TestOperatorAndMeasurementValidation:

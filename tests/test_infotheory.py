@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from bellmd.errors import InputError
-from bellmd.infotheory import (
-    JointDistribution,
-    cmd,
-    entropy_bits,
-    mutual_information,
-    setting_lambda_joint,
-)
+from bellmd.cli import main
+from bellmd.infotheory import _mutual_information_bits, cmd, entropy_bits
 from bellmd.inequalities import bell_optimal_scenario, chsh_quantum
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct
 
@@ -25,51 +19,56 @@ def random_joint(rng, rows=4, cols=5) -> np.ndarray:
     return table / table.sum()
 
 
+def mutual_information(table) -> float:
+    """The score that ``cmd`` and ``mi --table`` share, of a table and its marginals."""
+    table = np.asarray(table, dtype=float)
+    return _mutual_information_bits(table, table.sum(axis=1), table.sum(axis=0))
+
+
 class TestMutualInformation:
     def test_independent_coins(self):
-        assert mutual_information(JointDistribution(COIN_INDEPENDENT)) == 0.0
+        assert mutual_information(COIN_INDEPENDENT) == 0.0
 
     def test_determined_coins(self):
-        assert abs(mutual_information(JointDistribution(COIN_DETERMINED)) - 1.0) <= 1e-15
+        assert abs(mutual_information(COIN_DETERMINED) - 1.0) <= 1e-15
 
     def test_partial_coins_golden_value(self):
-        got = mutual_information(JointDistribution(COIN_PARTIAL))
+        got = mutual_information(COIN_PARTIAL)
         assert abs(got - 0.0663) <= 5e-4
         assert abs(got - oracles.mutual_information_direct(np.array(COIN_PARTIAL))) <= 1e-15
 
     def test_zero_entries_use_zero_convention(self):
         table = [[0.5, 0.0], [0.25, 0.25]]
-        got = mutual_information(JointDistribution(table))
+        got = mutual_information(table)
         assert got == pytest.approx(oracles.mutual_information_direct(np.array(table)), abs=1e-15)
 
     def test_nonnegative_and_transpose_symmetric(self, rng):
         for _ in range(50):
             table = random_joint(rng)
-            i1 = mutual_information(JointDistribution(table))
-            i2 = mutual_information(JointDistribution(table.T))
+            i1 = mutual_information(table)
+            i2 = mutual_information(table.T)
             assert i1 >= 0.0
             assert abs(i1 - i2) <= 1e-12
 
     def test_merging_rows_never_gains_information(self, rng):
         for _ in range(50):
             table = random_joint(rng, rows=5, cols=4)
-            before = mutual_information(JointDistribution(table))
+            before = mutual_information(table)
             i, j = rng.choice(5, size=2, replace=False)
             merged = np.delete(table, j, axis=0)
             merged[i if i < j else i - 1] = table[i] + table[j]
-            after = mutual_information(JointDistribution(merged))
+            after = mutual_information(merged)
             assert after <= before + 1e-12
 
     def test_entropy_decomposition(self, rng):
         for _ in range(50):
             table = random_joint(rng)
-            j = JointDistribution(table)
             decomposed = (
                 oracles.entropy_direct(table.sum(axis=1))
                 + oracles.entropy_direct(table.sum(axis=0))
                 - oracles.entropy_direct(table)
             )
-            assert abs(mutual_information(j) - decomposed) <= 1e-9
+            assert abs(mutual_information(table) - decomposed) <= 1e-9
 
 
 class TestCmd:
@@ -103,15 +102,6 @@ class TestCmd:
         assert abs(report.raw_bits - expected) <= 1e-12
         assert abs(report.raw_bits - 0.0663) <= 5e-4
 
-    def test_joint_layout(self, rng):
-        lam = 3
-        lgs = rng.gamma(1.0, size=(4, lam))
-        lgs /= lgs.sum(axis=1, keepdims=True)
-        model = LhvModel(SettingSpace(), lgs, rng.random((2, lam)), rng.random((2, lam)))
-        joint = setting_lambda_joint(model)
-        assert (joint.rows, joint.cols) == (lam, 4)
-        assert abs(joint.probabilities.sum() - 1.0) <= 1e-12
-
     def test_zero_iff_measurement_independent(self, rng):
         from bellmd.lhv import measurement_independent
 
@@ -138,8 +128,8 @@ class TestCmd:
             lgs /= lgs.sum(axis=1, keepdims=True)
             model = LhvModel(SettingSpace(), lgs, rng.random((2, lam)), rng.random((2, lam)))
             report = cmd(model)
-            joint = setting_lambda_joint(model)
-            cap = min(entropy_bits(joint.row_marginal()), report.setting_entropy_bits)
+            joint = oracles.setting_lambda_joint(model)
+            cap = min(entropy_bits(joint.sum(axis=1)), report.setting_entropy_bits)
             assert report.raw_bits <= cap + 1e-9
             assert abs(report.normalized * report.setting_entropy_bits - report.raw_bits) <= 1e-9
 
@@ -175,13 +165,14 @@ class TestCmd:
 
 
 class TestValidation:
-    def test_joint_distribution_must_sum_to_one(self):
-        with pytest.raises(InputError):
-            JointDistribution([[0.5, 0.5], [0.5, 0.5]])
+    # a joint table enters through ``mi --table``, which checks it before scoring
+    def test_joint_distribution_must_sum_to_one(self, capsys):
+        assert main(["mi", "--table", "0.5,0.5,0.5,0.5"]) == 2
+        assert "--table sums to 2, expected 1" in capsys.readouterr().err
 
-    def test_joint_distribution_nonnegative(self):
-        with pytest.raises(InputError):
-            JointDistribution([[1.2, -0.2], [0.0, 0.0]])
+    def test_joint_distribution_nonnegative(self, capsys):
+        assert main(["mi", "--table", "1.2,-0.2,0,0"]) == 2
+        assert "--table entries must be nonnegative" in capsys.readouterr().err
 
     def test_entropy_of_point_mass_is_zero(self):
         assert entropy_bits([1.0, 0.0, 0.0]) == 0.0

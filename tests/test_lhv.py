@@ -4,7 +4,6 @@ import pytest
 import oracles
 from bellmd.errors import InputError
 from bellmd.inequalities import bell_optimal_scenario, chsh_quantum, chsh_value
-from bellmd.infotheory import JointDistribution
 from bellmd.lhv import (
     CorrelationTable,
     LhvModel,
@@ -163,8 +162,6 @@ class TestValidation:
             LhvModel(SettingSpace(), np.tile(row, (4, 1)), np.ones((2, 5)), np.ones((2, 5)))
         with pytest.raises(InputError, match=r"setting marginal sums to 1\.0000000000049"):
             SettingSpace(alice_settings=1, bob_settings=5, marginal=row)
-        with pytest.raises(InputError, match=r"joint distribution sums to 1\.0000000000049"):
-            JointDistribution([row])
 
     def test_entry_rows_sum_to_one_within_a_quarter_of_the_tolerance(self):
         # rows 5e-13 over one used to load, and their derived tables could then

@@ -5,21 +5,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bellmd.cli import asset_path
 from bellmd.errors import InputError
-from bellmd.inequalities import ChshScenario, bell_optimal_scenario, kcbs_pentagram
+from bellmd.inequalities import (
+    _OBSERVABLE_NAMES,
+    ChshScenario,
+    bell_optimal_scenario,
+    kcbs_pentagram,
+)
 from bellmd.lhv import CorrelationTable, brans_construct
 from bellmd.serialize import (
     chsh_scenario_from_doc,
-    chsh_scenario_to_doc,
     dumps_json,
     format_float,
     read_chsh_scenario,
     read_kcbs_scenario,
     read_model,
     state_from_doc,
-    write_chsh_scenario,
     write_curve_csv,
-    write_kcbs_scenario,
     write_model,
 )
 from oracles import operator_from_doc, perturbed_observable
@@ -145,30 +148,29 @@ class TestModelRoundTrip:
             read_model(path)
 
 
+def _bell_optimal_doc() -> dict:
+    return json.loads(asset_path("bell-optimal.json").read_text())
+
+
 class TestScenarioRoundTrips:
-    def test_chsh_scenario(self, tmp_path):
+    # the shipped scenario files hold the built-in scenarios at 17 digits
+    def test_chsh_scenario(self):
         scenario = bell_optimal_scenario()
-        path = tmp_path / "scenario.json"
-        write_chsh_scenario(path, scenario)
-        loaded = read_chsh_scenario(path)
+        loaded = read_chsh_scenario(asset_path("bell-optimal.json"))
         assert loaded.observables.tobytes() == scenario.observables.tobytes()
         assert np.array_equal(scenario.state.amplitudes, loaded.state.amplitudes)
 
     def test_chsh_missing_state_named(self, tmp_path):
-        scenario = bell_optimal_scenario()
-        path = tmp_path / "scenario.json"
-        write_chsh_scenario(path, scenario)
-        doc = json.loads(path.read_text())
+        doc = _bell_optimal_doc()
         del doc["state"]
+        path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(InputError, match="state"):
             read_chsh_scenario(path)
 
-    def test_kcbs_scenario(self, tmp_path):
+    def test_kcbs_scenario(self):
         scenario = kcbs_pentagram()
-        path = tmp_path / "kcbs.json"
-        write_kcbs_scenario(path, scenario)
-        loaded = read_kcbs_scenario(path)
+        loaded = read_kcbs_scenario(asset_path("kcbs-pentagram.json"))
         assert np.array_equal(scenario.vectors, loaded.vectors)
         assert np.array_equal(scenario.state.amplitudes, loaded.state.amplitudes)
 
@@ -181,8 +183,10 @@ class TestScenarioRoundTrips:
 
 def _operators_one_by_one(doc: dict) -> list:
     """Each observable of a CHSH document as an OperatorMatrix, decoded and checked alone."""
-    return [operator_from_doc(m, f"scenario.{party}_observables[{k}]")
-            for party in ("alice", "bob") for k, m in enumerate(doc[f"{party}_observables"])]
+    slots = [(party, k) for party in ("alice", "bob") for k in (0, 1)]
+    return [operator_from_doc(doc[f"{party}_observables"][k],
+                              f"scenario.{party}_observables[{k}]", name)
+            for name, (party, k) in zip(_OBSERVABLE_NAMES, slots)]
 
 
 def _observables_one_by_one(doc: dict) -> ChshScenario:
@@ -222,12 +226,12 @@ SLOTS = {"alice 0": [("alice", 0)], "alice 1": [("alice", 1)], "bob 0": [("bob",
 # checks slot by slot, so these are pinned by their messages.
 TWO_DEFECTS = {
     "nan bob 0, non-hermitian alice 1": ({("bob", 0): "nan", ("alice", 1): "non-hermitian"},
-                                         "operator entries must be finite"),
+                                         "bob observable 0: operator entries must be finite"),
     "nan bob 0, 3x3 alice 1": ({("bob", 0): "nan", ("alice", 1): "3x3"},
                                "alice observable 1 must act on a qubit"),
     "square alice 0, non-hermitian bob 1": (
         {("alice", 0): "not squaring to 1", ("bob", 1): "non-hermitian"},
-        "operator must be hermitian: max |A - A^dagger| = 0.5"),
+        "bob observable 1: operator must be hermitian: max |A - A^dagger| = 0.5"),
     "nan alice 0, ragged bob 1": ({("alice", 0): "nan", ("bob", 1): "ragged rows"},
                                   "scenario.bob_observables[1]: expected numeric [re, im] pairs"),
 }
@@ -236,7 +240,7 @@ TWO_DEFECTS = {
 @pytest.mark.parametrize("slot", SLOTS)
 @pytest.mark.parametrize("defect", OBSERVABLE_DEFECTS)
 def test_stacked_observable_decode_raises_as_one_by_one(slot, defect):
-    doc = json.loads(json.dumps(chsh_scenario_to_doc(bell_optimal_scenario())))
+    doc = _bell_optimal_doc()
     for party, k in SLOTS[slot]:
         doc[f"{party}_observables"][k] = OBSERVABLE_DEFECTS[defect]
     with pytest.raises(Exception) as wanted:
@@ -248,7 +252,7 @@ def test_stacked_observable_decode_raises_as_one_by_one(slot, defect):
 
 @pytest.mark.parametrize("slots,message", TWO_DEFECTS.values(), ids=TWO_DEFECTS)
 def test_two_observable_defects_raise_in_check_order(slots, message):
-    doc = json.loads(json.dumps(chsh_scenario_to_doc(bell_optimal_scenario())))
+    doc = _bell_optimal_doc()
     for (party, k), defect in slots.items():
         doc[f"{party}_observables"][k] = OBSERVABLE_DEFECTS[defect]
     with pytest.raises(InputError) as got:
@@ -259,7 +263,7 @@ def test_two_observable_defects_raise_in_check_order(slots, message):
 def test_stacked_observable_decode_keeps_the_bits(rng):
     # observables up to 1e-12 from hermitian, which the decode symmetrizes
     for _ in range(200):
-        doc = json.loads(json.dumps(chsh_scenario_to_doc(bell_optimal_scenario())))
+        doc = _bell_optimal_doc()
         for party in ("alice", "bob"):
             directions = rng.normal(size=(2, 3))
             doc[f"{party}_observables"] = [_pairs(perturbed_observable(

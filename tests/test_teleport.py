@@ -8,12 +8,11 @@ from bellmd.errors import InputError
 from bellmd.hilbert import StateVector
 from bellmd.teleport import (
     CORRECTION_LABELS,
+    _BELL_VECTORS,
     TeleportInput,
-    bell_state,
     branch_decomposition,
     branch_transcripts,
     run_teleportation,
-    sample_outcome_counts,
     sample_outcomes,
     verify_no_setting_choice,
 )
@@ -82,7 +81,8 @@ def test_correction_is_the_unique_pauli_per_branch(rng):
 
 
 def test_sampled_outcome_frequencies(rng):
-    counts = sample_outcome_counts(TeleportInput(0.6, 0.8), trials=100_000, seed=7)
+    probs = [t.outcome_probability for t in branch_transcripts(TeleportInput(0.6, 0.8))]
+    counts = np.bincount(sample_outcomes(probs, trials=100_000, seed=7), minlength=4)
     freqs = counts / counts.sum()
     assert np.all(np.abs(freqs - 0.25) <= 0.01)
 
@@ -93,8 +93,6 @@ def test_sampling_is_seed_deterministic():
     outcomes = sample_outcomes(probs, 1000, seed=5)
     assert np.array_equal(outcomes, sample_outcomes(probs, 1000, seed=5))
     assert not np.array_equal(outcomes, sample_outcomes(probs, 1000, seed=6))
-    counts = sample_outcome_counts(inp, 1000, seed=5)
-    assert np.array_equal(counts, np.bincount(outcomes, minlength=4))
 
 
 def test_sampler_matches_generator_choice(rng):
@@ -171,9 +169,23 @@ def test_protocol_exposes_single_measurement():
 
 
 def test_entangled_pair_is_a_valid_state():
-    pair = bell_state(0)
-    assert isinstance(pair, StateVector)
+    pair = StateVector(_BELL_VECTORS[0])
     assert np.allclose(pair.amplitudes, [SQRT2_INV, 0, 0, SQRT2_INV], atol=1e-15)
     # the four measurement outcomes form an orthonormal basis
-    basis = np.stack([bell_state(k).amplitudes for k in range(4)])
-    assert np.allclose(basis.conj() @ basis.T, np.eye(4), atol=1e-15)
+    assert np.allclose(_BELL_VECTORS.conj() @ _BELL_VECTORS.T, np.eye(4), atol=1e-15)
+
+
+def _seeded_inputs() -> list[TeleportInput]:
+    rng = np.random.default_rng(2024)
+    return [TeleportInput(0.6, 0.8)] + [random_input(rng) for _ in range(5)]
+
+
+@pytest.mark.parametrize("inp", _seeded_inputs())
+def test_branch_transcripts_match_a_direct_kron_reference(inp):
+    reference = oracles.teleport_branches_reference(inp.a, inp.b)
+    for k, (t, (prob, final)) in enumerate(zip(branch_transcripts(inp), reference)):
+        doc = t.to_json_dict()
+        assert (doc["outcome_index"], doc["correction_applied"]) == (k, CORRECTION_LABELS[k])
+        assert abs(doc["outcome_probability"] - prob) <= 1e-15
+        assert np.max(np.abs(np.array(doc["bob_final"]) @ [1, 1j] - final)) <= 1e-15
+        assert abs(doc["fidelity"] - 1.0) <= 1e-12

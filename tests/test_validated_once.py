@@ -6,8 +6,8 @@ builds no ``OperatorMatrix``; evaluating it builds no checked
 ``CorrelationTable`` and never calls ``expectations``, and ``predict``
 builds no checked ``CorrelationTable``.  A model, sound or defective, runs
 ``LhvModel``'s one-pass check of its three tables once, and never the
-per-field checks, and ``cmd`` scores the model's weights without building a
-``JointDistribution``.  A change that puts a second check back on those
+per-field checks, and ``cmd`` scores the model's weights without a
+distribution check of its own.  A change that puts a second check back on those
 paths fails here.  The property tests below show that what these paths no
 longer check still holds: on models whose rows sum to 1 up to rounding, or
 as far from 1 as the entry bound allows, with entries down to the tolerance
@@ -22,14 +22,15 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from bellmd import hilbert, inequalities, lhv
 from bellmd.cli import asset_path
 from bellmd.hilbert import OperatorMatrix
 from bellmd.errors import InputError
-from bellmd.infotheory import JointDistribution, cmd, mutual_information, setting_lambda_joint
+from bellmd.infotheory import cmd
 from bellmd.inequalities import ChshScenario, bell_optimal_scenario, chsh_quantum
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, predict
-from bellmd.serialize import chsh_scenario_to_doc, read_chsh_scenario, read_model
+from bellmd.serialize import read_chsh_scenario, read_model
 from bellmd.tolerances import DEFAULT_TOLERANCES
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -56,6 +57,11 @@ def _counted(monkeypatch, *targets) -> collections.Counter:
     return counts
 
 
+def _checked_bits(model) -> float:
+    """The model's score by the checked reference: its joint, checked, then scored."""
+    return oracles.checked_mutual_information(oracles.setting_lambda_joint(model))
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of calls to each checking entry point of the quantum and table paths."""
@@ -66,15 +72,14 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def score_calls(monkeypatch):
-    """Counts of calls to the model check, the per-field row check and the joint's constructor."""
-    return _counted(monkeypatch, (lhv, "_model_tables"), (lhv, "_distribution_rows"),
-                    (JointDistribution, "__post_init__"))
+    """Counts of calls to the model check and the per-field row check."""
+    return _counted(monkeypatch, (lhv, "_model_tables"), (lhv, "_distribution_rows"))
 
 
 def test_the_counters_see_the_checked_paths(calls):
     bell_optimal_scenario()  # four observables built as OperatorMatrix, then one scenario
     CorrelationTable.from_correlators(np.zeros((2, 2)))
-    hilbert.expectations(np.eye(2), hilbert.basis_state(2, 0))
+    hilbert.expectations(np.eye(2), hilbert.StateVector([1.0, 0.0]))
     inequalities.kcbs_value(inequalities.kcbs_pentagram())
     assert calls == {"ChshScenario.__post_init__": 1, "OperatorMatrix.__post_init__": 4,
                      "CorrelationTable.__post_init__": 1, "bellmd.hilbert.expectations": 1,
@@ -100,7 +105,7 @@ CHSH_DEFECTS = {
 @pytest.mark.parametrize("defect", CHSH_DEFECTS)
 def test_a_defective_chsh_file_is_checked_once(calls, tmp_path, defect):
     party, k, matrix = CHSH_DEFECTS[defect]
-    doc = chsh_scenario_to_doc(bell_optimal_scenario())
+    doc = json.loads(asset_path("bell-optimal.json").read_text())
     doc[f"{party}_observables"][k] = matrix
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -120,9 +125,8 @@ def test_the_score_counters_see_the_checked_paths(score_calls):
     brans = read_model(asset_path("brans.json"))
     score_calls.clear()
     SettingSpace(marginal=[0.25] * 4)  # the marginal's row check
-    setting_lambda_joint(brans)
-    assert score_calls == {"bellmd.lhv._distribution_rows": 1,
-                           "JointDistribution.__post_init__": 1}
+    _checked_bits(brans)  # the joint's row check
+    assert score_calls == {"bellmd.lhv._distribution_rows": 2}
 
 
 def _brans_tables() -> dict:
@@ -158,7 +162,7 @@ def test_a_model_is_checked_in_one_pass_and_scored_without_a_recheck(score_calls
     assert score_calls == {"bellmd.lhv._model_tables": 1}
     report = cmd(model)
     assert score_calls == {"bellmd.lhv._model_tables": 1}
-    assert report.raw_bits == mutual_information(setting_lambda_joint(model)) == 2.0
+    assert report.raw_bits == _checked_bits(model) == 2.0
 
 
 ENTRY = st.one_of(st.floats(0.0, 1.0), st.floats(-TOL, 0.0))
@@ -188,7 +192,7 @@ def models(draw):
 @hypothesis.given(model=models())
 def test_every_model_that_constructs_predicts_a_checked_table(model):
     table = predict(model)
-    assert cmd(model).raw_bits == mutual_information(setting_lambda_joint(model)) >= 0.0
+    assert cmd(model).raw_bits == _checked_bits(model) >= 0.0
     revalidated = CorrelationTable(table.joint)
     assert revalidated.joint.tobytes() == table.joint.tobytes()
     assert revalidated.correlators.tobytes() == table.correlators.tobytes()
@@ -231,4 +235,4 @@ def edge_models(draw):
 @hypothesis.given(model=edge_models())
 def test_every_model_at_the_row_sum_edge_predicts_and_scores(model):
     assert np.max(np.abs(predict(model).joint.sum(axis=(2, 3)) - 1.0)) <= TOL
-    assert cmd(model).raw_bits == mutual_information(setting_lambda_joint(model)) >= 0.0
+    assert cmd(model).raw_bits == _checked_bits(model) >= 0.0
