@@ -29,7 +29,7 @@ def _as_complex_vector(values) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128).reshape(-1)
     if arr.size == 0:
         raise InputError("state vector needs at least one amplitude")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError("state vector amplitudes must be finite")
     return _freeze(arr)
 
@@ -47,7 +47,7 @@ class StateVector:
     def __post_init__(self) -> None:
         arr = _as_complex_vector(self.amplitudes)
         object.__setattr__(self, "amplitudes", arr)
-        actual = float(np.sum(np.abs(arr) ** 2))
+        actual = float((np.abs(arr) ** 2).sum())
         if abs(actual - 1.0) > DEFAULT_TOLERANCES.normalization:
             raise InputError(f"amplitudes have squared norm {actual:.12g}, expected 1")
 
@@ -143,7 +143,7 @@ def _hermitian_expectations(arr: np.ndarray, s: StateVector) -> np.ndarray:
     psi = s.amplitudes
     # psi^dagger (A psi), grouped as np.vdot groups it, so one operator gives the same bits
     values = (psi.conj() @ (arr @ psi)[..., None])[..., 0]
-    residue = float(np.max(np.abs(values.imag), initial=0.0))
+    residue = float(np.abs(values.imag).max(initial=0.0))
     if residue > DEFAULT_TOLERANCES.operator:
         raise InvariantError(f"expectation has imaginary residue {residue:.3g}")
     return values.real

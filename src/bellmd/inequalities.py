@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .hilbert import StateVector, _hermitian_expectations, expectations
+from .hilbert import StateVector, _hermitian_expectations
 # the benchmark tracer (bench/workloads.py) wraps these two names in this module
 from .hilbert import expectation, tensor_op  # noqa: F401
 from .lhv import CorrelationTable
@@ -45,36 +45,37 @@ class ChshScenario:
     state: StateVector
 
     def __post_init__(self) -> None:
-        if len(self.observables) != 4:
+        ops = self.observables
+        stacked = isinstance(ops, np.ndarray) and ops.shape == (4, 2, 2)
+        if not stacked and len(ops) != 4:
             raise InputError("each party needs exactly two observables")
-        for name, op in zip(_OBSERVABLE_NAMES, self.observables):
+        for name, op in zip(_OBSERVABLE_NAMES, () if stacked else ops):
             shape = np.shape(op)
             if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
                 raise InputError(f"operator must be a nonempty square matrix, got shape {shape}")
             if shape != (2, 2):
                 raise InputError(f"{name} must act on a qubit")
-        ops = np.array(self.observables, dtype=np.complex128)
-        finite = np.isfinite(ops).all(axis=(1, 2))
-        if not finite.all():
-            i = int(np.argmin(finite))  # the first that fails
+        ops = np.asarray(ops, dtype=np.complex128)
+        if not np.isfinite(ops).all():
+            i = int(np.argmin(np.isfinite(ops).all(axis=(1, 2))))
             raise InputError(f"{_OBSERVABLE_NAMES[i]}: operator entries must be finite")
         adjoint = ops.swapaxes(1, 2).conj()
-        residues = np.abs(ops - adjoint).max(axis=(1, 2))
-        if residues.max() > DEFAULT_TOLERANCES.arithmetic:
-            i = int(np.argmax(residues > DEFAULT_TOLERANCES.arithmetic))
+        gaps = np.abs(ops - adjoint)
+        if gaps.max() > DEFAULT_TOLERANCES.arithmetic:
+            i = int(np.argmax(gaps.max(axis=(1, 2)) > DEFAULT_TOLERANCES.arithmetic))
             raise InputError(f"{_OBSERVABLE_NAMES[i]}: operator must be hermitian: "
-                             f"max |A - A^dagger| = {residues[i]:.3g}")
+                             f"max |A - A^dagger| = {gaps[i].max():.3g}")
         ops = np.add(ops * 0.5, adjoint * 0.5, out=adjoint)
         # max |A^2 - 1| <= t keeps A's eigenvalues within t of +/-1, so (1 +/- A)/2 has
         # eigenvalues in [-t/2, 1 + t/2] and chsh_quantum's clamped, renormalized tables
         # and their correlators stay within a few t of an exact +/-1 measurement's. Nothing
         # downstream rejects a larger t; t = `arithmetic` / 4 keeps that gap at rounding
         square_tol = DEFAULT_TOLERANCES.arithmetic / 4.0
-        residues = np.abs(ops @ ops - np.eye(2)).max(axis=(1, 2))
-        if residues.max() > square_tol:
-            i = int(np.argmax(residues > square_tol))
+        gaps = np.abs(ops @ ops - np.eye(2))
+        if gaps.max() > square_tol:
+            i = int(np.argmax(gaps.max(axis=(1, 2)) > square_tol))
             raise InputError(f"{_OBSERVABLE_NAMES[i]} must square to the identity: "
-                             f"max |A^2 - 1| = {residues[i]:.3g} > {square_tol:.3g}")
+                             f"max |A^2 - 1| = {gaps[i].max():.3g} > {square_tol:.3g}")
         if self.state.dim != 4:
             raise InputError("shared state must live in the 4-dimensional two-qubit space")
         ops.setflags(write=False)
@@ -87,7 +88,7 @@ def chsh_value(t: CorrelationTable) -> float:
         raise InputError(f"CHSH needs a 2x2 correlation table, got {t.shape}")
     e = t.correlators
     total = float(e.sum())
-    return float(np.max(np.abs(total - 2.0 * e)))
+    return float(np.abs(total - 2.0 * e).max())
 
 
 def chsh_quantum(s: ChshScenario) -> CorrelationTable:
@@ -143,14 +144,14 @@ class KcbsScenario:
         vecs = np.array(self.vectors, dtype=float)
         if vecs.shape != (5, 3):
             raise InputError(f"need five 3-vectors, got shape {vecs.shape}")
-        if not np.all(np.isfinite(vecs)):
+        if not np.isfinite(vecs).all():
             raise InputError("vectors must be finite")
-        lengths = np.linalg.norm(vecs, axis=1)
-        if np.any(np.abs(lengths - 1.0) > DEFAULT_TOLERANCES.operator):
+        lengths = np.sqrt((vecs * vecs).sum(axis=1))  # np.linalg.norm's bits
+        if (np.abs(lengths - 1.0) > DEFAULT_TOLERANCES.operator).any():
             raise InputError("all five vectors must be unit length")
-        # A_i A_{i+1} has hermiticity residue up to 4 |v_i . v_{i+1}|, and
-        # kcbs_value rejects a residue above `arithmetic`; an eighth of it
-        # leaves that check a factor 2 for rounding, so every scenario evaluates
+        # A_i A_{i+1} has hermiticity residue up to 4 |v_i . v_{i+1}|; an eighth of
+        # `arithmetic` keeps it at half that tolerance, a factor 2 left for rounding,
+        # so kcbs_value evaluates the products without a hermiticity check
         ortho_tol = DEFAULT_TOLERANCES.arithmetic / 8.0
         dots = np.abs((vecs @ vecs.T)[_CYCLE])  # |v_i . v_{i+1}|, i = 0..4
         i = int(np.argmax(dots > ortho_tol))  # the first pair that fails, if any
@@ -197,9 +198,9 @@ def kcbs_value(s: KcbsScenario) -> float:
     """Five-cycle correlator sum: sum_i <state| A_i A_{i+1} |state>."""
     v = s.vectors
     observables = 2.0 * (v[:, :, None] * v[:, None, :]) - np.eye(3)
-    # neighbor projectors are orthogonal, so each product is hermitian
-    products = observables @ np.roll(observables, -1, axis=0)
-    return float(expectations(products, s.state).sum())
+    # hermitian within `arithmetic` / 2 by KcbsScenario's orthogonality bound
+    products = observables @ observables[_CYCLE[1]]
+    return float(_hermitian_expectations(products, s.state).sum())
 
 
 def kcbs_classical_min() -> float:

@@ -46,7 +46,7 @@ def _distribution_rows(name: str, table, columns: int | None = None, atol=_ATOL)
 
 
 def _check_sums(name: str, sums: np.ndarray, atol=_ATOL) -> None:
-    if np.any(np.abs(sums - 1.0) > atol):
+    if (np.abs(sums - 1.0) > atol).any():
         if sums.size == 1:
             raise InputError(f"{name} sums to {sums[0]:.15g}, expected 1")
         raise InputError(f"{name} rows must each sum to 1 within {atol:g}")

@@ -118,20 +118,26 @@ def _int_field(doc: dict, name: str, context: str) -> int:
     raise InputError(f"{context}: field '{name}' must be an integer, got {value!r:.40}")
 
 
-def _float_array_field(doc: dict, name: str, context: str) -> np.ndarray:
+def _numbers(data, message: str) -> np.ndarray:
+    """``data`` as floats; InputError(message) on nulls, strings and bools, unlike dtype=float."""
     try:
-        return np.array(_field(doc, name, context), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge integer
-        raise InputError(f"{context}: field '{name}' must be a regular array of numbers") from exc
+        arr = np.array(data)
+    except (TypeError, ValueError) as exc:  # ValueError: a ragged array
+        raise InputError(message) from exc
+    if arr.dtype.kind not in "iuf":  # O: null, an integer past 2**64; U: a string; b: bools
+        raise InputError(message)
+    return arr.astype(float, copy=False)
+
+
+def _float_array_field(doc: dict, name: str, context: str) -> np.ndarray:
+    return _numbers(_field(doc, name, context),
+                    f"{context}: field '{name}' must be a regular array of numbers")
 
 
 # --- complex payloads --------------------------------------------------------
 
 def _pairs_to_complex(data, context: str) -> np.ndarray:
-    try:
-        arr = np.array(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{context}: expected numeric [re, im] pairs") from exc
+    arr = _numbers(data, f"{context}: expected numeric [re, im] pairs")
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise InputError(f"{context}: expected [re, im] pairs, got shape {arr.shape}")
     # re + 1j * im rounds to (re + copysign(0, im)) + (im + 0)j, which this sum gives
@@ -198,23 +204,30 @@ def read_model(path: Path | str) -> LhvModel:
 def chsh_scenario_from_doc(doc: dict, context: str = "scenario") -> ChshScenario:
     """Scenario of a document, its defects raised in this order.
 
-    Each matrix's [re, im] structure is checked as it converts, then the
-    state, then ``ChshScenario`` checks the observables.
+    The four matrices convert as one stack, or else one at a time to name the first whose
+    [re, im] structure fails; then the state, then ``ChshScenario`` checks the observables.
     """
     parties = [(party, _field(doc, f"{party}_observables", context)) for party in ("alice", "bob")]
     for party, listed in parties:
         if not isinstance(listed, list) or len(listed) != 2:
             raise InputError(f"{context}: {party}_observables must list exactly 2 matrices")
-    matrices = []
-    for party, listed in parties:
-        for k, data in enumerate(listed):
-            field = f"{context}.{party}_observables[{k}]"
-            values = _pairs_to_complex(data, field)
-            if values.ndim != 2:
-                raise InputError(f"{field}: operator must be a matrix of [re, im] pairs")
-            matrices.append(values)
+    try:
+        stack = _pairs_to_complex([listed for _, listed in parties], context)
+    except InputError:
+        stack = None
+    if stack is not None and stack.shape == (2, 2, 2, 2):
+        observables = stack.reshape(4, 2, 2)
+    else:
+        observables = []
+        for party, listed in parties:
+            for k, data in enumerate(listed):
+                field = f"{context}.{party}_observables[{k}]"
+                values = _pairs_to_complex(data, field)
+                if values.ndim != 2:
+                    raise InputError(f"{field}: operator must be a matrix of [re, im] pairs")
+                observables.append(values)
     state = state_from_doc(_field(doc, "state", context), f"{context}.state")
-    return ChshScenario(matrices, state)
+    return ChshScenario(observables, state)
 
 
 def read_chsh_scenario(path: Path | str) -> ChshScenario:

@@ -533,6 +533,27 @@ MALFORMED_INPUTS = {
     "lambda-given-settings-text": (_asset_with(
         "brans.json", lambda d: d["lambda_given_settings"][0].__setitem__(0, "x")),
         "'lambda_given_settings'"),
+    "marginal-text": (_asset_with(
+        "brans.json", lambda d: d["settings"]["marginal"].__setitem__(0, "0.25")),
+        "settings: field 'marginal' must be a regular array of numbers"),
+    "marginal-bool": (_asset_with(
+        "brans.json", lambda d: d["settings"].update(marginal=[True, False, False, False])),
+        "settings: field 'marginal' must be a regular array of numbers"),
+    "alice-response-text": (_asset_with(
+        "brans.json", lambda d: d["alice_response"][0].__setitem__(0, "1")),
+        "field 'alice_response' must be a regular array of numbers"),
+    "observable-text": (_asset_with(
+        "bell-optimal.json", lambda d: d["bob_observables"][1][0][0].__setitem__(0, "0.5")),
+        "in.bob_observables[1]: expected numeric [re, im] pairs"),
+    "state-text": (_asset_with(
+        "bell-optimal.json", lambda d: d["state"][0].__setitem__(0, "0.7071067811865476")),
+        "in.state: expected numeric [re, im] pairs"),
+    "vector-text": (_asset_with(
+        "kcbs-pentagram.json", lambda d: d["vectors"][2].__setitem__(1, "0.5")),
+        "field 'vectors' must be a regular array of numbers"),
+    "kcbs-state-null": (_asset_with(
+        "kcbs-pentagram.json", lambda d: d["state"][1].__setitem__(1, None)),
+        "in.state: expected numeric [re, im] pairs"),
     "observable-non-hermitian": (_asset_with(
         "bell-optimal.json", lambda d: d["alice_observables"][0][0].__setitem__(1, [1.0, 0.0])),
         "must be hermitian"),
@@ -566,10 +587,12 @@ MALFORMED_CASES = (
     + [(argv, "deep") for argv in JSON_READERS]
     + [(argv, kind) for argv in MODEL_READERS
        for kind in ("alice-abc", "alice-null", "alice-fraction", "lambda-count-list",
-                    "lambda-count-fraction", "lambda-given-settings-text")]
+                    "lambda-count-fraction", "lambda-given-settings-text", "marginal-text",
+                    "marginal-bool", "alice-response-text")]
     + [(JSON_READERS[0], kind) for kind in ("observable-non-hermitian", "observable-square",
                                             "observable-3x3", "observable-inf", "state-inf",
-                                            "state-3")]
+                                            "state-3", "observable-text", "state-text")]
+    + [(JSON_READERS[3], kind) for kind in ("vector-text", "kcbs-state-null")]
 )
 
 
@@ -661,3 +684,54 @@ def test_internal_invariant_breach_exits_3(capsys, monkeypatch):
     code, _, stderr = run_cli(capsys, "mi", "--table", "0.25,0.25,0.25,0.25")
     assert code == 3
     assert "internal error" in stderr
+
+
+def _with_observable(party, k, matrix):
+    return _asset_with("bell-optimal.json",
+                       lambda d: d[f"{party}_observables"].__setitem__(k, matrix))
+
+
+def _diagonal_pairs(*diagonal):
+    return [[[float(x if i == j else 0.0), 0.0] for j in range(len(diagonal))]
+            for i, x in enumerate(diagonal)]
+
+
+def _huge_observable_entry(party, k):
+    return _with_huge_integer("bell-optimal.json", lambda d, big: (
+        d[f"{party}_observables"][k][1][0].__setitem__(0, big)))
+
+
+def _every_observable(matrix):
+    return _asset_with("bell-optimal.json", lambda d: d.update(
+        alice_observables=[matrix, matrix], bob_observables=[matrix, matrix]))
+
+
+# observable documents that the one-stack decode cannot take, with the full stderr they give;
+# the decode then converts the four matrices one at a time only to name the failing one
+UNSTACKED_OBSERVABLES = {
+    "one 3x3": (_with_observable("bob", 0, _diagonal_pairs(1, -1, 1)),
+                "error: bob observable 0 must act on a qubit\n"),
+    "four 3x3": (_every_observable(_diagonal_pairs(1, -1, 1)),
+                 "error: alice observable 0 must act on a qubit\n"),
+    "1x1": (_with_observable("alice", 1, _diagonal_pairs(1)),
+            "error: alice observable 1 must act on a qubit\n"),
+    "triples": (_with_observable("bob", 1, [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                                            [[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]]),
+                "error: in.bob_observables[1]: expected [re, im] pairs, got shape (2, 2, 3)\n"),
+    "flat": (_with_observable("alice", 0, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]),
+             "error: in.alice_observables[0]: operator must be a matrix of [re, im] pairs\n"),
+} | {
+    f"huge {party} {k}": (_huge_observable_entry(party, k),
+                          f"error: in.{party}_observables[{k}]: expected numeric [re, im] pairs\n")
+    for party in ("alice", "bob") for k in (0, 1)
+}
+
+
+@pytest.mark.parametrize("kind", UNSTACKED_OBSERVABLES)
+def test_observables_off_the_stack_exit_2_naming_the_matrix(capsys, tmp_path, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    content, message = UNSTACKED_OBSERVABLES[kind]
+    (tmp_path / "in").write_text(content)
+    code, stdout, stderr = run_cli(capsys, "chsh", "--scenario", "in", "--out", "o.json")
+    assert (code, stdout, stderr) == (2, "", message)
+    assert [p.name for p in tmp_path.iterdir()] == ["in"]

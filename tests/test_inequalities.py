@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from bellmd.errors import InputError
-from bellmd.hilbert import StateVector, pauli_x, pauli_z, rotated_zx
+from bellmd.hilbert import StateVector, expectations, pauli_x, pauli_z, rotated_zx
 from bellmd.inequalities import (
     KCBS_QUANTUM_OPTIMAL,
     ChshScenario,
@@ -20,6 +20,7 @@ from bellmd.inequalities import (
     lhv_chsh_max,
 )
 from bellmd.lhv import CorrelationTable
+from bellmd.tolerances import DEFAULT_TOLERANCES
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -250,5 +251,13 @@ class TestKcbs:
             except InputError:
                 continue
             built += 1
-            assert -5.0 <= kcbs_value(scenario) <= 5.0
+            value = kcbs_value(scenario)
+            assert -5.0 <= value <= 5.0
+            # kcbs_value skips the hermiticity check; the orthogonality bound keeps it at half
+            v = scenario.vectors
+            observables = 2.0 * (v[:, :, None] * v[:, None, :]) - np.eye(3)
+            products = observables @ np.roll(observables, -1, axis=0)
+            residue = np.abs(products - products.swapaxes(1, 2)).max()
+            assert residue <= DEFAULT_TOLERANCES.arithmetic / 2.0
+            assert value == float(expectations(products, scenario.state).sum())
         assert 500 <= built < 2000

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -11,13 +12,17 @@ from bellmd.inequalities import (
     _OBSERVABLE_NAMES,
     ChshScenario,
     bell_optimal_scenario,
+    chsh_quantum,
+    chsh_value,
     kcbs_pentagram,
+    kcbs_value,
 )
 from bellmd.lhv import CorrelationTable, brans_construct
 from bellmd.serialize import (
     chsh_scenario_from_doc,
     dumps_json,
     format_float,
+    kcbs_scenario_from_doc,
     read_chsh_scenario,
     read_kcbs_scenario,
     read_model,
@@ -25,7 +30,14 @@ from bellmd.serialize import (
     write_curve_csv,
     write_model,
 )
-from oracles import operator_from_doc, perturbed_observable
+from oracles import (
+    bloch_observable,
+    operator_from_doc,
+    perturbed_observable,
+    random_rotation,
+    random_state,
+    random_unit_bloch,
+)
 
 PINNED_DOC_TEXT = (
     '{\n'
@@ -281,3 +293,38 @@ def test_curve_csv_header_and_precision(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "budget_bits,best_chsh,model_file"
     assert lines[2].startswith("0.33333333333333331,")
+
+
+def _seeded_scenario_documents(seed: int):
+    """64 CHSH and 32 KCBS documents, drawn as the benchmark's scenarios workload draws them."""
+    rng = np.random.default_rng([seed, 2])
+    chsh = [{"alice_observables": [_pair_list(bloch_observable(random_unit_bloch(rng)))
+                                   for _ in range(2)],
+             "bob_observables": [_pair_list(bloch_observable(random_unit_bloch(rng)))
+                                 for _ in range(2)],
+             "state": _pair_list(random_state(4, rng))} for _ in range(64)]
+    cos_sq = math.cos(math.pi / 5.0) / (1.0 + math.cos(math.pi / 5.0))
+    cos_t, sin_t = math.sqrt(cos_sq), math.sqrt(1.0 - cos_sq)
+    pentagram = np.array([[sin_t * math.cos(4.0 * math.pi * k / 5.0),
+                           sin_t * math.sin(4.0 * math.pi * k / 5.0), cos_t] for k in range(5)])
+    kcbs = [{"vectors": (pentagram @ random_rotation(rng).T).tolist(),
+             "state": _pair_list(random_state(3, rng))} for _ in range(32)]
+    return chsh, kcbs
+
+
+def _pair_list(arr) -> list:
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
+def test_seeded_scenario_files_evaluate_to_pinned_bits():
+    chsh, kcbs = _seeded_scenario_documents(seed=13)
+    digest = hashlib.sha256()
+    for doc in chsh:
+        table = chsh_quantum(chsh_scenario_from_doc(json.loads(json.dumps(doc))))
+        digest.update(table.joint.tobytes())
+        digest.update(repr(chsh_value(table)).encode())
+    for doc in kcbs:
+        value = kcbs_value(kcbs_scenario_from_doc(json.loads(json.dumps(doc))))
+        digest.update(repr(value).encode())
+    assert digest.hexdigest() == (
+        "1d728fe616773d482efd00fe62000d491fe7bc492ef4a91c5ec1565ade901a1d")

@@ -3,12 +3,14 @@
 Counters pin one check per input.  A CHSH file, sound or defective, runs
 ``ChshScenario``'s check of its four observables once, as one stack, and
 builds no ``OperatorMatrix``; evaluating it builds no checked
-``CorrelationTable`` and never calls ``expectations``, and ``predict``
-builds no checked ``CorrelationTable``.  A model, sound or defective, runs
-``LhvModel``'s one-pass check of its three tables once, and never the
-per-field checks, and ``cmd`` scores the model's weights without a
-distribution check of its own.  A change that puts a second check back on those
-paths fails here.  The property tests below show that what these paths no
+``CorrelationTable`` and never calls ``expectations``.  A KCBS file runs
+``KcbsScenario``'s check once, and evaluating it never calls
+``expectations``, whose hermiticity check the scenario's orthogonality
+bound already settles.  ``predict`` builds no checked ``CorrelationTable``.
+A model, sound or defective, runs ``LhvModel``'s one-pass check of its three
+tables once, and never the per-field checks, and ``cmd`` scores the model's
+weights without a distribution check of its own.  A change that puts a second
+check back on those paths fails here.  The property tests below show that what these paths no
 longer check still holds: on models whose rows sum to 1 up to rounding, or
 as far from 1 as the entry bound allows, with entries down to the tolerance
 below 0 and responses up to it outside [0, 1], every model that constructs
@@ -28,9 +30,9 @@ from bellmd.cli import asset_path
 from bellmd.hilbert import OperatorMatrix
 from bellmd.errors import InputError
 from bellmd.infotheory import cmd
-from bellmd.inequalities import ChshScenario, bell_optimal_scenario, chsh_quantum
+from bellmd.inequalities import ChshScenario, KcbsScenario, bell_optimal_scenario, chsh_quantum
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, predict
-from bellmd.serialize import read_chsh_scenario, read_model
+from bellmd.serialize import read_chsh_scenario, read_kcbs_scenario, read_model
 from bellmd.tolerances import DEFAULT_TOLERANCES
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -65,9 +67,9 @@ def _checked_bits(model) -> float:
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of calls to each checking entry point of the quantum and table paths."""
-    return _counted(monkeypatch, (ChshScenario, "__post_init__"),
+    return _counted(monkeypatch, (ChshScenario, "__post_init__"), (KcbsScenario, "__post_init__"),
                     (OperatorMatrix, "__post_init__"), (CorrelationTable, "__post_init__"),
-                    (hilbert, "expectations"), (inequalities, "expectations"))
+                    (hilbert, "expectations"))
 
 
 @pytest.fixture
@@ -78,12 +80,14 @@ def score_calls(monkeypatch):
 
 def test_the_counters_see_the_checked_paths(calls):
     bell_optimal_scenario()  # four observables built as OperatorMatrix, then one scenario
+    inequalities.kcbs_pentagram()
     CorrelationTable.from_correlators(np.zeros((2, 2)))
-    hilbert.expectations(np.eye(2), hilbert.StateVector([1.0, 0.0]))
-    inequalities.kcbs_value(inequalities.kcbs_pentagram())
-    assert calls == {"ChshScenario.__post_init__": 1, "OperatorMatrix.__post_init__": 4,
-                     "CorrelationTable.__post_init__": 1, "bellmd.hilbert.expectations": 1,
-                     "bellmd.inequalities.expectations": 1}
+    qubit = hilbert.StateVector([1.0, 0.0])
+    hilbert.expectations(np.eye(2), qubit)
+    hilbert.expectation(hilbert.pauli_z(), qubit)  # one more OperatorMatrix, then expectations
+    assert calls == {"ChshScenario.__post_init__": 1, "KcbsScenario.__post_init__": 1,
+                     "OperatorMatrix.__post_init__": 5, "CorrelationTable.__post_init__": 1,
+                     "bellmd.hilbert.expectations": 2}
 
 
 def test_a_chsh_file_is_checked_once_on_decode(calls):
@@ -113,6 +117,14 @@ def test_a_defective_chsh_file_is_checked_once(calls, tmp_path, defect):
     with pytest.raises(InputError):
         read_chsh_scenario(path)
     assert calls == {"ChshScenario.__post_init__": 1}
+
+
+def test_a_kcbs_file_is_checked_once_and_evaluated_without_a_recheck(calls):
+    value = inequalities.kcbs_value(read_kcbs_scenario(asset_path("kcbs-pentagram.json")))
+    assert abs(value - inequalities.KCBS_QUANTUM_OPTIMAL) <= 1e-12
+    assert calls == {"KcbsScenario.__post_init__": 1}
+    # the counter patches hilbert's name; one imported into inequalities would escape it
+    assert not hasattr(inequalities, "expectations")
 
 
 def test_predict_does_not_recheck_its_table(calls):
