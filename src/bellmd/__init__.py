@@ -14,7 +14,6 @@ from .hilbert import (
     OperatorMatrix,
     StateVector,
     expectations,
-    identity,
     pauli_x,
     pauli_z,
     rotated_zx,

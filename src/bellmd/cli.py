@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or input error, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 import time
 from importlib import resources
@@ -35,12 +36,13 @@ from .inequalities import (
 from .lhv import predict
 from .mdsearch import max_chsh_under_budget, min_cmd_for_chsh, tradeoff_curve
 from .serialize import (
+    chsh_scenario_from_doc,
     dump_json,
     dumps_json,
-    read_chsh_scenario,
+    model_from_doc,
+    parse_json,
     read_kcbs_scenario,
     read_model,
-    sha256_file,
     write_curve_csv,
     write_model,
 )
@@ -70,8 +72,11 @@ class _Manifest:
         self.outputs: list[str] = []
         self._started = time.monotonic()
 
-    def add_input(self, path: Path | str) -> None:
-        self.inputs[str(path)] = sha256_file(path)
+    def add_input(self, path: Path | str) -> bytes:
+        """Record the sha256 of ``path`` and return the bytes it digests, read once."""
+        data = Path(path).read_bytes()
+        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
+        return data
 
     def add_output(self, path: Path | str) -> None:
         self.outputs.append(str(path))
@@ -132,12 +137,14 @@ def cmd_teleport(args) -> int:
     else:
         probs = [t.outcome_probability for t in canonical]
         outcomes = sample_outcomes(probs, args.trials, args.seed)
-    counts = np.bincount(outcomes, minlength=4)
+    # trials at or past each threshold 1, 2 and 3; bincount would cast every outcome to intp
+    at_least = [args.trials, *(np.count_nonzero(outcomes >= k) for k in (1, 2, 3)), 0]
+    counts = [n - m for n, m in zip(at_least, at_least[1:])]
     summary = {
         "input": [[inp.a.real, inp.a.imag], [inp.b.real, inp.b.imag]],
         "trials": args.trials,
-        "outcome_counts": counts.tolist(),
-        "outcome_frequencies": (counts / args.trials).tolist(),
+        "outcome_counts": counts,
+        "outcome_frequencies": [c / args.trials for c in counts],
         "min_fidelity": min(t.fidelity for t in canonical),
         "measurement_report": verify_no_setting_choice(),
     }
@@ -162,13 +169,14 @@ def cmd_chsh(args) -> int:
     if args.deterministic_max:
         doc = {"chsh_value": lhv_chsh_max(), "source": "deterministic_enumeration"}
     else:
+        path = args.scenario if args.scenario is not None else args.model
+        # the digest and the evaluated document come from the same bytes
+        source_doc = parse_json(manifest.add_input(path), path)
         if args.scenario is not None:
-            manifest.add_input(args.scenario)
-            table = chsh_quantum(read_chsh_scenario(args.scenario))
+            table = chsh_quantum(chsh_scenario_from_doc(source_doc, str(path)))
             source = "quantum_scenario"
         else:
-            manifest.add_input(args.model)
-            table = predict(read_model(args.model))
+            table = predict(model_from_doc(source_doc, str(path)))
             source = "lhv_model"
         doc = {
             "chsh_value": chsh_value(table),

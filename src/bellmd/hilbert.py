@@ -4,7 +4,9 @@ State vectors, exactly hermitian observables and batched expectation
 values.  Everything is validated eagerly and immutable afterwards, so
 values can be shared freely across threads.  A CHSH scenario's four
 observables are not built as ``OperatorMatrix`` values: ``ChshScenario``
-checks them as one stack, by the same gates.  All spaces in this package are
+checks them as one stack, by the same gates.  Teleportation's receiver
+states are derived from a checked input and checked as one stack there, so
+they are built without a re-check.  All spaces in this package are
 tiny (dimension at most 4 for two-qubit work, 3 for qutrit work), so a dense
 numpy representation is used throughout.
 """
@@ -51,6 +53,13 @@ class StateVector:
         if abs(actual - 1.0) > DEFAULT_TOLERANCES.normalization:
             raise InputError(f"amplitudes have squared norm {actual:.12g}, expected 1")
 
+    @classmethod
+    def _derived(cls, amplitudes: np.ndarray) -> StateVector:
+        """State that takes over ``amplitudes``, a unit vector computed from checked inputs."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", _freeze(amplitudes))
+        return state
+
     @property
     def dim(self) -> int:
         return int(self.amplitudes.size)
@@ -91,10 +100,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return int(self.entries.shape[0])
-
-
-def identity(dim: int) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(dim, dtype=np.complex128))
 
 
 def pauli_x() -> OperatorMatrix:

@@ -7,7 +7,6 @@ values that were written.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -25,6 +24,16 @@ def format_float(x: float) -> str:
 
 
 _INDENT = "  "
+
+# the bytes json.dumps writes as they are: printable ASCII but the quote and the backslash
+_UNESCAPED = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+
+
+def _quoted(text: str) -> str:
+    """``json.dumps(text)``, without its escape scan for text that needs no escapes."""
+    if text.isascii() and not text.encode("ascii").translate(None, _UNESCAPED):
+        return '"' + text + '"'
+    return json.dumps(text)
 
 
 def _emit(obj, depth: int, out: list[str]) -> None:
@@ -45,7 +54,7 @@ def _emit(obj, depth: int, out: list[str]) -> None:
             raise ValueError(f"non-finite float {obj!r} is not serializable")
         out.append(format_float(obj))
     elif isinstance(obj, (str, Path)):
-        out.append(json.dumps(str(obj)))
+        out.append(_quoted(str(obj)))
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), depth, out)
     elif isinstance(obj, dict):
@@ -57,7 +66,7 @@ def _emit(obj, depth: int, out: list[str]) -> None:
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            out.append(sep + json.dumps(key) + ": ")
+            out.append(sep + _quoted(key) + ": ")
             _emit(value, depth + 1, out)
             sep = "," + inner
         out.append("\n" + _INDENT * depth + "}")
@@ -88,18 +97,22 @@ def dump_json(path: Path | str, obj) -> None:
 
 
 def load_json(path: Path | str):
+    return parse_json(Path(path).read_bytes(), path)
+
+
+def parse_json(data: bytes, path: Path | str):
+    """The JSON document in ``data``, the bytes of ``path``, decoded as a text-mode read would."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = data.decode("utf-8")
+        if "\r" in text:  # the universal newlines of a text-mode read, which error offsets count
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
     except RecursionError as exc:
         raise InputError(f"{path}: JSON nested too deeply to read") from exc
-
-
-def sha256_file(path: Path | str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _field(doc: dict, name: str, context: str):

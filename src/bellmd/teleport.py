@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
-from .hilbert import StateVector, identity, pauli_x, pauli_z
+from .errors import InputError, InvariantError
+from .hilbert import StateVector
 from .tolerances import DEFAULT_TOLERANCES
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -27,12 +27,11 @@ _BELL_VECTORS = np.array(
 
 CORRECTION_LABELS = ("identity", "sigma_z", "sigma_x", "sigma_z.sigma_x")
 
-
-def _correction_matrices() -> tuple[np.ndarray, ...]:
-    i2 = identity(2).entries
-    z = pauli_z().entries
-    x = pauli_x().entries
-    return (i2, z, x, z @ x)
+# the correction each outcome selects, in outcome order: 1, Z, X and Z X
+_CORRECTIONS = np.array(
+    [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]],
+    dtype=np.complex128,
+)
 
 
 @dataclass(frozen=True)
@@ -74,39 +73,52 @@ class TeleportTranscript:
         }
 
 
+def _branch_stack(sent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities (4,) and receiver pre-correction states (4, 2) of the 4 outcomes.
+
+    ``sent`` holds the checked input amplitudes.  All four branches are one
+    product of the conjugated entangled basis with the state, laid out as
+    (sender's two qubits, receiver's qubit); each row is then normalized.
+    """
+    grid = np.kron(sent, _BELL_VECTORS[0]).reshape(4, 2)
+    raw = _BELL_VECTORS.conj() @ grid
+    probs = (np.abs(raw) ** 2).sum(axis=1)
+    return probs, raw / np.sqrt(probs)[:, None]
+
+
 def branch_decomposition(inp: TeleportInput) -> list[tuple[float, StateVector]]:
     """Exact (probability, receiver pre-correction state) for each of the 4 outcomes.
 
     Probabilities are branch norms of the combined three-qubit state and
-    equal 1/4 for every normalized input.  All four branches are one
-    product of the conjugated entangled basis with the state, laid out as
-    (sender's two qubits, receiver's qubit).
+    equal 1/4 for every normalized input.  The states are rows of one
+    stack computed from the checked input, so they are not checked again.
     """
-    grid = np.kron(inp.state().amplitudes, _BELL_VECTORS[0]).reshape(4, 2)
-    branches = []
-    for raw in _BELL_VECTORS.conj() @ grid:
-        prob = float(np.sum(np.abs(raw) ** 2))
-        branches.append((prob, StateVector(raw / math.sqrt(prob))))
-    return branches
+    probs, pres = _branch_stack(inp.state().amplitudes)
+    return [(prob, StateVector._derived(pre)) for prob, pre in zip(probs.tolist(), pres)]
 
 
 def branch_transcripts(inp: TeleportInput) -> tuple[TeleportTranscript, ...]:
     """The transcript of each of the 4 branches, list index = outcome index.
 
-    The branch decomposition and the corrections are computed once for all
-    four; each receiver state is validated and compared with the sent state.
+    The input is checked once, as the sent state.  The four corrected
+    receiver states are one (4, 2) stack, checked by one norm reduction;
+    each is then compared with the sent state.
     """
     sent = inp.state()
+    probs, pres = _branch_stack(sent.amplitudes)
+    finals = (_CORRECTIONS @ pres[:, :, None])[:, :, 0]
+    sq_norms = (np.abs(finals) ** 2).sum(axis=1)
+    if not (np.abs(sq_norms - 1.0) <= DEFAULT_TOLERANCES.normalization).all():
+        raise InvariantError(f"receiver states have squared norms {sq_norms}, expected 1")
     transcripts = []
-    for k, ((prob, pre), correction) in enumerate(
-        zip(branch_decomposition(inp), _correction_matrices())
-    ):
-        bob_final = StateVector(correction @ pre.amplitudes)
+    for k, (prob, final) in enumerate(zip(probs.tolist(), finals)):
+        bob_final = StateVector._derived(final)
         transcripts.append(TeleportTranscript(
             outcome_index=k,
             outcome_probability=prob,
             correction_applied=CORRECTION_LABELS[k],
             bob_final=bob_final,
+            # np.vdot per branch: one matmul over the stack rounds some overlaps differently
             fidelity=min(bob_final.fidelity(sent), 1.0),
         ))
     return tuple(transcripts)

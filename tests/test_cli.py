@@ -116,6 +116,26 @@ class TestTeleportCommand:
         assert code == 0
         assert json.loads(forced.read_text())["outcomes"] == "22222"
 
+    # argv of each run the byte golden below digests
+    GOLDEN_RUNS = (
+        [["--random", "--seed", str(seed), "--trials", str(trials)]
+         for seed in range(64) for trials in (1, 7, 1000)]
+        + [["--a-re", a, "--b-re", b, "--seed", "3", "--trials", "1000"]
+           for a, b in (("1", "0"), ("0", "1"), ("0.6", "0.8"), ("0.8", "-0.6"))]
+        + [["--a-re", "0.6", "--b-re", "0.8", "--force-outcome", str(k), "--trials", "9"]
+           for k in range(4)]
+    )
+
+    def test_golden_bytes_over_many_runs(self, capsys, tmp_path):
+        # sha256 over rc, stdout and data file of each run, as written before the branch stack
+        digest = hashlib.sha256()
+        out = tmp_path / "run.json"
+        for argv in self.GOLDEN_RUNS:
+            code, stdout, _ = run_cli(capsys, "teleport", *argv, "--out", str(out))
+            digest.update(b"%d\n%s\n%s\n" % (code, stdout.encode(), out.read_bytes()))
+        assert digest.hexdigest() == \
+            "139d10b514b90a4f6863eba736aa5b6f8190070a23707918e7b36975a5aac7c9"
+
     @pytest.mark.parametrize("extra", [["--random"], ["--force-outcome", "1"]])
     def test_unallocatable_trials_exit_2_without_files(self, capsys, tmp_path, extra):
         # 10**15 float64 draws are 8 PB, beyond any 64-bit address space, so the
@@ -200,6 +220,29 @@ class TestChshCommand:
 
     def test_mode_required(self, capsys):
         assert run_cli(capsys, "chsh")[0] == 2
+
+    @pytest.mark.parametrize("mode, asset", [("--scenario", "bell-optimal.json"),
+                                             ("--model", "brans.json")])
+    def test_manifest_digests_the_bytes_it_evaluates(self, capsys, tmp_path, monkeypatch,
+                                                     mode, asset):
+        # one read serves both, so the digest cannot belong to other bytes
+        path = tmp_path / asset
+        path.write_bytes(asset_path(asset).read_bytes())
+        reads = []
+        for name in ("read_bytes", "read_text"):
+            def counted(self, *args, _name=name, _original=getattr(Path, name), **kwargs):
+                if self == path:
+                    reads.append(_name)
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(Path, name, counted)
+        out = tmp_path / "chsh.json"
+        code, stdout, stderr = run_cli(capsys, "chsh", mode, str(path), "--out", str(out))
+        assert code == 0, stderr
+        assert reads == ["read_bytes"]
+        assert json.loads(stdout)["chsh_value"] == math.sqrt(8.0)
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["input_digests"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
     def test_rows_over_one_after_the_clip_exit_2_naming_the_field(self, capsys, tmp_path):
         # each row sums to 1 + 9.4e-13 but to 1 + 4.9e-12 once its negatives clip to 0;

@@ -10,7 +10,6 @@ from bellmd.hilbert import (
     StateVector,
     expectation,
     expectations,
-    identity,
     pauli_x,
     pauli_z,
     rotated_zx,
@@ -171,7 +170,7 @@ class TestExpectations:
 
     def test_stack_shape_is_kept(self, rng):
         s = StateVector(oracles.random_state(2, rng))
-        ops = np.stack([pauli_x().entries, pauli_z().entries, identity(2).entries] * 2)
+        ops = np.stack([pauli_x().entries, pauli_z().entries, np.eye(2)] * 2)
         values = expectations(ops.reshape(2, 3, 2, 2), s)
         assert values.shape == (2, 3)
         assert values[0, 0] == expectation(pauli_x(), s)

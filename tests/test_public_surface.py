@@ -36,7 +36,6 @@ PUBLIC_NAMES = [
     "cmd",
     "entropy_bits",
     "expectations",
-    "identity",
     "kcbs_classical_min",
     "kcbs_pentagram",
     "kcbs_value",

@@ -23,6 +23,7 @@ from bellmd.serialize import (
     dumps_json,
     format_float,
     kcbs_scenario_from_doc,
+    load_json,
     read_chsh_scenario,
     read_kcbs_scenario,
     read_model,
@@ -117,6 +118,68 @@ class TestFloatFormat:
             dumps_json({"z": 1j})
         with pytest.raises(TypeError):
             dumps_json({1: "non-string key"})
+
+
+class TestStringQuoting:
+    """``dumps_json`` quotes every string, and every key, as ``json.dumps`` does."""
+
+    def test_every_ascii_code_point(self):
+        for code in range(128):
+            text = chr(code)
+            assert dumps_json(text) == json.dumps(text), code
+            assert dumps_json({text: 1}) == json.dumps({text: 1}, indent=2), code
+
+    @pytest.mark.parametrize("text", [
+        '"', "\\", "\x7f", 'say "q"', "C:\\runs", "a\x7fb", "caf\u00e9", "\u03bb \u2013 \U0001f600",
+        "\ud800", "", " ", "0123" * 25_000,
+    ])
+    def test_escapes_and_non_ascii_text(self, text):
+        assert dumps_json(text) == json.dumps(text)
+        assert dumps_json([text]) == json.dumps([text], indent=2)
+
+    def test_a_path(self):
+        path = Path("runs") / "out \"1\".json"
+        assert dumps_json(path) == json.dumps(str(path))
+
+    def test_arbitrary_text(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(text=hypothesis.strategies.text())
+        def quoted_as_json_dumps_quotes_it(text):
+            assert dumps_json(text) == json.dumps(text)
+            assert dumps_json({text: text}) == json.dumps({text: text}, indent=2)
+
+        quoted_as_json_dumps_quotes_it()
+
+
+# name -> file bytes whose document, or error, a text-mode read would give
+LOAD_CASES = {
+    "crlf": b'{\r\n  "a": 1\r\n}\r\n',
+    "crlf, then a syntax error": b'{\r\n  "a": 1,\r\n  "b": ]\r\n}',
+    "cr, then a syntax error": b'{\r  "a": 1,\r  "b": ]\r}',
+    "cr in a string": b'{"a": "x\ry"}',
+    "invalid utf-8 past 8 kB": b'{"a": "' + b"x" * 10_000 + b'\xff"}',
+    "utf-8 bom": b'\xef\xbb\xbf{"a": 1}',
+    "non-ascii": '{"a": "caf\u00e9"}'.encode(),
+}
+
+
+@pytest.mark.parametrize("case", LOAD_CASES)
+def test_load_json_reads_as_a_text_mode_read(tmp_path, case):
+    path = tmp_path / "doc.json"
+    path.write_bytes(LOAD_CASES[case])
+    try:
+        expected = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        expected = exc
+    try:
+        got = load_json(path)
+    except InputError as exc:
+        assert isinstance(expected, Exception), exc
+        assert type(exc.__cause__) is type(expected) and str(exc.__cause__) == str(expected)
+    else:
+        assert got == expected
 
 
 class TestModelRoundTrip:

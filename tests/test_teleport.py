@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from bellmd.errors import InputError
+from bellmd import teleport
+from bellmd.errors import InputError, InvariantError
 from bellmd.hilbert import StateVector
 from bellmd.teleport import (
     CORRECTION_LABELS,
@@ -137,6 +138,13 @@ def test_branch_transcripts_match_each_branch(rng):
         assert t.to_json_dict() == run_teleportation(inp, forced_outcome=k).to_json_dict()
         assert t.outcome_probability == prob
         assert t.correction_applied == CORRECTION_LABELS[k]
+
+
+def test_the_receiver_stack_is_checked(monkeypatch):
+    # corrections that are not unitary break the receiver states' unit norm
+    monkeypatch.setattr(teleport, "_CORRECTIONS", teleport._CORRECTIONS * 1.1)
+    with pytest.raises(InvariantError, match="squared norms"):
+        branch_transcripts(TeleportInput(0.6, 0.8))
 
 
 def test_forced_outcome_validated():

@@ -7,6 +7,8 @@ builds no ``OperatorMatrix``; evaluating it builds no checked
 ``KcbsScenario``'s check once, and evaluating it never calls
 ``expectations``, whose hermiticity check the scenario's orthogonality
 bound already settles.  ``predict`` builds no checked ``CorrelationTable``.
+A teleport run checks one state, the sent one, and builds no
+``OperatorMatrix``: its four receiver states are one stack with one norm check.
 A model, sound or defective, runs ``LhvModel``'s one-pass check of its three
 tables once, and never the per-field checks, and ``cmd`` scores the model's
 weights without a distribution check of its own.  A change that puts a second
@@ -25,9 +27,9 @@ import numpy as np
 import pytest
 
 import oracles
-from bellmd import hilbert, inequalities, lhv
+from bellmd import cli, hilbert, inequalities, lhv, teleport
 from bellmd.cli import asset_path
-from bellmd.hilbert import OperatorMatrix
+from bellmd.hilbert import OperatorMatrix, StateVector
 from bellmd.errors import InputError
 from bellmd.infotheory import cmd
 from bellmd.inequalities import ChshScenario, KcbsScenario, bell_optimal_scenario, chsh_quantum
@@ -73,12 +75,18 @@ def calls(monkeypatch):
 
 
 @pytest.fixture
+def state_calls(monkeypatch):
+    """Counts of calls to the state check."""
+    return _counted(monkeypatch, (StateVector, "__post_init__"))
+
+
+@pytest.fixture
 def score_calls(monkeypatch):
     """Counts of calls to the model check and the per-field row check."""
     return _counted(monkeypatch, (lhv, "_model_tables"), (lhv, "_distribution_rows"))
 
 
-def test_the_counters_see_the_checked_paths(calls):
+def test_the_counters_see_the_checked_paths(calls, state_calls):
     bell_optimal_scenario()  # four observables built as OperatorMatrix, then one scenario
     inequalities.kcbs_pentagram()
     CorrelationTable.from_correlators(np.zeros((2, 2)))
@@ -88,6 +96,18 @@ def test_the_counters_see_the_checked_paths(calls):
     assert calls == {"ChshScenario.__post_init__": 1, "KcbsScenario.__post_init__": 1,
                      "OperatorMatrix.__post_init__": 5, "CorrelationTable.__post_init__": 1,
                      "bellmd.hilbert.expectations": 2}
+    state_calls.clear()
+    teleport.TeleportInput(0.6, 0.8).state()  # the sent state, the one a teleport run checks
+    assert state_calls == {"StateVector.__post_init__": 1}
+
+
+def test_a_teleport_run_checks_the_sent_state_once(calls, state_calls, capsys, tmp_path):
+    out = tmp_path / "teleport.json"
+    code = cli.main(["teleport", "--random", "--seed", "5", "--trials", "1000", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["min_fidelity"] >= 1.0 - 1e-12
+    assert not calls  # no OperatorMatrix, and no other check of the quantum path
+    assert state_calls == {"StateVector.__post_init__": 1}
 
 
 def test_a_chsh_file_is_checked_once_on_decode(calls):
