@@ -78,9 +78,6 @@ class _Manifest:
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
         return data
 
-    def add_output(self, path: Path | str) -> None:
-        self.outputs.append(str(path))
-
     def write(self, path: Path | str) -> None:
         doc = {
             "subcommand": self.subcommand,
@@ -94,12 +91,17 @@ class _Manifest:
         dump_json(path, doc)
 
 
-def _write_out(path: Path, doc: dict, manifest: _Manifest) -> None:
-    """Write an ``--out`` data file and its manifest, creating its directory like ``--out-dir``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    dump_json(path, doc)
-    manifest.add_output(path)
-    manifest.write(str(path) + ".manifest.json")
+def _write_out(files, manifest: _Manifest, manifest_path: Path) -> None:
+    """Write each (path, writer, value) data file, then the manifest beside them.
+
+    The directory is created first.  A run prints its summary only after this
+    returns, so a failed write leaves stdout empty.
+    """
+    manifest_path.parent.mkdir(parents=True, exist_ok=True)
+    for path, write, value in files:
+        write(path, value)
+        manifest.outputs.append(str(path))
+    manifest.write(manifest_path)
 
 
 def _resolve_input(inp_args) -> TeleportInput:
@@ -149,12 +151,12 @@ def cmd_teleport(args) -> int:
         "measurement_report": verify_no_setting_choice(),
     }
     if args.out:
-        _write_out(args.out, {
+        _write_out([(args.out, dump_json, {
             "summary": summary,
             "transcripts": [t.to_json_dict() for t in canonical],
             # one ASCII digit per trial: the outcome index, in trial order
             "outcomes": (outcomes + 48).tobytes().decode("ascii"),
-        }, manifest)
+        })], manifest, Path(f"{args.out}.manifest.json"))
     print(dumps_json(summary))
     return 0
 
@@ -185,7 +187,7 @@ def cmd_chsh(args) -> int:
             "joint_outcome_probabilities": table.joint.tolist(),
         }
     if args.out:
-        _write_out(args.out, doc, manifest)
+        _write_out([(args.out, dump_json, doc)], manifest, Path(f"{args.out}.manifest.json"))
     print(dumps_json(doc if args.deterministic_max else {"chsh_value": doc["chsh_value"]}))
     return 0
 
@@ -226,14 +228,14 @@ def cmd_optimize(args) -> int:
     # solve first: a run that fails on its input leaves no directory behind
     if args.target_s is not None:
         outcome = min_cmd_for_chsh(args.target_s)
-        models = {"min_cmd_model.json": outcome.model}
-        reports = {"min_cmd_report.json": {
-            "target_s": args.target_s,
-            "chsh_value": outcome.chsh,
-            "cmd": outcome.cmd_report.to_json_dict(),
-            "feasible": outcome.feasible,
-            "budget_exhausted": not outcome.feasible,
-        }}
+        files = [("min_cmd_model.json", write_model, outcome.model),
+                 ("min_cmd_report.json", dump_json, {
+                     "target_s": args.target_s,
+                     "chsh_value": outcome.chsh,
+                     "cmd": outcome.cmd_report.to_json_dict(),
+                     "feasible": outcome.feasible,
+                     "budget_exhausted": not outcome.feasible,
+                 })]
         summary = {
             "chsh_value": outcome.chsh,
             "raw_bits": outcome.cmd_report.raw_bits,
@@ -241,12 +243,12 @@ def cmd_optimize(args) -> int:
         }
     elif args.budget is not None:
         outcome = max_chsh_under_budget(args.budget)
-        models = {"budget_model.json": outcome.model}
-        reports = {"budget_report.json": {
-            "budget_bits": args.budget,
-            "best_chsh": outcome.chsh,
-            "cmd": outcome.cmd_report.to_json_dict(),
-        }}
+        files = [("budget_model.json", write_model, outcome.model),
+                 ("budget_report.json", dump_json, {
+                     "budget_bits": args.budget,
+                     "best_chsh": outcome.chsh,
+                     "cmd": outcome.cmd_report.to_json_dict(),
+                 })]
         summary = {"best_chsh": outcome.chsh, "raw_bits": outcome.cmd_report.raw_bits}
     else:
         try:
@@ -254,26 +256,17 @@ def cmd_optimize(args) -> int:
         except ValueError as exc:
             raise InputError(f"--curve must be comma-separated numbers: {exc}") from exc
         points = tradeoff_curve(budgets)
-        models = {f"curve_model_{k}.json": p.model for k, p in enumerate(points)}
-        reports = {}
+        files = [(f"curve_model_{k}.json", write_model, p.model) for k, p in enumerate(points)]
+        rows = [(p.budget_bits, p.best_chsh, name) for p, (name, _, _) in zip(points, files)]
+        files.append(("curve.csv", write_curve_csv, rows))
         summary = {"points": [
             {"budget_bits": p.budget_bits, "best_chsh": p.best_chsh} for p in points
         ]}
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, model in models.items():
-        write_model(out_dir / name, model)
-        manifest.add_output(out_dir / name)
-    for name, doc in reports.items():
-        dump_json(out_dir / name, doc)
-        manifest.add_output(out_dir / name)
-    if args.curve is not None:
-        rows = [(p.budget_bits, p.best_chsh, name) for p, name in zip(points, models)]
-        write_curve_csv(out_dir / "curve.csv", rows)
-        manifest.add_output(out_dir / "curve.csv")
+    _write_out([(out_dir / name, write, value) for name, write, value in files], manifest,
+               out_dir / "manifest.json")
     print(dumps_json(summary))
-    manifest.write(out_dir / "manifest.json")
     return 0
 
 
@@ -351,10 +344,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -4,9 +4,9 @@ State vectors, exactly hermitian observables and batched expectation
 values.  Everything is validated eagerly and immutable afterwards, so
 values can be shared freely across threads.  A CHSH scenario's four
 observables are not built as ``OperatorMatrix`` values: ``ChshScenario``
-checks them as one stack, by the same gates.  Teleportation's receiver
-states are derived from a checked input and checked as one stack there, so
-they are built without a re-check.  All spaces in this package are
+checks them as one stack, by the same ``_hermitian_parts``.  Teleportation's
+receiver states are derived from a checked input and checked as one stack
+there, so they are built without a re-check.  All spaces in this package are
 tiny (dimension at most 4 for two-qubit work, 3 for qutrit work), so a dense
 numpy representation is used throughout.
 """
@@ -49,8 +49,11 @@ class StateVector:
     def __post_init__(self) -> None:
         arr = _as_complex_vector(self.amplitudes)
         object.__setattr__(self, "amplitudes", arr)
-        actual = float((np.abs(arr) ** 2).sum())
+        # an amplitude past 2 fails the gate either way; the clamp keeps its square finite
+        actual = float((np.minimum(np.abs(arr), 2.0) ** 2).sum())
         if abs(actual - 1.0) > DEFAULT_TOLERANCES.normalization:
+            with np.errstate(over="ignore"):  # the unclamped norm, for the message
+                actual = float((np.abs(arr) ** 2).sum())
             raise InputError(f"amplitudes have squared norm {actual:.12g}, expected 1")
 
     @classmethod
@@ -89,17 +92,32 @@ class OperatorMatrix:
         arr = np.array(self.entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise InputError(f"operator must be a nonempty square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("operator entries must be finite")
-        adjoint = arr.conj().T
-        residue = float(np.max(np.abs(arr - adjoint)))
-        if residue > DEFAULT_TOLERANCES.arithmetic:
-            raise InputError(f"operator must be hermitian: max |A - A^dagger| = {residue:.3g}")
-        object.__setattr__(self, "entries", _freeze(arr * 0.5 + adjoint * 0.5))
+        object.__setattr__(self, "entries", _freeze(_hermitian_parts(arr[None])[0]))
 
     @property
     def dim(self) -> int:
         return int(self.entries.shape[0])
+
+
+def _hermitian_parts(ops: np.ndarray, names=None) -> np.ndarray:
+    """A/2 + A^dagger/2 of each member A of an (n, d, d) stack, after its checks.
+
+    In order: finite entries, then max |A - A^dagger| <= `arithmetic`, as |A/2 - A^dagger/2|
+    <= `arithmetic` / 2, an exact scaling that cannot overflow.  The first member that fails
+    raises, prefixed by its entry of ``names`` and a colon when ``names`` is given.
+    """
+    finite = np.isfinite(ops)
+    if finite.all():
+        half, half_adjoint = ops * 0.5, ops.swapaxes(1, 2).conj() * 0.5
+        gaps = np.abs(half - half_adjoint)
+        if gaps.max(initial=0.0) <= DEFAULT_TOLERANCES.arithmetic / 2.0:
+            return half + half_adjoint
+        i = int(np.argmax(gaps.max(axis=(1, 2)) > DEFAULT_TOLERANCES.arithmetic / 2.0))
+        residue = 2.0 * float(gaps[i].max())  # a float past the maximum reads inf, unwarned
+        defect = f"operator must be hermitian: max |A - A^dagger| = {residue:.3g}"
+    else:
+        i, defect = int(np.argmin(finite.all(axis=(1, 2)))), "operator entries must be finite"
+    raise InputError(defect if names is None else f"{names[i]}: {defect}")
 
 
 def pauli_x() -> OperatorMatrix:
@@ -124,9 +142,9 @@ def tensor_op(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 def expectations(ops, s: StateVector) -> np.ndarray:
     """<s|A|s> for every hermitian operator A in a stack of shape (..., d, d).
 
-    The whole stack is checked at once: matching dimension, finite entries,
-    hermiticity within the arithmetic tolerance, and a real result within
-    the operator tolerance.
+    The whole stack is checked at once: matching dimension, then
+    ``_hermitian_parts``, then a real result within the operator tolerance.
+    The operators are evaluated as given, not as their hermitian parts.
     """
     arr = np.asarray(ops, dtype=np.complex128)
     if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
@@ -135,11 +153,7 @@ def expectations(ops, s: StateVector) -> np.ndarray:
         raise InputError(
             f"operator dimension {arr.shape[-1]} does not match state dimension {s.dim}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise InputError("operator entries must be finite")
-    residue = float(np.max(np.abs(arr - np.swapaxes(arr, -1, -2).conj()), initial=0.0))
-    if residue > DEFAULT_TOLERANCES.arithmetic:
-        raise InputError("expectation requires a hermitian operator")
+    _hermitian_parts(arr.reshape(-1, s.dim, s.dim))
     return _hermitian_expectations(arr, s)
 
 

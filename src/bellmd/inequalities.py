@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .hilbert import StateVector, _hermitian_expectations
+from .hilbert import StateVector, _hermitian_expectations, _hermitian_parts
 # the benchmark tracer (bench/workloads.py) wraps these two names in this module
 from .hilbert import expectation, tensor_op  # noqa: F401
 from .lhv import CorrelationTable
@@ -27,6 +27,7 @@ KCBS_QUANTUM_OPTIMAL = 5.0 - 4.0 * math.sqrt(5.0)
 # index of the Gram-matrix entries (i, i + 1 mod 5) of a five-cycle
 _CYCLE = (np.arange(5), np.array([1, 2, 3, 4, 0]))
 _OBSERVABLE_NAMES = [f"{party} observable {k}" for party in ("alice", "bob") for k in (0, 1)]
+_EYE = np.eye(2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,8 +38,8 @@ class ChshScenario:
     bob 0, bob 1, built from any four matrices, each stored as A/2 + A^dagger/2
     as ``OperatorMatrix`` stores it.  The checks, in order, each over all four
     observables and naming or reporting the first that fails: shape (square,
-    then a qubit's), finite entries, max |A - A^dagger| <= `arithmetic`, max
-    |A^2 - 1| <= `arithmetic` / 4; then the state's dimension.
+    then a qubit's), ``_hermitian_parts``'s finite entries and max |A - A^dagger|
+    <= `arithmetic`, max |A^2 - 1| <= `arithmetic` / 4; then the state's dimension.
     """
 
     observables: np.ndarray
@@ -55,27 +56,21 @@ class ChshScenario:
                 raise InputError(f"operator must be a nonempty square matrix, got shape {shape}")
             if shape != (2, 2):
                 raise InputError(f"{name} must act on a qubit")
-        ops = np.asarray(ops, dtype=np.complex128)
-        if not np.isfinite(ops).all():
-            i = int(np.argmin(np.isfinite(ops).all(axis=(1, 2))))
-            raise InputError(f"{_OBSERVABLE_NAMES[i]}: operator entries must be finite")
-        adjoint = ops.swapaxes(1, 2).conj()
-        gaps = np.abs(ops - adjoint)
-        if gaps.max() > DEFAULT_TOLERANCES.arithmetic:
-            i = int(np.argmax(gaps.max(axis=(1, 2)) > DEFAULT_TOLERANCES.arithmetic))
-            raise InputError(f"{_OBSERVABLE_NAMES[i]}: operator must be hermitian: "
-                             f"max |A - A^dagger| = {gaps[i].max():.3g}")
-        ops = np.add(ops * 0.5, adjoint * 0.5, out=adjoint)
+        ops = _hermitian_parts(np.ascontiguousarray(ops, dtype=np.complex128), _OBSERVABLE_NAMES)
         # max |A^2 - 1| <= t keeps A's eigenvalues within t of +/-1, so (1 +/- A)/2 has
         # eigenvalues in [-t/2, 1 + t/2] and chsh_quantum's clamped, renormalized tables
         # and their correlators stay within a few t of an exact +/-1 measurement's. Nothing
         # downstream rejects a larger t; t = `arithmetic` / 4 keeps that gap at rounding
         square_tol = DEFAULT_TOLERANCES.arithmetic / 4.0
-        gaps = np.abs(ops @ ops - np.eye(2))
-        if gaps.max() > square_tol:
-            i = int(np.argmax(gaps.max(axis=(1, 2)) > square_tol))
+        # a hermitian A with a real or imaginary part past 2 has (A^2)_ii >= 4, so it fails
+        # with those parts clamped at 2 too, and the clamped products stay finite
+        clamped = np.minimum(np.maximum(ops.view(float), -2.0), 2.0).view(np.complex128)
+        if np.abs(clamped @ clamped - _EYE).max() > square_tol:
+            with np.errstate(over="ignore", invalid="ignore"):  # the unclamped, for the message
+                gaps = np.abs(ops @ ops - _EYE).max(axis=(1, 2))
+            i = int(np.argmax(~(gaps <= square_tol)))
             raise InputError(f"{_OBSERVABLE_NAMES[i]} must square to the identity: "
-                             f"max |A^2 - 1| = {gaps[i].max():.3g} > {square_tol:.3g}")
+                             f"max |A^2 - 1| = {gaps[i]:.3g} > {square_tol:.3g}")
         if self.state.dim != 4:
             raise InputError("shared state must live in the 4-dimensional two-qubit space")
         ops.setflags(write=False)
@@ -100,9 +95,8 @@ def chsh_quantum(s: ChshScenario) -> CorrelationTable:
     rounds exactly as ``np.kron`` does (einsum may fuse multiply-adds).
     """
     ops = s.observables
-    eye = np.eye(2)
     # [observable, outcome] -> (1 + A)/2 for outcome 0, (1 - A)/2 for outcome 1
-    projs = np.array([eye + ops, eye - ops]).swapaxes(0, 1) / 2.0
+    projs = np.array([_EYE + ops, _EYE - ops]).swapaxes(0, 1) / 2.0
     alice_projs, bob_projs = projs[:2], projs[2:]
     # axes (a, b, x, y, i, j, k, l) -> P_a^x[i, k] Q_b^y[j, l], i.e. kron(P, Q)[2i + j, 2k + l]
     proj_products = (alice_projs[:, None, :, None, :, None, :, None]
@@ -146,7 +140,8 @@ class KcbsScenario:
             raise InputError(f"need five 3-vectors, got shape {vecs.shape}")
         if not np.isfinite(vecs).all():
             raise InputError("vectors must be finite")
-        lengths = np.sqrt((vecs * vecs).sum(axis=1))  # np.linalg.norm's bits
+        # np.linalg.norm's bits; an entry past 2 fails either way, and clamped its square is finite
+        lengths = np.sqrt((np.minimum(np.abs(vecs), 2.0) ** 2).sum(axis=1))
         if (np.abs(lengths - 1.0) > DEFAULT_TOLERANCES.operator).any():
             raise InputError("all five vectors must be unit length")
         # A_i A_{i+1} has hermiticity residue up to 4 |v_i . v_{i+1}|; an eighth of

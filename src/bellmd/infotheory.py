@@ -16,7 +16,7 @@ from .errors import InvariantError
 from .lhv import LhvModel
 from .tolerances import DEFAULT_TOLERANCES
 
-_CLAMP = 1e-12
+_CLAMP = DEFAULT_TOLERANCES.arithmetic
 _TINY = np.finfo(float).tiny
 
 

@@ -22,7 +22,7 @@ from .tolerances import DEFAULT_TOLERANCES
 
 _ATOL = DEFAULT_TOLERANCES.arithmetic
 # the row sums a model enters with: a quarter of the tolerance keeps predict's
-# outcome rows within it, and cmd's mutual information above its -_ATOL clamp
+# outcome rows within it, and cmd's mutual information above infotheory's clamp
 _ROW_ATOL = _ATOL / 4
 
 
@@ -34,15 +34,32 @@ def _distribution_rows(name: str, table, columns: int | None = None, atol=_ATOL)
         raise InputError(f"{name} must be a 2-d table")
     if columns is not None and arr.shape[1] != columns:
         raise InputError(f"{name} must have {columns} columns, got {arr.shape[1]}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} entries must be finite")
-    if np.any(arr < -_ATOL):
-        raise InputError(f"{name} entries must be nonnegative")
-    # the sums are those of the rows as kept, after the clip
-    arr = np.clip(arr, 0.0, None)
-    _check_sums(name, arr.sum(axis=1), atol)
+    _check_table(name, arr, atol)
     arr.setflags(write=False)
     return arr
+
+
+def _check_table(name: str, table: np.ndarray, row_atol: float | None) -> None:
+    """Check one table, raising its first defect; a distribution is clipped at 0 in place.
+
+    In order: finite entries; entries within `arithmetic` of [0, 1] for a response table
+    (``row_atol`` None), or of [0, inf) for a distribution; then a distribution's row sums
+    after the clip, within `arithmetic`, then within ``row_atol``, of 1.
+    """
+    if not np.isfinite(table).all():
+        raise InputError(f"{name} entries must be finite")
+    below = (table < -_ATOL).any()
+    if row_atol is None:
+        if below or (table > 1.0 + _ATOL).any():
+            raise InputError(f"{name} entries must lie in [0, 1]")
+    elif below:
+        raise InputError(f"{name} entries must be nonnegative")
+    else:
+        np.clip(table, 0.0, None, out=table)
+        with np.errstate(over="ignore"):  # rows near the float maximum sum to inf
+            sums = table.sum(axis=1)
+        _check_sums(name, sums)
+        _check_sums(name, sums, row_atol)
 
 
 def _check_sums(name: str, sums: np.ndarray, atol=_ATOL) -> None:
@@ -103,36 +120,21 @@ def _model_tables(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...
             break
         arrays.append(arr)
     stack = np.concatenate(arrays)
-    # the bounds reject NaN too, and +inf in a row fails its sum; `initial` lets tables
-    # with no hidden value reach the sum check
-    ok = stack.min(initial=0.0) >= -_ATOL and stack[n:].max(initial=1.0) <= 1.0 + _ATOL
+    # the bounds reject NaN too, and an entry past 1 fails its row sum anyway, which bounding
+    # it keeps finite; `initial` lets tables with no hidden value reach the sum check
+    ok = stack.min(initial=0.0) >= -_ATOL and stack.max(initial=1.0) <= 1.0 + _ATOL
     if ok:
         np.clip(stack, 0.0, None, out=stack)
         np.minimum(stack[n:], 1.0, out=stack[n:])
         ok = np.abs(stack[:n].sum(axis=1) - 1.0).max() <= _ROW_ATOL
-    if not ok:
-        _raise_entry_defect(stack, n, n_a)
+    if not ok:  # the first defect in field order, from the same checks table by table
+        rows = (slice(0, n), slice(n, n + n_a), slice(n + n_a, None))
+        for name, table_rows, row_atol in zip(_FIELDS, rows, (_ROW_ATOL, None, None)):
+            _check_table(name, stack[table_rows], row_atol)
     if defect is not None:  # a response table that did not stack, after those before it pass
         raise defect
     stack.setflags(write=False)
     return stack[:n], stack[n:n + n_a], stack[n + n_a:]
-
-
-def _raise_entry_defect(stack: np.ndarray, n: int, n_a: int) -> None:
-    """Raise the first entry defect in field order, from per-field masks over the stack."""
-    finite = np.isfinite(stack)
-    outside = stack < -_ATOL
-    outside[n:] |= stack[n:] > 1.0 + _ATOL
-    for name, rows in zip(_FIELDS, (slice(0, n), slice(n, n + n_a), slice(n + n_a, None))):
-        if not finite[rows].all():
-            raise InputError(f"{name} entries must be finite")
-        if outside[rows].any():
-            bounds = "be nonnegative" if rows.start == 0 else "lie in [0, 1]"
-            raise InputError(f"{name} entries must {bounds}")
-        if rows.start == 0:  # the sums are those of the rows as kept, after the clip
-            sums = np.clip(stack[rows], 0.0, None).sum(axis=1)
-            _check_sums(name, sums)
-            _check_sums(name, sums, _ROW_ATOL)
 
 
 @dataclass(frozen=True, eq=False)

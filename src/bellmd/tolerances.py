@@ -9,13 +9,13 @@ from dataclasses import dataclass
 class Tolerances:
     """Absolute tolerances used throughout the package.
 
-    normalization: squared norms of state vectors and teleport inputs, and
+    normalization: squared norms of state vectors, teleport inputs included, and
         the entropy bound on a model's dependence
     operator: unit length of KCBS vectors, imaginary residue of expectation
         values
-    arithmetic: hermiticity of every operator, probability-table entries and
-        sums; a quarter of it bounds CHSH observables squaring to 1 and the
-        row sums of a model's tables, an eighth KCBS neighbour orthogonality
+    arithmetic: hermiticity of every operator, probability-table entries and sums, and
+        the mutual-information clamp; a quarter of it bounds CHSH observables squaring
+        to 1 and the row sums of a model's tables, an eighth KCBS neighbour orthogonality
     """
 
     normalization: float = 1e-9

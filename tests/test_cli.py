@@ -617,6 +617,27 @@ MALFORMED_INPUTS = {
     "state-3": (_asset_with(
         "bell-optimal.json", lambda d: d.update(state=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])),
         "4-dimensional"),
+    # numbers whose squares, differences or sums overflow, one per gate
+    "state-huge": (_asset_with("bell-optimal.json", lambda d: d["state"][0].__setitem__(0, 1e200)),
+                   "error: amplitudes have squared norm inf, expected 1"),
+    "vector-huge": (_asset_with(
+        "kcbs-pentagram.json", lambda d: d["vectors"][2].__setitem__(1, 1e200)),
+        "error: all five vectors must be unit length"),
+    "observable-huge-square": (_asset_with(
+        "bell-optimal.json", lambda d: d["alice_observables"].__setitem__(
+            0, [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]])),
+        "error: alice observable 0 must square to the identity: max |A^2 - 1| = inf"),
+    "observable-huge-residue": (_asset_with(
+        "bell-optimal.json", lambda d: d["alice_observables"].__setitem__(
+            0, [[[0.0, 0.0], [1.7e308, 0.0]], [[-1.7e308, 0.0], [0.0, 0.0]]])),
+        "error: alice observable 0: operator must be hermitian: max |A - A^dagger| = inf"),
+    "lambda-row-huge": (_asset_with(
+        "brans.json", lambda d: d["lambda_given_settings"][0].__setitem__(slice(2), [1e308] * 2)),
+        "error: lambda_given_settings rows must each sum to 1 within 1e-12"),
+    "marginal-huge": (_asset_with(
+        "brans.json", lambda d: d["settings"].update(marginal=[1e308, 1e308, 0.0, 0.0])),
+        "error: setting marginal sums to inf, expected 1"),
+    "teleport-huge": ("", "squared norm inf, expected 1"),
 }
 JSON_READERS = (
     ["chsh", "--scenario", "in", "--out", "o.json"],
@@ -636,6 +657,11 @@ MALFORMED_CASES = (
                                             "observable-3x3", "observable-inf", "state-inf",
                                             "state-3", "observable-text", "state-text")]
     + [(JSON_READERS[3], kind) for kind in ("vector-text", "kcbs-state-null")]
+    + [(JSON_READERS[0], kind) for kind in ("state-huge", "observable-huge-square",
+                                            "observable-huge-residue")]
+    + [(JSON_READERS[3], "vector-huge")]
+    + [(argv, kind) for argv in MODEL_READERS for kind in ("lambda-row-huge", "marginal-huge")]
+    + [(["teleport", "--a-re", "1e200", "--out", "o.json"], "teleport-huge")]
 )
 
 
@@ -654,6 +680,19 @@ def test_malformed_input_file_exits_2_without_output(capsys, tmp_path, monkeypat
     assert stderr.startswith("error:")
     assert named in stderr
     assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
+@pytest.mark.parametrize("argv,manifest", [
+    (["optimize", "--budget", "0.1", "--out-dir", "od"], "od/manifest.json"),
+    (["chsh", "--deterministic-max", "--out", "o.json"], "o.json.manifest.json"),
+    (["teleport", "--trials", "3", "--out", "o.json"], "o.json.manifest.json"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_a_failed_manifest_write_prints_no_summary(capsys, tmp_path, monkeypatch, argv, manifest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / manifest).mkdir(parents=True)  # a directory where the manifest goes
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
 
 
 def _with_huge_integer(name, edit):

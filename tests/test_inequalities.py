@@ -130,6 +130,12 @@ class TestChshQuantum:
         table = chsh_quantum(ChshScenario([within, pauli_z().entries] * 2, pair))
         assert abs(table.correlators[0, 0] - 1.0) <= 1e-12
 
+    def test_a_stack_in_any_memory_layout_is_the_same_scenario(self):
+        base = bell_optimal_scenario()
+        for stack in (np.asfortranarray(base.observables), base.observables.transpose(0, 2, 1)):
+            observables = ChshScenario(stack, base.state).observables
+            assert np.array_equal(observables, np.ascontiguousarray(stack))
+
     def test_state_inside_the_norm_gate_evaluates(self):
         # a squared norm of 1 + 1e-10 passes StateVector's 1e-9 gate; the correlators
         # used to stay unnormalized and fail CorrelationTable's 1e-12 consistency check
