@@ -284,15 +284,7 @@ def cmd_kcbs(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bellmd",
-        description="Measurement-dependence toolkit for Bell-type experiments",
-    )
-    parser.add_argument("--version", action="version", version=f"bellmd {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("teleport", help="run the teleportation protocol")
+def _teleport_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a-re", type=float, default=1.0)
     p.add_argument("--a-im", type=float, default=0.0)
     p.add_argument("--b-re", type=float, default=0.0)
@@ -302,48 +294,72 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--force-outcome", type=int, choices=range(4), default=None)
     p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=cmd_teleport)
 
-    p = sub.add_parser("chsh", help="evaluate the CHSH statistic")
+
+def _chsh_args(p: argparse.ArgumentParser) -> None:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--scenario", type=Path, default=None)
     mode.add_argument("--model", type=Path, default=None)
     mode.add_argument("--deterministic-max", action="store_true")
     p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=cmd_chsh)
 
-    p = sub.add_parser("mi", help="mutual information of a 2x2 table or a model")
+
+def _mi_args(p: argparse.ArgumentParser) -> None:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--table", type=str, default=None, help='"p00,p01,p10,p11"')
     mode.add_argument("--model", type=Path, default=None)
-    p.set_defaults(func=cmd_mi)
 
-    p = sub.add_parser("optimize", help="search models trading dependence against CHSH")
+
+def _optimize_args(p: argparse.ArgumentParser) -> None:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--target-s", type=float, default=None)
     mode.add_argument("--budget", type=float, default=None)
     mode.add_argument("--curve", type=str, default=None, help='"b1,b2,..."')
     p.add_argument("--seed", type=int, default=0, help="recorded in the manifest")
     p.add_argument("--out-dir", type=Path, default=Path("."))
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("kcbs", help="evaluate the five-cycle contextuality statistic")
+
+def _kcbs_args(p: argparse.ArgumentParser) -> None:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--classical-min", action="store_true")
     mode.add_argument("--quantum-optimal", action="store_true")
     mode.add_argument("--scenario", type=Path, default=None)
-    p.set_defaults(func=cmd_kcbs)
-    return parser
+
+
+# name -> (help, handler, function adding its arguments)
+_SUBCOMMANDS = {
+    "teleport": ("run the teleportation protocol", cmd_teleport, _teleport_args),
+    "chsh": ("evaluate the CHSH statistic", cmd_chsh, _chsh_args),
+    "mi": ("mutual information of a 2x2 table or a model", cmd_mi, _mi_args),
+    "optimize": ("search models trading dependence against CHSH", cmd_optimize, _optimize_args),
+    "kcbs": ("evaluate the five-cycle contextuality statistic", cmd_kcbs, _kcbs_args),
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # two stages: the subcommand name, then its arguments, parsed by its own parser only
+    top = argparse.ArgumentParser(
+        prog="bellmd",
+        description="Measurement-dependence toolkit for Bell-type experiments",
+        epilog="subcommands:\n" + "".join(
+            f"  {name:<10}{text}\n" for name, (text, _, _) in _SUBCOMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    top.add_argument("--version", action="version", version=f"bellmd {__version__}")
+    top.add_argument("subcommand", choices=_SUBCOMMANDS,
+                     help="`bellmd SUBCOMMAND -h` lists its options")
+    # the rest of argv goes to the subcommand; optional, so a bare `bellmd` names only one
+    top.add_argument("args", nargs=argparse.REMAINDER, help=argparse.SUPPRESS).required = False
     try:
-        args = parser.parse_args(argv)
+        first = top.parse_args(argv)
+        _, handler, add_arguments = _SUBCOMMANDS[first.subcommand]
+        parser = argparse.ArgumentParser(prog=f"bellmd {first.subcommand}")
+        add_arguments(parser)
+        args = parser.parse_args(first.args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return handler(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,8 @@ def entropy_bits(distribution) -> float:
     """Shannon entropy in bits, with the 0 log 0 = 0 convention."""
     p = np.asarray(distribution, dtype=float).reshape(-1)
     mask = p > 0.0
-    return float(-(p[mask] * np.log2(p[mask])).sum()) if mask.any() else 0.0
+    # 0 - sum, not -sum: a point mass sums to +0.0, which negation would print as -0
+    return float(0.0 - (p[mask] * np.log2(p[mask])).sum()) if mask.any() else 0.0
 
 
 def _mutual_information_bits(joint: np.ndarray, row_m: np.ndarray, col_m: np.ndarray) -> float:

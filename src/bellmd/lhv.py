@@ -26,14 +26,12 @@ _ATOL = DEFAULT_TOLERANCES.arithmetic
 _ROW_ATOL = _ATOL / 4
 
 
-def _distribution_rows(name: str, table, columns: int | None = None, atol=_ATOL) -> np.ndarray:
+def _distribution_rows(name: str, table, atol=_ATOL) -> np.ndarray:
     arr = np.array(table, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise InputError(f"{name} must be a 2-d table")
-    if columns is not None and arr.shape[1] != columns:
-        raise InputError(f"{name} must have {columns} columns, got {arr.shape[1]}")
     _check_table(name, arr, atol)
     arr.setflags(write=False)
     return arr
@@ -87,7 +85,11 @@ class SettingSpace:
         marginal = self.marginal
         if marginal is None:
             marginal = np.full(n, 1.0 / n)
-        marginal = _distribution_rows("setting marginal", marginal, columns=n, atol=_ROW_ATOL)[0]
+        marginal = np.asarray(marginal, dtype=float)
+        if marginal.shape != (n,):  # one row of n entries, never a table of rows
+            raise InputError(f"setting marginal must be a flat list of {n} entries, "
+                             f"got shape {marginal.shape}")
+        marginal = _distribution_rows("setting marginal", marginal, atol=_ROW_ATOL)[0]
         object.__setattr__(self, "marginal", marginal)
 
     @property

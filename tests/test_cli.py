@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -582,6 +584,13 @@ MALFORMED_INPUTS = {
     "marginal-bool": (_asset_with(
         "brans.json", lambda d: d["settings"].update(marginal=[True, False, False, False])),
         "settings: field 'marginal' must be a regular array of numbers"),
+    # a marginal is one flat row: a table of rows used to load as its row 0
+    "marginal-rows": (_asset_with(
+        "brans.json", lambda d: d["settings"].update(marginal=[[0.25] * 4, [0.7, 0.1, 0.1, 0.1]])),
+        "error: setting marginal must be a flat list of 4 entries, got shape (2, 4)"),
+    "marginal-one-row-table": (_asset_with(
+        "brans.json", lambda d: d["settings"].update(marginal=[[0.25] * 4])),
+        "error: setting marginal must be a flat list of 4 entries, got shape (1, 4)"),
     "alice-response-text": (_asset_with(
         "brans.json", lambda d: d["alice_response"][0].__setitem__(0, "1")),
         "field 'alice_response' must be a regular array of numbers"),
@@ -652,7 +661,8 @@ MALFORMED_CASES = (
     + [(argv, kind) for argv in MODEL_READERS
        for kind in ("alice-abc", "alice-null", "alice-fraction", "lambda-count-list",
                     "lambda-count-fraction", "lambda-given-settings-text", "marginal-text",
-                    "marginal-bool", "alice-response-text")]
+                    "marginal-bool", "marginal-rows", "marginal-one-row-table",
+                    "alice-response-text")]
     + [(JSON_READERS[0], kind) for kind in ("observable-non-hermitian", "observable-square",
                                             "observable-3x3", "observable-inf", "state-inf",
                                             "state-3", "observable-text", "state-text")]
@@ -677,7 +687,7 @@ def test_malformed_input_file_exits_2_without_output(capsys, tmp_path, monkeypat
         path.write_text(content)
     code, _, stderr = run_cli(capsys, *argv)
     assert code == 2
-    assert stderr.startswith("error:")
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
     assert named in stderr
     assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
@@ -745,14 +755,111 @@ def test_version_flag(capsys):
     assert "bellmd" in stdout
 
 
-def test_python_dash_m_runs_the_cli():
+SUBCOMMAND_HELP = {
+    "teleport": "run the teleportation protocol",
+    "chsh": "evaluate the CHSH statistic",
+    "mi": "mutual information of a 2x2 table or a model",
+    "optimize": "search models trading dependence against CHSH",
+    "kcbs": "evaluate the five-cycle contextuality statistic",
+}
+
+
+def test_help_lists_every_subcommand_with_its_help(capsys):
+    code, stdout, _ = run_cli(capsys, "-h")
+    assert code == 0
+    lines = [line.split(None, 1) for line in stdout.splitlines()]
+    for name, text in SUBCOMMAND_HELP.items():
+        assert [name, text] in lines
+
+
+@pytest.mark.parametrize("name", SUBCOMMAND_HELP)
+def test_subcommand_help_exits_0(capsys, name):
+    code, stdout, _ = run_cli(capsys, name, "-h")
+    assert code == 0
+    assert stdout.startswith(f"usage: bellmd {name} [-h]")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "bellmd: error: the following arguments are required: subcommand\n"),
+    (["anneal"], "bellmd: error: argument subcommand: invalid choice: 'anneal'"),
+], ids=["bare", "unknown"])
+def test_usage_errors_exit_2_naming_the_argument(capsys, argv, message):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert message in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["teleport"], ["chsh", "--deterministic-max"], ["mi", "--table", "0.25,0.25,0.25,0.25"],
+    ["optimize", "--budget", "0", "--out-dir", "run"], ["kcbs", "--classical-min"],
+], ids=lambda argv: argv[0])
+def test_a_run_builds_one_parser_per_parse_stage(capsys, tmp_path, monkeypatch, argv):
+    # the top parser reads the subcommand name; only that subcommand's parser is built
+    monkeypatch.chdir(tmp_path)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 0, stderr
+    assert built == ["bellmd", f"bellmd {argv[0]}"]
+
+
+def test_python_dash_m_runs_the_cli(capsys, tmp_path, monkeypatch):
+    # sys.argv goes through both parse stages and prints what an in-process main prints
     src = str(Path(bellmd.__file__).resolve().parent.parent)
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-m", "bellmd", "--version"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"bellmd {bellmd.__version__}"
+    for where in ("sub", "in"):
+        (tmp_path / where).mkdir()
+    monkeypatch.chdir(tmp_path / "in")
+    printed = {}
+    for argv in (["--version"], ["-h"], ["optimize", "--target-s", "2.8", "--out-dir", "run"]):
+        proc = subprocess.run([sys.executable, "-m", "bellmd", *argv], cwd=tmp_path / "sub",
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert run_cli(capsys, *argv) == (0, proc.stdout, "")
+        printed[argv[0]] = proc.stdout
+    assert printed["--version"] == f"bellmd {bellmd.__version__}\n"
+    assert printed["-h"].startswith("usage: bellmd")
+    for name in ("min_cmd_model.json", "min_cmd_report.json"):
+        assert (tmp_path / "sub/run" / name).read_bytes() == Path("run", name).read_bytes()
+
+
+def _negative_zeros(text: str) -> list[str]:
+    """Numbers in JSON or comma-separated ``text`` that read as -0."""
+    return [t for t in re.findall(r"-[0-9][0-9.eE+-]*", text) if float(t) == 0.0]
+
+
+def test_no_report_prints_negative_zero(capsys, tmp_path, monkeypatch):
+    # a point-mass setting marginal has entropy +0; its report used to print -0
+    monkeypatch.chdir(tmp_path)
+    Path("point.json").write_text(_asset_with(
+        "brans.json", lambda d: d["settings"].update(marginal=[1.0, 0.0, 0.0, 0.0])))
+    brans = str(asset_path("brans.json"))
+    for argv in (
+        ["mi", "--model", "point.json"], ["mi", "--model", brans],
+        ["mi", "--table", "1,0,0,0"], ["mi", "--table", "0.25,0.25,0.25,0.25"],
+        ["chsh", "--model", "point.json", "--out", "out/point.json"],
+        ["chsh", "--model", brans, "--out", "out/brans.json"],
+        ["chsh", "--scenario", str(asset_path("bell-optimal.json")), "--out", "out/bell.json"],
+        ["chsh", "--deterministic-max"],
+        ["optimize", "--target-s", "4", "--out-dir", "out"],
+        ["optimize", "--budget", "0", "--out-dir", "out"],
+        ["optimize", "--curve", "0,0.01,2", "--out-dir", "out"],
+    ):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 0, stderr
+        assert _negative_zeros(stdout) == [], argv
+    written = sorted(p for p in (tmp_path / "out").iterdir() if "manifest" not in p.name)
+    assert len(written) == 11
+    for path in written:
+        assert _negative_zeros(path.read_text()) == [], path.name
 
 
 def test_internal_invariant_breach_exits_3(capsys, monkeypatch):

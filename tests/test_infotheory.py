@@ -176,3 +176,5 @@ class TestValidation:
 
     def test_entropy_of_point_mass_is_zero(self):
         assert entropy_bits([1.0, 0.0, 0.0]) == 0.0
+        # +0.0, not -0.0: a report would print the sign
+        assert np.copysign(1.0, entropy_bits([1.0, 0.0, 0.0])) == 1.0

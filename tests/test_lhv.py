@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,20 @@ class TestValidation:
             SettingSpace(marginal=[0.5, 0.5, 0.5, 0.5])
         with pytest.raises(InputError):
             SettingSpace(alice_settings=0)
+
+    @pytest.mark.parametrize("marginal, shape", [
+        ([[0.25] * 4, [0.7, 0.1, 0.1, 0.1]], "(2, 4)"),  # row 0 alone used to be kept
+        ([[0.25] * 4], "(1, 4)"),
+        ([[0.5, 0.5], [0.5, 0.5]], "(2, 2)"),
+        ([0.5, 0.5], "(2,)"),
+        (1.0, "()"),
+    ])
+    def test_setting_marginal_is_one_flat_row(self, marginal, shape):
+        with pytest.raises(InputError, match=rf"setting marginal must be a flat list of 4 "
+                                             rf"entries, got shape {re.escape(shape)}$"):
+            SettingSpace(marginal=marginal)
+        loaded = SettingSpace(marginal=np.array([0.7, 0.1, 0.1, 0.1]))
+        assert loaded.marginal.tolist() == [0.7, 0.1, 0.1, 0.1]
 
     def test_sums_are_checked_after_the_clip(self):
         # the entries sum to 1 + 9.4e-13 but keep 1 + 4.9e-12 once the negatives clip to 0
