@@ -33,7 +33,7 @@ from .inequalities import (
     kcbs_value,
     lhv_chsh_max,
 )
-from .lhv import predict
+from .lhv import _distribution_rows, predict
 from .mdsearch import max_chsh_under_budget, min_cmd_for_chsh, tradeoff_curve
 from .serialize import (
     chsh_scenario_from_doc,
@@ -200,12 +200,8 @@ def cmd_mi(args) -> int:
             raise InputError(f"--table must be comma-separated numbers: {exc}") from exc
         if len(values) != 4:
             raise InputError(f"--table needs 4 entries p00,p01,p10,p11, got {len(values)}")
-        total = sum(values)
-        if not abs(total - 1.0) <= 1e-9:
-            raise InputError(f"--table sums to {total:.12g}, expected 1 within 1e-9")
-        if min(values) < 0.0:
-            raise InputError("--table entries must be nonnegative")
-        table = np.array(values, dtype=float).reshape(2, 2) / total
+        row = _distribution_rows("--table", values)  # the one table check, as a 1x4 row
+        table = row.reshape(2, 2) / row.sum()
         bits = _mutual_information_bits(table, table.sum(1), table.sum(0))
         print(dumps_json({"mutual_information_bits": bits}))
     else:
@@ -336,8 +332,7 @@ _SUBCOMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    # two stages: the subcommand name, then its arguments, parsed by its own parser only
+def _top_parser() -> argparse.ArgumentParser:  # -h, --version and usage errors only
     top = argparse.ArgumentParser(
         prog="bellmd",
         description="Measurement-dependence toolkit for Bell-type experiments",
@@ -350,12 +345,21 @@ def main(argv=None) -> int:
                      help="`bellmd SUBCOMMAND -h` lists its options")
     # the rest of argv goes to the subcommand; optional, so a bare `bellmd` names only one
     top.add_argument("args", nargs=argparse.REMAINDER, help=argparse.SUPPRESS).required = False
+    return top
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        first = top.parse_args(argv)
-        _, handler, add_arguments = _SUBCOMMANDS[first.subcommand]
-        parser = argparse.ArgumentParser(prog=f"bellmd {first.subcommand}")
+        if argv and argv[0] in _SUBCOMMANDS:  # the top parser dropped a `--` right after NAME
+            name, rest = argv[0], argv[2:] if argv[1:2] == ["--"] else argv[1:]
+        else:  # -h, --version and usage errors exit here; `-- NAME` runs NAME
+            first = _top_parser().parse_args(argv)
+            name, rest = first.subcommand, first.args
+        _, handler, add_arguments = _SUBCOMMANDS[name]
+        parser = argparse.ArgumentParser(prog=f"bellmd {name}")
         add_arguments(parser)
-        args = parser.parse_args(first.args)
+        args = parser.parse_args(rest)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

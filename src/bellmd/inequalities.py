@@ -120,11 +120,11 @@ def lhv_chsh_max() -> float:
 
 def bell_optimal_scenario() -> ChshScenario:
     """Canonical maximal-violation configuration: S = 2 sqrt(2) on (|00>+|11>)/sqrt(2)."""
-    from .hilbert import pauli_x, pauli_z, rotated_zx
-
     state = StateVector(np.array([1, 0, 0, 1], dtype=np.complex128) / math.sqrt(2.0))
-    observables = (pauli_z(), pauli_x(), rotated_zx(math.pi / 4.0), rotated_zx(-math.pi / 4.0))
-    return ChshScenario([op.entries for op in observables], state)
+    # Z, X, then cos(t) Z + sin(t) X at t = +/-pi/4; ChshScenario is their one check
+    c, s = math.cos(math.pi / 4.0), math.sin(math.pi / 4.0)
+    observables = [[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[c, s], [s, -c]], [[c, -s], [-s, -c]]]
+    return ChshScenario(np.array(observables, dtype=np.complex128), state)
 
 
 @dataclass(frozen=True, eq=False)

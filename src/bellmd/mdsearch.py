@@ -25,7 +25,9 @@ Why the model built here is optimal:
   2 sqrt 2 (Hall, PRA 84, 022102, 2011) and log2(4/3) bits at s = 4.
 
 Every result is re-verified: the CHSH value and the dependence reported are
-recomputed from the returned model with ``chsh_value`` and ``cmd``.
+recomputed from the returned model with ``chsh_value`` and ``cmd``.  All of
+the model but the rate x (the uniform ``SettingSpace``, the class response
+tables, the disagreement mask) is built once, at import.
 """
 
 from __future__ import annotations
@@ -75,13 +77,12 @@ _CLASS_PATTERNS = np.array(
 # the 4 of them that disagree with the CHSH signs at exactly one joint setting
 _ONE_DISAGREEMENT = _CLASS_PATTERNS[(_CLASS_PATTERNS != _SIGN_PATTERN).sum(axis=1) == 1]
 _FULL_BUDGET_BITS = math.log2(4.0 / 3.0)  # what CHSH = 4 costs
-
-
-def _set_class_responses(ra: np.ndarray, rb: np.ndarray, col: int, pattern: np.ndarray) -> None:
-    x0, y0, y1 = 1.0, pattern[0], pattern[1]
-    x1 = pattern[2] * pattern[0]
-    ra[0, col], ra[1, col] = (x0 + 1) / 2, (x1 + 1) / 2
-    rb[0, col], rb[1, col] = (y0 + 1) / 2, (y1 + 1) / 2
+_UNIFORM = SettingSpace()
+# p(+1 | setting, class) for correlators E = (E00, E01, E10, E11): A0 = 1, A1 = E10 E00,
+# B0 = E00, B1 = E01; rows alice 0, alice 1, bob 0, bob 1, one column per class
+_E = _ONE_DISAGREEMENT.T
+_RESPONSES = (np.stack([np.ones(4), _E[2] * _E[0], _E[0], _E[1]]) + 1.0) / 2.0
+_DISAGREES = (_ONE_DISAGREEMENT != _SIGN_PATTERN).T  # (setting, lambda)
 
 
 def _bits(x: float) -> float:
@@ -98,13 +99,8 @@ def _bits(x: float) -> float:
 
 def _optimal_model(x: float) -> LhvModel:
     """p(lambda | s) = x where lambda disagrees at s, (1 - x) / 3 elsewhere."""
-    ra = np.zeros((2, 4))
-    rb = np.zeros((2, 4))
-    for col, pattern in enumerate(_ONE_DISAGREEMENT):
-        _set_class_responses(ra, rb, col, pattern)
-    disagrees = (_ONE_DISAGREEMENT != _SIGN_PATTERN).T  # (setting, lambda)
-    rows = np.where(disagrees, x, (1.0 - x) / 3.0)
-    return LhvModel(SettingSpace(), rows, ra, rb)
+    rows = np.where(_DISAGREES, x, (1.0 - x) / 3.0)
+    return LhvModel(_UNIFORM, rows, _RESPONSES[:2], _RESPONSES[2:])
 
 
 def _verified(x: float, meets) -> SearchOutcome:

@@ -311,10 +311,27 @@ class TestMiCommand:
         assert stdout == '{\n  "mutual_information_bits": ' + printed + "\n}\n"
 
     def test_bad_sum_exits_2(self, capsys):
-        for table in ("0.5,0.5,0.5,0.5", "nan,0,0,1"):
+        # within `arithmetic` of 1, as every other table; 1e-10 off passed the old 1e-9 rule
+        for table, total in (("0.5,0.5,0.5,0.5", "2"), ("0.25,0.25,0.25,0.2500000001",
+                                                          "1.0000000001")):
             code, _, stderr = run_cli(capsys, "mi", "--table", table)
             assert code == 2
-            assert "sums to" in stderr
+            assert stderr == f"error: --table sums to {total}, expected 1\n"
+
+    @pytest.mark.parametrize("table,message", [
+        ("nan,0,0,0", "--table entries must be finite"),
+        ("nan,0,0,1", "--table entries must be finite"),
+        ("1.2,-0.2,0,0", "--table entries must be nonnegative"),
+        ("0.5,0.5", "--table needs 4 entries p00,p01,p10,p11, got 2"),
+    ])
+    def test_bad_entries_exit_2_naming_the_rule(self, capsys, table, message):
+        assert run_cli(capsys, "mi", "--table", table) == (2, "", f"error: {message}\n")
+
+    def test_rounding_below_zero_is_clipped(self, capsys):
+        # -1e-13 is clipped to 0 like every other table entry within `arithmetic`
+        clipped = run_cli(capsys, "mi", "--table", "0.5,-1e-13,0,0.5")
+        assert clipped == run_cli(capsys, "mi", "--table", "0.5,0,0,0.5")
+        assert clipped[:2] == (0, '{\n  "mutual_information_bits": 1\n}\n')
 
     def test_model_report(self, capsys):
         code, stdout, _ = run_cli(capsys, "mi", "--model", str(asset_path("brans.json")))
@@ -789,28 +806,53 @@ def test_usage_errors_exit_2_naming_the_argument(capsys, argv, message):
     assert message in stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["teleport"], ["chsh", "--deterministic-max"], ["mi", "--table", "0.25,0.25,0.25,0.25"],
-    ["optimize", "--budget", "0", "--out-dir", "run"], ["kcbs", "--classical-min"],
-], ids=lambda argv: argv[0])
-def test_a_run_builds_one_parser_per_parse_stage(capsys, tmp_path, monkeypatch, argv):
-    # the top parser reads the subcommand name; only that subcommand's parser is built
+@pytest.mark.parametrize("argv,code,built", [
+    *(pytest.param(argv, 0, [f"bellmd {argv[0]}"], id=argv[0]) for argv in (
+        ["teleport"], ["chsh", "--deterministic-max"], ["mi", "--table", "0.25,0.25,0.25,0.25"],
+        ["optimize", "--budget", "0", "--out-dir", "run"], ["kcbs", "--classical-min"])),
+    pytest.param(["-h"], 0, ["bellmd"], id="-h"),
+    pytest.param(["--version"], 0, ["bellmd"], id="--version"),
+    pytest.param([], 2, ["bellmd"], id="bare"),
+    pytest.param(["anneal"], 2, ["bellmd"], id="anneal"),
+])
+def test_a_run_builds_one_parser_per_parse_stage(capsys, tmp_path, monkeypatch, argv, code,
+                                                 built):
+    # a run builds its subcommand's parser only; the top parser serves -h, --version and errors
     monkeypatch.chdir(tmp_path)
-    built = []
+    seen = []
     init = argparse.ArgumentParser.__init__
 
     def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
+        seen.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    code, _, stderr = run_cli(capsys, *argv)
-    assert code == 0, stderr
-    assert built == ["bellmd", f"bellmd {argv[0]}"]
+    assert run_cli(capsys, *argv)[0] == code
+    assert seen == built
+
+
+@pytest.mark.parametrize("argv,code,stdout,stderr", [
+    (["teleport", "--version"], 2, "",
+     "bellmd teleport: error: unrecognized arguments: --version\n"),
+    (["teleport", "--", "x"], 2, "", "bellmd teleport: error: unrecognized arguments: x\n"),
+    (["teleport", "--", "--", "x"], 2, "",
+     "bellmd teleport: error: unrecognized arguments: -- x\n"),
+    (["--", "teleport", "--trials", "2"], 0, '{\n  "input": [', ""),
+], ids=["--version", "-- x", "-- -- x", "-- name"])
+def test_arguments_after_the_name_go_to_the_subcommand(capsys, argv, code, stdout, stderr):
+    # as the top parser's REMAINDER handed them over: --version after a name is the
+    # subcommand's to reject (-h: test_subcommand_help_exits_0), the top parser took one
+    # `--` right after the name, and a name after `--` still runs
+    got_code, got_out, got_err = run_cli(capsys, *argv)
+    assert got_code == code
+    assert got_out.startswith(stdout)
+    assert got_err.startswith("usage: bellmd teleport") if stderr else got_err == ""
+    assert got_err.endswith(stderr)
 
 
 def test_python_dash_m_runs_the_cli(capsys, tmp_path, monkeypatch):
-    # sys.argv goes through both parse stages and prints what an in-process main prints
+    # sys.argv reaches the top parser (--version, -h) or the subcommand's (optimize) and
+    # prints what an in-process main prints
     src = str(Path(bellmd.__file__).resolve().parent.parent)
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -87,14 +87,14 @@ def score_calls(monkeypatch):
 
 
 def test_the_counters_see_the_checked_paths(calls, state_calls):
-    bell_optimal_scenario()  # four observables built as OperatorMatrix, then one scenario
+    bell_optimal_scenario()  # the four observables are checked once, by the scenario
     inequalities.kcbs_pentagram()
     CorrelationTable.from_correlators(np.zeros((2, 2)))
     qubit = hilbert.StateVector([1.0, 0.0])
     hilbert.expectations(np.eye(2), qubit)
     hilbert.expectation(hilbert.pauli_z(), qubit)  # one more OperatorMatrix, then expectations
     assert calls == {"ChshScenario.__post_init__": 1, "KcbsScenario.__post_init__": 1,
-                     "OperatorMatrix.__post_init__": 5, "CorrelationTable.__post_init__": 1,
+                     "OperatorMatrix.__post_init__": 1, "CorrelationTable.__post_init__": 1,
                      "bellmd.hilbert.expectations": 2}
     state_calls.clear()
     teleport.TeleportInput(0.6, 0.8).state()  # the sent state, the one a teleport run checks
