@@ -49,7 +49,7 @@ from .mdsearch import (
 from .teleport import (
     TeleportInput,
     TeleportTranscript,
-    sample_outcomes,
+    outcome_counts,
     verify_no_setting_choice,
 )
 from .tolerances import DEFAULT_TOLERANCES

@@ -47,9 +47,10 @@ from .serialize import (
     write_model,
 )
 from .teleport import (
+    OUTCOME_DRAW,
     TeleportInput,
     branch_transcripts,
-    sample_outcomes,
+    outcome_counts,
     verify_no_setting_choice,
 )
 # the benchmark tracer (bench/workloads.py) wraps these two names in this module
@@ -134,14 +135,12 @@ def cmd_teleport(args) -> int:
     # the four possible transcripts are fixed by the input; trials only
     # resample which branch occurred, so the file stores each transcript once
     canonical = branch_transcripts(inp)
-    if args.force_outcome is not None:
-        outcomes = np.full(args.trials, args.force_outcome, dtype=np.uint8)
+    if args.force_outcome is None:
+        counts = outcome_counts([t.outcome_probability for t in canonical], args.trials,
+                                args.seed)
     else:
-        probs = [t.outcome_probability for t in canonical]
-        outcomes = sample_outcomes(probs, args.trials, args.seed)
-    # trials at or past each threshold 1, 2 and 3; bincount would cast every outcome to intp
-    at_least = [args.trials, *(np.count_nonzero(outcomes >= k) for k in (1, 2, 3)), 0]
-    counts = [n - m for n, m in zip(at_least, at_least[1:])]
+        counts = [0, 0, 0, 0]
+        counts[args.force_outcome] = args.trials
     summary = {
         "input": [[inp.a.real, inp.a.imag], [inp.b.real, inp.b.imag]],
         "trials": args.trials,
@@ -154,8 +153,13 @@ def cmd_teleport(args) -> int:
         _write_out([(args.out, dump_json, {
             "summary": summary,
             "transcripts": [t.to_json_dict() for t in canonical],
-            # one ASCII digit per trial: the outcome index, in trial order
-            "outcomes": (outcomes + 48).tobytes().decode("ascii"),
+            # fixes every trial's outcome, at a size that does not grow with --trials
+            "sampler": {
+                "seed": args.seed,
+                "trials": args.trials,
+                "forced_outcome": args.force_outcome,
+                "draw": OUTCOME_DRAW if args.force_outcome is None else None,
+            },
         })], manifest, Path(f"{args.out}.manifest.json"))
     print(dumps_json(summary))
     return 0

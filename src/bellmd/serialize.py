@@ -92,21 +92,62 @@ def dumps_json(obj) -> str:
     return "".join(out)
 
 
+def _write_text(path: Path | str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 bytes, in unbuffered writes until all are out.
+
+    A raw binary file skips the text and buffer layers of ``Path.write_text``
+    and their per-file set-up; no newline translation applies on any platform.
+    """
+    data = memoryview(text.encode("utf-8"))
+    with open(path, "wb", buffering=0) as f:
+        while data:
+            data = data[f.write(data):]
+
+
 def dump_json(path: Path | str, obj) -> None:
-    Path(path).write_text(dumps_json(obj) + "\n", encoding="utf-8")
+    _write_text(path, dumps_json(obj) + "\n")
 
 
 def load_json(path: Path | str):
     return parse_json(Path(path).read_bytes(), path)
 
 
+class _ArrayBoolean:
+    """A JSON ``true`` or ``false`` read inside an array, where the input formats hold numbers.
+
+    It is not a number, so the number check of the field it sits in names that field.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        self.value = value
+
+    def __repr__(self) -> str:
+        return "true" if self.value else "false"
+
+
+def _marked_booleans(obj):
+    """``obj`` with each bool inside a list replaced by an ``_ArrayBoolean``."""
+    if isinstance(obj, dict):
+        return {key: _marked_booleans(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_ArrayBoolean(v) if isinstance(v, bool) else _marked_booleans(v) for v in obj]
+    return obj
+
+
 def parse_json(data: bytes, path: Path | str):
-    """The JSON document in ``data``, the bytes of ``path``, decoded as a text-mode read would."""
+    """The JSON document in ``data``, the bytes of ``path``, decoded as a text-mode read would.
+
+    A boolean inside an array comes back as an ``_ArrayBoolean``: numpy would read it among
+    numbers as 1 or 0.  Only a document whose bytes hold ``true`` or ``false`` is walked.
+    """
     try:
         text = data.decode("utf-8")
         if "\r" in text:  # the universal newlines of a text-mode read, which error offsets count
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return json.loads(text)
+        doc = json.loads(text)
+        return _marked_booleans(doc) if b"true" in data or b"false" in data else doc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
@@ -137,7 +178,8 @@ def _numbers(data, message: str) -> np.ndarray:
         arr = np.array(data)
     except (TypeError, ValueError) as exc:  # ValueError: a ragged array
         raise InputError(message) from exc
-    if arr.dtype.kind not in "iuf":  # O: null, an integer past 2**64; U: a string; b: bools
+    # O: null, an integer past 2**64, a boolean from a file; U: a string; b: bools
+    if arr.dtype.kind not in "iuf":
         raise InputError(message)
     return arr.astype(float, copy=False)
 
@@ -263,4 +305,4 @@ def write_curve_csv(path: Path | str, rows: list[tuple[float, float, str]]) -> N
     lines = ["budget_bits,best_chsh,model_file"]
     for budget, best_chsh, model_file in rows:
         lines.append(f"{format_float(budget)},{format_float(best_chsh)},{model_file}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")

@@ -129,13 +129,24 @@ def run_teleportation(inp: TeleportInput, forced_outcome: int) -> TeleportTransc
     return branch_transcripts(inp)[int(forced_outcome)]
 
 
-def sample_outcomes(probabilities, trials: int, seed: int = 0) -> np.ndarray:
-    """Outcome index (``uint8``) of each of ``trials`` rounds, drawn from 4 probabilities.
+# the draw whose outcomes ``outcome_counts`` counts; a data file records it, not the outcomes
+OUTCOME_DRAW = ("numpy.random.default_rng(seed).choice(4, size=trials, p=p / p.sum()), "
+                "p[k] = transcripts[k].outcome_probability")
 
-    The probabilities are normalized by their sum.  The draws are those of
+# uniforms drawn at a time: memory stays fixed at any trial count, and chunks of one
+# Generator give the same stream as one call
+_CHUNK = 1 << 18
+
+
+def outcome_counts(probabilities, trials: int, seed: int = 0) -> list[int]:
+    """How many of ``trials`` rounds drawn from 4 probabilities give each outcome.
+
+    The probabilities are normalized by their sum.  The rounds are those of
     ``default_rng(seed).choice(4, size=trials, p=p / p.sum())``, draw for
     draw: one uniform per trial, counted against the normalized cumulative
     sums, which is ``choice``'s own inverse-CDF step without its search.
+    The uniforms are drawn in chunks of a fixed size, so memory does not
+    grow with ``trials``; time does.
     """
     if trials <= 0:
         raise InputError("trials must be positive")
@@ -156,12 +167,15 @@ def sample_outcomes(probabilities, trials: int, seed: int = 0) -> np.ndarray:
         raise InputError("outcome probabilities do not sum to 1 after normalizing")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    u = np.random.default_rng(seed).random(trials)
-    # u < 1 = cdf[3], so counting cdf[0..2] <= u is searchsorted(cdf, u, side="right")
-    outcomes = (u >= cdf[0]).view(np.uint8)
-    outcomes += u >= cdf[1]
-    outcomes += u >= cdf[2]
-    return outcomes
+    rng = np.random.default_rng(seed)
+    buffer = np.empty(min(_CHUNK, trials))  # each chunk is drawn into it, in place
+    # at_least[k]: rounds with outcome >= k; u < 1 = cdf[3], so outcome >= k + 1 is u >= cdf[k]
+    at_least = [trials, 0, 0, 0, 0]
+    for start in range(0, trials, _CHUNK):
+        u = rng.random(out=buffer[:trials - start])
+        for k in range(3):
+            at_least[k + 1] += int(np.count_nonzero(u >= cdf[k]))
+    return [n - m for n, m in zip(at_least, at_least[1:])]
 
 
 def verify_no_setting_choice() -> dict:

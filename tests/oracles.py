@@ -8,6 +8,7 @@ must not call into the code paths it is checking.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -190,6 +191,29 @@ def sample_outcomes_reference(p, trials: int, seed: int) -> np.ndarray:
     """Outcome indices drawn by numpy's own weighted ``choice`` on the normalized p."""
     p = np.asarray(p, dtype=float)
     return np.random.default_rng(seed).choice(4, size=trials, p=p / p.sum())
+
+
+def teleport_file_before_sampler(data: bytes) -> bytes:
+    """The bytes a teleport run wrote before its file held a ``sampler`` record, from ``data``.
+
+    That file ended in ``outcomes``, one digit per trial, where the new one
+    ends in ``sampler``.  Its ``summary`` and ``transcripts`` are the new
+    file's, byte for byte.  The digits are the forced outcome repeated, or the
+    draws of numpy's own ``choice`` (``sample_outcomes_reference``) on the
+    transcripts' probabilities, with the recorded seed and trial count.
+    """
+    text = data.decode("utf-8")
+    head, sep, _ = text.partition(',\n  "sampler": ')
+    assert sep, "the sampler record is the last field of a teleport file"
+    doc = json.loads(text)
+    sampler = doc["sampler"]
+    if sampler["forced_outcome"] is None:
+        p = [t["outcome_probability"] for t in doc["transcripts"]]
+        outcomes = sample_outcomes_reference(p, sampler["trials"], sampler["seed"])
+    else:
+        outcomes = np.full(sampler["trials"], sampler["forced_outcome"])
+    digits = "".join(str(k) for k in outcomes.tolist())
+    return (head + ',\n  "outcomes": "' + digits + '"\n}\n').encode("utf-8")
 
 
 def operator_from_doc(data, context: str, name: str):

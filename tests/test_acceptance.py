@@ -23,7 +23,7 @@ from bellmd.inequalities import (
 )
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct, predict
 from bellmd.mdsearch import min_cmd_for_chsh, tradeoff_curve
-from bellmd.teleport import TeleportInput, branch_transcripts, run_teleportation, sample_outcomes
+from bellmd.teleport import TeleportInput, branch_transcripts, outcome_counts, run_teleportation
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -133,8 +133,7 @@ def test_criterion_6_teleportation():
             transcript = run_teleportation(inp, forced_outcome=outcome_index)
             worst_gap = max(worst_gap, abs(transcript.fidelity - 1.0))
     probs = [t.outcome_probability for t in branch_transcripts(TeleportInput(0.6, 0.8))]
-    counts = np.bincount(sample_outcomes(probs, trials=100_000, seed=1), minlength=4)
-    freqs = counts / counts.sum()
+    freqs = np.array(outcome_counts(probs, trials=100_000, seed=1)) / 100_000
     ok = worst_gap <= 1e-12 and bool(np.all(np.abs(freqs - 0.25) <= 0.01))
     _verdict("6 teleportation", ok, watch,
              f"max |fidelity-1|={worst_gap:.2e}, freqs={np.round(freqs, 4).tolist()}")

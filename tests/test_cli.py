@@ -13,7 +13,8 @@ import pytest
 
 import bellmd
 from bellmd.cli import asset_path, main
-from oracles import min_bits_closed_form
+from bellmd.teleport import OUTCOME_DRAW
+from oracles import min_bits_closed_form, teleport_file_before_sampler
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -34,12 +35,14 @@ class TestTeleportCommand:
         assert summary["min_fidelity"] == 1.0
         assert summary["measurement_report"]["measurement_count"] == 1
         doc = json.loads(out.read_text())
-        assert set(doc) == {"summary", "transcripts", "outcomes"}
+        assert list(doc) == ["summary", "transcripts", "sampler"]
         assert doc["summary"] == summary
-        assert len(doc["outcomes"]) == 10
+        assert doc["sampler"] == {"seed": 3, "trials": 10, "forced_outcome": None,
+                                  "draw": OUTCOME_DRAW}
         assert [t["outcome_index"] for t in doc["transcripts"]] == [0, 1, 2, 3]
-        counts = [doc["outcomes"].count(str(k)) for k in range(4)]
-        assert counts == summary["outcome_counts"]
+        outcomes = json.loads(teleport_file_before_sampler(out.read_bytes()))["outcomes"]
+        assert len(outcomes) == 10
+        assert [outcomes.count(str(k)) for k in range(4)] == summary["outcome_counts"]
         manifest = json.loads((tmp_path / "run.json.manifest.json").read_text())
         assert manifest["subcommand"] == "teleport"
         assert str(out) in manifest["output_files"]
@@ -68,7 +71,8 @@ class TestTeleportCommand:
         )
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["outcomes"] == "22"
+        assert doc["sampler"] == {"seed": 0, "trials": 2, "forced_outcome": 2, "draw": None}
+        assert json.loads(teleport_file_before_sampler(out.read_bytes()))["outcomes"] == "22"
         assert doc["transcripts"][2]["correction_applied"] == "sigma_x"
 
     def test_non_normalized_input_exits_2(self, capsys):
@@ -88,27 +92,32 @@ class TestTeleportCommand:
         assert not any(tmp_path.iterdir())
 
     def test_file_size_does_not_grow_with_transcripts(self, capsys, tmp_path):
-        # four transcripts plus one digit per trial; a transcript per trial was 34.6 MB
+        # four transcripts and a sampler record; a transcript per trial was 34.6 MB, and one
+        # digit per trial 102 kB at 100000 trials
         out = tmp_path / "big.json"
         code, stdout, _ = run_cli(
             capsys, "teleport", "--random", "--seed", "7", "--trials", "100000", "--out", str(out),
         )
         assert code == 0
-        assert out.stat().st_size <= 110_000
-        doc = json.loads(out.read_text())
-        assert [doc["outcomes"].count(str(k)) for k in range(4)] == \
-            json.loads(stdout)["outcome_counts"]
+        assert out.stat().st_size <= 4_000
+        outcomes = json.loads(teleport_file_before_sampler(out.read_bytes()))["outcomes"]
+        assert [outcomes.count(str(k)) for k in range(4)] == json.loads(stdout)["outcome_counts"]
 
     def test_readme_example_golden_bytes(self, capsys, tmp_path):
-        # digest of the file the README example wrote before the threshold sampler
         out = tmp_path / "teleport.json"
         code, _, _ = run_cli(
             capsys, "teleport", "--random", "--seed", "7", "--trials", "100000", "--out", str(out),
         )
         assert code == 0
         data = out.read_bytes()
-        assert len(data) == 102_055
+        assert len(data) == 2_248
         assert hashlib.sha256(data).hexdigest() == \
+            "42e288558c56f57433ef3f84b87dabdf4c51522914415ed44a625daaf1e915d5"
+        # the file the README example wrote when it held one digit per trial (and before the
+        # threshold sampler), rebuilt from the sampler record
+        old = teleport_file_before_sampler(data)
+        assert len(old) == 102_055
+        assert hashlib.sha256(old).hexdigest() == \
             "7acb42d472dae261bb85c04c0101f79ae64a64b7c73d1d6fe3237dab6e8099b9"
 
         forced = tmp_path / "forced.json"
@@ -116,7 +125,8 @@ class TestTeleportCommand:
             capsys, "teleport", "--force-outcome", "2", "--trials", "5", "--out", str(forced),
         )
         assert code == 0
-        assert json.loads(forced.read_text())["outcomes"] == "22222"
+        assert json.loads(teleport_file_before_sampler(forced.read_bytes()))["outcomes"] == \
+            "22222"
 
     # argv of each run the byte golden below digests
     GOLDEN_RUNS = (
@@ -129,26 +139,52 @@ class TestTeleportCommand:
     )
 
     def test_golden_bytes_over_many_runs(self, capsys, tmp_path):
-        # sha256 over rc, stdout and data file of each run, as written before the branch stack
-        digest = hashlib.sha256()
+        # sha256 over rc, stdout and data file of each run: as written with the sampler
+        # record, and as written before the branch stack, rebuilt from that record
+        digest, old_digest = hashlib.sha256(), hashlib.sha256()
         out = tmp_path / "run.json"
         for argv in self.GOLDEN_RUNS:
             code, stdout, _ = run_cli(capsys, "teleport", *argv, "--out", str(out))
-            digest.update(b"%d\n%s\n%s\n" % (code, stdout.encode(), out.read_bytes()))
+            data = out.read_bytes()
+            digest.update(b"%d\n%s\n%s\n" % (code, stdout.encode(), data))
+            old_digest.update(b"%d\n%s\n%s\n" % (code, stdout.encode(),
+                                                   teleport_file_before_sampler(data)))
         assert digest.hexdigest() == \
+            "bdaf1c3b2a5a2928ac57bd905d9b9c21398550f84ad27ae2d18b44fea42829ca"
+        assert old_digest.hexdigest() == \
             "139d10b514b90a4f6863eba736aa5b6f8190070a23707918e7b36975a5aac7c9"
 
-    @pytest.mark.parametrize("extra", [["--random"], ["--force-outcome", "1"]])
-    def test_unallocatable_trials_exit_2_without_files(self, capsys, tmp_path, extra):
-        # 10**15 float64 draws are 8 PB, beyond any 64-bit address space, so the
-        # allocation fails at once without touching memory
+    def test_forced_outcome_counts_any_trials_without_drawing(self, capsys, tmp_path):
+        # 10**15 trials: no draw is made and nothing is allocated per trial
         out = tmp_path / "huge.json"
-        code, _, stderr = run_cli(
-            capsys, "teleport", *extra, "--trials", str(10**15), "--out", str(out),
+        code, stdout, _ = run_cli(
+            capsys, "teleport", "--force-outcome", "1", "--trials", str(10**15), "--out", str(out),
         )
-        assert code == 2
-        assert stderr.startswith("error: ") and "allocate" in stderr
-        assert not any(tmp_path.iterdir())
+        assert code == 0
+        assert json.loads(stdout)["outcome_counts"] == [0, 10**15, 0, 0]
+        assert json.loads(out.read_text())["sampler"] == {
+            "seed": 0, "trials": 10**15, "forced_outcome": 1, "draw": None}
+
+    def test_peak_memory_and_file_size_do_not_grow_with_trials(self, tmp_path):
+        # each run in its own process, which reads its peak RSS after the run; with one
+        # digit per trial the peak grew ~9.5 B per trial, 131 MB at 10**7
+        pytest.importorskip("resource")
+        script = ("import resource, sys\nfrom bellmd.cli import main\ncode = main(sys.argv[1:])\n"
+                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        peak_mb = {}
+        for trials in (10**5, 10**7):
+            out = tmp_path / f"{trials}.json"
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "teleport", "--random", "--seed", "7",
+                 "--trials", str(trials), "--out", str(out)],
+                capture_output=True, text=True, env=_env_with_src(), timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            code, maxrss = proc.stdout.splitlines()[-1].split()
+            assert code == "0"
+            # ru_maxrss counts KiB on Linux and bytes on macOS
+            peak_mb[trials] = int(maxrss) / (2**20 if sys.platform == "darwin" else 2**10)
+            assert out.stat().st_size < 4_000
+        assert abs(peak_mb[10**7] - peak_mb[10**5]) <= 5.0, peak_mb
 
     def test_byte_reproducibility(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -601,6 +637,10 @@ MALFORMED_INPUTS = {
     "marginal-bool": (_asset_with(
         "brans.json", lambda d: d["settings"].update(marginal=[True, False, False, False])),
         "settings: field 'marginal' must be a regular array of numbers"),
+    # a boolean among numbers used to read as 1 or 0
+    "marginal-true-among-numbers": (_asset_with(
+        "brans.json", lambda d: d["settings"].update(marginal=[True, 0, 0, 0])),
+        "settings: field 'marginal' must be a regular array of numbers"),
     # a marginal is one flat row: a table of rows used to load as its row 0
     "marginal-rows": (_asset_with(
         "brans.json", lambda d: d["settings"].update(marginal=[[0.25] * 4, [0.7, 0.1, 0.1, 0.1]])),
@@ -614,12 +654,18 @@ MALFORMED_INPUTS = {
     "observable-text": (_asset_with(
         "bell-optimal.json", lambda d: d["bob_observables"][1][0][0].__setitem__(0, "0.5")),
         "in.bob_observables[1]: expected numeric [re, im] pairs"),
+    "observable-bool": (_asset_with(
+        "bell-optimal.json", lambda d: d["alice_observables"][0][0].__setitem__(0, [True, 0])),
+        "error: in.alice_observables[0]: expected numeric [re, im] pairs"),
     "state-text": (_asset_with(
         "bell-optimal.json", lambda d: d["state"][0].__setitem__(0, "0.7071067811865476")),
         "in.state: expected numeric [re, im] pairs"),
     "vector-text": (_asset_with(
         "kcbs-pentagram.json", lambda d: d["vectors"][2].__setitem__(1, "0.5")),
         "field 'vectors' must be a regular array of numbers"),
+    "vector-bool": (_asset_with(
+        "kcbs-pentagram.json", lambda d: d["vectors"][0].__setitem__(0, False)),
+        "error: in: field 'vectors' must be a regular array of numbers"),
     "kcbs-state-null": (_asset_with(
         "kcbs-pentagram.json", lambda d: d["state"][1].__setitem__(1, None)),
         "in.state: expected numeric [re, im] pairs"),
@@ -678,12 +724,14 @@ MALFORMED_CASES = (
     + [(argv, kind) for argv in MODEL_READERS
        for kind in ("alice-abc", "alice-null", "alice-fraction", "lambda-count-list",
                     "lambda-count-fraction", "lambda-given-settings-text", "marginal-text",
-                    "marginal-bool", "marginal-rows", "marginal-one-row-table",
+                    "marginal-bool", "marginal-true-among-numbers", "marginal-rows",
+                    "marginal-one-row-table",
                     "alice-response-text")]
     + [(JSON_READERS[0], kind) for kind in ("observable-non-hermitian", "observable-square",
                                             "observable-3x3", "observable-inf", "state-inf",
-                                            "state-3", "observable-text", "state-text")]
-    + [(JSON_READERS[3], kind) for kind in ("vector-text", "kcbs-state-null")]
+                                            "state-3", "observable-text", "state-text",
+                                            "observable-bool")]
+    + [(JSON_READERS[3], kind) for kind in ("vector-text", "kcbs-state-null", "vector-bool")]
     + [(JSON_READERS[0], kind) for kind in ("state-huge", "observable-huge-square",
                                             "observable-huge-residue")]
     + [(JSON_READERS[3], "vector-huge")]
@@ -850,13 +898,18 @@ def test_arguments_after_the_name_go_to_the_subcommand(capsys, argv, code, stdou
     assert got_err.endswith(stderr)
 
 
+def _env_with_src() -> dict:
+    """The environment, with the imported bellmd's directory first on PYTHONPATH."""
+    src = str(Path(bellmd.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_python_dash_m_runs_the_cli(capsys, tmp_path, monkeypatch):
     # sys.argv reaches the top parser (--version, -h) or the subcommand's (optimize) and
     # prints what an in-process main prints
-    src = str(Path(bellmd.__file__).resolve().parent.parent)
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = _env_with_src()
     for where in ("sub", "in"):
         (tmp_path / where).mkdir()
     monkeypatch.chdir(tmp_path / "in")

@@ -43,11 +43,11 @@ PUBLIC_NAMES = [
     "max_chsh_under_budget",
     "measurement_independent",
     "min_cmd_for_chsh",
+    "outcome_counts",
     "pauli_x",
     "pauli_z",
     "predict",
     "rotated_zx",
-    "sample_outcomes",
     "tradeoff_curve",
     "verify_no_setting_choice",
 ]

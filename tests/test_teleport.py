@@ -13,8 +13,8 @@ from bellmd.teleport import (
     TeleportInput,
     branch_decomposition,
     branch_transcripts,
+    outcome_counts,
     run_teleportation,
-    sample_outcomes,
     verify_no_setting_choice,
 )
 
@@ -83,21 +83,26 @@ def test_correction_is_the_unique_pauli_per_branch(rng):
 
 def test_sampled_outcome_frequencies(rng):
     probs = [t.outcome_probability for t in branch_transcripts(TeleportInput(0.6, 0.8))]
-    counts = np.bincount(sample_outcomes(probs, trials=100_000, seed=7), minlength=4)
-    freqs = counts / counts.sum()
+    counts = outcome_counts(probs, trials=100_000, seed=7)
+    assert sum(counts) == 100_000
+    freqs = np.array(counts) / 100_000
     assert np.all(np.abs(freqs - 0.25) <= 0.01)
 
 
 def test_sampling_is_seed_deterministic():
     inp = TeleportInput(0.6, 0.8)
     probs = [p for p, _ in branch_decomposition(inp)]
-    outcomes = sample_outcomes(probs, 1000, seed=5)
-    assert np.array_equal(outcomes, sample_outcomes(probs, 1000, seed=5))
-    assert not np.array_equal(outcomes, sample_outcomes(probs, 1000, seed=6))
+    counts = outcome_counts(probs, 1000, seed=5)
+    assert counts == outcome_counts(probs, 1000, seed=5)
+    assert counts != outcome_counts(probs, 1000, seed=6)
+
+
+def _reference_counts(p, trials: int, seed: int) -> list[int]:
+    return np.bincount(oracles.sample_outcomes_reference(p, trials, seed), minlength=4).tolist()
 
 
 def test_sampler_matches_generator_choice(rng):
-    # the threshold sampler must reproduce numpy's weighted choice draw for draw;
+    # the threshold counts must be those of numpy's weighted choice, drawn the same way;
     # a numpy release that changes choice's algorithm fails here
     cases = [[0, 0, 0, 1], [1, 0, 0, 0], [.5, 0, .5, 0], [0, .3, 0, .7], [1, 1, 1, 1],
              [0.25, 0.25, 0.25, 0.25], [1e-300, 0, 0, 1], [3, 0, 0, 0]]
@@ -111,9 +116,16 @@ def test_sampler_matches_generator_choice(rng):
     assert len(cases) >= 1000
     for seed, p in enumerate(cases):
         trials = int(rng.integers(1, 2000))
-        got = sample_outcomes(p, trials, seed=seed)
-        assert got.dtype == np.uint8
-        assert np.array_equal(got, oracles.sample_outcomes_reference(p, trials, seed)), p
+        got = outcome_counts(p, trials, seed=seed)
+        assert all(type(c) is int for c in got)
+        assert got == _reference_counts(p, trials, seed), p
+
+
+@pytest.mark.parametrize("trials", [2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5])
+def test_counts_match_choice_across_chunk_boundaries(trials):
+    # the uniforms come in chunks of 2**18; chunked draws must continue one stream
+    for seed, p in enumerate(([0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.5, 0, 0.5, 0])):
+        assert outcome_counts(p, trials, seed=seed) == _reference_counts(p, trials, seed), p
 
 
 @pytest.mark.parametrize("p", [
@@ -127,7 +139,7 @@ def test_sampler_matches_generator_choice(rng):
 ])
 def test_sampler_rejects_bad_probabilities(p):
     with pytest.raises(InputError):
-        sample_outcomes(p, 10)
+        outcome_counts(p, 10)
 
 
 def test_branch_transcripts_match_each_branch(rng):
