@@ -4,20 +4,14 @@ Builds finite local hidden-variable models whose hidden variables may
 carry information about the measurement settings, quantifies that
 dependence in bits, evaluates CHSH/KCBS statistics and their quantum
 predictions, simulates teleportation, and searches for the least
-dependence needed to reach a target CHSH value.
+dependence needed to reach a target CHSH value.  The names exported here
+are the ones the CLI and the README use.
 """
 
 __version__ = "0.1.0"
 
 from .errors import InputError, InvariantError
-from .hilbert import (
-    OperatorMatrix,
-    StateVector,
-    expectations,
-    pauli_x,
-    pauli_z,
-    rotated_zx,
-)
+from .hilbert import StateVector
 from .infotheory import CmdReport, cmd, entropy_bits
 from .inequalities import (
     KCBS_QUANTUM_OPTIMAL,

@@ -1,19 +1,19 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-State vectors, exactly hermitian observables and batched expectation
-values.  Everything is validated eagerly and immutable afterwards, so
-values can be shared freely across threads.  A CHSH scenario's four
-observables are not built as ``OperatorMatrix`` values: ``ChshScenario``
-checks them as one stack, by the same ``_hermitian_parts``.  Teleportation's
-receiver states are derived from a checked input and checked as one stack
-there, so they are built without a re-check.  All spaces in this package are
-tiny (dimension at most 4 for two-qubit work, 3 for qutrit work), so a dense
-numpy representation is used throughout.
+State vectors, exactly hermitian observables and their expectation values.
+Everything is validated eagerly and immutable afterwards, so values can be
+shared freely across threads.  Every expectation value is computed by one
+evaluator, ``_hermitian_expectations``, over a stack of operators checked
+where they enter: ``ChshScenario`` checks a CHSH scenario's four observables
+as one stack, by the same ``_hermitian_parts`` that ``OperatorMatrix`` runs.
+Teleportation's receiver states are derived from a checked input and checked
+as one stack there, so they are built without a re-check.  All spaces in this
+package are tiny (dimension at most 4 for two-qubit work, 3 for qutrit work),
+so a dense numpy representation is used throughout.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,15 +67,11 @@ class StateVector:
     def dim(self) -> int:
         return int(self.amplitudes.size)
 
-    def overlap(self, other: StateVector) -> complex:
-        """Inner product <self|other>."""
-        if other.dim != self.dim:
-            raise InputError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def fidelity(self, other: StateVector) -> float:
         """|<self|other>|^2 -- insensitive to global phase."""
-        return float(abs(self.overlap(other)) ** 2)
+        if other.dim != self.dim:
+            raise InputError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        return float(abs(complex(np.vdot(self.amplitudes, other.amplitudes))) ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,45 +116,16 @@ def _hermitian_parts(ops: np.ndarray, names=None) -> np.ndarray:
     raise InputError(defect if names is None else f"{names[i]}: {defect}")
 
 
-def pauli_x() -> OperatorMatrix:
-    return OperatorMatrix(np.array([[0, 1], [1, 0]], dtype=np.complex128))
-
-
-def pauli_z() -> OperatorMatrix:
-    return OperatorMatrix(np.array([[1, 0], [0, -1]], dtype=np.complex128))
-
-
-def rotated_zx(angle: float) -> OperatorMatrix:
-    """cos(angle) sigma_z + sin(angle) sigma_x: a +/-1-valued spin observable in the zx plane."""
-    c, s = math.cos(angle), math.sin(angle)
-    return OperatorMatrix(np.array([[c, s], [s, -c]], dtype=np.complex128))
-
-
 def tensor_op(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """Kronecker product a (x) b with the left factor as the high-order index."""
     return OperatorMatrix(np.kron(a.entries, b.entries))
 
 
-def expectations(ops, s: StateVector) -> np.ndarray:
-    """<s|A|s> for every hermitian operator A in a stack of shape (..., d, d).
-
-    The whole stack is checked at once: matching dimension, then
-    ``_hermitian_parts``, then a real result within the operator tolerance.
-    The operators are evaluated as given, not as their hermitian parts.
-    """
-    arr = np.asarray(ops, dtype=np.complex128)
-    if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
-        raise InputError(f"operators must be square matrices, got shape {arr.shape}")
-    if arr.shape[-1] != s.dim:
-        raise InputError(
-            f"operator dimension {arr.shape[-1]} does not match state dimension {s.dim}"
-        )
-    _hermitian_parts(arr.reshape(-1, s.dim, s.dim))
-    return _hermitian_expectations(arr, s)
-
-
 def _hermitian_expectations(arr: np.ndarray, s: StateVector) -> np.ndarray:
-    """``expectations`` of a finite hermitian stack; checks only the imaginary residue."""
+    """<s|A|s> for every A in a finite hermitian stack of shape (..., d, d), checked by its caller.
+
+    The package's one evaluator; it checks only the imaginary residue of each result.
+    """
     psi = s.amplitudes
     # psi^dagger (A psi), grouped as np.vdot groups it, so one operator gives the same bits
     values = (psi.conj() @ (arr @ psi)[..., None])[..., 0]
@@ -169,5 +136,7 @@ def _hermitian_expectations(arr: np.ndarray, s: StateVector) -> np.ndarray:
 
 
 def expectation(op: OperatorMatrix, s: StateVector) -> float:
-    """<s|op|s> for a hermitian operator."""
-    return float(expectations(op.entries, s))
+    """<s|op|s> for a hermitian operator, after a check of its dimension."""
+    if op.dim != s.dim:
+        raise InputError(f"operator dimension {op.dim} does not match state dimension {s.dim}")
+    return float(_hermitian_expectations(op.entries, s))

@@ -35,8 +35,8 @@ class ChshScenario:
     """Two +/-1 observables per party and a shared two-qubit state.
 
     ``observables`` is one read-only complex (4, 2, 2) array, alice 0, alice 1,
-    bob 0, bob 1, built from any four matrices, each stored as A/2 + A^dagger/2
-    as ``OperatorMatrix`` stores it.  The checks, in order, each over all four
+    bob 0, bob 1, built from any four matrices, each stored as its exactly
+    hermitian part A/2 + A^dagger/2.  The checks, in order, each over all four
     observables and naming or reporting the first that fails: shape (square,
     then a qubit's), ``_hermitian_parts``'s finite entries and max |A - A^dagger|
     <= `arithmetic`, max |A^2 - 1| <= `arithmetic` / 4; then the state's dimension.

@@ -30,8 +30,6 @@ def _distribution_rows(name: str, table, atol=_ATOL) -> np.ndarray:
     arr = np.array(table, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise InputError(f"{name} must be a 2-d table")
     _check_table(name, arr, atol)
     arr.setflags(write=False)
     return arr

@@ -25,16 +25,6 @@ def format_float(x: float) -> str:
 
 _INDENT = "  "
 
-# the bytes json.dumps writes as they are: printable ASCII but the quote and the backslash
-_UNESCAPED = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
-
-
-def _quoted(text: str) -> str:
-    """``json.dumps(text)``, without its escape scan for text that needs no escapes."""
-    if text.isascii() and not text.encode("ascii").translate(None, _UNESCAPED):
-        return '"' + text + '"'
-    return json.dumps(text)
-
 
 def _emit(obj, depth: int, out: list[str]) -> None:
     """Append the JSON text of ``obj``, nested ``depth`` levels deep, to ``out``.
@@ -54,7 +44,7 @@ def _emit(obj, depth: int, out: list[str]) -> None:
             raise ValueError(f"non-finite float {obj!r} is not serializable")
         out.append(format_float(obj))
     elif isinstance(obj, (str, Path)):
-        out.append(_quoted(str(obj)))
+        out.append(json.dumps(str(obj)))
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), depth, out)
     elif isinstance(obj, dict):
@@ -66,7 +56,7 @@ def _emit(obj, depth: int, out: list[str]) -> None:
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            out.append(sep + _quoted(key) + ": ")
+            out.append(sep + json.dumps(key) + ": ")
             _emit(value, depth + 1, out)
             sep = "," + inner
         out.append("\n" + _INDENT * depth + "}")

@@ -95,6 +95,32 @@ def bloch_observable(direction: np.ndarray) -> np.ndarray:
     return np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
 
 
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def rotated_zx(angle: float) -> np.ndarray:
+    """cos(angle) sigma_z + sin(angle) sigma_x: a +/-1-valued spin observable in the zx plane."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, s], [s, -c]], dtype=complex)
+
+
+def checked_expectations(ops, state) -> np.ndarray:
+    """<state|A|state> of every A in a stack of shape (..., d, d) and a ``StateVector``.
+
+    The checked reference for the library's one evaluator, which trusts its
+    callers' checks: every A must be finite and within 1e-12 of its adjoint,
+    and is then evaluated alone, as np.vdot(psi, A psi).
+    """
+    arr = np.asarray(ops, dtype=complex)
+    psi = state.amplitudes
+    values = []
+    for a in arr.reshape(-1, psi.size, psi.size):
+        assert np.isfinite(a).all() and np.abs(a - a.conj().T).max() <= 1e-12, "not hermitian"
+        values.append(np.vdot(psi, a @ psi).real)
+    return np.array(values).reshape(arr.shape[:-2])
+
+
 def perturbed_observable(direction: np.ndarray, stretch: float, shift: float,
                          skew: float) -> np.ndarray:
     """(1 + stretch) n.sigma + shift * 1, plus ``skew`` on entry [0, 1] alone.

@@ -5,19 +5,11 @@ import pytest
 
 import oracles
 from bellmd.errors import InputError
-from bellmd.hilbert import (
-    OperatorMatrix,
-    StateVector,
-    expectation,
-    expectations,
-    pauli_x,
-    pauli_z,
-    rotated_zx,
-    tensor_op,
-)
+from bellmd.hilbert import OperatorMatrix, StateVector, expectation, tensor_op
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 ZERO = StateVector([1.0, 0.0])
+PAULI_X, PAULI_Z = OperatorMatrix(oracles.PAULI_X), OperatorMatrix(oracles.PAULI_Z)
 # the entangled basis (|00>+|11>), (|00>-|11>), (|01>+|10>), (|01>-|10>), all /sqrt(2)
 ENTANGLED_BASIS = SQRT2_INV * np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]])
 
@@ -107,7 +99,8 @@ class TestTensor:
 class TestBornProbabilities:
     def test_eigenstate_of_entangled_basis(self):
         projectors = ENTANGLED_BASIS[:, :, None] * ENTANGLED_BASIS[:, None, :]
-        probs = expectations(projectors, StateVector(ENTANGLED_BASIS[0]))
+        state = StateVector(ENTANGLED_BASIS[0])
+        probs = [expectation(OperatorMatrix(p), state) for p in projectors]
         assert np.allclose(probs, [1, 0, 0, 0], atol=1e-12)
 
     def test_combined_state_is_uniform_over_branches(self, rng):
@@ -134,13 +127,13 @@ class TestBornProbabilities:
 class TestExpectation:
     def test_parallel_correlations_of_shared_pair(self):
         pair = StateVector(ENTANGLED_BASIS[0])
-        zz = tensor_op(pauli_z(), pauli_z())
-        zx = tensor_op(pauli_z(), pauli_x())
+        zz = tensor_op(PAULI_Z, PAULI_Z)
+        zx = tensor_op(PAULI_Z, PAULI_X)
         assert abs(expectation(zz, pair) - 1.0) <= 1e-12
         assert abs(expectation(zx, pair)) <= 1e-12
 
     def test_eigenvector(self):
-        assert abs(expectation(pauli_z(), ZERO) - 1.0) <= 1e-15
+        assert abs(expectation(PAULI_Z, ZERO) - 1.0) <= 1e-15
 
     def test_rejects_non_hermitian(self):
         ghost = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -161,37 +154,17 @@ class TestExpectation:
 
 class TestExpectations:
     def test_single_operator_matches_expectation_exactly(self, rng):
+        # the stacked evaluator gives the bits of np.vdot on one operator
         for dim in (2, 3, 4):
             for _ in range(25):
                 raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 op = OperatorMatrix((raw + raw.conj().T) / 2.0)
                 s = StateVector(oracles.random_state(dim, rng))
-                assert expectation(op, s) == expectations(op.entries, s)
-
-    def test_stack_shape_is_kept(self, rng):
-        s = StateVector(oracles.random_state(2, rng))
-        ops = np.stack([pauli_x().entries, pauli_z().entries, np.eye(2)] * 2)
-        values = expectations(ops.reshape(2, 3, 2, 2), s)
-        assert values.shape == (2, 3)
-        assert values[0, 0] == expectation(pauli_x(), s)
-        assert values[1, 2] == pytest.approx(1.0, abs=1e-15)
-
-    def test_one_non_hermitian_member_rejected(self):
-        ghost = np.array([[0, 1], [0, 0]], dtype=complex)
-        ops = np.stack([pauli_x().entries, ghost, pauli_z().entries])
-        with pytest.raises(InputError, match="hermitian"):
-            expectations(ops, ZERO)
+                assert expectation(op, s) == oracles.checked_expectations(op.entries, s)
 
     def test_dimension_mismatch_rejected(self):
-        ops = np.stack([pauli_x().entries, pauli_z().entries])
         with pytest.raises(InputError, match="does not match state dimension"):
-            expectations(ops, StateVector([1.0, 0.0, 0.0, 0.0]))
-
-    def test_nan_entry_rejected(self):
-        ops = np.stack([pauli_x().entries, pauli_z().entries])
-        ops[1, 0, 0] = np.nan
-        with pytest.raises(InputError, match="finite"):
-            expectations(ops, ZERO)
+            expectation(PAULI_X, StateVector([1.0, 0.0, 0.0, 0.0]))
 
 
 class TestOperatorAndMeasurementValidation:
@@ -214,10 +187,10 @@ class TestOperatorAndMeasurementValidation:
                 assert np.max(np.abs(entries - near)) <= 1e-12
 
     def test_exactly_hermitian_input_is_stored_bit_for_bit(self, rng):
-        pairs = [(pauli_x(), [[0, 1], [1, 0]]), (pauli_z(), [[1, 0], [0, -1]])]
+        pairs = [(PAULI_X, [[0, 1], [1, 0]]), (PAULI_Z, [[1, 0], [0, -1]])]
         for t in np.linspace(-7.0, 7.0, 201):
             c, s = math.cos(t), math.sin(t)
-            pairs.append((rotated_zx(t), [[c, s], [s, -c]]))
+            pairs.append((OperatorMatrix(oracles.rotated_zx(t)), [[c, s], [s, -c]]))
         for _ in range(500):
             bloch = oracles.bloch_observable(oracles.random_unit_bloch(rng))
             pairs.append((OperatorMatrix(bloch), bloch))

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from bellmd.errors import InputError
-from bellmd.hilbert import StateVector, expectations, pauli_x, pauli_z, rotated_zx
+from bellmd.hilbert import StateVector
 from bellmd.inequalities import (
     KCBS_QUANTUM_OPTIMAL,
     ChshScenario,
@@ -66,7 +66,7 @@ class TestChshQuantum:
     def test_same_pair_first_correlator_is_one(self):
         # both parties measuring the same pair (z and the 45-degree zx mix)
         # are perfectly correlated on the shared pair state
-        pair = [pauli_z().entries, rotated_zx(math.pi / 4.0).entries]
+        pair = [oracles.PAULI_Z, oracles.rotated_zx(math.pi / 4.0)]
         state = StateVector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
         table = chsh_quantum(ChshScenario(pair + pair, state))
         assert abs(table.correlators[0, 0] - 1.0) <= 1e-12
@@ -80,8 +80,9 @@ class TestChshQuantum:
 
     def test_singlet_reaches_tsirelson_via_symmetrization(self):
         singlet = StateVector(np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2.0))
-        observables = (pauli_z(), pauli_x(), rotated_zx(math.pi / 4.0), rotated_zx(-math.pi / 4.0))
-        scenario = ChshScenario([op.entries for op in observables], singlet)
+        observables = [oracles.PAULI_Z, oracles.PAULI_X,
+                       oracles.rotated_zx(math.pi / 4.0), oracles.rotated_zx(-math.pi / 4.0)]
+        scenario = ChshScenario(observables, singlet)
         assert abs(chsh_value(chsh_quantum(scenario)) - TSIRELSON) <= 1e-9
 
     def test_tsirelson_bound_holds_empirically(self, rng):
@@ -116,7 +117,7 @@ class TestChshQuantum:
         bad = 0.5 * np.eye(2, dtype=complex)
         state = StateVector([1, 0, 0, 0])
         with pytest.raises(InputError):
-            ChshScenario([bad, pauli_x().entries, pauli_z().entries, pauli_x().entries], state)
+            ChshScenario([bad, oracles.PAULI_X, oracles.PAULI_Z, oracles.PAULI_X], state)
         # [[0, 1 + d], [1 + d, 0]] squares to (1 + d)^2; d up to 5e-11 passed the
         # old 1e-10 gate, then failed CorrelationTable's [-1, 1] check
         pair = StateVector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
@@ -124,10 +125,10 @@ class TestChshQuantum:
             stretched = np.array([[0, 1 + d], [1 + d, 0]], dtype=complex)
             with pytest.raises(InputError, match=r"bob observable 1 must square to the "
                                                  r"identity: max \|A\^2 - 1\| = .* > 2.5e-13"):
-                ChshScenario([pauli_z().entries, pauli_x().entries, pauli_z().entries, stretched],
+                ChshScenario([oracles.PAULI_Z, oracles.PAULI_X, oracles.PAULI_Z, stretched],
                              pair)
         within = np.array([[0, 1 + 1e-13], [1 + 1e-13, 0]], dtype=complex)
-        table = chsh_quantum(ChshScenario([within, pauli_z().entries] * 2, pair))
+        table = chsh_quantum(ChshScenario([within, oracles.PAULI_Z] * 2, pair))
         assert abs(table.correlators[0, 0] - 1.0) <= 1e-12
 
     def test_a_stack_in_any_memory_layout_is_the_same_scenario(self):
@@ -265,5 +266,7 @@ class TestKcbs:
             products = observables @ np.roll(observables, -1, axis=0)
             residue = np.abs(products - products.swapaxes(1, 2)).max()
             assert residue <= DEFAULT_TOLERANCES.arithmetic / 2.0
-            assert value == float(expectations(products, scenario.state).sum())
+            assert value == float(oracles.checked_expectations(products, scenario.state).sum())
+            reference = oracles.kcbs_reference(scenario.vectors, scenario.state.amplitudes)
+            assert abs(value - reference) <= 1e-12
         assert 500 <= built < 2000

@@ -2,8 +2,11 @@
 
 A name added to ``bellmd/__init__.py`` must be added here too, on purpose.
 Names the benchmark tracer wraps stay module attributes, checked below.
+The package uses no private name of another module, the standard library's
+included: no ``from X import _name`` and no ``X._name``.
 """
 
+import ast
 import importlib
 import types
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import bellmd
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SOURCES = sorted(Path(bellmd.__file__).parent.glob("*.py"))
 
 PUBLIC_NAMES = [
     "ChshScenario",
@@ -22,7 +26,6 @@ PUBLIC_NAMES = [
     "KCBS_QUANTUM_OPTIMAL",
     "KcbsScenario",
     "LhvModel",
-    "OperatorMatrix",
     "SearchOutcome",
     "SettingSpace",
     "StateVector",
@@ -35,7 +38,6 @@ PUBLIC_NAMES = [
     "chsh_value",
     "cmd",
     "entropy_bits",
-    "expectations",
     "kcbs_classical_min",
     "kcbs_pentagram",
     "kcbs_value",
@@ -44,10 +46,7 @@ PUBLIC_NAMES = [
     "measurement_independent",
     "min_cmd_for_chsh",
     "outcome_counts",
-    "pauli_x",
-    "pauli_z",
     "predict",
-    "rotated_zx",
     "tradeoff_curve",
     "verify_no_setting_choice",
 ]
@@ -68,3 +67,43 @@ def test_every_traced_call_resolves(monkeypatch):
     missing = [f"bellmd.{module}.{attr}" for module, attr, *_ in traced
                if not hasattr(importlib.import_module(f"bellmd.{module}"), attr)]
     assert traced and not missing
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _foreign_private_names(source: str) -> list[str]:
+    """``X._name`` and ``from X import _name`` in ``source``, for any X imported from outside."""
+    tree = ast.parse(source)
+    foreign, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            foreign.update(a.asname or a.name.split(".")[0] for a in node.names
+                           if a.name.split(".")[0] != "bellmd")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] != "bellmd":
+            foreign.update(a.asname or a.name for a in node.names)
+            found += [f"from {node.module} import {a.name}" for a in node.names if _private(a.name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in foreign:
+                found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+def test_the_scan_sees_private_names_of_other_modules():
+    source = ("import json\nimport numpy as np\nfrom json.encoder import _make_iterencode\n"
+              "from . import lhv\nfrom .hilbert import _hermitian_parts\n"
+              "json.encoder._make_iterencode, np._x, np.__version__, lhv._ATOL, self._y\n")
+    assert _foreign_private_names(source) == ["from json.encoder import _make_iterencode",
+                                              "json.encoder._make_iterencode", "np._x"]
+
+
+def test_no_private_names_of_other_modules():
+    found = {path.name: names for path in SOURCES
+             if (names := _foreign_private_names(path.read_text(encoding="utf-8")))}
+    assert SOURCES and not found

@@ -17,13 +17,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bellmd import hilbert, inequalities
+from bellmd import inequalities
 from bellmd.errors import InputError
 from bellmd.hilbert import StateVector
 from bellmd.inequalities import ChshScenario, chsh_quantum, chsh_value
 from bellmd.lhv import CorrelationTable
 from bellmd.tolerances import DEFAULT_TOLERANCES
-from oracles import bloch_observable, perturbed_observable, top_eigenvector
+from oracles import (bloch_observable, checked_expectations, perturbed_observable,
+                     top_eigenvector)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -40,7 +41,7 @@ def _unit(values) -> np.ndarray | None:
 
 def assert_matches_the_checked_path(scenario: ChshScenario) -> CorrelationTable:
     table = chsh_quantum(scenario)
-    with mock.patch.object(inequalities, "_hermitian_expectations", hilbert.expectations), \
+    with mock.patch.object(inequalities, "_hermitian_expectations", checked_expectations), \
             mock.patch.object(CorrelationTable, "_derived", staticmethod(CorrelationTable)):
         checked = chsh_quantum(scenario)
     revalidated = CorrelationTable(table.joint)

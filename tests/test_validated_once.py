@@ -3,10 +3,11 @@
 Counters pin one check per input.  A CHSH file, sound or defective, runs
 ``ChshScenario``'s check of its four observables once, as one stack, and
 builds no ``OperatorMatrix``; evaluating it builds no checked
-``CorrelationTable`` and never calls ``expectations``.  A KCBS file runs
-``KcbsScenario``'s check once, and evaluating it never calls
-``expectations``, whose hermiticity check the scenario's orthogonality
-bound already settles.  ``predict`` builds no checked ``CorrelationTable``.
+``CorrelationTable`` and never calls ``expectation``, the checked
+evaluator.  A KCBS file runs ``KcbsScenario``'s check once, and evaluating
+it never calls ``expectation``: the scenario's orthogonality bound already
+settles the hermiticity that an ``OperatorMatrix`` would check.  ``predict``
+builds no checked ``CorrelationTable``.
 A teleport run checks one state, the sent one, and builds no
 ``OperatorMatrix``: its four receiver states are one stack with one norm check.
 A model, sound or defective, runs ``LhvModel``'s one-pass check of its three
@@ -71,7 +72,7 @@ def calls(monkeypatch):
     """Counts of calls to each checking entry point of the quantum and table paths."""
     return _counted(monkeypatch, (ChshScenario, "__post_init__"), (KcbsScenario, "__post_init__"),
                     (OperatorMatrix, "__post_init__"), (CorrelationTable, "__post_init__"),
-                    (hilbert, "expectations"))
+                    (hilbert, "expectation"))
 
 
 @pytest.fixture
@@ -91,11 +92,10 @@ def test_the_counters_see_the_checked_paths(calls, state_calls):
     inequalities.kcbs_pentagram()
     CorrelationTable.from_correlators(np.zeros((2, 2)))
     qubit = hilbert.StateVector([1.0, 0.0])
-    hilbert.expectations(np.eye(2), qubit)
-    hilbert.expectation(hilbert.pauli_z(), qubit)  # one more OperatorMatrix, then expectations
+    hilbert.expectation(OperatorMatrix(oracles.PAULI_Z), qubit)  # one OperatorMatrix, one call
     assert calls == {"ChshScenario.__post_init__": 1, "KcbsScenario.__post_init__": 1,
                      "OperatorMatrix.__post_init__": 1, "CorrelationTable.__post_init__": 1,
-                     "bellmd.hilbert.expectations": 2}
+                     "bellmd.hilbert.expectation": 1}
     state_calls.clear()
     teleport.TeleportInput(0.6, 0.8).state()  # the sent state, the one a teleport run checks
     assert state_calls == {"StateVector.__post_init__": 1}
@@ -143,8 +143,8 @@ def test_a_kcbs_file_is_checked_once_and_evaluated_without_a_recheck(calls):
     value = inequalities.kcbs_value(read_kcbs_scenario(asset_path("kcbs-pentagram.json")))
     assert abs(value - inequalities.KCBS_QUANTUM_OPTIMAL) <= 1e-12
     assert calls == {"KcbsScenario.__post_init__": 1}
-    # the counter patches hilbert's name; one imported into inequalities would escape it
-    assert not hasattr(inequalities, "expectations")
+    # the counter patches hilbert's name; inequalities holds one more, for the benchmark tracer
+    assert "expectation" not in inequalities.kcbs_value.__code__.co_names
 
 
 def test_predict_does_not_recheck_its_table(calls):
