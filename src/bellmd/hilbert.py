@@ -14,11 +14,9 @@ so a dense numpy representation is used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InputError, InvariantError
+from .errors import Frozen, InputError, InvariantError
 from .tolerances import DEFAULT_TOLERANCES
 
 
@@ -36,19 +34,18 @@ def _as_complex_vector(values) -> np.ndarray:
     return _freeze(arr)
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Frozen):
     """Complex amplitude vector of unit length.
 
     The constructor enforces sum(|amplitude|^2) == 1 within the
     normalization tolerance.
     """
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self) -> None:
-        arr = _as_complex_vector(self.amplitudes)
-        object.__setattr__(self, "amplitudes", arr)
+    def __init__(self, amplitudes) -> None:
+        arr = _as_complex_vector(amplitudes)
+        self._assign(arr)
         # an amplitude past 2 fails the gate either way; the clamp keeps its square finite
         actual = float((np.minimum(np.abs(arr), 2.0) ** 2).sum())
         if abs(actual - 1.0) > DEFAULT_TOLERANCES.normalization:
@@ -60,7 +57,7 @@ class StateVector:
     def _derived(cls, amplitudes: np.ndarray) -> StateVector:
         """State that takes over ``amplitudes``, a unit vector computed from checked inputs."""
         state = object.__new__(cls)
-        object.__setattr__(state, "amplitudes", _freeze(amplitudes))
+        state._assign(_freeze(amplitudes))
         return state
 
     @property
@@ -74,21 +71,20 @@ class StateVector:
         return float(abs(complex(np.vdot(self.amplitudes, other.amplitudes))) ** 2)
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
+class OperatorMatrix(Frozen):
     """Matrix A with max |A - A^dagger| <= `arithmetic`, stored as A/2 + A^dagger/2.
 
     Stored entries equal their adjoint exactly, so products of them are exactly
     hermitian; an exactly hermitian A with normal entries is kept bit for bit.
     """
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=np.complex128)
+    def __init__(self, entries) -> None:
+        arr = np.array(entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise InputError(f"operator must be a nonempty square matrix, got shape {arr.shape}")
-        object.__setattr__(self, "entries", _freeze(_hermitian_parts(arr[None])[0]))
+        self._assign(_freeze(_hermitian_parts(arr[None])[0]))
 
     @property
     def dim(self) -> int:

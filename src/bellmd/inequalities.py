@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import Frozen, InputError
 from .hilbert import StateVector, _hermitian_expectations, _hermitian_parts
 # the benchmark tracer (bench/workloads.py) wraps these two names in this module
 from .hilbert import expectation, tensor_op  # noqa: F401
@@ -30,8 +29,7 @@ _OBSERVABLE_NAMES = [f"{party} observable {k}" for party in ("alice", "bob") for
 _EYE = np.eye(2)
 
 
-@dataclass(frozen=True, eq=False)
-class ChshScenario:
+class ChshScenario(Frozen):
     """Two +/-1 observables per party and a shared two-qubit state.
 
     ``observables`` is one read-only complex (4, 2, 2) array, alice 0, alice 1,
@@ -42,11 +40,10 @@ class ChshScenario:
     <= `arithmetic`, max |A^2 - 1| <= `arithmetic` / 4; then the state's dimension.
     """
 
-    observables: np.ndarray
-    state: StateVector
+    __slots__ = ("observables", "state")
 
-    def __post_init__(self) -> None:
-        ops = self.observables
+    def __init__(self, observables, state: StateVector) -> None:
+        ops = observables
         stacked = isinstance(ops, np.ndarray) and ops.shape == (4, 2, 2)
         if not stacked and len(ops) != 4:
             raise InputError("each party needs exactly two observables")
@@ -71,10 +68,10 @@ class ChshScenario:
             i = int(np.argmax(~(gaps <= square_tol)))
             raise InputError(f"{_OBSERVABLE_NAMES[i]} must square to the identity: "
                              f"max |A^2 - 1| = {gaps[i]:.3g} > {square_tol:.3g}")
-        if self.state.dim != 4:
+        if state.dim != 4:
             raise InputError("shared state must live in the 4-dimensional two-qubit space")
         ops.setflags(write=False)
-        object.__setattr__(self, "observables", ops)
+        self._assign(ops, state)
 
 
 def chsh_value(t: CorrelationTable) -> float:
@@ -127,15 +124,13 @@ def bell_optimal_scenario() -> ChshScenario:
     return ChshScenario(np.array(observables, dtype=np.complex128), state)
 
 
-@dataclass(frozen=True, eq=False)
-class KcbsScenario:
+class KcbsScenario(Frozen):
     """Five unit vectors in real 3-space, cyclically orthogonal, plus a qutrit state."""
 
-    vectors: np.ndarray
-    state: StateVector
+    __slots__ = ("vectors", "state")
 
-    def __post_init__(self) -> None:
-        vecs = np.array(self.vectors, dtype=float)
+    def __init__(self, vectors, state: StateVector) -> None:
+        vecs = np.array(vectors, dtype=float)
         if vecs.shape != (5, 3):
             raise InputError(f"need five 3-vectors, got shape {vecs.shape}")
         if not np.isfinite(vecs).all():
@@ -155,10 +150,10 @@ class KcbsScenario:
                 f"vectors {i} and {(i + 1) % 5} must be orthogonal: "
                 f"|v_{i} . v_{(i + 1) % 5}| = {dots[i]:.3g} > {ortho_tol:.3g}"
             )
-        if self.state.dim != 3:
+        if state.dim != 3:
             raise InputError("state must be a qutrit")
         vecs.setflags(write=False)
-        object.__setattr__(self, "vectors", vecs)
+        self._assign(vecs, state)
 
 
 def kcbs_pentagram(state: StateVector | None = None) -> KcbsScenario:

@@ -8,11 +8,9 @@ entropy) is reported alongside so fully deterministic settings score 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvariantError
+from .errors import InvariantError, Value
 from .lhv import LhvModel
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -46,8 +44,7 @@ def _mutual_information_bits(joint: np.ndarray, row_m: np.ndarray, col_m: np.nda
     return max(value, 0.0)
 
 
-@dataclass(frozen=True)
-class CmdReport:
+class CmdReport(Value):
     """Setting-dependence score of a model.
 
     raw_bits: mutual information between the hidden variable and the joint
@@ -56,9 +53,10 @@ class CmdReport:
     marginal.
     """
 
-    raw_bits: float
-    normalized: float
-    setting_entropy_bits: float
+    __slots__ = ("raw_bits", "normalized", "setting_entropy_bits")
+
+    def __init__(self, raw_bits: float, normalized: float, setting_entropy_bits: float) -> None:
+        self._assign(raw_bits, normalized, setting_entropy_bits)
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,11 +13,9 @@ the shape of p(lambda | a, b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import InputError
+from .errors import Frozen, InputError
 from .tolerances import DEFAULT_TOLERANCES
 
 _ATOL = DEFAULT_TOLERANCES.arithmetic
@@ -65,22 +63,21 @@ def _check_sums(name: str, sums: np.ndarray, atol=_ATOL) -> None:
         raise InputError(f"{name} rows must each sum to 1 within {atol:g}")
 
 
-@dataclass(frozen=True, eq=False)
-class SettingSpace:
+class SettingSpace(Frozen):
     """Joint measurement settings for two parties, with a marginal over them.
 
     Joint settings are indexed row-major: index = a * bob_settings + b.
     """
 
-    alice_settings: int = 2
-    bob_settings: int = 2
-    marginal: np.ndarray | None = None
+    __slots__ = ("alice_settings", "bob_settings", "marginal")
 
-    def __post_init__(self) -> None:
-        if self.alice_settings < 1 or self.bob_settings < 1:
+    def __init__(self, alice_settings: int = 2, bob_settings: int = 2, marginal=None) -> None:
+        for count in (alice_settings, bob_settings):  # numpy's ints pass; bools and 2.0 fail
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise InputError("setting counts must be positive integers")
+        if alice_settings < 1 or bob_settings < 1:
             raise InputError("setting counts must be positive")
-        n = self.alice_settings * self.bob_settings
-        marginal = self.marginal
+        n = alice_settings * bob_settings
         if marginal is None:
             marginal = np.full(n, 1.0 / n)
         marginal = np.asarray(marginal, dtype=float)
@@ -88,7 +85,7 @@ class SettingSpace:
             raise InputError(f"setting marginal must be a flat list of {n} entries, "
                              f"got shape {marginal.shape}")
         marginal = _distribution_rows("setting marginal", marginal, atol=_ROW_ATOL)[0]
-        object.__setattr__(self, "marginal", marginal)
+        self._assign(alice_settings, bob_settings, marginal)
 
     @property
     def n_joint(self) -> int:
@@ -137,8 +134,7 @@ def _model_tables(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...
     return stack[:n], stack[n:n + n_a], stack[n + n_a:]
 
 
-@dataclass(frozen=True, eq=False)
-class LhvModel:
+class LhvModel(Frozen):
     """Hidden-variable distribution plus factorizable +/-1 response tables.
 
     lambda_given_settings has one row per joint setting (each a distribution
@@ -152,23 +148,19 @@ class LhvModel:
     naming its field, or numpy's own error for a table that does not convert.
     """
 
-    setting_space: SettingSpace
-    lambda_given_settings: np.ndarray
-    alice_response: np.ndarray
-    bob_response: np.ndarray
+    __slots__ = ("setting_space", *_FIELDS)
 
-    def __post_init__(self) -> None:
-        tables = [getattr(self, name) for name in _FIELDS]
-        for name, table in zip(_FIELDS, _model_tables(self.setting_space, *tables)):
-            object.__setattr__(self, name, table)
+    def __init__(self, setting_space: SettingSpace, lambda_given_settings, alice_response,
+                 bob_response) -> None:
+        self._assign(setting_space, *_model_tables(setting_space, lambda_given_settings,
+                                                   alice_response, bob_response))
 
     @property
     def lambda_count(self) -> int:
         return int(self.lambda_given_settings.shape[1])
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationTable:
+class CorrelationTable(Frozen):
     """Joint outcome probabilities per setting pair, and the correlators they imply.
 
     joint[a, b, i, j] is p(x, y | a, b) with index 0 meaning outcome +1 and
@@ -177,11 +169,11 @@ class CorrelationTable:
     tolerances, follows from the joint checks.
     """
 
-    joint: np.ndarray
-    correlators: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("joint", "correlators")
+    _fields = ("joint",)
 
-    def __post_init__(self) -> None:
-        joint = np.array(self.joint, dtype=float)
+    def __init__(self, joint) -> None:
+        joint = np.array(joint, dtype=float)
         if joint.ndim != 4 or joint.shape[2:] != (2, 2):
             raise InputError(f"joint table must have shape (a, b, 2, 2), got {joint.shape}")
         rows = _distribution_rows("joint outcome table", joint.reshape(-1, 4))
@@ -190,8 +182,7 @@ class CorrelationTable:
     def _set(self, joint: np.ndarray) -> None:
         corr = joint[..., 0, 0] - joint[..., 0, 1] - joint[..., 1, 0] + joint[..., 1, 1]
         corr.setflags(write=False)
-        object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "correlators", corr)
+        self._assign(joint, corr)
 
     @classmethod
     def _derived(cls, joint: np.ndarray) -> CorrelationTable:

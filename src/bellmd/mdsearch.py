@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, Value
 from .inequalities import chsh_value
 from .infotheory import CmdReport, cmd
 from .lhv import LhvModel, SettingSpace, predict
@@ -46,25 +45,25 @@ from .lhv import LhvModel, SettingSpace, predict
 _FEAS_HEADROOM = 1e-12  # float headroom on a hard constraint; never a real slack
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Value):
     """Optimal model with its recomputed CHSH value and dependence.
 
     ``feasible`` is False if the recomputed values miss the constraint by
     more than float headroom; the model is still carried.
     """
 
-    model: LhvModel
-    cmd_report: CmdReport
-    chsh: float
-    feasible: bool
+    __slots__ = ("model", "cmd_report", "chsh", "feasible")
+
+    def __init__(self, model: LhvModel, cmd_report: CmdReport, chsh: float,
+                 feasible: bool) -> None:
+        self._assign(model, cmd_report, chsh, feasible)
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
-    budget_bits: float
-    best_chsh: float
-    model: LhvModel
+class TradeoffPoint(Value):
+    __slots__ = ("budget_bits", "best_chsh", "model")
+
+    def __init__(self, budget_bits: float, best_chsh: float, model: LhvModel) -> None:
+        self._assign(budget_bits, best_chsh, model)
 
 
 # --- the optimal model (uniform 2x2 settings) --------------------------------

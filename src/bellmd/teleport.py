@@ -10,11 +10,10 @@ the Pauli correction that restores the input state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, Value
 from .hilbert import StateVector
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -34,32 +33,29 @@ _CORRECTIONS = np.array(
 )
 
 
-@dataclass(frozen=True)
-class TeleportInput:
+class TeleportInput(Value):
     """Amplitudes of the qubit to send, checked once as the sent ``StateVector``."""
 
-    a: complex
-    b: complex
-    _state: StateVector = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "b", "_state")
+    _fields = ("a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "_state", StateVector(np.array([self.a, self.b])))
+    def __init__(self, a: complex, b: complex) -> None:
+        a, b = complex(a), complex(b)
+        self._assign(a, b, StateVector(np.array([a, b])))
 
     def state(self) -> StateVector:
         return self._state
 
 
-@dataclass(frozen=True)
-class TeleportTranscript:
+class TeleportTranscript(Value):
     """One protocol run: measured branch, applied correction, receiver state, fidelity."""
 
-    outcome_index: int
-    outcome_probability: float
-    correction_applied: str
-    bob_final: StateVector
-    fidelity: float
+    __slots__ = ("outcome_index", "outcome_probability", "correction_applied", "bob_final",
+                 "fidelity")
+
+    def __init__(self, outcome_index: int, outcome_probability: float, correction_applied: str,
+                 bob_final: StateVector, fidelity: float) -> None:
+        self._assign(outcome_index, outcome_probability, correction_applied, bob_final, fidelity)
 
     def to_json_dict(self) -> dict:
         return {

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .errors import Value
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(Value):
     """Absolute tolerances used throughout the package.
 
     normalization: squared norms of state vectors, teleport inputs included, and
@@ -18,9 +17,11 @@ class Tolerances:
         to 1 and the row sums of a model's tables, an eighth KCBS neighbour orthogonality
     """
 
-    normalization: float = 1e-9
-    operator: float = 1e-10
-    arithmetic: float = 1e-12
+    __slots__ = ("normalization", "operator", "arithmetic")
+
+    def __init__(self, normalization: float = 1e-9, operator: float = 1e-10,
+                 arithmetic: float = 1e-12) -> None:
+        self._assign(normalization, operator, arithmetic)
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -157,6 +157,17 @@ class TestValidation:
         with pytest.raises(InputError):
             SettingSpace(alice_settings=0)
 
+    @pytest.mark.parametrize("alice, bob", [
+        (2.0, 2), (2, 2.0), (True, 2), (2, False), (np.float64(1.0), 1), (np.bool_(True), 1),
+        ("2", 2),
+    ])
+    def test_setting_counts_are_integers(self, alice, bob):
+        # 2.0 used to fail in numpy, and True to load a 1-setting party with marginal [0.5, 0.5]
+        with pytest.raises(InputError, match=r"^setting counts must be positive integers$"):
+            SettingSpace(alice, bob)
+        space = SettingSpace(np.int64(2), np.int32(1))
+        assert space.n_joint == 2 and space.marginal.tolist() == [0.5, 0.5]
+
     @pytest.mark.parametrize("marginal, shape", [
         ([[0.25] * 4, [0.7, 0.1, 0.1, 0.1]], "(2, 4)"),  # row 0 alone used to be kept
         ([[0.25] * 4], "(1, 4)"),

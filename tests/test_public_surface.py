@@ -3,7 +3,9 @@
 A name added to ``bellmd/__init__.py`` must be added here too, on purpose.
 Names the benchmark tracer wraps stay module attributes, checked below.
 The package uses no private name of another module, the standard library's
-included: no ``from X import _name`` and no ``X._name``.
+included: no ``from X import _name`` and no ``X._name``.  Nor does it import
+``dataclasses``: each decorator execs its generated methods on every import of
+bellmd, which every CLI run pays for.
 """
 
 import ast
@@ -106,4 +108,25 @@ def test_the_scan_sees_private_names_of_other_modules():
 def test_no_private_names_of_other_modules():
     found = {path.name: names for path in SOURCES
              if (names := _foreign_private_names(path.read_text(encoding="utf-8")))}
+    assert SOURCES and not found
+
+
+def _dataclasses_imports(source: str) -> list[int]:
+    """Lines of ``source`` that import ``dataclasses`` or a name from it."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses"
+                                                    for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "dataclasses"]
+
+
+def test_the_scan_sees_dataclasses_imports():
+    source = ("import json\nfrom dataclasses import dataclass\nimport dataclasses as dc\n"
+              "from .errors import Frozen\n")
+    assert _dataclasses_imports(source) == [2, 3]
+
+
+def test_no_dataclasses_import():
+    found = {path.name: lines for path in SOURCES
+             if (lines := _dataclasses_imports(path.read_text(encoding="utf-8")))}
     assert SOURCES and not found

@@ -1,0 +1,127 @@
+"""The package's 13 value classes: read-only, copyable and picklable, compared as pinned.
+
+Assigning or deleting a field raises ``AttributeError``.  ``pickle`` at every
+protocol, ``copy.copy`` and ``copy.deepcopy`` give an instance of the same class
+with every field kept, arrays identical byte for byte.  The six plain value
+classes compare and hash by their fields (``TeleportInput`` without its kept
+state); the seven checked classes compare and hash by identity.
+"""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+
+import oracles
+from bellmd.hilbert import OperatorMatrix, StateVector
+from bellmd.inequalities import ChshScenario, KcbsScenario, bell_optimal_scenario, kcbs_pentagram
+from bellmd.infotheory import CmdReport
+from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct
+from bellmd.mdsearch import SearchOutcome, TradeoffPoint
+from bellmd.teleport import TeleportInput, TeleportTranscript
+from bellmd.tolerances import Tolerances
+
+STATE = StateVector([0.6, 0.8])
+MODEL = brans_construct(CorrelationTable.from_correlators([[0.5, 0.5], [0.5, -0.5]]))
+
+# class -> (its fields, a factory whose instances have equal fields)
+VALUES = {
+    Tolerances: (("normalization", "operator", "arithmetic"), Tolerances),
+    CmdReport: (("raw_bits", "normalized", "setting_entropy_bits"),
+                lambda: CmdReport(1.0, 0.5, 2.0)),
+    SearchOutcome: (("model", "cmd_report", "chsh", "feasible"),
+                    lambda: SearchOutcome(MODEL, CmdReport(1.0, 0.5, 2.0), 2.5, True)),
+    TradeoffPoint: (("budget_bits", "best_chsh", "model"), lambda: TradeoffPoint(0.1, 2.5, MODEL)),
+    TeleportInput: (("a", "b", "_state"), lambda: TeleportInput(0.6, 0.8j)),
+    TeleportTranscript: (("outcome_index", "outcome_probability", "correction_applied",
+                          "bob_final", "fidelity"),
+                         lambda: TeleportTranscript(2, 0.25, "sigma_x", STATE, 1.0)),
+}
+CHECKED = {
+    StateVector: (("amplitudes",), lambda: StateVector([0.6, 0.8j])),
+    OperatorMatrix: (("entries",), lambda: OperatorMatrix(oracles.PAULI_X)),
+    SettingSpace: (("alice_settings", "bob_settings", "marginal"),
+                   lambda: SettingSpace(1, 2, [0.25, 0.75])),
+    LhvModel: (("setting_space", "lambda_given_settings", "alice_response", "bob_response"),
+               lambda: brans_construct(CorrelationTable.from_correlators(np.zeros((2, 2))))),
+    CorrelationTable: (("joint", "correlators"),
+                       lambda: CorrelationTable.from_correlators([[0.5, 0.5], [0.5, -0.5]])),
+    ChshScenario: (("observables", "state"), bell_optimal_scenario),
+    KcbsScenario: (("vectors", "state"), kcbs_pentagram),
+}
+CLASSES = {**VALUES, **CHECKED}
+
+
+def assert_same(a, b) -> None:
+    """Equal fields, recursively through the value classes; arrays equal byte for byte."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    elif type(a) in CLASSES:
+        for name in CLASSES[type(a)][0]:
+            assert_same(getattr(a, name), getattr(b, name))
+    else:
+        assert a == b
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_fields_are_read_only(cls):
+    names, make = CLASSES[cls]
+    value = make()
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.unknown = 1
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_pickle_and_copy_keep_every_field(cls):
+    value = CLASSES[cls][1]()
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies + [copy.copy(value), copy.deepcopy(value)]:
+        assert twin is not value
+        assert_same(twin, value)
+        with pytest.raises(AttributeError):
+            setattr(twin, CLASSES[cls][0][0], None)
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_value_classes_compare_and_hash_by_field(cls):
+    first, second = VALUES[cls][1](), VALUES[cls][1]()
+    assert first is not second and first == second and not first != second
+    assert hash(first) == hash(second)
+    assert first != tuple(getattr(first, name) for name in VALUES[cls][0])
+
+
+def test_a_compared_field_that_differs_makes_values_unequal():
+    assert CmdReport(1.0, 0.5, 2.0) != CmdReport(1.0, 0.5, 2.5)
+    assert TeleportInput(0.6, 0.8) != TeleportInput(0.8, 0.6)
+    assert Tolerances() != Tolerances(arithmetic=1e-11)
+    # the kept state is not compared: equal inputs hold distinct states
+    first, second = TeleportInput(0.6, 0.8), TeleportInput(0.6, 0.8)
+    assert first == second and first.state() is not second.state()
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
+def test_checked_classes_compare_and_hash_by_identity(cls):
+    first, second = CHECKED[cls][1](), CHECKED[cls][1]()
+    assert first == first and first != second
+    assert hash(first) == object.__hash__(first)
+
+
+def test_repr_lists_the_shown_fields():
+    assert repr(CmdReport(1.0, 0.5, 2.0)) == \
+        "CmdReport(raw_bits=1.0, normalized=0.5, setting_entropy_bits=2.0)"
+    assert repr(Tolerances()) == \
+        "Tolerances(normalization=1e-09, operator=1e-10, arithmetic=1e-12)"
+    assert repr(TeleportInput(0.6, 0.8)) == "TeleportInput(a=(0.6+0j), b=(0.8+0j))"
+    table = CorrelationTable.from_correlators(np.zeros((1, 1)))
+    assert repr(table) == f"CorrelationTable(joint={table.joint!r})"
+    assert repr(STATE) == f"StateVector(amplitudes={STATE.amplitudes!r})"
+    assert repr(SettingSpace(1, 1)) == "SettingSpace(alice_settings=1, bob_settings=1, " \
+                                       "marginal=array([1.]))"
