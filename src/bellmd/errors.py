@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the base of its immutable value classes."""
 
+import numpy as np
+
 
 class InputError(ValueError):
     """Rejected input: malformed data, dimension mismatch, or a broken precondition."""
@@ -13,8 +15,8 @@ class Frozen:
     """Slotted instance whose fields are read-only once ``__init__`` has set them.
 
     ``__init__`` sets the slots, in order, by ``_assign``; assigning or deleting a field
-    afterwards raises ``AttributeError``.  ``repr`` shows ``_fields``: every slot, unless
-    the class names fewer.  Instances compare and hash by identity.
+    afterwards raises ``AttributeError``.  ``repr`` shows ``_fields``: every slot, unless the
+    class names fewer.  Instances compare and hash by identity; copies hold read-only arrays.
     """
 
     __slots__ = ()
@@ -37,6 +39,9 @@ class Frozen:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setstate__(self, state: tuple) -> None:
+        for value in state:  # numpy restores an array writable; the original's is read-only
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
         self._assign(*state)
 
     def __repr__(self) -> str:

@@ -1,14 +1,12 @@
 """File formats: model JSON documents, scenario JSON documents (read only) and CSV curves.
 
-All floats are serialized with 17 significant digits, which round-trips
-IEEE-754 doubles bit-exactly; readers therefore reconstruct exactly the
-values that were written.
+Floats are written as Python's ``repr``, the shortest text that reads back to
+the same double, so readers reconstruct exactly the values that were written.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -19,67 +17,20 @@ from .inequalities import ChshScenario, KcbsScenario
 from .lhv import LhvModel, SettingSpace
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-_INDENT = "  "
-
-
-def _emit(obj, depth: int, out: list[str]) -> None:
-    """Append the JSON text of ``obj``, nested ``depth`` levels deep, to ``out``.
-
-    Matches ``json.dumps(..., indent=2)`` except that floats carry 17
-    significant digits.  numpy scalars and arrays, tuples and ``Path`` values
-    are written as their plain JSON counterparts.
-    """
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite float {obj!r} is not serializable")
-        out.append(format_float(obj))
-    elif isinstance(obj, (str, Path)):
-        out.append(json.dumps(str(obj)))
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), depth, out)
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = "\n" + _INDENT * (depth + 1)
-        sep = "{" + inner
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            out.append(sep + json.dumps(key) + ": ")
-            _emit(value, depth + 1, out)
-            sep = "," + inner
-        out.append("\n" + _INDENT * depth + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = "\n" + _INDENT * (depth + 1)
-        sep = "[" + inner
-        for value in obj:
-            out.append(sep)
-            _emit(value, depth + 1, out)
-            sep = "," + inner
-        out.append("\n" + _INDENT * depth + "]")
-    else:
-        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+def _plain(obj):
+    """``json.dumps``'s ``default``: a numpy array or scalar, or a ``Path``, as plain data."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, Path):
+        return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dumps_json(obj) -> str:
-    """JSON text of ``obj`` with a 2-space indent and 17-digit floats."""
-    out: list[str] = []
-    _emit(obj, 0, out)
-    return "".join(out)
+    """JSON text of ``obj`` with a 2-space indent; ValueError on a NaN or an infinity."""
+    return json.dumps(obj, indent=2, allow_nan=False, default=_plain)
 
 
 def _write_text(path: Path | str, text: str) -> None:
@@ -294,5 +245,5 @@ def write_curve_csv(path: Path | str, rows: list[tuple[float, float, str]]) -> N
     """Curve CSV with stable header: budget_bits, best_chsh, model_file."""
     lines = ["budget_bits,best_chsh,model_file"]
     for budget, best_chsh, model_file in rows:
-        lines.append(f"{format_float(budget)},{format_float(best_chsh)},{model_file}")
+        lines.append(f"{float(budget)!r},{float(best_chsh)!r},{model_file}")
     _write_text(path, "\n".join(lines) + "\n")

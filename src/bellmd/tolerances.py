@@ -1,4 +1,8 @@
-"""Central numeric tolerances: one knob for every constructor and consistency check."""
+"""Central numeric tolerances: one knob for every constructor and consistency check.
+
+Outside it, as neither checks input: ``mdsearch._FEAS_HEADROOM`` (1e-12), the optimizer's
+rounding allowance on its own model, and ``lhv.measurement_independent``'s ``tolerance=1e-9``.
+"""
 
 from __future__ import annotations
 

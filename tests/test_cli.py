@@ -110,15 +110,15 @@ class TestTeleportCommand:
         )
         assert code == 0
         data = out.read_bytes()
-        assert len(data) == 2_248
+        assert len(data) == 2_236
         assert hashlib.sha256(data).hexdigest() == \
-            "42e288558c56f57433ef3f84b87dabdf4c51522914415ed44a625daaf1e915d5"
+            "0682ff5404897a745d5aa7eb5aac5aeb67f21509033174fd20583babe5751ad4"
         # the file the README example wrote when it held one digit per trial (and before the
         # threshold sampler), rebuilt from the sampler record
         old = teleport_file_before_sampler(data)
-        assert len(old) == 102_055
+        assert len(old) == 102_043
         assert hashlib.sha256(old).hexdigest() == \
-            "7acb42d472dae261bb85c04c0101f79ae64a64b7c73d1d6fe3237dab6e8099b9"
+            "0d982f2c238ac490b5df34bc585cd3c9ad9a50777975c33762a8f2553df7976b"
 
         forced = tmp_path / "forced.json"
         code, _, _ = run_cli(
@@ -150,9 +150,9 @@ class TestTeleportCommand:
             old_digest.update(b"%d\n%s\n%s\n" % (code, stdout.encode(),
                                                    teleport_file_before_sampler(data)))
         assert digest.hexdigest() == \
-            "bdaf1c3b2a5a2928ac57bd905d9b9c21398550f84ad27ae2d18b44fea42829ca"
+            "71e7480b4afdb98b8a348cfab2b25df95af72265afa83ad8e13e1d3b4649b220"
         assert old_digest.hexdigest() == \
-            "139d10b514b90a4f6863eba736aa5b6f8190070a23707918e7b36975a5aac7c9"
+            "c311448b361d6ed5eb0bf0ff85df03ee1bc17249100aff5ea4c1c9b5d3fbfbae"
 
     def test_forced_outcome_counts_any_trials_without_drawing(self, capsys, tmp_path):
         # 10**15 trials: no draw is made and nothing is allocated per trial
@@ -335,10 +335,10 @@ class TestMiCommand:
     @pytest.mark.parametrize(
         "table,printed",
         [
-            ("0.25,0.25,0.25,0.25", "0"),
-            ("0.5,0,0,0.5", "1"),
-            ("0.3252,0.1748,0.1748,0.3252", "0.066289685953557859"),
-            ("1,0,0,0", "0"),
+            ("0.25,0.25,0.25,0.25", "0.0"),
+            ("0.5,0,0,0.5", "1.0"),
+            ("0.3252,0.1748,0.1748,0.3252", "0.06628968595355786"),
+            ("1,0,0,0", "0.0"),
         ],
     )
     def test_table_stdout_bytes_are_pinned(self, capsys, table, printed):
@@ -367,7 +367,7 @@ class TestMiCommand:
         # -1e-13 is clipped to 0 like every other table entry within `arithmetic`
         clipped = run_cli(capsys, "mi", "--table", "0.5,-1e-13,0,0.5")
         assert clipped == run_cli(capsys, "mi", "--table", "0.5,0,0,0.5")
-        assert clipped[:2] == (0, '{\n  "mutual_information_bits": 1\n}\n')
+        assert clipped[:2] == (0, '{\n  "mutual_information_bits": 1.0\n}\n')
 
     def test_model_report(self, capsys):
         code, stdout, _ = run_cli(capsys, "mi", "--model", str(asset_path("brans.json")))
@@ -559,23 +559,24 @@ class TestOptimizeCommand:
         for name in ("budget_model.json", "budget_report.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
-    # sha256 of every data file (all but the manifest) that each run wrote before
-    # LhvModel checked its tables in one pass and cmd scored the weights directly
+    # sha256 of every data file (all but the manifest) that each run writes: the values
+    # written before LhvModel checked its tables in one pass and cmd scored the weights
+    # directly, in shortest round-trip float text
     GOLDEN_DATA_FILES = {
         ("--target-s", "2.8284271247461903"): {
-            "min_cmd_model.json": "0f568e6294c7b08314d00062048e620e58ac9936e52fbd8d00f65cc21440d461",
-            "min_cmd_report.json": "5e19f770e3f75b5be29726be47f1b6ec0eefd227a37305985d0951c4a77d7831",
+            "min_cmd_model.json": "57fabe394b88231a42dc13dbd17377f3905c422337e64ba2748892681f6be0bc",
+            "min_cmd_report.json": "ab44b4686005b822fedc0fa04103d1a37d949506aac598c4635cc36c11917513",
         },
         ("--budget", "0.03"): {
-            "budget_model.json": "05c101aa4be174c11bac51a8386c4c6af6fd120102f96738d0382de590113f2e",
-            "budget_report.json": "158fdd22b27fa85e84707196e84ec2c05c5b75f2127b99218dd88e63fb756a34",
+            "budget_model.json": "2e9219a2985c0c6164f30cff858fe1103b482f581bf01d977f65b25161d8076e",
+            "budget_report.json": "cb7e734b73ec7fbb0bb7dcd14590a30a8654beb11693d9ee1371cae8e0934931",
         },
         ("--curve", "0,0.01,0.05,0.2075"): {
-            "curve.csv": "0c4f04a6daf24e9d22c6a809428b12ba80c05a6485684f8ff7cfb507fa4500ec",
-            "curve_model_0.json": "967e422482d4c6b103ab01502a0d177bd08166abfd8c8dcf2ed1c98f81dbbebf",
-            "curve_model_1.json": "36ea85721cbe23a0b8ec6c4ac2b9021494c1dd825f6569a89317e08538ca41bb",
-            "curve_model_2.json": "060a95441eb90a1370dd7566afb0592b2d21c0518bdbaab46b04e4fb39efab63",
-            "curve_model_3.json": "3da9d2dbda940605d49eb20e1c194c0e09c322d58d0385533909b1f55a1c00b5",
+            "curve.csv": "7caa4841e458cb8b2311415980addfa6eac4477f2b700ed59e78184fd579a259",
+            "curve_model_0.json": "5771f7208767f19e12555ecbaabab6a58d47a3ef6db84f861d223e3dc7e94e6f",
+            "curve_model_1.json": "97e7a3475dc464637d3efb671adb21219be9d94843261586072a6547534e5baf",
+            "curve_model_2.json": "ac10762299a3bebd87bbb9becb05f5ba6c1928801f5186587c5a7bc07fa31c10",
+            "curve_model_3.json": "48097fa80337df8d9fb2cd9ff57915d0d1865d1b53612d5cf419b62cb00b24e7",
         },
     }
 

@@ -95,3 +95,11 @@ def test_teleport_file_size_and_outcome_rebuild(capsys, printed):
     summary = json.loads(readme_file.read_text())["summary"]
     assert len(scope["outcomes"]) == summary["trials"] == 100_000
     assert np.bincount(scope["outcomes"], minlength=4).tolist() == summary["outcome_counts"]
+
+
+def test_a_typed_target_prints_as_typed(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    quoted = _quoted(r"`bellmd optimize\s+--target-s 2\.8` prints `(\"chsh_value\": [0-9.]+)`")
+    assert quoted == '"chsh_value": 2.8'
+    assert main(["optimize", "--target-s", "2.8", "--out-dir", "t"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"  {quoted},"

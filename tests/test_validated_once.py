@@ -22,6 +22,7 @@ constructor would build.
 """
 
 import collections
+import functools
 import json
 
 import numpy as np
@@ -40,6 +41,7 @@ from bellmd.tolerances import DEFAULT_TOLERANCES
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
+hnp = pytest.importorskip("hypothesis.extra.numpy")
 
 TOL = DEFAULT_TOLERANCES.arithmetic
 
@@ -201,10 +203,19 @@ ENTRY = st.one_of(st.floats(0.0, 1.0), st.floats(-TOL, 0.0))
 RESPONSE = st.one_of(st.floats(0.0, 1.0), st.floats(-TOL, 0.0), st.floats(1.0, 1.0 + TOL))
 
 
+@functools.lru_cache(maxsize=None)
+def _arrays(shape, elements):
+    """Float arrays of ``shape``, each entry drawn from ``elements`` on its own, as lists were.
+
+    One strategy object per shape and element strategy: a strategy is validated on its first
+    draw, and building it once keeps that out of every example.
+    """
+    return hnp.arrays(np.float64, shape, elements=elements, fill=st.nothing())
+
+
 def _rows(draw, count: int, width: int) -> np.ndarray:
     """Rows whose positive entries sum to 1 up to rounding, and whose other entries clip to 0."""
-    raw = np.array(draw(st.lists(st.lists(ENTRY, min_size=width, max_size=width),
-                                 min_size=count, max_size=count)))
+    raw = draw(_arrays((count, width), ENTRY))
     positive = np.where(raw > 0.0, raw, 0.0).sum(axis=1, keepdims=True)
     hypothesis.assume(np.all(positive > 0.0))
     # only the positive entries are divided: another entry over a subnormal sum overflows
@@ -215,8 +226,7 @@ def _rows(draw, count: int, width: int) -> np.ndarray:
 def models(draw):
     n_a, n_b, lam = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 8))
     marginal = _rows(draw, 1, n_a * n_b)[0] if draw(st.booleans()) else None
-    responses = [np.array(draw(st.lists(st.lists(RESPONSE, min_size=lam, max_size=lam),
-                                        min_size=n, max_size=n))) for n in (n_a, n_b)]
+    responses = [draw(_arrays((n, lam), RESPONSE)) for n in (n_a, n_b)]
     return LhvModel(SettingSpace(n_a, n_b, marginal), _rows(draw, n_a * n_b, lam), *responses)
 
 
@@ -234,13 +244,13 @@ def test_every_model_that_constructs_predicts_a_checked_table(model):
 
 
 EDGE = st.floats(0.9 * lhv._ROW_ATOL, lhv._ROW_ATOL)
+SIGN = st.sampled_from([-1.0, 1.0])
 
 
 def _at_the_edge(draw, rows: np.ndarray) -> np.ndarray:
     """Rows each scaled by 1 +- 0.9 to 1 times the entry row-sum bound."""
-    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(rows),
-                                   max_size=len(rows))))
-    factors = np.array(draw(st.lists(EDGE, min_size=len(rows), max_size=len(rows))))
+    signs = draw(_arrays(len(rows), SIGN))
+    factors = draw(_arrays(len(rows), EDGE))
     return rows * (1.0 + signs * factors)[:, None]
 
 
@@ -255,8 +265,7 @@ def edge_models(draw):
     marginal = _at_the_edge(draw, _rows(draw, 1, n_a * n_b))[0] if draw(st.booleans()) else None
     rows = _rows(draw, 1, lam) if draw(st.booleans()) else _rows(draw, n_a * n_b, lam)
     lgs = _at_the_edge(draw, np.repeat(rows, n_a * n_b // len(rows), axis=0))
-    responses = [np.array(draw(st.lists(st.lists(RESPONSE, min_size=lam, max_size=lam),
-                                        min_size=n, max_size=n))) for n in (n_a, n_b)]
+    responses = [draw(_arrays((n, lam), RESPONSE)) for n in (n_a, n_b)]
     try:
         return LhvModel(SettingSpace(n_a, n_b, marginal), lgs, *responses)
     except InputError:  # rounding took a row past the bound

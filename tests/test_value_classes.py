@@ -2,7 +2,7 @@
 
 Assigning or deleting a field raises ``AttributeError``.  ``pickle`` at every
 protocol, ``copy.copy`` and ``copy.deepcopy`` give an instance of the same class
-with every field kept, arrays identical byte for byte.  The six plain value
+with every field kept, arrays identical byte for byte and read-only.  The six plain value
 classes compare and hash by their fields (``TeleportInput`` without its kept
 state); the seven checked classes compare and hash by identity.
 """
@@ -78,6 +78,15 @@ def test_fields_are_read_only(cls):
         value.unknown = 1
 
 
+def arrays(value):
+    """Every ndarray reachable from ``value`` through the value classes' slots."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif type(value) in CLASSES:
+        for name in type(value).__slots__:
+            yield from arrays(getattr(value, name))
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
 def test_pickle_and_copy_keep_every_field(cls):
     value = CLASSES[cls][1]()
@@ -88,6 +97,8 @@ def test_pickle_and_copy_keep_every_field(cls):
         assert_same(twin, value)
         with pytest.raises(AttributeError):
             setattr(twin, CLASSES[cls][0][0], None)
+        # a copy is as immutable as the original, in place as well
+        assert not any(arr.flags.writeable for arr in arrays(twin))
 
 
 @pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
