@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage or input error, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from importlib import resources
@@ -75,6 +74,8 @@ class _Manifest:
 
     def add_input(self, path: Path | str) -> bytes:
         """Record the sha256 of ``path`` and return the bytes it digests, read once."""
+        import hashlib  # here, not at the top: only runs that digest pay its ~3 ms (OpenSSL)
+
         data = Path(path).read_bytes()
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
         return data

@@ -1,7 +1,5 @@
 """Exception types shared across the package, and the base of its immutable value classes."""
 
-import numpy as np
-
 
 class InputError(ValueError):
     """Rejected input: malformed data, dimension mismatch, or a broken precondition."""
@@ -15,8 +13,9 @@ class Frozen:
     """Slotted instance whose fields are read-only once ``__init__`` has set them.
 
     ``__init__`` sets the slots, in order, by ``_assign``; assigning or deleting a field
-    afterwards raises ``AttributeError``.  ``repr`` shows ``_fields``: every slot, unless the
-    class names fewer.  Instances compare and hash by identity; copies hold read-only arrays.
+    afterwards raises ``AttributeError``.  ``_fields`` is every slot, unless the class names
+    fewer: ``__init__`` takes them in that order, and ``repr`` shows them.  Instances compare
+    and hash by identity; a copy or an unpickled instance is built anew by ``__init__``.
     """
 
     __slots__ = ()
@@ -34,15 +33,10 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    # pickle and copy would restore slots by the refused setattr, and protocols 0-1 not at all
-    def __getstate__(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setstate__(self, state: tuple) -> None:
-        for value in state:  # numpy restores an array writable; the original's is read-only
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-        self._assign(*state)
+    # pickle and copy rebuild through the checking __init__, which rejects an edited pickle
+    # and freezes the arrays that numpy restores writable
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

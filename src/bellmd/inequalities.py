@@ -76,9 +76,9 @@ class ChshScenario(Frozen):
 
 def chsh_value(t: CorrelationTable) -> float:
     """Symmetrized CHSH statistic: max_i |E_sum - 2 E_i| over the four correlators."""
-    if t.shape != (2, 2):
-        raise InputError(f"CHSH needs a 2x2 correlation table, got {t.shape}")
     e = t.correlators
+    if e.shape != (2, 2):
+        raise InputError(f"CHSH needs a 2x2 correlation table, got {t.shape}")
     total = float(e.sum())
     return float(np.abs(total - 2.0 * e).max())
 

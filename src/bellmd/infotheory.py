@@ -21,17 +21,17 @@ _TINY = np.finfo(float).tiny
 def entropy_bits(distribution) -> float:
     """Shannon entropy in bits, with the 0 log 0 = 0 convention."""
     p = np.asarray(distribution, dtype=float).reshape(-1)
-    mask = p > 0.0
-    # 0 - sum, not -sum: a point mass sums to +0.0, which negation would print as -0
-    return float(0.0 - (p[mask] * np.log2(p[mask])).sum()) if mask.any() else 0.0
+    p = p[p > 0.0]
+    # 0 - sum, not -sum: a point mass and an empty sum give +0.0, which negation would print as -0
+    return float(0.0 - (p * np.log2(p)).sum())
 
 
 def _mutual_information_bits(joint: np.ndarray, row_m: np.ndarray, col_m: np.ndarray) -> float:
     mask = joint > 0.0
-    if not mask.any():
-        return 0.0
     p = joint[mask]
-    outer = np.outer(row_m, col_m)[mask]
+    if not p.size:
+        return 0.0
+    outer = (row_m[:, None] * col_m)[mask]
     if outer.min() >= _TINY:
         log_ratio = np.log2(p / outer)
     else:  # p(x) p(y) underflowed where p(x, y) did not: one marginal at a time, and
@@ -71,8 +71,8 @@ def cmd(model: LhvModel) -> CmdReport:
 
     A checked model's weights are a distribution, so they are scored without a re-check.
     """
-    weights = model.setting_space.marginal[:, None] * model.lambda_given_settings
-    joint = np.ascontiguousarray(weights.T)  # rows: lambda, cols: joint setting
+    # rows: lambda, cols: joint setting; C order fixes how the sums below round
+    joint = np.multiply(model.lambda_given_settings.T, model.setting_space.marginal, order="C")
     lambda_marginal = joint.sum(axis=1)
     raw = _mutual_information_bits(joint, lambda_marginal, joint.sum(axis=0))
     setting_entropy = entropy_bits(model.setting_space.marginal)

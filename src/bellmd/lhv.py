@@ -57,7 +57,7 @@ def _check_table(name: str, table: np.ndarray, row_atol: float | None) -> None:
 
 
 def _check_sums(name: str, sums: np.ndarray, atol=_ATOL) -> None:
-    if (np.abs(sums - 1.0) > atol).any():
+    if np.abs(sums - 1.0).max(initial=0.0) > atol:
         if sums.size == 1:
             raise InputError(f"{name} sums to {sums[0]:.15g}, expected 1")
         raise InputError(f"{name} rows must each sum to 1 within {atol:g}")
@@ -98,7 +98,7 @@ _FIELDS = ("lambda_given_settings", "alice_response", "bob_response")
 def _model_tables(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...]:
     """A model's three tables checked in one pass over their stack, in ``LhvModel``'s order."""
     n, n_a = space.n_joint, space.alice_settings
-    lgs = np.array(lgs, dtype=float)
+    lgs = np.asarray(lgs, dtype=float)  # np.concatenate below makes the copy the model keeps
     if lgs.ndim == 1:  # a flat row is the one-setting table
         lgs = lgs.reshape(1, -1)
     if lgs.ndim != 2:
@@ -108,7 +108,7 @@ def _model_tables(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...
     arrays, lam, defect = [lgs], lgs.shape[1], None
     for name, table, rows in zip(_FIELDS[1:], (alice, bob), (n_a, space.bob_settings)):
         try:
-            arr = np.array(table, dtype=float)
+            arr = np.asarray(table, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             defect = exc
             break
@@ -121,7 +121,7 @@ def _model_tables(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...
     # it keeps finite; `initial` lets tables with no hidden value reach the sum check
     ok = stack.min(initial=0.0) >= -_ATOL and stack.max(initial=1.0) <= 1.0 + _ATOL
     if ok:
-        np.clip(stack, 0.0, None, out=stack)
+        np.maximum(stack, 0.0, out=stack)  # the ufunc np.clip(stack, 0.0, None) calls
         np.minimum(stack[n:], 1.0, out=stack[n:])
         ok = np.abs(stack[:n].sum(axis=1) - 1.0).max() <= _ROW_ATOL
     if not ok:  # the first defect in field order, from the same checks table by table
@@ -217,11 +217,13 @@ def predict(model: LhvModel) -> CorrelationTable:
     """Exact outcome statistics of a model, marginalizing over the hidden variable."""
     space = model.setting_space
     n_a, n_b = space.alice_settings, space.bob_settings
-    w = model.lambda_given_settings.reshape(n_a, n_b, model.lambda_count)
+    w = model.lambda_given_settings.reshape(n_a, n_b, -1)
     pa = model.alice_response  # p(+1 | a, lambda)
     pb = model.bob_response
-    pa2 = np.stack([pa, 1.0 - pa])  # outcome-indexed: [x, a, lambda]
-    pb2 = np.stack([pb, 1.0 - pb])
+    pa2 = np.array((pa, 1.0 - pa))  # outcome-indexed: [x, a, lambda]
+    pb2 = np.array((pb, 1.0 - pb))
+    # one einsum, not a chain of products: its order of products and of the sum over
+    # lambda fixes how every joint entry rounds
     return CorrelationTable._derived(np.einsum("abl,ial,jbl->abij", w, pa2, pb2))
 
 

@@ -203,6 +203,23 @@ class TestValidation:
                          np.ones((1, 2)), np.ones((2, 2)))
         assert np.array_equal(model.lambda_given_settings, np.tile(inside, (2, 1)))
 
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 2, 2, 2), "joint outcome table rows must each sum to 1 within 1e-12"),
+        ((1, 1, 2, 2), "joint outcome table sums to 1.000000000003, expected 1"),
+    ])
+    def test_a_derived_table_checks_its_sums(self, shape, message):
+        # _derived checks only the per-setting sums of a joint computed from checked inputs
+        def joint(defect):
+            arr = np.full(shape, 0.25)
+            arr[(0,) * len(shape)] += defect
+            return arr
+        with pytest.raises(InputError) as err:
+            CorrelationTable._derived(joint(3e-12))
+        assert str(err.value) == message
+        inside = joint(5e-13)
+        table = CorrelationTable._derived(inside)
+        assert table.joint is inside and not inside.flags.writeable
+
     def test_correlators_capped(self):
         with pytest.raises(InputError):
             CorrelationTable.from_correlators([[1.5, 0.0], [0.0, 0.0]])

@@ -5,11 +5,15 @@ Names the benchmark tracer wraps stay module attributes, checked below.
 The package uses no private name of another module, the standard library's
 included: no ``from X import _name`` and no ``X._name``.  Nor does it import
 ``dataclasses``: each decorator execs its generated methods on every import of
-bellmd, which every CLI run pays for.
+bellmd, which every CLI run pays for.  ``import bellmd.cli`` leaves ``hashlib``
+unloaded: only a run that digests an input imports it.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -130,3 +134,15 @@ def test_no_dataclasses_import():
     found = {path.name: lines for path in SOURCES
              if (lines := _dataclasses_imports(path.read_text(encoding="utf-8")))}
     assert SOURCES and not found
+
+
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    # a fresh interpreter: this one has hashlib loaded already
+    src = str(Path(bellmd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = "import sys, bellmd.cli\nprint(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

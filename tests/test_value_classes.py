@@ -2,18 +2,22 @@
 
 Assigning or deleting a field raises ``AttributeError``.  ``pickle`` at every
 protocol, ``copy.copy`` and ``copy.deepcopy`` give an instance of the same class
-with every field kept, arrays identical byte for byte and read-only.  The six plain value
-classes compare and hash by their fields (``TeleportInput`` without its kept
-state); the seven checked classes compare and hash by identity.
+with every field kept, arrays identical byte for byte and read-only.  Each is rebuilt
+through its checking ``__init__``, so a pickle whose fields were edited raises
+``InputError``.  The six plain value classes compare and hash by their fields
+(``TeleportInput`` without its kept state); the seven checked classes compare and
+hash by identity.
 """
 
 import copy
 import pickle
+import struct
 
 import numpy as np
 import pytest
 
 import oracles
+from bellmd.errors import InputError
 from bellmd.hilbert import OperatorMatrix, StateVector
 from bellmd.inequalities import ChshScenario, KcbsScenario, bell_optimal_scenario, kcbs_pentagram
 from bellmd.infotheory import CmdReport
@@ -99,6 +103,39 @@ def test_pickle_and_copy_keep_every_field(cls):
             setattr(twin, CLASSES[cls][0][0], None)
         # a copy is as immutable as the original, in place as well
         assert not any(arr.flags.writeable for arr in arrays(twin))
+
+
+class Edited:
+    """Pickles as ``cls`` with the given fields: the bytes of an edited pickle of a ``cls``."""
+
+    def __init__(self, cls, fields: tuple) -> None:
+        self.cls, self.fields = cls, fields
+
+    def __reduce__(self):
+        return self.cls, self.fields
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
+def test_an_edited_pickle_is_checked_again(cls, protocol):
+    value = CHECKED[cls][1]()
+    fields = tuple(getattr(value, name) for name in cls._fields)
+    assert pickle.dumps(Edited(cls, fields), protocol) == pickle.dumps(value, protocol)
+    k = next(k for k, field in enumerate(fields) if isinstance(field, np.ndarray))
+    edited = fields[k].copy()
+    edited.flat[0] = np.nan
+    tampered = pickle.dumps(Edited(cls, fields[:k] + (edited,) + fields[k + 1:]), protocol)
+    with pytest.raises(InputError, match="finite"):
+        pickle.loads(tampered)
+
+
+@pytest.mark.parametrize("protocol", [0, 3, 4, 5])  # the protocols that hold the raw bytes
+def test_a_state_pickle_edited_in_place_raises(protocol):
+    data = pickle.dumps(StateVector([0.6, 0.8]), protocol)
+    old, new = struct.pack("<d", 0.8), struct.pack("<d", 0.9)
+    assert data.count(old) == 1
+    with pytest.raises(InputError, match=r"squared norm 1\.17, expected 1"):
+        pickle.loads(data.replace(old, new))
 
 
 @pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
