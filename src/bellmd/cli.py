@@ -35,6 +35,7 @@ from .inequalities import (
 from .lhv import _distribution_rows, predict
 from .mdsearch import max_chsh_under_budget, min_cmd_for_chsh, tradeoff_curve
 from .serialize import (
+    _read_bytes,
     chsh_scenario_from_doc,
     dump_json,
     dumps_json,
@@ -76,7 +77,7 @@ class _Manifest:
         """Record the sha256 of ``path`` and return the bytes it digests, read once."""
         import hashlib  # here, not at the top: only runs that digest pay its ~3 ms (OpenSSL)
 
-        data = Path(path).read_bytes()
+        data = _read_bytes(path)
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
         return data
 

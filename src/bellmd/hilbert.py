@@ -9,7 +9,10 @@ as one stack, by the same ``_hermitian_parts`` that ``OperatorMatrix`` runs.
 Teleportation's receiver states are derived from a checked input and checked
 as one stack there, so they are built without a re-check.  All spaces in this
 package are tiny (dimension at most 4 for two-qubit work, 3 for qutrit work),
-so a dense numpy representation is used throughout.
+so a dense numpy representation is used throughout.  The checks reduce through
+``ufunc.reduce`` (``np.add.reduce`` for ``.sum()``): the ndarray methods reach the
+same reduce, bit for bit, through a Python-level wrapper that costs more than the
+arithmetic on arrays this small.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ def _as_complex_vector(values) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128).reshape(-1)
     if arr.size == 0:
         raise InputError("state vector needs at least one amplitude")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr)):
         raise InputError("state vector amplitudes must be finite")
     return _freeze(arr)
 
@@ -47,7 +50,7 @@ class StateVector(Frozen):
         arr = _as_complex_vector(amplitudes)
         self._assign(arr)
         # an amplitude past 2 fails the gate either way; the clamp keeps its square finite
-        actual = float((np.minimum(np.abs(arr), 2.0) ** 2).sum())
+        actual = float(np.add.reduce(np.minimum(np.abs(arr), 2.0) ** 2))
         if abs(actual - 1.0) > DEFAULT_TOLERANCES.normalization:
             with np.errstate(over="ignore"):  # the unclamped norm, for the message
                 actual = float((np.abs(arr) ** 2).sum())
@@ -72,10 +75,10 @@ class StateVector(Frozen):
 
 
 class OperatorMatrix(Frozen):
-    """Matrix A with max |A - A^dagger| <= `arithmetic`, stored as A/2 + A^dagger/2.
+    """Matrix A with max |A - A^dagger| <= `arithmetic`, stored as its exactly hermitian part.
 
     Stored entries equal their adjoint exactly, so products of them are exactly
-    hermitian; an exactly hermitian A with normal entries is kept bit for bit.
+    hermitian; an exactly hermitian A is kept bit for bit, so a copy keeps every bit.
     """
 
     __slots__ = ("entries",)
@@ -92,18 +95,21 @@ class OperatorMatrix(Frozen):
 
 
 def _hermitian_parts(ops: np.ndarray, names=None) -> np.ndarray:
-    """A/2 + A^dagger/2 of each member A of an (n, d, d) stack, after its checks.
+    """The exactly hermitian part of each member A of an (n, d, d) stack, after its checks.
 
     In order: finite entries, then max |A - A^dagger| <= `arithmetic`, as |A/2 - A^dagger/2|
     <= `arithmetic` / 2, an exact scaling that cannot overflow.  The first member that fails
-    raises, prefixed by its entry of ``names`` and a colon when ``names`` is given.
+    raises, prefixed by its entry of ``names`` and a colon when ``names`` is given.  An entry
+    that equals its adjoint's entry is kept; any other becomes A/2 + A^dagger/2.  Halving
+    rounds a subnormal, so A/2 + A^dagger/2 alone would change such an entry on a rebuild.
     """
     finite = np.isfinite(ops)
-    if finite.all():
-        half, half_adjoint = ops * 0.5, ops.swapaxes(1, 2).conj() * 0.5
+    if np.logical_and.reduce(finite, axis=None):
+        adjoint = ops.swapaxes(1, 2).conj()
+        half, half_adjoint = ops * 0.5, adjoint * 0.5
         gaps = np.abs(half - half_adjoint)
-        if gaps.max(initial=0.0) <= DEFAULT_TOLERANCES.arithmetic / 2.0:
-            return half + half_adjoint
+        if np.maximum.reduce(gaps, axis=None, initial=0.0) <= DEFAULT_TOLERANCES.arithmetic / 2.0:
+            return np.where(ops == adjoint, ops, half + half_adjoint)
         i = int(np.argmax(gaps.max(axis=(1, 2)) > DEFAULT_TOLERANCES.arithmetic / 2.0))
         residue = 2.0 * float(gaps[i].max())  # a float past the maximum reads inf, unwarned
         defect = f"operator must be hermitian: max |A - A^dagger| = {residue:.3g}"
@@ -125,7 +131,7 @@ def _hermitian_expectations(arr: np.ndarray, s: StateVector) -> np.ndarray:
     psi = s.amplitudes
     # psi^dagger (A psi), grouped as np.vdot groups it, so one operator gives the same bits
     values = (psi.conj() @ (arr @ psi)[..., None])[..., 0]
-    residue = float(np.abs(values.imag).max(initial=0.0))
+    residue = float(np.maximum.reduce(np.abs(values.imag), axis=None, initial=0.0))
     if residue > DEFAULT_TOLERANCES.operator:
         raise InvariantError(f"expectation has imaginary residue {residue:.3g}")
     return values.real

@@ -4,7 +4,8 @@ The CHSH statistic is symmetrized over the eight sign/relabeling
 placements of the minus term, so it does not depend on which correlator
 combination convention a table was produced under.  The KCBS statistic is
 the five-cycle correlator sum on a qutrit; its noncontextual bound (-3)
-comes from exhaustive enumeration of +/-1 assignments.
+comes from exhaustive enumeration of +/-1 assignments.  The scenario checks and
+quantum evaluators reduce through ``ufunc.reduce``, as ``hilbert`` does.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ KCBS_QUANTUM_OPTIMAL = 5.0 - 4.0 * math.sqrt(5.0)
 _CYCLE = (np.arange(5), np.array([1, 2, 3, 4, 0]))
 _OBSERVABLE_NAMES = [f"{party} observable {k}" for party in ("alice", "bob") for k in (0, 1)]
 _EYE = np.eye(2)
+_EYE3 = np.eye(3)
 
 
 class ChshScenario(Frozen):
@@ -34,7 +36,7 @@ class ChshScenario(Frozen):
 
     ``observables`` is one read-only complex (4, 2, 2) array, alice 0, alice 1,
     bob 0, bob 1, built from any four matrices, each stored as its exactly
-    hermitian part A/2 + A^dagger/2.  The checks, in order, each over all four
+    hermitian part by ``_hermitian_parts``.  The checks, in order, each over all four
     observables and naming or reporting the first that fails: shape (square,
     then a qubit's), ``_hermitian_parts``'s finite entries and max |A - A^dagger|
     <= `arithmetic`, max |A^2 - 1| <= `arithmetic` / 4; then the state's dimension.
@@ -62,7 +64,7 @@ class ChshScenario(Frozen):
         # a hermitian A with a real or imaginary part past 2 has (A^2)_ii >= 4, so it fails
         # with those parts clamped at 2 too, and the clamped products stay finite
         clamped = np.minimum(np.maximum(ops.view(float), -2.0), 2.0).view(np.complex128)
-        if np.abs(clamped @ clamped - _EYE).max() > square_tol:
+        if np.maximum.reduce(np.abs(clamped @ clamped - _EYE), axis=None) > square_tol:
             with np.errstate(over="ignore", invalid="ignore"):  # the unclamped, for the message
                 gaps = np.abs(ops @ ops - _EYE).max(axis=(1, 2))
             i = int(np.argmax(~(gaps <= square_tol)))
@@ -101,7 +103,7 @@ def chsh_quantum(s: ChshScenario) -> CorrelationTable:
     # products of exactly hermitian factors in this layout are exactly hermitian
     joint = _hermitian_expectations(proj_products.reshape(2, 2, 2, 2, 4, 4), s.state)
     joint = np.maximum(joint, 0.0)
-    joint /= joint.sum(axis=(2, 3), keepdims=True)
+    joint /= np.add.reduce(joint, axis=(2, 3), keepdims=True)
     return CorrelationTable._derived(joint)
 
 
@@ -133,11 +135,11 @@ class KcbsScenario(Frozen):
         vecs = np.array(vectors, dtype=float)
         if vecs.shape != (5, 3):
             raise InputError(f"need five 3-vectors, got shape {vecs.shape}")
-        if not np.isfinite(vecs).all():
+        if not np.logical_and.reduce(np.isfinite(vecs), axis=None):
             raise InputError("vectors must be finite")
         # np.linalg.norm's bits; an entry past 2 fails either way, and clamped its square is finite
-        lengths = np.sqrt((np.minimum(np.abs(vecs), 2.0) ** 2).sum(axis=1))
-        if (np.abs(lengths - 1.0) > DEFAULT_TOLERANCES.operator).any():
+        lengths = np.sqrt(np.add.reduce(np.minimum(np.abs(vecs), 2.0) ** 2, axis=1))
+        if np.logical_or.reduce(np.abs(lengths - 1.0) > DEFAULT_TOLERANCES.operator):
             raise InputError("all five vectors must be unit length")
         # A_i A_{i+1} has hermiticity residue up to 4 |v_i . v_{i+1}|; an eighth of
         # `arithmetic` keeps it at half that tolerance, a factor 2 left for rounding,
@@ -187,10 +189,10 @@ def kcbs_pentagram(state: StateVector | None = None) -> KcbsScenario:
 def kcbs_value(s: KcbsScenario) -> float:
     """Five-cycle correlator sum: sum_i <state| A_i A_{i+1} |state>."""
     v = s.vectors
-    observables = 2.0 * (v[:, :, None] * v[:, None, :]) - np.eye(3)
+    observables = 2.0 * (v[:, :, None] * v[:, None, :]) - _EYE3
     # hermitian within `arithmetic` / 2 by KcbsScenario's orthogonality bound
     products = observables @ observables[_CYCLE[1]]
-    return float(_hermitian_expectations(products, s.state).sum())
+    return float(np.add.reduce(_hermitian_expectations(products, s.state)))
 
 
 def kcbs_classical_min() -> float:

@@ -2,6 +2,9 @@
 
 Floats are written as Python's ``repr``, the shortest text that reads back to
 the same double, so readers reconstruct exactly the values that were written.
+Each input file is one unbuffered read, as each output file is one raw write:
+``_read_bytes`` and ``_write_text`` open the file in raw binary mode, past the
+text and buffer layers of ``pathlib``'s readers and writers.
 """
 
 from __future__ import annotations
@@ -49,8 +52,15 @@ def dump_json(path: Path | str, obj) -> None:
     _write_text(path, dumps_json(obj) + "\n")
 
 
+def _read_bytes(path: Path | str) -> bytes:
+    """The bytes of ``path`` in one unbuffered read, past the pathlib object and buffered
+    reader that ``Path.read_bytes`` builds on every read; the twin of ``_write_text``."""
+    with open(path, "rb", buffering=0) as f:
+        return f.readall()
+
+
 def load_json(path: Path | str):
-    return parse_json(Path(path).read_bytes(), path)
+    return parse_json(_read_bytes(path), path)
 
 
 class _ArrayBoolean:

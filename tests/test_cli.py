@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import hashlib
 import json
 import math
@@ -273,10 +274,16 @@ class TestChshCommand:
                     reads.append(_name)
                 return _original(self, *args, **kwargs)
             monkeypatch.setattr(Path, name, counted)
+
+        def counted_open(file, mode="r", *args, _original=builtins.open, **kwargs):
+            if isinstance(file, (str, Path)) and Path(file) == path:
+                reads.append(f"open {mode}")
+            return _original(file, mode, *args, **kwargs)
+        monkeypatch.setattr(builtins, "open", counted_open)
         out = tmp_path / "chsh.json"
         code, stdout, stderr = run_cli(capsys, "chsh", mode, str(path), "--out", str(out))
         assert code == 0, stderr
-        assert reads == ["read_bytes"]
+        assert reads == ["open rb"]
         assert json.loads(stdout)["chsh_value"] == math.sqrt(8.0)
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
         assert manifest["input_digests"] == {
@@ -756,6 +763,21 @@ def test_malformed_input_file_exits_2_without_output(capsys, tmp_path, monkeypat
     assert stderr.startswith("error:") and stderr.count("\n") == 1
     assert named in stderr
     assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
+@pytest.mark.parametrize("argv", [JSON_READERS[0], JSON_READERS[2], JSON_READERS[3]],
+                         ids=lambda argv: " ".join(argv[:2]))
+@pytest.mark.parametrize("make,message", [
+    (lambda path: None, "[Errno 2] No such file or directory: 'in'"),
+    (lambda path: path.mkdir(), "[Errno 21] Is a directory: 'in'"),
+], ids=["missing", "directory"])
+def test_an_unreadable_input_path_exits_2_with_its_os_error(capsys, tmp_path, monkeypatch,
+                                                            argv, make, message):
+    monkeypatch.chdir(tmp_path)
+    make(tmp_path / "in")
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert sorted(tmp_path.iterdir()) == before  # no --out file, no manifest
 
 
 @pytest.mark.parametrize("argv,manifest", [

@@ -5,8 +5,10 @@ Names the benchmark tracer wraps stay module attributes, checked below.
 The package uses no private name of another module, the standard library's
 included: no ``from X import _name`` and no ``X._name``.  Nor does it import
 ``dataclasses``: each decorator execs its generated methods on every import of
-bellmd, which every CLI run pays for.  ``import bellmd.cli`` leaves ``hashlib``
-unloaded: only a run that digests an input imports it.
+bellmd, which every CLI run pays for.  No module calls ``.read_bytes()`` or
+``.read_text()``: every input file is read by ``serialize._read_bytes``.
+``import bellmd.cli`` leaves ``hashlib`` unloaded: only a run that digests an
+input imports it.
 """
 
 import ast
@@ -133,6 +135,27 @@ def test_the_scan_sees_dataclasses_imports():
 def test_no_dataclasses_import():
     found = {path.name: lines for path in SOURCES
              if (lines := _dataclasses_imports(path.read_text(encoding="utf-8")))}
+    assert SOURCES and not found
+
+
+def _whole_file_reads(source: str) -> list[int]:
+    """Lines of ``source`` that call a ``.read_bytes()`` or ``.read_text()`` method."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("read_bytes", "read_text")]
+
+
+def test_the_scan_sees_whole_file_reads():
+    source = ("from pathlib import Path\nPath(p).read_bytes()\nread_bytes(p)\n"
+              "data = path.read_text(encoding='utf-8')\nreader = path.read_bytes\n"
+              "_read_bytes(p)\n")
+    assert _whole_file_reads(source) == [2, 4]
+
+
+def test_every_input_file_is_read_by_read_bytes():
+    # serialize._read_bytes is the one reader: one unbuffered read, no pathlib reader
+    found = {path.name: lines for path in SOURCES
+             if (lines := _whole_file_reads(path.read_text(encoding="utf-8")))}
     assert SOURCES and not found
 
 

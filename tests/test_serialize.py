@@ -20,6 +20,7 @@ from bellmd.inequalities import (
 )
 from bellmd.lhv import CorrelationTable, brans_construct
 from bellmd.serialize import (
+    _read_bytes,
     chsh_scenario_from_doc,
     dumps_json,
     kcbs_scenario_from_doc,
@@ -195,6 +196,16 @@ def test_load_json_reads_as_a_text_mode_read(tmp_path, case):
         assert type(exc.__cause__) is type(expected) and str(exc.__cause__) == str(expected)
     else:
         assert got == expected
+
+
+@pytest.mark.parametrize("content", [b"", b'{\r\n  "a": 1\r\n}\r\n', b'{"a": 1}',
+                                     bytes(range(256)) * 8192],
+                         ids=["empty", "crlf", "no final newline", "2 MB"])
+@pytest.mark.parametrize("kind", [str, Path], ids=["str", "Path"])
+def test_read_bytes_returns_the_bytes_path_read_bytes_returns(tmp_path, content, kind):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert _read_bytes(kind(path)) == path.read_bytes() == content
 
 
 class TestModelRoundTrip:

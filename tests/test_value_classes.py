@@ -105,6 +105,29 @@ def test_pickle_and_copy_keep_every_field(cls):
         assert not any(arr.flags.writeable for arr in arrays(twin))
 
 
+U = 5e-324  # the smallest subnormal
+# A/2 + A^dagger/2 stores the pair 2u, 4u as 3u, and 3u/2 rounds to 2u: a rebuild that
+# halved the stored 3u again would store 2u + 2u = 4u
+SUBNORMAL_OPERATOR = [[1, 2 * U], [4 * U, -1]]
+SUBNORMAL = {
+    OperatorMatrix: lambda: OperatorMatrix(SUBNORMAL_OPERATOR),
+    ChshScenario: lambda: ChshScenario(
+        [SUBNORMAL_OPERATOR, *bell_optimal_scenario().observables[1:]],
+        bell_optimal_scenario().state),
+}
+
+
+@pytest.mark.parametrize("cls", SUBNORMAL, ids=lambda cls: cls.__name__)
+def test_subnormal_entries_keep_their_bits_in_copies(cls):
+    value = SUBNORMAL[cls]()
+    stored = next(arrays(value))
+    assert stored.reshape(-1, 2, 2)[0, 0, 1] == stored.reshape(-1, 2, 2)[0, 1, 0] == 3 * U
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies + [copy.copy(value), copy.deepcopy(value)]:
+        assert_same(twin, value)
+
+
 class Edited:
     """Pickles as ``cls`` with the given fields: the bytes of an edited pickle of a ``cls``."""
 
