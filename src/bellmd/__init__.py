@@ -46,4 +46,3 @@ from .teleport import (
     outcome_counts,
     verify_no_setting_choice,
 )
-from .tolerances import DEFAULT_TOLERANCES

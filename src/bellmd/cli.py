@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +54,6 @@ from .teleport import (
 )
 # the benchmark tracer (bench/workloads.py) wraps these two names in this module
 from .teleport import branch_decomposition, run_teleportation  # noqa: F401
-
-
-def asset_path(name: str) -> Path:
-    """Path of a canned scenario file shipped with the package."""
-    return Path(str(resources.files("bellmd") / "assets" / name))
 
 
 class _Manifest:

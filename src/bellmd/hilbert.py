@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Frozen, InputError, InvariantError
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import ARITHMETIC, NORMALIZATION, OPERATOR
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -40,8 +40,7 @@ def _as_complex_vector(values) -> np.ndarray:
 class StateVector(Frozen):
     """Complex amplitude vector of unit length.
 
-    The constructor enforces sum(|amplitude|^2) == 1 within the
-    normalization tolerance.
+    The constructor enforces sum(|amplitude|^2) == 1 within ``NORMALIZATION``.
     """
 
     __slots__ = ("amplitudes",)
@@ -51,7 +50,7 @@ class StateVector(Frozen):
         self._assign(arr)
         # an amplitude past 2 fails the gate either way; the clamp keeps its square finite
         actual = float(np.add.reduce(np.minimum(np.abs(arr), 2.0) ** 2))
-        if abs(actual - 1.0) > DEFAULT_TOLERANCES.normalization:
+        if abs(actual - 1.0) > NORMALIZATION:
             with np.errstate(over="ignore"):  # the unclamped norm, for the message
                 actual = float((np.abs(arr) ** 2).sum())
             raise InputError(f"amplitudes have squared norm {actual:.12g}, expected 1")
@@ -75,7 +74,7 @@ class StateVector(Frozen):
 
 
 class OperatorMatrix(Frozen):
-    """Matrix A with max |A - A^dagger| <= `arithmetic`, stored as its exactly hermitian part.
+    """Matrix A with max |A - A^dagger| <= ``ARITHMETIC``, stored as its exactly hermitian part.
 
     Stored entries equal their adjoint exactly, so products of them are exactly
     hermitian; an exactly hermitian A is kept bit for bit, so a copy keeps every bit.
@@ -97,8 +96,8 @@ class OperatorMatrix(Frozen):
 def _hermitian_parts(ops: np.ndarray, names=None) -> np.ndarray:
     """The exactly hermitian part of each member A of an (n, d, d) stack, after its checks.
 
-    In order: finite entries, then max |A - A^dagger| <= `arithmetic`, as |A/2 - A^dagger/2|
-    <= `arithmetic` / 2, an exact scaling that cannot overflow.  The first member that fails
+    In order: finite entries, then max |A - A^dagger| <= ``ARITHMETIC``, as |A/2 - A^dagger/2|
+    <= ``ARITHMETIC`` / 2, an exact scaling that cannot overflow.  The first member that fails
     raises, prefixed by its entry of ``names`` and a colon when ``names`` is given.  An entry
     that equals its adjoint's entry is kept; any other becomes A/2 + A^dagger/2.  Halving
     rounds a subnormal, so A/2 + A^dagger/2 alone would change such an entry on a rebuild.
@@ -108,9 +107,9 @@ def _hermitian_parts(ops: np.ndarray, names=None) -> np.ndarray:
         adjoint = ops.swapaxes(1, 2).conj()
         half, half_adjoint = ops * 0.5, adjoint * 0.5
         gaps = np.abs(half - half_adjoint)
-        if np.maximum.reduce(gaps, axis=None, initial=0.0) <= DEFAULT_TOLERANCES.arithmetic / 2.0:
+        if np.maximum.reduce(gaps, axis=None, initial=0.0) <= ARITHMETIC / 2.0:
             return np.where(ops == adjoint, ops, half + half_adjoint)
-        i = int(np.argmax(gaps.max(axis=(1, 2)) > DEFAULT_TOLERANCES.arithmetic / 2.0))
+        i = int(np.argmax(gaps.max(axis=(1, 2)) > ARITHMETIC / 2.0))
         residue = 2.0 * float(gaps[i].max())  # a float past the maximum reads inf, unwarned
         defect = f"operator must be hermitian: max |A - A^dagger| = {residue:.3g}"
     else:
@@ -132,7 +131,7 @@ def _hermitian_expectations(arr: np.ndarray, s: StateVector) -> np.ndarray:
     # psi^dagger (A psi), grouped as np.vdot groups it, so one operator gives the same bits
     values = (psi.conj() @ (arr @ psi)[..., None])[..., 0]
     residue = float(np.maximum.reduce(np.abs(values.imag), axis=None, initial=0.0))
-    if residue > DEFAULT_TOLERANCES.operator:
+    if residue > OPERATOR:
         raise InvariantError(f"expectation has imaginary residue {residue:.3g}")
     return values.real
 

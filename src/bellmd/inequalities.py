@@ -20,7 +20,7 @@ from .hilbert import StateVector, _hermitian_expectations, _hermitian_parts
 # the benchmark tracer (bench/workloads.py) wraps these two names in this module
 from .hilbert import expectation, tensor_op  # noqa: F401
 from .lhv import CorrelationTable
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import ARITHMETIC, OPERATOR
 
 KCBS_QUANTUM_OPTIMAL = 5.0 - 4.0 * math.sqrt(5.0)
 
@@ -39,7 +39,7 @@ class ChshScenario(Frozen):
     hermitian part by ``_hermitian_parts``.  The checks, in order, each over all four
     observables and naming or reporting the first that fails: shape (square,
     then a qubit's), ``_hermitian_parts``'s finite entries and max |A - A^dagger|
-    <= `arithmetic`, max |A^2 - 1| <= `arithmetic` / 4; then the state's dimension.
+    <= ``ARITHMETIC``, max |A^2 - 1| <= ``ARITHMETIC`` / 4; then the state's dimension.
     """
 
     __slots__ = ("observables", "state")
@@ -59,8 +59,8 @@ class ChshScenario(Frozen):
         # max |A^2 - 1| <= t keeps A's eigenvalues within t of +/-1, so (1 +/- A)/2 has
         # eigenvalues in [-t/2, 1 + t/2] and chsh_quantum's clamped, renormalized tables
         # and their correlators stay within a few t of an exact +/-1 measurement's. Nothing
-        # downstream rejects a larger t; t = `arithmetic` / 4 keeps that gap at rounding
-        square_tol = DEFAULT_TOLERANCES.arithmetic / 4.0
+        # downstream rejects a larger t; t = ``ARITHMETIC`` / 4 keeps that gap at rounding
+        square_tol = ARITHMETIC / 4.0
         # a hermitian A with a real or imaginary part past 2 has (A^2)_ii >= 4, so it fails
         # with those parts clamped at 2 too, and the clamped products stay finite
         clamped = np.minimum(np.maximum(ops.view(float), -2.0), 2.0).view(np.complex128)
@@ -139,12 +139,12 @@ class KcbsScenario(Frozen):
             raise InputError("vectors must be finite")
         # np.linalg.norm's bits; an entry past 2 fails either way, and clamped its square is finite
         lengths = np.sqrt(np.add.reduce(np.minimum(np.abs(vecs), 2.0) ** 2, axis=1))
-        if np.logical_or.reduce(np.abs(lengths - 1.0) > DEFAULT_TOLERANCES.operator):
+        if np.logical_or.reduce(np.abs(lengths - 1.0) > OPERATOR):
             raise InputError("all five vectors must be unit length")
         # A_i A_{i+1} has hermiticity residue up to 4 |v_i . v_{i+1}|; an eighth of
-        # `arithmetic` keeps it at half that tolerance, a factor 2 left for rounding,
+        # ``ARITHMETIC`` keeps it at half that tolerance, a factor 2 left for rounding,
         # so kcbs_value evaluates the products without a hermiticity check
-        ortho_tol = DEFAULT_TOLERANCES.arithmetic / 8.0
+        ortho_tol = ARITHMETIC / 8.0
         dots = np.abs((vecs @ vecs.T)[_CYCLE])  # |v_i . v_{i+1}|, i = 0..4
         i = int(np.argmax(dots > ortho_tol))  # the first pair that fails, if any
         if dots[i] > ortho_tol:
@@ -158,7 +158,7 @@ class KcbsScenario(Frozen):
         self._assign(vecs, state)
 
 
-def kcbs_pentagram(state: StateVector | None = None) -> KcbsScenario:
+def kcbs_pentagram() -> KcbsScenario:
     """Closed-form five-cycle configuration with the apex state along z.
 
     The five directions share the polar angle whose cosine squared is
@@ -178,19 +178,17 @@ def kcbs_pentagram(state: StateVector | None = None) -> KcbsScenario:
         ]
     )
     # kill float residue so construction meets KcbsScenario's gates: unit
-    # length within `operator`, neighbour orthogonality within `arithmetic` / 8
+    # length within ``OPERATOR``, neighbour orthogonality within ``ARITHMETIC`` / 8
     for i in range(5):
         vecs[i] /= np.linalg.norm(vecs[i])
-    if state is None:
-        state = StateVector(np.array([0, 0, 1], dtype=np.complex128))
-    return KcbsScenario(vecs, state)
+    return KcbsScenario(vecs, StateVector(np.array([0, 0, 1], dtype=np.complex128)))
 
 
 def kcbs_value(s: KcbsScenario) -> float:
     """Five-cycle correlator sum: sum_i <state| A_i A_{i+1} |state>."""
     v = s.vectors
     observables = 2.0 * (v[:, :, None] * v[:, None, :]) - _EYE3
-    # hermitian within `arithmetic` / 2 by KcbsScenario's orthogonality bound
+    # hermitian within ``ARITHMETIC`` / 2 by KcbsScenario's orthogonality bound
     products = observables @ observables[_CYCLE[1]]
     return float(np.add.reduce(_hermitian_expectations(products, s.state)))
 

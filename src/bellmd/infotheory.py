@@ -12,9 +12,8 @@ import numpy as np
 
 from .errors import InvariantError, Value
 from .lhv import LhvModel
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import ARITHMETIC, NORMALIZATION
 
-_CLAMP = DEFAULT_TOLERANCES.arithmetic
 _TINY = np.finfo(float).tiny
 
 
@@ -39,7 +38,7 @@ def _mutual_information_bits(joint: np.ndarray, row_m: np.ndarray, col_m: np.nda
         rows, cols = np.nonzero(mask)
         log_ratio = np.log2(p / row_m[rows]) - np.log2(col_m[cols])
     value = float((p * log_ratio).sum())
-    if value < -_CLAMP:
+    if value < -ARITHMETIC:
         raise InvariantError(f"mutual information {value:.3g} below the float-residue clamp")
     return max(value, 0.0)
 
@@ -77,7 +76,7 @@ def cmd(model: LhvModel) -> CmdReport:
     raw = _mutual_information_bits(joint, lambda_marginal, joint.sum(axis=0))
     setting_entropy = entropy_bits(model.setting_space.marginal)
     lambda_entropy = entropy_bits(lambda_marginal)
-    if raw > min(setting_entropy, lambda_entropy) + DEFAULT_TOLERANCES.normalization:
+    if raw > min(setting_entropy, lambda_entropy) + NORMALIZATION:
         raise InvariantError(
             f"mutual information {raw:.12g} exceeds the entropy bound "
             f"{min(setting_entropy, lambda_entropy):.12g}"

@@ -16,15 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Frozen, InputError
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import ARITHMETIC
 
-_ATOL = DEFAULT_TOLERANCES.arithmetic
 # the row sums a model enters with: a quarter of the tolerance keeps predict's
 # outcome rows within it, and cmd's mutual information above infotheory's clamp
-_ROW_ATOL = _ATOL / 4
+_ROW_ATOL = ARITHMETIC / 4
 
 
-def _distribution_rows(name: str, table, atol=_ATOL) -> np.ndarray:
+def _distribution_rows(name: str, table, atol=ARITHMETIC) -> np.ndarray:
     arr = np.array(table, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -36,15 +35,15 @@ def _distribution_rows(name: str, table, atol=_ATOL) -> np.ndarray:
 def _check_table(name: str, table: np.ndarray, row_atol: float | None) -> None:
     """Check one table, raising its first defect; a distribution is clipped at 0 in place.
 
-    In order: finite entries; entries within `arithmetic` of [0, 1] for a response table
+    In order: finite entries; entries within ``ARITHMETIC`` of [0, 1] for a response table
     (``row_atol`` None), or of [0, inf) for a distribution; then a distribution's row sums
-    after the clip, within `arithmetic`, then within ``row_atol``, of 1.
+    after the clip, within ``ARITHMETIC``, then within ``row_atol``, of 1.
     """
     if not np.isfinite(table).all():
         raise InputError(f"{name} entries must be finite")
-    below = (table < -_ATOL).any()
+    below = (table < -ARITHMETIC).any()
     if row_atol is None:
-        if below or (table > 1.0 + _ATOL).any():
+        if below or (table > 1.0 + ARITHMETIC).any():
             raise InputError(f"{name} entries must lie in [0, 1]")
     elif below:
         raise InputError(f"{name} entries must be nonnegative")
@@ -56,7 +55,7 @@ def _check_table(name: str, table: np.ndarray, row_atol: float | None) -> None:
         _check_sums(name, sums, row_atol)
 
 
-def _check_sums(name: str, sums: np.ndarray, atol=_ATOL) -> None:
+def _check_sums(name: str, sums: np.ndarray, atol=ARITHMETIC) -> None:
     if np.abs(sums - 1.0).max(initial=0.0) > atol:
         if sums.size == 1:
             raise InputError(f"{name} sums to {sums[0]:.15g}, expected 1")
@@ -119,7 +118,7 @@ def _model_tables(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...
     stack = np.concatenate(arrays)
     # the bounds reject NaN too, and an entry past 1 fails its row sum anyway, which bounding
     # it keeps finite; `initial` lets tables with no hidden value reach the sum check
-    ok = stack.min(initial=0.0) >= -_ATOL and stack.max(initial=1.0) <= 1.0 + _ATOL
+    ok = stack.min(initial=0.0) >= -ARITHMETIC and stack.max(initial=1.0) <= 1.0 + ARITHMETIC
     if ok:
         np.maximum(stack, 0.0, out=stack)  # the ufunc np.clip(stack, 0.0, None) calls
         np.minimum(stack[n:], 1.0, out=stack[n:])
@@ -143,8 +142,8 @@ class LhvModel(Frozen):
 
     The tables are checked in one pass, in that field order; for each, its
     conversion and shape, then finite entries, then entries within
-    `arithmetic` of [0, 1] ([0, inf) for lambda_given_settings), then its row
-    sums within `arithmetic` / 4 of 1 after the clip.  The first defect raises,
+    ``ARITHMETIC`` of [0, 1] ([0, inf) for lambda_given_settings), then its row
+    sums within ``ARITHMETIC`` / 4 of 1 after the clip.  The first defect raises,
     naming its field, or numpy's own error for a table that does not convert.
     """
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, InvariantError, Value
 from .hilbert import StateVector
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import NORMALIZATION
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -102,7 +102,7 @@ def branch_transcripts(inp: TeleportInput) -> tuple[TeleportTranscript, ...]:
     probs, pres = _branch_stack(sent.amplitudes)
     finals = (_CORRECTIONS @ pres[:, :, None])[:, :, 0]
     sq_norms = (np.abs(finals) ** 2).sum(axis=1)
-    if not (np.abs(sq_norms - 1.0) <= DEFAULT_TOLERANCES.normalization).all():
+    if not (np.abs(sq_norms - 1.0) <= NORMALIZATION).all():
         raise InvariantError(f"receiver states have squared norms {sq_norms}, expected 1")
     transcripts = []
     for k, (prob, final) in enumerate(zip(probs.tolist(), finals)):

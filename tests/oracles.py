@@ -2,7 +2,8 @@
 
 Everything here is deliberately written in the most direct way possible
 (explicit loops, brute-force enumeration, characteristic polynomials) and
-must not call into the code paths it is checking.
+must not call into the code paths it is checking.  ``asset_path`` locates the
+canned scenario files the package ships.
 """
 
 from __future__ import annotations
@@ -10,8 +11,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
+
+import bellmd
+
+
+def asset_path(name: str) -> Path:
+    """Path of a canned scenario file shipped with the package."""
+    return Path(bellmd.__file__).parent / "assets" / name
 
 
 def charpoly_eigenvalues(matrix: np.ndarray) -> np.ndarray:

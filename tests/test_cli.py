@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import bellmd
-from bellmd.cli import asset_path, main
+from bellmd.cli import main
 from bellmd.teleport import OUTCOME_DRAW
-from oracles import min_bits_closed_form, teleport_file_before_sampler
+from oracles import asset_path, min_bits_closed_form, teleport_file_before_sampler
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -354,7 +354,7 @@ class TestMiCommand:
         assert stdout == '{\n  "mutual_information_bits": ' + printed + "\n}\n"
 
     def test_bad_sum_exits_2(self, capsys):
-        # within `arithmetic` of 1, as every other table; 1e-10 off passed the old 1e-9 rule
+        # within ``ARITHMETIC`` of 1, as every other table; 1e-10 off passed the old 1e-9 rule
         for table, total in (("0.5,0.5,0.5,0.5", "2"), ("0.25,0.25,0.25,0.2500000001",
                                                           "1.0000000001")):
             code, _, stderr = run_cli(capsys, "mi", "--table", table)
@@ -371,7 +371,7 @@ class TestMiCommand:
         assert run_cli(capsys, "mi", "--table", table) == (2, "", f"error: {message}\n")
 
     def test_rounding_below_zero_is_clipped(self, capsys):
-        # -1e-13 is clipped to 0 like every other table entry within `arithmetic`
+        # -1e-13 is clipped to 0 like every other table entry within ``ARITHMETIC``
         clipped = run_cli(capsys, "mi", "--table", "0.5,-1e-13,0,0.5")
         assert clipped == run_cli(capsys, "mi", "--table", "0.5,0,0,0.5")
         assert clipped[:2] == (0, '{\n  "mutual_information_bits": 1.0\n}\n')

@@ -14,7 +14,8 @@ import json
 
 import pytest
 
-from bellmd.cli import asset_path, main
+from bellmd.cli import main
+from oracles import asset_path
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

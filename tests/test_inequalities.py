@@ -20,7 +20,7 @@ from bellmd.inequalities import (
     lhv_chsh_max,
 )
 from bellmd.lhv import CorrelationTable
-from bellmd.tolerances import DEFAULT_TOLERANCES
+from bellmd.tolerances import ARITHMETIC
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -265,7 +265,7 @@ class TestKcbs:
             observables = 2.0 * (v[:, :, None] * v[:, None, :]) - np.eye(3)
             products = observables @ np.roll(observables, -1, axis=0)
             residue = np.abs(products - products.swapaxes(1, 2)).max()
-            assert residue <= DEFAULT_TOLERANCES.arithmetic / 2.0
+            assert residue <= ARITHMETIC / 2.0
             assert value == float(oracles.checked_expectations(products, scenario.state).sum())
             reference = oracles.kcbs_reference(scenario.vectors, scenario.state.amplitudes)
             assert abs(value - reference) <= 1e-12

@@ -8,7 +8,7 @@ from bellmd.cli import main
 from bellmd.errors import InputError
 from bellmd.infotheory import cmd
 from bellmd.inequalities import chsh_value
-from bellmd.lhv import predict
+from bellmd.lhv import LhvModel, SettingSpace, predict
 from bellmd.mdsearch import (
     max_chsh_under_budget,
     min_cmd_for_chsh,
@@ -65,6 +65,23 @@ class TestClosedForm:
         outcome = min_cmd_for_chsh(2.5)
         assert not outcome.feasible
         assert outcome.chsh == 2.0
+
+    def test_no_random_model_beats_the_closed_form(self):
+        # the closed form is the frontier: a model reaching S > 2 carries at least I(S) bits.
+        # Dirichlet rows with log-uniform concentrations, responses 0/1 in every other model
+        rng = np.random.default_rng(20240611)
+        space, violating = SettingSpace(), 0
+        for k in range(2000):
+            lam = int(rng.integers(1, 9))
+            concentration = math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
+            lgs = rng.dirichlet(np.full(lam, concentration), size=4)
+            responses = rng.integers(0, 2, (2, 2, lam)) if k % 2 else rng.random((2, 2, lam))
+            model = LhvModel(space, lgs, *responses.astype(float))
+            s = chsh_value(predict(model))
+            if s > 2.0:
+                violating += 1
+                assert cmd(model).raw_bits >= min_bits_closed_form(s) - 1e-12, (k, s)
+        assert violating >= 200
 
 
 class TestMaxChshUnderBudget:

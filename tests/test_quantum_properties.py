@@ -22,7 +22,7 @@ from bellmd.errors import InputError
 from bellmd.hilbert import StateVector
 from bellmd.inequalities import ChshScenario, chsh_quantum, chsh_value
 from bellmd.lhv import CorrelationTable
-from bellmd.tolerances import DEFAULT_TOLERANCES
+from bellmd.tolerances import ARITHMETIC
 from oracles import (bloch_observable, checked_expectations, perturbed_observable,
                      top_eigenvector)
 
@@ -51,7 +51,7 @@ def assert_matches_the_checked_path(scenario: ChshScenario) -> CorrelationTable:
     assert not table.joint.flags.writeable and not table.correlators.flags.writeable
     assert np.all(np.isfinite(table.joint)) and np.all(table.joint >= 0.0)
     sums = table.joint.sum(axis=(2, 3))
-    assert np.max(np.abs(sums - 1.0)) <= DEFAULT_TOLERANCES.arithmetic
+    assert np.max(np.abs(sums - 1.0)) <= ARITHMETIC
     return table
 
 

@@ -4,6 +4,7 @@ The command block under "Command line" runs line by line through ``main`` on
 the canned assets, in a temporary directory.  Each quoted figure is read from
 the README text and compared, at the digits quoted, with the output of the
 run that computes it, so a drifted number or a renamed option fails here.
+Each quoted tolerance is compared with the expression its check uses.
 """
 
 import json
@@ -15,7 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellmd.cli import asset_path, main
+from bellmd import lhv
+from bellmd.cli import main
+from bellmd.tolerances import ARITHMETIC, NORMALIZATION, OPERATOR
+from oracles import asset_path
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -103,3 +107,37 @@ def test_a_typed_target_prints_as_typed(capsys, tmp_path, monkeypatch):
     assert quoted == '"chsh_value": 2.8'
     assert main(["optimize", "--target-s", "2.8", "--out-dir", "t"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == f"  {quoted},"
+
+
+NUMBER = r"(-?[0-9.]+(?:e-[0-9]+)?)"
+# (the README text around a quoted tolerance, the value the check compares with)
+TOLERANCES = [
+    # the mi table comment in the command block
+    (rf"at least {NUMBER} \(then clipped to 0\)", -ARITHMETIC),
+    (rf"summing to 1 within {NUMBER}, and is then divided", ARITHMETIC),
+    # File formats: model, CHSH scenario and KCBS scenario files
+    (rf"must be finite and at least {NUMBER}, and every response", -ARITHMETIC),
+    (rf"every response at\s+most 1 \+ {NUMBER};", ARITHMETIC),
+    (rf"sum to 1 within {NUMBER} \(a quarter of the 1e-12 tolerance\)", lhv._ROW_ATOL),
+    (rf"outcome rows stay within {NUMBER} of 1", ARITHMETIC),
+    (rf"above the {NUMBER}\s+float-residue clamp", -ARITHMETIC),
+    (rf"hermitian within {NUMBER} \(it is stored", ARITHMETIC),
+    (rf"square to the identity within\s+{NUMBER} \(a quarter of that tolerance\)",
+     ARITHMETIC / 4.0),
+    (rf"squared norm 1 within {NUMBER}\.", NORMALIZATION),
+    (rf"unit length within {NUMBER},", OPERATOR),
+    (rf"orthogonal within {NUMBER} \(an eighth of the 1e-12", ARITHMETIC / 8.0),
+    (rf"product hermitian within {NUMBER}, so evaluation", ARITHMETIC / 2.0),
+    # the module table: the bellmd.tolerances and bellmd.hilbert rows
+    (rf"`NORMALIZATION` \({NUMBER}\)", NORMALIZATION),
+    (rf"`OPERATOR` \({NUMBER}\)", OPERATOR),
+    (rf"`ARITHMETIC` \({NUMBER}\)", ARITHMETIC),
+    (rf"max \\\|A - A\^dagger\\\| <= {NUMBER}, compared", ARITHMETIC),
+    (rf"\\\|A/2 - A\^dagger/2\\\| <= {NUMBER} so that", ARITHMETIC / 2.0),
+]
+
+
+def test_quoted_tolerances_are_the_ones_the_checks_use():
+    drifted = [(pattern, quoted, value) for pattern, value in TOLERANCES
+               if float(quoted := _quoted(pattern)) != value]
+    assert not drifted

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellmd.cli import asset_path
 from bellmd.errors import InputError
 from bellmd.inequalities import (
     _OBSERVABLE_NAMES,
@@ -33,6 +32,7 @@ from bellmd.serialize import (
     write_model,
 )
 from oracles import (
+    asset_path,
     bloch_observable,
     operator_from_doc,
     perturbed_observable,

@@ -30,20 +30,19 @@ import pytest
 
 import oracles
 from bellmd import cli, hilbert, inequalities, lhv, teleport
-from bellmd.cli import asset_path
 from bellmd.hilbert import OperatorMatrix, StateVector
 from bellmd.errors import InputError
 from bellmd.infotheory import cmd
 from bellmd.inequalities import ChshScenario, KcbsScenario, bell_optimal_scenario, chsh_quantum
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, predict
 from bellmd.serialize import read_chsh_scenario, read_kcbs_scenario, read_model
-from bellmd.tolerances import DEFAULT_TOLERANCES
+from bellmd.tolerances import ARITHMETIC
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 hnp = pytest.importorskip("hypothesis.extra.numpy")
 
-TOL = DEFAULT_TOLERANCES.arithmetic
+TOL = ARITHMETIC
 
 
 def _counted(monkeypatch, *targets) -> collections.Counter:
@@ -113,7 +112,7 @@ def test_a_teleport_run_checks_the_sent_state_once(calls, state_calls, capsys, t
 
 
 def test_a_chsh_file_is_checked_once_on_decode(calls):
-    table = chsh_quantum(read_chsh_scenario(asset_path("bell-optimal.json")))
+    table = chsh_quantum(read_chsh_scenario(oracles.asset_path("bell-optimal.json")))
     assert abs(inequalities.chsh_value(table) - 2.0 * np.sqrt(2.0)) <= 1e-12
     assert calls == {"ChshScenario.__init__": 1}
 
@@ -131,7 +130,7 @@ CHSH_DEFECTS = {
 @pytest.mark.parametrize("defect", CHSH_DEFECTS)
 def test_a_defective_chsh_file_is_checked_once(calls, tmp_path, defect):
     party, k, matrix = CHSH_DEFECTS[defect]
-    doc = json.loads(asset_path("bell-optimal.json").read_text())
+    doc = json.loads(oracles.asset_path("bell-optimal.json").read_text())
     doc[f"{party}_observables"][k] = matrix
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -142,7 +141,7 @@ def test_a_defective_chsh_file_is_checked_once(calls, tmp_path, defect):
 
 
 def test_a_kcbs_file_is_checked_once_and_evaluated_without_a_recheck(calls):
-    value = inequalities.kcbs_value(read_kcbs_scenario(asset_path("kcbs-pentagram.json")))
+    value = inequalities.kcbs_value(read_kcbs_scenario(oracles.asset_path("kcbs-pentagram.json")))
     assert abs(value - inequalities.KCBS_QUANTUM_OPTIMAL) <= 1e-12
     assert calls == {"KcbsScenario.__init__": 1}
     # the counter patches hilbert's name; inequalities holds one more, for the benchmark tracer
@@ -150,13 +149,13 @@ def test_a_kcbs_file_is_checked_once_and_evaluated_without_a_recheck(calls):
 
 
 def test_predict_does_not_recheck_its_table(calls):
-    model = read_model(asset_path("brans.json"))
+    model = read_model(oracles.asset_path("brans.json"))
     predict(model)
     assert not calls
 
 
 def test_the_score_counters_see_the_checked_paths(score_calls):
-    brans = read_model(asset_path("brans.json"))
+    brans = read_model(oracles.asset_path("brans.json"))
     score_calls.clear()
     SettingSpace(marginal=[0.25] * 4)  # the marginal's row check
     _checked_bits(brans)  # the joint's row check
@@ -164,7 +163,7 @@ def test_the_score_counters_see_the_checked_paths(score_calls):
 
 
 def _brans_tables() -> dict:
-    brans = read_model(asset_path("brans.json"))
+    brans = read_model(oracles.asset_path("brans.json"))
     return {"setting_space": brans.setting_space,
             "lambda_given_settings": brans.lambda_given_settings.tolist(),
             "alice_response": brans.alice_response.tolist(),

@@ -1,37 +1,38 @@
-"""The package's 13 value classes: read-only, copyable and picklable, compared as pinned.
+"""The package's 12 value classes: read-only, copyable and picklable, compared as pinned.
 
 Assigning or deleting a field raises ``AttributeError``.  ``pickle`` at every
 protocol, ``copy.copy`` and ``copy.deepcopy`` give an instance of the same class
 with every field kept, arrays identical byte for byte and read-only.  Each is rebuilt
 through its checking ``__init__``, so a pickle whose fields were edited raises
-``InputError``.  The six plain value classes compare and hash by their fields
+``InputError``.  The five plain value classes compare and hash by their fields
 (``TeleportInput`` without its kept state); the seven checked classes compare and
-hash by identity.
+hash by identity.  Every ``errors.Frozen`` subclass that bellmd defines is listed here.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 import struct
 
 import numpy as np
 import pytest
 
+import bellmd
 import oracles
-from bellmd.errors import InputError
+from bellmd.errors import Frozen, InputError, Value
 from bellmd.hilbert import OperatorMatrix, StateVector
 from bellmd.inequalities import ChshScenario, KcbsScenario, bell_optimal_scenario, kcbs_pentagram
 from bellmd.infotheory import CmdReport
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct
 from bellmd.mdsearch import SearchOutcome, TradeoffPoint
 from bellmd.teleport import TeleportInput, TeleportTranscript
-from bellmd.tolerances import Tolerances
 
 STATE = StateVector([0.6, 0.8])
 MODEL = brans_construct(CorrelationTable.from_correlators([[0.5, 0.5], [0.5, -0.5]]))
 
 # class -> (its fields, a factory whose instances have equal fields)
 VALUES = {
-    Tolerances: (("normalization", "operator", "arithmetic"), Tolerances),
     CmdReport: (("raw_bits", "normalized", "setting_entropy_bits"),
                 lambda: CmdReport(1.0, 0.5, 2.0)),
     SearchOutcome: (("model", "cmd_report", "chsh", "feasible"),
@@ -55,6 +56,18 @@ CHECKED = {
     KcbsScenario: (("vectors", "state"), kcbs_pentagram),
 }
 CLASSES = {**VALUES, **CHECKED}
+
+
+def _subclasses(cls) -> set:
+    return {sub for direct in cls.__subclasses__() for sub in {direct, *_subclasses(direct)}}
+
+
+def test_every_frozen_class_of_the_package_is_listed():
+    # import every module first: a class in a module nothing imports yet is still a class
+    for module in pkgutil.iter_modules(bellmd.__path__):
+        importlib.import_module(f"bellmd.{module.name}")
+    defined = {cls for cls in _subclasses(Frozen) if cls.__module__.startswith("bellmd.")}
+    assert defined - {Value} == set(CLASSES)
 
 
 def assert_same(a, b) -> None:
@@ -172,7 +185,6 @@ def test_value_classes_compare_and_hash_by_field(cls):
 def test_a_compared_field_that_differs_makes_values_unequal():
     assert CmdReport(1.0, 0.5, 2.0) != CmdReport(1.0, 0.5, 2.5)
     assert TeleportInput(0.6, 0.8) != TeleportInput(0.8, 0.6)
-    assert Tolerances() != Tolerances(arithmetic=1e-11)
     # the kept state is not compared: equal inputs hold distinct states
     first, second = TeleportInput(0.6, 0.8), TeleportInput(0.6, 0.8)
     assert first == second and first.state() is not second.state()
@@ -188,8 +200,6 @@ def test_checked_classes_compare_and_hash_by_identity(cls):
 def test_repr_lists_the_shown_fields():
     assert repr(CmdReport(1.0, 0.5, 2.0)) == \
         "CmdReport(raw_bits=1.0, normalized=0.5, setting_entropy_bits=2.0)"
-    assert repr(Tolerances()) == \
-        "Tolerances(normalization=1e-09, operator=1e-10, arithmetic=1e-12)"
     assert repr(TeleportInput(0.6, 0.8)) == "TeleportInput(a=(0.6+0j), b=(0.8+0j))"
     table = CorrelationTable.from_correlators(np.zeros((1, 1)))
     assert repr(table) == f"CorrelationTable(joint={table.joint!r})"
