@@ -4,8 +4,8 @@ Builds finite local hidden-variable models whose hidden variables may
 carry information about the measurement settings, quantifies that
 dependence in bits, evaluates CHSH/KCBS statistics and their quantum
 predictions, simulates teleportation, and searches for the least
-dependence needed to reach a target CHSH value.  The names exported here
-are the ones the CLI and the README use.
+dependence needed to reach a target CHSH value.  Every name exported here
+is pinned in ``tests/test_public_surface.py``.
 """
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ from .lhv import (
 )
 from .mdsearch import (
     SearchOutcome,
-    TradeoffPoint,
     max_chsh_under_budget,
     min_cmd_for_chsh,
     tradeoff_curve,

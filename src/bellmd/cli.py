@@ -253,11 +253,10 @@ def cmd_optimize(args) -> int:
             raise InputError(f"--curve must be comma-separated numbers: {exc}") from exc
         points = tradeoff_curve(budgets)
         files = [(f"curve_model_{k}.json", write_model, p.model) for k, p in enumerate(points)]
-        rows = [(p.budget_bits, p.best_chsh, name) for p, (name, _, _) in zip(points, files)]
+        rows = [(b, p.chsh, name) for b, p, (name, _, _) in zip(budgets, points, files)]
         files.append(("curve.csv", write_curve_csv, rows))
-        summary = {"points": [
-            {"budget_bits": p.budget_bits, "best_chsh": p.best_chsh} for p in points
-        ]}
+        summary = {"points": [{"budget_bits": b, "best_chsh": p.chsh}
+                              for b, p in zip(budgets, points)]}
 
     out_dir = Path(args.out_dir)
     _write_out([(out_dir / name, write, value) for name, write, value in files], manifest,

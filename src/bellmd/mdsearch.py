@@ -48,8 +48,11 @@ _FEAS_HEADROOM = 1e-12  # float headroom on a hard constraint; never a real slac
 class SearchOutcome(Value):
     """Optimal model with its recomputed CHSH value and dependence.
 
-    ``feasible`` is False if the recomputed values miss the constraint by
-    more than float headroom; the model is still carried.
+    ``min_cmd_for_chsh``, ``max_chsh_under_budget`` and each point of
+    ``tradeoff_curve`` return one.  ``feasible`` is False if the recomputed
+    values miss the constraint by more than float headroom; the model is
+    still carried.  A curve point may be a smaller budget's outcome, so its
+    ``cmd_report`` and ``feasible`` are that model's.
     """
 
     __slots__ = ("model", "cmd_report", "chsh", "feasible")
@@ -57,13 +60,6 @@ class SearchOutcome(Value):
     def __init__(self, model: LhvModel, cmd_report: CmdReport, chsh: float,
                  feasible: bool) -> None:
         self._assign(model, cmd_report, chsh, feasible)
-
-
-class TradeoffPoint(Value):
-    __slots__ = ("budget_bits", "best_chsh", "model")
-
-    def __init__(self, budget_bits: float, best_chsh: float, model: LhvModel) -> None:
-        self._assign(budget_bits, best_chsh, model)
 
 
 # --- the optimal model (uniform 2x2 settings) --------------------------------
@@ -142,11 +138,12 @@ def max_chsh_under_budget(budget_bits: float) -> SearchOutcome:
     return _verified(hi, lambda s, bits: bits <= budget_bits + _FEAS_HEADROOM)
 
 
-def tradeoff_curve(budgets) -> tuple[TradeoffPoint, ...]:
+def tradeoff_curve(budgets) -> tuple[SearchOutcome, ...]:
     """Best CHSH value per dependence budget, post-processed to a monotone envelope.
 
-    A model feasible at a smaller budget stays feasible at any larger one,
-    so each point carries the best model seen at or below its budget.
+    One outcome per budget, in order.  A model feasible at a smaller budget
+    stays feasible at any larger one, so each point is the best outcome seen
+    at or below its budget.
     """
     budget_list = [float(b) for b in budgets]
     if not budget_list:
@@ -155,13 +152,8 @@ def tradeoff_curve(budgets) -> tuple[TradeoffPoint, ...]:
         raise InputError("budgets must be finite and nonnegative")
     if sorted(budget_list) != budget_list:
         raise InputError("budgets must be sorted ascending")
-    points: list[TradeoffPoint] = []
-    best_so_far: TradeoffPoint | None = None
+    points: list[SearchOutcome] = []
     for budget in budget_list:
         outcome = max_chsh_under_budget(budget)
-        point = TradeoffPoint(budget_bits=budget, best_chsh=outcome.chsh, model=outcome.model)
-        if best_so_far is not None and best_so_far.best_chsh > point.best_chsh:
-            point = TradeoffPoint(budget, best_so_far.best_chsh, best_so_far.model)
-        points.append(point)
-        best_so_far = point
+        points.append(points[-1] if points and points[-1].chsh > outcome.chsh else outcome)
     return tuple(points)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -182,20 +183,58 @@ class TestDeterminism:
 class TestTradeoffCurve:
     def test_two_point_endpoints(self):
         curve = tradeoff_curve([0.0, 2.0])
-        assert abs(curve[0].best_chsh - 2.0) <= 1e-12
-        assert abs(curve[1].best_chsh - 4.0) <= 1e-12
+        assert abs(curve[0].chsh - 2.0) <= 1e-12
+        assert abs(curve[1].chsh - 4.0) <= 1e-12
 
     def test_single_zero_budget(self):
         curve = tradeoff_curve([0.0])
         assert len(curve) == 1
-        assert abs(curve[0].best_chsh - 2.0) <= 1e-12
+        assert abs(curve[0].chsh - 2.0) <= 1e-12
 
     def test_monotone_envelope(self):
-        curve = tradeoff_curve([0.0, 0.05, 0.5, 2.0])
-        values = [p.best_chsh for p in curve]
+        budgets = [0.0, 0.05, 0.5, 2.0]
+        curve = tradeoff_curve(budgets)
+        assert len(curve) == len(budgets)
+        values = [p.chsh for p in curve]
         assert all(values[i] <= values[i + 1] + 1e-12 for i in range(len(values) - 1))
-        for point in curve:
-            assert cmd(point.model).raw_bits <= point.budget_bits + 1e-12
+        for budget, point in zip(budgets, curve):
+            assert cmd(point.model).raw_bits <= budget + 1e-12
+            # on a grid the solver already climbs, every point is that budget's own outcome
+            own = max_chsh_under_budget(budget)
+            for table in ("lambda_given_settings", "alice_response", "bob_response"):
+                assert getattr(point.model, table).tobytes() == getattr(own.model, table).tobytes()
+            assert point.model.setting_space.marginal.tobytes() == \
+                own.model.setting_space.marginal.tobytes()
+            assert (point.chsh, point.cmd_report, point.feasible) == \
+                (own.chsh, own.cmd_report, own.feasible)
+
+    @staticmethod
+    def _dip_at_half(monkeypatch):
+        """Budget 0.5 gets budget 0's outcome, a CHSH value below budget 0.1's."""
+        solve = mdsearch.max_chsh_under_budget
+        monkeypatch.setattr(mdsearch, "max_chsh_under_budget",
+                            lambda budget: solve(0.0 if budget == 0.5 else budget))
+
+    def test_envelope_carries_the_earlier_outcome_whole(self, monkeypatch):
+        self._dip_at_half(monkeypatch)
+        curve = tradeoff_curve([0.0, 0.1, 0.5])
+        assert curve[2] is curve[1]
+        assert curve[1].chsh > curve[0].chsh
+        assert cmd(curve[1].model).raw_bits <= 0.1 + 1e-12
+
+    def test_cli_curve_rows_keep_their_own_budgets_under_the_envelope(
+            self, monkeypatch, tmp_path, capsys):
+        self._dip_at_half(monkeypatch)
+        assert main(["optimize", "--curve", "0,0.1,0.5", "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads(capsys.readouterr().out)["points"]
+        carried = tradeoff_curve([0.0, 0.1])[1].chsh
+        assert [(p["budget_bits"], p["best_chsh"]) for p in summary][1:] == \
+            [(0.1, carried), (0.5, carried)]
+        rows = (tmp_path / "curve.csv").read_text().splitlines()
+        assert rows[2:] == [f"0.1,{carried!r},curve_model_1.json",
+                            f"0.5,{carried!r},curve_model_2.json"]
+        assert (tmp_path / "curve_model_2.json").read_bytes() == \
+            (tmp_path / "curve_model_1.json").read_bytes()
 
     def test_input_validation(self):
         with pytest.raises(InputError):

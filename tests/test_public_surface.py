@@ -38,7 +38,6 @@ PUBLIC_NAMES = [
     "StateVector",
     "TeleportInput",
     "TeleportTranscript",
-    "TradeoffPoint",
     "bell_optimal_scenario",
     "brans_construct",
     "chsh_quantum",

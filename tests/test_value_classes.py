@@ -1,10 +1,10 @@
-"""The package's 12 value classes: read-only, copyable and picklable, compared as pinned.
+"""The package's 11 value classes: read-only, copyable and picklable, compared as pinned.
 
 Assigning or deleting a field raises ``AttributeError``.  ``pickle`` at every
 protocol, ``copy.copy`` and ``copy.deepcopy`` give an instance of the same class
 with every field kept, arrays identical byte for byte and read-only.  Each is rebuilt
 through its checking ``__init__``, so a pickle whose fields were edited raises
-``InputError``.  The five plain value classes compare and hash by their fields
+``InputError``.  The four plain value classes compare and hash by their fields
 (``TeleportInput`` without its kept state); the seven checked classes compare and
 hash by identity.  Every ``errors.Frozen`` subclass that bellmd defines is listed here.
 """
@@ -25,7 +25,7 @@ from bellmd.hilbert import OperatorMatrix, StateVector
 from bellmd.inequalities import ChshScenario, KcbsScenario, bell_optimal_scenario, kcbs_pentagram
 from bellmd.infotheory import CmdReport
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct
-from bellmd.mdsearch import SearchOutcome, TradeoffPoint
+from bellmd.mdsearch import SearchOutcome
 from bellmd.teleport import TeleportInput, TeleportTranscript
 
 STATE = StateVector([0.6, 0.8])
@@ -37,7 +37,6 @@ VALUES = {
                 lambda: CmdReport(1.0, 0.5, 2.0)),
     SearchOutcome: (("model", "cmd_report", "chsh", "feasible"),
                     lambda: SearchOutcome(MODEL, CmdReport(1.0, 0.5, 2.0), 2.5, True)),
-    TradeoffPoint: (("budget_bits", "best_chsh", "model"), lambda: TradeoffPoint(0.1, 2.5, MODEL)),
     TeleportInput: (("a", "b", "_state"), lambda: TeleportInput(0.6, 0.8j)),
     TeleportTranscript: (("outcome_index", "outcome_probability", "correction_applied",
                           "bob_final", "fidelity"),
