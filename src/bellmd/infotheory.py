@@ -8,11 +8,15 @@ entropy) is reported alongside so fully deterministic settings score 1.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .errors import InvariantError, Value
-from .lhv import LhvModel
 from .tolerances import ARITHMETIC, NORMALIZATION
+
+if TYPE_CHECKING:  # cmd's annotation only: lhv imports entropy_bits from here
+    from .lhv import LhvModel
 
 _TINY = np.finfo(float).tiny
 
@@ -69,12 +73,13 @@ def cmd(model: LhvModel) -> CmdReport:
     """Score a model's measurement dependence in bits (raw and normalized).
 
     A checked model's weights are a distribution, so they are scored without a re-check.
+    The setting entropy is the one its ``SettingSpace`` computed when it was built.
     """
     # rows: lambda, cols: joint setting; C order fixes how the sums below round
     joint = np.multiply(model.lambda_given_settings.T, model.setting_space.marginal, order="C")
     lambda_marginal = joint.sum(axis=1)
     raw = _mutual_information_bits(joint, lambda_marginal, joint.sum(axis=0))
-    setting_entropy = entropy_bits(model.setting_space.marginal)
+    setting_entropy = model.setting_space._entropy_bits
     lambda_entropy = entropy_bits(lambda_marginal)
     if raw > min(setting_entropy, lambda_entropy) + NORMALIZATION:
         raise InvariantError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Frozen, InputError
+from .infotheory import entropy_bits
 from .tolerances import ARITHMETIC
 
 # the row sums a model enters with: a quarter of the tolerance keeps predict's
@@ -65,10 +66,12 @@ def _check_sums(name: str, sums: np.ndarray, atol=ARITHMETIC) -> None:
 class SettingSpace(Frozen):
     """Joint measurement settings for two parties, with a marginal over them.
 
-    Joint settings are indexed row-major: index = a * bob_settings + b.
+    Joint settings are indexed row-major: index = a * bob_settings + b.  The marginal's
+    entropy, which ``cmd`` reads, is computed once from the checked marginal.
     """
 
-    __slots__ = ("alice_settings", "bob_settings", "marginal")
+    __slots__ = ("alice_settings", "bob_settings", "marginal", "_entropy_bits")
+    _fields = ("alice_settings", "bob_settings", "marginal")
 
     def __init__(self, alice_settings: int = 2, bob_settings: int = 2, marginal=None) -> None:
         for count in (alice_settings, bob_settings):  # numpy's ints pass; bools and 2.0 fail
@@ -84,7 +87,7 @@ class SettingSpace(Frozen):
             raise InputError(f"setting marginal must be a flat list of {n} entries, "
                              f"got shape {marginal.shape}")
         marginal = _distribution_rows("setting marginal", marginal, atol=_ROW_ATOL)[0]
-        self._assign(alice_settings, bob_settings, marginal)
+        self._assign(alice_settings, bob_settings, marginal, entropy_bits(marginal))
 
     @property
     def n_joint(self) -> int:

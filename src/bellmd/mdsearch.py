@@ -83,12 +83,12 @@ _DISAGREES = (_ONE_DISAGREEMENT != _SIGN_PATTERN).T  # (setting, lambda)
 def _bits(x: float) -> float:
     """I = 2 - h(x) - (1 - x) log2 3, the dependence at disagreement rate x.
 
-    Evaluated as x log2(4x) + (1 - x) log2(4(1 - x)/3) through log1p: near
-    x = 1/4 the textbook form cancels to 4e-16 absolute error, which would
-    move S*(budget) by ~1e-8 at tiny budgets.
+    Evaluated as x log2(4x) + (1 - x) log2(4(1 - x)/3) through log1p: near x = 1/4 the
+    textbook form cancels to 4e-16 absolute error, which would move S*(budget) by ~1e-8 at
+    tiny budgets.  Where 4x - 1 rounds to -1, log1p's pole, log(4x) takes the first term.
     """
     u = 4.0 * x - 1.0
-    first = x * math.log1p(u) if x > 0.0 else 0.0
+    first = x * math.log1p(u) if u > -1.0 else x * math.log(4.0 * x)
     return (first + (1.0 - x) * math.log1p(-u / 3.0)) / math.log(2.0)
 
 

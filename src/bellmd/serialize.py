@@ -33,7 +33,8 @@ def _plain(obj):
 
 def dumps_json(obj) -> str:
     """JSON text of ``obj`` with a 2-space indent; ValueError on a NaN or an infinity."""
-    return json.dumps(obj, indent=2, allow_nan=False, default=_plain)
+    # every document is a tree bellmd has just built, so the encoder skips its cycle walk
+    return json.dumps(obj, indent=2, allow_nan=False, check_circular=False, default=_plain)
 
 
 def _write_text(path: Path | str, text: str) -> None:

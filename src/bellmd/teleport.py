@@ -23,6 +23,7 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 _BELL_VECTORS = np.array(
     [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=np.complex128
 ) * _SQRT2_INV
+_BELL_BRAS = _BELL_VECTORS.conj()
 
 CORRECTION_LABELS = ("identity", "sigma_z", "sigma_x", "sigma_z.sigma_x")
 
@@ -74,8 +75,8 @@ def _branch_stack(sent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     product of the conjugated entangled basis with the state, laid out as
     (sender's two qubits, receiver's qubit); each row is then normalized.
     """
-    grid = np.kron(sent, _BELL_VECTORS[0]).reshape(4, 2)
-    raw = _BELL_VECTORS.conj() @ grid
+    grid = (sent[:, None] * _BELL_VECTORS[0]).reshape(4, 2)  # np.kron's products, in its order
+    raw = _BELL_BRAS @ grid
     probs = (np.abs(raw) ** 2).sum(axis=1)
     return probs, raw / np.sqrt(probs)[:, None]
 

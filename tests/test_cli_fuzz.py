@@ -11,6 +11,7 @@ examples are derandomized so the suite stays deterministic; raise
 
 import copy
 import json
+import math
 
 import pytest
 
@@ -68,6 +69,9 @@ INPUT_FILE = st.one_of(st.sampled_from([
     "missing.json", ".",
 ]), edited_assets())
 OUTPUT_FILE = st.sampled_from(["out.json", "no-such-dir/out.json", ".", "garbage.json"])
+# 0 and log2(4/3), the full budget, each with its two float neighbours
+BUDGET_EDGES = st.sampled_from([math.nextafter(edge, to) for edge in (0.0, math.log2(4.0 / 3.0))
+                                for to in (-math.inf, edge, math.inf)]).map(repr)
 
 VALUES = {
     "--a-re": NUMBER, "--a-im": NUMBER, "--b-re": NUMBER, "--b-im": NUMBER,
@@ -78,7 +82,7 @@ VALUES = {
     "--scenario": INPUT_FILE, "--model": INPUT_FILE,
     "--table": NUMBER_LIST, "--curve": NUMBER_LIST,
     "--target-s": st.one_of(st.floats(1.5, 4.5).map(repr), NUMBER),
-    "--budget": st.one_of(st.floats(-0.1, 2.5).map(repr), NUMBER),
+    "--budget": st.one_of(st.floats(-0.1, 2.5).map(repr), NUMBER, BUDGET_EDGES),
     "--out-dir": st.sampled_from(["run", "run/nested", ".", "garbage.json"]),
 }
 SWITCHES = {"--random", "--deterministic-max", "--classical-min", "--quantum-optimal"}

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 import oracles
 from bellmd.errors import InputError
 from bellmd.inequalities import bell_optimal_scenario, chsh_quantum, chsh_value
+from bellmd.infotheory import cmd, entropy_bits
 from bellmd.lhv import (
     CorrelationTable,
     LhvModel,
@@ -314,3 +317,45 @@ def test_nonsquare_setting_spaces_supported():
     model = shared_lambda_model([0.5, 0.5], 0.5 * np.ones((2, 2)), 0.5 * np.ones((1, 2)),
                                 space=space)
     assert predict(model).shape == (2, 1)
+
+
+def _random_spaces(rng) -> list[SettingSpace]:
+    """Uniform, 1x1 and 2x3 spaces, and non-uniform marginals, some with zero entries."""
+    spaces = [SettingSpace(), SettingSpace(1, 1), SettingSpace(2, 3), SettingSpace(1, 2, [0, 1])]
+    for k in range(200):
+        n_a, n_b = (int(c) for c in rng.integers(1, 4, size=2))
+        marginal = rng.gamma(0.3, size=n_a * n_b)
+        marginal[rng.random(marginal.size) < 0.3 * (k % 2)] = 0.0
+        if marginal.sum() == 0.0:
+            marginal[0] = 1.0
+        spaces.append(SettingSpace(n_a, n_b, marginal / marginal.sum()))
+    return spaces
+
+
+class TestSettingEntropy:
+    """A setting space computes its marginal's entropy once; cmd reports that value."""
+
+    def test_stored_entropy_is_the_marginals_bit_for_bit(self, rng):
+        for space in _random_spaces(rng):
+            assert space._entropy_bits.hex() == entropy_bits(space.marginal).hex()
+
+    def test_cmd_reports_the_stored_entropy(self, rng):
+        for space in _random_spaces(rng)[:60]:
+            model = random_mi_model(rng, lam=3, space=space)
+            assert cmd(model).setting_entropy_bits.hex() == space._entropy_bits.hex()
+
+    def test_copies_and_pickles_compute_the_same_entropy(self, rng):
+        for space in _random_spaces(rng)[::20]:
+            copies = [pickle.loads(pickle.dumps(space, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for twin in copies + [copy.copy(space), copy.deepcopy(space)]:
+                assert twin is not space
+                assert twin._entropy_bits.hex() == space._entropy_bits.hex()
+                assert twin._entropy_bits.hex() == entropy_bits(twin.marginal).hex()
+
+    def test_the_entropy_is_neither_a_field_nor_shown(self):
+        assert SettingSpace._fields == ("alice_settings", "bob_settings", "marginal")
+        assert repr(SettingSpace()) == "SettingSpace(alice_settings=2, bob_settings=2, " \
+                                       "marginal=array([0.25, 0.25, 0.25, 0.25]))"
+        with pytest.raises(TypeError):
+            SettingSpace(2, 2, None, 2.0)

@@ -24,6 +24,18 @@ FULL_BITS = math.log2(4.0 / 3.0)
 S_GRID = [2.0 + 1e-6, 2.05, 2.4, TSIRELSON - 1e-3, TSIRELSON, 3.5, 4.0]
 
 
+def _ulps_below(value: float, count: int) -> list[float]:
+    """The ``count`` floats just below ``value``, nearest first."""
+    below = [math.nextafter(value, 0.0)]
+    while len(below) < count:
+        below.append(math.nextafter(below[-1], 0.0))
+    return below
+
+
+# the budgets whose bisection reaches rates where 4x - 1 rounds to -1
+NEAR_FULL_BUDGETS = _ulps_below(FULL_BITS, 25)
+
+
 class TestClosedForm:
     def test_oracle_matches_textbook_form(self):
         # I(s) = 2 - h(x) - (1 - x) log2 3, x = (4 - s) / 8, away from s = 2
@@ -115,6 +127,26 @@ class TestMaxChshUnderBudget:
         with pytest.raises(InputError, match="finite"):
             max_chsh_under_budget(budget)
 
+    @pytest.mark.parametrize("budget", [FULL_BITS, NEAR_FULL_BUDGETS[0]])
+    def test_full_budget_and_one_ulp_below_reach_four(self, budget):
+        outcome = max_chsh_under_budget(budget)
+        assert outcome.feasible
+        assert outcome.chsh == 4.0
+
+    def test_every_budget_just_below_full_is_solved(self):
+        for budget in NEAR_FULL_BUDGETS:
+            outcome = max_chsh_under_budget(budget)
+            assert outcome.feasible, budget
+            assert outcome.cmd_report.raw_bits <= budget + 1e-12
+            assert abs(outcome.chsh - 4.0) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["--budget", "--curve"])
+    def test_cli_exits_0_just_below_the_full_budget(self, tmp_path, capsys, mode):
+        for k, budget in enumerate(NEAR_FULL_BUDGETS):
+            out_dir = tmp_path / str(k)
+            assert main(["optimize", mode, repr(budget), "--out-dir", str(out_dir)]) == 0, budget
+        capsys.readouterr()
+
     def test_returned_model_reverifies(self):
         outcome = max_chsh_under_budget(0.3)
         assert abs(chsh_value(predict(outcome.model)) - outcome.chsh) <= 1e-9
@@ -129,6 +161,8 @@ class TestMinCmdForChsh:
             min_cmd_for_chsh(1.5)
         with pytest.raises(InputError):
             min_cmd_for_chsh(4.5)
+        with pytest.raises(InputError):
+            min_cmd_for_chsh(math.nextafter(4.0, 5.0))
         with pytest.raises(InputError):
             min_cmd_for_chsh(math.nan)
 

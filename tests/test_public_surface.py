@@ -8,7 +8,9 @@ included: no ``from X import _name`` and no ``X._name``.  Nor does it import
 bellmd, which every CLI run pays for.  No module calls ``.read_bytes()`` or
 ``.read_text()``: every input file is read by ``serialize._read_bytes``.
 ``import bellmd.cli`` loads neither ``hashlib`` nor ``importlib.resources``: only a
-run that digests an input imports ``hashlib``, and nothing uses the other.
+run that digests an input imports ``hashlib``, and nothing uses the other.  Each
+module imports first in a fresh interpreter: ``lhv`` takes ``entropy_bits`` from
+``infotheory``, which names ``LhvModel`` in annotations only.
 """
 
 import ast
@@ -18,6 +20,8 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import bellmd
 
@@ -157,16 +161,27 @@ def test_every_input_file_is_read_by_read_bytes():
     assert SOURCES and not found
 
 
-def test_importing_the_cli_leaves_hashlib_unloaded():
-    # a fresh interpreter: this one has hashlib loaded already.  -S skips site, whose .pth
-    # files may preload importlib.resources; this process's path stands in for its paths
+def _fresh_python(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter.  -S skips site, whose .pth files may preload
+    importlib.resources; this process's path stands in for its paths."""
     src = str(Path(bellmd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, *sys.path) if p)}
-    # only the modules new after the import count
-    script = ("import sys\nbefore = set(sys.modules)\nimport bellmd.cli\n"
-              "print(sorted({'hashlib', '_hashlib', 'importlib.resources'}"
-              " & (set(sys.modules) - before)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
+
+
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    # a fresh interpreter: this one has hashlib loaded already; only the modules new after
+    # the import count
+    proc = _fresh_python("import sys\nbefore = set(sys.modules)\nimport bellmd.cli\n"
+                         "print(sorted({'hashlib', '_hashlib', 'importlib.resources'}"
+                         " & (set(sys.modules) - before)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("module", [p.stem for p in SOURCES if not p.stem.startswith("__")])
+def test_each_module_imports_first_on_its_own(module):
+    # lhv and infotheory import each other's names: only one of them may do so at run time
+    proc = _fresh_python(f"import bellmd.{module}")
+    assert proc.returncode == 0, proc.stderr

@@ -45,7 +45,7 @@ VALUES = {
 CHECKED = {
     StateVector: (("amplitudes",), lambda: StateVector([0.6, 0.8j])),
     OperatorMatrix: (("entries",), lambda: OperatorMatrix(oracles.PAULI_X)),
-    SettingSpace: (("alice_settings", "bob_settings", "marginal"),
+    SettingSpace: (("alice_settings", "bob_settings", "marginal", "_entropy_bits"),
                    lambda: SettingSpace(1, 2, [0.25, 0.75])),
     LhvModel: (("setting_space", "lambda_given_settings", "alice_response", "bob_response"),
                lambda: brans_construct(CorrelationTable.from_correlators(np.zeros((2, 2))))),
