@@ -12,20 +12,22 @@ class InvariantError(ArithmeticError):
 class Frozen:
     """Slotted instance whose fields are read-only once ``__init__`` has set them.
 
-    ``__init__`` sets the slots, in order, by ``_assign``; assigning or deleting a field
-    afterwards raises ``AttributeError``.  ``_fields`` is every slot, unless the class names
-    fewer: ``__init__`` takes them in that order, and ``repr`` shows them.  Instances compare
-    and hash by identity; a copy or an unpickled instance is built anew by ``__init__``.
+    ``__init__`` sets the slots, in order, by ``_assign``, which calls ``_setters``, the slot
+    descriptors' ``__set__``; assigning or deleting a field afterwards raises ``AttributeError``.
+    ``_fields`` is every slot, unless the class names fewer: ``__init__`` takes them in that
+    order, and ``repr`` shows them.  Instances compare and hash by identity; a copy or an
+    unpickled instance is built anew by ``__init__``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _assign(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -29,12 +29,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_complex_vector(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128).reshape(-1)
+    arr = _freeze(np.array(values, dtype=np.complex128)).reshape(-1)  # the base frozen too
     if arr.size == 0:
         raise InputError("state vector needs at least one amplitude")
     if not np.logical_and.reduce(np.isfinite(arr)):
         raise InputError("state vector amplitudes must be finite")
-    return _freeze(arr)
+    return arr
 
 
 class StateVector(Frozen):
@@ -86,7 +86,7 @@ class OperatorMatrix(Frozen):
         arr = np.array(entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise InputError(f"operator must be a nonempty square matrix, got shape {arr.shape}")
-        self._assign(_freeze(_hermitian_parts(arr[None])[0]))
+        self._assign(_freeze(_hermitian_parts(arr[None]))[0])
 
     @property
     def dim(self) -> int:

@@ -77,12 +77,16 @@ class ChshScenario(Frozen):
 
 
 def chsh_value(t: CorrelationTable) -> float:
-    """Symmetrized CHSH statistic: max_i |E_sum - 2 E_i| over the four correlators."""
+    """Symmetrized CHSH statistic: max_i |E_sum - 2 E_i| over the four correlators.
+
+    In Python floats, E_sum = ((E00 + E01) + E10) + E11, the order numpy sums four entries in."""
     e = t.correlators
     if e.shape != (2, 2):
         raise InputError(f"CHSH needs a 2x2 correlation table, got {t.shape}")
-    total = float(e.sum())
-    return float(np.abs(total - 2.0 * e).max())
+    (e00, e01), (e10, e11) = e.tolist()
+    total = e00 + e01 + e10 + e11
+    return max(abs(total - 2.0 * e00), abs(total - 2.0 * e01), abs(total - 2.0 * e10),
+               abs(total - 2.0 * e11))
 
 
 def chsh_quantum(s: ChshScenario) -> CorrelationTable:

@@ -25,9 +25,7 @@ _ROW_ATOL = ARITHMETIC / 4
 
 
 def _distribution_rows(name: str, table, atol=ARITHMETIC) -> np.ndarray:
-    arr = np.array(table, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
+    arr = np.array(table, dtype=float, ndmin=2)  # a flat row: a view of a writable copy
     _check_table(name, arr, atol)
     arr.setflags(write=False)
     return arr
@@ -86,7 +84,7 @@ class SettingSpace(Frozen):
         if marginal.shape != (n,):  # one row of n entries, never a table of rows
             raise InputError(f"setting marginal must be a flat list of {n} entries, "
                              f"got shape {marginal.shape}")
-        marginal = _distribution_rows("setting marginal", marginal, atol=_ROW_ATOL)[0]
+        marginal = _distribution_rows("setting marginal", marginal[None], atol=_ROW_ATOL)[0]
         self._assign(alice_settings, bob_settings, marginal, entropy_bits(marginal))
 
     @property
@@ -182,9 +180,10 @@ class CorrelationTable(Frozen):
         self._set(rows.reshape(joint.shape))
 
     def _set(self, joint: np.ndarray) -> None:
-        corr = joint[..., 0, 0] - joint[..., 0, 1] - joint[..., 1, 0] + joint[..., 1, 1]
-        corr.setflags(write=False)
-        self._assign(joint, corr)
+        p = joint.reshape(-1, 4)  # p(+,+), p(+,-), p(-,+), p(-,-) per setting pair
+        corr = p[:, 0] - p[:, 1] - p[:, 2] + p[:, 3]
+        corr.setflags(write=False)  # before the reshape: the view's base is read-only too
+        self._assign(joint, corr.reshape(joint.shape[:2]))
 
     @classmethod
     def _derived(cls, joint: np.ndarray) -> CorrelationTable:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import InputError, InvariantError, Value
-from .hilbert import StateVector
+from .hilbert import StateVector, _freeze
 from .tolerances import NORMALIZATION
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -78,7 +78,7 @@ def _branch_stack(sent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     grid = (sent[:, None] * _BELL_VECTORS[0]).reshape(4, 2)  # np.kron's products, in its order
     raw = _BELL_BRAS @ grid
     probs = (np.abs(raw) ** 2).sum(axis=1)
-    return probs, raw / np.sqrt(probs)[:, None]
+    return probs, _freeze(raw / np.sqrt(probs)[:, None])
 
 
 def branch_decomposition(inp: TeleportInput) -> list[tuple[float, StateVector]]:
@@ -101,7 +101,7 @@ def branch_transcripts(inp: TeleportInput) -> tuple[TeleportTranscript, ...]:
     """
     sent = inp.state()
     probs, pres = _branch_stack(sent.amplitudes)
-    finals = (_CORRECTIONS @ pres[:, :, None])[:, :, 0]
+    finals = _freeze(_CORRECTIONS @ pres[:, :, None])[:, :, 0]
     sq_norms = (np.abs(finals) ** 2).sum(axis=1)
     if not (np.abs(sq_norms - 1.0) <= NORMALIZATION).all():
         raise InvariantError(f"receiver states have squared norms {sq_norms}, expected 1")

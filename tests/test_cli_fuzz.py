@@ -3,10 +3,13 @@
 Exit code 1 (an uncaught exception) or 3 (an internal invariant breach) on
 any argument list drawn here is a bug.  Input files are the canned assets,
 garbage, or a canned asset with one number replaced by a drawn one, so
-drawn numbers reach the file readers too.  All files are written below the
-test's temporary directory, and ``--trials`` stays at most 10,000.  The
-examples are derandomized so the suite stays deterministic; raise
-``max_examples`` or drop ``derandomize`` locally to search further.
+drawn numbers reach the file readers too.  Half the examples are ``optimize``
+with an edge budget as its only mode, so the edges are solved, not only
+rejected as a clash of modes.  All files are written below the test's
+temporary directory, and ``--trials`` stays at most 10,000.  The examples are
+derandomized so the suite stays deterministic; raise ``max_examples`` or drop
+``derandomize`` locally to search further.  Each edge budget is also run once
+on its own, as ``--budget`` and as ``--curve``.
 """
 
 import copy
@@ -70,8 +73,9 @@ INPUT_FILE = st.one_of(st.sampled_from([
 ]), edited_assets())
 OUTPUT_FILE = st.sampled_from(["out.json", "no-such-dir/out.json", ".", "garbage.json"])
 # 0 and log2(4/3), the full budget, each with its two float neighbours
-BUDGET_EDGES = st.sampled_from([math.nextafter(edge, to) for edge in (0.0, math.log2(4.0 / 3.0))
-                                for to in (-math.inf, edge, math.inf)]).map(repr)
+EDGE_BUDGETS = [math.nextafter(edge, to) for edge in (0.0, math.log2(4.0 / 3.0))
+                for to in (-math.inf, edge, math.inf)]
+BUDGET_EDGES = st.sampled_from(EDGE_BUDGETS).map(repr)
 
 VALUES = {
     "--a-re": NUMBER, "--a-im": NUMBER, "--b-re": NUMBER, "--b-im": NUMBER,
@@ -116,9 +120,34 @@ def invocations(draw) -> tuple[list[str], dict[str, str]]:
     return argv, files
 
 
-@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None,
+@st.composite
+def edge_budget_invocations(draw) -> tuple[list[str], dict[str, str]]:
+    """``optimize`` with an edge budget as ``--budget`` or a one-point ``--curve``, its one mode."""
+    argv = ["optimize", f"{draw(st.sampled_from(['--budget', '--curve']))}={draw(BUDGET_EDGES)}"]
+    for flag in draw(st.lists(st.sampled_from(["--seed", "--out-dir"]), max_size=2, unique=True)):
+        argv.append(f"{flag}={draw(VALUES[flag])}")
+    return argv, {}
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--curve"])
+@pytest.mark.parametrize("edge", EDGE_BUDGETS, ids=repr)
+def test_each_edge_budget_is_solved_or_rejected_leaving_no_files(tmp_path, monkeypatch, capsys,
+                                                                 flag, edge):
+    monkeypatch.chdir(tmp_path)
+    code = main(["optimize", f"{flag}={edge!r}", "--out-dir=run"])
+    err = capsys.readouterr().err
+    if edge >= 0.0:
+        assert code == 0, err
+        assert (tmp_path / "run" / "manifest.json").is_file()
+    else:
+        assert code == 2, err
+        assert list(tmp_path.iterdir()) == []
+
+
+# 400 examples: about 200 of each strategy, the 200 that the mixed invocations had alone
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None,
                      suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture])
-@hypothesis.given(invocation=invocations())
+@hypothesis.given(invocation=st.one_of(invocations(), edge_budget_invocations()))
 def test_every_invocation_exits_0_or_2(tmp_path, monkeypatch, capsys, invocation):
     argv, files = invocation
     monkeypatch.chdir(tmp_path)

@@ -54,8 +54,40 @@ class TestChshValue:
 
     def test_missing_setting_rejected(self):
         table = CorrelationTable.from_correlators([[0.5, 0.5]])
-        with pytest.raises(InputError):
+        message = r"^CHSH needs a 2x2 correlation table, got \(1, 2\)$"
+        with pytest.raises(InputError, match=message):
             chsh_value(table)
+
+    def test_python_floats_keep_numpys_bits(self):
+        """``chsh_value`` in Python floats has the bits of ``np.abs(E_sum - 2 E).max()``.
+
+        Tables come through ``from_correlators`` and through ``_derived`` (joint rows of
+        drawn weights), with signed zeros, subnormals, +/-1 and mixed magnitudes.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        u = 5e-324
+        edges = [0.0, -0.0, u, -u, 3 * u, 2.2250738585072014e-308, -2.2250738585072009e-308,
+                 1.0, -1.0, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0), 1e-300, 1e-16]
+        correlator = st.one_of(st.sampled_from(edges), st.floats(-1.0, 1.0))
+        weight = st.one_of(st.sampled_from([0.0, -0.0, u, 1e-300, 1e-16, 1.0]),
+                           st.floats(0.0, 1.0), st.floats(0.0, 1e300))
+
+        def numpy_chsh(e: np.ndarray) -> float:
+            return float(np.abs(float(e.sum()) - 2.0 * e).max())
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(corr=st.lists(correlator, min_size=4, max_size=4),
+                          weights=st.lists(weight, min_size=16, max_size=16))
+        def check(corr, weights):
+            w = np.array(weights).reshape(4, 4)
+            w[w.sum(axis=1) == 0.0, 0] = 1.0
+            joint = (w / w.sum(axis=1, keepdims=True)).reshape(2, 2, 2, 2)
+            for table in (CorrelationTable.from_correlators(np.reshape(corr, (2, 2))),
+                          CorrelationTable._derived(joint)):
+                assert chsh_value(table).hex() == numpy_chsh(table.correlators).hex()
+
+        check()
 
 
 class TestChshQuantum:

@@ -6,7 +6,10 @@ with every field kept, arrays identical byte for byte and read-only.  Each is re
 through its checking ``__init__``, so a pickle whose fields were edited raises
 ``InputError``.  The four plain value classes compare and hash by their fields
 (``TeleportInput`` without its kept state); the seven checked classes compare and
-hash by identity.  Every ``errors.Frozen`` subclass that bellmd defines is listed here.
+hash by identity.  Every array a value holds, as built or as the package's own
+functions return it, is read-only down its ``.base`` chain, so no view of it can
+be written through.  ``_assign`` sets the slots in ``__slots__`` order.  Every
+``errors.Frozen`` subclass that bellmd defines is listed here.
 """
 
 import copy
@@ -22,11 +25,13 @@ import bellmd
 import oracles
 from bellmd.errors import Frozen, InputError, Value
 from bellmd.hilbert import OperatorMatrix, StateVector
-from bellmd.inequalities import ChshScenario, KcbsScenario, bell_optimal_scenario, kcbs_pentagram
+from bellmd.inequalities import (ChshScenario, KcbsScenario, bell_optimal_scenario, chsh_quantum,
+                                 kcbs_pentagram)
 from bellmd.infotheory import CmdReport
-from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct
+from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct, predict
 from bellmd.mdsearch import SearchOutcome
-from bellmd.teleport import TeleportInput, TeleportTranscript
+from bellmd.teleport import (TeleportInput, TeleportTranscript, branch_decomposition,
+                             branch_transcripts)
 
 STATE = StateVector([0.6, 0.8])
 MODEL = brans_construct(CorrelationTable.from_correlators([[0.5, 0.5], [0.5, -0.5]]))
@@ -95,12 +100,58 @@ def test_fields_are_read_only(cls):
 
 
 def arrays(value):
-    """Every ndarray reachable from ``value`` through the value classes' slots."""
+    """Every ndarray reachable from ``value`` through value classes' slots, lists and tuples."""
     if isinstance(value, np.ndarray):
         yield value
     elif type(value) in CLASSES:
         for name in type(value).__slots__:
             yield from arrays(getattr(value, name))
+    elif isinstance(value, list | tuple):
+        for item in value:
+            yield from arrays(item)
+
+
+def writable_bases(value) -> list:
+    """The writable arrays among those ``value`` holds and those down their ``.base`` chains."""
+    found = []
+    for arr in arrays(value):
+        while isinstance(arr, np.ndarray):
+            if arr.flags.writeable:
+                found.append(arr)
+            arr = arr.base
+    return found
+
+
+# values as the package's own functions build them, views of their working arrays included
+BUILT = {
+    "predict": lambda: predict(MODEL),
+    "chsh_quantum": lambda: chsh_quantum(bell_optimal_scenario()),
+    "SettingSpace()": SettingSpace,
+    "StateVector of a column": lambda: StateVector([[0.6], [0.8]]),
+    "branch_decomposition": lambda: branch_decomposition(TeleportInput(0.6, 0.8j)),
+    "branch_transcripts": lambda: branch_transcripts(TeleportInput(0.6, 0.8j)),
+}
+HOLDERS = {**{cls.__name__: CLASSES[cls][1] for cls in CLASSES}, **BUILT}
+
+
+@pytest.mark.parametrize("make", HOLDERS.values(), ids=HOLDERS)
+def test_every_held_array_is_read_only_down_its_base_chain(make):
+    assert writable_bases(make()) == []
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_assign_sets_the_slots_in_slot_order(cls):
+    value = object.__new__(cls)
+    markers = [object() for _ in cls.__slots__]
+    value._assign(*markers)
+    assert [getattr(value, name) for name in cls.__slots__] == markers
+    assert len(cls._setters) == len(cls.__slots__)
+
+
+def test_assign_sets_the_slots_beyond_the_fields():
+    assert (len(TeleportInput.__slots__), len(TeleportInput._fields)) == (3, 2)
+    value = TeleportInput(0.6, 0.8j)
+    assert value.state().amplitudes.tolist() == [0.6, 0.8j]
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
@@ -113,8 +164,8 @@ def test_pickle_and_copy_keep_every_field(cls):
         assert_same(twin, value)
         with pytest.raises(AttributeError):
             setattr(twin, CLASSES[cls][0][0], None)
-        # a copy is as immutable as the original, in place as well
-        assert not any(arr.flags.writeable for arr in arrays(twin))
+        # a copy is as immutable as the original, in place and through its bases as well
+        assert writable_bases(twin) == []
 
 
 U = 5e-324  # the smallest subnormal
