@@ -2,10 +2,13 @@
 
 One subcommand per capability: ``teleport`` runs the protocol, ``chsh`` and
 ``kcbs`` evaluate inequalities, ``mi`` computes mutual information, and
-``optimize`` drives the dependence/CHSH search.  Data outputs are
-byte-reproducible under a fixed seed; every run that writes data files also
-writes a manifest referencing them (the manifest itself carries wall-clock
-timing and is the one file excluded from byte reproducibility).
+``optimize`` drives the dependence/CHSH search.  Each ``cmd_*`` handler maps
+parsed arguments to a ``_Run`` and neither writes nor prints.  ``main`` alone
+does both: for a run with a manifest path it writes the data files, then the
+manifest, which digests the inputs the run read, and only then prints the
+summary.  A failed write removes the data files the run wrote, so it leaves
+none and prints nothing.  Data files are byte-reproducible under a fixed seed;
+the manifest carries wall-clock timing and is excluded from that.
 
 Exit codes: 0 success, 2 usage or input error, 3 internal invariant breach.
 """
@@ -56,49 +59,59 @@ from .teleport import (
 from .teleport import branch_decomposition, run_teleportation  # noqa: F401
 
 
-class _Manifest:
-    """Collects inputs/outputs of one subcommand run and writes the manifest file."""
+class _Run:
+    """A run's summary, its ``(path, writer, value)`` data files, and its manifest: the path
+    (``None``: the run writes nothing), config, seed and ``inputs`` (path -> bytes read)."""
 
-    def __init__(self, subcommand: str, config: dict, seed: int | None):
-        self.subcommand = subcommand
-        self.config = config
-        self.seed = seed
-        self.inputs: dict[str, str] = {}
-        self.outputs: list[str] = []
-        self._started = time.monotonic()
+    __slots__ = ("summary", "files", "manifest", "config", "seed", "inputs")
 
-    def add_input(self, path: Path | str) -> bytes:
-        """Record the sha256 of ``path`` and return the bytes it digests, read once."""
-        import hashlib  # here, not at the top: only runs that digest pay its ~3 ms (OpenSSL)
+    def __init__(self, summary: dict, files=(), manifest: Path | None = None,
+                 config: dict | None = None, seed: int | None = None, inputs=None):
+        self.summary, self.files, self.manifest = summary, files, manifest
+        self.config, self.seed, self.inputs = config, seed, inputs or {}
 
-        data = _read_bytes(path)
-        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
-        return data
 
-    def write(self, path: Path | str) -> None:
-        doc = {
-            "subcommand": self.subcommand,
-            "configuration": self.config,
-            "input_digests": self.inputs,
-            "output_files": self.outputs,
-            "seed": self.seed,
+def _out_run(summary: dict, out: Path | None, doc: dict, config: dict, seed: int | None = None,
+             inputs=None) -> _Run:
+    """A run whose ``--out`` file holds ``doc``, with its manifest beside it; none without."""
+    if out is None:
+        return _Run(summary)
+    return _Run(summary, [(out, dump_json, doc)], Path(f"{out}.manifest.json"), config, seed,
+                inputs)
+
+
+def _write_run(run: _Run, subcommand: str, started: float) -> None:
+    """Create the directory, write the data files, then the manifest that digests the inputs.
+    A failed write first removes the data files this run wrote, so it leaves none."""
+    import hashlib  # here, not at the top: only runs that write a manifest pay its ~3 ms (OpenSSL)
+
+    run.manifest.parent.mkdir(parents=True, exist_ok=True)
+    written = []
+    try:
+        for path, write, value in run.files:
+            write(path, value)
+            written.append(path)
+        dump_json(run.manifest, {
+            "subcommand": subcommand,
+            "configuration": run.config,
+            "input_digests": {path: hashlib.sha256(data).hexdigest()
+                              for path, data in run.inputs.items()},
+            "output_files": [str(path) for path in written],
+            "seed": run.seed,
             "tool_version": __version__,
-            "duration_seconds": time.monotonic() - self._started,
-        }
-        dump_json(path, doc)
+            "duration_seconds": time.monotonic() - started,
+        })
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
-def _write_out(files, manifest: _Manifest, manifest_path: Path) -> None:
-    """Write each (path, writer, value) data file, then the manifest beside them.
-
-    The directory is created first.  A run prints its summary only after this
-    returns, so a failed write leaves stdout empty.
-    """
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    for path, write, value in files:
-        write(path, value)
-        manifest.outputs.append(str(path))
-    manifest.write(manifest_path)
+def _floats(flag: str, text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"{flag} must be comma-separated numbers: {exc}") from exc
 
 
 def _resolve_input(inp_args) -> TeleportInput:
@@ -107,23 +120,13 @@ def _resolve_input(inp_args) -> TeleportInput:
         raw = rng.normal(size=4)
         raw /= np.linalg.norm(raw)
         return TeleportInput(complex(raw[0], raw[1]), complex(raw[2], raw[3]))
-    return TeleportInput(
-        complex(inp_args.a_re, inp_args.a_im), complex(inp_args.b_re, inp_args.b_im)
-    )
+    return TeleportInput(complex(inp_args.a_re, inp_args.a_im),
+                         complex(inp_args.b_re, inp_args.b_im))
 
 
-def cmd_teleport(args) -> int:
+def cmd_teleport(args) -> _Run:
     if args.seed < 0:
         raise InputError("--seed must be nonnegative")
-    manifest = _Manifest(
-        "teleport",
-        {
-            "a_re": args.a_re, "a_im": args.a_im, "b_re": args.b_re, "b_im": args.b_im,
-            "random": args.random, "trials": args.trials,
-            "force_outcome": args.force_outcome,
-        },
-        args.seed,
-    )
     inp = _resolve_input(args)
     if args.trials <= 0:
         raise InputError("--trials must be positive")
@@ -145,35 +148,31 @@ def cmd_teleport(args) -> int:
         "min_fidelity": min(t.fidelity for t in canonical),
         "measurement_report": verify_no_setting_choice(),
     }
-    if args.out:
-        _write_out([(args.out, dump_json, {
-            "summary": summary,
-            "transcripts": [t.to_json_dict() for t in canonical],
-            # fixes every trial's outcome, at a size that does not grow with --trials
-            "sampler": {
-                "seed": args.seed,
-                "trials": args.trials,
-                "forced_outcome": args.force_outcome,
-                "draw": OUTCOME_DRAW if args.force_outcome is None else None,
-            },
-        })], manifest, Path(f"{args.out}.manifest.json"))
-    print(dumps_json(summary))
-    return 0
+    return _out_run(summary, args.out, {
+        "summary": summary,
+        "transcripts": [t.to_json_dict() for t in canonical],
+        # fixes every trial's outcome, at a size that does not grow with --trials
+        "sampler": {
+            "seed": args.seed,
+            "trials": args.trials,
+            "forced_outcome": args.force_outcome,
+            "draw": OUTCOME_DRAW if args.force_outcome is None else None,
+        },
+    }, {
+        "a_re": args.a_re, "a_im": args.a_im, "b_re": args.b_re, "b_im": args.b_im,
+        "random": args.random, "trials": args.trials, "force_outcome": args.force_outcome,
+    }, args.seed)
 
 
-def cmd_chsh(args) -> int:
-    manifest = _Manifest(
-        "chsh",
-        {"scenario": args.scenario, "model": args.model,
-         "deterministic_max": args.deterministic_max},
-        None,
-    )
+def cmd_chsh(args) -> _Run:
+    inputs = {}
     if args.deterministic_max:
-        doc = {"chsh_value": lhv_chsh_max(), "source": "deterministic_enumeration"}
+        doc = summary = {"chsh_value": lhv_chsh_max(), "source": "deterministic_enumeration"}
     else:
         path = args.scenario if args.scenario is not None else args.model
         # the digest and the evaluated document come from the same bytes
-        source_doc = parse_json(manifest.add_input(path), path)
+        data = inputs[str(path)] = _read_bytes(path)
+        source_doc = parse_json(data, path)
         if args.scenario is not None:
             table = chsh_quantum(chsh_scenario_from_doc(source_doc, str(path)))
             source = "quantum_scenario"
@@ -186,42 +185,28 @@ def cmd_chsh(args) -> int:
             "correlators": table.correlators.tolist(),
             "joint_outcome_probabilities": table.joint.tolist(),
         }
-    if args.out:
-        _write_out([(args.out, dump_json, doc)], manifest, Path(f"{args.out}.manifest.json"))
-    print(dumps_json(doc if args.deterministic_max else {"chsh_value": doc["chsh_value"]}))
-    return 0
+        summary = {"chsh_value": doc["chsh_value"]}
+    return _out_run(summary, args.out, doc, {"scenario": args.scenario, "model": args.model,
+                                             "deterministic_max": args.deterministic_max},
+                    inputs=inputs)
 
 
-def cmd_mi(args) -> int:
-    if args.table is not None:
-        try:
-            values = [float(v) for v in args.table.split(",")]
-        except ValueError as exc:
-            raise InputError(f"--table must be comma-separated numbers: {exc}") from exc
-        if len(values) != 4:
-            raise InputError(f"--table needs 4 entries p00,p01,p10,p11, got {len(values)}")
-        row = _distribution_rows("--table", values)  # the one table check, as a 1x4 row
-        table = row.reshape(2, 2) / row.sum()
-        bits = _mutual_information_bits(table, table.sum(1), table.sum(0))
-        print(dumps_json({"mutual_information_bits": bits}))
-    else:
-        report = cmd(read_model(args.model))
-        print(dumps_json(report.to_json_dict()))
-    return 0
+def cmd_mi(args) -> _Run:
+    if args.table is None:
+        return _Run(cmd(read_model(args.model)).to_json_dict())
+    values = _floats("--table", args.table)
+    if len(values) != 4:
+        raise InputError(f"--table needs 4 entries p00,p01,p10,p11, got {len(values)}")
+    row = _distribution_rows("--table", values)  # the one table check, as a 1x4 row
+    table = row.reshape(2, 2) / row.sum()
+    return _Run({"mutual_information_bits":
+                 _mutual_information_bits(table, table.sum(1), table.sum(0))})
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> _Run:
     # the solver is exact and reads no seed; it is recorded in the manifest only
     if args.seed < 0:
         raise InputError("--seed must be nonnegative")
-    manifest = _Manifest(
-        "optimize",
-        {"seed": args.seed, "target_s": args.target_s, "budget": args.budget,
-         "curve": args.curve},
-        args.seed,
-    )
-
-    # solve first: a run that fails on its input leaves no directory behind
     if args.target_s is not None:
         outcome = min_cmd_for_chsh(args.target_s)
         files = [("min_cmd_model.json", write_model, outcome.model),
@@ -232,11 +217,8 @@ def cmd_optimize(args) -> int:
                      "feasible": outcome.feasible,
                      "budget_exhausted": not outcome.feasible,
                  })]
-        summary = {
-            "chsh_value": outcome.chsh,
-            "raw_bits": outcome.cmd_report.raw_bits,
-            "feasible": outcome.feasible,
-        }
+        summary = {"chsh_value": outcome.chsh, "raw_bits": outcome.cmd_report.raw_bits,
+                   "feasible": outcome.feasible}
     elif args.budget is not None:
         outcome = max_chsh_under_budget(args.budget)
         files = [("budget_model.json", write_model, outcome.model),
@@ -247,10 +229,7 @@ def cmd_optimize(args) -> int:
                  })]
         summary = {"best_chsh": outcome.chsh, "raw_bits": outcome.cmd_report.raw_bits}
     else:
-        try:
-            budgets = [float(v) for v in args.curve.split(",")]
-        except ValueError as exc:
-            raise InputError(f"--curve must be comma-separated numbers: {exc}") from exc
+        budgets = _floats("--curve", args.curve)
         points = tradeoff_curve(budgets)
         files = [(f"curve_model_{k}.json", write_model, p.model) for k, p in enumerate(points)]
         rows = [(b, p.chsh, name) for b, p, (name, _, _) in zip(budgets, points, files)]
@@ -258,25 +237,20 @@ def cmd_optimize(args) -> int:
         summary = {"points": [{"budget_bits": b, "best_chsh": p.chsh}
                               for b, p in zip(budgets, points)]}
 
-    out_dir = Path(args.out_dir)
-    _write_out([(out_dir / name, write, value) for name, write, value in files], manifest,
-               out_dir / "manifest.json")
-    print(dumps_json(summary))
-    return 0
+    return _Run(summary, [(args.out_dir / name, write, value) for name, write, value in files],
+                args.out_dir / "manifest.json", {"seed": args.seed, "target_s": args.target_s,
+                                                 "budget": args.budget, "curve": args.curve},
+                args.seed)
 
 
-def cmd_kcbs(args) -> int:
+def cmd_kcbs(args) -> _Run:
     if args.classical_min:
-        doc = {"kcbs_value": kcbs_classical_min(), "source": "noncontextual_enumeration"}
-    elif args.quantum_optimal:
-        value = kcbs_value(kcbs_pentagram())
-        doc = {"kcbs_value": value, "source": "pentagram_apex_state",
-               "closed_form": KCBS_QUANTUM_OPTIMAL}
-    else:
-        doc = {"kcbs_value": kcbs_value(read_kcbs_scenario(args.scenario)),
-               "source": "scenario_file"}
-    print(dumps_json(doc))
-    return 0
+        return _Run({"kcbs_value": kcbs_classical_min(), "source": "noncontextual_enumeration"})
+    if args.quantum_optimal:
+        return _Run({"kcbs_value": kcbs_value(kcbs_pentagram()), "source": "pentagram_apex_state",
+                     "closed_form": KCBS_QUANTUM_OPTIMAL})
+    return _Run({"kcbs_value": kcbs_value(read_kcbs_scenario(args.scenario)),
+                 "source": "scenario_file"})
 
 
 def _teleport_args(p: argparse.ArgumentParser) -> None:
@@ -361,8 +335,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(rest)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.monotonic()
     try:
-        return handler(args)
+        run = handler(args)
+        if run.manifest is not None:
+            _write_run(run, name, started)
+        print(dumps_json(run.summary))
+        return 0
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

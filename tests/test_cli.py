@@ -788,9 +788,24 @@ def test_an_unreadable_input_path_exits_2_with_its_os_error(capsys, tmp_path, mo
 def test_a_failed_manifest_write_prints_no_summary(capsys, tmp_path, monkeypatch, argv, manifest):
     monkeypatch.chdir(tmp_path)
     (tmp_path / manifest).mkdir(parents=True)  # a directory where the manifest goes
+    before = sorted(tmp_path.rglob("*"))
     code, stdout, stderr = run_cli(capsys, *argv)
     assert (code, stdout) == (2, "")
     assert stderr.startswith("error:") and stderr.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before  # the data files written first are gone
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["mi", "--table", "0.5,x,0.25,0.25"],
+     "error: --table must be comma-separated numbers: could not convert string to float: 'x'\n"),
+    (["optimize", "--curve", "0,,1"],
+     "error: --curve must be comma-separated numbers: could not convert string to float: ''\n"),
+], ids=["table", "curve"])
+def test_a_list_that_is_not_numbers_exits_2_naming_the_flag(capsys, tmp_path, monkeypatch, argv,
+                                                           message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (2, "", message)
+    assert not any(tmp_path.iterdir())
 
 
 def _with_huge_integer(name, edit):

@@ -8,7 +8,7 @@ included: no ``from X import _name`` and no ``X._name``.  Nor does it import
 bellmd, which every CLI run pays for.  No module calls ``.read_bytes()`` or
 ``.read_text()``: every input file is read by ``serialize._read_bytes``.
 ``import bellmd.cli`` loads neither ``hashlib`` nor ``importlib.resources``: only a
-run that digests an input imports ``hashlib``, and nothing uses the other.  Each
+run that writes a manifest imports ``hashlib``, and nothing uses the other.  Each
 module imports first in a fresh interpreter: ``lhv`` takes ``entropy_bits`` from
 ``infotheory``, which names ``LhvModel`` in annotations only.
 """
@@ -185,3 +185,18 @@ def test_each_module_imports_first_on_its_own(module):
     # lhv and infotheory import each other's names: only one of them may do so at run time
     proc = _fresh_python(f"import bellmd.{module}")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_run_without_a_manifest_leaves_hashlib_unloaded():
+    # chsh reads its input either way; only with --out does a manifest digest it
+    assets = Path(bellmd.__file__).parent / "assets"
+    argvs = [["chsh", "--scenario", str(assets / "bell-optimal.json")],
+             ["chsh", "--model", str(assets / "brans.json")]]
+    proc = _fresh_python("import contextlib, io, sys\nimport bellmd.cli\n"
+                         "before = set(sys.modules)\n"
+                         "with contextlib.redirect_stdout(io.StringIO()):\n"
+                         f"    codes = [bellmd.cli.main(argv) for argv in {argvs!r}]\n"
+                         "print(codes, sorted({'hashlib', '_hashlib'}"
+                         " & (set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] []\n"

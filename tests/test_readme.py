@@ -7,6 +7,7 @@ run that computes it, so a drifted number or a renamed option fails here.
 Each quoted tolerance is compared with the expression its check uses.
 """
 
+import argparse
 import json
 import math
 import re
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellmd import lhv
+from bellmd import cli, lhv
 from bellmd.cli import main
 from bellmd.tolerances import ARITHMETIC, NORMALIZATION, OPERATOR
 from oracles import asset_path
@@ -50,18 +51,34 @@ def _run(capsys, argv) -> dict:
     return json.loads(captured.out)
 
 
+def _commands() -> dict:
+    """Each README command line, mapped to its argv with the assets at their installed paths."""
+    return {line: [str(asset_path(a.rpartition("/")[2])) if a.startswith("src/bellmd/assets/")
+                   else a for a in shlex.split(line)[1:]]
+            for line in _block("## Command line", "sh").splitlines()
+            if line.startswith("bellmd ")}
+
+
 @pytest.fixture
 def printed(capsys, tmp_path, monkeypatch) -> dict:
     """The summary each README command prints, keyed by its command line."""
     monkeypatch.chdir(tmp_path)
-    summaries = {}
-    for line in _block("## Command line", "sh").splitlines():
-        if not line.startswith("bellmd "):
-            continue
-        argv = [str(asset_path(a.rpartition("/")[2])) if a.startswith("src/bellmd/assets/")
-                else a for a in shlex.split(line)[1:]]
-        summaries[line] = _run(capsys, argv)
-    return summaries
+    return {line: _run(capsys, argv) for line, argv in _commands().items()}
+
+
+@pytest.mark.parametrize("line", _commands())
+def test_a_handler_returns_its_run_and_only_main_writes_and_prints(capsys, tmp_path,
+                                                                   monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    argv = _commands()[line]
+    _, handler, add_arguments = cli._SUBCOMMANDS[argv[0]]
+    parser = argparse.ArgumentParser(prog=f"bellmd {argv[0]}")
+    add_arguments(parser)
+    run = handler(parser.parse_args(argv[1:]))
+    assert capsys.readouterr() == ("", "")
+    assert not any(tmp_path.iterdir())
+    assert main(argv) == 0
+    assert capsys.readouterr() == (cli.dumps_json(run.summary) + "\n", "")
 
 
 def test_every_command_runs_and_every_figure_holds(capsys, printed):
