@@ -51,8 +51,7 @@ class SearchOutcome(Value):
     ``min_cmd_for_chsh``, ``max_chsh_under_budget`` and each point of
     ``tradeoff_curve`` return one.  ``feasible`` is False if the recomputed
     values miss the constraint by more than float headroom; the model is
-    still carried.  A curve point may be a smaller budget's outcome, so its
-    ``cmd_report`` and ``feasible`` are that model's.
+    still carried.
     """
 
     __slots__ = ("model", "cmd_report", "chsh", "feasible")
@@ -121,9 +120,12 @@ def min_cmd_for_chsh(target_s: float) -> SearchOutcome:
 def max_chsh_under_budget(budget_bits: float) -> SearchOutcome:
     """Largest CHSH value among models within a dependence budget.
 
-    The budget is hard: the rate x is bisected on [0, 1/4] to the smallest
-    value whose closed-form dependence fits, so a zero budget reproduces
-    the classical bound.
+    The budget is hard: the rate x is bisected on [0, 1/4] to the smallest value whose
+    closed-form dependence fits, so a zero budget reproduces the classical bound.  x cannot
+    rise with the budget, even if ``_bits`` is not monotone in floats: ``_bits(mid) <= budget``
+    is monotone in the budget, so two budgets step alike until the larger sets hi = mid where
+    the smaller sets lo = mid; then the larger's hi <= mid <= the smaller's lo <= its hi, and
+    each returns its hi.  The full-budget shortcut returns x = 0, the least rate.
     """
     if not (math.isfinite(budget_bits) and budget_bits >= 0.0):
         raise InputError(f"budget {budget_bits} must be finite and nonnegative")
@@ -139,11 +141,10 @@ def max_chsh_under_budget(budget_bits: float) -> SearchOutcome:
 
 
 def tradeoff_curve(budgets) -> tuple[SearchOutcome, ...]:
-    """Best CHSH value per dependence budget, post-processed to a monotone envelope.
+    """Best CHSH value per dependence budget: each point is its own budget's solve, in order.
 
-    One outcome per budget, in order.  A model feasible at a smaller budget
-    stays feasible at any larger one, so each point is the best outcome seen
-    at or below its budget.
+    The points still rise: the solve's rate x cannot rise with the budget (see
+    ``max_chsh_under_budget``), and each CHSH, 4 - 8 x up to rounding, is recomputed from x.
     """
     budget_list = [float(b) for b in budgets]
     if not budget_list:
@@ -152,8 +153,4 @@ def tradeoff_curve(budgets) -> tuple[SearchOutcome, ...]:
         raise InputError("budgets must be finite and nonnegative")
     if sorted(budget_list) != budget_list:
         raise InputError("budgets must be sorted ascending")
-    points: list[SearchOutcome] = []
-    for budget in budget_list:
-        outcome = max_chsh_under_budget(budget)
-        points.append(points[-1] if points and points[-1].chsh > outcome.chsh else outcome)
-    return tuple(points)
+    return tuple(max_chsh_under_budget(b) for b in budget_list)

@@ -808,6 +808,13 @@ def test_a_list_that_is_not_numbers_exits_2_naming_the_flag(capsys, tmp_path, mo
     assert not any(tmp_path.iterdir())
 
 
+def test_an_unsorted_curve_exits_2_and_creates_no_directory(capsys, tmp_path):
+    out_dir = tmp_path / "d"
+    argv = ["optimize", "--curve", "0.5,0.1", "--out-dir", str(out_dir)]
+    assert run_cli(capsys, *argv) == (2, "", "error: budgets must be sorted ascending\n")
+    assert not out_dir.exists()
+
+
 def _with_huge_integer(name, edit):
     # 1 followed by 400 zeros: a JSON integer that no float can hold
     return _asset_with(name, lambda d: edit(d, 10**400))

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -133,6 +132,10 @@ class TestMaxChshUnderBudget:
         assert outcome.feasible
         assert outcome.chsh == 4.0
 
+    def test_only_the_full_budget_reaches_rate_zero(self):
+        assert max_chsh_under_budget(FULL_BITS).model.lambda_given_settings.min() == 0.0
+        assert max_chsh_under_budget(NEAR_FULL_BUDGETS[0]).model.lambda_given_settings.min() > 0.0
+
     def test_every_budget_just_below_full_is_solved(self):
         for budget in NEAR_FULL_BUDGETS:
             outcome = max_chsh_under_budget(budget)
@@ -225,7 +228,7 @@ class TestTradeoffCurve:
         assert len(curve) == 1
         assert abs(curve[0].chsh - 2.0) <= 1e-12
 
-    def test_monotone_envelope(self):
+    def test_each_point_is_its_own_budgets_outcome(self):
         budgets = [0.0, 0.05, 0.5, 2.0]
         curve = tradeoff_curve(budgets)
         assert len(curve) == len(budgets)
@@ -233,7 +236,6 @@ class TestTradeoffCurve:
         assert all(values[i] <= values[i + 1] + 1e-12 for i in range(len(values) - 1))
         for budget, point in zip(budgets, curve):
             assert cmd(point.model).raw_bits <= budget + 1e-12
-            # on a grid the solver already climbs, every point is that budget's own outcome
             own = max_chsh_under_budget(budget)
             for table in ("lambda_given_settings", "alice_response", "bob_response"):
                 assert getattr(point.model, table).tobytes() == getattr(own.model, table).tobytes()
@@ -242,33 +244,25 @@ class TestTradeoffCurve:
             assert (point.chsh, point.cmd_report, point.feasible) == \
                 (own.chsh, own.cmd_report, own.feasible)
 
-    @staticmethod
-    def _dip_at_half(monkeypatch):
-        """Budget 0.5 gets budget 0's outcome, a CHSH value below budget 0.1's."""
-        solve = mdsearch.max_chsh_under_budget
-        monkeypatch.setattr(mdsearch, "max_chsh_under_budget",
-                            lambda budget: solve(0.0 if budget == 0.5 else budget))
-
-    def test_envelope_carries_the_earlier_outcome_whole(self, monkeypatch):
-        self._dip_at_half(monkeypatch)
-        curve = tradeoff_curve([0.0, 0.1, 0.5])
-        assert curve[2] is curve[1]
-        assert curve[1].chsh > curve[0].chsh
-        assert cmd(curve[1].model).raw_bits <= 0.1 + 1e-12
-
-    def test_cli_curve_rows_keep_their_own_budgets_under_the_envelope(
-            self, monkeypatch, tmp_path, capsys):
-        self._dip_at_half(monkeypatch)
-        assert main(["optimize", "--curve", "0,0.1,0.5", "--out-dir", str(tmp_path)]) == 0
-        summary = json.loads(capsys.readouterr().out)["points"]
-        carried = tradeoff_curve([0.0, 0.1])[1].chsh
-        assert [(p["budget_bits"], p["best_chsh"]) for p in summary][1:] == \
-            [(0.1, carried), (0.5, carried)]
-        rows = (tmp_path / "curve.csv").read_text().splitlines()
-        assert rows[2:] == [f"0.1,{carried!r},curve_model_1.json",
-                            f"0.5,{carried!r},curve_model_2.json"]
-        assert (tmp_path / "curve_model_2.json").read_bytes() == \
-            (tmp_path / "curve_model_1.json").read_bytes()
+    def test_rate_never_rises_and_chsh_never_falls_along_sorted_budgets(self):
+        # the invariant that lets each point be its own solve, with no envelope: ~2,000
+        # budgets, a third of them aimed at and beside the _bits of runs of neighbouring rates
+        rng = np.random.default_rng(29)
+        budgets = [*rng.uniform(0.0, 0.45, 600), *rng.uniform(0.0, 1e-6, 300),
+                   *np.geomspace(1e-18, 0.45, 300), *NEAR_FULL_BUDGETS]
+        for anchor in [1e-17, 1e-9, 1e-3, 0.25 - 1e-9, *rng.uniform(0.0, 0.25, 20)]:
+            rate = float(anchor)
+            for _ in range(10):
+                bits = mdsearch._bits(rate)
+                budgets += [math.nextafter(bits, 0.0), bits, math.nextafter(bits, 1.0)]
+                rate = math.nextafter(rate, 1.0)
+        budgets = sorted(float(b) for b in budgets if b >= 0.0)
+        assert len(budgets) > 1900
+        curve = tradeoff_curve(budgets)
+        rates = [p.model.lambda_given_settings.min() for p in curve]
+        values = [p.chsh for p in curve]
+        assert all(rates[i + 1] <= rates[i] for i in range(len(rates) - 1))
+        assert all(values[i] <= values[i + 1] for i in range(len(values) - 1))
 
     def test_input_validation(self):
         with pytest.raises(InputError):
