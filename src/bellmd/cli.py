@@ -148,6 +148,8 @@ def cmd_teleport(args) -> _Run:
         "min_fidelity": min(t.fidelity for t in canonical),
         "measurement_report": verify_no_setting_choice(),
     }
+    if args.out is None:  # the file's document is built only for a run that writes it
+        return _Run(summary)
     return _out_run(summary, args.out, {
         "summary": summary,
         "transcripts": [t.to_json_dict() for t in canonical],

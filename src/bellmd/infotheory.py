@@ -8,6 +8,7 @@ entropy) is reported alongside so fully deterministic settings score 1.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,10 +32,13 @@ def entropy_bits(distribution) -> float:
 
 def _mutual_information_bits(joint: np.ndarray, row_m: np.ndarray, col_m: np.ndarray) -> float:
     mask = joint > 0.0
-    p = joint[mask]
+    outer = row_m[:, None] * col_m
+    if mask.all():  # nothing to drop: reshape(-1) keeps the C order a boolean gather gives
+        p, outer = joint.reshape(-1), outer.reshape(-1)
+    else:
+        p, outer = joint[mask], outer[mask]
     if not p.size:
         return 0.0
-    outer = (row_m[:, None] * col_m)[mask]
     if outer.min() >= _TINY:
         log_ratio = np.log2(p / outer)
     else:  # p(x) p(y) underflowed where p(x, y) did not: one marginal at a time, and
@@ -73,18 +77,20 @@ def cmd(model: LhvModel) -> CmdReport:
     """Score a model's measurement dependence in bits (raw and normalized).
 
     A checked model's weights are a distribution, so they are scored without a re-check.
-    The setting entropy is the one its ``SettingSpace`` computed when it was built.
+    The setting entropy is the one its ``SettingSpace`` computed when it was built.  A reading
+    within H(S) + NORMALIZATION and under the min-entropy -log2 max p(lambda) <= H(lambda), less
+    ARITHMETIC, meets the entropy bound; any other is checked against H(lambda), computed.
     """
     # rows: lambda, cols: joint setting; C order fixes how the sums below round
     joint = np.multiply(model.lambda_given_settings.T, model.setting_space.marginal, order="C")
     lambda_marginal = joint.sum(axis=1)
     raw = _mutual_information_bits(joint, lambda_marginal, joint.sum(axis=0))
     setting_entropy = model.setting_space._entropy_bits
-    lambda_entropy = entropy_bits(lambda_marginal)
-    if raw > min(setting_entropy, lambda_entropy) + NORMALIZATION:
-        raise InvariantError(
-            f"mutual information {raw:.12g} exceeds the entropy bound "
-            f"{min(setting_entropy, lambda_entropy):.12g}"
-        )
+    if (raw > setting_entropy + NORMALIZATION
+            or raw > -math.log2(lambda_marginal.max()) - ARITHMETIC):
+        bound = min(setting_entropy, entropy_bits(lambda_marginal))
+        if raw > bound + NORMALIZATION:
+            raise InvariantError(
+                f"mutual information {raw:.12g} exceeds the entropy bound {bound:.12g}")
     normalized = raw / setting_entropy if setting_entropy > 0.0 else 0.0
     return CmdReport(raw_bits=raw, normalized=normalized, setting_entropy_bits=setting_entropy)

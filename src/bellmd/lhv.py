@@ -119,11 +119,13 @@ def _model_tables(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...
     stack = np.concatenate(arrays)
     # the bounds reject NaN too, and an entry past 1 fails its row sum anyway, which bounding
     # it keeps finite; `initial` lets tables with no hidden value reach the sum check
-    ok = stack.min(initial=0.0) >= -ARITHMETIC and stack.max(initial=1.0) <= 1.0 + ARITHMETIC
+    top = stack.max(initial=1.0)
+    ok = stack.min(initial=0.0) >= -ARITHMETIC and top <= 1.0 + ARITHMETIC
     if ok:
-        np.maximum(stack, 0.0, out=stack)  # the ufunc np.clip(stack, 0.0, None) calls
-        np.minimum(stack[n:], 1.0, out=stack[n:])
-        ok = np.abs(stack[:n].sum(axis=1) - 1.0).max() <= _ROW_ATOL
+        np.maximum(stack, 0.0, out=stack)  # np.clip(stack, 0.0, None)'s ufunc; -0.0 -> +0.0
+        if top > 1.0:  # at or below 1, the clip at 1 moves no bit
+            np.minimum(stack[n:], 1.0, out=stack[n:])
+        ok = max([abs(s - 1.0) for s in stack[:n].sum(axis=1).tolist()]) <= _ROW_ATOL
     if not ok:  # the first defect in field order, from the same checks table by table
         rows = (slice(0, n), slice(n, n + n_a), slice(n + n_a, None))
         for name, table_rows, row_atol in zip(_FIELDS, rows, (_ROW_ATOL, None, None)):
@@ -177,11 +179,11 @@ class CorrelationTable(Frozen):
         if joint.ndim != 4 or joint.shape[2:] != (2, 2):
             raise InputError(f"joint table must have shape (a, b, 2, 2), got {joint.shape}")
         rows = _distribution_rows("joint outcome table", joint.reshape(-1, 4))
-        self._set(rows.reshape(joint.shape))
+        self._set(rows.reshape(joint.shape), rows.tolist())
 
-    def _set(self, joint: np.ndarray) -> None:
-        p = joint.reshape(-1, 4)  # p(+,+), p(+,-), p(-,+), p(-,-) per setting pair
-        corr = p[:, 0] - p[:, 1] - p[:, 2] + p[:, 3]
+    def _set(self, joint: np.ndarray, rows: list) -> None:
+        """Take over ``joint``, given its rows p(+,+), p(+,-), p(-,+), p(-,-) as Python floats."""
+        corr = np.array([pp - pm - mp + mm for pp, pm, mp, mm in rows])
         corr.setflags(write=False)  # before the reshape: the view's base is read-only too
         self._assign(joint, corr.reshape(joint.shape[:2]))
 
@@ -190,12 +192,17 @@ class CorrelationTable(Frozen):
         """Table that takes over ``joint``, an array computed from validated inputs.
 
         Such an array is finite and nonnegative by construction; only the
-        per-setting sums, which rounding can still move, are checked.
+        per-setting sums, which rounding can still move, are checked.  Sums and
+        correlators come from the rows read once as Python floats: numpy adds four
+        entries left to right, so these are its IEEE operations in its order and no bit
+        moves.  A table with a row failing there goes to ``_check_sums`` on numpy's sums.
         """
-        _check_sums("joint outcome table", joint.reshape(-1, 4).sum(axis=1))
+        rows = joint.reshape(-1, 4).tolist()
+        if not all(abs(pp + pm + mp + mm - 1.0) <= ARITHMETIC for pp, pm, mp, mm in rows):
+            _check_sums("joint outcome table", joint.reshape(-1, 4).sum(axis=1))
         joint.setflags(write=False)
         table = object.__new__(cls)
-        table._set(joint)
+        table._set(joint, rows)
         return table
 
     @classmethod

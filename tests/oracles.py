@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,19 @@ def min_bits_closed_form(s: float) -> float:
     return (first + (6.0 + d) / 8.0 * math.log1p(d / 6.0)) / math.log(2.0)
 
 
+def dependence_bits_exact(x: float) -> Decimal:
+    """I = x log2(4x) + (1 - x) log2(4(1 - x)/3) at rate x, in 60-digit decimal arithmetic.
+
+    The optimal model's dependence at disagreement rate x, with no float rounding left
+    that matters: at x = 1e-30 its first term is ~1e-28 against a value of ~0.415.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rate = Decimal(x)
+        first = rate * (4 * rate).ln() if rate else Decimal(0)
+        return (first + (1 - rate) * (4 * (1 - rate) / 3).ln()) / Decimal(2).ln()
+
+
 def max_chsh_closed_form(bits: float) -> float:
     """Largest CHSH value reachable within ``bits``: min_bits_closed_form inverted by bisection."""
     lo, hi = 2.0, 4.0
@@ -294,6 +308,22 @@ def checked_mutual_information(joint) -> float:
     arr = np.array(joint, dtype=float)
     table = lhv._distribution_rows("joint distribution", arr.reshape(-1)).reshape(arr.shape)
     return _mutual_information_bits(table, table.sum(axis=1), table.sum(axis=0))
+
+
+def correlation_table_numpy(joint: np.ndarray) -> tuple[np.ndarray | None, str | None]:
+    """Correlators and row-sum verdict of a derived (a, b, 2, 2) joint table, all in numpy.
+
+    Returns (correlators, None) for a table whose rows each sum, by ``np.add.reduce``, to
+    within 1e-12 of 1, else (None, the rejection message).  The correlators are
+    p(+,+) - p(+,-) - p(-,+) + p(-,-), one numpy column operation at a time.
+    """
+    p = np.asarray(joint, dtype=float).reshape(-1, 4)
+    sums = np.add.reduce(p, axis=1)
+    if np.abs(sums - 1.0).max(initial=0.0) > 1e-12:
+        if sums.size == 1:
+            return None, f"joint outcome table sums to {sums[0]:.15g}, expected 1"
+        return None, "joint outcome table rows must each sum to 1 within 1e-12"
+    return (p[:, 0] - p[:, 1] - p[:, 2] + p[:, 3]).reshape(joint.shape[:2]), None
 
 
 def teleport_branches_reference(a: complex, b: complex) -> list[tuple[float, np.ndarray]]:

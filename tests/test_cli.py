@@ -56,6 +56,18 @@ class TestTeleportCommand:
         freqs = json.loads(stdout)["outcome_frequencies"]
         assert all(abs(f - 0.25) <= 0.01 for f in freqs)
 
+    def test_no_out_builds_no_file_document(self, capsys, monkeypatch):
+        # the transcripts are encoded only for the --out file; the summary needs none of them
+        def encode(self):
+            raise AssertionError("a transcript was encoded for a run with no --out")
+
+        monkeypatch.setattr(bellmd.teleport.TeleportTranscript, "to_json_dict", encode)
+        code, stdout, stderr = run_cli(capsys, "teleport", "--random", "--seed", "7")
+        assert (code, stderr) == (0, "")
+        assert list(json.loads(stdout)) == ["input", "trials", "outcome_counts",
+                                            "outcome_frequencies", "min_fidelity",
+                                            "measurement_report"]
+
     def test_forced_outcome_correction(self, capsys):
         code, stdout, _ = run_cli(
             capsys, "teleport", "--a-re", "0.6", "--b-re", "0.8",

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 import oracles
+from bellmd import infotheory
 from bellmd.cli import main
+from bellmd.errors import InvariantError
 from bellmd.infotheory import _mutual_information_bits, cmd, entropy_bits
 from bellmd.inequalities import bell_optimal_scenario, chsh_quantum
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct
+from bellmd.tolerances import ARITHMETIC, NORMALIZATION
 
 # the worked two-coin tables: independent fair coins, perfectly correlated
 # coins, and the partially correlated pair worth ~0.0663 bits
@@ -162,6 +167,59 @@ class TestCmd:
         report = cmd(model)
         assert report.raw_bits == report.setting_entropy_bits > 0.0
         assert report.normalized == 1.0
+
+
+class TestEntropyBound:
+    """cmd raises when a reading exceeds min(H(S), H(lambda)) + NORMALIZATION.
+
+    No model reaches the bound, so a stand-in ``_mutual_information_bits`` returns the
+    reading.  Two hidden values at p(lambda) = (0.7, 0.3) under uniform 2x2 settings:
+    H(lambda) ~0.881 lies below H(S) = 2, and the min-entropy -log2 0.7 ~0.515 below both.
+    """
+
+    LAMBDA = [0.7, 0.3]
+
+    @classmethod
+    def reading(cls, monkeypatch, bits: float, space=None, lam=None):
+        monkeypatch.setattr(infotheory, "_mutual_information_bits", lambda *tables: bits)
+        lam = lam or cls.LAMBDA
+        space = space or SettingSpace()
+        ones = np.ones((space.alice_settings, len(lam))), np.ones((space.bob_settings, len(lam)))
+        return cmd(LhvModel(space, [lam] * space.n_joint, *ones))
+
+    @pytest.mark.parametrize("bits", [1.5, 2.5, oracles.entropy_direct(LAMBDA) + 2e-9])
+    def test_a_reading_above_the_lambda_entropy_raises(self, monkeypatch, bits):
+        bound = oracles.entropy_direct(self.LAMBDA)
+        message = f"mutual information {bits:.12g} exceeds the entropy bound {bound:.12g}"
+        with pytest.raises(InvariantError) as raised:
+            self.reading(monkeypatch, bits)
+        assert str(raised.value) == message
+
+    def test_where_the_min_entropy_is_the_entropy_the_bound_is_sharp(self, monkeypatch):
+        # two equal hidden values: H(lambda) = -log2 max p(lambda) = 1
+        assert self.reading(monkeypatch, 1.0 + NORMALIZATION, lam=[0.5, 0.5]).raw_bits > 1.0
+        with pytest.raises(InvariantError) as raised:
+            self.reading(monkeypatch, 1.0 + 1.5 * NORMALIZATION, lam=[0.5, 0.5])
+        assert str(raised.value) == "mutual information 1.0000000015 exceeds the entropy bound 1"
+
+    def test_a_reading_above_the_setting_entropy_raises(self, monkeypatch):
+        # 1x2 settings, H(S) = 1, under four equal hidden values, min-entropy 2 = H(lambda)
+        message = "mutual information 1.5 exceeds the entropy bound 1"
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            self.reading(monkeypatch, 1.5, SettingSpace(1, 2), [0.25] * 4)
+
+    @pytest.mark.parametrize("bits", [-math.log2(0.7) - ARITHMETIC, -math.log2(0.7),
+                                      oracles.entropy_direct(LAMBDA) + NORMALIZATION / 2])
+    def test_a_reading_within_the_bound_passes(self, monkeypatch, bits):
+        assert self.reading(monkeypatch, math.nextafter(bits, 0.0)).raw_bits == \
+            math.nextafter(bits, 0.0)
+
+    def test_a_reading_under_the_min_entropy_skips_the_lambda_entropy(self, monkeypatch):
+        def entropy(distribution):
+            raise AssertionError("H(lambda) computed for a reading under the min-entropy")
+
+        monkeypatch.setattr(infotheory, "entropy_bits", entropy)
+        self.reading(monkeypatch, math.nextafter(-math.log2(0.7) - ARITHMETIC, 0.0))
 
 
 class TestValidation:

@@ -1,4 +1,6 @@
 import copy
+import json
+import math
 import pickle
 import re
 
@@ -17,6 +19,7 @@ from bellmd.lhv import (
     measurement_independent,
     predict,
 )
+from bellmd.serialize import write_model
 
 
 def shared_lambda_model(marg, alice, bob, space=None) -> LhvModel:
@@ -136,6 +139,29 @@ class TestClassicalBound:
         for _ in range(500):
             value = chsh_value(predict(random_mi_model(rng)))
             assert value <= 2.0 + 1e-9
+
+
+class TestSignedZeros:
+    """A -0.0 entry is stored as +0.0, so no table, and no file written from one, shows -0."""
+
+    def test_model_tables_store_positive_zero(self, tmp_path):
+        model = LhvModel(SettingSpace(), [[-0.0, 1.0]] * 4, [[-0.0, 1.0], [0.5, 0.5]],
+                         [[1.0, -0.0], [0.25, 0.75]])
+        for name in ("lambda_given_settings", "alice_response", "bob_response"):
+            table = getattr(model, name)
+            assert (table == 0.0).any() and not np.signbit(table).any(), name
+        path = tmp_path / "model.json"
+        write_model(path, model)
+        text = path.read_text()
+        assert "-0.0" not in text and "0.0" in text
+        doc = json.loads(text)
+        for name in ("lambda_given_settings", "alice_response", "bob_response"):
+            assert all(math.copysign(1.0, v) == 1.0 for row in doc[name] for v in row), name
+
+    def test_a_correlation_table_stores_positive_zero(self):
+        table = CorrelationTable([[[[0.5, -0.0], [0.0, 0.5]], [[-0.0, 0.5], [0.5, -0.0]]]])
+        assert (table.joint == 0.0).any() and not np.signbit(table.joint).any()
+        assert table.correlators.tolist() == [[1.0, -1.0]]
 
 
 class TestValidation:

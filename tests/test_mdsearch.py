@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from bellmd.mdsearch import (
     tradeoff_curve,
 )
 
-from oracles import max_chsh_closed_form, min_bits_closed_form
+from oracles import dependence_bits_exact, max_chsh_closed_form, min_bits_closed_form
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 FULL_BITS = math.log2(4.0 / 3.0)
@@ -142,6 +143,21 @@ class TestMaxChshUnderBudget:
             assert outcome.feasible, budget
             assert outcome.cmd_report.raw_bits <= budget + 1e-12
             assert abs(outcome.chsh - 4.0) <= 1e-12
+
+    def test_budgets_where_the_log_branch_runs_are_used_up(self):
+        # The rate x returned for a budget b uses it up: x's exact dependence is within
+        # USED_UP_ULPS ulps of b, so x lies between the least floats whose exact dependence
+        # fits b plus and b minus that slack.  The bound is in ulps of b, since near
+        # x = 1e-17 one ulp of b is ~1e15 ulps of x.  These budgets reach rates x < 1.4e-17,
+        # where _bits takes x log(4x); its rounding reads up to 2.3 ulps there, while
+        # x / log(4x) or x log(4 / x) in that term leaves ~12 ulps of the budget unspent
+        USED_UP_ULPS = 3
+        budgets = [*NEAR_FULL_BUDGETS,
+                   *(mdsearch._bits(float(x)) for x in np.geomspace(1e-30, 1e-15, 200))]
+        for budget in budgets:
+            rate = max_chsh_under_budget(budget).model.lambda_given_settings.min()
+            excess = (dependence_bits_exact(rate) - Decimal(budget)) / Decimal(math.ulp(budget))
+            assert abs(excess) <= USED_UP_ULPS, (budget, rate, float(excess))
 
     @pytest.mark.parametrize("mode", ["--budget", "--curve"])
     def test_cli_exits_0_just_below_the_full_budget(self, tmp_path, capsys, mode):

@@ -276,3 +276,71 @@ def edge_models(draw):
 def test_every_model_at_the_row_sum_edge_predicts_and_scores(model):
     assert np.max(np.abs(predict(model).joint.sum(axis=(2, 3)) - 1.0)) <= TOL
     assert cmd(model).raw_bits == _checked_bits(model) >= 0.0
+
+
+# entries up to 1/3 with every mantissa bit drawn, where summing in another order rounds apart
+THIRDS = st.integers(0, 2**52).map(lambda k: k / 3.0 / 2**52)
+
+
+@st.composite
+def joint_rows(draw):
+    """One (a, b) row of four outcome probabilities: raw, normalized with zeros, or at the gate.
+
+    A gate row's first three entries are drawn, and its last is set so the row sums, up to
+    rounding, to 1 +- ``ARITHMETIC`` moved by up to 3 of the sum's ulps either way.
+    """
+    kind = draw(st.sampled_from(["raw", "normalized", "gate", "gate"]))
+    if kind == "raw":
+        return draw(_arrays(4, st.floats(0.0, 1.0)))
+    if kind == "normalized":  # often with entries of 0.0 or -0.0
+        row = draw(_arrays(4, st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0]))))
+        hypothesis.assume(row.sum() > 0.0)
+        return row / row.sum()
+    head = draw(_arrays(3, THIRDS))
+    target = 1.0 + draw(SIGN) * ARITHMETIC
+    for _ in range(draw(st.integers(0, 3))):
+        target = np.nextafter(target, draw(st.sampled_from([-np.inf, np.inf])))
+    return np.append(head, target - (head[0] + head[1] + head[2]))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(shape=st.tuples(st.integers(1, 3), st.integers(1, 3)), data=st.data())
+def test_derived_tables_match_the_numpy_form_bit_for_bit(shape, data):
+    # _derived sums and differences each row's four Python floats; the oracle is numpy's form
+    rows = data.draw(st.lists(joint_rows(), min_size=shape[0] * shape[1],
+                              max_size=shape[0] * shape[1]))
+    joint = np.array(rows).reshape(*shape, 2, 2)
+    expected, message = oracles.correlation_table_numpy(joint)
+    if message is not None:
+        with pytest.raises(InputError) as raised:
+            CorrelationTable._derived(joint.copy())
+        assert str(raised.value) == message
+        return
+    table = CorrelationTable._derived(joint.copy())
+    assert table.joint.tobytes() == joint.tobytes()
+    assert table.correlators.tobytes() == expected.tobytes()
+    assert not table.correlators.flags.writeable and not table.correlators.base.flags.writeable
+    if (joint >= 0.0).all() and not np.signbit(joint).any():  # nothing for the check to clip
+        assert CorrelationTable(joint).correlators.tobytes() == expected.tobytes()
+
+
+def test_rows_at_the_sum_gate_take_the_numpy_verdict(rng):
+    # 20,000 one-row tables summing to within 3 ulps of 1 +- ARITHMETIC: in hundreds of
+    # them, another order of the four additions lands on the other side of the gate
+    heads = rng.random((20000, 3)) / 3.0
+    targets = 1.0 + rng.choice([-ARITHMETIC, ARITHMETIC], 20000)
+    for _ in range(3):
+        moved = rng.random(20000) < 0.5
+        targets[moved] = np.nextafter(targets[moved], rng.choice([-np.inf, np.inf], moved.sum()))
+    lasts = targets - ((heads[:, 0] + heads[:, 1]) + heads[:, 2])
+    verdicts = collections.Counter()
+    for row in np.column_stack([heads, lasts]):
+        joint = row.reshape(1, 1, 2, 2)
+        expected, message = oracles.correlation_table_numpy(joint)
+        try:
+            got = CorrelationTable._derived(joint.copy()).correlators.tobytes(), None
+        except InputError as exc:
+            got = None, str(exc)
+        assert got == (None if expected is None else expected.tobytes(), message)
+        verdicts[message is None] += 1
+    assert min(verdicts.values()) > 5000
