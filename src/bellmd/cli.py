@@ -71,11 +71,9 @@ class _Run:
         self.config, self.seed, self.inputs = config, seed, inputs or {}
 
 
-def _out_run(summary: dict, out: Path | None, doc: dict, config: dict, seed: int | None = None,
+def _out_run(summary: dict, out: Path, doc: dict, config: dict, seed: int | None = None,
              inputs=None) -> _Run:
-    """A run whose ``--out`` file holds ``doc``, with its manifest beside it; none without."""
-    if out is None:
-        return _Run(summary)
+    """A run whose ``--out`` file holds ``doc``, with its manifest beside it."""
     return _Run(summary, [(out, dump_json, doc)], Path(f"{out}.manifest.json"), config, seed,
                 inputs)
 
@@ -167,30 +165,27 @@ def cmd_teleport(args) -> _Run:
 
 
 def cmd_chsh(args) -> _Run:
-    inputs = {}
+    config = {"scenario": args.scenario, "model": args.model,
+              "deterministic_max": args.deterministic_max}
     if args.deterministic_max:
-        doc = summary = {"chsh_value": lhv_chsh_max(), "source": "deterministic_enumeration"}
+        summary = {"chsh_value": lhv_chsh_max(), "source": "deterministic_enumeration"}
+        return _Run(summary) if args.out is None else _out_run(summary, args.out, summary, config)
+    path = args.scenario if args.scenario is not None else args.model
+    data = _read_bytes(path)  # the digest and the evaluated document come from the same bytes
+    source_doc = parse_json(data, path)
+    if args.scenario is not None:
+        table = chsh_quantum(chsh_scenario_from_doc(source_doc, str(path)))
+        source = "quantum_scenario"
     else:
-        path = args.scenario if args.scenario is not None else args.model
-        # the digest and the evaluated document come from the same bytes
-        data = inputs[str(path)] = _read_bytes(path)
-        source_doc = parse_json(data, path)
-        if args.scenario is not None:
-            table = chsh_quantum(chsh_scenario_from_doc(source_doc, str(path)))
-            source = "quantum_scenario"
-        else:
-            table = predict(model_from_doc(source_doc, str(path)))
-            source = "lhv_model"
-        doc = {
-            "chsh_value": chsh_value(table),
-            "source": source,
-            "correlators": table.correlators.tolist(),
-            "joint_outcome_probabilities": table.joint.tolist(),
-        }
-        summary = {"chsh_value": doc["chsh_value"]}
-    return _out_run(summary, args.out, doc, {"scenario": args.scenario, "model": args.model,
-                                             "deterministic_max": args.deterministic_max},
-                    inputs=inputs)
+        table = predict(model_from_doc(source_doc, str(path)))
+        source = "lhv_model"
+    summary = {"chsh_value": chsh_value(table)}
+    if args.out is None:  # the file's document is built only for a run that writes it
+        return _Run(summary)
+    return _out_run(summary, args.out, {"chsh_value": summary["chsh_value"], "source": source,
+                                        "correlators": table.correlators.tolist(),
+                                        "joint_outcome_probabilities": table.joint.tolist()},
+                    config, inputs={str(path): data})
 
 
 def cmd_mi(args) -> _Run:

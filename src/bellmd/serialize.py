@@ -2,6 +2,8 @@
 
 Floats are written as Python's ``repr``, the shortest text that reads back to
 the same double, so readers reconstruct exactly the values that were written.
+``dumps_json`` writes ``json.dumps(doc, indent=2)`` itself, byte for byte: the stdlib's
+C encoder runs only with no indent, and a list of floats here is one C-level join.
 Each input file is one unbuffered read, as each output file is one raw write:
 ``_read_bytes`` and ``_write_text`` open the file in raw binary mode, past the
 text and buffer layers of ``pathlib``'s readers and writers.
@@ -10,6 +12,7 @@ text and buffer layers of ``pathlib``'s readers and writers.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -20,21 +23,48 @@ from .inequalities import ChshScenario, KcbsScenario
 from .lhv import LhvModel, SettingSpace
 
 
-def _plain(obj):
-    """``json.dumps``'s ``default``: a numpy array or scalar, or a ``Path``, as plain data."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, Path):
-        return str(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+def _key(key) -> str:  # quoted, as json.dumps writes a key: a number, bool or None as its text
+    if key is not None and not isinstance(key, (str, int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _quote(key if isinstance(key, str) else _text(key, ""))
+
+
+def _text(obj, nl: str) -> str:
+    """``obj`` as ``json.dumps`` writes it, where ``nl`` is the newline and indent of its line."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if "n" in (text := float.__repr__(obj)):  # nan, inf or -inf; no finite repr has an "n"
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return text
+    if not isinstance(obj, (list, tuple, dict)):
+        if not isinstance(obj, (np.ndarray, np.generic, Path)):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        return _text(str(obj) if isinstance(obj, Path) else obj.tolist(), nl)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        return "{" + inner + ("," + inner).join([_key(k) + ": " + _text(v, inner)
+                                                 for k, v in obj.items()]) + nl + "}"
+    if isinstance(obj[0], float):
+        try:  # a TypeError: an item that is not a float; a NaN or an infinity raises below
+            if "n" not in (body := ("," + inner).join(map(float.__repr__, obj))):
+                return "[" + inner + body + nl + "]"
+        except TypeError:
+            pass
+    return "[" + inner + ("," + inner).join([_text(v, inner) for v in obj]) + nl + "]"
 
 
 def dumps_json(obj) -> str:
-    """JSON text of ``obj`` with a 2-space indent; ValueError on a NaN or an infinity."""
-    # every document is a tree bellmd has just built, so the encoder skips its cycle walk
-    return json.dumps(obj, indent=2, allow_nan=False, check_circular=False, default=_plain)
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte and errors included, with a
+    numpy value written as its ``tolist()`` and a ``Path`` as its string.  A list of floats is
+    one join of ``float.__repr__``; only nan and inf put an ``"n"`` in it."""
+    return _text(obj, "\n")
 
 
 def _write_text(path: Path | str, text: str) -> None:

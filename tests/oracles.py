@@ -352,3 +352,20 @@ def teleport_branches_reference(a: complex, b: complex) -> list[tuple[float, np.
         prob = float(np.vdot(receiver, receiver).real)
         branches.append((prob, correction @ (receiver / math.sqrt(prob))))
     return branches
+
+
+def _plain(obj):
+    """``json.dumps``'s ``default``: a numpy array or scalar, or a ``Path``, as plain data."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, Path):
+        return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def dumps_json_reference(obj) -> str:
+    """The stdlib's pure-Python indented encoder on ``obj``: the text, and the error, that
+    ``serialize.dumps_json`` must give, byte for byte."""
+    return json.dumps(obj, indent=2, allow_nan=False, check_circular=False, default=_plain)

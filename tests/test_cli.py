@@ -242,6 +242,23 @@ class TestChshCommand:
         assert scenario == model
         assert scenario[1] == '{\n  "chsh_value": %r\n}\n' % math.sqrt(8.0)
 
+    def test_no_out_builds_no_file_document(self, capsys, monkeypatch):
+        # the joint table is listed only for the --out file; the summary needs the correlators
+        class NoJoint:
+            def __init__(self, table):
+                self.correlators, self.shape = table.correlators, table.shape
+
+            @property
+            def joint(self):
+                raise AssertionError("the file document was built for a run with no --out")
+
+        expected = '{\n  "chsh_value": %r\n}\n' % math.sqrt(8.0)
+        for name, argv in (("chsh_quantum", ["--scenario", str(asset_path("bell-optimal.json"))]),
+                           ("predict", ["--model", str(asset_path("brans.json"))])):
+            real = getattr(bellmd.cli, name)
+            monkeypatch.setattr(bellmd.cli, name, lambda source, real=real: NoJoint(real(source)))
+            assert run_cli(capsys, "chsh", *argv) == (0, expected, ""), name
+
     def test_state_rounded_to_ten_digits_evaluates(self, capsys, tmp_path):
         # squared norm 1 + 9e-11 loads under the 1e-9 gate; it used to exit 2
         # with "correlators are inconsistent with the joint outcome tables"

@@ -7,7 +7,8 @@ included: no ``from X import _name`` and no ``X._name``.  Nor does it import
 ``dataclasses``: each decorator execs its generated methods on every import of
 bellmd, which every CLI run pays for.  No module calls ``.read_bytes()`` or
 ``.read_text()``: every input file is read by ``serialize._read_bytes``.
-``import bellmd.cli`` loads neither ``hashlib`` nor ``importlib.resources``: only a
+No module calls ``json.dump`` or ``json.dumps``: ``serialize.dumps_json`` writes every
+JSON text.  ``import bellmd.cli`` loads neither ``hashlib`` nor ``importlib.resources``: only a
 run that writes a manifest imports ``hashlib``, and nothing uses the other.  Each
 module imports first in a fresh interpreter: ``lhv`` takes ``entropy_bits`` from
 ``infotheory``, which names ``LhvModel`` in annotations only.
@@ -158,6 +159,34 @@ def test_every_input_file_is_read_by_read_bytes():
     # serialize._read_bytes is the one reader: one unbuffered read, no pathlib reader
     found = {path.name: lines for path in SOURCES
              if (lines := _whole_file_reads(path.read_text(encoding="utf-8")))}
+    assert SOURCES and not found
+
+
+def _json_writer_calls(source: str) -> list[int]:
+    """Lines of ``source`` that call ``json.dump`` or ``json.dumps``, by any name bound to them."""
+    tree = ast.parse(source)
+    modules, writers = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "json")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "json":
+            writers.update(a.asname or a.name for a in node.names if a.name in ("dump", "dumps"))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr in ("dump", "dumps")
+        and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
+        or isinstance(node.func, ast.Name) and node.func.id in writers)]
+
+
+def test_the_scan_sees_json_writer_calls():
+    source = ("import json\nimport json as js\nfrom json import dumps as d, loads\n"
+              "json.dumps(doc)\njs.dump(doc, f)\nd(doc)\njson.loads(text)\nloads(text)\n"
+              "text.dumps(doc)\ndumps_json(doc)\nwriter = json.dumps\n")
+    assert _json_writer_calls(source) == [4, 5, 6]
+
+
+def test_dumps_json_is_the_one_json_writer():
+    found = {path.name: lines for path in SOURCES
+             if (lines := _json_writer_calls(path.read_text(encoding="utf-8")))}
     assert SOURCES and not found
 
 

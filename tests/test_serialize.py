@@ -34,6 +34,7 @@ from bellmd.serialize import (
 from oracles import (
     asset_path,
     bloch_observable,
+    dumps_json_reference,
     operator_from_doc,
     perturbed_observable,
     random_rotation,
@@ -167,6 +168,97 @@ class TestStringQuoting:
             assert dumps_json({text: text}) == json.dumps({text: text}, indent=2)
 
         quoted_as_json_dumps_quotes_it()
+
+
+def _encoded(encode, doc):
+    """The text ``encode`` writes for ``doc``, or the type and message of its error."""
+    try:
+        return encode(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class _Items(list):
+    pass
+
+
+class _Fields(dict):
+    pass
+
+
+class _Count(int):  # json.dumps writes int.__repr__, not this
+    def __repr__(self):
+        return "count"
+
+
+class _Ratio(float):  # json.dumps writes float.__repr__, and this in its error message
+    def __repr__(self):
+        return "ratio"
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf"),
+              _Ratio("inf")]
+
+
+class TestReferenceEncoder:
+    """``dumps_json`` gives the text and the errors of ``oracles.dumps_json_reference``."""
+
+    def test_documents_match_the_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max])
+        # fixed picks where a drawn value would add nothing but draw time
+        specials = st.sampled_from([
+            10**30, -10**30, True, False, None, np.float64(-0.0), np.float32(0.1), np.int64(-7),
+            np.bool_(True), Path("runs") / "out.json", np.array([[0.5, -0.0], [1e-300, 0.25]]),
+            np.array([], dtype=float), np.array([1, 2]), np.float64(5e-324), _Count(3),
+            _Ratio(0.5), [_Ratio(-0.0), 2.5, _Ratio(1e-300)]])
+        scalars = (floats | floats.map(np.float64) | st.integers(-10**30, 10**30) | st.text()
+                   | specials | st.lists(floats, min_size=1, max_size=5))  # the one-join path
+        keys = st.text() | st.integers(-10**30, 10**30) | floats | st.sampled_from(
+            [True, False, None])
+
+        def nested(children):
+            items, fields = st.lists(children, max_size=4), st.dictionaries(keys, children,
+                                                                            max_size=4)
+            return (items | items.map(tuple) | items.map(_Items) | fields
+                    | fields.map(_Fields))
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(doc=st.recursive(scalars, nested, max_leaves=8))
+        def written_as_the_reference_writes_it(doc):
+            assert _encoded(dumps_json, doc) == _encoded(dumps_json_reference, doc)
+
+        written_as_the_reference_writes_it()
+
+    def test_subclasses_are_written_as_their_base_types(self):
+        doc = _Fields({_Count(5): _Items([_Count(3), _Ratio(0.5), True]), _Ratio(0.25): (),
+                       "floats": [_Ratio(-0.0), 2.5, _Ratio(1e-300)], "empty": _Fields()})
+        assert dumps_json(doc) == dumps_json_reference(doc)
+        assert '"5": [\n    3,\n    0.5,\n    true\n  ],\n  "0.25": []' in dumps_json(doc)
+
+    @pytest.mark.parametrize("bad", NON_FINITE,
+                             ids=["nan", "inf", "-inf", "np-nan", "np--inf", "subclass-inf"])
+    @pytest.mark.parametrize("place", [0, 1, 3])
+    def test_non_finite_floats_raise_the_reference_error(self, bad, place):
+        floats = [0.5, -0.0, 1e300]
+        floats.insert(place, bad)
+        mixed = [1, "x", *floats, None]
+        for doc in (floats, mixed, {"x": floats}, [[2.5], floats], {bad: 1}):
+            expected = _encoded(dumps_json_reference, doc)
+            assert expected[0] is ValueError
+            assert _encoded(dumps_json, doc) == expected
+
+    @pytest.mark.parametrize("bad", [{1, 2}, 1j, np.complex128(1j), b"x", {1j: 1}, {(1,): 1},
+                                     {Path("p"): 1}, {np.int64(1): 1}, object()],
+                             ids=["set", "complex", "np-complex", "bytes", "complex-key",
+                                  "tuple-key", "path-key", "np-int-key", "object"])
+    def test_unwritable_values_raise_the_reference_error(self, bad):
+        for doc in (bad, [1.0, bad], {"a": [2.0], "z": bad}, (bad, math.nan)):
+            expected = _encoded(dumps_json_reference, doc)
+            assert expected[0] is TypeError
+            assert _encoded(dumps_json, doc) == expected
 
 
 # name -> file bytes whose document, or error, a text-mode read would give
