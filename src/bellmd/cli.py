@@ -2,13 +2,11 @@
 
 One subcommand per capability: ``teleport`` runs the protocol, ``chsh`` and
 ``kcbs`` evaluate inequalities, ``mi`` computes mutual information, and
-``optimize`` drives the dependence/CHSH search.  Each ``cmd_*`` handler maps
-parsed arguments to a ``_Run`` and neither writes nor prints.  ``main`` alone
-does both: for a run with a manifest path it writes the data files, then the
-manifest, which digests the inputs the run read, and only then prints the
-summary.  A failed write removes the data files the run wrote, so it leaves
-none and prints nothing.  Data files are byte-reproducible under a fixed seed;
-the manifest carries wall-clock timing and is excluded from that.
+``optimize`` drives the dependence/CHSH search.  A ``cmd_*`` handler returns a
+``_Run`` of what only it knows and neither writes nor prints.  ``main`` derives
+the rest from the parsed arguments, writes the data files, then the manifest,
+and only then prints the summary; a failed write removes all the run created.
+Data files are byte-reproducible under a fixed seed; the manifest's timing is not.
 
 Exit codes: 0 success, 2 usage or input error, 3 internal invariant breach.
 """
@@ -18,6 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import suppress
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -60,48 +60,49 @@ from .teleport import branch_decomposition, run_teleportation  # noqa: F401
 
 
 class _Run:
-    """A run's summary, its ``(path, writer, value)`` data files, and its manifest: the path
-    (``None``: the run writes nothing), config, seed and ``inputs`` (path -> bytes read)."""
+    """A handler's summary, its ``(path, writer, value)`` data files and ``inputs`` (path ->
+    bytes read).  Everything else a manifest records, ``main`` derives from the arguments."""
 
-    __slots__ = ("summary", "files", "manifest", "config", "seed", "inputs")
+    __slots__ = ("summary", "files", "inputs")
 
-    def __init__(self, summary: dict, files=(), manifest: Path | None = None,
-                 config: dict | None = None, seed: int | None = None, inputs=None):
-        self.summary, self.files, self.manifest = summary, files, manifest
-        self.config, self.seed, self.inputs = config, seed, inputs or {}
+    def __init__(self, summary: dict, files=(), inputs=None):
+        self.summary, self.files, self.inputs = summary, files, inputs or {}
 
 
-def _out_run(summary: dict, out: Path, doc: dict, config: dict, seed: int | None = None,
-             inputs=None) -> _Run:
-    """A run whose ``--out`` file holds ``doc``, with its manifest beside it."""
-    return _Run(summary, [(out, dump_json, doc)], Path(f"{out}.manifest.json"), config, seed,
-                inputs)
-
-
-def _write_run(run: _Run, subcommand: str, started: float) -> None:
-    """Create the directory, write the data files, then the manifest that digests the inputs.
-    A failed write first removes the data files this run wrote, so it leaves none."""
+def _write_run(run: _Run, args, subcommand: str, started: float) -> None:
+    """Write the data files, then ``<out>.manifest.json`` or ``<out_dir>/manifest.json`` with every
+    option but the output path.  A failure removes the files and directories this run made."""
     import hashlib  # here, not at the top: only runs that write a manifest pay its ~3 ms (OpenSSL)
 
-    run.manifest.parent.mkdir(parents=True, exist_ok=True)
-    written = []
+    out = getattr(args, "out", None)
+    manifest = args.out_dir / "manifest.json" if out is None else Path(f"{out}.manifest.json")
+    written, created = [], []  # created: the directories this run makes, deepest first
     try:
+        try:  # a new directory, such as a fresh --out-dir, takes one mkdir and no stat
+            manifest.parent.mkdir()
+            created.append(manifest.parent)
+        except OSError:  # it is a directory already, or some ancestors are missing too
+            if created := list(takewhile(lambda d: not d.is_dir(), manifest.parents)):
+                manifest.parent.mkdir(parents=True, exist_ok=True)
         for path, write, value in run.files:
             write(path, value)
             written.append(path)
-        dump_json(run.manifest, {
+        dump_json(manifest, {
             "subcommand": subcommand,
-            "configuration": run.config,
+            "configuration": {k: v for k, v in vars(args).items() if k not in ("out", "out_dir")},
             "input_digests": {path: hashlib.sha256(data).hexdigest()
                               for path, data in run.inputs.items()},
             "output_files": [str(path) for path in written],
-            "seed": run.seed,
+            "seed": getattr(args, "seed", None),
             "tool_version": __version__,
             "duration_seconds": time.monotonic() - started,
         })
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
+        for directory in created:
+            with suppress(OSError):  # the write's own error is the one reported
+                directory.rmdir()
         raise
 
 
@@ -123,8 +124,6 @@ def _resolve_input(inp_args) -> TeleportInput:
 
 
 def cmd_teleport(args) -> _Run:
-    if args.seed < 0:
-        raise InputError("--seed must be nonnegative")
     inp = _resolve_input(args)
     if args.trials <= 0:
         raise InputError("--trials must be positive")
@@ -148,7 +147,7 @@ def cmd_teleport(args) -> _Run:
     }
     if args.out is None:  # the file's document is built only for a run that writes it
         return _Run(summary)
-    return _out_run(summary, args.out, {
+    return _Run(summary, [(args.out, dump_json, {
         "summary": summary,
         "transcripts": [t.to_json_dict() for t in canonical],
         # fixes every trial's outcome, at a size that does not grow with --trials
@@ -158,18 +157,13 @@ def cmd_teleport(args) -> _Run:
             "forced_outcome": args.force_outcome,
             "draw": OUTCOME_DRAW if args.force_outcome is None else None,
         },
-    }, {
-        "a_re": args.a_re, "a_im": args.a_im, "b_re": args.b_re, "b_im": args.b_im,
-        "random": args.random, "trials": args.trials, "force_outcome": args.force_outcome,
-    }, args.seed)
+    })])
 
 
 def cmd_chsh(args) -> _Run:
-    config = {"scenario": args.scenario, "model": args.model,
-              "deterministic_max": args.deterministic_max}
     if args.deterministic_max:
         summary = {"chsh_value": lhv_chsh_max(), "source": "deterministic_enumeration"}
-        return _Run(summary) if args.out is None else _out_run(summary, args.out, summary, config)
+        return _Run(summary, () if args.out is None else [(args.out, dump_json, summary)])
     path = args.scenario if args.scenario is not None else args.model
     data = _read_bytes(path)  # the digest and the evaluated document come from the same bytes
     source_doc = parse_json(data, path)
@@ -182,10 +176,10 @@ def cmd_chsh(args) -> _Run:
     summary = {"chsh_value": chsh_value(table)}
     if args.out is None:  # the file's document is built only for a run that writes it
         return _Run(summary)
-    return _out_run(summary, args.out, {"chsh_value": summary["chsh_value"], "source": source,
-                                        "correlators": table.correlators.tolist(),
-                                        "joint_outcome_probabilities": table.joint.tolist()},
-                    config, inputs={str(path): data})
+    return _Run(summary, [(args.out, dump_json, {
+        "chsh_value": summary["chsh_value"], "source": source,
+        "correlators": table.correlators.tolist(),
+        "joint_outcome_probabilities": table.joint.tolist()})], {str(path): data})
 
 
 def cmd_mi(args) -> _Run:
@@ -201,9 +195,6 @@ def cmd_mi(args) -> _Run:
 
 
 def cmd_optimize(args) -> _Run:
-    # the solver is exact and reads no seed; it is recorded in the manifest only
-    if args.seed < 0:
-        raise InputError("--seed must be nonnegative")
     if args.target_s is not None:
         outcome = min_cmd_for_chsh(args.target_s)
         files = [("min_cmd_model.json", write_model, outcome.model),
@@ -234,10 +225,7 @@ def cmd_optimize(args) -> _Run:
         summary = {"points": [{"budget_bits": b, "best_chsh": p.chsh}
                               for b, p in zip(budgets, points)]}
 
-    return _Run(summary, [(args.out_dir / name, write, value) for name, write, value in files],
-                args.out_dir / "manifest.json", {"seed": args.seed, "target_s": args.target_s,
-                                                 "budget": args.budget, "curve": args.curve},
-                args.seed)
+    return _Run(summary, [(args.out_dir / name, write, value) for name, write, value in files])
 
 
 def cmd_kcbs(args) -> _Run:
@@ -334,9 +322,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     started = time.monotonic()
     try:
+        if getattr(args, "seed", 0) < 0:  # --seed is shared by the writing subcommands
+            raise InputError("--seed must be nonnegative")
         run = handler(args)
-        if run.manifest is not None:
-            _write_run(run, name, started)
+        if run.files:  # a run that writes data files writes its manifest too
+            _write_run(run, args, name, started)
         print(dumps_json(run.summary))
         return 0
     except (InputError, OSError) as exc:

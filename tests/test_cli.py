@@ -824,6 +824,37 @@ def test_a_failed_manifest_write_prints_no_summary(capsys, tmp_path, monkeypatch
     assert sorted(tmp_path.rglob("*")) == before  # the data files written first are gone
 
 
+LONG_NAME = "x" * 300  # past the 255-byte name limit of common file systems
+
+
+@pytest.mark.parametrize("argv,fails", [
+    (["teleport", "--trials", "3", "--out", f"keep/new/{LONG_NAME}.json"], None),
+    (["optimize", "--target-s", "2.5", "--out-dir", f"keep/deep/er/{LONG_NAME}"], None),
+    (["teleport", "--trials", "3", "--out", "keep/new/o.json"], "o.json.manifest.json"),
+    (["optimize", "--budget", "0.1", "--out-dir", "keep/deep/er"], "budget_report.json"),
+    (["optimize", "--budget", "0.1", "--out-dir", "keep/deep/er"], "manifest.json"),
+], ids=["teleport-long-name", "optimize-long-name", "teleport-manifest", "optimize-data-file",
+        "optimize-manifest"])
+def test_a_failed_run_removes_the_directories_it_created(capsys, tmp_path, monkeypatch, argv,
+                                                         fails):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "keep").mkdir()  # there before the run, so the run leaves it
+    if fails is not None:
+        write = bellmd.cli.dump_json
+
+        def dump_json(path, doc):
+            if path.name == fails:
+                raise OSError(f"cannot write {path.name}")
+            write(path, doc)
+        monkeypatch.setattr(bellmd.cli, "dump_json", dump_json)
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
+    assert (f"cannot write {fails}" if fails else LONG_NAME) in stderr  # the write's own error
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("argv,message", [
     (["mi", "--table", "0.5,x,0.25,0.25"],
      "error: --table must be comma-separated numbers: could not convert string to float: 'x'\n"),

@@ -81,6 +81,27 @@ def test_a_handler_returns_its_run_and_only_main_writes_and_prints(capsys, tmp_p
     assert capsys.readouterr() == (cli.dumps_json(run.summary) + "\n", "")
 
 
+@pytest.mark.parametrize("argv", [
+    *(argv for argv in _commands().values() if {"--out", "--out-dir"} & set(argv)),
+    ["chsh", "--deterministic-max", "--out", "o.json"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_the_manifest_records_every_parsed_option_but_the_output_path(capsys, tmp_path,
+                                                                      monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    _, _, add_arguments = cli._SUBCOMMANDS[argv[0]]
+    parser = argparse.ArgumentParser(prog=f"bellmd {argv[0]}")
+    add_arguments(parser)
+    options = vars(parser.parse_args(argv[1:]))  # argparse keeps the order options are declared
+    _run(capsys, argv)
+    out, out_dir = options.pop("out", None), options.pop("out_dir", None)
+    manifest = json.loads((Path(f"{out}.manifest.json") if out_dir is None
+                           else out_dir / "manifest.json").read_text())
+    assert list(manifest["configuration"].items()) == [
+        (name, str(value) if isinstance(value, Path) else value)
+        for name, value in options.items()]
+    assert manifest["seed"] == options.get("seed")
+
+
 def test_every_command_runs_and_every_figure_holds(capsys, printed):
     assert len(printed) == 12
 
