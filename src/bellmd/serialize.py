@@ -12,6 +12,7 @@ text and buffer layers of ``pathlib``'s readers and writers.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -75,8 +76,14 @@ def _write_text(path: Path | str, text: str) -> None:
     """
     data = memoryview(text.encode("utf-8"))
     with open(path, "wb", buffering=0) as f:
-        while data:
-            data = data[f.write(data):]
+        try:
+            while data:
+                data = data[f.write(data):]
+        except BaseException:  # a write cut short, such as on a full disk, leaves no file
+            f.close()
+            with suppress(OSError):  # the write's own error is the one reported
+                Path(path).unlink()
+            raise
 
 
 def dump_json(path: Path | str, obj) -> None:
@@ -94,35 +101,20 @@ def load_json(path: Path | str):
     return parse_json(_read_bytes(path), path)
 
 
-class _ArrayBoolean:
-    """A JSON ``true`` or ``false`` read inside an array, where the input formats hold numbers.
-
-    It is not a number, so the number check of the field it sits in names that field.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: bool):
-        self.value = value
-
-    def __repr__(self) -> str:
-        return "true" if self.value else "false"
-
-
 def _marked_booleans(obj):
-    """``obj`` with each bool inside a list replaced by an ``_ArrayBoolean``."""
+    """``obj`` with each bool inside a list replaced by its JSON text, ``"true"`` or ``"false"``."""
     if isinstance(obj, dict):
         return {key: _marked_booleans(value) for key, value in obj.items()}
     if isinstance(obj, list):
-        return [_ArrayBoolean(v) if isinstance(v, bool) else _marked_booleans(v) for v in obj]
+        return [_text(v, "") if isinstance(v, bool) else _marked_booleans(v) for v in obj]
     return obj
 
 
 def parse_json(data: bytes, path: Path | str):
     """The JSON document in ``data``, the bytes of ``path``, decoded as a text-mode read would.
 
-    A boolean inside an array comes back as an ``_ArrayBoolean``: numpy would read it among
-    numbers as 1 or 0.  Only a document whose bytes hold ``true`` or ``false`` is walked.
+    A boolean inside an array comes back as its JSON text, ``"true"`` or ``"false"``, which fails a
+    number check where numpy would read 1 or 0.  Only a document whose bytes hold either is walked.
     """
     try:
         text = data.decode("utf-8")
@@ -160,7 +152,7 @@ def _numbers(data, message: str) -> np.ndarray:
         arr = np.array(data)
     except (TypeError, ValueError) as exc:  # ValueError: a ragged array
         raise InputError(message) from exc
-    # O: null, an integer past 2**64, a boolean from a file; U: a string; b: bools
+    # O: null, an integer past 2**64; U: a string, a boolean from a file; b: bools
     if arr.dtype.kind not in "iuf":
         raise InputError(message)
     return arr.astype(float, copy=False)

@@ -1,6 +1,8 @@
 import argparse
 import builtins
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,6 +16,8 @@ import pytest
 
 import bellmd
 from bellmd.cli import main
+from bellmd.lhv import LhvModel, SettingSpace
+from bellmd.serialize import model_to_doc
 from bellmd.teleport import OUTCOME_DRAW
 from oracles import asset_path, min_bits_closed_form, teleport_file_before_sampler
 
@@ -665,6 +669,11 @@ MALFORMED_INPUTS = {
                           "'lambda_count'"),
     "lambda-count-fraction": (_asset_with("brans.json", lambda d: d.update(lambda_count=16.9)),
                               "'lambda_count'"),
+    # a boolean in an array is read as its JSON text, which the message echoes
+    "lambda-count-true-list": (_asset_with("brans.json", lambda d: d.update(lambda_count=[True])),
+                               "error: in: field 'lambda_count' must be an integer, got ['true']"),
+    "alice-false-list": (_asset_with("brans.json", lambda d: d["settings"].update(alice=[False])),
+                         "error: in.settings: field 'alice' must be an integer, got ['false']"),
     "lambda-given-settings-text": (_asset_with(
         "brans.json", lambda d: d["lambda_given_settings"][0].__setitem__(0, "x")),
         "'lambda_given_settings'"),
@@ -760,7 +769,8 @@ MALFORMED_CASES = (
     + [(argv, "deep") for argv in JSON_READERS]
     + [(argv, kind) for argv in MODEL_READERS
        for kind in ("alice-abc", "alice-null", "alice-fraction", "lambda-count-list",
-                    "lambda-count-fraction", "lambda-given-settings-text", "marginal-text",
+                    "lambda-count-fraction", "lambda-count-true-list", "alice-false-list",
+                    "lambda-given-settings-text", "marginal-text",
                     "marginal-bool", "marginal-true-among-numbers", "marginal-rows",
                     "marginal-one-row-table",
                     "alice-response-text")]
@@ -792,6 +802,26 @@ def test_malformed_input_file_exits_2_without_output(capsys, tmp_path, monkeypat
     assert stderr.startswith("error:") and stderr.count("\n") == 1
     assert named in stderr
     assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("lambda_count", 4.0, None),
+    ("alice", 2.0, None),
+    ("bob", 2.0, None),
+    ("lambda_count", 4.5, "error: in: field 'lambda_count' must be an integer, got 4.5\n"),
+])
+def test_an_integer_field_takes_a_float_only_with_no_fraction(capsys, tmp_path, monkeypatch,
+                                                              field, value, message):
+    monkeypatch.chdir(tmp_path)
+    model = LhvModel(SettingSpace(), [[0.25] * 4] * 4, [[1.0, 0.0, 1.0, 0.0]] * 2,
+                     [[1.0, 1.0, 0.0, 0.0]] * 2)
+    doc = model_to_doc(model)
+    (tmp_path / "int.json").write_text(json.dumps(doc))
+    (doc if field == "lambda_count" else doc["settings"])[field] = value
+    (tmp_path / "in").write_text(json.dumps(doc))
+    expected = (2, "", message) if message else run_cli(capsys, "mi", "--model", "int.json")
+    assert expected[0] == (2 if message else 0)
+    assert run_cli(capsys, "mi", "--model", "in") == expected
 
 
 @pytest.mark.parametrize("argv", [JSON_READERS[0], JSON_READERS[2], JSON_READERS[3]],
@@ -853,6 +883,33 @@ def test_a_failed_run_removes_the_directories_it_created(capsys, tmp_path, monke
     assert stderr.startswith("error:") and stderr.count("\n") == 1
     assert (f"cannot write {fails}" if fails else LONG_NAME) in stderr  # the write's own error
     assert sorted(tmp_path.rglob("*")) == before
+
+
+class _HalfWriteFile(io.FileIO):
+    """A file whose write puts out half of its bytes, then fails as a full disk does."""
+
+    def write(self, data):
+        super().write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv,cut", [
+    (["chsh", "--deterministic-max", "--out", "o.json"], "o.json"),
+    (["optimize", "--target-s", "2.5", "--out-dir", "d"], "manifest.json"),
+], ids=["chsh-data-file", "optimize-manifest"])
+def test_a_write_cut_short_leaves_no_file(capsys, tmp_path, monkeypatch, argv, cut):
+    monkeypatch.chdir(tmp_path)
+
+    def open_(path, mode="r", buffering=-1):
+        if Path(path).name == cut:
+            return _HalfWriteFile(path, mode)
+        return builtins.open(path, mode, buffering=buffering)
+    monkeypatch.setattr(bellmd.serialize, "open", open_, raising=False)
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: [Errno 28]") and stderr.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before  # no partial file, and no new directory
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -169,6 +169,15 @@ class TestCmd:
         assert report.normalized == 1.0
 
 
+def test_a_reading_below_the_float_residue_clamp_raises():
+    # a row marginal r above the joint table's own 1 makes the reading log2(1 / r) negative;
+    # within ARITHMETIC of 0 it is float residue, clamped to 0
+    one = np.array([[1.0]])
+    with pytest.raises(InvariantError, match=r"^mutual information -0\.5 below the float-residue"):
+        _mutual_information_bits(one, np.array([2.0 ** 0.5]), np.array([1.0]))
+    assert _mutual_information_bits(one, np.array([2.0 ** 1e-13]), np.array([1.0])) == 0.0
+
+
 class TestEntropyBound:
     """cmd raises when a reading exceeds min(H(S), H(lambda)) + NORMALIZATION.
 

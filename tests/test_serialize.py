@@ -19,6 +19,7 @@ from bellmd.inequalities import (
 )
 from bellmd.lhv import CorrelationTable, brans_construct
 from bellmd.serialize import (
+    _pairs_to_complex,
     _read_bytes,
     chsh_scenario_from_doc,
     dumps_json,
@@ -339,6 +340,14 @@ class TestModelRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(InputError, match="lambda_count"):
             read_model(path)
+
+
+def test_pairs_decode_to_the_bits_of_re_plus_1j_times_im():
+    # the real part of re + 1j * im is re + copysign(0, im): -0.0 stays only with a negative im
+    pairs = [[-0.0, 0.5], [-0.0, -0.5]]
+    values = _pairs_to_complex(pairs, "pairs")
+    assert [math.copysign(1.0, z.real) for z in values] == [1.0, -1.0]
+    assert values.tobytes() == np.array([re + 1j * im for re, im in pairs]).tobytes()
 
 
 def _bell_optimal_doc() -> dict:
