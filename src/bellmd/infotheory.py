@@ -37,8 +37,6 @@ def _mutual_information_bits(joint: np.ndarray, row_m: np.ndarray, col_m: np.nda
         p, outer = joint.reshape(-1), outer.reshape(-1)
     else:
         p, outer = joint[mask], outer[mask]
-    if not p.size:
-        return 0.0
     if outer.min() >= _TINY:
         log_ratio = np.log2(p / outer)
     else:  # p(x) p(y) underflowed where p(x, y) did not: one marginal at a time, and

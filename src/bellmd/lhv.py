@@ -96,25 +96,18 @@ _FIELDS = ("lambda_given_settings", "alice_response", "bob_response")
 
 
 def _model_tables(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...]:
-    """A model's three tables checked in one pass over their stack, in ``LhvModel``'s order."""
+    """The tables: each one's conversion and shape in field order, then entries in one pass."""
     n, n_a = space.n_joint, space.alice_settings
     lgs = np.asarray(lgs, dtype=float)  # np.concatenate below makes the copy the model keeps
-    if lgs.ndim == 1:  # a flat row is the one-setting table
-        lgs = lgs.reshape(1, -1)
     if lgs.ndim != 2:
         raise InputError("lambda_given_settings must be a 2-d table")
     if lgs.shape[0] != n:
         raise InputError(f"lambda_given_settings needs {n} rows, got {lgs.shape[0]}")
-    arrays, lam, defect = [lgs], lgs.shape[1], None
+    arrays, lam = [lgs], lgs.shape[1]
     for name, table, rows in zip(_FIELDS[1:], (alice, bob), (n_a, space.bob_settings)):
-        try:
-            arr = np.asarray(table, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            defect = exc
-            break
+        arr = np.asarray(table, dtype=float)
         if arr.shape != (rows, lam):
-            defect = InputError(f"{name} must have shape ({rows}, {lam}), got {arr.shape}")
-            break
+            raise InputError(f"{name} must have shape ({rows}, {lam}), got {arr.shape}")
         arrays.append(arr)
     stack = np.concatenate(arrays)
     # the bounds reject NaN too, and an entry past 1 fails its row sum anyway, which bounding
@@ -130,8 +123,6 @@ def _model_tables(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...
         rows = (slice(0, n), slice(n, n + n_a), slice(n + n_a, None))
         for name, table_rows, row_atol in zip(_FIELDS, rows, (_ROW_ATOL, None, None)):
             _check_table(name, stack[table_rows], row_atol)
-    if defect is not None:  # a response table that did not stack, after those before it pass
-        raise defect
     stack.setflags(write=False)
     return stack[:n], stack[n:n + n_a], stack[n + n_a:]
 
@@ -139,15 +130,15 @@ def _model_tables(space: SettingSpace, lgs, alice, bob) -> tuple[np.ndarray, ...
 class LhvModel(Frozen):
     """Hidden-variable distribution plus factorizable +/-1 response tables.
 
-    lambda_given_settings has one row per joint setting (each a distribution
-    over lambda; a flat row is the one-setting table); alice_response[a, l] and
-    bob_response[b, l] give the probability of outcome +1.
+    lambda_given_settings is a 2-d table with one row per joint setting (each a
+    distribution over lambda); alice_response[a, l] and bob_response[b, l] give
+    the probability of outcome +1.
 
-    The tables are checked in one pass, in that field order; for each, its
-    conversion and shape, then finite entries, then entries within
-    ``ARITHMETIC`` of [0, 1] ([0, inf) for lambda_given_settings), then its row
-    sums within ``ARITHMETIC`` / 4 of 1 after the clip.  The first defect raises,
-    naming its field, or numpy's own error for a table that does not convert.
+    Each table's conversion and shape are checked first, in that field order; then
+    the entries in one pass: finite, within ``ARITHMETIC`` of [0, 1] ([0, inf) for
+    lambda_given_settings), then row sums within ``ARITHMETIC`` / 4 of 1 after the
+    clip.  The first defect raises, naming its field in field order, or numpy's own
+    error for a table that does not convert.
     """
 
     __slots__ = ("setting_space", *_FIELDS)

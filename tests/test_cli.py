@@ -756,6 +756,42 @@ MALFORMED_INPUTS = {
         "brans.json", lambda d: d["settings"].update(marginal=[1e308, 1e308, 0.0, 0.0])),
         "error: setting marginal sums to inf, expected 1"),
     "teleport-huge": ("", "squared norm inf, expected 1"),
+    # every table's shape is checked before any table's entries
+    "alice-response-above-1": (_asset_with(
+        "brans.json", lambda d: d["alice_response"][0].__setitem__(0, 2.0)),
+        "error: alice_response entries must lie in [0, 1]"),
+    "lambda-3-rows": (_asset_with(
+        "brans.json", lambda d: d.update(lambda_given_settings=d["lambda_given_settings"][:3])),
+        "error: lambda_given_settings needs 4 rows, got 3"),
+    "alice-response-short": (_asset_with(
+        "brans.json", lambda d: d.update(alice_response=[r[:-1] for r in d["alice_response"]])),
+        "error: alice_response must have shape (2, 16), got (2, 15)"),
+    "lambda-count-15": (_asset_with("brans.json", lambda d: d.update(lambda_count=15)),
+                        "error: in: lambda_given_settings shape (4, 16) does not match "
+                        "lambda_count 15"),
+    "lambda-negative-and-alice-short": (_asset_with(
+        "brans.json", lambda d: (d["lambda_given_settings"][0].__setitem__(0, -0.5),
+                                 d.update(alice_response=[r[:-1] for r in d["alice_response"]]))),
+        "error: alice_response must have shape (2, 16), got (2, 15)"),
+    "observable-2x3": (_asset_with(
+        "bell-optimal.json", lambda d: d["alice_observables"].__setitem__(
+            0, [[[float(i == j), 0.0] for j in range(3)] for i in range(2)])),
+        "error: operator must be a nonempty square matrix, got shape (2, 3)"),
+    "state-nested": (_asset_with("bell-optimal.json",
+                                 lambda d: d.update(state=[[pair] for pair in d["state"]])),
+                     "error: in.state: state must be a flat list of [re, im] pairs"),
+    "four-vectors": (_asset_with("kcbs-pentagram.json",
+                                 lambda d: d.update(vectors=d["vectors"][:4])),
+                     "error: need five 3-vectors, got shape (4, 3)"),
+    "vector-nan": (_asset_with(
+        "kcbs-pentagram.json", lambda d: d["vectors"][1].__setitem__(0, math.nan)),
+        "error: vectors must be finite"),
+    "kcbs-state-2": (_asset_with("kcbs-pentagram.json",
+                                 lambda d: d.update(state=[[1.0, 0.0], [0.0, 0.0]])),
+                     "error: state must be a qutrit"),
+    "kcbs-state-nested": (_asset_with("kcbs-pentagram.json",
+                                      lambda d: d.update(state=[[pair] for pair in d["state"]])),
+                          "error: in.state: state must be a flat list of [re, im] pairs"),
 }
 JSON_READERS = (
     ["chsh", "--scenario", "in", "--out", "o.json"],
@@ -784,6 +820,12 @@ MALFORMED_CASES = (
     + [(JSON_READERS[3], "vector-huge")]
     + [(argv, kind) for argv in MODEL_READERS for kind in ("lambda-row-huge", "marginal-huge")]
     + [(["teleport", "--a-re", "1e200", "--out", "o.json"], "teleport-huge")]
+    + [(argv, kind) for argv in MODEL_READERS
+       for kind in ("alice-response-above-1", "lambda-3-rows", "alice-response-short",
+                    "lambda-count-15", "lambda-negative-and-alice-short")]
+    + [(JSON_READERS[0], kind) for kind in ("observable-2x3", "state-nested")]
+    + [(JSON_READERS[3], kind) for kind in ("four-vectors", "vector-nan", "kcbs-state-2",
+                                            "kcbs-state-nested")]
 )
 
 
@@ -1130,6 +1172,16 @@ def test_internal_invariant_breach_exits_3(capsys, monkeypatch):
     code, _, stderr = run_cli(capsys, "mi", "--table", "0.25,0.25,0.25,0.25")
     assert code == 3
     assert "internal error" in stderr
+
+
+def test_running_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhaust(*_):
+        raise MemoryError("x")
+
+    monkeypatch.setattr(bellmd.cli, "_mutual_information_bits", exhaust)
+    code, stdout, stderr = run_cli(capsys, "mi", "--table", "0.25,0.25,0.25,0.25")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: not enough memory for this run: x\n"
 
 
 def _with_observable(party, k, matrix):

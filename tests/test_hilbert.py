@@ -45,6 +45,10 @@ class TestStateVector:
             StateVector([1.0, 1.0])
         StateVector([SQRT2_INV, SQRT2_INV])  # fine
 
+    def test_fidelity_needs_equal_dimensions(self):
+        with pytest.raises(InputError, match="^dimension mismatch: 2 vs 3$"):
+            StateVector([1, 0]).fidelity(StateVector([1, 0, 0]))
+
     def test_rejects_junk(self):
         with pytest.raises(InputError):
             StateVector([])

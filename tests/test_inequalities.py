@@ -145,6 +145,11 @@ class TestChshQuantum:
             assert np.max(np.abs(table.correlators - corr)) <= 1e-12
             assert np.max(np.abs(table.joint - joint)) <= 1e-12
 
+    def test_each_party_needs_two_observables(self):
+        with pytest.raises(InputError, match="^each party needs exactly two observables$"):
+            ChshScenario([oracles.PAULI_Z, oracles.PAULI_X, oracles.PAULI_Z],
+                         StateVector([1, 0, 0, 0]))
+
     def test_observables_must_square_to_identity(self):
         bad = 0.5 * np.eye(2, dtype=complex)
         state = StateVector([1, 0, 0, 0])

@@ -266,6 +266,11 @@ class TestValidation:
         with pytest.raises(TypeError):
             CorrelationTable(joint, np.zeros((2, 3)))  # joint is the only field
 
+    def test_joint_needs_two_by_two_outcomes(self):
+        with pytest.raises(InputError, match=r"^joint table must have shape \(a, b, 2, 2\), "
+                                             r"got \(2, 2, 4\)$"):
+            CorrelationTable(np.full((2, 2, 4), 0.25))
+
 
 LGS = np.full((4, 3), 1.0 / 3.0)
 RESPONSE = np.full((2, 3), 0.5)
@@ -278,8 +283,8 @@ def _with_entry(table: np.ndarray, value: float) -> np.ndarray:
     return table
 
 
-# one defect per field, with the exception and message each field's own check raised
-# before LhvModel checked its three tables in one pass
+# one defect per field, with the exception and message it raises: every table's conversion
+# and shape are checked before any table's entries
 DEFECTS = [
     *[(f"{field}-{label}", {field: _with_entry(LGS if field == FIELDS[0] else RESPONSE, value)},
        InputError, f"{field} entries must be finite")
@@ -298,25 +303,25 @@ DEFECTS = [
     ("lambda_given_settings-3d", {FIELDS[0]: LGS[None]},
      InputError, "lambda_given_settings must be a 2-d table"),
     ("lambda_given_settings-1d", {FIELDS[0]: LGS[0]},
-     InputError, "lambda_given_settings needs 4 rows, got 1"),
+     InputError, "lambda_given_settings must be a 2-d table"),
     ("lambda_given_settings-sum", {FIELDS[0]: np.vstack([LGS[:3], 1.5 * LGS[3:]])},
      InputError, "lambda_given_settings rows must each sum to 1 within 1e-12"),
     ("no-lambda", {field: np.zeros((n, 0)) for field, n in zip(FIELDS, (4, 2, 2))},
      InputError, "lambda_given_settings rows must each sum to 1 within 1e-12"),
     ("lambda_given_settings-text", {FIELDS[0]: [[1.0, "x", 0.0]] * 4},
      ValueError, "could not convert string to float: 'x'"),
-    ("ragged-alice-after-nan-lambda", {FIELDS[0]: _with_entry(LGS, np.nan),
-                                       FIELDS[1]: [[0.5], [0.5, 0.5]]},
-     InputError, "lambda_given_settings entries must be finite"),
-    # defects in two fields: the first field in the order lambda_given_settings,
-    # alice_response, bob_response raises; the per-field checks raised a response's
-    # defect before a row sum between 2.5e-13 and 1e-12 off 1
+    ("alice-shape-after-nan-lambda", {FIELDS[0]: _with_entry(LGS, np.nan),
+                                      FIELDS[1]: np.full((2, 4), 0.5)},
+     InputError, "alice_response must have shape (2, 3), got (2, 4)"),
+    # defects in two fields: a shape defect raises before any entry defect, even a row sum
+    # between 2.5e-13 and 1e-12 off 1; of two entry defects, the first field in the order
+    # lambda_given_settings, alice_response, bob_response raises
     ("alice-above-and-bob-nan", {FIELDS[1]: _with_entry(RESPONSE, 1.0 + 2e-12),
                                  FIELDS[2]: _with_entry(RESPONSE, np.nan)},
      InputError, "alice_response entries must lie in [0, 1]"),
     ("lambda-sum-near-and-bob-shape", {FIELDS[0]: LGS * (1.0 + 5e-13),
                                        FIELDS[2]: np.full((2, 4), 0.5)},
-     InputError, "lambda_given_settings rows must each sum to 1 within 2.5e-13"),
+     InputError, "bob_response must have shape (2, 3), got (2, 4)"),
 ]
 
 
@@ -329,12 +334,12 @@ def test_a_defect_raises_as_each_field_checked_alone(tables, error, message):
     assert str(raised.value) == message
 
 
-def test_a_flat_row_is_the_one_setting_table():
-    flat = LhvModel(SettingSpace(1, 1), [0.25, 0.75], [[1.0, 0.0]], [[0.0, 1.0]])
+def test_a_flat_lambda_row_is_rejected():
+    with pytest.raises(InputError, match="^lambda_given_settings must be a 2-d table$"):
+        LhvModel(SettingSpace(1, 1), [0.25, 0.75], [[1.0, 0.0]], [[0.0, 1.0]])
     table = LhvModel(SettingSpace(1, 1), [[0.25, 0.75]], [[1.0, 0.0]], [[0.0, 1.0]])
     for name in FIELDS:
-        assert getattr(flat, name).tobytes() == getattr(table, name).tobytes()
-        assert not getattr(flat, name).flags.writeable
+        assert not getattr(table, name).flags.writeable
 
 
 def test_nonsquare_setting_spaces_supported():

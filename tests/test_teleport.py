@@ -142,6 +142,11 @@ def test_sampler_rejects_bad_probabilities(p):
         outcome_counts(p, 10)
 
 
+def test_sampler_needs_a_positive_trial_count():
+    with pytest.raises(InputError, match="^trials must be positive$"):
+        outcome_counts([0.25] * 4, 0)
+
+
 def test_branch_transcripts_match_each_branch(rng):
     inp = random_input(rng)
     transcripts = branch_transcripts(inp)
