@@ -4,7 +4,7 @@ One subcommand per capability: ``teleport`` runs the protocol, ``chsh`` and
 ``kcbs`` evaluate inequalities, ``mi`` computes mutual information, and
 ``optimize`` drives the dependence/CHSH search.  A ``cmd_*`` handler returns a
 ``_Run`` of what only it knows and neither writes nor prints.  ``main`` derives
-the rest from the parsed arguments, writes the data files, then the manifest,
+the rest from the parsed arguments, writes the manifest, then the data files,
 and only then prints the summary; a failed write removes all the run created.
 Data files are byte-reproducible under a fixed seed; the manifest's timing is not.
 
@@ -70,8 +70,8 @@ class _Run:
 
 
 def _write_run(run: _Run, args, subcommand: str, started: float) -> None:
-    """Write the data files, then ``<out>.manifest.json`` or ``<out_dir>/manifest.json`` with every
-    option but the output path.  A failure removes the files and directories this run made."""
+    """Write the manifest, timed before any data file, then the data files.  A failure removes
+    what this run made: the manifest, even one it overwrote, and the data files written so far."""
     import hashlib  # here, not at the top: only runs that write a manifest pay its ~3 ms (OpenSSL)
 
     out = getattr(args, "out", None)
@@ -84,19 +84,18 @@ def _write_run(run: _Run, args, subcommand: str, started: float) -> None:
         except OSError:  # it is a directory already, or some ancestors are missing too
             if created := list(takewhile(lambda d: not d.is_dir(), manifest.parents)):
                 manifest.parent.mkdir(parents=True, exist_ok=True)
-        for path, write, value in run.files:
-            write(path, value)
-            written.append(path)
-        dump_json(manifest, {
+        for path, write, value in [(manifest, dump_json, {
             "subcommand": subcommand,
             "configuration": {k: v for k, v in vars(args).items() if k not in ("out", "out_dir")},
             "input_digests": {path: hashlib.sha256(data).hexdigest()
                               for path, data in run.inputs.items()},
-            "output_files": [str(path) for path in written],
+            "output_files": [str(path) for path, _, _ in run.files],
             "seed": getattr(args, "seed", None),
             "tool_version": __version__,
             "duration_seconds": time.monotonic() - started,
-        })
+        }), *run.files]:
+            write(path, value)
+            written.append(path)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

@@ -30,8 +30,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _as_complex_vector(values) -> np.ndarray:
     arr = _freeze(np.array(values, dtype=np.complex128)).reshape(-1)  # the base frozen too
-    if arr.size == 0:
-        raise InputError("state vector needs at least one amplitude")
     if not np.logical_and.reduce(np.isfinite(arr)):
         raise InputError("state vector amplitudes must be finite")
     return arr

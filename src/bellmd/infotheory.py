@@ -33,10 +33,7 @@ def entropy_bits(distribution) -> float:
 def _mutual_information_bits(joint: np.ndarray, row_m: np.ndarray, col_m: np.ndarray) -> float:
     mask = joint > 0.0
     outer = row_m[:, None] * col_m
-    if mask.all():  # nothing to drop: reshape(-1) keeps the C order a boolean gather gives
-        p, outer = joint.reshape(-1), outer.reshape(-1)
-    else:
-        p, outer = joint[mask], outer[mask]
+    p, outer = joint[mask], outer[mask]
     if outer.min() >= _TINY:
         log_ratio = np.log2(p / outer)
     else:  # p(x) p(y) underflowed where p(x, y) did not: one marginal at a time, and

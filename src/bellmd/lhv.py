@@ -254,5 +254,4 @@ def brans_construct(target: CorrelationTable) -> LhvModel:
 def measurement_independent(model: LhvModel, tolerance: float = 1e-9) -> bool:
     """True iff p(lambda | a, b) is the same distribution for every joint setting."""
     lgs = model.lambda_given_settings
-    spread = float(np.max(lgs.max(axis=0) - lgs.min(axis=0))) if lgs.shape[0] > 1 else 0.0
-    return spread <= tolerance
+    return float(np.max(lgs.max(axis=0) - lgs.min(axis=0))) <= tolerance

@@ -881,19 +881,29 @@ def test_an_unreadable_input_path_exits_2_with_its_os_error(capsys, tmp_path, mo
     assert sorted(tmp_path.iterdir()) == before  # no --out file, no manifest
 
 
-@pytest.mark.parametrize("argv,manifest", [
-    (["optimize", "--budget", "0.1", "--out-dir", "od"], "od/manifest.json"),
-    (["chsh", "--deterministic-max", "--out", "o.json"], "o.json.manifest.json"),
-    (["teleport", "--trials", "3", "--out", "o.json"], "o.json.manifest.json"),
-], ids=lambda v: v[0] if isinstance(v, list) else None)
-def test_a_failed_manifest_write_prints_no_summary(capsys, tmp_path, monkeypatch, argv, manifest):
+@pytest.mark.parametrize("argv,manifest,keep", [
+    (["optimize", "--budget", "0.1", "--out-dir", "od"], "od/manifest.json", None),
+    (["chsh", "--deterministic-max", "--out", "o.json"], "o.json.manifest.json", None),
+    (["teleport", "--trials", "3", "--out", "o.json"], "o.json.manifest.json", None),
+    (["optimize", "--target-s", "2.5", "--out-dir", "od"], "od/manifest.json",
+     "od/min_cmd_model.json"),
+    (["chsh", "--deterministic-max", "--out", "o.json"], "o.json.manifest.json", "o.json"),
+    (["teleport", "--trials", "3", "--out", "o.json"], "o.json.manifest.json", "o.json"),
+], ids=["optimize-od/manifest.json", "chsh-o.json.manifest.json", "teleport-o.json.manifest.json",
+        "optimize-keep", "chsh-keep", "teleport-keep"])
+def test_a_failed_manifest_write_prints_no_summary(capsys, tmp_path, monkeypatch, argv, manifest,
+                                                   keep):
     monkeypatch.chdir(tmp_path)
     (tmp_path / manifest).mkdir(parents=True)  # a directory where the manifest goes
+    if keep is not None:  # a data file from an earlier run, which the manifest's failure keeps
+        (tmp_path / keep).write_bytes(b"earlier run\n")
     before = sorted(tmp_path.rglob("*"))
     code, stdout, stderr = run_cli(capsys, *argv)
     assert (code, stdout) == (2, "")
     assert stderr.startswith("error:") and stderr.count("\n") == 1
-    assert sorted(tmp_path.rglob("*")) == before  # the data files written first are gone
+    assert sorted(tmp_path.rglob("*")) == before  # the run wrote no data file
+    if keep is not None:
+        assert (tmp_path / keep).read_bytes() == b"earlier run\n"
 
 
 LONG_NAME = "x" * 300  # past the 255-byte name limit of common file systems

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
-from bellmd.errors import InputError
-from bellmd.hilbert import OperatorMatrix, StateVector, expectation, tensor_op
+from bellmd.errors import InputError, InvariantError
+from bellmd.hilbert import (
+    OperatorMatrix,
+    StateVector,
+    _hermitian_expectations,
+    expectation,
+    tensor_op,
+)
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 ZERO = StateVector([1.0, 0.0])
@@ -45,12 +51,18 @@ class TestStateVector:
             StateVector([1.0, 1.0])
         StateVector([SQRT2_INV, SQRT2_INV])  # fine
 
+    def test_the_norm_gate_sits_at_its_tolerance(self):
+        # squared norms half and five times NORMALIZATION (1e-9) from 1
+        StateVector([math.sqrt(1.0 + 5e-10), 0.0])
+        with pytest.raises(InputError, match=r"^amplitudes have squared norm 1\.000000005, "):
+            StateVector([math.sqrt(1.0 + 5e-9), 0.0])
+
     def test_fidelity_needs_equal_dimensions(self):
         with pytest.raises(InputError, match="^dimension mismatch: 2 vs 3$"):
             StateVector([1, 0]).fidelity(StateVector([1, 0, 0]))
 
     def test_rejects_junk(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^amplitudes have squared norm 0, expected 1$"):
             StateVector([])
         with pytest.raises(InputError):
             StateVector([np.nan, 0.0])
@@ -170,6 +182,12 @@ class TestExpectations:
         with pytest.raises(InputError, match="does not match state dimension"):
             expectation(PAULI_X, StateVector([1.0, 0.0, 0.0, 0.0]))
 
+    def test_an_imaginary_residue_past_its_tolerance_raises(self):
+        # a non-hermitian stack, which no caller passes: <psi|A|psi> = i/2 for psi = (1, i)/sqrt2
+        ops = np.array([[[0, 1], [0, 0]]], dtype=complex)
+        with pytest.raises(InvariantError, match=r"^expectation has imaginary residue 0\.5$"):
+            _hermitian_expectations(ops, StateVector([SQRT2_INV, 1j * SQRT2_INV]))
+
 
 class TestOperatorAndMeasurementValidation:
     def test_hermitian_flag_checked(self):
@@ -180,6 +198,11 @@ class TestOperatorAndMeasurementValidation:
         within = OperatorMatrix(np.array([[0, 1], [1 + 5e-13, 0]], dtype=complex)).entries
         assert within[0, 1] == within[1, 0]
         assert abs(within[0, 1] - (1 + 2.5e-13)) <= 1e-15
+
+    def test_a_residue_of_exactly_the_tolerance_loads(self):
+        # max |A - A^dagger| = 1e-12 = ARITHMETIC, the largest residue the check allows
+        entries = OperatorMatrix(np.array([[0, 1e-12], [0, 0]], dtype=complex)).entries
+        assert entries[0, 1] == entries[1, 0] == 5e-13
 
     def test_stored_entries_are_exactly_hermitian(self, rng):
         for dim in (2, 3, 4):

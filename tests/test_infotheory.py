@@ -168,6 +168,14 @@ class TestCmd:
         assert report.raw_bits == report.setting_entropy_bits > 0.0
         assert report.normalized == 1.0
 
+    def test_a_subnormal_product_of_marginals_is_not_divided_by(self):
+        # p(lambda) p(s) = 1e-320 is subnormal, with about 11 significant bits; dividing
+        # p(lambda, s) = 1e-160 by it would put the score 3e-8 off the setting entropy
+        rare = 1e-160
+        model = LhvModel(SettingSpace(1, 2, marginal=[1.0, rare]), [[1.0, 0.0], [0.0, 1.0]],
+                         np.zeros((1, 2)), np.zeros((2, 2)))
+        assert cmd(model).raw_bits == entropy_bits([1.0, rare]) > 0.0
+
 
 def test_a_reading_below_the_float_residue_clamp_raises():
     # a row marginal r above the joint table's own 1 makes the reading log2(1 / r) negative;

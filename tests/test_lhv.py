@@ -133,6 +133,14 @@ class TestMeasurementIndependent:
         assert measurement_independent(model, tolerance=tol)
         assert not measurement_independent(model, tolerance=1e-8)
 
+    @pytest.mark.parametrize("alice,bob", [(1, 1), (2, 2)], ids=["one row", "four rows"])
+    def test_equal_rows_are_independent_at_tolerance_zero(self, alice, bob):
+        # the spread is the largest max - min over the rows, exactly 0 for equal rows or one row
+        lgs = np.tile([0.25, 0.75], (alice * bob, 1))
+        model = LhvModel(SettingSpace(alice, bob), lgs, np.full((alice, 2), 0.5),
+                         np.full((bob, 2), 0.5))
+        assert measurement_independent(model, tolerance=0.0)
+
 
 class TestClassicalBound:
     def test_randomized_independent_models_respect_chsh_bound(self, rng):

@@ -79,6 +79,12 @@ class TestClosedForm:
         assert not outcome.feasible
         assert outcome.chsh == 2.0
 
+    @pytest.mark.parametrize("shortfall,feasible", [(2e-12, False), (5e-13, True)])
+    def test_feasible_allows_float_headroom_and_no_more(self, monkeypatch, shortfall, feasible):
+        # the headroom is 1e-12: 2e-12 below the target is a shortfall, 5e-13 float rounding
+        monkeypatch.setattr(mdsearch, "chsh_value", lambda table: 2.5 - shortfall)
+        assert min_cmd_for_chsh(2.5).feasible is feasible
+
     def test_no_random_model_beats_the_closed_form(self):
         # the closed form is the frontier: a model reaching S > 2 carries at least I(S) bits.
         # Dirichlet rows with log-uniform concentrations, responses 0/1 in every other model

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bellmd.serialize
 from bellmd.errors import InputError
 from bellmd.inequalities import (
     _OBSERVABLE_NAMES,
@@ -22,6 +24,7 @@ from bellmd.serialize import (
     _pairs_to_complex,
     _read_bytes,
     chsh_scenario_from_doc,
+    dump_json,
     dumps_json,
     kcbs_scenario_from_doc,
     load_json,
@@ -289,6 +292,21 @@ def test_load_json_reads_as_a_text_mode_read(tmp_path, case):
         assert type(exc.__cause__) is type(expected) and str(exc.__cause__) == str(expected)
     else:
         assert got == expected
+
+
+class _ShortWriteFile(io.FileIO):
+    """A file whose write takes at most 7 bytes, as a raw write may."""
+
+    def write(self, data):
+        return super().write(data[:7])
+
+
+def test_a_short_write_is_continued_until_all_bytes_are_out(tmp_path, monkeypatch):
+    monkeypatch.setattr(bellmd.serialize, "open",
+                        lambda path, mode, buffering: _ShortWriteFile(path, mode), raising=False)
+    doc = {"chsh_value": 2.828427124746, "source": "caf\u00e9"}
+    dump_json(tmp_path / "doc.json", doc)
+    assert (tmp_path / "doc.json").read_bytes() == (dumps_json(doc) + "\n").encode()
 
 
 @pytest.mark.parametrize("content", [b"", b'{\r\n  "a": 1\r\n}\r\n', b'{"a": 1}',

@@ -147,6 +147,26 @@ def test_sampler_needs_a_positive_trial_count():
         outcome_counts([0.25] * 4, 0)
 
 
+class _FixedUniforms:
+    """A generator whose uniforms are given, drawn in place as ``Generator.random(out=...)``."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, out):
+        out[:] = self.values[:out.size]
+        return out
+
+
+def test_the_thresholds_are_the_cumulative_sums_over_their_last(monkeypatch):
+    # these cumulative sums end at 1.0000000000000002; choice divides them by that last sum,
+    # which takes the thresholds 0.30000000000000004 and 0.9000000000000001 down to 0.3 and
+    # 0.8999999999999999, so each of these uniforms counts one outcome higher
+    uniforms = np.array([0.3, 0.8999999999999999, 0.9])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedUniforms(uniforms))
+    assert outcome_counts([0.3, 0.3, 0.3, 0.1], 3) == [0, 1, 0, 2]
+
+
 def test_branch_transcripts_match_each_branch(rng):
     inp = random_input(rng)
     transcripts = branch_transcripts(inp)
