@@ -1,6 +1,6 @@
 """Entry point for ``python -m bellmd``."""
 
-from .cli import run
+from .cli import main
 
 if __name__ == "__main__":
-    run()
+    raise SystemExit(main())

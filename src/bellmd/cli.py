@@ -337,7 +337,3 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-
-
-def run() -> None:
-    raise SystemExit(main())

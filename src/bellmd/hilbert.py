@@ -28,13 +28,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_complex_vector(values) -> np.ndarray:
-    arr = _freeze(np.array(values, dtype=np.complex128)).reshape(-1)  # the base frozen too
-    if not np.logical_and.reduce(np.isfinite(arr)):
-        raise InputError("state vector amplitudes must be finite")
-    return arr
-
-
 class StateVector(Frozen):
     """Complex amplitude vector of unit length.
 
@@ -44,7 +37,9 @@ class StateVector(Frozen):
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes) -> None:
-        arr = _as_complex_vector(amplitudes)
+        arr = _freeze(np.array(amplitudes, dtype=np.complex128)).reshape(-1)  # the base frozen too
+        if not np.logical_and.reduce(np.isfinite(arr)):
+            raise InputError("state vector amplitudes must be finite")
         self._assign(arr)
         # an amplitude past 2 fails the gate either way; the clamp keeps its square finite
         actual = float(np.add.reduce(np.minimum(np.abs(arr), 2.0) ** 2))

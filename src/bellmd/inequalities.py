@@ -22,7 +22,7 @@ from .hilbert import expectation, tensor_op  # noqa: F401
 from .lhv import CorrelationTable
 from .tolerances import ARITHMETIC, OPERATOR
 
-KCBS_QUANTUM_OPTIMAL = 5.0 - 4.0 * math.sqrt(5.0)
+KCBS_QUANTUM_OPTIMAL = -3.9442719099991588  # 5 - 4 sqrt(5), correctly rounded
 
 # index of the Gram-matrix entries (i, i + 1 mod 5) of a five-cycle
 _CYCLE = (np.arange(5), np.array([1, 2, 3, 4, 0]))

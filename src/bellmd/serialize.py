@@ -12,8 +12,8 @@ text and buffer layers of ``pathlib``'s readers and writers.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import suppress
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,8 @@ from .errors import InputError
 from .hilbert import StateVector
 from .inequalities import ChshScenario, KcbsScenario
 from .lhv import LhvModel, SettingSpace
+
+_quote = json.JSONEncoder().encode  # a str as json.dumps quotes it: ASCII, with \u escapes
 
 
 def _key(key) -> str:  # quoted, as json.dumps writes a key: a number, bool or None as its text
@@ -110,22 +112,46 @@ def _marked_booleans(obj):
     return obj
 
 
+def _unique_keys(pairs: list) -> dict:
+    """An object's ``(key, value)`` pairs as a dict; a key given twice is bad input, since
+    parsers disagree on which of its values wins (RFC 8259, section 4)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InputError(f"key {key!r:.40} appears more than once in one object")
+            seen.add(key)
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # built once, not per json.loads
+
+
 def parse_json(data: bytes, path: Path | str):
     """The JSON document in ``data``, the bytes of ``path``, decoded as a text-mode read would.
 
     A boolean inside an array comes back as its JSON text, ``"true"`` or ``"false"``, which fails a
     number check where numpy would read 1 or 0.  Only a document whose bytes hold either is walked.
+    A key given twice in one object, or an integer past ``int``'s digit limit, is an InputError.
     """
     try:
         text = data.decode("utf-8")
         if "\r" in text:  # the universal newlines of a text-mode read, which error offsets count
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        doc = json.loads(text)
+        if text.startswith("\ufeff"):  # json.loads's own check, which the decoder leaves out
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
         return _marked_booleans(doc) if b"true" in data or b"false" in data else doc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
+    except InputError as exc:  # a repeated key, from _unique_keys
+        raise InputError(f"{path}: {exc}") from None
+    except ValueError as exc:  # int() refuses a literal past its digit limit, 4300 by default
+        digits = f"more than {sys.get_int_max_str_digits()} digits"
+        raise InputError(f"{path}: an integer has {digits}, too many to read") from exc
     except RecursionError as exc:
         raise InputError(f"{path}: JSON nested too deeply to read") from exc
 

@@ -42,7 +42,7 @@ class TeleportInput(Value):
 
     def __init__(self, a: complex, b: complex) -> None:
         a, b = complex(a), complex(b)
-        self._assign(a, b, StateVector(np.array([a, b])))
+        self._assign(a, b, StateVector([a, b]))
 
     def state(self) -> StateVector:
         return self._state

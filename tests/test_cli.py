@@ -19,6 +19,14 @@ from bellmd.cli import main
 from bellmd.lhv import LhvModel, SettingSpace
 from bellmd.serialize import model_to_doc
 from bellmd.teleport import OUTCOME_DRAW
+from cli_inputs import (
+    HOSTILE_READERS,
+    JSON_READERS,
+    MALFORMED_CASES,
+    MALFORMED_INPUTS,
+    asset_with,
+    hostile_cases,
+)
 from oracles import asset_path, min_bits_closed_form, teleport_file_before_sampler
 
 
@@ -649,186 +657,6 @@ def test_mode_errors_exit_2_at_parse_time(capsys, tmp_path, monkeypatch, argv):
     assert not any(tmp_path.iterdir())
 
 
-def _asset_with(name, edit):
-    doc = json.loads(asset_path(name).read_text())
-    edit(doc)
-    return json.dumps(doc)
-
-
-# name -> (file contents as bytes or text, what the error message must name)
-MALFORMED_INPUTS = {
-    "non-utf8": (b'{"state": "\xff\xfe"}', "UTF-8"),
-    "deep": ("[" * 100_000, "nested"),
-    "alice-abc": (_asset_with("brans.json", lambda d: d["settings"].update(alice="abc")),
-                  "'alice'"),
-    "alice-null": (_asset_with("brans.json", lambda d: d["settings"].update(alice=None)),
-                   "'alice'"),
-    "alice-fraction": (_asset_with("brans.json", lambda d: d["settings"].update(alice=2.7)),
-                       "'alice'"),
-    "lambda-count-list": (_asset_with("brans.json", lambda d: d.update(lambda_count=[1])),
-                          "'lambda_count'"),
-    "lambda-count-fraction": (_asset_with("brans.json", lambda d: d.update(lambda_count=16.9)),
-                              "'lambda_count'"),
-    # a boolean in an array is read as its JSON text, which the message echoes
-    "lambda-count-true-list": (_asset_with("brans.json", lambda d: d.update(lambda_count=[True])),
-                               "error: in: field 'lambda_count' must be an integer, got ['true']"),
-    "alice-false-list": (_asset_with("brans.json", lambda d: d["settings"].update(alice=[False])),
-                         "error: in.settings: field 'alice' must be an integer, got ['false']"),
-    "lambda-given-settings-text": (_asset_with(
-        "brans.json", lambda d: d["lambda_given_settings"][0].__setitem__(0, "x")),
-        "'lambda_given_settings'"),
-    "marginal-text": (_asset_with(
-        "brans.json", lambda d: d["settings"]["marginal"].__setitem__(0, "0.25")),
-        "settings: field 'marginal' must be a regular array of numbers"),
-    "marginal-bool": (_asset_with(
-        "brans.json", lambda d: d["settings"].update(marginal=[True, False, False, False])),
-        "settings: field 'marginal' must be a regular array of numbers"),
-    # a boolean among numbers used to read as 1 or 0
-    "marginal-true-among-numbers": (_asset_with(
-        "brans.json", lambda d: d["settings"].update(marginal=[True, 0, 0, 0])),
-        "settings: field 'marginal' must be a regular array of numbers"),
-    # a marginal is one flat row: a table of rows used to load as its row 0
-    "marginal-rows": (_asset_with(
-        "brans.json", lambda d: d["settings"].update(marginal=[[0.25] * 4, [0.7, 0.1, 0.1, 0.1]])),
-        "error: setting marginal must be a flat list of 4 entries, got shape (2, 4)"),
-    "marginal-one-row-table": (_asset_with(
-        "brans.json", lambda d: d["settings"].update(marginal=[[0.25] * 4])),
-        "error: setting marginal must be a flat list of 4 entries, got shape (1, 4)"),
-    "alice-response-text": (_asset_with(
-        "brans.json", lambda d: d["alice_response"][0].__setitem__(0, "1")),
-        "field 'alice_response' must be a regular array of numbers"),
-    "observable-text": (_asset_with(
-        "bell-optimal.json", lambda d: d["bob_observables"][1][0][0].__setitem__(0, "0.5")),
-        "in.bob_observables[1]: expected numeric [re, im] pairs"),
-    "observable-bool": (_asset_with(
-        "bell-optimal.json", lambda d: d["alice_observables"][0][0].__setitem__(0, [True, 0])),
-        "error: in.alice_observables[0]: expected numeric [re, im] pairs"),
-    "state-text": (_asset_with(
-        "bell-optimal.json", lambda d: d["state"][0].__setitem__(0, "0.7071067811865476")),
-        "in.state: expected numeric [re, im] pairs"),
-    "vector-text": (_asset_with(
-        "kcbs-pentagram.json", lambda d: d["vectors"][2].__setitem__(1, "0.5")),
-        "field 'vectors' must be a regular array of numbers"),
-    "vector-bool": (_asset_with(
-        "kcbs-pentagram.json", lambda d: d["vectors"][0].__setitem__(0, False)),
-        "error: in: field 'vectors' must be a regular array of numbers"),
-    "kcbs-state-null": (_asset_with(
-        "kcbs-pentagram.json", lambda d: d["state"][1].__setitem__(1, None)),
-        "in.state: expected numeric [re, im] pairs"),
-    "observable-non-hermitian": (_asset_with(
-        "bell-optimal.json", lambda d: d["alice_observables"][0][0].__setitem__(1, [1.0, 0.0])),
-        "must be hermitian"),
-    "observable-square": (_asset_with(
-        "bell-optimal.json", lambda d: d["alice_observables"].__setitem__(
-            0, [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]])),
-        "alice observable 0 must square to the identity"),
-    "observable-3x3": (_asset_with(
-        "bell-optimal.json", lambda d: d["bob_observables"].__setitem__(
-            1, [[[float(i == j), 0.0] for j in range(3)] for i in range(3)])),
-        "bob observable 1 must act on a qubit"),
-    "observable-inf": (_asset_with(
-        "bell-optimal.json", lambda d: d["bob_observables"][0][1][0].__setitem__(1, math.inf)),
-        "operator entries must be finite"),
-    "state-inf": (_asset_with(
-        "bell-optimal.json", lambda d: d["state"][0].__setitem__(1, -math.inf)),
-        "state vector amplitudes must be finite"),
-    "state-3": (_asset_with(
-        "bell-optimal.json", lambda d: d.update(state=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])),
-        "4-dimensional"),
-    # numbers whose squares, differences or sums overflow, one per gate
-    "state-huge": (_asset_with("bell-optimal.json", lambda d: d["state"][0].__setitem__(0, 1e200)),
-                   "error: amplitudes have squared norm inf, expected 1"),
-    "vector-huge": (_asset_with(
-        "kcbs-pentagram.json", lambda d: d["vectors"][2].__setitem__(1, 1e200)),
-        "error: all five vectors must be unit length"),
-    "observable-huge-square": (_asset_with(
-        "bell-optimal.json", lambda d: d["alice_observables"].__setitem__(
-            0, [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]])),
-        "error: alice observable 0 must square to the identity: max |A^2 - 1| = inf"),
-    "observable-huge-residue": (_asset_with(
-        "bell-optimal.json", lambda d: d["alice_observables"].__setitem__(
-            0, [[[0.0, 0.0], [1.7e308, 0.0]], [[-1.7e308, 0.0], [0.0, 0.0]]])),
-        "error: alice observable 0: operator must be hermitian: max |A - A^dagger| = inf"),
-    "lambda-row-huge": (_asset_with(
-        "brans.json", lambda d: d["lambda_given_settings"][0].__setitem__(slice(2), [1e308] * 2)),
-        "error: lambda_given_settings rows must each sum to 1 within 1e-12"),
-    "marginal-huge": (_asset_with(
-        "brans.json", lambda d: d["settings"].update(marginal=[1e308, 1e308, 0.0, 0.0])),
-        "error: setting marginal sums to inf, expected 1"),
-    "teleport-huge": ("", "squared norm inf, expected 1"),
-    # every table's shape is checked before any table's entries
-    "alice-response-above-1": (_asset_with(
-        "brans.json", lambda d: d["alice_response"][0].__setitem__(0, 2.0)),
-        "error: alice_response entries must lie in [0, 1]"),
-    "lambda-3-rows": (_asset_with(
-        "brans.json", lambda d: d.update(lambda_given_settings=d["lambda_given_settings"][:3])),
-        "error: lambda_given_settings needs 4 rows, got 3"),
-    "alice-response-short": (_asset_with(
-        "brans.json", lambda d: d.update(alice_response=[r[:-1] for r in d["alice_response"]])),
-        "error: alice_response must have shape (2, 16), got (2, 15)"),
-    "lambda-count-15": (_asset_with("brans.json", lambda d: d.update(lambda_count=15)),
-                        "error: in: lambda_given_settings shape (4, 16) does not match "
-                        "lambda_count 15"),
-    "lambda-negative-and-alice-short": (_asset_with(
-        "brans.json", lambda d: (d["lambda_given_settings"][0].__setitem__(0, -0.5),
-                                 d.update(alice_response=[r[:-1] for r in d["alice_response"]]))),
-        "error: alice_response must have shape (2, 16), got (2, 15)"),
-    "observable-2x3": (_asset_with(
-        "bell-optimal.json", lambda d: d["alice_observables"].__setitem__(
-            0, [[[float(i == j), 0.0] for j in range(3)] for i in range(2)])),
-        "error: operator must be a nonempty square matrix, got shape (2, 3)"),
-    "state-nested": (_asset_with("bell-optimal.json",
-                                 lambda d: d.update(state=[[pair] for pair in d["state"]])),
-                     "error: in.state: state must be a flat list of [re, im] pairs"),
-    "four-vectors": (_asset_with("kcbs-pentagram.json",
-                                 lambda d: d.update(vectors=d["vectors"][:4])),
-                     "error: need five 3-vectors, got shape (4, 3)"),
-    "vector-nan": (_asset_with(
-        "kcbs-pentagram.json", lambda d: d["vectors"][1].__setitem__(0, math.nan)),
-        "error: vectors must be finite"),
-    "kcbs-state-2": (_asset_with("kcbs-pentagram.json",
-                                 lambda d: d.update(state=[[1.0, 0.0], [0.0, 0.0]])),
-                     "error: state must be a qutrit"),
-    "kcbs-state-nested": (_asset_with("kcbs-pentagram.json",
-                                      lambda d: d.update(state=[[pair] for pair in d["state"]])),
-                          "error: in.state: state must be a flat list of [re, im] pairs"),
-}
-JSON_READERS = (
-    ["chsh", "--scenario", "in", "--out", "o.json"],
-    ["chsh", "--model", "in", "--out", "o.json"],
-    ["mi", "--model", "in"],
-    ["kcbs", "--scenario", "in"],
-)
-MODEL_READERS = (JSON_READERS[1], JSON_READERS[2])
-MALFORMED_CASES = (
-    [(argv, "non-utf8") for argv in JSON_READERS]
-    + [(argv, "deep") for argv in JSON_READERS]
-    + [(argv, kind) for argv in MODEL_READERS
-       for kind in ("alice-abc", "alice-null", "alice-fraction", "lambda-count-list",
-                    "lambda-count-fraction", "lambda-count-true-list", "alice-false-list",
-                    "lambda-given-settings-text", "marginal-text",
-                    "marginal-bool", "marginal-true-among-numbers", "marginal-rows",
-                    "marginal-one-row-table",
-                    "alice-response-text")]
-    + [(JSON_READERS[0], kind) for kind in ("observable-non-hermitian", "observable-square",
-                                            "observable-3x3", "observable-inf", "state-inf",
-                                            "state-3", "observable-text", "state-text",
-                                            "observable-bool")]
-    + [(JSON_READERS[3], kind) for kind in ("vector-text", "kcbs-state-null", "vector-bool")]
-    + [(JSON_READERS[0], kind) for kind in ("state-huge", "observable-huge-square",
-                                            "observable-huge-residue")]
-    + [(JSON_READERS[3], "vector-huge")]
-    + [(argv, kind) for argv in MODEL_READERS for kind in ("lambda-row-huge", "marginal-huge")]
-    + [(["teleport", "--a-re", "1e200", "--out", "o.json"], "teleport-huge")]
-    + [(argv, kind) for argv in MODEL_READERS
-       for kind in ("alice-response-above-1", "lambda-3-rows", "alice-response-short",
-                    "lambda-count-15", "lambda-negative-and-alice-short")]
-    + [(JSON_READERS[0], kind) for kind in ("observable-2x3", "state-nested")]
-    + [(JSON_READERS[3], kind) for kind in ("four-vectors", "vector-nan", "kcbs-state-2",
-                                            "kcbs-state-nested")]
-)
-
-
 @pytest.mark.parametrize("argv,kind", MALFORMED_CASES,
                          ids=lambda v: v if isinstance(v, str) else " ".join(v[:2]))
 def test_malformed_input_file_exits_2_without_output(capsys, tmp_path, monkeypatch, argv, kind):
@@ -844,6 +672,35 @@ def test_malformed_input_file_exits_2_without_output(capsys, tmp_path, monkeypat
     assert stderr.startswith("error:") and stderr.count("\n") == 1
     assert named in stderr
     assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
+@pytest.mark.parametrize("name,argv", [(name, argv) for name, readers in HOSTILE_READERS.items()
+                                       for argv in readers],
+                         ids=lambda v: v if isinstance(v, str) else " ".join(v[:2]))
+def test_hostile_values_exit_0_or_2_with_one_error_line(capsys, tmp_path, monkeypatch, name,
+                                                        argv):
+    # the catalogue of cli_inputs.hostile_cases, in one loop: a parametrized case each costs more
+    monkeypatch.chdir(tmp_path)
+    failures = []
+    for label, content in hostile_cases(name).items():
+        (tmp_path / "in").write_bytes(content)
+        try:
+            code, stdout, stderr = run_cli(capsys, *argv)
+        except Exception as exc:  # what a process would print as a traceback
+            failures.append(f"{label}: raised {exc!r:.80}")
+            capsys.readouterr()
+            continue
+        left = sorted(p.name for p in tmp_path.iterdir())
+        if code == 2 and (stdout or not stderr.startswith("error:") or stderr.count("\n") != 1
+                          or left != ["in"]):
+            failures.append(f"{label}: exit 2 with stdout {stdout!r:.40}, stderr {stderr!r:.80}"
+                            f" and files {left}")
+        elif code not in (0, 2) or code == 0 and stderr:
+            failures.append(f"{label}: exit {code} with stderr {stderr!r:.80}")
+        for path in tmp_path.iterdir():
+            if path.name != "in":  # the data file and manifest of an exit 0
+                path.unlink()
+    assert not failures
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -986,7 +843,7 @@ def test_an_unsorted_curve_exits_2_and_creates_no_directory(capsys, tmp_path):
 
 def _with_huge_integer(name, edit):
     # 1 followed by 400 zeros: a JSON integer that no float can hold
-    return _asset_with(name, lambda d: edit(d, 10**400))
+    return asset_with(name, lambda d: edit(d, 10**400))
 
 
 @pytest.mark.parametrize("argv,content,named", [
@@ -1148,7 +1005,7 @@ def _negative_zeros(text: str) -> list[str]:
 def test_no_report_prints_negative_zero(capsys, tmp_path, monkeypatch):
     # a point-mass setting marginal has entropy +0; its report used to print -0
     monkeypatch.chdir(tmp_path)
-    Path("point.json").write_text(_asset_with(
+    Path("point.json").write_text(asset_with(
         "brans.json", lambda d: d["settings"].update(marginal=[1.0, 0.0, 0.0, 0.0])))
     brans = str(asset_path("brans.json"))
     for argv in (
@@ -1195,7 +1052,7 @@ def test_running_out_of_memory_exits_2(capsys, monkeypatch):
 
 
 def _with_observable(party, k, matrix):
-    return _asset_with("bell-optimal.json",
+    return asset_with("bell-optimal.json",
                        lambda d: d[f"{party}_observables"].__setitem__(k, matrix))
 
 
@@ -1210,7 +1067,7 @@ def _huge_observable_entry(party, k):
 
 
 def _every_observable(matrix):
-    return _asset_with("bell-optimal.json", lambda d: d.update(
+    return asset_with("bell-optimal.json", lambda d: d.update(
         alice_observables=[matrix, matrix], bob_observables=[matrix, matrix]))
 
 

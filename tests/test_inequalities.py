@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 
@@ -237,7 +238,12 @@ class TestKcbs:
     def test_pentagram_reaches_quantum_optimum(self):
         scenario = kcbs_pentagram()
         assert abs(kcbs_value(scenario) - KCBS_QUANTUM_OPTIMAL) <= 1e-9
-        assert abs(KCBS_QUANTUM_OPTIMAL - (5.0 - 4.0 * math.sqrt(5.0))) == 0.0
+        with decimal.localcontext() as ctx:  # the double nearest 5 - 4 sqrt(5), to 60 digits
+            ctx.prec = 60
+            exact = 5 - 4 * decimal.Decimal(5).sqrt()
+            gap = abs(decimal.Decimal(KCBS_QUANTUM_OPTIMAL) - exact)
+            for neighbour in (math.nextafter(KCBS_QUANTUM_OPTIMAL, d) for d in (-4.0, 0.0)):
+                assert gap < abs(decimal.Decimal(neighbour) - exact)
 
     def test_pentagram_geometry(self):
         scenario = kcbs_pentagram()

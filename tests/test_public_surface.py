@@ -8,7 +8,8 @@ included: no ``from X import _name`` and no ``X._name``.  Nor does it import
 bellmd, which every CLI run pays for.  No module calls ``.read_bytes()`` or
 ``.read_text()``: every input file is read by ``serialize._read_bytes``.
 No module calls ``json.dump`` or ``json.dumps``: ``serialize.dumps_json`` writes every
-JSON text.  ``import bellmd.cli`` loads neither ``hashlib`` nor ``importlib.resources``: only a
+JSON text.  No module imports from ``json.encoder``, ``json.decoder`` or ``json.scanner``, which
+the ``json`` documentation does not list.  The ``bellmd`` console script is ``cli.main``.  ``import bellmd.cli`` loads neither ``hashlib`` nor ``importlib.resources``: only a
 run that writes a manifest imports ``hashlib``, and nothing uses the other.  Each
 module imports first in a fresh interpreter: ``lhv`` takes ``entropy_bits`` from
 ``infotheory``, which names ``LhvModel`` in annotations only.
@@ -25,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import bellmd
+import bellmd.cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SOURCES = sorted(Path(bellmd.__file__).parent.glob("*.py"))
@@ -188,6 +190,50 @@ def test_dumps_json_is_the_one_json_writer():
     found = {path.name: lines for path in SOURCES
              if (lines := _json_writer_calls(path.read_text(encoding="utf-8")))}
     assert SOURCES and not found
+
+
+_JSON_INTERNALS = ("encoder", "decoder", "scanner")
+
+
+def _json_internal_uses(source: str) -> list[int]:
+    """Lines of ``source`` that import from, or reach into, ``json.encoder``, ``json.decoder``
+    or ``json.scanner``: modules the ``json`` documentation does not list."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(name.split(".")[:2] in (["json", m] for m in _JSON_INTERNALS) for name in names):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_the_scan_sees_json_internal_modules():
+    source = ("import json\nfrom json.encoder import encode_basestring_ascii\n"
+              "from json import decoder, JSONDecoder\nimport json.scanner\n"
+              "json.encoder.INFINITY\njson.JSONEncoder().encode('x')\njson.JSONDecodeError\n")
+    assert _json_internal_uses(source) == [2, 3, 4, 5]
+
+
+def test_no_module_uses_json_internal_modules():
+    found = {path.name: lines for path in SOURCES
+             if (lines := _json_internal_uses(path.read_text(encoding="utf-8")))}
+    assert SOURCES and not found
+
+
+def test_the_console_script_is_main(capsys):
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'bellmd = "bellmd.cli:main"'
+    # the generated wrapper runs sys.exit(main()), so main returns the exit code
+    assert bellmd.cli.main(["--version"]) == 0
+    assert capsys.readouterr().out == f"bellmd {bellmd.__version__}\n"
 
 
 def _fresh_python(script: str) -> subprocess.CompletedProcess:

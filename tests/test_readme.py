@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import re
-import shlex
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ import pytest
 from bellmd import cli, lhv
 from bellmd.cli import main
 from bellmd.tolerances import ARITHMETIC, NORMALIZATION, OPERATOR
-from oracles import asset_path
+from cli_inputs import readme_commands
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -51,26 +50,18 @@ def _run(capsys, argv) -> dict:
     return json.loads(captured.out)
 
 
-def _commands() -> dict:
-    """Each README command line, mapped to its argv with the assets at their installed paths."""
-    return {line: [str(asset_path(a.rpartition("/")[2])) if a.startswith("src/bellmd/assets/")
-                   else a for a in shlex.split(line)[1:]]
-            for line in _block("## Command line", "sh").splitlines()
-            if line.startswith("bellmd ")}
-
-
 @pytest.fixture
 def printed(capsys, tmp_path, monkeypatch) -> dict:
     """The summary each README command prints, keyed by its command line."""
     monkeypatch.chdir(tmp_path)
-    return {line: _run(capsys, argv) for line, argv in _commands().items()}
+    return {line: _run(capsys, argv) for line, argv in readme_commands().items()}
 
 
-@pytest.mark.parametrize("line", _commands())
+@pytest.mark.parametrize("line", readme_commands())
 def test_a_handler_returns_its_run_and_only_main_writes_and_prints(capsys, tmp_path,
                                                                    monkeypatch, line):
     monkeypatch.chdir(tmp_path)
-    argv = _commands()[line]
+    argv = readme_commands()[line]
     _, handler, add_arguments = cli._SUBCOMMANDS[argv[0]]
     parser = argparse.ArgumentParser(prog=f"bellmd {argv[0]}")
     add_arguments(parser)
@@ -82,7 +73,7 @@ def test_a_handler_returns_its_run_and_only_main_writes_and_prints(capsys, tmp_p
 
 
 @pytest.mark.parametrize("argv", [
-    *(argv for argv in _commands().values() if {"--out", "--out-dir"} & set(argv)),
+    *(argv for argv in readme_commands().values() if {"--out", "--out-dir"} & set(argv)),
     ["chsh", "--deterministic-max", "--out", "o.json"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_the_manifest_records_every_parsed_option_but_the_output_path(capsys, tmp_path,
