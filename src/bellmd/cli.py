@@ -3,9 +3,10 @@
 One subcommand per capability: ``teleport`` runs the protocol, ``chsh`` and
 ``kcbs`` evaluate inequalities, ``mi`` computes mutual information, and
 ``optimize`` drives the dependence/CHSH search.  A ``cmd_*`` handler returns a
-``_Run`` of what only it knows and neither writes nor prints.  ``main`` derives
-the rest from the parsed arguments, writes the manifest, then the data files,
-and only then prints the summary; a failed write removes all the run created.
+``_Run`` of what only it knows, the digests of its inputs too, and neither
+writes nor prints.  ``main`` derives the rest from the parsed arguments, writes
+the manifest, then the data files, and only then prints the summary; a failed
+write removes all the run created.
 Data files are byte-reproducible under a fixed seed; the manifest's timing is not.
 
 Exit codes: 0 success, 2 usage or input error, 3 internal invariant breach.
@@ -60,20 +61,19 @@ from .teleport import branch_decomposition, run_teleportation  # noqa: F401
 
 
 class _Run:
-    """A handler's summary, its ``(path, writer, value)`` data files and ``inputs`` (path ->
-    bytes read).  Everything else a manifest records, ``main`` derives from the arguments."""
+    """A handler's summary, ``(path, writer, value)`` data files and ``digests`` (path -> sha256
+    of the bytes read).  All else that a manifest records, ``main`` derives from the arguments."""
 
-    __slots__ = ("summary", "files", "inputs")
+    __slots__ = ("summary", "files", "digests")
 
-    def __init__(self, summary: dict, files=(), inputs=None):
-        self.summary, self.files, self.inputs = summary, files, inputs or {}
+    def __init__(self, summary: dict, files=(), digests=None):
+        self.summary, self.files, self.digests = summary, files, digests or {}
 
 
 def _write_run(run: _Run, args, subcommand: str, started: float) -> None:
-    """Write the manifest, timed before any data file, then the data files.  A failure removes
-    what this run made: the manifest, even one it overwrote, and the data files written so far."""
-    import hashlib  # here, not at the top: only runs that write a manifest pay its ~3 ms (OpenSSL)
-
+    """Write the manifest, timed before any data file and holding the handler's digests, then the
+    data files.  A failure removes what this run made: the manifest, even one it overwrote, and
+    the data files written so far."""
     out = getattr(args, "out", None)
     manifest = args.out_dir / "manifest.json" if out is None else Path(f"{out}.manifest.json")
     written, created = [], []  # created: the directories this run makes, deepest first
@@ -87,8 +87,7 @@ def _write_run(run: _Run, args, subcommand: str, started: float) -> None:
         for path, write, value in [(manifest, dump_json, {
             "subcommand": subcommand,
             "configuration": {k: v for k, v in vars(args).items() if k not in ("out", "out_dir")},
-            "input_digests": {path: hashlib.sha256(data).hexdigest()
-                              for path, data in run.inputs.items()},
+            "input_digests": run.digests,
             "output_files": [str(path) for path, _, _ in run.files],
             "seed": getattr(args, "seed", None),
             "tool_version": __version__,
@@ -173,12 +172,13 @@ def cmd_chsh(args) -> _Run:
         table = predict(model_from_doc(source_doc, str(path)))
         source = "lhv_model"
     summary = {"chsh_value": chsh_value(table)}
-    if args.out is None:  # the file's document is built only for a run that writes it
+    if args.out is None:  # the file's document and the digest only for a run that writes them
         return _Run(summary)
+    import hashlib  # here, not at the top: only runs that digest an input pay its ~3 ms (OpenSSL)
     return _Run(summary, [(args.out, dump_json, {
-        "chsh_value": summary["chsh_value"], "source": source,
-        "correlators": table.correlators.tolist(),
-        "joint_outcome_probabilities": table.joint.tolist()})], {str(path): data})
+        **summary, "source": source, "correlators": table.correlators.tolist(),
+        "joint_outcome_probabilities": table.joint.tolist()})],
+        {str(path): hashlib.sha256(data).hexdigest()})
 
 
 def cmd_mi(args) -> _Run:

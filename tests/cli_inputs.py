@@ -6,6 +6,8 @@ Every input file is written as ``in`` in a fresh working directory.
 - ``readme_commands``: the README's command lines, with the canned assets of this checkout.
 - ``MALFORMED_CASES``: argument lists, each with a kind of ``MALFORMED_INPUTS``, a bad file and
   what its one-line error must name.
+- ``FAILED_WRITE_CASES``: argument lists, each with the files and directories that stand in the
+  working directory before the run, where a directory in an output's place makes a write fail.
 - ``hostile_cases``: a catalogue of hostile values, each tried at one path per distinct field of
   a canned asset (every key, and index 0 of every list): an integer past ``int()``'s 4300-digit
   limit, +/-1e400, ``NaN``, ``Infinity``, ``-0``, 1e-400, ``true``, ``false``, ``null``, ``""``,
@@ -253,6 +255,29 @@ MALFORMED_CASES = (
     + [(JSON_READERS[0], "observable-long"), (JSON_READERS[3], "vector-long")]
     + [(argv, kind) for argv in MODEL_READERS for kind in ("lambda-count-twice", "marginal-twice")]
     + [(JSON_READERS[0], "state-twice")]
+)
+
+LONG_NAME = "x" * 300  # past the 255-byte name limit of common file systems
+EARLIER = b"earlier run\n"  # a data file from an earlier run, which a failed manifest write keeps
+# (argv, {path: file bytes, or None for a directory made with its parents}), in making order;
+# the failures that need a patched writer (a write cut short, a data file failing) stay in
+# test_cli.py
+FAILED_WRITE_CASES = (
+    [(argv, {manifest: None, **keep}) for argv, manifest, keep in (
+        (["optimize", "--budget", "0.1", "--out-dir", "od"], "od/manifest.json", {}),
+        (["chsh", "--deterministic-max", "--out", "o.json"], "o.json.manifest.json", {}),
+        (["teleport", "--trials", "3", "--out", "o.json"], "o.json.manifest.json", {}),
+        (["optimize", "--target-s", "2.5", "--out-dir", "od"], "od/manifest.json",
+         {"od/min_cmd_model.json": EARLIER}),
+        (["chsh", "--deterministic-max", "--out", "o.json"], "o.json.manifest.json",
+         {"o.json": EARLIER}),
+        (["teleport", "--trials", "3", "--out", "o.json"], "o.json.manifest.json",
+         {"o.json": EARLIER}))]
+    + [(argv, {"keep": None}) for argv in (
+        ["teleport", "--trials", "3", "--out", f"keep/new/{LONG_NAME}.json"],
+        ["optimize", "--target-s", "2.5", "--out-dir", f"keep/deep/er/{LONG_NAME}"])]
+    + [(JSON_READERS[1], {"in": (ASSETS / "brans.json").read_bytes(),
+                          "o.json.manifest.json": None})]
 )
 
 

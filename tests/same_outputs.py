@@ -7,17 +7,19 @@ A tree is any checkout that holds ``src/bellmd``, for example
 process under its own name, and its ``cli.main`` runs every corpus entry, each
 in a fresh temporary directory.  The corpus is this checkout's, from
 ``cli_inputs.py``: the README commands, ``MALFORMED_CASES`` with their input
-files, and the catalogue of hostile values.
+files, ``FAILED_WRITE_CASES`` with the files and directories they start from,
+and the catalogue of hostile values.
 
-Compared per entry: exit code, stdout, stderr, and the bytes of every file the
-run leaves, a manifest's without the value of its ``duration_seconds``.  An
-exception that escapes ``main`` counts as a process would show it, exit 1 and a
-traceback, which is recorded by its last line; a warning is recorded by its
-category and message.  One line is printed per difference: the entry's id, the
-field, and the first line in which the two sides differ.  The exit status is 1
-if an entry whose id is not listed in ``--expect FILE`` (one id a line, ``#``
-starts a comment) differs, else 0.  Standard library only; pytest does not
-collect it.  The whole corpus runs under both trees in a few seconds.
+Compared per entry: exit code, stdout, stderr, every directory the run leaves,
+and the bytes of every file it leaves, a manifest's without the value of its
+``duration_seconds``.  An exception that escapes ``main`` counts as a process
+would show it, exit 1 and a traceback, which is recorded by its last line; a
+warning is recorded by its category and message.  One line is printed per
+difference: the entry's id, the field, and the first line in which the two
+sides differ.  The exit status is 1 if an entry whose id is not listed in
+``--expect FILE`` (one id a line, ``#`` starts a comment) differs, else 0.
+Standard library only; pytest does not collect it.  The whole corpus runs under
+both trees in a few seconds.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import warnings
 from pathlib import Path
 
 from cli_inputs import (
+    FAILED_WRITE_CASES,
     HOSTILE_READERS,
     MALFORMED_CASES,
     MALFORMED_INPUTS,
@@ -57,13 +60,15 @@ def load_cli(tree: Path | str, name: str):
 
 
 def corpus(catalogue: bool = True) -> dict:
-    """Entry id -> (argv, {name: bytes} of the files written before the run); the catalogue of
-    hostile values last, and only if ``catalogue``."""
+    """Entry id -> (argv, {name: bytes, or None for a directory} of what is made before the
+    run); the catalogue of hostile values last, and only if ``catalogue``."""
     cases = {line: (argv, {}) for line, argv in readme_commands().items()}
     for argv, kind in MALFORMED_CASES:
         content = MALFORMED_INPUTS[kind][0]
         cases[f"{' '.join(argv)} [{kind}]"] = (
             argv, {"in": content if isinstance(content, bytes) else content.encode()})
+    for argv, inputs in FAILED_WRITE_CASES:
+        cases[f"{' '.join(argv)} [{', '.join(inputs)} made first]"] = (argv, inputs)
     for name, readers in HOSTILE_READERS.items() if catalogue else ():
         for label, content in hostile_cases(name).items():
             cases.update({f"{' '.join(argv)} [{name} {label}]": (argv, {"in": content})
@@ -75,15 +80,19 @@ _DURATION = re.compile(rb'("duration_seconds": )[^,\n]*')
 
 
 def run(cli, argv: list, inputs: dict) -> dict:
-    """Field -> value of what one run of ``cli.main(argv)`` leaves: its exit code, stdout, stderr
-    and the bytes of each file, in a fresh directory that holds only ``inputs`` beforehand."""
+    """Field -> value of what one run of ``cli.main(argv)`` leaves: its exit code, stdout, stderr,
+    each directory and the bytes of each file, in a fresh directory that holds only ``inputs``
+    beforehand."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             for name, data in inputs.items():
-                Path(name).write_bytes(data)
+                if data is None:
+                    Path(name).mkdir(parents=True)
+                else:
+                    Path(name).write_bytes(data)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                     warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -95,12 +104,15 @@ def run(cli, argv: list, inputs: dict) -> dict:
                               + "".join(traceback.format_exception_only(type(exc), exc)))
             for w in caught:  # its source line names the tree's file, so only these are kept
                 err.write(f"warning: {w.category.__name__}: {w.message}\n")
+            paths = sorted(Path().rglob("*"))
             files = {f"file {path}": _DURATION.sub(rb"\1...", path.read_bytes())
                      if path.name.endswith("manifest.json") else path.read_bytes()
-                     for path in sorted(Path().rglob("*")) if path.is_file()}
+                     for path in paths if path.is_file()}
+            directories = {f"directory {path}": "left" for path in paths if path.is_dir()}
         finally:
             os.chdir(cwd)
-    return {"exit code": code, "stdout": out.getvalue(), "stderr": err.getvalue(), **files}
+    return {"exit code": code, "stdout": out.getvalue(), "stderr": err.getvalue(), **directories,
+            **files}
 
 
 def _first_difference(a, b) -> str:

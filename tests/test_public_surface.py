@@ -10,13 +10,14 @@ bellmd, which every CLI run pays for.  No module calls ``.read_bytes()`` or
 No module calls ``json.dump`` or ``json.dumps``: ``serialize.dumps_json`` writes every
 JSON text.  No module imports from ``json.encoder``, ``json.decoder`` or ``json.scanner``, which
 the ``json`` documentation does not list.  The ``bellmd`` console script is ``cli.main``.  ``import bellmd.cli`` loads neither ``hashlib`` nor ``importlib.resources``: only a
-run that writes a manifest imports ``hashlib``, and nothing uses the other.  Each
+run that digests an input imports ``hashlib``, and nothing uses the other.  Each
 module imports first in a fresh interpreter: ``lhv`` takes ``entropy_bits`` from
 ``infotheory``, which names ``LhvModel`` in annotations only.
 """
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -275,3 +276,25 @@ def test_a_run_without_a_manifest_leaves_hashlib_unloaded():
                          " & (set(sys.modules) - before)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 0] []\n"
+
+
+def test_a_run_that_digests_no_input_leaves_hashlib_unloaded(tmp_path):
+    # these runs write a manifest, but read no input, so there is nothing for it to digest
+    brans = Path(bellmd.__file__).parent / "assets" / "brans.json"
+    argvs = [["optimize", "--target-s", "2.8", "--out-dir", "d"],
+             ["optimize", "--budget", "0.05", "--out-dir", "d2"],
+             ["chsh", "--deterministic-max", "--out", "o.json"],
+             ["chsh", "--model", str(brans), "--out", "m.json"]]  # the one that digests
+    proc = _fresh_python(f"import contextlib, io, os, sys\nos.chdir({str(tmp_path)!r})\n"
+                         "import bellmd.cli\nbefore = set(sys.modules)\nseen = []\n"
+                         f"for argv in {argvs!r}:\n"
+                         "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                         "        code = bellmd.cli.main(argv)\n"
+                         "    seen.append((code, sorted({'hashlib', '_hashlib'}"
+                         " & (set(sys.modules) - before))))\n"
+                         "print(seen)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[(0, []), (0, []), (0, []), (0, ['_hashlib', 'hashlib'])]\n"
+    digested = [bool(json.loads((tmp_path / m).read_text())["input_digests"]) for m in (
+        "d/manifest.json", "d2/manifest.json", "o.json.manifest.json", "m.json.manifest.json")]
+    assert digested == [False, False, False, True]

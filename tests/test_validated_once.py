@@ -198,8 +198,32 @@ def test_a_model_is_checked_in_one_pass_and_scored_without_a_recheck(score_calls
     assert report.raw_bits == _checked_bits(model) == 2.0
 
 
-ENTRY = st.one_of(st.floats(0.0, 1.0), st.floats(-TOL, 0.0))
-RESPONSE = st.one_of(st.floats(0.0, 1.0), st.floats(-TOL, 0.0), st.floats(1.0, 1.0 + TOL))
+# the parameter strategies, built once: a strategy is validated on its first draw
+COUNTS, LAMBDAS, COIN = st.integers(1, 3), st.integers(1, 8), st.booleans()
+SEED = st.integers(0, 2**64 - 1)
+
+
+def _half_ones(rng, shape) -> np.ndarray:
+    """Uniforms in [0, 1), about half of them replaced by exactly 1."""
+    return np.where(rng.random(shape) < 0.5, 1.0, rng.random(shape))
+
+
+# entry kind -> (rng, shape) -> an array of it; a model's entry family is "uniform" and a drawn
+# set of the others, and each entry of its tables takes one kind of its family at random.
+# Below 0 and above 1, half of the entries sit at the tolerance itself; an entry above 1 stays
+# there only in a response table, since a distribution's rows are scaled to sum to 1.
+ENTRIES = {
+    "uniform": lambda rng, shape: rng.random(shape),
+    "zero": lambda rng, shape: rng.choice([0.0, -0.0], shape),
+    "one": lambda rng, shape: np.ones(shape),
+    "subnormal": lambda rng, shape: rng.integers(1, 2**52, shape) * 5e-324,
+    "below 0": lambda rng, shape: -TOL * _half_ones(rng, shape),
+    "above 1": lambda rng, shape: 1.0 + TOL * _half_ones(rng, shape),
+}
+EDGE_ENTRIES = sorted(ENTRIES.keys() - {"uniform"})
+# a family drawn as a bit mask over EDGE_ENTRIES: one draw, which shrinks towards "uniform" alone
+FAMILIES = st.integers(0, 2 ** len(EDGE_ENTRIES) - 1).map(
+    lambda mask: ("uniform", *(kind for i, kind in enumerate(EDGE_ENTRIES) if mask >> i & 1)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,21 +236,32 @@ def _arrays(shape, elements):
     return hnp.arrays(np.float64, shape, elements=elements, fill=st.nothing())
 
 
-def _rows(draw, count: int, width: int) -> np.ndarray:
+def _entries(rng, shape, family) -> np.ndarray:
+    """Entries of ``shape``, each of a kind of ``family`` picked at random."""
+    picks = rng.integers(len(family), size=shape)
+    return np.choose(picks, [ENTRIES[kind](rng, shape) for kind in family])
+
+
+def _rows(rng, count: int, width: int, family) -> np.ndarray:
     """Rows whose positive entries sum to 1 up to rounding, and whose other entries clip to 0."""
-    raw = draw(_arrays((count, width), ENTRY))
+    raw = _entries(rng, (count, width), family)
+    empty = np.flatnonzero(~(raw > 0.0).any(axis=1))  # a row with no positive entry gets one
+    raw[empty, rng.integers(width, size=len(empty))] = 1.0 - rng.random(len(empty))  # in (0, 1]
     positive = np.where(raw > 0.0, raw, 0.0).sum(axis=1, keepdims=True)
-    hypothesis.assume(np.all(positive > 0.0))
     # only the positive entries are divided: another entry over a subnormal sum overflows
     return np.divide(raw, positive, out=raw, where=raw > 0.0)
 
 
 @st.composite
 def models(draw):
-    n_a, n_b, lam = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 8))
-    marginal = _rows(draw, 1, n_a * n_b)[0] if draw(st.booleans()) else None
-    responses = [draw(_arrays((n, lam), RESPONSE)) for n in (n_a, n_b)]
-    return LhvModel(SettingSpace(n_a, n_b, marginal), _rows(draw, n_a * n_b, lam), *responses)
+    """Models from compact parameters: shapes, entry family and seed; the seed fills the tables."""
+    n_a, n_b, lam = draw(COUNTS), draw(COUNTS), draw(LAMBDAS)
+    family, with_marginal = draw(FAMILIES), draw(COIN)
+    rng = np.random.default_rng(draw(SEED))
+    marginal = _rows(rng, 1, n_a * n_b, family)[0] if with_marginal else None
+    lgs = _rows(rng, n_a * n_b, lam, family)
+    responses = [_entries(rng, (n, lam), family) for n in (n_a, n_b)]
+    return LhvModel(SettingSpace(n_a, n_b, marginal), lgs, *responses)
 
 
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -242,15 +277,18 @@ def test_every_model_that_constructs_predicts_a_checked_table(model):
     assert np.max(np.abs(table.joint.sum(axis=(2, 3)) - 1.0)) <= TOL
 
 
-EDGE = st.floats(0.9 * lhv._ROW_ATOL, lhv._ROW_ATOL)
 SIGN = st.sampled_from([-1.0, 1.0])
+# edge kind -> the side of 1 each row's sum lies on: all below, all above, or either, row by row
+EDGES = {"below": lambda rng, k: -1.0, "above": lambda rng, k: 1.0,
+         "either": lambda rng, k: rng.choice([-1.0, 1.0], k)}
+EDGE_KINDS = st.sampled_from(sorted(EDGES))
 
 
-def _at_the_edge(draw, rows: np.ndarray) -> np.ndarray:
-    """Rows each scaled by 1 +- 0.9 to 1 times the entry row-sum bound."""
-    signs = draw(_arrays(len(rows), SIGN))
-    factors = draw(_arrays(len(rows), EDGE))
-    return rows * (1.0 + signs * factors)[:, None]
+def _at_the_edge(rng, rows: np.ndarray, edge: str) -> np.ndarray:
+    """Rows each scaled by 1 +- 0.9 to 1 times the entry row-sum bound, on the sides ``edge``
+    picks."""
+    factors = rng.uniform(0.9, 1.0, len(rows)) * lhv._ROW_ATOL
+    return rows * (1.0 + EDGES[edge](rng, len(rows)) * factors)[:, None]
 
 
 @st.composite
@@ -260,11 +298,14 @@ def edge_models(draw):
     Measurement-independent rows, and a single hidden value, are drawn often:
     there the excess mass alone moves cmd's mutual information below zero.
     """
-    n_a, n_b, lam = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 8))
-    marginal = _at_the_edge(draw, _rows(draw, 1, n_a * n_b))[0] if draw(st.booleans()) else None
-    rows = _rows(draw, 1, lam) if draw(st.booleans()) else _rows(draw, n_a * n_b, lam)
-    lgs = _at_the_edge(draw, np.repeat(rows, n_a * n_b // len(rows), axis=0))
-    responses = [draw(_arrays((n, lam), RESPONSE)) for n in (n_a, n_b)]
+    n_a, n_b, lam = draw(COUNTS), draw(COUNTS), draw(LAMBDAS)
+    family, edge = draw(FAMILIES), draw(EDGE_KINDS)
+    rng = np.random.default_rng(draw(SEED))
+    marginal = (_at_the_edge(rng, _rows(rng, 1, n_a * n_b, family), edge)[0]
+                if draw(COIN) else None)
+    rows = _rows(rng, 1 if draw(COIN) else n_a * n_b, lam, family)
+    lgs = _at_the_edge(rng, np.repeat(rows, n_a * n_b // len(rows), axis=0), edge)
+    responses = [_entries(rng, (n, lam), family) for n in (n_a, n_b)]
     try:
         return LhvModel(SettingSpace(n_a, n_b, marginal), lgs, *responses)
     except InputError:  # rounding took a row past the bound
