@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 usage or input error, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from contextlib import suppress
@@ -113,10 +114,10 @@ def _floats(flag: str, text: str) -> list[float]:
 
 def _resolve_input(inp_args) -> TeleportInput:
     if inp_args.random:
-        rng = np.random.default_rng(inp_args.seed)
-        raw = rng.normal(size=4)
-        raw /= np.linalg.norm(raw)
-        return TeleportInput(complex(raw[0], raw[1]), complex(raw[2], raw[3]))
+        raw = np.random.default_rng(inp_args.seed).normal(size=4).tolist()
+        norm = math.sqrt(math.fsum(x * x for x in raw))
+        a_re, a_im, b_re, b_im = (x / norm for x in raw)
+        return TeleportInput(complex(a_re, a_im), complex(b_re, b_im))
     return TeleportInput(complex(inp_args.a_re, inp_args.a_im),
                          complex(inp_args.b_re, inp_args.b_im))
 

@@ -6,8 +6,8 @@ shared freely across threads.  Every expectation value is computed by one
 evaluator, ``_hermitian_expectations``, over a stack of operators checked
 where they enter: ``ChshScenario`` checks a CHSH scenario's four observables
 as one stack, by the same ``_hermitian_parts`` that ``OperatorMatrix`` runs.
-Teleportation's receiver states are derived from a checked input and checked
-as one stack there, so they are built without a re-check.  All spaces in this
+Teleportation's receiver states are derived from a checked input in closed form
+and checked there, so they are built without a re-check.  All spaces in this
 package are tiny (dimension at most 4 for two-qubit work, 3 for qutrit work),
 so a dense numpy representation is used throughout.  The checks reduce through
 ``ufunc.reduce`` (``np.add.reduce`` for ``.sum()``): the ndarray methods reach the
@@ -60,10 +60,15 @@ class StateVector(Frozen):
         return int(self.amplitudes.size)
 
     def fidelity(self, other: StateVector) -> float:
-        """|<self|other>|^2 -- insensitive to global phase."""
+        """|<self|other>|^2 -- insensitive to global phase; summed in real arithmetic,
+        component by component, so no complex loop that numpy picks per CPU sets its bits."""
         if other.dim != self.dim:
             raise InputError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return float(abs(complex(np.vdot(self.amplitudes, other.amplitudes))) ** 2)
+        re = im = 0.0
+        for x, y in zip(self.amplitudes.tolist(), other.amplitudes.tolist()):
+            re += x.real * y.real + x.imag * y.imag
+            im += x.real * y.imag - x.imag * y.real
+        return re * re + im * im
 
 
 class OperatorMatrix(Frozen):

@@ -2,9 +2,12 @@
 
 The sender holds an unknown qubit a|0> + b|1> and half of the pair
 (|00> + |11>)/sqrt(2).  A four-outcome entangled-basis measurement on the
-sender's two qubits collapses the receiver's qubit into one of four images
-of the input, each with probability exactly 1/4; the outcome index selects
-the Pauli correction that restores the input state.
+sender's two qubits leaves the receiver's qubit with (a, b), (a, -b), (b, a)
+or (-b, a), halved, each with probability p = (|a|^2 + |b|^2)/4, which is 1/4
+for a normalized input (Bennett et al., PRL 70, 1895, 1993).  The outcome
+index selects the Pauli correction, 1, Z, X or Z X, that undoes its flip.
+The branches are computed in that closed form, in real arithmetic on each
+amplitude component, so no matrix product sets their bits.
 """
 
 from __future__ import annotations
@@ -14,24 +17,10 @@ import math
 import numpy as np
 
 from .errors import InputError, InvariantError, Value
-from .hilbert import StateVector, _freeze
+from .hilbert import StateVector
 from .tolerances import NORMALIZATION
 
-_SQRT2_INV = 1.0 / math.sqrt(2.0)
-
-# Entangled-basis order: (|00>+|11>), (|00>-|11>), (|01>+|10>), (|01>-|10>), all /sqrt(2)
-_BELL_VECTORS = np.array(
-    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=np.complex128
-) * _SQRT2_INV
-_BELL_BRAS = _BELL_VECTORS.conj()
-
 CORRECTION_LABELS = ("identity", "sigma_z", "sigma_x", "sigma_z.sigma_x")
-
-# the correction each outcome selects, in outcome order: 1, Z, X and Z X
-_CORRECTIONS = np.array(
-    [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]],
-    dtype=np.complex128,
-)
 
 
 class TeleportInput(Value):
@@ -68,55 +57,47 @@ class TeleportTranscript(Value):
         }
 
 
-def _branch_stack(sent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities (4,) and receiver pre-correction states (4, 2) of the 4 outcomes.
+def _branches(sent: StateVector) -> tuple[float, complex, complex]:
+    """p, shared by the 4 outcomes, and the corrected receiver state (u, v) = (a, b)/(2 sqrt(p)).
 
-    ``sent`` holds the checked input amplitudes.  All four branches are one
-    product of the conjugated entangled basis with the state, laid out as
-    (sender's two qubits, receiver's qubit); each row is then normalized.
+    ``sent`` is the checked input (a, b).  Outcome k's receiver state before its correction
+    is (u, v), (u, -v), (v, u) or (-v, u); each correction undoes its flip exactly.  Each
+    component is divided on its own: complex / float is a full complex division, which
+    can round differently and flip the sign of a zero.
     """
-    grid = (sent[:, None] * _BELL_VECTORS[0]).reshape(4, 2)  # np.kron's products, in its order
-    raw = _BELL_BRAS @ grid
-    probs = (np.abs(raw) ** 2).sum(axis=1)
-    return probs, _freeze(raw / np.sqrt(probs)[:, None])
+    a, b = sent.amplitudes.tolist()
+    # one rounding past the four squares'; 2 sqrt(p) is then sqrt(4p), exactly
+    p = math.fsum((a.real * a.real, a.imag * a.imag, b.real * b.real, b.imag * b.imag)) / 4.0
+    norm = 2.0 * math.sqrt(p)
+    return p, complex(a.real / norm, a.imag / norm), complex(b.real / norm, b.imag / norm)
 
 
 def branch_decomposition(inp: TeleportInput) -> list[tuple[float, StateVector]]:
-    """Exact (probability, receiver pre-correction state) for each of the 4 outcomes.
+    """(probability, receiver pre-correction state) for each of the 4 outcomes.
 
-    Probabilities are branch norms of the combined three-qubit state and
-    equal 1/4 for every normalized input.  The states are rows of one
-    stack computed from the checked input, so they are not checked again.
+    The states are computed from the checked input, so they are not checked again.
     """
-    probs, pres = _branch_stack(inp.state().amplitudes)
-    return [(prob, StateVector._derived(pre)) for prob, pre in zip(probs.tolist(), pres)]
+    p, u, v = _branches(inp.state())
+    return [(p, StateVector._derived(np.array(pre)))
+            for pre in ((u, v), (u, -v), (v, u), (-v, u))]
 
 
 def branch_transcripts(inp: TeleportInput) -> tuple[TeleportTranscript, ...]:
     """The transcript of each of the 4 branches, list index = outcome index.
 
-    The input is checked once, as the sent state.  The four corrected
-    receiver states are one (4, 2) stack, checked by one norm reduction;
-    each is then compared with the sent state.
+    The input is checked once, as the sent state.  Every branch's corrected
+    receiver state is the same one, checked for unit norm and compared with
+    the sent state once.
     """
     sent = inp.state()
-    probs, pres = _branch_stack(sent.amplitudes)
-    finals = _freeze(_CORRECTIONS @ pres[:, :, None])[:, :, 0]
-    sq_norms = (np.abs(finals) ** 2).sum(axis=1)
-    if not (np.abs(sq_norms - 1.0) <= NORMALIZATION).all():
-        raise InvariantError(f"receiver states have squared norms {sq_norms}, expected 1")
-    transcripts = []
-    for k, (prob, final) in enumerate(zip(probs.tolist(), finals)):
-        bob_final = StateVector._derived(final)
-        transcripts.append(TeleportTranscript(
-            outcome_index=k,
-            outcome_probability=prob,
-            correction_applied=CORRECTION_LABELS[k],
-            bob_final=bob_final,
-            # np.vdot per branch: one matmul over the stack rounds some overlaps differently
-            fidelity=min(bob_final.fidelity(sent), 1.0),
-        ))
-    return tuple(transcripts)
+    p, u, v = _branches(sent)
+    sq_norm = u.real * u.real + u.imag * u.imag + v.real * v.real + v.imag * v.imag
+    if abs(sq_norm - 1.0) > NORMALIZATION:
+        raise InvariantError(f"receiver state has squared norm {sq_norm:.12g}, expected 1")
+    bob_final = StateVector._derived(np.array([u, v]))
+    fidelity = min(bob_final.fidelity(sent), 1.0)
+    return tuple(TeleportTranscript(k, p, label, bob_final, fidelity)
+                 for k, label in enumerate(CORRECTION_LABELS))
 
 
 def run_teleportation(inp: TeleportInput, forced_outcome: int) -> TeleportTranscript:

@@ -326,6 +326,12 @@ def correlation_table_numpy(joint: np.ndarray) -> tuple[np.ndarray | None, str |
     return (p[:, 0] - p[:, 1] - p[:, 2] + p[:, 3]).reshape(joint.shape[:2]), None
 
 
+# the entangled basis (|00>+|11>), (|00>-|11>), (|01>+|10>), (|01>-|10>), all /sqrt(2), in
+# teleport's outcome order
+ENTANGLED_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]],
+                           dtype=complex) / math.sqrt(2.0)
+
+
 def teleport_branches_reference(a: complex, b: complex) -> list[tuple[float, np.ndarray]]:
     """(probability, corrected receiver state) of each teleport outcome, by np.kron.
 

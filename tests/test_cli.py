@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import contextlib
 import errno
 import hashlib
 import io
@@ -34,6 +35,41 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# argv of each teleport run that ``teleport_golden_digests`` digests
+GOLDEN_RUNS = (
+    [["--random", "--seed", str(seed), "--trials", str(trials)]
+     for seed in range(64) for trials in (1, 7, 1000)]
+    + [["--a-re", a, "--b-re", b, "--seed", "3", "--trials", "1000"]
+       for a, b in (("1", "0"), ("0", "1"), ("0.6", "0.8"), ("0.8", "-0.6"))]
+    + [["--a-re", "0.6", "--b-re", "0.8", "--force-outcome", str(k), "--trials", "9"]
+       for k in range(4)]
+)
+
+# per-process switches of the kernels numpy, OpenBLAS and glibc pick for this CPU
+CPU_SETUPS = {
+    "no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "x86-64-v2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3"},
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "glibc-no-fma": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA"},
+}
+
+
+def teleport_golden_digests(out: Path) -> tuple[str, str]:
+    """sha256 over rc, stdout and data file of each ``GOLDEN_RUNS`` run, written to ``out``.
+
+    One digest of the files as written, with the sampler record, and one of the files
+    as written before that record, rebuilt from it.
+    """
+    digest, old_digest = hashlib.sha256(), hashlib.sha256()
+    for argv in GOLDEN_RUNS:
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = main(["teleport", *argv, "--out", str(out)])
+        printed, data = stdout.getvalue().encode(), out.read_bytes()
+        digest.update(b"%d\n%s\n%s\n" % (code, printed, data))
+        old_digest.update(b"%d\n%s\n%s\n" % (code, printed, teleport_file_before_sampler(data)))
+    return digest.hexdigest(), old_digest.hexdigest()
 
 
 class TestTeleportCommand:
@@ -135,15 +171,15 @@ class TestTeleportCommand:
         )
         assert code == 0
         data = out.read_bytes()
-        assert len(data) == 2_236
+        assert len(data) == 2_176
         assert hashlib.sha256(data).hexdigest() == \
-            "0682ff5404897a745d5aa7eb5aac5aeb67f21509033174fd20583babe5751ad4"
+            "2e7a70e0d40877b2464f0b63b61e6bf9b36aa64342554194aa4026af706fba3d"
         # the file the README example wrote when it held one digit per trial (and before the
         # threshold sampler), rebuilt from the sampler record
         old = teleport_file_before_sampler(data)
-        assert len(old) == 102_043
+        assert len(old) == 101_983
         assert hashlib.sha256(old).hexdigest() == \
-            "0d982f2c238ac490b5df34bc585cd3c9ad9a50777975c33762a8f2553df7976b"
+            "4fe26334baca5e3274f125fa4fa19091f4cdce97f5d39e4fcaa2862463b8c306"
 
         forced = tmp_path / "forced.json"
         code, _, _ = run_cli(
@@ -153,31 +189,34 @@ class TestTeleportCommand:
         assert json.loads(teleport_file_before_sampler(forced.read_bytes()))["outcomes"] == \
             "22222"
 
-    # argv of each run the byte golden below digests
-    GOLDEN_RUNS = (
-        [["--random", "--seed", str(seed), "--trials", str(trials)]
-         for seed in range(64) for trials in (1, 7, 1000)]
-        + [["--a-re", a, "--b-re", b, "--seed", "3", "--trials", "1000"]
-           for a, b in (("1", "0"), ("0", "1"), ("0.6", "0.8"), ("0.8", "-0.6"))]
-        + [["--a-re", "0.6", "--b-re", "0.8", "--force-outcome", str(k), "--trials", "9"]
-           for k in range(4)]
-    )
+    def test_golden_bytes_over_many_runs(self, tmp_path):
+        assert teleport_golden_digests(tmp_path / "run.json") == (
+            "e3cb98c26ea810be2be0f4fe8b90ef89b97f21c24a066bd518b8363c4f410560",
+            "ae7420dcc1bde69d06cd11932da6ef970c91980404780327215b99e545f2182c")
 
-    def test_golden_bytes_over_many_runs(self, capsys, tmp_path):
-        # sha256 over rc, stdout and data file of each run: as written with the sampler
-        # record, and as written before the branch stack, rebuilt from that record
-        digest, old_digest = hashlib.sha256(), hashlib.sha256()
-        out = tmp_path / "run.json"
-        for argv in self.GOLDEN_RUNS:
-            code, stdout, _ = run_cli(capsys, "teleport", *argv, "--out", str(out))
-            data = out.read_bytes()
-            digest.update(b"%d\n%s\n%s\n" % (code, stdout.encode(), data))
-            old_digest.update(b"%d\n%s\n%s\n" % (code, stdout.encode(),
-                                                   teleport_file_before_sampler(data)))
-        assert digest.hexdigest() == \
-            "71e7480b4afdb98b8a348cfab2b25df95af72265afa83ad8e13e1d3b4649b220"
-        assert old_digest.hexdigest() == \
-            "c311448b361d6ed5eb0bf0ff85df03ee1bc17249100aff5ea4c1c9b5d3fbfbae"
+    @pytest.fixture(scope="class")
+    def cpu_setup_runs(self, tmp_path_factory):
+        # every set-up in its own fresh process, all at once, beside this process's digests
+        tmp = tmp_path_factory.mktemp("cpu")
+        script = ("import sys\nfrom pathlib import Path\nsys.path.insert(0, sys.argv[1])\n"
+                  "from test_cli import teleport_golden_digests\n"
+                  "print(*teleport_golden_digests(Path(sys.argv[2])))")
+        procs = {name: subprocess.Popen(
+            [sys.executable, "-c", script, str(Path(__file__).parent), str(tmp / f"{name}.json")],
+            env={**_env_with_src(), **switches}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) for name, switches in CPU_SETUPS.items()}
+        here = " ".join(teleport_golden_digests(tmp / "here.json"))
+        return here, {name: (proc.communicate(timeout=120), proc.returncode)
+                      for name, proc in procs.items()}
+
+    @pytest.mark.parametrize("setup", CPU_SETUPS)
+    def test_golden_bytes_under_every_cpu_setup(self, cpu_setup_runs, setup):
+        # the switches choose which numpy, OpenBLAS and glibc kernels the child runs
+        here, runs = cpu_setup_runs
+        (stdout, stderr), code = runs[setup]
+        if "You cannot disable CPU feature" in stderr:
+            pytest.skip(f"numpy refuses the {setup} set-up on this machine")
+        assert (code, stdout.strip()) == (0, here), stderr
 
     def test_forced_outcome_counts_any_trials_without_drawing(self, capsys, tmp_path):
         # 10**15 trials: no draw is made and nothing is allocated per trial

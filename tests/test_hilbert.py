@@ -16,8 +16,7 @@ from bellmd.hilbert import (
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 ZERO = StateVector([1.0, 0.0])
 PAULI_X, PAULI_Z = OperatorMatrix(oracles.PAULI_X), OperatorMatrix(oracles.PAULI_Z)
-# the entangled basis (|00>+|11>), (|00>-|11>), (|01>+|10>), (|01>-|10>), all /sqrt(2)
-ENTANGLED_BASIS = SQRT2_INV * np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]])
+ENTANGLED_BASIS = oracles.ENTANGLED_BASIS
 
 
 def random_qubit_pair(rng):

@@ -240,6 +240,17 @@ class TestValidation:
                          np.ones((1, 2)), np.ones((2, 2)))
         assert np.array_equal(model.lambda_given_settings, np.tile(inside, (2, 1)))
 
+    def test_rows_are_summed_in_entry_order(self):
+        # this row sums to 1 + 2.498e-13 in entry order, within a quarter of the tolerance,
+        # and to 1 + 2.5002e-13 in reverse order, past it: the order decides what loads
+        row = [0.3571736306952352, 0.08651857807205919, 0.4956235435858616,
+               0.01687780612713921, 0.0438064415199547]
+        responses = np.ones((2, 5))
+        model = LhvModel(SettingSpace(), np.tile(row, (4, 1)), responses, responses)
+        assert model.lambda_given_settings.tolist() == [row] * 4
+        with pytest.raises(InputError, match="rows must each sum to 1 within 2.5e-13"):
+            LhvModel(SettingSpace(), np.tile(row[::-1], (4, 1)), responses, responses)
+
     @pytest.mark.parametrize("shape, message", [
         ((2, 2, 2, 2), "joint outcome table rows must each sum to 1 within 1e-12"),
         ((1, 1, 2, 2), "joint outcome table sums to 1.000000000003, expected 1"),

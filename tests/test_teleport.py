@@ -9,7 +9,6 @@ from bellmd.errors import InputError, InvariantError
 from bellmd.hilbert import StateVector
 from bellmd.teleport import (
     CORRECTION_LABELS,
-    _BELL_VECTORS,
     TeleportInput,
     branch_decomposition,
     branch_transcripts,
@@ -65,20 +64,46 @@ def test_fidelity_one_across_random_inputs_and_outcomes(rng):
 
 
 def test_correction_is_the_unique_pauli_per_branch(rng):
-    # exhaustive search over the four-label Pauli set: exactly one correction
-    # restores each branch image (up to phase) for a generic input
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    # each branch image is the receiver's part of the three-qubit state along one vector
+    # of the entangled basis; exhaustive search over the four-label Pauli set: exactly
+    # one correction restores each image (up to phase) for a generic input
+    z, x = oracles.PAULI_Z, oracles.PAULI_X
     paulis = [np.eye(2, dtype=complex), z, x, z @ x]
     inp = random_input(rng)
     target = np.array([inp.a, inp.b])
+    total = np.kron(target, oracles.ENTANGLED_BASIS[0]).reshape(4, 2)
     branches = branch_decomposition(inp)
-    for outcome, (_, pre) in enumerate(branches):
+    for outcome, (vector, (_, pre)) in enumerate(zip(oracles.ENTANGLED_BASIS, branches)):
+        image = vector.conj() @ total
+        assert np.max(np.abs(pre.amplitudes - image / np.linalg.norm(image))) <= 1e-15
         matches = [
             k for k, p in enumerate(paulis)
             if abs(np.vdot(target, p @ pre.amplitudes)) ** 2 >= 1.0 - 1e-10
         ]
         assert matches == [outcome]
+
+
+def test_the_branches_are_sign_flips_and_swaps_of_one_state(rng):
+    # one probability for every outcome, which the sampler normalizes to exactly 1/4; each
+    # pre-correction state is (u, v), (u, -v), (v, u) or (-v, u) of the corrected (u, v)
+    for inp in [random_input(rng) for _ in range(50)] + [TeleportInput(0.6, 0.8)]:
+        transcripts = branch_transcripts(inp)
+        u, v = transcripts[0].bob_final.amplitudes.tolist()
+        images = [(u, v), (u, -v), (v, u), (-v, u)]
+        for t, (prob, pre), image in zip(transcripts, branch_decomposition(inp), images):
+            assert t.outcome_probability == prob == transcripts[0].outcome_probability
+            assert t.bob_final.amplitudes.tobytes() == np.array([u, v]).tobytes()
+            assert pre.amplitudes.tobytes() == np.array(image).tobytes()
+        p = np.array([t.outcome_probability for t in transcripts])
+        assert (p / p.sum()).tolist() == [0.25] * 4
+
+
+def test_a_unit_input_arrives_bit_for_bit():
+    # squared norm exactly 1: every component is divided by 1.0, signed zeros included
+    inp = TeleportInput(complex(-1.0, -0.0), complex(0.0, -0.0))
+    for t in branch_transcripts(inp):
+        assert (t.outcome_probability, t.fidelity) == (0.25, 1.0)
+        assert t.bob_final.amplitudes.tobytes() == inp.state().amplitudes.tobytes()
 
 
 def test_sampled_outcome_frequencies(rng):
@@ -178,9 +203,15 @@ def test_branch_transcripts_match_each_branch(rng):
 
 
 def test_the_receiver_stack_is_checked(monkeypatch):
-    # corrections that are not unitary break the receiver states' unit norm
-    monkeypatch.setattr(teleport, "_CORRECTIONS", teleport._CORRECTIONS * 1.1)
-    with pytest.raises(InvariantError, match="squared norms"):
+    # a closed form that stretches the receiver state breaks its unit norm
+    closed_form = teleport._branches
+
+    def stretched(sent):
+        p, u, v = closed_form(sent)
+        return p, 1.1 * u, 1.1 * v
+
+    monkeypatch.setattr(teleport, "_branches", stretched)
+    with pytest.raises(InvariantError, match="^receiver state has squared norm 1.21, expected 1$"):
         branch_transcripts(TeleportInput(0.6, 0.8))
 
 
@@ -214,10 +245,11 @@ def test_protocol_exposes_single_measurement():
 
 
 def test_entangled_pair_is_a_valid_state():
-    pair = StateVector(_BELL_VECTORS[0])
+    basis = oracles.ENTANGLED_BASIS
+    pair = StateVector(basis[0])
     assert np.allclose(pair.amplitudes, [SQRT2_INV, 0, 0, SQRT2_INV], atol=1e-15)
     # the four measurement outcomes form an orthonormal basis
-    assert np.allclose(_BELL_VECTORS.conj() @ _BELL_VECTORS.T, np.eye(4), atol=1e-15)
+    assert np.allclose(basis.conj() @ basis.T, np.eye(4), atol=1e-15)
 
 
 def _seeded_inputs() -> list[TeleportInput]:
