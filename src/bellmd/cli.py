@@ -53,12 +53,12 @@ from .serialize import (
 from .teleport import (
     OUTCOME_DRAW,
     TeleportInput,
-    branch_transcripts,
     outcome_counts,
+    run_teleportation,
     verify_no_setting_choice,
 )
-# the benchmark tracer (bench/workloads.py) wraps these two names in this module
-from .teleport import branch_decomposition, run_teleportation  # noqa: F401
+# only the benchmark tracer (bench/workloads.py) uses this name: no command needs it
+from .teleport import branch_decomposition  # noqa: F401
 
 
 class _Run:
@@ -129,7 +129,7 @@ def cmd_teleport(args) -> _Run:
 
     # the four possible transcripts are fixed by the input; trials only
     # resample which branch occurred, so the file stores each transcript once
-    canonical = branch_transcripts(inp)
+    canonical = run_teleportation(inp)
     if args.force_outcome is None:
         counts = outcome_counts([t.outcome_probability for t in canonical], args.trials,
                                 args.seed)

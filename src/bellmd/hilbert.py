@@ -1,18 +1,17 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-State vectors, exactly hermitian observables and their expectation values.
-Everything is validated eagerly and immutable afterwards, so values can be
-shared freely across threads.  Every expectation value is computed by one
-evaluator, ``_hermitian_expectations``, over a stack of operators checked
-where they enter: ``ChshScenario`` checks a CHSH scenario's four observables
-as one stack, by the same ``_hermitian_parts`` that ``OperatorMatrix`` runs.
-Teleportation's receiver states are derived from a checked input in closed form
-and checked there, so they are built without a re-check.  All spaces in this
-package are tiny (dimension at most 4 for two-qubit work, 3 for qutrit work),
-so a dense numpy representation is used throughout.  The checks reduce through
-``ufunc.reduce`` (``np.add.reduce`` for ``.sum()``): the ndarray methods reach the
-same reduce, bit for bit, through a Python-level wrapper that costs more than the
-arithmetic on arrays this small.
+State vectors, Kronecker products and expectation values of operator stacks.
+State vectors are validated eagerly and immutable afterwards, so they can be
+shared freely across threads.  Operators are plain complex arrays, checked where
+they enter: ``ChshScenario`` checks a CHSH scenario's four observables as one
+stack, by ``_hermitian_parts``.  ``tensor_op`` forms the Kronecker products of
+whole stacks, and one evaluator, ``expectation``, computes every expectation
+value over a stack its caller has checked.  All spaces in this package are tiny
+(dimension at most 4 for two-qubit work, 3 for qutrit work), so a dense numpy
+representation is used throughout.  The checks reduce through ``ufunc.reduce``
+(``np.add.reduce`` for ``.sum()``): the ndarray methods reach the same reduce,
+bit for bit, through a Python-level wrapper that costs more than the arithmetic
+on arrays this small.
 """
 
 from __future__ import annotations
@@ -71,34 +70,14 @@ class StateVector(Frozen):
         return re * re + im * im
 
 
-class OperatorMatrix(Frozen):
-    """Matrix A with max |A - A^dagger| <= ``ARITHMETIC``, stored as its exactly hermitian part.
-
-    Stored entries equal their adjoint exactly, so products of them are exactly
-    hermitian; an exactly hermitian A is kept bit for bit, so a copy keeps every bit.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries) -> None:
-        arr = np.array(entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise InputError(f"operator must be a nonempty square matrix, got shape {arr.shape}")
-        self._assign(_freeze(_hermitian_parts(arr[None]))[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.entries.shape[0])
-
-
-def _hermitian_parts(ops: np.ndarray, names=None) -> np.ndarray:
+def _hermitian_parts(ops: np.ndarray, names) -> np.ndarray:
     """The exactly hermitian part of each member A of an (n, d, d) stack, after its checks.
 
     In order: finite entries, then max |A - A^dagger| <= ``ARITHMETIC``, as |A/2 - A^dagger/2|
     <= ``ARITHMETIC`` / 2, an exact scaling that cannot overflow.  The first member that fails
-    raises, prefixed by its entry of ``names`` and a colon when ``names`` is given.  An entry
-    that equals its adjoint's entry is kept; any other becomes A/2 + A^dagger/2.  Halving
-    rounds a subnormal, so A/2 + A^dagger/2 alone would change such an entry on a rebuild.
+    raises, prefixed by its entry of ``names`` and a colon.  An entry that equals its
+    adjoint's entry is kept; any other becomes A/2 + A^dagger/2.  Halving rounds a
+    subnormal, so A/2 + A^dagger/2 alone would change such an entry on a rebuild.
     """
     finite = np.isfinite(ops)
     if np.logical_and.reduce(finite, axis=None):
@@ -112,30 +91,30 @@ def _hermitian_parts(ops: np.ndarray, names=None) -> np.ndarray:
         defect = f"operator must be hermitian: max |A - A^dagger| = {residue:.3g}"
     else:
         i, defect = int(np.argmin(finite.all(axis=(1, 2)))), "operator entries must be finite"
-    raise InputError(defect if names is None else f"{names[i]}: {defect}")
+    raise InputError(f"{names[i]}: {defect}")
 
 
-def tensor_op(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Kronecker product a (x) b with the left factor as the high-order index."""
-    return OperatorMatrix(np.kron(a.entries, b.entries))
+def tensor_op(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product A (x) B of each pair of broadcast (..., m, m) and (..., n, n) stacks.
+
+    The left factor is the high-order index.  Every entry is one product of an entry of A and
+    one of B, formed by one broadcast multiply, which rounds as ``np.kron`` does (einsum may
+    fuse multiply-adds).  Products of exactly hermitian factors are exactly hermitian.
+    """
+    m, n = a.shape[-1], b.shape[-1]
+    products = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return products.reshape(*products.shape[:-4], m * n, m * n)
 
 
-def _hermitian_expectations(arr: np.ndarray, s: StateVector) -> np.ndarray:
+def expectation(ops: np.ndarray, s: StateVector) -> np.ndarray:
     """<s|A|s> for every A in a finite hermitian stack of shape (..., d, d), checked by its caller.
 
     The package's one evaluator; it checks only the imaginary residue of each result.
     """
     psi = s.amplitudes
     # psi^dagger (A psi), grouped as np.vdot groups it, so one operator gives the same bits
-    values = (psi.conj() @ (arr @ psi)[..., None])[..., 0]
+    values = (psi.conj() @ (ops @ psi)[..., None])[..., 0]
     residue = float(np.maximum.reduce(np.abs(values.imag), axis=None, initial=0.0))
     if residue > OPERATOR:
         raise InvariantError(f"expectation has imaginary residue {residue:.3g}")
     return values.real
-
-
-def expectation(op: OperatorMatrix, s: StateVector) -> float:
-    """<s|op|s> for a hermitian operator, after a check of its dimension."""
-    if op.dim != s.dim:
-        raise InputError(f"operator dimension {op.dim} does not match state dimension {s.dim}")
-    return float(_hermitian_expectations(op.entries, s))

@@ -4,8 +4,10 @@ The CHSH statistic is symmetrized over the eight sign/relabeling
 placements of the minus term, so it does not depend on which correlator
 combination convention a table was produced under.  The KCBS statistic is
 the five-cycle correlator sum on a qutrit; its noncontextual bound (-3)
-comes from exhaustive enumeration of +/-1 assignments.  The scenario checks and
-quantum evaluators reduce through ``ufunc.reduce``, as ``hilbert`` does.
+comes from exhaustive enumeration of +/-1 assignments.  Each quantum
+evaluator builds one operator stack and calls ``hilbert.expectation`` on it once.
+The scenario checks and quantum evaluators reduce through ``ufunc.reduce``, as
+``hilbert`` does; the KCBS neighbour gate takes no matrix product.
 """
 
 from __future__ import annotations
@@ -16,16 +18,14 @@ import math
 import numpy as np
 
 from .errors import Frozen, InputError
-from .hilbert import StateVector, _hermitian_expectations, _hermitian_parts
-# the benchmark tracer (bench/workloads.py) wraps these two names in this module
-from .hilbert import expectation, tensor_op  # noqa: F401
+from .hilbert import StateVector, _hermitian_parts, expectation, tensor_op
 from .lhv import CorrelationTable
 from .tolerances import ARITHMETIC, OPERATOR
 
 KCBS_QUANTUM_OPTIMAL = -3.9442719099991588  # 5 - 4 sqrt(5), correctly rounded
 
-# index of the Gram-matrix entries (i, i + 1 mod 5) of a five-cycle
-_CYCLE = (np.arange(5), np.array([1, 2, 3, 4, 0]))
+# the neighbour i + 1 mod 5 of each member i of a five-cycle
+_NEXT = np.array([1, 2, 3, 4, 0])
 _OBSERVABLE_NAMES = [f"{party} observable {k}" for party in ("alice", "bob") for k in (0, 1)]
 _EYE = np.eye(2)
 _EYE3 = np.eye(3)
@@ -94,18 +94,14 @@ def chsh_quantum(s: ChshScenario) -> CorrelationTable:
 
     The joint table holds <state| P_i^x (x) Q_j^y |state> for the outcome
     projectors (1 +/- A)/2, clamped at 0 and renormalized per setting pair.
-    Every product is one broadcast multiply in ``np.kron`` layout, which
-    rounds exactly as ``np.kron`` does (einsum may fuse multiply-adds).
+    The 16 products come from one ``tensor_op`` of the projector stacks; products
+    of exactly hermitian factors are exactly hermitian, so they are not re-scanned.
     """
     ops = s.observables
     # [observable, outcome] -> (1 + A)/2 for outcome 0, (1 - A)/2 for outcome 1
     projs = np.array([_EYE + ops, _EYE - ops]).swapaxes(0, 1) / 2.0
-    alice_projs, bob_projs = projs[:2], projs[2:]
-    # axes (a, b, x, y, i, j, k, l) -> P_a^x[i, k] Q_b^y[j, l], i.e. kron(P, Q)[2i + j, 2k + l]
-    proj_products = (alice_projs[:, None, :, None, :, None, :, None]
-                     * bob_projs[None, :, None, :, None, :, None, :])
-    # products of exactly hermitian factors in this layout are exactly hermitian
-    joint = _hermitian_expectations(proj_products.reshape(2, 2, 2, 2, 4, 4), s.state)
+    # axes (a, b, x, y) -> P_a^x (x) Q_b^y, alice's observable a and bob's b
+    joint = expectation(tensor_op(projs[:2, None, :, None], projs[None, 2:, None, :]), s.state)
     joint = np.maximum(joint, 0.0)
     joint /= np.add.reduce(joint, axis=(2, 3), keepdims=True)
     return CorrelationTable._derived(joint)
@@ -149,7 +145,7 @@ class KcbsScenario(Frozen):
         # ``ARITHMETIC`` keeps it at half that tolerance, a factor 2 left for rounding,
         # so kcbs_value evaluates the products without a hermiticity check
         ortho_tol = ARITHMETIC / 8.0
-        dots = np.abs((vecs @ vecs.T)[_CYCLE])  # |v_i . v_{i+1}|, i = 0..4
+        dots = np.abs(np.add.reduce(vecs * vecs[_NEXT], axis=1))  # |v_i . v_{i+1}|, i = 0..4
         i = int(np.argmax(dots > ortho_tol))  # the first pair that fails, if any
         if dots[i] > ortho_tol:
             raise InputError(
@@ -193,8 +189,8 @@ def kcbs_value(s: KcbsScenario) -> float:
     v = s.vectors
     observables = 2.0 * (v[:, :, None] * v[:, None, :]) - _EYE3
     # hermitian within ``ARITHMETIC`` / 2 by KcbsScenario's orthogonality bound
-    products = observables @ observables[_CYCLE[1]]
-    return float(np.add.reduce(_hermitian_expectations(products, s.state)))
+    products = observables @ observables[_NEXT]
+    return float(np.add.reduce(expectation(products, s.state)))
 
 
 def kcbs_classical_min() -> float:

@@ -7,7 +7,8 @@ or (-b, a), halved, each with probability p = (|a|^2 + |b|^2)/4, which is 1/4
 for a normalized input (Bennett et al., PRL 70, 1895, 1993).  The outcome
 index selects the Pauli correction, 1, Z, X or Z X, that undoes its flip.
 The branches are computed in that closed form, in real arithmetic on each
-amplitude component, so no matrix product sets their bits.
+amplitude component, so no matrix product sets their bits.  ``run_teleportation``
+returns the four transcripts, indexed by outcome, among which a run samples.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ def branch_decomposition(inp: TeleportInput) -> list[tuple[float, StateVector]]:
             for pre in ((u, v), (u, -v), (v, u), (-v, u))]
 
 
-def branch_transcripts(inp: TeleportInput) -> tuple[TeleportTranscript, ...]:
-    """The transcript of each of the 4 branches, list index = outcome index.
+def run_teleportation(inp: TeleportInput) -> tuple[TeleportTranscript, ...]:
+    """The transcript of each of the 4 branches, index = outcome index.
 
     The input is checked once, as the sent state.  Every branch's corrected
     receiver state is the same one, checked for unit norm and compared with
@@ -98,13 +99,6 @@ def branch_transcripts(inp: TeleportInput) -> tuple[TeleportTranscript, ...]:
     fidelity = min(bob_final.fidelity(sent), 1.0)
     return tuple(TeleportTranscript(k, p, label, bob_final, fidelity)
                  for k, label in enumerate(CORRECTION_LABELS))
-
-
-def run_teleportation(inp: TeleportInput, forced_outcome: int) -> TeleportTranscript:
-    """Execute one teleportation round in the branch ``forced_outcome`` selects."""
-    if forced_outcome not in (0, 1, 2, 3):
-        raise InputError(f"forced outcome {forced_outcome} must be in 0..3")
-    return branch_transcripts(inp)[int(forced_outcome)]
 
 
 # the draw whose outcomes ``outcome_counts`` counts; a data file records it, not the outcomes
@@ -160,7 +154,7 @@ def verify_no_setting_choice() -> dict:
     """Machine-readable inventory of the measurements the teleportation protocol offers.
 
     The sender makes one fixed entangled-basis measurement (the one whose
-    four branches ``branch_transcripts`` builds), so no party chooses a
+    four branches ``run_teleportation`` builds), so no party chooses a
     setting, unlike the two observables per party of a CHSH scenario.
     """
     return {

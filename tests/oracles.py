@@ -265,18 +265,41 @@ def teleport_file_before_sampler(data: bytes) -> bytes:
     return (head + ',\n  "outcomes": "' + digits + '"\n}\n').encode("utf-8")
 
 
-def operator_from_doc(data, context: str, name: str):
+class OperatorMatrix:
+    """One square matrix A, checked on its own and stored as its exactly hermitian part.
+
+    The one-by-one reference for ``hilbert._hermitian_parts``, which checks a whole
+    stack.  The checks, in the library's order and with its messages: a nonempty
+    square shape, finite entries, then max |A - A^dagger| <= 1e-12.  An entry that
+    equals its adjoint's entry is stored as it is, any other as A/2 + A^dagger/2.
+    """
+
+    def __init__(self, entries) -> None:
+        from bellmd.errors import InputError
+
+        a = np.array(entries, dtype=complex)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+            raise InputError(f"operator must be a nonempty square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise InputError("operator entries must be finite")
+        adjoint = a.conj().T
+        with np.errstate(over="ignore"):  # a difference past the largest float reads inf
+            residue = float(np.abs(a - adjoint).max())
+        if residue > 1e-12:
+            raise InputError(f"operator must be hermitian: max |A - A^dagger| = {residue:.3g}")
+        self.entries = np.where(a == adjoint, a, a / 2.0 + adjoint / 2.0)
+
+
+def operator_from_doc(data, context: str, name: str) -> OperatorMatrix:
     """``OperatorMatrix`` of one [re, im] matrix document, decoded and checked alone.
 
     The one-by-one reference for the CHSH decode, which checks a scenario's
     four observables as one stack in ``ChshScenario``.  It reuses the
-    library's pair conversion and ``OperatorMatrix``'s own checks, which are
-    not the path it is compared with.  A square matrix that fails on its
-    entries (finite, then hermitian) is named as ``name``, the observable it
-    stands for, as ``ChshScenario`` names it.
+    library's pair conversion, which is not the path it is compared with.
+    A square matrix that fails on its entries (finite, then hermitian) is
+    named as ``name``, the observable it stands for, as ``ChshScenario`` names it.
     """
     from bellmd.errors import InputError
-    from bellmd.hilbert import OperatorMatrix
     from bellmd.serialize import _pairs_to_complex
 
     values = _pairs_to_complex(data, context)

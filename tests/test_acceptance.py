@@ -23,7 +23,7 @@ from bellmd.inequalities import (
 )
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct, predict
 from bellmd.mdsearch import min_cmd_for_chsh, tradeoff_curve
-from bellmd.teleport import TeleportInput, branch_transcripts, outcome_counts, run_teleportation
+from bellmd.teleport import TeleportInput, outcome_counts, run_teleportation
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -129,10 +129,9 @@ def test_criterion_6_teleportation():
         v = rng.normal(size=4)
         v /= np.linalg.norm(v)
         inp = TeleportInput(complex(v[0], v[1]), complex(v[2], v[3]))
-        for outcome_index in range(4):
-            transcript = run_teleportation(inp, forced_outcome=outcome_index)
+        for transcript in run_teleportation(inp):
             worst_gap = max(worst_gap, abs(transcript.fidelity - 1.0))
-    probs = [t.outcome_probability for t in branch_transcripts(TeleportInput(0.6, 0.8))]
+    probs = [t.outcome_probability for t in run_teleportation(TeleportInput(0.6, 0.8))]
     freqs = np.array(outcome_counts(probs, trials=100_000, seed=1)) / 100_000
     ok = worst_gap <= 1e-12 and bool(np.all(np.abs(freqs - 0.25) <= 0.01))
     _verdict("6 teleportation", ok, watch,

@@ -4,25 +4,38 @@ Every float input is an exact rational, so every printed number has an exact val
 for the inputs it was computed from: a ``fractions.Fraction`` where the arithmetic
 is rational, a 60-digit ``decimal`` where it takes a square root.  An error is
 measured in ulps of the exact value, |printed - exact| / math.ulp(float(exact)),
-the spacing of doubles at the double nearest it.  Each row of ``LEDGER`` names an
-output, its sweep and its stated bound; the test measures the row's largest error
-over the sweep and checks it against the bound.
+the spacing of doubles at the double nearest it; a joint probability's error is
+measured in ulps of 1, absolute.  Each row of ``LEDGER`` names an output, its sweep
+and its stated bound; the test measures the row's largest error over the sweep and
+checks it against the bound.  The quantum rows take their exact values from the
+scenario's stored float observables, vectors and state, in exact rational arithmetic
+on numpy object arrays of ``Fraction``s.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import oracles
 from bellmd.cli import main
+from bellmd.hilbert import StateVector
+from bellmd.inequalities import (ChshScenario, KcbsScenario, chsh_quantum, chsh_value,
+                                 kcbs_pentagram, kcbs_value)
+from bellmd.serialize import read_chsh_scenario, read_kcbs_scenario
 
 TELEPORT_SEEDS = range(200)
+# the quantum sweeps: CHSH_SCENARIOS random CHSH scenarios, then, from a fresh generator,
+# KCBS_SCENARIOS rotated pentagrams, each with a random state
+QUANTUM_SEED, CHSH_SCENARIOS, KCBS_SCENARIOS = 20250810, 64, 100
 
 # output -> (bound in ulps, what the bound rests on); teleport rows are measured over
 # `bellmd teleport --random --seed S` for S in TELEPORT_SEEDS, every transcript of each run
@@ -30,6 +43,13 @@ LEDGER = {
     "teleport outcome_probability": (2.0, "four rounded squares, one rounded sum: 2u relative"),
     "teleport bob_final": (2.5, "p's 2u halved by the square root, two roundings more"),
     "teleport fidelity": (4.0, "measured: 2.16 over this sweep, 2.87 over seeds 0..999"),
+    "chsh_value bell-optimal.json": (1.0, "measured: 0.5 under every CPU set-up tried"),
+    "chsh_value random scenarios": (6.0, "measured: 4.44, at exact S down to 0.41, where an "
+                                         "ulp is a quarter of 1's; 3.77 under Prescott"),
+    "chsh_quantum joint, ulps of 1": (1.0, "measured: 0.69 over the random scenarios"),
+    "kcbs_value pentagram": (1.0, "measured: 0.118 for kcbs_pentagram() and its asset file; "
+                                  "0.41 under Prescott, whose norms move the vectors"),
+    "kcbs_value rotated pentagrams": (6.0, "measured: 4.25, at exact values down to 0.069"),
 }
 
 
@@ -67,9 +87,94 @@ def teleport_errors(tmp_path) -> dict[str, float]:
     return {f"teleport {name}": error for name, error in worst.items()}
 
 
+def _fractions(arr: np.ndarray) -> np.ndarray:
+    """The exact value of each entry of a float array, as an object array of ``Fraction``s."""
+    return np.vectorize(Fraction, otypes=[object])(arr)
+
+
+def exact_chsh(s: ChshScenario) -> tuple[np.ndarray, Fraction]:
+    """The joint table that ``chsh_quantum`` defines, and its CHSH value, exactly.
+
+    With N = <psi|psi>, the projectors P = (1 + sA)/2 and Q = (1 + tB)/2 of outcomes with
+    signs s and t give <P (x) Q> = (N + s<A (x) 1> + t<1 (x) B> + st<A (x) B>)/4.  Each
+    setting pair's four values are clamped at 0 and divided by their sum.
+    """
+    psi = s.state.amplitudes
+    p_re, p_im = _fractions(psi.real), _fractions(psi.imag)
+
+    def form(a: np.ndarray, b: np.ndarray) -> Fraction:  # Re <psi| a (x) b |psi>
+        (a_re, a_im), (b_re, b_im) = [(_fractions(m.real), _fractions(m.imag)) for m in (a, b)]
+        h_re = np.kron(a_re, b_re) - np.kron(a_im, b_im)
+        h_im = np.kron(a_re, b_im) + np.kron(a_im, b_re)
+        return p_re @ (h_re @ p_re - h_im @ p_im) + p_im @ (h_re @ p_im + h_im @ p_re)
+
+    one = np.eye(2, dtype=complex)
+    # v[i][j] = <A (x) B> for alice's [1, A_0, A_1][i] and bob's [1, B_0, B_1][j]
+    v = [[form(a, b) for b in (one, *s.observables[2:])] for a in (one, *s.observables[:2])]
+    joint = np.empty((2, 2, 2, 2), dtype=object)  # axes (setting a, setting b, outcome, outcome)
+    for a, b in itertools.product(range(2), repeat=2):
+        for x, y in itertools.product(range(2), repeat=2):
+            sx, sy = 1 - 2 * x, 1 - 2 * y
+            value = (v[0][0] + sx * v[a + 1][0] + sy * v[0][b + 1] + sx * sy * v[a + 1][b + 1]) / 4
+            joint[a, b, x, y] = max(value, Fraction(0))
+        joint[a, b] /= sum(joint[a, b].flat)
+    e = [t[0, 0] - t[0, 1] - t[1, 0] + t[1, 1] for t in joint.reshape(4, 2, 2)]
+    return joint, max(abs(sum(e) - 2 * e_i) for e_i in e)
+
+
+def exact_kcbs(s: KcbsScenario) -> Fraction:
+    """sum_i Re <psi| A_i A_{i+1} |psi> for A_i = 2 v_i v_i^T - 1, exactly.
+
+    With s_i = v_i . psi, each term is 4 (v_i . v_{i+1}) Re(conj(s_i) s_{i+1}) - 2|s_i|^2
+    - 2|s_{i+1}|^2 + <psi|psi>.
+    """
+    v, psi = _fractions(s.vectors), s.state.amplitudes
+    p_re, p_im = _fractions(psi.real), _fractions(psi.imag)
+    s_re, s_im = v @ p_re, v @ p_im
+    following = [1, 2, 3, 4, 0]
+    dots = (v * v[following]).sum(axis=1)
+    squares = s_re * s_re + s_im * s_im
+    terms = (4 * dots * (s_re * s_re[following] + s_im * s_im[following])
+             - 2 * squares - 2 * squares[following] + (p_re @ p_re + p_im @ p_im))
+    return sum(terms)
+
+
+def chsh_errors() -> dict[str, float]:
+    """Largest errors of ``chsh_value`` and the joint entries over the CHSH sweep."""
+    asset = read_chsh_scenario(oracles.asset_path("bell-optimal.json"))
+    errors = {"chsh_value bell-optimal.json": ulps(chsh_value(chsh_quantum(asset)),
+                                                   exact_chsh(asset)[1])}
+    rng = np.random.default_rng(QUANTUM_SEED)
+    worst_value = worst_joint = 0.0
+    for _ in range(CHSH_SCENARIOS):
+        ops = [oracles.bloch_observable(oracles.random_unit_bloch(rng)) for _ in range(4)]
+        scenario = ChshScenario(np.array(ops), StateVector(oracles.random_state(4, rng)))
+        table = chsh_quantum(scenario)
+        joint, s = exact_chsh(scenario)
+        worst_value = max(worst_value, ulps(chsh_value(table), s))
+        gap = max(abs(Fraction(got) - want) for got, want in zip(table.joint.flat, joint.flat))
+        worst_joint = max(worst_joint, float(gap / Fraction(math.ulp(1.0))))
+    errors["chsh_value random scenarios"] = worst_value
+    errors["chsh_quantum joint, ulps of 1"] = worst_joint
+    return errors
+
+
+def kcbs_errors() -> dict[str, float]:
+    """Largest errors of ``kcbs_value`` on the pentagram and over the rotated pentagrams."""
+    pentagrams = [kcbs_pentagram(), read_kcbs_scenario(oracles.asset_path("kcbs-pentagram.json"))]
+    rng = np.random.default_rng(QUANTUM_SEED)
+    rotated = [KcbsScenario(pentagrams[0].vectors @ oracles.random_rotation(rng).T,
+                            StateVector(oracles.random_state(3, rng)))
+               for _ in range(KCBS_SCENARIOS)]
+    return {name: max(ulps(kcbs_value(s), exact_kcbs(s)) for s in sweep)
+            for name, sweep in (("kcbs_value pentagram", pentagrams),
+                                ("kcbs_value rotated pentagrams", rotated))}
+
+
 @pytest.fixture(scope="module")
 def measured(tmp_path_factory) -> dict[str, float]:
-    return teleport_errors(tmp_path_factory.mktemp("ledger"))
+    return {**teleport_errors(tmp_path_factory.mktemp("ledger")), **chsh_errors(),
+            **kcbs_errors()}
 
 
 @pytest.mark.parametrize("row", LEDGER)

@@ -1,7 +1,8 @@
 """The package's public names are pinned, so the surface cannot regrow silently.
 
 A name added to ``bellmd/__init__.py`` must be added here too, on purpose.
-Names the benchmark tracer wraps stay module attributes, checked below.
+Names the benchmark tracer wraps stay module attributes, checked below, and every
+one of them but ``cli.branch_decomposition`` is called by a benchmark workload.
 The package uses no private name of another module, the standard library's
 included: no ``from X import _name`` and no ``X._name``.  Nor does it import
 ``dataclasses``: each decorator execs its generated methods on every import of
@@ -81,6 +82,38 @@ def test_every_traced_call_resolves(monkeypatch):
     missing = [f"bellmd.{module}.{attr}" for module, attr, *_ in traced
                if not hasattr(importlib.import_module(f"bellmd.{module}"), attr)]
     assert traced and not missing
+
+
+# no command needs the receiver's states before their corrections, so no workload reaches it
+NEVER_CALLED = {"cli.branch_decomposition"}
+
+
+def test_every_traced_call_is_called_by_a_workload(monkeypatch, tmp_path):
+    # two cycles of ops of each workload, in process, under bench/tracing.py's Tracer, with
+    # each TRACED_CALLS entry wrapped under its own span name; two, so that optimize runs
+    # a --target-s op and a --budget op
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing, workloads = (importlib.import_module(name) for name in ("tracing", "workloads"))
+    bm = types.SimpleNamespace(**{path.stem: importlib.import_module(f"bellmd.{path.stem}")
+                                  for path in SOURCES if not path.stem.startswith("__")})
+    runs = [cls(1, tmp_path / name) for name, cls in workloads.WORKLOADS.items()]
+    for workload in runs:
+        workload.setup(bm)
+    tracer, problems = tracing.Tracer(), []
+    for module, attr, *_ in workloads.TRACED_CALLS:
+        tracer.wrap(getattr(bm, module), attr, f"{module}.{attr}")
+    try:
+        for workload in runs:
+            for i in range(2 * workload.cycle):
+                with tracer.op(i):
+                    result = workload.op(i)
+                problems += workload.check(i, result)
+    finally:
+        tracer.unwrap_all()
+    calls = tracer.self_times()[1]
+    uncalled = {f"{module}.{attr}" for module, attr, *_ in workloads.TRACED_CALLS
+                if not calls.get(f"{module}.{attr}")}
+    assert not problems and uncalled == NEVER_CALLED
 
 
 def _private(name: str) -> bool:

@@ -41,7 +41,7 @@ def _unit(values) -> np.ndarray | None:
 
 def assert_matches_the_checked_path(scenario: ChshScenario) -> CorrelationTable:
     table = chsh_quantum(scenario)
-    with mock.patch.object(inequalities, "_hermitian_expectations", checked_expectations), \
+    with mock.patch.object(inequalities, "expectation", checked_expectations), \
             mock.patch.object(CorrelationTable, "_derived", staticmethod(CorrelationTable)):
         checked = chsh_quantum(scenario)
     revalidated = CorrelationTable(table.joint)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from bellmd import teleport
+from bellmd import cli, teleport
 from bellmd.errors import InputError, InvariantError
 from bellmd.hilbert import StateVector
 from bellmd.teleport import (
     CORRECTION_LABELS,
     TeleportInput,
     branch_decomposition,
-    branch_transcripts,
     outcome_counts,
     run_teleportation,
     verify_no_setting_choice,
@@ -33,9 +32,7 @@ def test_input_normalization_enforced():
 
 
 def test_basis_input_fixed_by_every_branch():
-    inp = TeleportInput(1.0, 0.0)
-    for outcome in range(4):
-        t = run_teleportation(inp, forced_outcome=outcome)
+    for t in run_teleportation(TeleportInput(1.0, 0.0)):
         assert abs(t.fidelity - 1.0) <= 1e-12
         assert abs(abs(t.bob_final.amplitudes[0]) - 1.0) <= 1e-12
 
@@ -43,7 +40,7 @@ def test_basis_input_fixed_by_every_branch():
 def test_swap_branch_uses_bit_flip_correction():
     # outcome 2 is the (|01>+|10>)/sqrt(2) branch; its correction is the bit flip
     inp = TeleportInput(0.6, 0.8)
-    t = run_teleportation(inp, forced_outcome=2)
+    t = run_teleportation(inp)[2]
     assert t.correction_applied == "sigma_x"
     assert np.allclose(t.bob_final.amplitudes, [0.6, 0.8], atol=1e-12)
 
@@ -57,9 +54,7 @@ def test_branch_probabilities_are_exactly_uniform(rng):
 
 def test_fidelity_one_across_random_inputs_and_outcomes(rng):
     for _ in range(250):
-        inp = random_input(rng)
-        for outcome in range(4):
-            t = run_teleportation(inp, forced_outcome=outcome)
+        for t in run_teleportation(random_input(rng)):
             assert abs(t.fidelity - 1.0) <= 1e-12
 
 
@@ -87,7 +82,7 @@ def test_the_branches_are_sign_flips_and_swaps_of_one_state(rng):
     # one probability for every outcome, which the sampler normalizes to exactly 1/4; each
     # pre-correction state is (u, v), (u, -v), (v, u) or (-v, u) of the corrected (u, v)
     for inp in [random_input(rng) for _ in range(50)] + [TeleportInput(0.6, 0.8)]:
-        transcripts = branch_transcripts(inp)
+        transcripts = run_teleportation(inp)
         u, v = transcripts[0].bob_final.amplitudes.tolist()
         images = [(u, v), (u, -v), (v, u), (-v, u)]
         for t, (prob, pre), image in zip(transcripts, branch_decomposition(inp), images):
@@ -101,13 +96,13 @@ def test_the_branches_are_sign_flips_and_swaps_of_one_state(rng):
 def test_a_unit_input_arrives_bit_for_bit():
     # squared norm exactly 1: every component is divided by 1.0, signed zeros included
     inp = TeleportInput(complex(-1.0, -0.0), complex(0.0, -0.0))
-    for t in branch_transcripts(inp):
+    for t in run_teleportation(inp):
         assert (t.outcome_probability, t.fidelity) == (0.25, 1.0)
         assert t.bob_final.amplitudes.tobytes() == inp.state().amplitudes.tobytes()
 
 
 def test_sampled_outcome_frequencies(rng):
-    probs = [t.outcome_probability for t in branch_transcripts(TeleportInput(0.6, 0.8))]
+    probs = [t.outcome_probability for t in run_teleportation(TeleportInput(0.6, 0.8))]
     counts = outcome_counts(probs, trials=100_000, seed=7)
     assert sum(counts) == 100_000
     freqs = np.array(counts) / 100_000
@@ -132,7 +127,7 @@ def test_sampler_matches_generator_choice(rng):
     cases = [[0, 0, 0, 1], [1, 0, 0, 0], [.5, 0, .5, 0], [0, .3, 0, .7], [1, 1, 1, 1],
              [0.25, 0.25, 0.25, 0.25], [1e-300, 0, 0, 1], [3, 0, 0, 0]]
     for _ in range(50):
-        cases.append([t.outcome_probability for t in branch_transcripts(random_input(rng))])
+        cases.append([t.outcome_probability for t in run_teleportation(random_input(rng))])
     for _ in range(1000):
         p = rng.dirichlet(np.ones(4))
         p[rng.random(4) < 0.25] = 0.0
@@ -194,10 +189,9 @@ def test_the_thresholds_are_the_cumulative_sums_over_their_last(monkeypatch):
 
 def test_branch_transcripts_match_each_branch(rng):
     inp = random_input(rng)
-    transcripts = branch_transcripts(inp)
+    transcripts = run_teleportation(inp)
     assert [t.outcome_index for t in transcripts] == [0, 1, 2, 3]
     for k, (t, (prob, _)) in enumerate(zip(transcripts, branch_decomposition(inp))):
-        assert t.to_json_dict() == run_teleportation(inp, forced_outcome=k).to_json_dict()
         assert t.outcome_probability == prob
         assert t.correction_applied == CORRECTION_LABELS[k]
 
@@ -212,16 +206,17 @@ def test_the_receiver_stack_is_checked(monkeypatch):
 
     monkeypatch.setattr(teleport, "_branches", stretched)
     with pytest.raises(InvariantError, match="^receiver state has squared norm 1.21, expected 1$"):
-        branch_transcripts(TeleportInput(0.6, 0.8))
+        run_teleportation(TeleportInput(0.6, 0.8))
 
 
-def test_forced_outcome_validated():
-    with pytest.raises(InputError):
-        run_teleportation(TeleportInput(1.0, 0.0), forced_outcome=4)
+def test_forced_outcome_validated(capsys):
+    # the transcripts are indexed by outcome; --force-outcome takes only an index, 0..3
+    assert cli.main(["teleport", "--force-outcome", "4"]) == 2
+    assert "--force-outcome: invalid choice: 4" in capsys.readouterr().err
 
 
 def test_transcript_serialization_shape():
-    t = run_teleportation(TeleportInput(0.6, 0.8), forced_outcome=1)
+    t = run_teleportation(TeleportInput(0.6, 0.8))[1]
     doc = t.to_json_dict()
     assert set(doc) == {
         "outcome_index", "outcome_probability", "correction_applied",
@@ -260,7 +255,7 @@ def _seeded_inputs() -> list[TeleportInput]:
 @pytest.mark.parametrize("inp", _seeded_inputs())
 def test_branch_transcripts_match_a_direct_kron_reference(inp):
     reference = oracles.teleport_branches_reference(inp.a, inp.b)
-    for k, (t, (prob, final)) in enumerate(zip(branch_transcripts(inp), reference)):
+    for k, (t, (prob, final)) in enumerate(zip(run_teleportation(inp), reference)):
         doc = t.to_json_dict()
         assert (doc["outcome_index"], doc["correction_applied"]) == (k, CORRECTION_LABELS[k])
         assert abs(doc["outcome_probability"] - prob) <= 1e-15

@@ -1,15 +1,14 @@
 """Inputs are checked once, where they enter; derived values skip the re-check.
 
 Counters pin one check per input.  A CHSH file, sound or defective, runs
-``ChshScenario``'s check of its four observables once, as one stack, and
-builds no ``OperatorMatrix``; evaluating it builds no checked
-``CorrelationTable`` and never calls ``expectation``, the checked
-evaluator.  A KCBS file runs ``KcbsScenario``'s check once, and evaluating
-it never calls ``expectation``: the scenario's orthogonality bound already
-settles the hermiticity that an ``OperatorMatrix`` would check.  ``predict``
-builds no checked ``CorrelationTable``.
-A teleport run checks one state, the sent one, and builds no
-``OperatorMatrix``: its four receiver states are one stack with one norm check.
+``ChshScenario``'s check of its four observables once, as one stack, through
+one call of ``_hermitian_parts``, the one hermiticity check; evaluating it
+builds no checked ``CorrelationTable`` and checks no operator again.  A KCBS
+file runs ``KcbsScenario``'s check once, and evaluating it runs no
+hermiticity check: the scenario's orthogonality bound already settles it.
+``predict`` builds no checked ``CorrelationTable``.  A teleport run checks
+one state, the sent one, and no operator: its one receiver state, derived in
+closed form, gets one squared-norm check.
 A model, sound or defective, runs ``LhvModel``'s one-pass check of its three
 tables once, and never the per-field checks, and ``cmd`` scores the model's
 weights without a distribution check of its own.  A change that puts a second
@@ -29,8 +28,8 @@ import numpy as np
 import pytest
 
 import oracles
-from bellmd import cli, hilbert, inequalities, lhv, teleport
-from bellmd.hilbert import OperatorMatrix, StateVector
+from bellmd import cli, inequalities, lhv, teleport
+from bellmd.hilbert import StateVector
 from bellmd.errors import InputError
 from bellmd.infotheory import cmd
 from bellmd.inequalities import ChshScenario, KcbsScenario, bell_optimal_scenario, chsh_quantum
@@ -68,12 +67,14 @@ def _checked_bits(model) -> float:
     return oracles.checked_mutual_information(oracles.setting_lambda_joint(model))
 
 
+HERMITIAN_PARTS = "bellmd.inequalities._hermitian_parts"
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of calls to each checking entry point of the quantum and table paths."""
     return _counted(monkeypatch, (ChshScenario, "__init__"), (KcbsScenario, "__init__"),
-                    (OperatorMatrix, "__init__"), (CorrelationTable, "__init__"),
-                    (hilbert, "expectation"))
+                    (inequalities, "_hermitian_parts"), (CorrelationTable, "__init__"))
 
 
 @pytest.fixture
@@ -92,11 +93,8 @@ def test_the_counters_see_the_checked_paths(calls, state_calls):
     bell_optimal_scenario()  # the four observables are checked once, by the scenario
     inequalities.kcbs_pentagram()
     CorrelationTable.from_correlators(np.zeros((2, 2)))
-    qubit = hilbert.StateVector([1.0, 0.0])
-    hilbert.expectation(OperatorMatrix(oracles.PAULI_Z), qubit)  # one OperatorMatrix, one call
     assert calls == {"ChshScenario.__init__": 1, "KcbsScenario.__init__": 1,
-                     "OperatorMatrix.__init__": 1, "CorrelationTable.__init__": 1,
-                     "bellmd.hilbert.expectation": 1}
+                     HERMITIAN_PARTS: 1, "CorrelationTable.__init__": 1}
     state_calls.clear()
     teleport.TeleportInput(0.6, 0.8).state()  # the sent state, the one a teleport run checks
     assert state_calls == {"StateVector.__init__": 1}
@@ -107,14 +105,14 @@ def test_a_teleport_run_checks_the_sent_state_once(calls, state_calls, capsys, t
     code = cli.main(["teleport", "--random", "--seed", "5", "--trials", "1000", "--out", str(out)])
     assert code == 0, capsys.readouterr().err
     assert json.loads(capsys.readouterr().out)["min_fidelity"] >= 1.0 - 1e-12
-    assert not calls  # no OperatorMatrix, and no other check of the quantum path
+    assert not calls  # no operator check, and no other check of the quantum path
     assert state_calls == {"StateVector.__init__": 1}
 
 
 def test_a_chsh_file_is_checked_once_on_decode(calls):
     table = chsh_quantum(read_chsh_scenario(oracles.asset_path("bell-optimal.json")))
     assert abs(inequalities.chsh_value(table) - 2.0 * np.sqrt(2.0)) <= 1e-12
-    assert calls == {"ChshScenario.__init__": 1}
+    assert calls == {"ChshScenario.__init__": 1, HERMITIAN_PARTS: 1}
 
 
 # slot -> a matrix document that decodes but fails one of ChshScenario's checks
@@ -137,15 +135,15 @@ def test_a_defective_chsh_file_is_checked_once(calls, tmp_path, defect):
     calls.clear()
     with pytest.raises(InputError):
         read_chsh_scenario(path)
-    assert calls == {"ChshScenario.__init__": 1}
+    # a 3x3 matrix fails the shape check, before the hermiticity check runs
+    checks = {"ChshScenario.__init__": 1, HERMITIAN_PARTS: 1}
+    assert calls == ({"ChshScenario.__init__": 1} if defect == "3x3" else checks)
 
 
 def test_a_kcbs_file_is_checked_once_and_evaluated_without_a_recheck(calls):
     value = inequalities.kcbs_value(read_kcbs_scenario(oracles.asset_path("kcbs-pentagram.json")))
     assert abs(value - inequalities.KCBS_QUANTUM_OPTIMAL) <= 1e-12
     assert calls == {"KcbsScenario.__init__": 1}
-    # the counter patches hilbert's name; inequalities holds one more, for the benchmark tracer
-    assert "expectation" not in inequalities.kcbs_value.__code__.co_names
 
 
 def test_predict_does_not_recheck_its_table(calls):

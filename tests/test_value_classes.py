@@ -1,11 +1,11 @@
-"""The package's 11 value classes: read-only, copyable and picklable, compared as pinned.
+"""The package's 10 value classes: read-only, copyable and picklable, compared as pinned.
 
 Assigning or deleting a field raises ``AttributeError``.  ``pickle`` at every
 protocol, ``copy.copy`` and ``copy.deepcopy`` give an instance of the same class
 with every field kept, arrays identical byte for byte and read-only.  Each is rebuilt
 through its checking ``__init__``, so a pickle whose fields were edited raises
 ``InputError``.  The four plain value classes compare and hash by their fields
-(``TeleportInput`` without its kept state); the seven checked classes compare and
+(``TeleportInput`` without its kept state); the six checked classes compare and
 hash by identity.  Every array a value holds, as built or as the package's own
 functions return it, is read-only down its ``.base`` chain, so no view of it can
 be written through.  ``_assign`` sets the slots in ``__slots__`` order.  Every
@@ -22,16 +22,15 @@ import numpy as np
 import pytest
 
 import bellmd
-import oracles
 from bellmd.errors import Frozen, InputError, Value
-from bellmd.hilbert import OperatorMatrix, StateVector
+from bellmd.hilbert import StateVector
 from bellmd.inequalities import (ChshScenario, KcbsScenario, bell_optimal_scenario, chsh_quantum,
                                  kcbs_pentagram)
 from bellmd.infotheory import CmdReport
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct, predict
 from bellmd.mdsearch import SearchOutcome
 from bellmd.teleport import (TeleportInput, TeleportTranscript, branch_decomposition,
-                             branch_transcripts)
+                             run_teleportation)
 
 STATE = StateVector([0.6, 0.8])
 MODEL = brans_construct(CorrelationTable.from_correlators([[0.5, 0.5], [0.5, -0.5]]))
@@ -49,7 +48,6 @@ VALUES = {
 }
 CHECKED = {
     StateVector: (("amplitudes",), lambda: StateVector([0.6, 0.8j])),
-    OperatorMatrix: (("entries",), lambda: OperatorMatrix(oracles.PAULI_X)),
     SettingSpace: (("alice_settings", "bob_settings", "marginal", "_entropy_bits"),
                    lambda: SettingSpace(1, 2, [0.25, 0.75])),
     LhvModel: (("setting_space", "lambda_given_settings", "alice_response", "bob_response"),
@@ -129,7 +127,7 @@ BUILT = {
     "SettingSpace()": SettingSpace,
     "StateVector of a column": lambda: StateVector([[0.6], [0.8]]),
     "branch_decomposition": lambda: branch_decomposition(TeleportInput(0.6, 0.8j)),
-    "branch_transcripts": lambda: branch_transcripts(TeleportInput(0.6, 0.8j)),
+    "branch_transcripts": lambda: run_teleportation(TeleportInput(0.6, 0.8j)),
 }
 HOLDERS = {**{cls.__name__: CLASSES[cls][1] for cls in CLASSES}, **BUILT}
 
@@ -173,7 +171,6 @@ U = 5e-324  # the smallest subnormal
 # halved the stored 3u again would store 2u + 2u = 4u
 SUBNORMAL_OPERATOR = [[1, 2 * U], [4 * U, -1]]
 SUBNORMAL = {
-    OperatorMatrix: lambda: OperatorMatrix(SUBNORMAL_OPERATOR),
     ChshScenario: lambda: ChshScenario(
         [SUBNORMAL_OPERATOR, *bell_optimal_scenario().observables[1:]],
         bell_optimal_scenario().state),
