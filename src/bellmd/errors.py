@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the base of its immutable value classes."""
+"""Exception types shared across the package, and the one base of its immutable value classes."""
 
 
 class InputError(ValueError):
@@ -15,8 +15,8 @@ class Frozen:
     ``__init__`` sets the slots, in order, by ``_assign``, which calls ``_setters``, the slot
     descriptors' ``__set__``; assigning or deleting a field afterwards raises ``AttributeError``.
     ``_fields`` is every slot, unless the class names fewer: ``__init__`` takes them in that
-    order, and ``repr`` shows them.  Instances compare and hash by identity; a copy or an
-    unpickled instance is built anew by ``__init__``.
+    order, and ``repr`` shows them.  Every bellmd value class derives from it, so every one
+    compares and hashes by identity; a copy or an unpickled instance is built anew by ``__init__``.
     """
 
     __slots__ = ()
@@ -43,18 +43,3 @@ class Frozen:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
-
-
-class Value(Frozen):
-    """Frozen instance equal to one of its class whose ``_fields`` are equal; hashed by them."""
-
-    __slots__ = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())

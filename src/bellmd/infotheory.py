@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvariantError, Value
+from .errors import Frozen, InvariantError
 from .tolerances import ARITHMETIC, NORMALIZATION
 
 if TYPE_CHECKING:  # cmd's annotation only: lhv imports entropy_bits from here
@@ -46,7 +46,7 @@ def _mutual_information_bits(joint: np.ndarray, row_m: np.ndarray, col_m: np.nda
     return max(value, 0.0)
 
 
-class CmdReport(Value):
+class CmdReport(Frozen):
     """Setting-dependence score of a model.
 
     raw_bits: mutual information between the hidden variable and the joint

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Frozen, InputError
 from .infotheory import entropy_bits
-from .tolerances import ARITHMETIC
+from .tolerances import ARITHMETIC, NORMALIZATION
 
 # the row sums a model enters with: a quarter of the tolerance keeps predict's
 # outcome rows within it, and cmd's mutual information above infotheory's clamp
@@ -251,7 +251,8 @@ def brans_construct(target: CorrelationTable) -> LhvModel:
     return LhvModel(SettingSpace(n_a, n_b), lgs, alice, bob)
 
 
-def measurement_independent(model: LhvModel, tolerance: float = 1e-9) -> bool:
-    """True iff p(lambda | a, b) is the same distribution for every joint setting."""
+def measurement_independent(model: LhvModel) -> bool:
+    """True iff p(lambda | a, b) is the same distribution for every joint setting, each entry
+    within ``NORMALIZATION`` across the settings."""
     lgs = model.lambda_given_settings
-    return float(np.max(lgs.max(axis=0) - lgs.min(axis=0))) <= tolerance
+    return float(np.max(lgs.max(axis=0) - lgs.min(axis=0))) <= NORMALIZATION

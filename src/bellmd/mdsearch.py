@@ -37,21 +37,20 @@ import math
 
 import numpy as np
 
-from .errors import InputError, Value
+from .errors import Frozen, InputError
 from .inequalities import chsh_value
 from .infotheory import CmdReport, cmd
 from .lhv import LhvModel, SettingSpace, predict
+from .tolerances import ARITHMETIC
 
-_FEAS_HEADROOM = 1e-12  # float headroom on a hard constraint; never a real slack
 
-
-class SearchOutcome(Value):
+class SearchOutcome(Frozen):
     """Optimal model with its recomputed CHSH value and dependence.
 
     ``min_cmd_for_chsh``, ``max_chsh_under_budget`` and each point of
     ``tradeoff_curve`` return one.  ``feasible`` is False if the recomputed
-    values miss the constraint by more than float headroom; the model is
-    still carried.
+    values miss the constraint by more than ``ARITHMETIC``, float headroom and
+    never a real slack; the model is still carried.
     """
 
     __slots__ = ("model", "cmd_report", "chsh", "feasible")
@@ -114,7 +113,7 @@ def min_cmd_for_chsh(target_s: float) -> SearchOutcome:
         raise InputError(
             f"target {target_s} must lie in (2, 4]: values up to 2 need no setting dependence"
         )
-    return _verified((4.0 - target_s) / 8.0, lambda s, bits: s >= target_s - _FEAS_HEADROOM)
+    return _verified((4.0 - target_s) / 8.0, lambda s, bits: s >= target_s - ARITHMETIC)
 
 
 def max_chsh_under_budget(budget_bits: float) -> SearchOutcome:
@@ -137,7 +136,7 @@ def max_chsh_under_budget(budget_bits: float) -> SearchOutcome:
             hi = mid
         else:
             lo = mid
-    return _verified(hi, lambda s, bits: bits <= budget_bits + _FEAS_HEADROOM)
+    return _verified(hi, lambda s, bits: bits <= budget_bits + ARITHMETIC)
 
 
 def tradeoff_curve(budgets) -> tuple[SearchOutcome, ...]:

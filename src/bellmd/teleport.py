@@ -17,14 +17,14 @@ import math
 
 import numpy as np
 
-from .errors import InputError, InvariantError, Value
+from .errors import Frozen, InputError, InvariantError
 from .hilbert import StateVector
 from .tolerances import NORMALIZATION
 
 CORRECTION_LABELS = ("identity", "sigma_z", "sigma_x", "sigma_z.sigma_x")
 
 
-class TeleportInput(Value):
+class TeleportInput(Frozen):
     """Amplitudes of the qubit to send, checked once as the sent ``StateVector``."""
 
     __slots__ = ("a", "b", "_state")
@@ -38,7 +38,7 @@ class TeleportInput(Value):
         return self._state
 
 
-class TeleportTranscript(Value):
+class TeleportTranscript(Frozen):
     """One protocol run: measured branch, applied correction, receiver state, fidelity."""
 
     __slots__ = ("outcome_index", "outcome_probability", "correction_applied", "bob_final",

@@ -8,6 +8,12 @@ Every input file is written as ``in`` in a fresh working directory.
   what its one-line error must name.
 - ``FAILED_WRITE_CASES``: argument lists, each with the files and directories that stand in the
   working directory before the run, where a directory in an output's place makes a write fail.
+- ``COMMAND_LINE_CASES``: argument lists that reach the CLI's own checks: the top-level parser,
+  argparse's errors, forced teleport outcomes, a teleport run with no file, and each bound on
+  ``--trials``, ``--seed``, ``mi --table`` and the three ``optimize`` modes.
+- ``FILE_CASES``: argument lists, each with a label and an input file that reaches a line no
+  canned asset does: the shape, sign, orthogonality and clip gates, CRLF line ends, and a
+  product of marginals that underflows.
 - ``hostile_cases``: a catalogue of hostile values, each tried at one path per distinct field of
   a canned asset (every key, and index 0 of every list): an integer past ``int()``'s 4300-digit
   limit, +/-1e400, ``NaN``, ``Infinity``, ``-0``, 1e-400, ``true``, ``false``, ``null``, ``""``,
@@ -260,8 +266,8 @@ MALFORMED_CASES = (
 LONG_NAME = "x" * 300  # past the 255-byte name limit of common file systems
 EARLIER = b"earlier run\n"  # a data file from an earlier run, which a failed manifest write keeps
 # (argv, {path: file bytes, or None for a directory made with its parents}), in making order;
-# the failures that need a patched writer (a write cut short, a data file failing) stay in
-# test_cli.py
+# the failures that need a patched writer (a write cut short, a data file that fails with no
+# directory in its place) stay in test_cli.py
 FAILED_WRITE_CASES = (
     [(argv, {manifest: None, **keep}) for argv, manifest, keep in (
         (["optimize", "--budget", "0.1", "--out-dir", "od"], "od/manifest.json", {}),
@@ -278,6 +284,58 @@ FAILED_WRITE_CASES = (
         ["optimize", "--target-s", "2.5", "--out-dir", f"keep/deep/er/{LONG_NAME}"])]
     + [(JSON_READERS[1], {"in": (ASSETS / "brans.json").read_bytes(),
                           "o.json.manifest.json": None})]
+    # the manifest is written, then the data file fails: the cleanup removes the manifest
+    + [(["optimize", "--target-s", "2.5", "--out-dir", "d"], {"d/min_cmd_model.json": None})]
+)
+
+COMMAND_LINE_CASES = (
+    [], ["--version"], ["-h"], ["nosuch"], ["--", "chsh", "--deterministic-max"],
+    ["teleport", "--force-outcome", "2", "--trials", "5", "--out", "o.json"],
+    ["teleport", "--trials", "3"],
+    ["teleport", "--trials", "0"],
+    ["teleport", "--trials", "abc"],
+    ["teleport", "--seed", "-1", "--out", "o.json"],
+    ["optimize", "--budget", "0.1", "--seed", "-1", "--out-dir", "od"],
+    ["mi", "--table", "0.5,0.5"],
+    ["mi", "--table", "0.5,x,0.25,0.25"],
+    ["optimize", "--target-s", "2", "--out-dir", "od"],
+    ["optimize", "--budget", "-1", "--out-dir", "od"],
+    ["optimize", "--curve", "0.5,0.1", "--out-dir", "od"],
+    ["optimize", "--curve", "nan", "--out-dir", "od"],
+)
+
+
+def model_text(lambda_given_settings: list, alice_response: list, bob_response: list,
+               marginal: list) -> str:
+    """A model file's JSON text, with as many settings per party as response rows."""
+    return json.dumps({
+        "lambda_count": len(lambda_given_settings[0]),
+        "settings": {"alice": len(alice_response), "bob": len(bob_response),
+                     "marginal": marginal},
+        "lambda_given_settings": lambda_given_settings,
+        "alice_response": alice_response, "bob_response": bob_response})
+
+
+def _tilted(doc: dict) -> None:
+    """Vector 1 tilted by 5e-11 towards vector 0: unit length still, no longer orthogonal."""
+    v0, v1 = doc["vectors"][0], doc["vectors"][1]
+    doc["vectors"][1] = [b + 5e-11 * a for a, b in zip(v0, v1)]
+
+
+# (argv, label, input file contents)
+FILE_CASES = (
+    [(JSON_READERS[1], "3x2 settings",
+      model_text([[1.0]] * 6, [[1.0]] * 3, [[1.0]] * 2, [0.25, 0.25] + [0.125] * 4))]
+    + [(JSON_READERS[3], "neighbours not orthogonal", asset_with("kcbs-pentagram.json", _tilted))]
+    + [(argv, label, content) for argv in MODEL_READERS for label, content in (
+        ("response 1 + 1e-13, clipped", asset_with(
+            "brans.json", lambda d: d["alice_response"][0].__setitem__(0, 1.0 + 1e-13))),
+        ("marginal entry -0.1", asset_with(
+            "brans.json", lambda d: d["settings"].update(marginal=[-0.1, 0.35, 0.5, 0.25]))),
+        ("CRLF", (ASSETS / "brans.json").read_text(encoding="utf-8").replace("\n", "\r\n")))]
+    # p(lambda) p(s) = 6.25e-309 is below the smallest normal where p(lambda, s) = 2.5e-308 is not
+    + [(JSON_READERS[2], "one entry of 1e-307", model_text(
+        [[1.0, 0.0]] * 3 + [[1.0, 1e-307]], [[1.0, 0.0]] * 2, [[0.0, 1.0]] * 2, [0.25] * 4))]
 )
 
 

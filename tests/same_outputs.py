@@ -8,7 +8,8 @@ process under its own name, and its ``cli.main`` runs every corpus entry, each
 in a fresh temporary directory.  The corpus is this checkout's, from
 ``cli_inputs.py``: the README commands, ``MALFORMED_CASES`` with their input
 files, ``FAILED_WRITE_CASES`` with the files and directories they start from,
-and the catalogue of hostile values.
+``COMMAND_LINE_CASES``, ``FILE_CASES`` with their input files, and the catalogue
+of hostile values.
 
 Compared per entry: exit code, stdout, stderr, every directory the run leaves,
 and the bytes of every file it leaves, a manifest's without the value of its
@@ -38,7 +39,9 @@ import warnings
 from pathlib import Path
 
 from cli_inputs import (
+    COMMAND_LINE_CASES,
     FAILED_WRITE_CASES,
+    FILE_CASES,
     HOSTILE_READERS,
     MALFORMED_CASES,
     MALFORMED_INPUTS,
@@ -69,6 +72,9 @@ def corpus(catalogue: bool = True) -> dict:
             argv, {"in": content if isinstance(content, bytes) else content.encode()})
     for argv, inputs in FAILED_WRITE_CASES:
         cases[f"{' '.join(argv)} [{', '.join(inputs)} made first]"] = (argv, inputs)
+    cases.update({" ".join(argv) or "(no arguments)": (argv, {}) for argv in COMMAND_LINE_CASES})
+    cases.update({f"{' '.join(argv)} [{label}]": (argv, {"in": content.encode()})
+                  for argv, label, content in FILE_CASES})
     for name, readers in HOSTILE_READERS.items() if catalogue else ():
         for label, content in hostile_cases(name).items():
             cases.update({f"{' '.join(argv)} [{name} {label}]": (argv, {"in": content})

@@ -116,14 +116,14 @@ class TestCmd:
             marg /= marg.sum()
             independent = LhvModel(SettingSpace(), np.tile(marg, (4, 1)),
                                    rng.random((2, lam)), rng.random((2, lam)))
-            assert measurement_independent(independent, 1e-9)
+            assert measurement_independent(independent)
             assert cmd(independent).raw_bits <= 1e-12
 
             lgs = rng.gamma(1.0, size=(4, lam))
             lgs /= lgs.sum(axis=1, keepdims=True)
             dependent = LhvModel(SettingSpace(), lgs,
                                  rng.random((2, lam)), rng.random((2, lam)))
-            if not measurement_independent(dependent, 1e-9):
+            if not measurement_independent(dependent):
                 assert cmd(dependent).raw_bits > 1e-12
 
     def test_report_invariants_on_random_models(self, rng):

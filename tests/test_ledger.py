@@ -9,7 +9,13 @@ measured in ulps of 1, absolute.  Each row of ``LEDGER`` names an output, its sw
 and its stated bound; the test measures the row's largest error over the sweep and
 checks it against the bound.  The quantum rows take their exact values from the
 scenario's stored float observables, vectors and state, in exact rational arithmetic
-on numpy object arrays of ``Fraction``s.
+on numpy object arrays of ``Fraction``s.  The ``cmd`` row's exact value is the mutual
+information of the optimizer's float tables, as ``optimize`` writes them, in 60-digit
+``decimal``, with the joint p(s) p(lambda | s) normalized once: the written rows sum
+to 1 only within rounding, and at S = 2 + 1e-12 the marginals of the joint as written
+(total 1 + 5.6e-17) would give -8.0e-17 bits, not 6.0e-26.  Its error is absolute,
+in ulps of 1: near S = 2 the exact value falls far below the error, and the relative
+error reaches 1.3e9 at S = 2 + 1e-12.
 """
 
 from __future__ import annotations
@@ -30,12 +36,15 @@ from bellmd.cli import main
 from bellmd.hilbert import StateVector
 from bellmd.inequalities import (ChshScenario, KcbsScenario, chsh_quantum, chsh_value,
                                  kcbs_pentagram, kcbs_value)
+from bellmd.mdsearch import max_chsh_under_budget, min_cmd_for_chsh
 from bellmd.serialize import read_chsh_scenario, read_kcbs_scenario
 
 TELEPORT_SEEDS = range(200)
 # the quantum sweeps: CHSH_SCENARIOS random CHSH scenarios, then, from a fresh generator,
 # KCBS_SCENARIOS rotated pentagrams, each with a random state
 QUANTUM_SEED, CHSH_SCENARIOS, KCBS_SCENARIOS = 20250810, 64, 100
+# the optimizer's models: targets S = 2 + 10^-k and budgets 10^-k bits
+OPTIMIZER_EXPONENTS = range(1, 13)
 
 # output -> (bound in ulps, what the bound rests on); teleport rows are measured over
 # `bellmd teleport --random --seed S` for S in TELEPORT_SEEDS, every transcript of each run
@@ -50,6 +59,9 @@ LEDGER = {
     "kcbs_value pentagram": (1.0, "measured: 0.118 for kcbs_pentagram() and its asset file; "
                                   "0.41 under Prescott, whose norms move the vectors"),
     "kcbs_value rotated pentagrams": (6.0, "measured: 4.25, at exact values down to 0.069"),
+    "cmd raw_bits of optimizer models, ulps of 1": (2.0, "measured: 1.44 (3.2e-16 bits), at "
+                                                         "S = 2 + 1e-4 and 2 + 1e-7 and at "
+                                                         "budgets 1e-4, 1e-6 and 1e-11"),
 }
 
 
@@ -171,10 +183,38 @@ def kcbs_errors() -> dict[str, float]:
                                 ("kcbs_value rotated pentagrams", rotated))}
 
 
+def exact_dependence_bits(model) -> Decimal:
+    """I(lambda; s) of the model's float tables in 60-digit ``decimal``, the joint normalized
+    once and both marginals summed from it."""
+    marginal = [Fraction(x) for x in model.setting_space.marginal.tolist()]
+    joint = [[m * Fraction(x) for x in row]
+             for m, row in zip(marginal, model.lambda_given_settings.tolist())]
+    total = sum(map(sum, joint))
+    joint = [[p / total for p in row] for row in joint]
+    p_s, p_lambda = [sum(row) for row in joint], [sum(col) for col in zip(*joint)]
+
+    def dec(f: Fraction) -> Decimal:
+        return Decimal(f.numerator) / f.denominator
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return sum(dec(p) * dec(p / (ps * pl)).ln() for row, ps in zip(joint, p_s)
+                   for p, pl in zip(row, p_lambda) if p) / Decimal(2).ln()
+
+
+def cmd_errors() -> dict[str, float]:
+    """Largest absolute error of the reported ``raw_bits`` over the optimizer's models."""
+    outcomes = ([min_cmd_for_chsh(2.0 + 10.0**-k) for k in OPTIMIZER_EXPONENTS]
+                + [max_chsh_under_budget(10.0**-k) for k in OPTIMIZER_EXPONENTS])
+    worst = max(abs(Decimal(o.cmd_report.raw_bits) - exact_dependence_bits(o.model))
+                for o in outcomes)
+    return {"cmd raw_bits of optimizer models, ulps of 1": float(worst / Decimal(math.ulp(1.0)))}
+
+
 @pytest.fixture(scope="module")
 def measured(tmp_path_factory) -> dict[str, float]:
     return {**teleport_errors(tmp_path_factory.mktemp("ledger")), **chsh_errors(),
-            **kcbs_errors()}
+            **kcbs_errors(), **cmd_errors()}
 
 
 @pytest.mark.parametrize("row", LEDGER)

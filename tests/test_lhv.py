@@ -125,13 +125,12 @@ class TestMeasurementIndependent:
         assert not measurement_independent(model)
 
     def test_within_tolerance_band(self):
-        tol = 1e-6
-        base = np.array([0.5, 0.5])
-        lgs = np.tile(base, (4, 1))
-        lgs[0] = [0.5 + 0.25 * tol, 0.5 - 0.25 * tol]
-        model = LhvModel(SettingSpace(), lgs, 0.5 * np.ones((2, 2)), 0.5 * np.ones((2, 2)))
-        assert measurement_independent(model, tolerance=tol)
-        assert not measurement_independent(model, tolerance=1e-8)
+        # the band is NORMALIZATION, 1e-9, on the largest max - min over the rows
+        for spread, independent in ((0.5e-9, True), (2e-9, False)):
+            lgs = np.tile([0.5, 0.5], (4, 1))
+            lgs[0] = [0.5 + spread, 0.5 - spread]
+            model = LhvModel(SettingSpace(), lgs, 0.5 * np.ones((2, 2)), 0.5 * np.ones((2, 2)))
+            assert measurement_independent(model) is independent
 
     @pytest.mark.parametrize("alice,bob", [(1, 1), (2, 2)], ids=["one row", "four rows"])
     def test_equal_rows_are_independent_at_tolerance_zero(self, alice, bob):
@@ -139,7 +138,8 @@ class TestMeasurementIndependent:
         lgs = np.tile([0.25, 0.75], (alice * bob, 1))
         model = LhvModel(SettingSpace(alice, bob), lgs, np.full((alice, 2), 0.5),
                          np.full((bob, 2), 0.5))
-        assert measurement_independent(model, tolerance=0.0)
+        assert float(np.ptp(model.lambda_given_settings, axis=0).max()) == 0.0
+        assert measurement_independent(model)
 
 
 class TestClassicalBound:

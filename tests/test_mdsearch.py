@@ -226,7 +226,7 @@ class TestDeterminism:
         assert np.array_equal(a.model.alice_response, b.model.alice_response)
         assert np.array_equal(a.model.bob_response, b.model.bob_response)
         assert a.chsh == b.chsh
-        assert a.cmd_report == b.cmd_report
+        assert a.cmd_report.to_json_dict() == b.cmd_report.to_json_dict()
 
     def test_seed_does_not_change_the_model(self, tmp_path, capsys):
         # --seed is recorded in the manifest only; the solver reads none
@@ -263,8 +263,8 @@ class TestTradeoffCurve:
                 assert getattr(point.model, table).tobytes() == getattr(own.model, table).tobytes()
             assert point.model.setting_space.marginal.tobytes() == \
                 own.model.setting_space.marginal.tobytes()
-            assert (point.chsh, point.cmd_report, point.feasible) == \
-                (own.chsh, own.cmd_report, own.feasible)
+            assert (point.chsh, point.cmd_report.to_json_dict(), point.feasible) == \
+                (own.chsh, own.cmd_report.to_json_dict(), own.feasible)
 
     def test_rate_never_rises_and_chsh_never_falls_along_sorted_budgets(self):
         # the invariant that lets each point be its own solve, with no envelope: ~2,000

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,16 +36,8 @@ from bellmd.serialize import (
     write_curve_csv,
     write_model,
 )
-from oracles import (
-    asset_path,
-    bloch_observable,
-    dumps_json_reference,
-    operator_from_doc,
-    perturbed_observable,
-    random_rotation,
-    random_state,
-    random_unit_bloch,
-)
+from oracles import asset_path, dumps_json_reference, operator_from_doc, perturbed_observable
+from test_cli import CPU_SETUPS, _env_with_src
 
 PINNED_DOC_TEXT = (
     '{\n'
@@ -507,25 +500,51 @@ def test_curve_csv_header_and_precision(tmp_path):
     ]
 
 
+def _unit(v: list) -> list:
+    """v / |v|, the norm taken from a correctly rounded sum of the rounded squares."""
+    norm = math.sqrt(math.fsum(x * x for x in v))
+    return [x / norm for x in v]
+
+
 def _seeded_scenario_documents(seed: int):
-    """64 CHSH and 32 KCBS documents, drawn as the benchmark's scenarios workload draws them."""
+    """64 CHSH and 32 KCBS documents, drawn from the generator that the benchmark's scenarios
+    workload uses and built in real arithmetic, so that no step goes through BLAS and the
+    documents are the same on every CPU.
+
+    A Bloch direction or a state is a Gaussian draw over its norm (``_unit``).  A KCBS
+    rotation is the rotation of a unit quaternion, and each rotated vector's component is a
+    correctly rounded sum of three products.
+    """
     rng = np.random.default_rng([seed, 2])
-    chsh = [{"alice_observables": [_pair_list(bloch_observable(random_unit_bloch(rng)))
-                                   for _ in range(2)],
-             "bob_observables": [_pair_list(bloch_observable(random_unit_bloch(rng)))
-                                 for _ in range(2)],
-             "state": _pair_list(random_state(4, rng))} for _ in range(64)]
+
+    def observable() -> list:  # [[z, x - iy], [x + iy, -z]] as [re, im] pairs
+        x, y, z = _unit(rng.normal(size=3).tolist())
+        return [[[z, 0.0], [x, -y]], [[x, y], [-z, 0.0]]]
+
+    def state(dim: int) -> list:  # real parts drawn first, then imaginary parts
+        u = _unit(rng.normal(size=dim).tolist() + rng.normal(size=dim).tolist())
+        return [[re, im] for re, im in zip(u[:dim], u[dim:])]
+
+    def rotation() -> list:
+        w, x, y, z = _unit(rng.normal(size=4).tolist())
+        return [[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]]
+
+    chsh = [{"alice_observables": [observable() for _ in range(2)],
+             "bob_observables": [observable() for _ in range(2)],
+             "state": state(4)} for _ in range(64)]
     cos_sq = math.cos(math.pi / 5.0) / (1.0 + math.cos(math.pi / 5.0))
     cos_t, sin_t = math.sqrt(cos_sq), math.sqrt(1.0 - cos_sq)
-    pentagram = np.array([[sin_t * math.cos(4.0 * math.pi * k / 5.0),
-                           sin_t * math.sin(4.0 * math.pi * k / 5.0), cos_t] for k in range(5)])
-    kcbs = [{"vectors": (pentagram @ random_rotation(rng).T).tolist(),
-             "state": _pair_list(random_state(3, rng))} for _ in range(32)]
+    pentagram = [[sin_t * math.cos(4.0 * math.pi * k / 5.0),
+                  sin_t * math.sin(4.0 * math.pi * k / 5.0), cos_t] for k in range(5)]
+    kcbs = []
+    for _ in range(32):
+        r = rotation()
+        kcbs.append({"vectors": [[math.fsum(a * b for a, b in zip(v, row)) for row in r]
+                                 for v in pentagram],
+                     "state": state(3)})
     return chsh, kcbs
-
-
-def _pair_list(arr) -> list:
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def test_seeded_scenario_files_evaluate_to_pinned_bits():
@@ -539,4 +558,29 @@ def test_seeded_scenario_files_evaluate_to_pinned_bits():
         value = kcbs_value(kcbs_scenario_from_doc(json.loads(json.dumps(doc))))
         digest.update(repr(value).encode())
     assert digest.hexdigest() == (
-        "1d728fe616773d482efd00fe62000d491fe7bc492ef4a91c5ec1565ade901a1d")
+        "b6f2f1b03722a682cdde78f10888104a4202d95f82fc85f7b6eefeb8131872d8")
+
+
+def scenario_document_digests(seed: int = 13) -> list[str]:
+    """sha256 of the JSON text of the seeded CHSH documents, then of the KCBS documents."""
+    return [hashlib.sha256(json.dumps(docs).encode()).hexdigest()
+            for docs in _seeded_scenario_documents(seed)]
+
+
+def test_seeded_scenario_documents_are_the_same_under_every_cpu_setup():
+    # the pin's inputs, in a fresh process per set-up; the pin's own products still round
+    # per CPU kernel, so the pin itself can move under Prescott and x86-64-v2
+    script = ("import sys\nsys.path.insert(0, sys.argv[1])\n"
+              "from test_serialize import scenario_document_digests\n"
+              "print(*scenario_document_digests())")
+    procs = {name: subprocess.Popen(
+        [sys.executable, "-c", script, str(Path(__file__).parent)],
+        env={**_env_with_src(), **switches}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True) for name, switches in CPU_SETUPS.items()}
+    here = scenario_document_digests()
+    runs = {name: (*proc.communicate(timeout=120), proc.returncode) for name, proc in procs.items()}
+    assert here == ["00252175b55ebfbf25e098a5805846ec4680fedb9ee9b431290577f5cc7ac46e",
+                    "b3ebacb1c18c22ea8d99c3cb1600c1c8f57438067cbec6db855c7dcbf2d93426"]
+    for name, (stdout, stderr, code) in runs.items():
+        if "You cannot disable CPU feature" not in stderr:  # numpy refuses it on this machine
+            assert (code, stdout.split()) == (0, here), (name, stderr)

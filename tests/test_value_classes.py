@@ -1,15 +1,15 @@
-"""The package's 10 value classes: read-only, copyable and picklable, compared as pinned.
+"""The package's 10 value classes: read-only, copyable and picklable, compared by identity.
 
 Assigning or deleting a field raises ``AttributeError``.  ``pickle`` at every
 protocol, ``copy.copy`` and ``copy.deepcopy`` give an instance of the same class
 with every field kept, arrays identical byte for byte and read-only.  Each is rebuilt
 through its checking ``__init__``, so a pickle whose fields were edited raises
-``InputError``.  The four plain value classes compare and hash by their fields
-(``TeleportInput`` without its kept state); the six checked classes compare and
-hash by identity.  Every array a value holds, as built or as the package's own
-functions return it, is read-only down its ``.base`` chain, so no view of it can
-be written through.  ``_assign`` sets the slots in ``__slots__`` order.  Every
-``errors.Frozen`` subclass that bellmd defines is listed here.
+``InputError``.  All 10 classes are plain ``errors.Frozen`` subclasses and compare
+and hash by identity: two instances with equal fields are not equal.  Every array a
+value holds, as built or as the package's own functions return it, is read-only down
+its ``.base`` chain, so no view of it can be written through.  ``_assign`` sets the
+slots in ``__slots__`` order.  Every ``errors.Frozen`` subclass that bellmd defines
+is listed here.
 """
 
 import copy
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import bellmd
-from bellmd.errors import Frozen, InputError, Value
+from bellmd.errors import Frozen, InputError
 from bellmd.hilbert import StateVector
 from bellmd.inequalities import (ChshScenario, KcbsScenario, bell_optimal_scenario, chsh_quantum,
                                  kcbs_pentagram)
@@ -35,8 +35,9 @@ from bellmd.teleport import (TeleportInput, TeleportTranscript, branch_decomposi
 STATE = StateVector([0.6, 0.8])
 MODEL = brans_construct(CorrelationTable.from_correlators([[0.5, 0.5], [0.5, -0.5]]))
 
-# class -> (its fields, a factory whose instances have equal fields)
-VALUES = {
+# class -> (its fields, a factory whose instances have equal fields); CHECKED classes hold
+# an array field that their __init__ checks, PLAIN ones do not
+PLAIN = {
     CmdReport: (("raw_bits", "normalized", "setting_entropy_bits"),
                 lambda: CmdReport(1.0, 0.5, 2.0)),
     SearchOutcome: (("model", "cmd_report", "chsh", "feasible"),
@@ -57,7 +58,7 @@ CHECKED = {
     ChshScenario: (("observables", "state"), bell_optimal_scenario),
     KcbsScenario: (("vectors", "state"), kcbs_pentagram),
 }
-CLASSES = {**VALUES, **CHECKED}
+CLASSES = {**PLAIN, **CHECKED}
 
 
 def _subclasses(cls) -> set:
@@ -69,7 +70,7 @@ def test_every_frozen_class_of_the_package_is_listed():
     for module in pkgutil.iter_modules(bellmd.__path__):
         importlib.import_module(f"bellmd.{module.name}")
     defined = {cls for cls in _subclasses(Frozen) if cls.__module__.startswith("bellmd.")}
-    assert defined - {Value} == set(CLASSES)
+    assert defined == set(CLASSES)
 
 
 def assert_same(a, b) -> None:
@@ -221,25 +222,10 @@ def test_a_state_pickle_edited_in_place_raises(protocol):
         pickle.loads(data.replace(old, new))
 
 
-@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
-def test_value_classes_compare_and_hash_by_field(cls):
-    first, second = VALUES[cls][1](), VALUES[cls][1]()
-    assert first is not second and first == second and not first != second
-    assert hash(first) == hash(second)
-    assert first != tuple(getattr(first, name) for name in VALUES[cls][0])
-
-
-def test_a_compared_field_that_differs_makes_values_unequal():
-    assert CmdReport(1.0, 0.5, 2.0) != CmdReport(1.0, 0.5, 2.5)
-    assert TeleportInput(0.6, 0.8) != TeleportInput(0.8, 0.6)
-    # the kept state is not compared: equal inputs hold distinct states
-    first, second = TeleportInput(0.6, 0.8), TeleportInput(0.6, 0.8)
-    assert first == second and first.state() is not second.state()
-
-
-@pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
 def test_checked_classes_compare_and_hash_by_identity(cls):
-    first, second = CHECKED[cls][1](), CHECKED[cls][1]()
+    # the plain classes too: two instances with equal fields are distinct values
+    first, second = CLASSES[cls][1](), CLASSES[cls][1]()
     assert first == first and first != second
     assert hash(first) == object.__hash__(first)
 
