@@ -127,12 +127,12 @@ def cmd_teleport(args) -> _Run:
     if args.trials <= 0:
         raise InputError("--trials must be positive")
 
-    # the four possible transcripts are fixed by the input; trials only
-    # resample which branch occurred, so the file stores each transcript once
+    # the four possible transcripts are fixed by the input; trials only resample which
+    # branch occurred, each with probability exactly 1/4, so the file stores each
+    # transcript once and the counts depend on --seed and --trials alone
     canonical = run_teleportation(inp)
     if args.force_outcome is None:
-        counts = outcome_counts([t.outcome_probability for t in canonical], args.trials,
-                                args.seed)
+        counts = outcome_counts(args.trials, args.seed)
     else:
         counts = [0, 0, 0, 0]
         counts[args.force_outcome] = args.trials

@@ -8,7 +8,8 @@ for a normalized input (Bennett et al., PRL 70, 1895, 1993).  The outcome
 index selects the Pauli correction, 1, Z, X or Z X, that undoes its flip.
 The branches are computed in that closed form, in real arithmetic on each
 amplitude component, so no matrix product sets their bits.  ``run_teleportation``
-returns the four transcripts, indexed by outcome, among which a run samples.
+returns the four transcripts, indexed by outcome, among which a run samples.  The four
+probabilities are one float, so each outcome is drawn with probability exactly 1/4.
 """
 
 from __future__ import annotations
@@ -105,48 +106,27 @@ def run_teleportation(inp: TeleportInput) -> tuple[TeleportTranscript, ...]:
 OUTCOME_DRAW = ("numpy.random.default_rng(seed).choice(4, size=trials, p=p / p.sum()), "
                 "p[k] = transcripts[k].outcome_probability")
 
-# uniforms drawn at a time: memory stays fixed at any trial count, and chunks of one
-# Generator give the same stream as one call
+# uniforms drawn at a time, so memory stays fixed; chunks of one Generator continue its stream
 _CHUNK = 1 << 18
 
 
-def outcome_counts(probabilities, trials: int, seed: int = 0) -> list[int]:
-    """How many of ``trials`` rounds drawn from 4 probabilities give each outcome.
+def outcome_counts(trials: int, seed: int = 0) -> list[int]:
+    """How many of ``trials`` rounds of ``OUTCOME_DRAW`` give each outcome, draw for draw.
 
-    The probabilities are normalized by their sum.  The rounds are those of
-    ``default_rng(seed).choice(4, size=trials, p=p / p.sum())``, draw for
-    draw: one uniform per trial, counted against the normalized cumulative
-    sums, which is ``choice``'s own inverse-CDF step without its search.
-    The uniforms are drawn in chunks of a fixed size, so memory does not
-    grow with ``trials``; time does.
+    Its four probabilities are one float p, and ((p + p) + p) + p rounds to exactly 4p, so
+    ``p / p.sum()`` is 1/4 each and ``choice``'s cumulative sums are exactly k/4: a round's
+    outcome is the number of thresholds 1/4, 1/2, 3/4 at or below its uniform.  Uniforms are
+    drawn in fixed-size chunks, so memory does not grow with ``trials``; time does.
     """
     if trials <= 0:
         raise InputError("trials must be positive")
-    p = np.asarray(probabilities, dtype=float)
-    if p.shape != (4,):
-        raise InputError(f"need 4 outcome probabilities, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise InputError("outcome probabilities must be finite")
-    if np.any(p < 0):
-        raise InputError("outcome probabilities must be nonnegative")
-    with np.errstate(over="ignore"):
-        total = p.sum()
-    if not total > 0:
-        raise InputError("outcome probabilities must have a positive sum")
-    p = p / total
-    # the sum check choice makes; it fails when the raw sum overflowed to inf
-    if not abs(p.sum() - 1.0) <= math.sqrt(np.finfo(float).eps):
-        raise InputError("outcome probabilities do not sum to 1 after normalizing")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     buffer = np.empty(min(_CHUNK, trials))  # each chunk is drawn into it, in place
-    # at_least[k]: rounds with outcome >= k; u < 1 = cdf[3], so outcome >= k + 1 is u >= cdf[k]
-    at_least = [trials, 0, 0, 0, 0]
+    at_least = [trials, 0, 0, 0, 0]  # at_least[k]: rounds with outcome >= k, for u >= k/4
     for start in range(0, trials, _CHUNK):
         u = rng.random(out=buffer[:trials - start])
-        for k in range(3):
-            at_least[k + 1] += int(np.count_nonzero(u >= cdf[k]))
+        for k in range(1, 4):
+            at_least[k] += int(np.count_nonzero(u >= k / 4))
     return [n - m for n, m in zip(at_least, at_least[1:])]
 
 

@@ -187,6 +187,51 @@ def dependence_bits_exact(x: float) -> Decimal:
         return (first + (1 - rate) * (4 * (1 - rate) / 3).ln()) / Decimal(2).ln()
 
 
+# the CHSH sign of each joint setting (a, b), in the order (0, 0), (0, 1), (1, 0), (1, 1)
+CHSH_SIGNS = (1, 1, 1, -1)
+# the 16 joint deterministic strategies (A_0, A_1, B_0, B_1), outcomes +/-1
+DETERMINISTIC_STRATEGIES = tuple(itertools.product((1, -1), repeat=4))
+
+
+def chsh_disagreements(strategy) -> list[int]:
+    """1 at each joint setting (a, b) where A_a B_b differs from the CHSH sign, else 0."""
+    return [int(strategy[a] * strategy[2 + b] != sign)
+            for (a, b), sign in zip(itertools.product((0, 1), repeat=2), CHSH_SIGNS)]
+
+
+def blahut_arimoto_chsh(slope: float, gap_nats: float = 1e-16,
+                        max_iterations: int = 100_000) -> tuple[float, float, float, np.ndarray]:
+    """Least dependence for CHSH at ``slope`` by Blahut-Arimoto, with no closed form used.
+
+    Rate-distortion over the 16 joint deterministic strategies, with the uniform joint
+    setting as the source and disagreement with the CHSH sign as the distortion; CHSH is
+    4 - 8 D at mean distortion D.  From strategy weights q, each iteration forms
+    p(lambda | s) = q(lambda) e^(-slope d(s, lambda)) / Z_s and c(lambda) = sum_s p(s)
+    e^(-slope d(s, lambda)) / Z_s, and the next weights q c.  Its mutual information,
+    -slope D - sum_s p(s) ln Z_s - sum q c ln c, bounds R(D) from above; the dual with
+    mu_s = 1 / (Z_s max c) bounds it from below by -slope D - sum_s p(s) ln Z_s - max ln c
+    (Blahut, IEEE Trans. IT 18:460, 1972, Theorem 8; Csiszar, IEEE Trans. IT 20:122, 1974).
+    Starts from uniform weights and stops once upper - lower <= ``gap_nats``.
+
+    Returns (D, lower bound in bits, upper bound in bits, the final weights q c).
+    """
+    d = np.array([chsh_disagreements(lam) for lam in DETERMINISTIC_STRATEGIES], dtype=float).T
+    p_s = np.full(4, 0.25)
+    tilt = np.exp(-slope * d)  # (joint setting, strategy)
+    q = np.full(len(DETERMINISTIC_STRATEGIES), 1.0 / len(DETERMINISTIC_STRATEGIES))
+    for _ in range(max_iterations):
+        z = tilt @ q
+        c = (p_s / z) @ tilt
+        distortion = float(p_s @ (q * tilt * d / z[:, None]).sum(axis=1))
+        q = q * c
+        base = -slope * distortion - float(p_s @ np.log(z))
+        log_c = np.log(c)
+        upper, lower = base - float(q @ log_c), base - float(log_c.max())
+        if upper - lower <= gap_nats:
+            return distortion, lower / math.log(2.0), upper / math.log(2.0), q
+    raise AssertionError(f"no gap of {gap_nats} nats after {max_iterations} iterations")
+
+
 def max_chsh_closed_form(bits: float) -> float:
     """Largest CHSH value reachable within ``bits``: min_bits_closed_form inverted by bisection."""
     lo, hi = 2.0, 4.0

@@ -131,8 +131,7 @@ def test_criterion_6_teleportation():
         inp = TeleportInput(complex(v[0], v[1]), complex(v[2], v[3]))
         for transcript in run_teleportation(inp):
             worst_gap = max(worst_gap, abs(transcript.fidelity - 1.0))
-    probs = [t.outcome_probability for t in run_teleportation(TeleportInput(0.6, 0.8))]
-    freqs = np.array(outcome_counts(probs, trials=100_000, seed=1)) / 100_000
+    freqs = np.array(outcome_counts(trials=100_000, seed=1)) / 100_000
     ok = worst_gap <= 1e-12 and bool(np.all(np.abs(freqs - 0.25) <= 0.01))
     _verdict("6 teleportation", ok, watch,
              f"max |fidelity-1|={worst_gap:.2e}, freqs={np.round(freqs, 4).tolist()}")

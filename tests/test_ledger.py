@@ -15,7 +15,10 @@ information of the optimizer's float tables, as ``optimize`` writes them, in 60-
 to 1 only within rounding, and at S = 2 + 1e-12 the marginals of the joint as written
 (total 1 + 5.6e-17) would give -8.0e-17 bits, not 6.0e-26.  Its error is absolute,
 in ulps of 1: near S = 2 the exact value falls far below the error, and the relative
-error reaches 1.3e9 at S = 2 + 1e-12.
+error reaches 1.3e9 at S = 2 + 1e-12.  The ``predict`` rows take the model's stored floats,
+with p(-1 | setting, lambda) = 1 - p(+1 | setting, lambda) exactly, not as the kernel rounds
+it (on this sweep both give the same maxima), and sum_lambda p(lambda | a, b) p(x | a, lambda)
+p(y | b, lambda) in ``Fraction``; the joint and the correlators are measured in ulps of 1.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from bellmd.cli import main
 from bellmd.hilbert import StateVector
 from bellmd.inequalities import (ChshScenario, KcbsScenario, chsh_quantum, chsh_value,
                                  kcbs_pentagram, kcbs_value)
+from bellmd.lhv import LhvModel, SettingSpace, predict
 from bellmd.mdsearch import max_chsh_under_budget, min_cmd_for_chsh
 from bellmd.serialize import read_chsh_scenario, read_kcbs_scenario
 
@@ -45,6 +49,9 @@ TELEPORT_SEEDS = range(200)
 QUANTUM_SEED, CHSH_SCENARIOS, KCBS_SCENARIOS = 20250810, 64, 100
 # the optimizer's models: targets S = 2 + 10^-k and budgets 10^-k bits
 OPTIMIZER_EXPONENTS = range(1, 13)
+# the predict sweep: random 2x2 models, MODELS_PER_KIND for each hidden-variable count in
+# LAMBDA_COUNTS, with deterministic or stochastic responses and uniform or random marginals
+PREDICT_SEED, LAMBDA_COUNTS, MODELS_PER_KIND = 31, range(2, 17), 2
 
 # output -> (bound in ulps, what the bound rests on); teleport rows are measured over
 # `bellmd teleport --random --seed S` for S in TELEPORT_SEEDS, every transcript of each run
@@ -62,6 +69,8 @@ LEDGER = {
     "cmd raw_bits of optimizer models, ulps of 1": (2.0, "measured: 1.44 (3.2e-16 bits), at "
                                                          "S = 2 + 1e-4 and 2 + 1e-7 and at "
                                                          "budgets 1e-4, 1e-6 and 1e-11"),
+    "predict joint, ulps of 1": (1.0, "measured: 0.59 over random and optimizer models"),
+    "predict correlators, ulps of 1": (2.0, "measured: 0.83; four joint entries, three sums"),
 }
 
 
@@ -211,10 +220,51 @@ def cmd_errors() -> dict[str, float]:
     return {"cmd raw_bits of optimizer models, ulps of 1": float(worst / Decimal(math.ulp(1.0)))}
 
 
+def _predict_models() -> list[LhvModel]:
+    """The random 2x2 models of the predict sweep, then the optimizer's at S = 2 + 10^-k."""
+    rng = np.random.default_rng(PREDICT_SEED)
+    models = []
+    for lam, deterministic, uniform, _ in itertools.product(
+            LAMBDA_COUNTS, (True, False), (True, False), range(MODELS_PER_KIND)):
+        marginal = None if uniform else rng.dirichlet(np.ones(4))
+        responses = (rng.integers(0, 2, size=(4, lam)).astype(float) if deterministic
+                     else rng.random((4, lam)))
+        models.append(LhvModel(SettingSpace(2, 2, marginal), rng.dirichlet(np.ones(lam), size=4),
+                               responses[:2], responses[2:]))
+    return models + [min_cmd_for_chsh(2.0 + 10.0**-k).model for k in OPTIMIZER_EXPONENTS]
+
+
+def exact_predict(model: LhvModel) -> dict[tuple[int, int, int, int], Fraction]:
+    """p(x, y | a, b) of the model's float tables, keyed (a, b, x, y) with 0 for +1, exactly."""
+    w = [[Fraction(x) for x in row] for row in model.lambda_given_settings.tolist()]
+    outcome = []  # per party: p(+1 | setting, lambda), p(-1 | setting, lambda) = 1 - p(+1 | ...)
+    for response in (model.alice_response, model.bob_response):
+        plus = [[Fraction(x) for x in row] for row in response.tolist()]
+        outcome.append((plus, [[1 - x for x in row] for row in plus]))
+    return {(a, b, x, y): sum(p * q * r for p, q, r in zip(w[2 * a + b], outcome[0][x][a],
+                                                           outcome[1][y][b]))
+            for a, b, x, y in itertools.product(range(2), repeat=4)}
+
+
+def predict_errors() -> dict[str, float]:
+    """Largest absolute errors of ``predict``'s joint entries and correlators, in ulps of 1."""
+    worst_joint = worst_corr = Fraction(0)
+    for model in _predict_models():
+        table, joint = predict(model), exact_predict(model)
+        worst_joint = max([worst_joint] + [abs(Fraction(table.joint[key].item()) - p)
+                                           for key, p in joint.items()])
+        for a, b in itertools.product(range(2), repeat=2):
+            e = joint[a, b, 0, 0] - joint[a, b, 0, 1] - joint[a, b, 1, 0] + joint[a, b, 1, 1]
+            worst_corr = max(worst_corr, abs(Fraction(table.correlators[a, b].item()) - e))
+    one = Fraction(math.ulp(1.0))
+    return {"predict joint, ulps of 1": float(worst_joint / one),
+            "predict correlators, ulps of 1": float(worst_corr / one)}
+
+
 @pytest.fixture(scope="module")
 def measured(tmp_path_factory) -> dict[str, float]:
     return {**teleport_errors(tmp_path_factory.mktemp("ledger")), **chsh_errors(),
-            **kcbs_errors(), **cmd_errors()}
+            **kcbs_errors(), **cmd_errors(), **predict_errors()}
 
 
 @pytest.mark.parametrize("row", LEDGER)

@@ -79,7 +79,7 @@ def test_correction_is_the_unique_pauli_per_branch(rng):
 
 
 def test_the_branches_are_sign_flips_and_swaps_of_one_state(rng):
-    # one probability for every outcome, which the sampler normalizes to exactly 1/4; each
+    # one probability for every outcome, which the recorded draw normalizes to exactly 1/4; each
     # pre-correction state is (u, v), (u, -v), (v, u) or (-v, u) of the corrected (u, v)
     for inp in [random_input(rng) for _ in range(50)] + [TeleportInput(0.6, 0.8)]:
         transcripts = run_teleportation(inp)
@@ -102,41 +102,54 @@ def test_a_unit_input_arrives_bit_for_bit():
 
 
 def test_sampled_outcome_frequencies(rng):
-    probs = [t.outcome_probability for t in run_teleportation(TeleportInput(0.6, 0.8))]
-    counts = outcome_counts(probs, trials=100_000, seed=7)
+    counts = outcome_counts(trials=100_000, seed=7)
     assert sum(counts) == 100_000
     freqs = np.array(counts) / 100_000
     assert np.all(np.abs(freqs - 0.25) <= 0.01)
 
 
 def test_sampling_is_seed_deterministic():
-    inp = TeleportInput(0.6, 0.8)
-    probs = [p for p, _ in branch_decomposition(inp)]
-    counts = outcome_counts(probs, 1000, seed=5)
-    assert counts == outcome_counts(probs, 1000, seed=5)
-    assert counts != outcome_counts(probs, 1000, seed=6)
+    counts = outcome_counts(1000, seed=5)
+    assert counts == outcome_counts(1000, seed=5)
+    assert counts != outcome_counts(1000, seed=6)
 
 
 def _reference_counts(p, trials: int, seed: int) -> list[int]:
     return np.bincount(oracles.sample_outcomes_reference(p, trials, seed), minlength=4).tolist()
 
 
+def _teleport_probabilities(inp: TeleportInput) -> list[float]:
+    return [t.outcome_probability for t in run_teleportation(inp)]
+
+
+def _near_unit_input(rng) -> TeleportInput:
+    """A random input whose squared norm is off 1 by up to 1e-10, within the input check."""
+    v = rng.normal(size=4)
+    v *= (1.0 + rng.uniform(-1e-10, 1e-10)) / np.linalg.norm(v)
+    return TeleportInput(complex(v[0], v[1]), complex(v[2], v[3]))
+
+
+def test_four_equal_probabilities_normalize_to_exact_quarters(rng):
+    # the premise of counting against k/4: ((p + p) + p) + p rounds to 4p for any positive
+    # float p, so p / p.sum() is exactly 1/4; checked across exponents and near 1/4
+    n = 100_000
+    wide = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-1000, 1000, n))
+    p = np.concatenate([wide, 0.25 * (1.0 + rng.uniform(-1e-9, 1e-9, n))])
+    assert np.array_equal(((p + p) + p) + p, 4.0 * p)
+    for q in p[::1000]:
+        assert (np.full(4, q) / np.full(4, q).sum()).tolist() == [0.25] * 4
+
+
 def test_sampler_matches_generator_choice(rng):
-    # the threshold counts must be those of numpy's weighted choice, drawn the same way;
-    # a numpy release that changes choice's algorithm fails here
-    cases = [[0, 0, 0, 1], [1, 0, 0, 0], [.5, 0, .5, 0], [0, .3, 0, .7], [1, 1, 1, 1],
-             [0.25, 0.25, 0.25, 0.25], [1e-300, 0, 0, 1], [3, 0, 0, 0]]
-    for _ in range(50):
-        cases.append([t.outcome_probability for t in run_teleportation(random_input(rng))])
-    for _ in range(1000):
-        p = rng.dirichlet(np.ones(4))
-        p[rng.random(4) < 0.25] = 0.0
-        if p.sum() > 0:
-            cases.append(p)
-    assert len(cases) >= 1000
+    # the counts must be those of numpy's weighted choice at the probabilities a teleport file
+    # records; a numpy release that changes choice's algorithm fails here
+    cases = [[0.25] * 4, _teleport_probabilities(TeleportInput(0.6, 0.8))]
+    cases += [_teleport_probabilities(random_input(rng)) for _ in range(50)]
+    cases += [_teleport_probabilities(_near_unit_input(rng)) for _ in range(50)]
+    cases += [[0.25] * 4] * (1000 - len(cases))
     for seed, p in enumerate(cases):
         trials = int(rng.integers(1, 2000))
-        got = outcome_counts(p, trials, seed=seed)
+        got = outcome_counts(trials, seed)
         assert all(type(c) is int for c in got)
         assert got == _reference_counts(p, trials, seed), p
 
@@ -144,27 +157,15 @@ def test_sampler_matches_generator_choice(rng):
 @pytest.mark.parametrize("trials", [2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5])
 def test_counts_match_choice_across_chunk_boundaries(trials):
     # the uniforms come in chunks of 2**18; chunked draws must continue one stream
-    for seed, p in enumerate(([0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.5, 0, 0.5, 0])):
-        assert outcome_counts(p, trials, seed=seed) == _reference_counts(p, trials, seed), p
-
-
-@pytest.mark.parametrize("p", [
-    [np.nan, 0.25, 0.25, 0.25],
-    [np.inf, 0.25, 0.25, 0.25],
-    [1e308, 1e308, 0, 0],  # finite entries whose sum overflows
-    [-0.1, 0.4, 0.4, 0.3],
-    [0, 0, 0, 0],
-    [0.5, 0.5],
-    [[0.25, 0.25], [0.25, 0.25]],
-])
-def test_sampler_rejects_bad_probabilities(p):
-    with pytest.raises(InputError):
-        outcome_counts(p, 10)
+    cases = ([0.25] * 4, _teleport_probabilities(TeleportInput(0.6, 0.8)),
+             _teleport_probabilities(_near_unit_input(np.random.default_rng(trials))))
+    for seed, p in enumerate(cases):
+        assert outcome_counts(trials, seed) == _reference_counts(p, trials, seed), p
 
 
 def test_sampler_needs_a_positive_trial_count():
     with pytest.raises(InputError, match="^trials must be positive$"):
-        outcome_counts([0.25] * 4, 0)
+        outcome_counts(0)
 
 
 class _FixedUniforms:
@@ -179,12 +180,13 @@ class _FixedUniforms:
 
 
 def test_the_thresholds_are_the_cumulative_sums_over_their_last(monkeypatch):
-    # these cumulative sums end at 1.0000000000000002; choice divides them by that last sum,
-    # which takes the thresholds 0.30000000000000004 and 0.9000000000000001 down to 0.3 and
-    # 0.8999999999999999, so each of these uniforms counts one outcome higher
-    uniforms = np.array([0.3, 0.8999999999999999, 0.9])
+    # choice's cumulative sums over their last are exactly 1/4, 1/2 and 3/4: a uniform at
+    # k/4 counts as outcome k and the double just below it as outcome k - 1, so these eight
+    # uniforms give each outcome twice
+    uniforms = np.array([0.0, np.nextafter(0.25, 0), 0.25, np.nextafter(0.5, 0), 0.5,
+                         np.nextafter(0.75, 0), 0.75, np.nextafter(1.0, 0)])
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedUniforms(uniforms))
-    assert outcome_counts([0.3, 0.3, 0.3, 0.1], 3) == [0, 1, 0, 2]
+    assert outcome_counts(8) == [2, 2, 2, 2]
 
 
 def test_branch_transcripts_match_each_branch(rng):
