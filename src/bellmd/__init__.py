@@ -40,7 +40,6 @@ from .mdsearch import (
     tradeoff_curve,
 )
 from .teleport import (
-    TeleportInput,
     TeleportTranscript,
     outcome_counts,
     verify_no_setting_choice,

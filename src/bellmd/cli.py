@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InputError, InvariantError
+from .hilbert import StateVector
 from .infotheory import _mutual_information_bits, cmd
 from .inequalities import (
     KCBS_QUANTUM_OPTIMAL,
@@ -52,7 +53,6 @@ from .serialize import (
 )
 from .teleport import (
     OUTCOME_DRAW,
-    TeleportInput,
     outcome_counts,
     run_teleportation,
     verify_no_setting_choice,
@@ -112,32 +112,32 @@ def _floats(flag: str, text: str) -> list[float]:
         raise InputError(f"{flag} must be comma-separated numbers: {exc}") from exc
 
 
-def _resolve_input(inp_args) -> TeleportInput:
+def _resolve_input(inp_args) -> StateVector:
     if inp_args.random:
         raw = np.random.default_rng(inp_args.seed).normal(size=4).tolist()
         norm = math.sqrt(math.fsum(x * x for x in raw))
         a_re, a_im, b_re, b_im = (x / norm for x in raw)
-        return TeleportInput(complex(a_re, a_im), complex(b_re, b_im))
-    return TeleportInput(complex(inp_args.a_re, inp_args.a_im),
-                         complex(inp_args.b_re, inp_args.b_im))
+    else:
+        a_re, a_im, b_re, b_im = inp_args.a_re, inp_args.a_im, inp_args.b_re, inp_args.b_im
+    return StateVector([complex(a_re, a_im), complex(b_re, b_im)])
 
 
 def cmd_teleport(args) -> _Run:
-    inp = _resolve_input(args)
+    sent = _resolve_input(args)
     if args.trials <= 0:
         raise InputError("--trials must be positive")
 
     # the four possible transcripts are fixed by the input; trials only resample which
     # branch occurred, each with probability exactly 1/4, so the file stores each
     # transcript once and the counts depend on --seed and --trials alone
-    canonical = run_teleportation(inp)
+    canonical = run_teleportation(sent)
     if args.force_outcome is None:
         counts = outcome_counts(args.trials, args.seed)
     else:
         counts = [0, 0, 0, 0]
         counts[args.force_outcome] = args.trials
     summary = {
-        "input": [[inp.a.real, inp.a.imag], [inp.b.real, inp.b.imag]],
+        "input": [[z.real, z.imag] for z in sent.amplitudes.tolist()],
         "trials": args.trials,
         "outcome_counts": counts,
         "outcome_frequencies": [c / args.trials for c in counts],

@@ -25,20 +25,6 @@ from .tolerances import NORMALIZATION
 CORRECTION_LABELS = ("identity", "sigma_z", "sigma_x", "sigma_z.sigma_x")
 
 
-class TeleportInput(Frozen):
-    """Amplitudes of the qubit to send, checked once as the sent ``StateVector``."""
-
-    __slots__ = ("a", "b", "_state")
-    _fields = ("a", "b")
-
-    def __init__(self, a: complex, b: complex) -> None:
-        a, b = complex(a), complex(b)
-        self._assign(a, b, StateVector([a, b]))
-
-    def state(self) -> StateVector:
-        return self._state
-
-
 class TeleportTranscript(Frozen):
     """One protocol run: measured branch, applied correction, receiver state, fidelity."""
 
@@ -74,24 +60,22 @@ def _branches(sent: StateVector) -> tuple[float, complex, complex]:
     return p, complex(a.real / norm, a.imag / norm), complex(b.real / norm, b.imag / norm)
 
 
-def branch_decomposition(inp: TeleportInput) -> list[tuple[float, StateVector]]:
+def branch_decomposition(sent: StateVector) -> list[tuple[float, StateVector]]:
     """(probability, receiver pre-correction state) for each of the 4 outcomes.
 
-    The states are computed from the checked input, so they are not checked again.
+    The states are computed from the checked sent state, so they are not checked again.
     """
-    p, u, v = _branches(inp.state())
+    p, u, v = _branches(sent)
     return [(p, StateVector._derived(np.array(pre)))
             for pre in ((u, v), (u, -v), (v, u), (-v, u))]
 
 
-def run_teleportation(inp: TeleportInput) -> tuple[TeleportTranscript, ...]:
+def run_teleportation(sent: StateVector) -> tuple[TeleportTranscript, ...]:
     """The transcript of each of the 4 branches, index = outcome index.
 
-    The input is checked once, as the sent state.  Every branch's corrected
-    receiver state is the same one, checked for unit norm and compared with
-    the sent state once.
+    ``sent`` was checked when it was built.  Every branch's corrected receiver
+    state is the same one, checked for unit norm and compared with ``sent`` once.
     """
-    sent = inp.state()
     p, u, v = _branches(sent)
     sq_norm = u.real * u.real + u.imag * u.imag + v.real * v.real + v.imag * v.imag
     if abs(sq_norm - 1.0) > NORMALIZATION:

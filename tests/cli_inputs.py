@@ -9,9 +9,10 @@ Every input file is written as ``in`` in a fresh working directory.
 - ``FAILED_WRITE_CASES``: argument lists, each with the files and directories that stand in the
   working directory before the run, where a directory in an output's place makes a write fail.
 - ``COMMAND_LINE_CASES``: argument lists that reach the CLI's own checks: the top-level parser,
-  argparse's errors, forced teleport outcomes, a teleport run with no file, teleport runs whose
-  trials end just past, well past and exactly at a chunk of the sampler's uniforms, and each
-  bound on ``--trials``, ``--seed``, ``mi --table`` and the three ``optimize`` modes.
+  argparse's errors, forced teleport outcomes, a teleport run with no file, a teleport input of
+  signed zeros, teleport runs whose trials end just past, well past and exactly at a chunk of the
+  sampler's uniforms, and each bound on ``--trials``, ``--seed``, ``mi --table`` and the three
+  ``optimize`` modes.
 - ``FILE_CASES``: argument lists, each with a label and an input file that reaches a line no
   canned asset does: the shape, sign, orthogonality and clip gates, CRLF line ends, and a
   product of marginals that underflows.
@@ -301,6 +302,9 @@ COMMAND_LINE_CASES = (
     ["teleport", "--random", "--seed", "3", "--trials", "262145", "--out", "o.json"],
     ["teleport", "--random", "--seed", "4", "--trials", "786437", "--out", "o.json"],
     ["teleport", "--a-re", "0.6", "--b-re", "0.8", "--trials", "262144", "--out", "o.json"],
+    # signed zeros in the summary's and the file's input, as the sent state holds them
+    ["teleport", "--a-re", "-1", "--a-im", "-0.0", "--b-re", "0", "--b-im", "-0.0", "--trials", "1",
+     "--out", "o.json"],
     ["optimize", "--budget", "0.1", "--seed", "-1", "--out-dir", "od"],
     ["mi", "--table", "0.5,0.5"],
     ["mi", "--table", "0.5,x,0.25,0.25"],

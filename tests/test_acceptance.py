@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from bellmd.cli import main
+from bellmd.hilbert import StateVector
 from bellmd.infotheory import cmd
 from bellmd.inequalities import (
     bell_optimal_scenario,
@@ -23,7 +24,7 @@ from bellmd.inequalities import (
 )
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct, predict
 from bellmd.mdsearch import min_cmd_for_chsh, tradeoff_curve
-from bellmd.teleport import TeleportInput, outcome_counts, run_teleportation
+from bellmd.teleport import outcome_counts, run_teleportation
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -128,8 +129,8 @@ def test_criterion_6_teleportation():
     for _ in range(1000):
         v = rng.normal(size=4)
         v /= np.linalg.norm(v)
-        inp = TeleportInput(complex(v[0], v[1]), complex(v[2], v[3]))
-        for transcript in run_teleportation(inp):
+        sent = StateVector([complex(v[0], v[1]), complex(v[2], v[3])])
+        for transcript in run_teleportation(sent):
             worst_gap = max(worst_gap, abs(transcript.fidelity - 1.0))
     freqs = np.array(outcome_counts(trials=100_000, seed=1)) / 100_000
     ok = worst_gap <= 1e-12 and bool(np.all(np.abs(freqs - 0.25) <= 0.01))

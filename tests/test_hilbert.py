@@ -100,7 +100,7 @@ class TestTensor:
     def test_entangled_basis_regrouping(self, rng):
         # the 8-dim combined state regroups into the four entangled-basis
         # branches, each carrying the matching image of the input qubit
-        from bellmd.teleport import TeleportInput, branch_decomposition
+        from bellmd.teleport import branch_decomposition
 
         for _ in range(20):
             a, b = random_qubit_pair(rng)
@@ -110,7 +110,7 @@ class TestTensor:
                 np.array([b, a]), np.array([-b, a]),
             ]
             rebuilt = np.zeros(8, dtype=complex)
-            for k, (prob, pre) in enumerate(branch_decomposition(TeleportInput(a, b))):
+            for k, (prob, pre) in enumerate(branch_decomposition(StateVector([a, b]))):
                 assert np.max(np.abs(pre.amplitudes - images[k])) <= 1e-12
                 rebuilt += math.sqrt(prob) * np.kron(ENTANGLED_BASIS[k], pre.amplitudes)
             assert np.max(np.abs(rebuilt - total)) <= 1e-12
@@ -132,7 +132,7 @@ class TestBornProbabilities:
     def test_combined_state_is_uniform_over_branches(self, rng):
         # oracle: project |psi>|pair> on (entangled basis (x) identity) by
         # explicit sums; every branch has weight exactly 1/4
-        from bellmd.teleport import TeleportInput, branch_decomposition
+        from bellmd.teleport import branch_decomposition
 
         for _ in range(10):
             a, b = random_qubit_pair(rng)
@@ -146,7 +146,7 @@ class TestBornProbabilities:
                 expected.append(weight)
             assert np.allclose(expected, 0.25, atol=1e-12)
 
-            probs = [p for p, _ in branch_decomposition(TeleportInput(a, b))]
+            probs = [p for p, _ in branch_decomposition(StateVector([a, b]))]
             assert np.allclose(probs, expected, atol=1e-12)
 
 

@@ -19,6 +19,10 @@ error reaches 1.3e9 at S = 2 + 1e-12.  The ``predict`` rows take the model's sto
 with p(-1 | setting, lambda) = 1 - p(+1 | setting, lambda) exactly, not as the kernel rounds
 it (on this sweep both give the same maxima), and sum_lambda p(lambda | a, b) p(x | a, lambda)
 p(y | b, lambda) in ``Fraction``; the joint and the correlators are measured in ulps of 1.
+The ``mi --table`` row takes the parsed floats of each table, normalizes them once, exactly,
+and evaluates their mutual information in 60-digit ``decimal``; its error is absolute, in ulps
+of 1, since near independence the printed value is rounding residue: ``0.25,0.25,0.25,
+0.2500000000001`` prints 8.0e-17 bits, where the exact value is 7.2e-27.
 """
 
 from __future__ import annotations
@@ -52,6 +56,11 @@ OPTIMIZER_EXPONENTS = range(1, 13)
 # the predict sweep: random 2x2 models, MODELS_PER_KIND for each hidden-variable count in
 # LAMBDA_COUNTS, with deterministic or stochastic responses and uniform or random marginals
 PREDICT_SEED, LAMBDA_COUNTS, MODELS_PER_KIND = 31, range(2, 17), 2
+# the `mi --table` sweep: the README's table, MI_TABLES seeded random tables, and tables near
+# independence: 1/4 + 10^-k and 1/4 - 10^-k on the diagonals for k in BALANCED_EXPONENTS, and
+# 1/4 + 10^-k in one entry for k in ONE_ENTRY_EXPONENTS, from the first k that --table's sum
+# check (within 1e-12 of 1) accepts to the last k at which 1/4 + 10^-k is not 1/4
+MI_SEED, MI_TABLES, BALANCED_EXPONENTS, ONE_ENTRY_EXPONENTS = 47, 100, range(1, 13), range(13, 17)
 
 # output -> (bound in ulps, what the bound rests on); teleport rows are measured over
 # `bellmd teleport --random --seed S` for S in TELEPORT_SEEDS, every transcript of each run
@@ -71,6 +80,9 @@ LEDGER = {
                                                          "budgets 1e-4, 1e-6 and 1e-11"),
     "predict joint, ulps of 1": (1.0, "measured: 0.59 over random and optimizer models"),
     "predict correlators, ulps of 1": (2.0, "measured: 0.83; four joint entries, three sums"),
+    "mi --table mutual_information_bits, ulps of 1": (2.0, "measured: 1.54 (3.4e-16 bits), on "
+                                                          "a random table; 0.36 near "
+                                                          "independence, where it cancels"),
 }
 
 
@@ -192,23 +204,27 @@ def kcbs_errors() -> dict[str, float]:
                                 ("kcbs_value rotated pentagrams", rotated))}
 
 
-def exact_dependence_bits(model) -> Decimal:
-    """I(lambda; s) of the model's float tables in 60-digit ``decimal``, the joint normalized
-    once and both marginals summed from it."""
-    marginal = [Fraction(x) for x in model.setting_space.marginal.tolist()]
-    joint = [[m * Fraction(x) for x in row]
-             for m, row in zip(marginal, model.lambda_given_settings.tolist())]
+def exact_mutual_information(joint: list[list[Fraction]]) -> Decimal:
+    """The mutual information of the rows and columns of ``joint`` in 60-digit ``decimal``, the
+    joint normalized once, exactly, and both marginals summed from it."""
     total = sum(map(sum, joint))
     joint = [[p / total for p in row] for row in joint]
-    p_s, p_lambda = [sum(row) for row in joint], [sum(col) for col in zip(*joint)]
+    p_row, p_col = [sum(row) for row in joint], [sum(col) for col in zip(*joint)]
 
     def dec(f: Fraction) -> Decimal:
         return Decimal(f.numerator) / f.denominator
 
     with localcontext() as ctx:
         ctx.prec = 60
-        return sum(dec(p) * dec(p / (ps * pl)).ln() for row, ps in zip(joint, p_s)
-                   for p, pl in zip(row, p_lambda) if p) / Decimal(2).ln()
+        return sum(dec(p) * dec(p / (pr * pc)).ln() for row, pr in zip(joint, p_row)
+                   for p, pc in zip(row, p_col) if p) / Decimal(2).ln()
+
+
+def exact_dependence_bits(model) -> Decimal:
+    """I(lambda; s) of the model's float tables: the joint p(s) p(lambda | s), exactly."""
+    marginal = [Fraction(x) for x in model.setting_space.marginal.tolist()]
+    return exact_mutual_information([[m * Fraction(x) for x in row] for m, row in
+                                     zip(marginal, model.lambda_given_settings.tolist())])
 
 
 def cmd_errors() -> dict[str, float]:
@@ -261,10 +277,34 @@ def predict_errors() -> dict[str, float]:
             "predict correlators, ulps of 1": float(worst_corr / one)}
 
 
+def mi_tables() -> list[str]:
+    """The ``--table`` arguments of the ``mi`` sweep, each entry a float's shortest repr."""
+    rng = np.random.default_rng(MI_SEED)
+    tables = [[0.3252, 0.1748, 0.1748, 0.3252], *rng.dirichlet(np.ones(4), MI_TABLES).tolist()]
+    tables += [[0.25 + 10.0**-k, 0.25 - 10.0**-k, 0.25 - 10.0**-k, 0.25 + 10.0**-k]
+               for k in BALANCED_EXPONENTS]
+    tables += [[0.25, 0.25, 0.25, 0.25 + 10.0**-k] for k in ONE_ENTRY_EXPONENTS]
+    return [",".join(map(repr, table)) for table in tables]
+
+
+def mi_errors() -> dict[str, float]:
+    """Largest absolute error of the printed ``mutual_information_bits`` over the ``mi`` sweep,
+    against the mutual information of the parsed floats."""
+    worst = Decimal(0)
+    for table in mi_tables():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["mi", "--table", table]) == 0
+        printed = json.loads(out.getvalue())["mutual_information_bits"]
+        p = [Fraction(float(x)) for x in table.split(",")]
+        worst = max(worst, abs(Decimal(printed) - exact_mutual_information([p[:2], p[2:]])))
+    return {"mi --table mutual_information_bits, ulps of 1": float(worst / Decimal(math.ulp(1.0)))}
+
+
 @pytest.fixture(scope="module")
 def measured(tmp_path_factory) -> dict[str, float]:
     return {**teleport_errors(tmp_path_factory.mktemp("ledger")), **chsh_errors(),
-            **kcbs_errors(), **cmd_errors(), **predict_errors()}
+            **kcbs_errors(), **cmd_errors(), **predict_errors(), **mi_errors()}
 
 
 @pytest.mark.parametrize("row", LEDGER)

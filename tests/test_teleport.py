@@ -9,7 +9,6 @@ from bellmd.errors import InputError, InvariantError
 from bellmd.hilbert import StateVector
 from bellmd.teleport import (
     CORRECTION_LABELS,
-    TeleportInput,
     branch_decomposition,
     outcome_counts,
     run_teleportation,
@@ -19,28 +18,27 @@ from bellmd.teleport import (
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 
-def random_input(rng) -> TeleportInput:
+def random_input(rng) -> StateVector:
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
-    return TeleportInput(complex(v[0], v[1]), complex(v[2], v[3]))
+    return StateVector([complex(v[0], v[1]), complex(v[2], v[3])])
 
 
 def test_input_normalization_enforced():
     with pytest.raises(InputError):
-        TeleportInput(1.0, 1.0)
-    TeleportInput(0.6, 0.8j)
+        StateVector([1.0, 1.0])
+    StateVector([0.6, 0.8j])
 
 
 def test_basis_input_fixed_by_every_branch():
-    for t in run_teleportation(TeleportInput(1.0, 0.0)):
+    for t in run_teleportation(StateVector([1.0, 0.0])):
         assert abs(t.fidelity - 1.0) <= 1e-12
         assert abs(abs(t.bob_final.amplitudes[0]) - 1.0) <= 1e-12
 
 
 def test_swap_branch_uses_bit_flip_correction():
     # outcome 2 is the (|01>+|10>)/sqrt(2) branch; its correction is the bit flip
-    inp = TeleportInput(0.6, 0.8)
-    t = run_teleportation(inp)[2]
+    t = run_teleportation(StateVector([0.6, 0.8]))[2]
     assert t.correction_applied == "sigma_x"
     assert np.allclose(t.bob_final.amplitudes, [0.6, 0.8], atol=1e-12)
 
@@ -64,10 +62,10 @@ def test_correction_is_the_unique_pauli_per_branch(rng):
     # one correction restores each image (up to phase) for a generic input
     z, x = oracles.PAULI_Z, oracles.PAULI_X
     paulis = [np.eye(2, dtype=complex), z, x, z @ x]
-    inp = random_input(rng)
-    target = np.array([inp.a, inp.b])
+    sent = random_input(rng)
+    target = sent.amplitudes
     total = np.kron(target, oracles.ENTANGLED_BASIS[0]).reshape(4, 2)
-    branches = branch_decomposition(inp)
+    branches = branch_decomposition(sent)
     for outcome, (vector, (_, pre)) in enumerate(zip(oracles.ENTANGLED_BASIS, branches)):
         image = vector.conj() @ total
         assert np.max(np.abs(pre.amplitudes - image / np.linalg.norm(image))) <= 1e-15
@@ -81,11 +79,11 @@ def test_correction_is_the_unique_pauli_per_branch(rng):
 def test_the_branches_are_sign_flips_and_swaps_of_one_state(rng):
     # one probability for every outcome, which the recorded draw normalizes to exactly 1/4; each
     # pre-correction state is (u, v), (u, -v), (v, u) or (-v, u) of the corrected (u, v)
-    for inp in [random_input(rng) for _ in range(50)] + [TeleportInput(0.6, 0.8)]:
-        transcripts = run_teleportation(inp)
+    for sent in [random_input(rng) for _ in range(50)] + [StateVector([0.6, 0.8])]:
+        transcripts = run_teleportation(sent)
         u, v = transcripts[0].bob_final.amplitudes.tolist()
         images = [(u, v), (u, -v), (v, u), (-v, u)]
-        for t, (prob, pre), image in zip(transcripts, branch_decomposition(inp), images):
+        for t, (prob, pre), image in zip(transcripts, branch_decomposition(sent), images):
             assert t.outcome_probability == prob == transcripts[0].outcome_probability
             assert t.bob_final.amplitudes.tobytes() == np.array([u, v]).tobytes()
             assert pre.amplitudes.tobytes() == np.array(image).tobytes()
@@ -95,10 +93,10 @@ def test_the_branches_are_sign_flips_and_swaps_of_one_state(rng):
 
 def test_a_unit_input_arrives_bit_for_bit():
     # squared norm exactly 1: every component is divided by 1.0, signed zeros included
-    inp = TeleportInput(complex(-1.0, -0.0), complex(0.0, -0.0))
-    for t in run_teleportation(inp):
+    sent = StateVector([complex(-1.0, -0.0), complex(0.0, -0.0)])
+    for t in run_teleportation(sent):
         assert (t.outcome_probability, t.fidelity) == (0.25, 1.0)
-        assert t.bob_final.amplitudes.tobytes() == inp.state().amplitudes.tobytes()
+        assert t.bob_final.amplitudes.tobytes() == sent.amplitudes.tobytes()
 
 
 def test_sampled_outcome_frequencies(rng):
@@ -118,15 +116,15 @@ def _reference_counts(p, trials: int, seed: int) -> list[int]:
     return np.bincount(oracles.sample_outcomes_reference(p, trials, seed), minlength=4).tolist()
 
 
-def _teleport_probabilities(inp: TeleportInput) -> list[float]:
-    return [t.outcome_probability for t in run_teleportation(inp)]
+def _teleport_probabilities(sent: StateVector) -> list[float]:
+    return [t.outcome_probability for t in run_teleportation(sent)]
 
 
-def _near_unit_input(rng) -> TeleportInput:
+def _near_unit_input(rng) -> StateVector:
     """A random input whose squared norm is off 1 by up to 1e-10, within the input check."""
     v = rng.normal(size=4)
     v *= (1.0 + rng.uniform(-1e-10, 1e-10)) / np.linalg.norm(v)
-    return TeleportInput(complex(v[0], v[1]), complex(v[2], v[3]))
+    return StateVector([complex(v[0], v[1]), complex(v[2], v[3])])
 
 
 def test_four_equal_probabilities_normalize_to_exact_quarters(rng):
@@ -143,7 +141,7 @@ def test_four_equal_probabilities_normalize_to_exact_quarters(rng):
 def test_sampler_matches_generator_choice(rng):
     # the counts must be those of numpy's weighted choice at the probabilities a teleport file
     # records; a numpy release that changes choice's algorithm fails here
-    cases = [[0.25] * 4, _teleport_probabilities(TeleportInput(0.6, 0.8))]
+    cases = [[0.25] * 4, _teleport_probabilities(StateVector([0.6, 0.8]))]
     cases += [_teleport_probabilities(random_input(rng)) for _ in range(50)]
     cases += [_teleport_probabilities(_near_unit_input(rng)) for _ in range(50)]
     cases += [[0.25] * 4] * (1000 - len(cases))
@@ -157,7 +155,7 @@ def test_sampler_matches_generator_choice(rng):
 @pytest.mark.parametrize("trials", [2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5])
 def test_counts_match_choice_across_chunk_boundaries(trials):
     # the uniforms come in chunks of 2**18; chunked draws must continue one stream
-    cases = ([0.25] * 4, _teleport_probabilities(TeleportInput(0.6, 0.8)),
+    cases = ([0.25] * 4, _teleport_probabilities(StateVector([0.6, 0.8])),
              _teleport_probabilities(_near_unit_input(np.random.default_rng(trials))))
     for seed, p in enumerate(cases):
         assert outcome_counts(trials, seed) == _reference_counts(p, trials, seed), p
@@ -190,10 +188,10 @@ def test_the_thresholds_are_the_cumulative_sums_over_their_last(monkeypatch):
 
 
 def test_branch_transcripts_match_each_branch(rng):
-    inp = random_input(rng)
-    transcripts = run_teleportation(inp)
+    sent = random_input(rng)
+    transcripts = run_teleportation(sent)
     assert [t.outcome_index for t in transcripts] == [0, 1, 2, 3]
-    for k, (t, (prob, _)) in enumerate(zip(transcripts, branch_decomposition(inp))):
+    for k, (t, (prob, _)) in enumerate(zip(transcripts, branch_decomposition(sent))):
         assert t.outcome_probability == prob
         assert t.correction_applied == CORRECTION_LABELS[k]
 
@@ -208,7 +206,7 @@ def test_the_receiver_stack_is_checked(monkeypatch):
 
     monkeypatch.setattr(teleport, "_branches", stretched)
     with pytest.raises(InvariantError, match="^receiver state has squared norm 1.21, expected 1$"):
-        run_teleportation(TeleportInput(0.6, 0.8))
+        run_teleportation(StateVector([0.6, 0.8]))
 
 
 def test_forced_outcome_validated(capsys):
@@ -218,7 +216,7 @@ def test_forced_outcome_validated(capsys):
 
 
 def test_transcript_serialization_shape():
-    t = run_teleportation(TeleportInput(0.6, 0.8))[1]
+    t = run_teleportation(StateVector([0.6, 0.8]))[1]
     doc = t.to_json_dict()
     assert set(doc) == {
         "outcome_index", "outcome_probability", "correction_applied",
@@ -249,14 +247,14 @@ def test_entangled_pair_is_a_valid_state():
     assert np.allclose(basis.conj() @ basis.T, np.eye(4), atol=1e-15)
 
 
-def _seeded_inputs() -> list[TeleportInput]:
+def _seeded_inputs() -> list[StateVector]:
     rng = np.random.default_rng(2024)
-    return [TeleportInput(0.6, 0.8)] + [random_input(rng) for _ in range(5)]
+    return [StateVector([0.6, 0.8])] + [random_input(rng) for _ in range(5)]
 
 
 @pytest.mark.parametrize("inp", _seeded_inputs())
 def test_branch_transcripts_match_a_direct_kron_reference(inp):
-    reference = oracles.teleport_branches_reference(inp.a, inp.b)
+    reference = oracles.teleport_branches_reference(*inp.amplitudes.tolist())
     for k, (t, (prob, final)) in enumerate(zip(run_teleportation(inp), reference)):
         doc = t.to_json_dict()
         assert (doc["outcome_index"], doc["correction_applied"]) == (k, CORRECTION_LABELS[k])

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import oracles
-from bellmd import cli, inequalities, lhv, teleport
+from bellmd import cli, inequalities, lhv
 from bellmd.hilbert import StateVector
 from bellmd.errors import InputError
 from bellmd.infotheory import cmd
@@ -96,7 +96,7 @@ def test_the_counters_see_the_checked_paths(calls, state_calls):
     assert calls == {"ChshScenario.__init__": 1, "KcbsScenario.__init__": 1,
                      HERMITIAN_PARTS: 1, "CorrelationTable.__init__": 1}
     state_calls.clear()
-    teleport.TeleportInput(0.6, 0.8).state()  # the sent state, the one a teleport run checks
+    StateVector([0.6, 0.8])  # the sent state, the one a teleport run checks
     assert state_calls == {"StateVector.__init__": 1}
 
 

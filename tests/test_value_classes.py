@@ -1,10 +1,10 @@
-"""The package's 10 value classes: read-only, copyable and picklable, compared by identity.
+"""The package's 9 value classes: read-only, copyable and picklable, compared by identity.
 
 Assigning or deleting a field raises ``AttributeError``.  ``pickle`` at every
 protocol, ``copy.copy`` and ``copy.deepcopy`` give an instance of the same class
 with every field kept, arrays identical byte for byte and read-only.  Each is rebuilt
 through its checking ``__init__``, so a pickle whose fields were edited raises
-``InputError``.  All 10 classes are plain ``errors.Frozen`` subclasses and compare
+``InputError``.  All 9 classes are plain ``errors.Frozen`` subclasses and compare
 and hash by identity: two instances with equal fields are not equal.  Every array a
 value holds, as built or as the package's own functions return it, is read-only down
 its ``.base`` chain, so no view of it can be written through.  ``_assign`` sets the
@@ -26,11 +26,10 @@ from bellmd.errors import Frozen, InputError
 from bellmd.hilbert import StateVector
 from bellmd.inequalities import (ChshScenario, KcbsScenario, bell_optimal_scenario, chsh_quantum,
                                  kcbs_pentagram)
-from bellmd.infotheory import CmdReport
+from bellmd.infotheory import CmdReport, entropy_bits
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct, predict
 from bellmd.mdsearch import SearchOutcome
-from bellmd.teleport import (TeleportInput, TeleportTranscript, branch_decomposition,
-                             run_teleportation)
+from bellmd.teleport import TeleportTranscript, branch_decomposition, run_teleportation
 
 STATE = StateVector([0.6, 0.8])
 MODEL = brans_construct(CorrelationTable.from_correlators([[0.5, 0.5], [0.5, -0.5]]))
@@ -42,7 +41,6 @@ PLAIN = {
                 lambda: CmdReport(1.0, 0.5, 2.0)),
     SearchOutcome: (("model", "cmd_report", "chsh", "feasible"),
                     lambda: SearchOutcome(MODEL, CmdReport(1.0, 0.5, 2.0), 2.5, True)),
-    TeleportInput: (("a", "b", "_state"), lambda: TeleportInput(0.6, 0.8j)),
     TeleportTranscript: (("outcome_index", "outcome_probability", "correction_applied",
                           "bob_final", "fidelity"),
                          lambda: TeleportTranscript(2, 0.25, "sigma_x", STATE, 1.0)),
@@ -127,8 +125,8 @@ BUILT = {
     "chsh_quantum": lambda: chsh_quantum(bell_optimal_scenario()),
     "SettingSpace()": SettingSpace,
     "StateVector of a column": lambda: StateVector([[0.6], [0.8]]),
-    "branch_decomposition": lambda: branch_decomposition(TeleportInput(0.6, 0.8j)),
-    "branch_transcripts": lambda: run_teleportation(TeleportInput(0.6, 0.8j)),
+    "branch_decomposition": lambda: branch_decomposition(StateVector([0.6, 0.8j])),
+    "branch_transcripts": lambda: run_teleportation(StateVector([0.6, 0.8j])),
 }
 HOLDERS = {**{cls.__name__: CLASSES[cls][1] for cls in CLASSES}, **BUILT}
 
@@ -148,9 +146,9 @@ def test_assign_sets_the_slots_in_slot_order(cls):
 
 
 def test_assign_sets_the_slots_beyond_the_fields():
-    assert (len(TeleportInput.__slots__), len(TeleportInput._fields)) == (3, 2)
-    value = TeleportInput(0.6, 0.8j)
-    assert value.state().amplitudes.tolist() == [0.6, 0.8j]
+    assert (len(SettingSpace.__slots__), len(SettingSpace._fields)) == (4, 3)
+    value = SettingSpace(1, 2, [0.25, 0.75])
+    assert value._entropy_bits == entropy_bits(value.marginal) > 0.0
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
@@ -233,7 +231,6 @@ def test_checked_classes_compare_and_hash_by_identity(cls):
 def test_repr_lists_the_shown_fields():
     assert repr(CmdReport(1.0, 0.5, 2.0)) == \
         "CmdReport(raw_bits=1.0, normalized=0.5, setting_entropy_bits=2.0)"
-    assert repr(TeleportInput(0.6, 0.8)) == "TeleportInput(a=(0.6+0j), b=(0.8+0j))"
     table = CorrelationTable.from_correlators(np.zeros((1, 1)))
     assert repr(table) == f"CorrelationTable(joint={table.joint!r})"
     assert repr(STATE) == f"StateVector(amplitudes={STATE.amplitudes!r})"
