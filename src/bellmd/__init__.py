@@ -39,8 +39,4 @@ from .mdsearch import (
     min_cmd_for_chsh,
     tradeoff_curve,
 )
-from .teleport import (
-    TeleportTranscript,
-    outcome_counts,
-    verify_no_setting_choice,
-)
+from .teleport import outcome_counts, verify_no_setting_choice

@@ -42,6 +42,7 @@ from .mdsearch import max_chsh_under_budget, min_cmd_for_chsh, tradeoff_curve
 from .serialize import (
     _read_bytes,
     chsh_scenario_from_doc,
+    complex_pairs,
     dump_json,
     dumps_json,
     model_from_doc,
@@ -52,6 +53,7 @@ from .serialize import (
     write_model,
 )
 from .teleport import (
+    CORRECTION_LABELS,
     OUTCOME_DRAW,
     outcome_counts,
     run_teleportation,
@@ -127,28 +129,30 @@ def cmd_teleport(args) -> _Run:
     if args.trials <= 0:
         raise InputError("--trials must be positive")
 
-    # the four possible transcripts are fixed by the input; trials only resample which
-    # branch occurred, each with probability exactly 1/4, so the file stores each
-    # transcript once and the counts depend on --seed and --trials alone
-    canonical = run_teleportation(sent)
+    # every branch's probability, corrected state and fidelity are fixed by the input; trials
+    # only resample which branch occurred, each with probability exactly 1/4, so the file
+    # stores each branch once and the counts depend on --seed and --trials alone
+    probability, bob_final, fidelity = run_teleportation(sent)
     if args.force_outcome is None:
         counts = outcome_counts(args.trials, args.seed)
     else:
         counts = [0, 0, 0, 0]
         counts[args.force_outcome] = args.trials
     summary = {
-        "input": [[z.real, z.imag] for z in sent.amplitudes.tolist()],
+        "input": complex_pairs(sent),
         "trials": args.trials,
         "outcome_counts": counts,
         "outcome_frequencies": [c / args.trials for c in counts],
-        "min_fidelity": min(t.fidelity for t in canonical),
+        "min_fidelity": fidelity,
         "measurement_report": verify_no_setting_choice(),
     }
     if args.out is None:  # the file's document is built only for a run that writes it
         return _Run(summary)
     return _Run(summary, [(args.out, dump_json, {
         "summary": summary,
-        "transcripts": [t.to_json_dict() for t in canonical],
+        "transcripts": [{"outcome_index": k, "outcome_probability": probability,
+                         "correction_applied": label, "bob_final": complex_pairs(bob_final),
+                         "fidelity": fidelity} for k, label in enumerate(CORRECTION_LABELS)],
         # fixes every trial's outcome, at a size that does not grow with --trials
         "sampler": {
             "seed": args.seed,

@@ -191,6 +191,11 @@ def _float_array_field(doc: dict, name: str, context: str) -> np.ndarray:
 
 # --- complex payloads --------------------------------------------------------
 
+def complex_pairs(state: StateVector) -> list[list[float]]:
+    """``state``'s amplitudes as ``[re, im]`` pairs, the inverse of ``_pairs_to_complex``."""
+    return [[z.real, z.imag] for z in state.amplitudes.tolist()]
+
+
 def _pairs_to_complex(data, context: str) -> np.ndarray:
     arr = _numbers(data, f"{context}: expected numeric [re, im] pairs")
     if arr.ndim < 1 or arr.shape[-1] != 2:

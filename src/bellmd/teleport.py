@@ -7,8 +7,9 @@ or (-b, a), halved, each with probability p = (|a|^2 + |b|^2)/4, which is 1/4
 for a normalized input (Bennett et al., PRL 70, 1895, 1993).  The outcome
 index selects the Pauli correction, 1, Z, X or Z X, that undoes its flip.
 The branches are computed in that closed form, in real arithmetic on each
-amplitude component, so no matrix product sets their bits.  ``run_teleportation``
-returns the four transcripts, indexed by outcome, among which a run samples.  The four
+amplitude component, so no matrix product sets their bits.  After its correction
+every branch leaves the receiver with the same state, so ``run_teleportation`` returns
+that one state with the probability and fidelity all four outcomes share.  The four
 probabilities are one float, so each outcome is drawn with probability exactly 1/4.
 """
 
@@ -18,31 +19,11 @@ import math
 
 import numpy as np
 
-from .errors import Frozen, InputError, InvariantError
+from .errors import InputError, InvariantError
 from .hilbert import StateVector
 from .tolerances import NORMALIZATION
 
 CORRECTION_LABELS = ("identity", "sigma_z", "sigma_x", "sigma_z.sigma_x")
-
-
-class TeleportTranscript(Frozen):
-    """One protocol run: measured branch, applied correction, receiver state, fidelity."""
-
-    __slots__ = ("outcome_index", "outcome_probability", "correction_applied", "bob_final",
-                 "fidelity")
-
-    def __init__(self, outcome_index: int, outcome_probability: float, correction_applied: str,
-                 bob_final: StateVector, fidelity: float) -> None:
-        self._assign(outcome_index, outcome_probability, correction_applied, bob_final, fidelity)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "outcome_index": self.outcome_index,
-            "outcome_probability": self.outcome_probability,
-            "correction_applied": self.correction_applied,
-            "bob_final": [[z.real, z.imag] for z in self.bob_final.amplitudes],
-            "fidelity": self.fidelity,
-        }
 
 
 def _branches(sent: StateVector) -> tuple[float, complex, complex]:
@@ -70,20 +51,18 @@ def branch_decomposition(sent: StateVector) -> list[tuple[float, StateVector]]:
             for pre in ((u, v), (u, -v), (v, u), (-v, u))]
 
 
-def run_teleportation(sent: StateVector) -> tuple[TeleportTranscript, ...]:
-    """The transcript of each of the 4 branches, index = outcome index.
+def run_teleportation(sent: StateVector) -> tuple[float, StateVector, float]:
+    """(probability, corrected receiver state, fidelity), the same for each of the 4 outcomes.
 
-    ``sent`` was checked when it was built.  Every branch's corrected receiver
-    state is the same one, checked for unit norm and compared with ``sent`` once.
+    ``sent`` was checked when it was built.  The receiver state is checked for unit norm
+    and compared with ``sent`` once.
     """
     p, u, v = _branches(sent)
     sq_norm = u.real * u.real + u.imag * u.imag + v.real * v.real + v.imag * v.imag
     if abs(sq_norm - 1.0) > NORMALIZATION:
         raise InvariantError(f"receiver state has squared norm {sq_norm:.12g}, expected 1")
     bob_final = StateVector._derived(np.array([u, v]))
-    fidelity = min(bob_final.fidelity(sent), 1.0)
-    return tuple(TeleportTranscript(k, p, label, bob_final, fidelity)
-                 for k, label in enumerate(CORRECTION_LABELS))
+    return p, bob_final, min(bob_final.fidelity(sent), 1.0)
 
 
 # the draw whose outcomes ``outcome_counts`` counts; a data file records it, not the outcomes
@@ -117,9 +96,9 @@ def outcome_counts(trials: int, seed: int = 0) -> list[int]:
 def verify_no_setting_choice() -> dict:
     """Machine-readable inventory of the measurements the teleportation protocol offers.
 
-    The sender makes one fixed entangled-basis measurement (the one whose
-    four branches ``run_teleportation`` builds), so no party chooses a
-    setting, unlike the two observables per party of a CHSH scenario.
+    The sender makes one fixed entangled-basis measurement (the one whose four
+    outcomes ``run_teleportation`` corrects to one receiver state), so no party
+    chooses a setting, unlike the two observables per party of a CHSH scenario.
     """
     return {
         "protocol": "teleportation",

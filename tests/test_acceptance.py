@@ -130,8 +130,8 @@ def test_criterion_6_teleportation():
         v = rng.normal(size=4)
         v /= np.linalg.norm(v)
         sent = StateVector([complex(v[0], v[1]), complex(v[2], v[3])])
-        for transcript in run_teleportation(sent):
-            worst_gap = max(worst_gap, abs(transcript.fidelity - 1.0))
+        _, _, fidelity = run_teleportation(sent)  # every outcome's, after its correction
+        worst_gap = max(worst_gap, abs(fidelity - 1.0))
     freqs = np.array(outcome_counts(trials=100_000, seed=1)) / 100_000
     ok = worst_gap <= 1e-12 and bool(np.all(np.abs(freqs - 0.25) <= 0.01))
     _verdict("6 teleportation", ok, watch,

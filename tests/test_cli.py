@@ -105,16 +105,17 @@ class TestTeleportCommand:
         assert all(abs(f - 0.25) <= 0.01 for f in freqs)
 
     def test_no_out_builds_no_file_document(self, capsys, monkeypatch):
-        # the transcripts are encoded only for the --out file; the summary needs none of them
-        def encode(self):
-            raise AssertionError("a transcript was encoded for a run with no --out")
-
-        monkeypatch.setattr(bellmd.teleport.TeleportTranscript, "to_json_dict", encode)
+        # the transcripts, each with its bob_final pairs, are encoded only for the --out file;
+        # the summary encodes the sent state's pairs alone
+        encoded, pairs = [], bellmd.cli.complex_pairs
+        monkeypatch.setattr(bellmd.cli, "complex_pairs",
+                            lambda state: encoded.append(state) or pairs(state))
         code, stdout, stderr = run_cli(capsys, "teleport", "--random", "--seed", "7")
         assert (code, stderr) == (0, "")
-        assert list(json.loads(stdout)) == ["input", "trials", "outcome_counts",
-                                            "outcome_frequencies", "min_fidelity",
-                                            "measurement_report"]
+        summary = json.loads(stdout)
+        assert list(summary) == ["input", "trials", "outcome_counts", "outcome_frequencies",
+                                 "min_fidelity", "measurement_report"]
+        assert [pairs(state) for state in encoded] == [summary["input"]]
 
     def test_forced_outcome_correction(self, capsys):
         code, stdout, _ = run_cli(

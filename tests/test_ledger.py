@@ -22,7 +22,10 @@ p(y | b, lambda) in ``Fraction``; the joint and the correlators are measured in 
 The ``mi --table`` row takes the parsed floats of each table, normalizes them once, exactly,
 and evaluates their mutual information in 60-digit ``decimal``; its error is absolute, in ulps
 of 1, since near independence the printed value is rounding residue: ``0.25,0.25,0.25,
-0.2500000000001`` prints 8.0e-17 bits, where the exact value is 7.2e-27.
+0.2500000000001`` prints 8.0e-17 bits, where the exact value is 7.2e-27.  The ``optimize`` row
+reads the ``chsh_value`` or ``best_chsh`` that a run prints, checks that its report file holds
+the same float, and measures it in ulps of the exact S of the model file the run wrote, whose
+joint is ``predict``'s row's exact joint.
 """
 
 from __future__ import annotations
@@ -45,13 +48,14 @@ from bellmd.inequalities import (ChshScenario, KcbsScenario, chsh_quantum, chsh_
                                  kcbs_pentagram, kcbs_value)
 from bellmd.lhv import LhvModel, SettingSpace, predict
 from bellmd.mdsearch import max_chsh_under_budget, min_cmd_for_chsh
-from bellmd.serialize import read_chsh_scenario, read_kcbs_scenario
+from bellmd.serialize import read_chsh_scenario, read_kcbs_scenario, read_model
 
 TELEPORT_SEEDS = range(200)
 # the quantum sweeps: CHSH_SCENARIOS random CHSH scenarios, then, from a fresh generator,
 # KCBS_SCENARIOS rotated pentagrams, each with a random state
 QUANTUM_SEED, CHSH_SCENARIOS, KCBS_SCENARIOS = 20250810, 64, 100
-# the optimizer's models: targets S = 2 + 10^-k and budgets 10^-k bits
+# the optimizer's models: targets S = 2 + 10^-k and budgets 10^-k bits; the optimize row
+# adds the target 2 sqrt(2)
 OPTIMIZER_EXPONENTS = range(1, 13)
 # the predict sweep: random 2x2 models, MODELS_PER_KIND for each hidden-variable count in
 # LAMBDA_COUNTS, with deterministic or stochastic responses and uniform or random marginals
@@ -83,6 +87,8 @@ LEDGER = {
     "mi --table mutual_information_bits, ulps of 1": (2.0, "measured: 1.54 (3.4e-16 bits), on "
                                                           "a random table; 0.36 near "
                                                           "independence, where it cancels"),
+    "optimize chsh_value and best_chsh": (2.0, "measured: 1.0, at S = 2 + 1e-3 and 2 + 1e-5 "
+                                               "and at budgets 1e-2 and 1e-10"),
 }
 
 
@@ -151,8 +157,12 @@ def exact_chsh(s: ChshScenario) -> tuple[np.ndarray, Fraction]:
             value = (v[0][0] + sx * v[a + 1][0] + sy * v[0][b + 1] + sx * sy * v[a + 1][b + 1]) / 4
             joint[a, b, x, y] = max(value, Fraction(0))
         joint[a, b] /= sum(joint[a, b].flat)
-    e = [t[0, 0] - t[0, 1] - t[1, 0] + t[1, 1] for t in joint.reshape(4, 2, 2)]
-    return joint, max(abs(sum(e) - 2 * e_i) for e_i in e)
+    return joint, exact_s([t[0, 0] - t[0, 1] - t[1, 0] + t[1, 1] for t in joint.reshape(4, 2, 2)])
+
+
+def exact_s(e: list[Fraction]) -> Fraction:
+    """max_i |E_sum - 2 E_i| over the four correlators, the CHSH value ``chsh_value`` rounds."""
+    return max(abs(sum(e) - 2 * e_i) for e_i in e)
 
 
 def exact_kcbs(s: KcbsScenario) -> Fraction:
@@ -262,6 +272,13 @@ def exact_predict(model: LhvModel) -> dict[tuple[int, int, int, int], Fraction]:
             for a, b, x, y in itertools.product(range(2), repeat=4)}
 
 
+def exact_correlators(joint: dict) -> list[Fraction]:
+    """E_ab = p(+1, +1) - p(+1, -1) - p(-1, +1) + p(-1, -1) of an ``exact_predict`` joint, in
+    (a, b) order."""
+    return [joint[a, b, 0, 0] - joint[a, b, 0, 1] - joint[a, b, 1, 0] + joint[a, b, 1, 1]
+            for a, b in itertools.product(range(2), repeat=2)]
+
+
 def predict_errors() -> dict[str, float]:
     """Largest absolute errors of ``predict``'s joint entries and correlators, in ulps of 1."""
     worst_joint = worst_corr = Fraction(0)
@@ -269,9 +286,8 @@ def predict_errors() -> dict[str, float]:
         table, joint = predict(model), exact_predict(model)
         worst_joint = max([worst_joint] + [abs(Fraction(table.joint[key].item()) - p)
                                            for key, p in joint.items()])
-        for a, b in itertools.product(range(2), repeat=2):
-            e = joint[a, b, 0, 0] - joint[a, b, 0, 1] - joint[a, b, 1, 0] + joint[a, b, 1, 1]
-            worst_corr = max(worst_corr, abs(Fraction(table.correlators[a, b].item()) - e))
+        for got, e in zip(table.correlators.flat, exact_correlators(joint)):
+            worst_corr = max(worst_corr, abs(Fraction(got.item()) - e))
     one = Fraction(math.ulp(1.0))
     return {"predict joint, ulps of 1": float(worst_joint / one),
             "predict correlators, ulps of 1": float(worst_corr / one)}
@@ -301,10 +317,29 @@ def mi_errors() -> dict[str, float]:
     return {"mi --table mutual_information_bits, ulps of 1": float(worst / Decimal(math.ulp(1.0)))}
 
 
+def optimize_errors(tmp_path) -> dict[str, float]:
+    """Largest error of the printed ``chsh_value`` and ``best_chsh`` over the optimizer's sweep,
+    against the exact S of the model each run wrote."""
+    runs = [("--target-s", 2.0 + 10.0**-k, "min_cmd", "chsh_value") for k in OPTIMIZER_EXPONENTS]
+    runs += [("--target-s", 2.0 * math.sqrt(2.0), "min_cmd", "chsh_value")]
+    runs += [("--budget", 10.0**-k, "budget", "best_chsh") for k in OPTIMIZER_EXPONENTS]
+    worst = 0.0
+    for flag, value, stem, field in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["optimize", flag, repr(value), "--out-dir", str(tmp_path)]) == 0
+        printed = json.loads(out.getvalue())[field]
+        assert json.loads((tmp_path / f"{stem}_report.json").read_text())[field] == printed
+        model = read_model(tmp_path / f"{stem}_model.json")
+        worst = max(worst, ulps(printed, exact_s(exact_correlators(exact_predict(model)))))
+    return {"optimize chsh_value and best_chsh": worst}
+
+
 @pytest.fixture(scope="module")
 def measured(tmp_path_factory) -> dict[str, float]:
     return {**teleport_errors(tmp_path_factory.mktemp("ledger")), **chsh_errors(),
-            **kcbs_errors(), **cmd_errors(), **predict_errors(), **mi_errors()}
+            **kcbs_errors(), **cmd_errors(), **predict_errors(), **mi_errors(),
+            **optimize_errors(tmp_path_factory.mktemp("optimize"))}
 
 
 @pytest.mark.parametrize("row", LEDGER)

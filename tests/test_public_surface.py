@@ -45,7 +45,6 @@ PUBLIC_NAMES = [
     "SearchOutcome",
     "SettingSpace",
     "StateVector",
-    "TeleportTranscript",
     "bell_optimal_scenario",
     "brans_construct",
     "chsh_quantum",

@@ -4,7 +4,8 @@ The command block under "Command line" runs line by line through ``main`` on
 the canned assets, in a temporary directory.  Each quoted figure is read from
 the README text and compared, at the digits quoted, with the output of the
 run that computes it, so a drifted number or a renamed option fails here.
-Each quoted tolerance is compared with the expression its check uses.
+Each quoted tolerance is compared with the expression its check uses, and the Accuracy
+table with the rows and bounds of ``test_ledger.LEDGER``.
 """
 
 import argparse
@@ -20,6 +21,7 @@ from bellmd import cli, lhv
 from bellmd.cli import main
 from bellmd.tolerances import ARITHMETIC, NORMALIZATION, OPERATOR
 from cli_inputs import readme_commands
+from test_ledger import LEDGER
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -170,3 +172,10 @@ def test_quoted_tolerances_are_the_ones_the_checks_use():
     drifted = [(pattern, quoted, value) for pattern, value in TOLERANCES
                if float(quoted := _quoted(pattern)) != value]
     assert not drifted
+
+
+def test_the_accuracy_table_quotes_the_ledger():
+    section = README.split("\n## Accuracy\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("| ").split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    assert [(name.strip("`"), float(bound), reason) for name, bound, reason in rows] == [
+        (name, bound, reason) for name, (bound, reason) in LEDGER.items()]

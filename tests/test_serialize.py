@@ -387,6 +387,15 @@ class TestScenarioRoundTrips:
         assert np.array_equal(scenario.vectors, loaded.vectors)
         assert np.array_equal(scenario.state.amplitudes, loaded.state.amplitudes)
 
+    def test_brans_model(self):
+        # brans.json is brans_construct of the Bell-optimal scenario's table, bit for bit
+        model = brans_construct(chsh_quantum(bell_optimal_scenario()))
+        loaded = read_model(asset_path("brans.json"))
+        assert (loaded.setting_space.alice_settings, loaded.setting_space.bob_settings) == (2, 2)
+        for table in ("lambda_given_settings", "alice_response", "bob_response"):
+            assert getattr(loaded, table).tobytes() == getattr(model, table).tobytes(), table
+        assert loaded.setting_space.marginal.tobytes() == model.setting_space.marginal.tobytes()
+
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json at all {")

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -16,12 +19,24 @@ from bellmd.teleport import (
 )
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
+# outcome k's correction, CORRECTION_LABELS[k], as a matrix
+CORRECTIONS = [np.eye(2, dtype=complex), oracles.PAULI_Z, oracles.PAULI_X,
+               oracles.PAULI_Z @ oracles.PAULI_X]
 
 
 def random_input(rng) -> StateVector:
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
     return StateVector([complex(v[0], v[1]), complex(v[2], v[3])])
+
+
+def teleport_file(sent: StateVector, out) -> dict:
+    """The document ``bellmd teleport --out`` writes for ``sent``, given component by component."""
+    (a, b), flags = sent.amplitudes.tolist(), ("--a-re", "--a-im", "--b-re", "--b-im")
+    argv = [f"{flag}={x!r}" for flag, x in zip(flags, (a.real, a.imag, b.real, b.imag))]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["teleport", *argv, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
 
 
 def test_input_normalization_enforced():
@@ -31,16 +46,23 @@ def test_input_normalization_enforced():
 
 
 def test_basis_input_fixed_by_every_branch():
-    for t in run_teleportation(StateVector([1.0, 0.0])):
-        assert abs(t.fidelity - 1.0) <= 1e-12
-        assert abs(abs(t.bob_final.amplitudes[0]) - 1.0) <= 1e-12
+    sent = StateVector([1.0, 0.0])
+    _, bob_final, fidelity = run_teleportation(sent)
+    assert abs(fidelity - 1.0) <= 1e-12
+    assert abs(abs(bob_final.amplitudes[0]) - 1.0) <= 1e-12
+    for correction, (_, pre) in zip(CORRECTIONS, branch_decomposition(sent)):
+        assert np.allclose(correction @ pre.amplitudes, bob_final.amplitudes, atol=1e-12)
 
 
 def test_swap_branch_uses_bit_flip_correction():
     # outcome 2 is the (|01>+|10>)/sqrt(2) branch; its correction is the bit flip
-    t = run_teleportation(StateVector([0.6, 0.8]))[2]
-    assert t.correction_applied == "sigma_x"
-    assert np.allclose(t.bob_final.amplitudes, [0.6, 0.8], atol=1e-12)
+    sent = StateVector([0.6, 0.8])
+    _, bob_final, _ = run_teleportation(sent)
+    _, pre = branch_decomposition(sent)[2]
+    assert CORRECTION_LABELS[2] == "sigma_x"
+    assert np.allclose(pre.amplitudes, [0.8, 0.6], atol=1e-12)
+    assert np.allclose(oracles.PAULI_X @ pre.amplitudes, bob_final.amplitudes, atol=1e-12)
+    assert np.allclose(bob_final.amplitudes, [0.6, 0.8], atol=1e-12)
 
 
 def test_branch_probabilities_are_exactly_uniform(rng):
@@ -51,17 +73,16 @@ def test_branch_probabilities_are_exactly_uniform(rng):
 
 
 def test_fidelity_one_across_random_inputs_and_outcomes(rng):
+    # every outcome leaves the one corrected state, so its fidelity is every outcome's
     for _ in range(250):
-        for t in run_teleportation(random_input(rng)):
-            assert abs(t.fidelity - 1.0) <= 1e-12
+        _, _, fidelity = run_teleportation(random_input(rng))
+        assert abs(fidelity - 1.0) <= 1e-12
 
 
 def test_correction_is_the_unique_pauli_per_branch(rng):
     # each branch image is the receiver's part of the three-qubit state along one vector
     # of the entangled basis; exhaustive search over the four-label Pauli set: exactly
     # one correction restores each image (up to phase) for a generic input
-    z, x = oracles.PAULI_Z, oracles.PAULI_X
-    paulis = [np.eye(2, dtype=complex), z, x, z @ x]
     sent = random_input(rng)
     target = sent.amplitudes
     total = np.kron(target, oracles.ENTANGLED_BASIS[0]).reshape(4, 2)
@@ -70,7 +91,7 @@ def test_correction_is_the_unique_pauli_per_branch(rng):
         image = vector.conj() @ total
         assert np.max(np.abs(pre.amplitudes - image / np.linalg.norm(image))) <= 1e-15
         matches = [
-            k for k, p in enumerate(paulis)
+            k for k, p in enumerate(CORRECTIONS)
             if abs(np.vdot(target, p @ pre.amplitudes)) ** 2 >= 1.0 - 1e-10
         ]
         assert matches == [outcome]
@@ -80,23 +101,24 @@ def test_the_branches_are_sign_flips_and_swaps_of_one_state(rng):
     # one probability for every outcome, which the recorded draw normalizes to exactly 1/4; each
     # pre-correction state is (u, v), (u, -v), (v, u) or (-v, u) of the corrected (u, v)
     for sent in [random_input(rng) for _ in range(50)] + [StateVector([0.6, 0.8])]:
-        transcripts = run_teleportation(sent)
-        u, v = transcripts[0].bob_final.amplitudes.tolist()
+        p, bob_final, _ = run_teleportation(sent)
+        u, v = bob_final.amplitudes.tolist()
         images = [(u, v), (u, -v), (v, u), (-v, u)]
-        for t, (prob, pre), image in zip(transcripts, branch_decomposition(sent), images):
-            assert t.outcome_probability == prob == transcripts[0].outcome_probability
-            assert t.bob_final.amplitudes.tobytes() == np.array([u, v]).tobytes()
+        branches = branch_decomposition(sent)
+        for (prob, pre), image, correction in zip(branches, images, CORRECTIONS):
+            assert prob == p
             assert pre.amplitudes.tobytes() == np.array(image).tobytes()
-        p = np.array([t.outcome_probability for t in transcripts])
+            assert (correction @ pre.amplitudes).tobytes() == bob_final.amplitudes.tobytes()
+        p = np.array([prob for prob, _ in branches])
         assert (p / p.sum()).tolist() == [0.25] * 4
 
 
 def test_a_unit_input_arrives_bit_for_bit():
     # squared norm exactly 1: every component is divided by 1.0, signed zeros included
     sent = StateVector([complex(-1.0, -0.0), complex(0.0, -0.0)])
-    for t in run_teleportation(sent):
-        assert (t.outcome_probability, t.fidelity) == (0.25, 1.0)
-        assert t.bob_final.amplitudes.tobytes() == sent.amplitudes.tobytes()
+    p, bob_final, fidelity = run_teleportation(sent)
+    assert (p, fidelity) == (0.25, 1.0)
+    assert bob_final.amplitudes.tobytes() == sent.amplitudes.tobytes()
 
 
 def test_sampled_outcome_frequencies(rng):
@@ -117,7 +139,8 @@ def _reference_counts(p, trials: int, seed: int) -> list[int]:
 
 
 def _teleport_probabilities(sent: StateVector) -> list[float]:
-    return [t.outcome_probability for t in run_teleportation(sent)]
+    """The four outcome probabilities a teleport file records: the one p, once per outcome."""
+    return [run_teleportation(sent)[0]] * 4
 
 
 def _near_unit_input(rng) -> StateVector:
@@ -187,13 +210,18 @@ def test_the_thresholds_are_the_cumulative_sums_over_their_last(monkeypatch):
     assert outcome_counts(8) == [2, 2, 2, 2]
 
 
-def test_branch_transcripts_match_each_branch(rng):
+def test_branch_transcripts_match_each_branch(rng, tmp_path):
+    # the --out file's transcripts, one per outcome in order, against each branch
     sent = random_input(rng)
-    transcripts = run_teleportation(sent)
-    assert [t.outcome_index for t in transcripts] == [0, 1, 2, 3]
-    for k, (t, (prob, _)) in enumerate(zip(transcripts, branch_decomposition(sent))):
-        assert t.outcome_probability == prob
-        assert t.correction_applied == CORRECTION_LABELS[k]
+    transcripts = teleport_file(sent, tmp_path / "t.json")["transcripts"]
+    assert [t["outcome_index"] for t in transcripts] == [0, 1, 2, 3]
+    p, bob_final, fidelity = run_teleportation(sent)
+    for k, (t, (prob, pre)) in enumerate(zip(transcripts, branch_decomposition(sent))):
+        assert t["outcome_probability"] == prob == p
+        assert t["correction_applied"] == CORRECTION_LABELS[k]
+        assert t["bob_final"] == [[z.real, z.imag] for z in bob_final.amplitudes.tolist()]
+        assert t["fidelity"] == fidelity
+        assert np.allclose(CORRECTIONS[k] @ pre.amplitudes, bob_final.amplitudes, atol=1e-15)
 
 
 def test_the_receiver_stack_is_checked(monkeypatch):
@@ -215,13 +243,12 @@ def test_forced_outcome_validated(capsys):
     assert "--force-outcome: invalid choice: 4" in capsys.readouterr().err
 
 
-def test_transcript_serialization_shape():
-    t = run_teleportation(StateVector([0.6, 0.8]))[1]
-    doc = t.to_json_dict()
-    assert set(doc) == {
+def test_transcript_serialization_shape(tmp_path):
+    doc = teleport_file(StateVector([0.6, 0.8]), tmp_path / "t.json")["transcripts"][1]
+    assert list(doc) == [
         "outcome_index", "outcome_probability", "correction_applied",
         "bob_final", "fidelity",
-    }
+    ]
     assert doc["correction_applied"] in CORRECTION_LABELS
     assert len(doc["bob_final"]) == 2 and len(doc["bob_final"][0]) == 2
 
@@ -253,10 +280,12 @@ def _seeded_inputs() -> list[StateVector]:
 
 
 @pytest.mark.parametrize("inp", _seeded_inputs())
-def test_branch_transcripts_match_a_direct_kron_reference(inp):
+def test_branch_transcripts_match_a_direct_kron_reference(inp, tmp_path):
+    # each transcript of the --out file against the kron reference of its branch
     reference = oracles.teleport_branches_reference(*inp.amplitudes.tolist())
-    for k, (t, (prob, final)) in enumerate(zip(run_teleportation(inp), reference)):
-        doc = t.to_json_dict()
+    transcripts = teleport_file(inp, tmp_path / "t.json")["transcripts"]
+    assert len(transcripts) == len(reference) == 4
+    for k, (doc, (prob, final)) in enumerate(zip(transcripts, reference)):
         assert (doc["outcome_index"], doc["correction_applied"]) == (k, CORRECTION_LABELS[k])
         assert abs(doc["outcome_probability"] - prob) <= 1e-15
         assert np.max(np.abs(np.array(doc["bob_final"]) @ [1, 1j] - final)) <= 1e-15

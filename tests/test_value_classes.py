@@ -1,10 +1,10 @@
-"""The package's 9 value classes: read-only, copyable and picklable, compared by identity.
+"""The package's 8 value classes: read-only, copyable and picklable, compared by identity.
 
 Assigning or deleting a field raises ``AttributeError``.  ``pickle`` at every
 protocol, ``copy.copy`` and ``copy.deepcopy`` give an instance of the same class
 with every field kept, arrays identical byte for byte and read-only.  Each is rebuilt
 through its checking ``__init__``, so a pickle whose fields were edited raises
-``InputError``.  All 9 classes are plain ``errors.Frozen`` subclasses and compare
+``InputError``.  All 8 classes are plain ``errors.Frozen`` subclasses and compare
 and hash by identity: two instances with equal fields are not equal.  Every array a
 value holds, as built or as the package's own functions return it, is read-only down
 its ``.base`` chain, so no view of it can be written through.  ``_assign`` sets the
@@ -29,7 +29,7 @@ from bellmd.inequalities import (ChshScenario, KcbsScenario, bell_optimal_scenar
 from bellmd.infotheory import CmdReport, entropy_bits
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct, predict
 from bellmd.mdsearch import SearchOutcome
-from bellmd.teleport import TeleportTranscript, branch_decomposition, run_teleportation
+from bellmd.teleport import branch_decomposition, run_teleportation
 
 STATE = StateVector([0.6, 0.8])
 MODEL = brans_construct(CorrelationTable.from_correlators([[0.5, 0.5], [0.5, -0.5]]))
@@ -41,9 +41,6 @@ PLAIN = {
                 lambda: CmdReport(1.0, 0.5, 2.0)),
     SearchOutcome: (("model", "cmd_report", "chsh", "feasible"),
                     lambda: SearchOutcome(MODEL, CmdReport(1.0, 0.5, 2.0), 2.5, True)),
-    TeleportTranscript: (("outcome_index", "outcome_probability", "correction_applied",
-                          "bob_final", "fidelity"),
-                         lambda: TeleportTranscript(2, 0.25, "sigma_x", STATE, 1.0)),
 }
 CHECKED = {
     StateVector: (("amplitudes",), lambda: StateVector([0.6, 0.8j])),
