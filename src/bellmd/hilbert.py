@@ -8,10 +8,7 @@ stack, by ``_hermitian_parts``.  ``tensor_op`` forms the Kronecker products of
 whole stacks, and one evaluator, ``expectation``, computes every expectation
 value over a stack its caller has checked.  All spaces in this package are tiny
 (dimension at most 4 for two-qubit work, 3 for qutrit work), so a dense numpy
-representation is used throughout.  The checks reduce through ``ufunc.reduce``
-(``np.add.reduce`` for ``.sum()``): the ndarray methods reach the same reduce,
-bit for bit, through a Python-level wrapper that costs more than the arithmetic
-on arrays this small.
+representation is used throughout.
 """
 
 from __future__ import annotations
@@ -37,11 +34,11 @@ class StateVector(Frozen):
 
     def __init__(self, amplitudes) -> None:
         arr = _freeze(np.array(amplitudes, dtype=np.complex128)).reshape(-1)  # the base frozen too
-        if not np.logical_and.reduce(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InputError("state vector amplitudes must be finite")
         self._assign(arr)
         # an amplitude past 2 fails the gate either way; the clamp keeps its square finite
-        actual = float(np.add.reduce(np.minimum(np.abs(arr), 2.0) ** 2))
+        actual = float((np.minimum(np.abs(arr), 2.0) ** 2).sum())
         if abs(actual - 1.0) > NORMALIZATION:
             with np.errstate(over="ignore"):  # the unclamped norm, for the message
                 actual = float((np.abs(arr) ** 2).sum())
@@ -80,11 +77,11 @@ def _hermitian_parts(ops: np.ndarray, names) -> np.ndarray:
     subnormal, so A/2 + A^dagger/2 alone would change such an entry on a rebuild.
     """
     finite = np.isfinite(ops)
-    if np.logical_and.reduce(finite, axis=None):
+    if finite.all():
         adjoint = ops.swapaxes(1, 2).conj()
         half, half_adjoint = ops * 0.5, adjoint * 0.5
         gaps = np.abs(half - half_adjoint)
-        if np.maximum.reduce(gaps, axis=None, initial=0.0) <= ARITHMETIC / 2.0:
+        if gaps.max(initial=0.0) <= ARITHMETIC / 2.0:
             return np.where(ops == adjoint, ops, half + half_adjoint)
         i = int(np.argmax(gaps.max(axis=(1, 2)) > ARITHMETIC / 2.0))
         residue = 2.0 * float(gaps[i].max())  # a float past the maximum reads inf, unwarned
@@ -114,7 +111,7 @@ def expectation(ops: np.ndarray, s: StateVector) -> np.ndarray:
     psi = s.amplitudes
     # psi^dagger (A psi), grouped as np.vdot groups it, so one operator gives the same bits
     values = (psi.conj() @ (ops @ psi)[..., None])[..., 0]
-    residue = float(np.maximum.reduce(np.abs(values.imag), axis=None, initial=0.0))
+    residue = float(np.abs(values.imag).max(initial=0.0))
     if residue > OPERATOR:
         raise InvariantError(f"expectation has imaginary residue {residue:.3g}")
     return values.real

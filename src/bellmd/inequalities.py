@@ -6,8 +6,7 @@ combination convention a table was produced under.  The KCBS statistic is
 the five-cycle correlator sum on a qutrit; its noncontextual bound (-3)
 comes from exhaustive enumeration of +/-1 assignments.  Each quantum
 evaluator builds one operator stack and calls ``hilbert.expectation`` on it once.
-The scenario checks and quantum evaluators reduce through ``ufunc.reduce``, as
-``hilbert`` does; the KCBS neighbour gate takes no matrix product.
+The KCBS neighbour gate takes no matrix product.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ class ChshScenario(Frozen):
         # a hermitian A with a real or imaginary part past 2 has (A^2)_ii >= 4, so it fails
         # with those parts clamped at 2 too, and the clamped products stay finite
         clamped = np.minimum(np.maximum(ops.view(float), -2.0), 2.0).view(np.complex128)
-        if np.maximum.reduce(np.abs(clamped @ clamped - _EYE), axis=None) > square_tol:
+        if np.abs(clamped @ clamped - _EYE).max() > square_tol:
             with np.errstate(over="ignore", invalid="ignore"):  # the unclamped, for the message
                 gaps = np.abs(ops @ ops - _EYE).max(axis=(1, 2))
             i = int(np.argmax(~(gaps <= square_tol)))
@@ -103,7 +102,7 @@ def chsh_quantum(s: ChshScenario) -> CorrelationTable:
     # axes (a, b, x, y) -> P_a^x (x) Q_b^y, alice's observable a and bob's b
     joint = expectation(tensor_op(projs[:2, None, :, None], projs[None, 2:, None, :]), s.state)
     joint = np.maximum(joint, 0.0)
-    joint /= np.add.reduce(joint, axis=(2, 3), keepdims=True)
+    joint /= joint.sum(axis=(2, 3), keepdims=True)
     return CorrelationTable._derived(joint)
 
 
@@ -135,17 +134,17 @@ class KcbsScenario(Frozen):
         vecs = np.array(vectors, dtype=float)
         if vecs.shape != (5, 3):
             raise InputError(f"need five 3-vectors, got shape {vecs.shape}")
-        if not np.logical_and.reduce(np.isfinite(vecs), axis=None):
+        if not np.isfinite(vecs).all():
             raise InputError("vectors must be finite")
-        # np.linalg.norm's bits; an entry past 2 fails either way, and clamped its square is finite
-        lengths = np.sqrt(np.add.reduce(np.minimum(np.abs(vecs), 2.0) ** 2, axis=1))
-        if np.logical_or.reduce(np.abs(lengths - 1.0) > OPERATOR):
+        # an entry past 2 fails either way, and clamped its square is finite
+        lengths = np.sqrt((np.minimum(np.abs(vecs), 2.0) ** 2).sum(axis=1))
+        if (np.abs(lengths - 1.0) > OPERATOR).any():
             raise InputError("all five vectors must be unit length")
         # A_i A_{i+1} has hermiticity residue up to 4 |v_i . v_{i+1}|; an eighth of
         # ``ARITHMETIC`` keeps it at half that tolerance, a factor 2 left for rounding,
         # so kcbs_value evaluates the products without a hermiticity check
         ortho_tol = ARITHMETIC / 8.0
-        dots = np.abs(np.add.reduce(vecs * vecs[_NEXT], axis=1))  # |v_i . v_{i+1}|, i = 0..4
+        dots = np.abs((vecs * vecs[_NEXT]).sum(axis=1))  # |v_i . v_{i+1}|, i = 0..4
         i = int(np.argmax(dots > ortho_tol))  # the first pair that fails, if any
         if dots[i] > ortho_tol:
             raise InputError(
@@ -164,7 +163,10 @@ def kcbs_pentagram() -> KcbsScenario:
     The five directions share the polar angle whose cosine squared is
     cos(pi/5) / (1 + cos(pi/5)); successive azimuths differ by 4 pi / 5,
     which makes neighbors exactly orthogonal.  With the apex state (0,0,1)
-    the correlator sum reaches the quantum optimum 5 - 4 sqrt(5).
+    the correlator sum reaches the quantum optimum 5 - 4 sqrt(5).  The vectors stay
+    as the closed form rounds them: each has length 1 in float and neighbour dots of
+    at most 1.7e-16, inside ``KcbsScenario``'s gates, and no BLAS kernel touches
+    them, so their bits do not depend on the CPU.
     """
     cos_sq = math.cos(math.pi / 5.0) / (1.0 + math.cos(math.pi / 5.0))
     cos_t = math.sqrt(cos_sq)
@@ -177,10 +179,6 @@ def kcbs_pentagram() -> KcbsScenario:
             for k in range(5)
         ]
     )
-    # kill float residue so construction meets KcbsScenario's gates: unit
-    # length within ``OPERATOR``, neighbour orthogonality within ``ARITHMETIC`` / 8
-    for i in range(5):
-        vecs[i] /= np.linalg.norm(vecs[i])
     return KcbsScenario(vecs, StateVector(np.array([0, 0, 1], dtype=np.complex128)))
 
 
@@ -190,7 +188,7 @@ def kcbs_value(s: KcbsScenario) -> float:
     observables = 2.0 * (v[:, :, None] * v[:, None, :]) - _EYE3
     # hermitian within ``ARITHMETIC`` / 2 by KcbsScenario's orthogonality bound
     products = observables @ observables[_NEXT]
-    return float(np.add.reduce(expectation(products, s.state)))
+    return float(expectation(products, s.state).sum())
 
 
 def kcbs_classical_min() -> float:

@@ -36,7 +36,7 @@ def _check_table(name: str, table: np.ndarray, row_atol: float | None) -> None:
 
     In order: finite entries; entries within ``ARITHMETIC`` of [0, 1] for a response table
     (``row_atol`` None), or of [0, inf) for a distribution; then a distribution's row sums
-    after the clip, within ``ARITHMETIC``, then within ``row_atol``, of 1.
+    after the clip, within ``row_atol`` of 1, the bound its message names.
     """
     if not np.isfinite(table).all():
         raise InputError(f"{name} entries must be finite")
@@ -50,7 +50,6 @@ def _check_table(name: str, table: np.ndarray, row_atol: float | None) -> None:
         np.clip(table, 0.0, None, out=table)
         with np.errstate(over="ignore"):  # rows near the float maximum sum to inf
             sums = table.sum(axis=1)
-        _check_sums(name, sums)
         _check_sums(name, sums, row_atol)
 
 

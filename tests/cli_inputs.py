@@ -170,7 +170,7 @@ MALFORMED_INPUTS = {
         "error: alice observable 0: operator must be hermitian: max |A - A^dagger| = inf"),
     "lambda-row-huge": (asset_with(
         "brans.json", lambda d: d["lambda_given_settings"][0].__setitem__(slice(2), [1e308] * 2)),
-        "error: lambda_given_settings rows must each sum to 1 within 1e-12"),
+        "error: lambda_given_settings rows must each sum to 1 within 2.5e-13"),
     "marginal-huge": (asset_with(
         "brans.json", lambda d: d["settings"].update(marginal=[1e308, 1e308, 0.0, 0.0])),
         "error: setting marginal sums to inf, expected 1"),

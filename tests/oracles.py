@@ -381,12 +381,12 @@ def checked_mutual_information(joint) -> float:
 def correlation_table_numpy(joint: np.ndarray) -> tuple[np.ndarray | None, str | None]:
     """Correlators and row-sum verdict of a derived (a, b, 2, 2) joint table, all in numpy.
 
-    Returns (correlators, None) for a table whose rows each sum, by ``np.add.reduce``, to
+    Returns (correlators, None) for a table whose rows each sum, by numpy's ``sum``, to
     within 1e-12 of 1, else (None, the rejection message).  The correlators are
     p(+,+) - p(+,-) - p(-,+) + p(-,-), one numpy column operation at a time.
     """
     p = np.asarray(joint, dtype=float).reshape(-1, 4)
-    sums = np.add.reduce(p, axis=1)
+    sums = p.sum(axis=1)
     if np.abs(sums - 1.0).max(initial=0.0) > 1e-12:
         if sums.size == 1:
             return None, f"joint outcome table sums to {sums[0]:.15g}, expected 1"

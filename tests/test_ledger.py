@@ -76,9 +76,10 @@ LEDGER = {
     "chsh_value random scenarios": (6.0, "measured: 4.44, at exact S down to 0.41, where an "
                                          "ulp is a quarter of 1's; 3.77 under Prescott"),
     "chsh_quantum joint, ulps of 1": (1.0, "measured: 0.69 over the random scenarios"),
-    "kcbs_value pentagram": (1.0, "measured: 0.118 for kcbs_pentagram() and its asset file; "
-                                  "0.41 under Prescott, whose norms move the vectors"),
-    "kcbs_value rotated pentagrams": (6.0, "measured: 4.25, at exact values down to 0.069"),
+    "kcbs_value pentagram": (1.0, "measured: 0.41 for kcbs_pentagram() and its asset file, "
+                                  "under every CPU set-up tried"),
+    "kcbs_value rotated pentagrams": (6.0, "measured: 4.62, at exact values down to 0.56; "
+                                           "3.68 under Prescott"),
     "cmd raw_bits of optimizer models, ulps of 1": (2.0, "measured: 1.44 (3.2e-16 bits), at "
                                                          "S = 2 + 1e-4 and 2 + 1e-7 and at "
                                                          "budgets 1e-4, 1e-6 and 1e-11"),

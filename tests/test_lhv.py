@@ -324,9 +324,9 @@ DEFECTS = [
     ("lambda_given_settings-1d", {FIELDS[0]: LGS[0]},
      InputError, "lambda_given_settings must be a 2-d table"),
     ("lambda_given_settings-sum", {FIELDS[0]: np.vstack([LGS[:3], 1.5 * LGS[3:]])},
-     InputError, "lambda_given_settings rows must each sum to 1 within 1e-12"),
+     InputError, "lambda_given_settings rows must each sum to 1 within 2.5e-13"),
     ("no-lambda", {field: np.zeros((n, 0)) for field, n in zip(FIELDS, (4, 2, 2))},
-     InputError, "lambda_given_settings rows must each sum to 1 within 1e-12"),
+     InputError, "lambda_given_settings rows must each sum to 1 within 2.5e-13"),
     ("lambda_given_settings-text", {FIELDS[0]: [[1.0, "x", 0.0]] * 4},
      ValueError, "could not convert string to float: 'x'"),
     ("alice-shape-after-nan-lambda", {FIELDS[0]: _with_entry(LGS, np.nan),

@@ -593,3 +593,25 @@ def test_seeded_scenario_documents_are_the_same_under_every_cpu_setup():
     for name, (stdout, stderr, code) in runs.items():
         if "You cannot disable CPU feature" not in stderr:  # numpy refuses it on this machine
             assert (code, stdout.split()) == (0, here), (name, stderr)
+
+
+@pytest.fixture(scope="module")
+def pentagram_cpu_setup_runs():
+    # sha256 of kcbs_pentagram()'s vector bytes, each set-up in its own fresh process, all at once
+    script = ("import hashlib\nfrom bellmd.inequalities import kcbs_pentagram\n"
+              "print(hashlib.sha256(kcbs_pentagram().vectors.tobytes()).hexdigest())")
+    procs = {name: subprocess.Popen(
+        [sys.executable, "-c", script], env={**_env_with_src(), **switches},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for name, switches in CPU_SETUPS.items()}
+    return {name: (*proc.communicate(timeout=120), proc.returncode) for name, proc in procs.items()}
+
+
+@pytest.mark.parametrize("setup", CPU_SETUPS)
+def test_kcbs_pentagram_is_its_asset_under_every_cpu_setup(pentagram_cpu_setup_runs, setup):
+    # the closed form takes no BLAS kernel, so every set-up builds the asset's vectors
+    stdout, stderr, code = pentagram_cpu_setup_runs[setup]
+    if "You cannot disable CPU feature" in stderr:
+        pytest.skip(f"numpy refuses the {setup} set-up on this machine")
+    asset = read_kcbs_scenario(asset_path("kcbs-pentagram.json")).vectors.tobytes()
+    assert (code, stdout.strip()) == (0, hashlib.sha256(asset).hexdigest()), stderr
