@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import Frozen, InvariantError
+from .errors import Frozen, InputError, InvariantError
 from .tolerances import ARITHMETIC, NORMALIZATION
 
 if TYPE_CHECKING:  # cmd's annotation only: lhv imports entropy_bits from here
@@ -23,8 +23,16 @@ _TINY = np.finfo(float).tiny
 
 
 def entropy_bits(distribution) -> float:
-    """Shannon entropy in bits, with the 0 log 0 = 0 convention."""
+    """Shannon entropy in bits, with the 0 log 0 = 0 convention.
+
+    The entries must be finite and at least -ARITHMETIC, and sum to 1 within ARITHMETIC; a
+    negative entry within that bound counts as 0.
+    """
     p = np.asarray(distribution, dtype=float).reshape(-1)
+    # a NaN or infinite entry makes the sum NaN or infinite, which fails the first test
+    if not (abs(p.sum() - 1.0) <= ARITHMETIC and p.min() >= -ARITHMETIC):
+        raise InputError(f"a distribution's entries must be finite and at least -{ARITHMETIC:g},"
+                         f" and sum to 1 within {ARITHMETIC:g}")
     p = p[p > 0.0]
     # 0 - sum, not -sum: a point mass and an empty sum give +0.0, which negation would print as -0
     return float(0.0 - (p * np.log2(p)).sum())

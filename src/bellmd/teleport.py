@@ -81,8 +81,13 @@ def outcome_counts(trials: int, seed: int = 0) -> list[int]:
     outcome is the number of thresholds 1/4, 1/2, 3/4 at or below its uniform.  Uniforms are
     drawn in fixed-size chunks, so memory does not grow with ``trials``; time does.
     """
+    for name, value in (("trials", trials), ("seed", seed)):  # numpy's ints pass; bools fail
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InputError(f"{name} must be an integer")
     if trials <= 0:
         raise InputError("trials must be positive")
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     buffer = np.empty(min(_CHUNK, trials))  # each chunk is drawn into it, in place
     at_least = [trials, 0, 0, 0, 0]  # at_least[k]: rounds with outcome >= k, for u >= k/4

@@ -1,6 +1,5 @@
 import argparse
 import builtins
-import contextlib
 import errno
 import hashlib
 import io
@@ -8,7 +7,6 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +18,12 @@ from bellmd.cli import main
 from bellmd.lhv import LhvModel, SettingSpace
 from bellmd.serialize import model_to_doc
 from bellmd.teleport import OUTCOME_DRAW
+from children import (
+    OPTIMIZE_GOLDEN_MODES,
+    optimize_data_file_digests,
+    run_all,
+    teleport_golden_digests,
+)
 from cli_inputs import (
     HOSTILE_READERS,
     JSON_READERS,
@@ -35,41 +39,6 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-# argv of each teleport run that ``teleport_golden_digests`` digests
-GOLDEN_RUNS = (
-    [["--random", "--seed", str(seed), "--trials", str(trials)]
-     for seed in range(64) for trials in (1, 7, 1000)]
-    + [["--a-re", a, "--b-re", b, "--seed", "3", "--trials", "1000"]
-       for a, b in (("1", "0"), ("0", "1"), ("0.6", "0.8"), ("0.8", "-0.6"))]
-    + [["--a-re", "0.6", "--b-re", "0.8", "--force-outcome", str(k), "--trials", "9"]
-       for k in range(4)]
-)
-
-# per-process switches of the kernels numpy, OpenBLAS and glibc pick for this CPU
-CPU_SETUPS = {
-    "no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
-    "x86-64-v2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3"},
-    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
-    "glibc-no-fma": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA"},
-}
-
-
-def teleport_golden_digests(out: Path) -> tuple[str, str]:
-    """sha256 over rc, stdout and data file of each ``GOLDEN_RUNS`` run, written to ``out``.
-
-    One digest of the files as written, with the sampler record, and one of the files
-    as written before that record, rebuilt from it.
-    """
-    digest, old_digest = hashlib.sha256(), hashlib.sha256()
-    for argv in GOLDEN_RUNS:
-        with contextlib.redirect_stdout(io.StringIO()) as stdout:
-            code = main(["teleport", *argv, "--out", str(out)])
-        printed, data = stdout.getvalue().encode(), out.read_bytes()
-        digest.update(b"%d\n%s\n%s\n" % (code, printed, data))
-        old_digest.update(b"%d\n%s\n%s\n" % (code, printed, teleport_file_before_sampler(data)))
-    return digest.hexdigest(), old_digest.hexdigest()
 
 
 class TestTeleportCommand:
@@ -190,34 +159,10 @@ class TestTeleportCommand:
         assert json.loads(teleport_file_before_sampler(forced.read_bytes()))["outcomes"] == \
             "22222"
 
-    def test_golden_bytes_over_many_runs(self, tmp_path):
-        assert teleport_golden_digests(tmp_path / "run.json") == (
+    def test_golden_bytes_over_many_runs(self):
+        assert teleport_golden_digests() == [
             "e3cb98c26ea810be2be0f4fe8b90ef89b97f21c24a066bd518b8363c4f410560",
-            "ae7420dcc1bde69d06cd11932da6ef970c91980404780327215b99e545f2182c")
-
-    @pytest.fixture(scope="class")
-    def cpu_setup_runs(self, tmp_path_factory):
-        # every set-up in its own fresh process, all at once, beside this process's digests
-        tmp = tmp_path_factory.mktemp("cpu")
-        script = ("import sys\nfrom pathlib import Path\nsys.path.insert(0, sys.argv[1])\n"
-                  "from test_cli import teleport_golden_digests\n"
-                  "print(*teleport_golden_digests(Path(sys.argv[2])))")
-        procs = {name: subprocess.Popen(
-            [sys.executable, "-c", script, str(Path(__file__).parent), str(tmp / f"{name}.json")],
-            env={**_env_with_src(), **switches}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True) for name, switches in CPU_SETUPS.items()}
-        here = " ".join(teleport_golden_digests(tmp / "here.json"))
-        return here, {name: (proc.communicate(timeout=120), proc.returncode)
-                      for name, proc in procs.items()}
-
-    @pytest.mark.parametrize("setup", CPU_SETUPS)
-    def test_golden_bytes_under_every_cpu_setup(self, cpu_setup_runs, setup):
-        # the switches choose which numpy, OpenBLAS and glibc kernels the child runs
-        here, runs = cpu_setup_runs
-        (stdout, stderr), code = runs[setup]
-        if "You cannot disable CPU feature" in stderr:
-            pytest.skip(f"numpy refuses the {setup} set-up on this machine")
-        assert (code, stdout.strip()) == (0, here), stderr
+            "ae7420dcc1bde69d06cd11932da6ef970c91980404780327215b99e545f2182c"]
 
     def test_forced_outcome_counts_any_trials_without_drawing(self, capsys, tmp_path):
         # 10**15 trials: no draw is made and nothing is allocated per trial
@@ -236,19 +181,17 @@ class TestTeleportCommand:
         pytest.importorskip("resource")
         script = ("import resource, sys\nfrom bellmd.cli import main\ncode = main(sys.argv[1:])\n"
                   "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        runs = run_all({trials: (["-c", script, "teleport", "--random", "--seed", "7", "--trials",
+                                  str(trials), "--out", str(tmp_path / f"{trials}.json")], {})
+                        for trials in (10**5, 10**7)})
         peak_mb = {}
-        for trials in (10**5, 10**7):
-            out = tmp_path / f"{trials}.json"
-            proc = subprocess.run(
-                [sys.executable, "-c", script, "teleport", "--random", "--seed", "7",
-                 "--trials", str(trials), "--out", str(out)],
-                capture_output=True, text=True, env=_env_with_src(), timeout=120)
+        for trials, proc in runs.items():
             assert proc.returncode == 0, proc.stderr
             code, maxrss = proc.stdout.splitlines()[-1].split()
             assert code == "0"
             # ru_maxrss counts KiB on Linux and bytes on macOS
             peak_mb[trials] = int(maxrss) / (2**20 if sys.platform == "darwin" else 2**10)
-            assert out.stat().st_size < 4_000
+            assert (tmp_path / f"{trials}.json").stat().st_size < 4_000
         assert abs(peak_mb[10**7] - peak_mb[10**5]) <= 5.0, peak_mb
 
     def test_byte_reproducibility(self, capsys, tmp_path):
@@ -668,13 +611,9 @@ class TestOptimizeCommand:
         },
     }
 
-    @pytest.mark.parametrize("mode", GOLDEN_DATA_FILES, ids=" ".join)
-    def test_golden_data_file_bytes(self, capsys, tmp_path, mode):
-        code, _, _ = run_cli(capsys, "optimize", *mode, "--out-dir", str(tmp_path))
-        assert code == 0
-        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in tmp_path.iterdir() if p.name != "manifest.json"}
-        assert written == self.GOLDEN_DATA_FILES[mode]
+    @pytest.mark.parametrize("mode", OPTIMIZE_GOLDEN_MODES, ids=" ".join)
+    def test_golden_data_file_bytes(self, mode):
+        assert optimize_data_file_digests(mode) == self.GOLDEN_DATA_FILES[mode]
 
 
 @pytest.mark.parametrize("argv", [
@@ -1009,30 +948,22 @@ def test_arguments_after_the_name_go_to_the_subcommand(capsys, argv, code, stdou
     assert got_err.endswith(stderr)
 
 
-def _env_with_src() -> dict:
-    """The environment, with the imported bellmd's directory first on PYTHONPATH."""
-    src = str(Path(bellmd.__file__).resolve().parent.parent)
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-
-
 def test_python_dash_m_runs_the_cli(capsys, tmp_path, monkeypatch):
     # sys.argv reaches the top parser (--version, -h) or the subcommand's (optimize) and
     # prints what an in-process main prints
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
-    env = _env_with_src()
     for where in ("sub", "in"):
         (tmp_path / where).mkdir()
     monkeypatch.chdir(tmp_path / "in")
-    printed = {}
-    for argv in (["--version"], ["-h"], ["optimize", "--target-s", "2.8", "--out-dir", "run"]):
-        proc = subprocess.run([sys.executable, "-m", "bellmd", *argv], cwd=tmp_path / "sub",
-                              capture_output=True, text=True, env=env, timeout=60)
+    argvs = (["--version"], ["-h"], ["optimize", "--target-s", "2.8", "--out-dir", "run"])
+    runs = run_all({argv[0]: (["-m", "bellmd", *argv], {}) for argv in argvs},
+                   cwd=tmp_path / "sub")
+    for argv in argvs:
+        proc = runs[argv[0]]
         assert proc.returncode == 0, proc.stderr
         assert run_cli(capsys, *argv) == (0, proc.stdout, "")
-        printed[argv[0]] = proc.stdout
-    assert printed["--version"] == f"bellmd {bellmd.__version__}\n"
-    assert printed["-h"].startswith("usage: bellmd")
+    assert runs["--version"].stdout == f"bellmd {bellmd.__version__}\n"
+    assert runs["-h"].stdout.startswith("usage: bellmd")
     for name in ("min_cmd_model.json", "min_cmd_report.json"):
         assert (tmp_path / "sub/run" / name).read_bytes() == Path("run", name).read_bytes()
 

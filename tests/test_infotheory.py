@@ -6,7 +6,7 @@ import pytest
 import oracles
 from bellmd import infotheory
 from bellmd.cli import main
-from bellmd.errors import InvariantError
+from bellmd.errors import InputError, InvariantError
 from bellmd.infotheory import _mutual_information_bits, cmd, entropy_bits
 from bellmd.inequalities import bell_optimal_scenario, chsh_quantum
 from bellmd.lhv import CorrelationTable, LhvModel, SettingSpace, brans_construct
@@ -253,3 +253,18 @@ class TestValidation:
         assert entropy_bits([1.0, 0.0, 0.0]) == 0.0
         # +0.0, not -0.0: a report would print the sign
         assert np.copysign(1.0, entropy_bits([1.0, 0.0, 0.0])) == 1.0
+
+    # it returned 1.0, -2.0, -inf and 1.04 for the first four
+    @pytest.mark.parametrize("distribution", [
+        [0.5, math.nan, 0.5], [2.0], [math.inf, 1.0], [0.3, 0.3], [-math.inf, 1.0],
+        [1.0 + 2 * ARITHMETIC], [1.0 + 2 * ARITHMETIC, -2 * ARITHMETIC], [],
+    ], ids=["nan", "sum 2", "inf", "sum 0.6", "-inf", "sum over", "entry under", "empty"])
+    def test_entropy_of_a_non_distribution_raises(self, distribution):
+        with pytest.raises(InputError, match=r"^a distribution's entries must be finite and at "
+                                             r"least -1e-12, and sum to 1 within 1e-12$"):
+            entropy_bits(distribution)
+
+    def test_entropy_takes_entries_and_sums_at_the_tolerance(self):
+        # a negative entry within the bound counts as 0
+        assert entropy_bits([1.0, -ARITHMETIC / 2]) == 0.0
+        assert entropy_bits([0.5, 0.5 + ARITHMETIC / 2]) == pytest.approx(1.0, abs=1e-11)

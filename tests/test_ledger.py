@@ -15,10 +15,13 @@ information of the optimizer's float tables, as ``optimize`` writes them, in 60-
 to 1 only within rounding, and at S = 2 + 1e-12 the marginals of the joint as written
 (total 1 + 5.6e-17) would give -8.0e-17 bits, not 6.0e-26.  Its error is absolute,
 in ulps of 1: near S = 2 the exact value falls far below the error, and the relative
-error reaches 1.3e9 at S = 2 + 1e-12.  The ``predict`` rows take the model's stored floats,
-with p(-1 | setting, lambda) = 1 - p(+1 | setting, lambda) exactly, not as the kernel rounds
+error reaches 1.3e9 at S = 2 + 1e-12.  On the same models ``normalized`` is measured
+against that exact value over the exact entropy of the setting marginal, absolute, and
+``setting_entropy_bits`` against that entropy.  The ``predict`` rows take the model's stored
+floats, with p(-1 | setting, lambda) = 1 - p(+1 | setting, lambda) exactly, not as the kernel rounds
 it (on this sweep both give the same maxima), and sum_lambda p(lambda | a, b) p(x | a, lambda)
-p(y | b, lambda) in ``Fraction``; the joint and the correlators are measured in ulps of 1.
+p(y | b, lambda) in ``Fraction``; the joint and the correlators are measured in ulps of 1, and
+the ``chsh_value`` that ``chsh --model`` prints from them in ulps of the exact S.
 The ``mi --table`` row takes the parsed floats of each table, normalizes them once, exactly,
 and evaluates their mutual information in 60-digit ``decimal``; its error is absolute, in ulps
 of 1, since near independence the printed value is rounding residue: ``0.25,0.25,0.25,
@@ -83,8 +86,15 @@ LEDGER = {
     "cmd raw_bits of optimizer models, ulps of 1": (2.0, "measured: 1.44 (3.2e-16 bits), at "
                                                          "S = 2 + 1e-4 and 2 + 1e-7 and at "
                                                          "budgets 1e-4, 1e-6 and 1e-11"),
+    "cmd normalized of optimizer models, ulps of 1": (1.0, "measured: 0.72, half the raw_bits "
+                                                           "row's: the setting entropy is 2"),
+    "cmd setting_entropy_bits of optimizer models": (0.0, "exact by construction: a uniform "
+                                                          "marginal of 4 gives 4 products "
+                                                          "0.25 x -2 and their sum, all exact"),
     "predict joint, ulps of 1": (1.0, "measured: 0.59 over random and optimizer models"),
     "predict correlators, ulps of 1": (2.0, "measured: 0.83; four joint entries, three sums"),
+    "chsh --model chsh_value": (8.0, "measured: 7.73, at exact S 0.22, where an ulp is an "
+                                     "eighth of 1's; the same under every CPU set-up tried"),
     "mi --table mutual_information_bits, ulps of 1": (2.0, "measured: 1.54 (3.4e-16 bits), on "
                                                           "a random table; 0.36 near "
                                                           "independence, where it cancels"),
@@ -238,13 +248,33 @@ def exact_dependence_bits(model) -> Decimal:
                                      zip(marginal, model.lambda_given_settings.tolist())])
 
 
+def exact_entropy_bits(distribution) -> Decimal:
+    """The Shannon entropy of a float distribution's exact values, in 60-digit ``decimal``."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return -sum(Decimal(p) * Decimal(p).ln() for p in distribution if p) / Decimal(2).ln()
+
+
 def cmd_errors() -> dict[str, float]:
-    """Largest absolute error of the reported ``raw_bits`` over the optimizer's models."""
+    """Largest absolute errors of the reported ``raw_bits`` and ``normalized``, and the largest
+    error of ``setting_entropy_bits``, over the optimizer's models."""
     outcomes = ([min_cmd_for_chsh(2.0 + 10.0**-k) for k in OPTIMIZER_EXPONENTS]
                 + [max_chsh_under_budget(10.0**-k) for k in OPTIMIZER_EXPONENTS])
-    worst = max(abs(Decimal(o.cmd_report.raw_bits) - exact_dependence_bits(o.model))
-                for o in outcomes)
-    return {"cmd raw_bits of optimizer models, ulps of 1": float(worst / Decimal(math.ulp(1.0)))}
+    worst_raw = worst_normalized = Decimal(0)
+    worst_entropy = 0.0
+    for o in outcomes:
+        raw, entropy = exact_dependence_bits(o.model), exact_entropy_bits(
+            o.model.setting_space.marginal.tolist())
+        worst_raw = max(worst_raw, abs(Decimal(o.cmd_report.raw_bits) - raw))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            worst_normalized = max(worst_normalized,
+                                   abs(Decimal(o.cmd_report.normalized) - raw / entropy))
+        worst_entropy = max(worst_entropy, ulps(o.cmd_report.setting_entropy_bits, entropy))
+    one = Decimal(math.ulp(1.0))
+    return {"cmd raw_bits of optimizer models, ulps of 1": float(worst_raw / one),
+            "cmd normalized of optimizer models, ulps of 1": float(worst_normalized / one),
+            "cmd setting_entropy_bits of optimizer models": worst_entropy}
 
 
 def _predict_models() -> list[LhvModel]:
@@ -281,17 +311,22 @@ def exact_correlators(joint: dict) -> list[Fraction]:
 
 
 def predict_errors() -> dict[str, float]:
-    """Largest absolute errors of ``predict``'s joint entries and correlators, in ulps of 1."""
+    """Largest absolute errors of ``predict``'s joint entries and correlators, in ulps of 1,
+    and the largest error of the ``chsh_value`` that ``chsh --model`` prints."""
     worst_joint = worst_corr = Fraction(0)
+    worst_s = 0.0
     for model in _predict_models():
         table, joint = predict(model), exact_predict(model)
         worst_joint = max([worst_joint] + [abs(Fraction(table.joint[key].item()) - p)
                                            for key, p in joint.items()])
-        for got, e in zip(table.correlators.flat, exact_correlators(joint)):
+        exact = exact_correlators(joint)
+        for got, e in zip(table.correlators.flat, exact):
             worst_corr = max(worst_corr, abs(Fraction(got.item()) - e))
+        worst_s = max(worst_s, ulps(chsh_value(table), exact_s(exact)))
     one = Fraction(math.ulp(1.0))
     return {"predict joint, ulps of 1": float(worst_joint / one),
-            "predict correlators, ulps of 1": float(worst_corr / one)}
+            "predict correlators, ulps of 1": float(worst_corr / one),
+            "chsh --model chsh_value": worst_s}
 
 
 def mi_tables() -> list[str]:

@@ -20,7 +20,6 @@ import ast
 import importlib
 import json
 import os
-import subprocess
 import sys
 import types
 from pathlib import Path
@@ -29,9 +28,11 @@ import pytest
 
 import bellmd
 import bellmd.cli
+from children import run_all
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SOURCES = sorted(Path(bellmd.__file__).parent.glob("*.py"))
+MODULES = [p.stem for p in SOURCES if not p.stem.startswith("__")]
 
 PUBLIC_NAMES = [
     "ChshScenario",
@@ -268,64 +269,70 @@ def test_the_console_script_is_main(capsys):
     assert capsys.readouterr().out == f"bellmd {bellmd.__version__}\n"
 
 
-def _fresh_python(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a fresh interpreter.  -S skips site, whose .pth files may preload
-    importlib.resources; this process's path stands in for its paths."""
-    src = str(Path(bellmd.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, *sys.path) if p)}
-    return subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
-                          env=env, timeout=60)
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("runs")
 
 
-def test_importing_the_cli_leaves_hashlib_unloaded():
-    # a fresh interpreter: this one has hashlib loaded already; only the modules new after
-    # the import count
-    proc = _fresh_python("import sys\nbefore = set(sys.modules)\nimport bellmd.cli\n"
-                         "print(sorted({'hashlib', '_hashlib', 'importlib.resources'}"
-                         " & (set(sys.modules) - before)))")
+@pytest.fixture(scope="module")
+def fresh(run_dir) -> dict:
+    """name -> the run of its script in a fresh interpreter, all at once.  -S skips site,
+    whose .pth files may preload importlib.resources; this process's path stands in for its
+    paths, after ``src``."""
+    assets = Path(bellmd.__file__).parent / "assets"
+    # chsh reads its input either way; only with --out does a manifest digest it
+    chsh_runs = [["chsh", "--scenario", str(assets / "bell-optimal.json")],
+                 ["chsh", "--model", str(assets / "brans.json")]]
+    # these write a manifest, but only the last reads an input for it to digest
+    manifest_runs = [["optimize", "--target-s", "2.8", "--out-dir", "d"],
+                     ["optimize", "--budget", "0.05", "--out-dir", "d2"],
+                     ["chsh", "--deterministic-max", "--out", "o.json"],
+                     ["chsh", "--model", str(assets / "brans.json"), "--out", "m.json"]]
+    scripts = {module: f"import bellmd.{module}" for module in MODULES}
+    # this interpreter has hashlib loaded already; only the modules new after a step count
+    scripts["cli import"] = ("import sys\nbefore = set(sys.modules)\nimport bellmd.cli\n"
+                             "print(sorted({'hashlib', '_hashlib', 'importlib.resources'}"
+                             " & (set(sys.modules) - before)))")
+    scripts["chsh runs"] = ("import contextlib, io, sys\nimport bellmd.cli\n"
+                            "before = set(sys.modules)\n"
+                            "with contextlib.redirect_stdout(io.StringIO()):\n"
+                            f"    codes = [bellmd.cli.main(argv) for argv in {chsh_runs!r}]\n"
+                            "print(codes, sorted({'hashlib', '_hashlib'}"
+                            " & (set(sys.modules) - before)))")
+    scripts["manifest runs"] = (f"import contextlib, io, os, sys\nos.chdir({str(run_dir)!r})\n"
+                                "import bellmd.cli\nbefore = set(sys.modules)\nseen = []\n"
+                                f"for argv in {manifest_runs!r}:\n"
+                                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                                "        code = bellmd.cli.main(argv)\n"
+                                "    seen.append((code, sorted({'hashlib', '_hashlib'}"
+                                " & (set(sys.modules) - before))))\n"
+                                "print(seen)")
+    path = {"PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    return run_all({name: (["-S", "-c", script], path) for name, script in scripts.items()})
+
+
+def test_importing_the_cli_leaves_hashlib_unloaded(fresh):
+    proc = fresh["cli import"]
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("module", [p.stem for p in SOURCES if not p.stem.startswith("__")])
-def test_each_module_imports_first_on_its_own(module):
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_first_on_its_own(fresh, module):
     # lhv and infotheory import each other's names: only one of them may do so at run time
-    proc = _fresh_python(f"import bellmd.{module}")
-    assert proc.returncode == 0, proc.stderr
+    assert fresh[module].returncode == 0, fresh[module].stderr
 
 
-def test_a_run_without_a_manifest_leaves_hashlib_unloaded():
-    # chsh reads its input either way; only with --out does a manifest digest it
-    assets = Path(bellmd.__file__).parent / "assets"
-    argvs = [["chsh", "--scenario", str(assets / "bell-optimal.json")],
-             ["chsh", "--model", str(assets / "brans.json")]]
-    proc = _fresh_python("import contextlib, io, sys\nimport bellmd.cli\n"
-                         "before = set(sys.modules)\n"
-                         "with contextlib.redirect_stdout(io.StringIO()):\n"
-                         f"    codes = [bellmd.cli.main(argv) for argv in {argvs!r}]\n"
-                         "print(codes, sorted({'hashlib', '_hashlib'}"
-                         " & (set(sys.modules) - before)))")
+def test_a_run_without_a_manifest_leaves_hashlib_unloaded(fresh):
+    proc = fresh["chsh runs"]
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 0] []\n"
 
 
-def test_a_run_that_digests_no_input_leaves_hashlib_unloaded(tmp_path):
-    # these runs write a manifest, but read no input, so there is nothing for it to digest
-    brans = Path(bellmd.__file__).parent / "assets" / "brans.json"
-    argvs = [["optimize", "--target-s", "2.8", "--out-dir", "d"],
-             ["optimize", "--budget", "0.05", "--out-dir", "d2"],
-             ["chsh", "--deterministic-max", "--out", "o.json"],
-             ["chsh", "--model", str(brans), "--out", "m.json"]]  # the one that digests
-    proc = _fresh_python(f"import contextlib, io, os, sys\nos.chdir({str(tmp_path)!r})\n"
-                         "import bellmd.cli\nbefore = set(sys.modules)\nseen = []\n"
-                         f"for argv in {argvs!r}:\n"
-                         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-                         "        code = bellmd.cli.main(argv)\n"
-                         "    seen.append((code, sorted({'hashlib', '_hashlib'}"
-                         " & (set(sys.modules) - before))))\n"
-                         "print(seen)")
+def test_a_run_that_digests_no_input_leaves_hashlib_unloaded(fresh, run_dir):
+    proc = fresh["manifest runs"]
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[(0, []), (0, []), (0, []), (0, ['_hashlib', 'hashlib'])]\n"
-    digested = [bool(json.loads((tmp_path / m).read_text())["input_digests"]) for m in (
+    digested = [bool(json.loads((run_dir / m).read_text())["input_digests"]) for m in (
         "d/manifest.json", "d2/manifest.json", "o.json.manifest.json", "m.json.manifest.json")]
     assert digested == [False, False, False, True]

@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import math
-import subprocess
 import sys
 from pathlib import Path
 
@@ -36,8 +35,8 @@ from bellmd.serialize import (
     write_curve_csv,
     write_model,
 )
+from children import scenario_document_digests, seeded_scenario_documents
 from oracles import asset_path, dumps_json_reference, operator_from_doc, perturbed_observable
-from test_cli import CPU_SETUPS, _env_with_src
 
 PINNED_DOC_TEXT = (
     '{\n'
@@ -384,7 +383,8 @@ class TestScenarioRoundTrips:
     def test_kcbs_scenario(self):
         scenario = kcbs_pentagram()
         loaded = read_kcbs_scenario(asset_path("kcbs-pentagram.json"))
-        assert np.array_equal(scenario.vectors, loaded.vectors)
+        # bit for bit, as every CPU set-up child builds them (children.CPU_PINS)
+        assert scenario.vectors.tobytes() == loaded.vectors.tobytes()
         assert np.array_equal(scenario.state.amplitudes, loaded.state.amplitudes)
 
     def test_brans_model(self):
@@ -509,55 +509,12 @@ def test_curve_csv_header_and_precision(tmp_path):
     ]
 
 
-def _unit(v: list) -> list:
-    """v / |v|, the norm taken from a correctly rounded sum of the rounded squares."""
-    norm = math.sqrt(math.fsum(x * x for x in v))
-    return [x / norm for x in v]
-
-
-def _seeded_scenario_documents(seed: int):
-    """64 CHSH and 32 KCBS documents, drawn from the generator that the benchmark's scenarios
-    workload uses and built in real arithmetic, so that no step goes through BLAS and the
-    documents are the same on every CPU.
-
-    A Bloch direction or a state is a Gaussian draw over its norm (``_unit``).  A KCBS
-    rotation is the rotation of a unit quaternion, and each rotated vector's component is a
-    correctly rounded sum of three products.
-    """
-    rng = np.random.default_rng([seed, 2])
-
-    def observable() -> list:  # [[z, x - iy], [x + iy, -z]] as [re, im] pairs
-        x, y, z = _unit(rng.normal(size=3).tolist())
-        return [[[z, 0.0], [x, -y]], [[x, y], [-z, 0.0]]]
-
-    def state(dim: int) -> list:  # real parts drawn first, then imaginary parts
-        u = _unit(rng.normal(size=dim).tolist() + rng.normal(size=dim).tolist())
-        return [[re, im] for re, im in zip(u[:dim], u[dim:])]
-
-    def rotation() -> list:
-        w, x, y, z = _unit(rng.normal(size=4).tolist())
-        return [[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]]
-
-    chsh = [{"alice_observables": [observable() for _ in range(2)],
-             "bob_observables": [observable() for _ in range(2)],
-             "state": state(4)} for _ in range(64)]
-    cos_sq = math.cos(math.pi / 5.0) / (1.0 + math.cos(math.pi / 5.0))
-    cos_t, sin_t = math.sqrt(cos_sq), math.sqrt(1.0 - cos_sq)
-    pentagram = [[sin_t * math.cos(4.0 * math.pi * k / 5.0),
-                  sin_t * math.sin(4.0 * math.pi * k / 5.0), cos_t] for k in range(5)]
-    kcbs = []
-    for _ in range(32):
-        r = rotation()
-        kcbs.append({"vectors": [[math.fsum(a * b for a, b in zip(v, row)) for row in r]
-                                 for v in pentagram],
-                     "state": state(3)})
-    return chsh, kcbs
-
-
 def test_seeded_scenario_files_evaluate_to_pinned_bits():
-    chsh, kcbs = _seeded_scenario_documents(seed=13)
+    # the inputs, which every CPU set-up child rebuilds (children.CPU_PINS)
+    assert scenario_document_digests() == [
+        "00252175b55ebfbf25e098a5805846ec4680fedb9ee9b431290577f5cc7ac46e",
+        "b3ebacb1c18c22ea8d99c3cb1600c1c8f57438067cbec6db855c7dcbf2d93426"]
+    chsh, kcbs = seeded_scenario_documents(seed=13)
     digest = hashlib.sha256()
     for doc in chsh:
         table = chsh_quantum(chsh_scenario_from_doc(json.loads(json.dumps(doc))))
@@ -568,50 +525,3 @@ def test_seeded_scenario_files_evaluate_to_pinned_bits():
         digest.update(repr(value).encode())
     assert digest.hexdigest() == (
         "b6f2f1b03722a682cdde78f10888104a4202d95f82fc85f7b6eefeb8131872d8")
-
-
-def scenario_document_digests(seed: int = 13) -> list[str]:
-    """sha256 of the JSON text of the seeded CHSH documents, then of the KCBS documents."""
-    return [hashlib.sha256(json.dumps(docs).encode()).hexdigest()
-            for docs in _seeded_scenario_documents(seed)]
-
-
-def test_seeded_scenario_documents_are_the_same_under_every_cpu_setup():
-    # the pin's inputs, in a fresh process per set-up; the pin's own products still round
-    # per CPU kernel, so the pin itself can move under Prescott and x86-64-v2
-    script = ("import sys\nsys.path.insert(0, sys.argv[1])\n"
-              "from test_serialize import scenario_document_digests\n"
-              "print(*scenario_document_digests())")
-    procs = {name: subprocess.Popen(
-        [sys.executable, "-c", script, str(Path(__file__).parent)],
-        env={**_env_with_src(), **switches}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True) for name, switches in CPU_SETUPS.items()}
-    here = scenario_document_digests()
-    runs = {name: (*proc.communicate(timeout=120), proc.returncode) for name, proc in procs.items()}
-    assert here == ["00252175b55ebfbf25e098a5805846ec4680fedb9ee9b431290577f5cc7ac46e",
-                    "b3ebacb1c18c22ea8d99c3cb1600c1c8f57438067cbec6db855c7dcbf2d93426"]
-    for name, (stdout, stderr, code) in runs.items():
-        if "You cannot disable CPU feature" not in stderr:  # numpy refuses it on this machine
-            assert (code, stdout.split()) == (0, here), (name, stderr)
-
-
-@pytest.fixture(scope="module")
-def pentagram_cpu_setup_runs():
-    # sha256 of kcbs_pentagram()'s vector bytes, each set-up in its own fresh process, all at once
-    script = ("import hashlib\nfrom bellmd.inequalities import kcbs_pentagram\n"
-              "print(hashlib.sha256(kcbs_pentagram().vectors.tobytes()).hexdigest())")
-    procs = {name: subprocess.Popen(
-        [sys.executable, "-c", script], env={**_env_with_src(), **switches},
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        for name, switches in CPU_SETUPS.items()}
-    return {name: (*proc.communicate(timeout=120), proc.returncode) for name, proc in procs.items()}
-
-
-@pytest.mark.parametrize("setup", CPU_SETUPS)
-def test_kcbs_pentagram_is_its_asset_under_every_cpu_setup(pentagram_cpu_setup_runs, setup):
-    # the closed form takes no BLAS kernel, so every set-up builds the asset's vectors
-    stdout, stderr, code = pentagram_cpu_setup_runs[setup]
-    if "You cannot disable CPU feature" in stderr:
-        pytest.skip(f"numpy refuses the {setup} set-up on this machine")
-    asset = read_kcbs_scenario(asset_path("kcbs-pentagram.json")).vectors.tobytes()
-    assert (code, stdout.strip()) == (0, hashlib.sha256(asset).hexdigest()), stderr

@@ -189,6 +189,18 @@ def test_sampler_needs_a_positive_trial_count():
         outcome_counts(0)
 
 
+# numpy raised its own TypeError for the first two and ValueError for the seed of -1
+@pytest.mark.parametrize("args,message", [
+    ((5.0,), "trials must be an integer"), ((True,), "trials must be an integer"),
+    ((3, -1), "seed must be nonnegative"), ((3, 1.5), "seed must be an integer"),
+    ((3, False), "seed must be an integer"), ((3, "7"), "seed must be an integer"),
+])
+def test_sampler_rejects_a_trial_count_or_seed_that_is_no_count(args, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        outcome_counts(*args)
+    assert outcome_counts(np.int64(3), np.uint32(0)) == outcome_counts(3, 0)
+
+
 class _FixedUniforms:
     """A generator whose uniforms are given, drawn in place as ``Generator.random(out=...)``."""
 
