@@ -1,8 +1,9 @@
 """Fresh child processes for the tests: the CPU set-ups, the bit pins and one runner.
 
-Run as a script (``PYTHONPATH=src python tests/children.py``), it prints each pin of
-``CPU_PINS`` as one JSON line, ``[name, value]``.  Only the standard library is imported at
-load; each pin imports what it computes with.
+``CPU_PINS`` is the one table of bit pins, each with its record.  Run as a script
+(``PYTHONPATH=src python tests/children.py``), it prints each pin's value as one JSON line,
+``[name, value]``.  Only the standard library is imported at load; each pin imports what it
+computes with.
 """
 
 import contextlib
@@ -34,7 +35,7 @@ GOLDEN_RUNS = (
        for k in range(4)]
 )
 
-# the optimize runs whose data files ``TestOptimizeCommand.GOLDEN_DATA_FILES`` pins
+# the optimize runs whose data files the ``optimize data files`` pin digests
 OPTIMIZE_GOLDEN_MODES = (("--target-s", "2.8284271247461903"), ("--budget", "0.03"),
                          ("--curve", "0,0.01,0.05,0.2075"))
 
@@ -60,17 +61,18 @@ def teleport_golden_digests() -> list[str]:
     return [digest.hexdigest(), old_digest.hexdigest()]
 
 
-def optimize_data_file_digests(mode: tuple[str, str]) -> dict[str, str]:
-    """sha256 of every data file (all but the manifest) that ``optimize`` writes in ``mode``."""
+def optimize_data_file_digests(modes=OPTIMIZE_GOLDEN_MODES) -> dict[str, dict[str, str]]:
+    """Each mode, joined -> the sha256 of each data file but the manifest that it writes."""
     from bellmd.cli import main
 
-    with tempfile.TemporaryDirectory() as tmp:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["optimize", *mode, "--out-dir", tmp])
-        if code != 0:
-            raise RuntimeError(f"optimize {' '.join(mode)} exited {code}")
-        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in Path(tmp).iterdir() if p.name != "manifest.json"}
+    digests = {}
+    for mode in modes:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            if main(["optimize", *mode, "--out-dir", tmp]) != 0:
+                raise RuntimeError(f"optimize {' '.join(mode)} failed")
+            digests[" ".join(mode)] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                       for p in Path(tmp).iterdir() if p.name != "manifest.json"}
+    return digests
 
 
 def _unit(v: list) -> list:
@@ -128,6 +130,24 @@ def scenario_document_digests() -> list[str]:
             for docs in seeded_scenario_documents(13)]
 
 
+def scenario_evaluation_digest() -> str:
+    """sha256 over the joint table and CHSH value of each seed-13 CHSH document, and the KCBS
+    value of each KCBS document, decoded from its JSON text as a scenario file is."""
+    from bellmd.inequalities import chsh_quantum, chsh_value, kcbs_value
+    from bellmd.serialize import chsh_scenario_from_doc, kcbs_scenario_from_doc
+
+    chsh, kcbs = seeded_scenario_documents(13)
+    digest = hashlib.sha256()
+    for doc in chsh:
+        table = chsh_quantum(chsh_scenario_from_doc(json.loads(json.dumps(doc))))
+        digest.update(table.joint.tobytes())
+        digest.update(repr(chsh_value(table)).encode())
+    for doc in kcbs:
+        value = kcbs_value(kcbs_scenario_from_doc(json.loads(json.dumps(doc))))
+        digest.update(repr(value).encode())
+    return digest.hexdigest()
+
+
 def kcbs_pentagram_digest() -> str:
     """sha256 of the bytes of ``kcbs_pentagram()``'s vectors."""
     from bellmd.inequalities import kcbs_pentagram
@@ -135,14 +155,93 @@ def kcbs_pentagram_digest() -> str:
     return hashlib.sha256(kcbs_pentagram().vectors.tobytes()).hexdigest()
 
 
-# pin name -> the function that computes its value, in JSON types.  The scenario documents are
-# the scenario pin's inputs; the pin itself still moves with the CPU's matrix product kernels
+def kcbs_asset_digest() -> str:
+    """sha256 of the bytes of ``kcbs-pentagram.json``'s vectors as read: the pentagram's record."""
+    from bellmd.serialize import read_kcbs_scenario
+    from oracles import asset_path
+
+    return hashlib.sha256(
+        read_kcbs_scenario(asset_path("kcbs-pentagram.json")).vectors.tobytes()).hexdigest()
+
+
+def scoring_models(count: int):
+    """The first ``count`` seeded random models of the scoring kernel's sweep: 1-3 settings per
+    party, uniform or random marginals (some never occurring), 1-64 hidden values (some never
+    reached), binary or fractional responses."""
+    import numpy as np
+    from bellmd.lhv import LhvModel, SettingSpace
+
+    rng = np.random.default_rng(20250914)
+    for _ in range(count):
+        n_a, n_b = (2, 2) if rng.random() < 0.5 else tuple(rng.integers(1, 4, 2).tolist())
+        lam = int(rng.integers(1, 65))
+        marginal = rng.dirichlet(np.full(n_a * n_b, 2.0)) if rng.random() < 0.5 else None
+        if marginal is not None and marginal.size > 1 and rng.random() < 0.25:
+            marginal[0] = 0.0  # a setting that never occurs
+            marginal /= marginal.sum()
+        lgs = rng.dirichlet(np.full(lam, 10.0 ** rng.uniform(-1.0, 0.5)), size=n_a * n_b)
+        if rng.random() < 0.25:  # hidden values that some settings never reach
+            lgs[rng.random(lgs.shape) < 0.3] = 0.0
+            lgs[:, 0] += lgs.sum(axis=1) == 0.0
+            lgs /= lgs.sum(axis=1, keepdims=True)
+        if rng.random() < 0.5:
+            alice = rng.integers(0, 2, (n_a, lam)).astype(float)
+            bob = rng.integers(0, 2, (n_b, lam)).astype(float)
+        else:
+            alice, bob = rng.random((n_a, lam)), rng.random((n_b, lam))
+        yield LhvModel(SettingSpace(n_a, n_b, marginal), lgs, alice, bob)
+
+
+def scoring_kernel_digest() -> str:
+    """sha256 over ``LhvModel`` -> ``predict`` -> ``chsh_value`` -> ``cmd`` on 500 scoring models:
+    every table's bytes and every float's ``float.hex``, so one moved rounding changes it."""
+    from bellmd.inequalities import chsh_value
+    from bellmd.infotheory import cmd
+    from bellmd.lhv import predict
+
+    digest = hashlib.sha256()
+    for model in scoring_models(500):
+        table = predict(model)
+        for arr in (model.lambda_given_settings, model.alice_response, model.bob_response,
+                    table.joint, table.correlators):
+            digest.update(arr.tobytes())
+        if table.correlators.shape == (2, 2):
+            digest.update(chsh_value(table).hex().encode())
+        report = cmd(model)
+        for value in (report.raw_bits, report.normalized, report.setting_entropy_bits):
+            digest.update(value.hex().encode())
+    return digest.hexdigest()
+
+
+# pin name -> (the function that computes its value, in JSON types; its record, or the function
+# that reads it).  The scenario documents are the scenario evaluation's inputs
 CPU_PINS = {
-    "teleport golden runs": teleport_golden_digests,
-    "scenario documents": scenario_document_digests,
-    "kcbs_pentagram vectors": kcbs_pentagram_digest,
-    "optimize data files": lambda: {" ".join(mode): optimize_data_file_digests(mode)
-                                    for mode in OPTIMIZE_GOLDEN_MODES},
+    "teleport golden runs": (teleport_golden_digests, [
+        "e3cb98c26ea810be2be0f4fe8b90ef89b97f21c24a066bd518b8363c4f410560",
+        "ae7420dcc1bde69d06cd11932da6ef970c91980404780327215b99e545f2182c"]),
+    # the values written before LhvModel checked its tables in one pass and cmd scored the
+    # weights directly, in shortest round-trip float text
+    "optimize data files": (optimize_data_file_digests, {
+        "--target-s 2.8284271247461903": {
+            "min_cmd_model.json": "57fabe394b88231a42dc13dbd17377f3905c422337e64ba2748892681f6be0bc",
+            "min_cmd_report.json": "ab44b4686005b822fedc0fa04103d1a37d949506aac598c4635cc36c11917513"},
+        "--budget 0.03": {
+            "budget_model.json": "2e9219a2985c0c6164f30cff858fe1103b482f581bf01d977f65b25161d8076e",
+            "budget_report.json": "cb7e734b73ec7fbb0bb7dcd14590a30a8654beb11693d9ee1371cae8e0934931"},
+        "--curve 0,0.01,0.05,0.2075": {
+            "curve.csv": "7caa4841e458cb8b2311415980addfa6eac4477f2b700ed59e78184fd579a259",
+            "curve_model_0.json": "5771f7208767f19e12555ecbaabab6a58d47a3ef6db84f861d223e3dc7e94e6f",
+            "curve_model_1.json": "97e7a3475dc464637d3efb671adb21219be9d94843261586072a6547534e5baf",
+            "curve_model_2.json": "ac10762299a3bebd87bbb9becb05f5ba6c1928801f5186587c5a7bc07fa31c10",
+            "curve_model_3.json": "48097fa80337df8d9fb2cd9ff57915d0d1865d1b53612d5cf419b62cb00b24e7"}}),
+    "scenario documents": (scenario_document_digests, [
+        "00252175b55ebfbf25e098a5805846ec4680fedb9ee9b431290577f5cc7ac46e",
+        "b3ebacb1c18c22ea8d99c3cb1600c1c8f57438067cbec6db855c7dcbf2d93426"]),
+    "kcbs_pentagram vectors": (kcbs_pentagram_digest, kcbs_asset_digest),
+    "scoring kernel": (scoring_kernel_digest,
+                       "c808f0bf70628c7642028eba55dabccf29f489d43ef89fc4602926c436fd0394"),
+    "scenario evaluation": (scenario_evaluation_digest,
+                            "b6f2f1b03722a682cdde78f10888104a4202d95f82fc85f7b6eefeb8131872d8"),
 }
 
 
@@ -169,5 +268,5 @@ def run_all(jobs: dict, cwd=None) -> dict[str, subprocess.CompletedProcess]:
 
 
 if __name__ == "__main__":
-    for name, pin in CPU_PINS.items():
-        print(json.dumps([name, pin()]), flush=True)
+    for name, (compute, _) in CPU_PINS.items():
+        print(json.dumps([name, compute()]), flush=True)

@@ -19,10 +19,10 @@ from bellmd.lhv import LhvModel, SettingSpace
 from bellmd.serialize import model_to_doc
 from bellmd.teleport import OUTCOME_DRAW
 from children import (
+    CPU_PINS,
     OPTIMIZE_GOLDEN_MODES,
     optimize_data_file_digests,
     run_all,
-    teleport_golden_digests,
 )
 from cli_inputs import (
     HOSTILE_READERS,
@@ -158,11 +158,6 @@ class TestTeleportCommand:
         assert code == 0
         assert json.loads(teleport_file_before_sampler(forced.read_bytes()))["outcomes"] == \
             "22222"
-
-    def test_golden_bytes_over_many_runs(self):
-        assert teleport_golden_digests() == [
-            "e3cb98c26ea810be2be0f4fe8b90ef89b97f21c24a066bd518b8363c4f410560",
-            "ae7420dcc1bde69d06cd11932da6ef970c91980404780327215b99e545f2182c"]
 
     def test_forced_outcome_counts_any_trials_without_drawing(self, capsys, tmp_path):
         # 10**15 trials: no draw is made and nothing is allocated per trial
@@ -590,30 +585,12 @@ class TestOptimizeCommand:
         for name in ("budget_model.json", "budget_report.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
-    # sha256 of every data file (all but the manifest) that each run writes: the values
-    # written before LhvModel checked its tables in one pass and cmd scored the weights
-    # directly, in shortest round-trip float text
-    GOLDEN_DATA_FILES = {
-        ("--target-s", "2.8284271247461903"): {
-            "min_cmd_model.json": "57fabe394b88231a42dc13dbd17377f3905c422337e64ba2748892681f6be0bc",
-            "min_cmd_report.json": "ab44b4686005b822fedc0fa04103d1a37d949506aac598c4635cc36c11917513",
-        },
-        ("--budget", "0.03"): {
-            "budget_model.json": "2e9219a2985c0c6164f30cff858fe1103b482f581bf01d977f65b25161d8076e",
-            "budget_report.json": "cb7e734b73ec7fbb0bb7dcd14590a30a8654beb11693d9ee1371cae8e0934931",
-        },
-        ("--curve", "0,0.01,0.05,0.2075"): {
-            "curve.csv": "7caa4841e458cb8b2311415980addfa6eac4477f2b700ed59e78184fd579a259",
-            "curve_model_0.json": "5771f7208767f19e12555ecbaabab6a58d47a3ef6db84f861d223e3dc7e94e6f",
-            "curve_model_1.json": "97e7a3475dc464637d3efb671adb21219be9d94843261586072a6547534e5baf",
-            "curve_model_2.json": "ac10762299a3bebd87bbb9becb05f5ba6c1928801f5186587c5a7bc07fa31c10",
-            "curve_model_3.json": "48097fa80337df8d9fb2cd9ff57915d0d1865d1b53612d5cf419b62cb00b24e7",
-        },
-    }
-
+    # each mode's data files against its part of the ``optimize data files`` pin
     @pytest.mark.parametrize("mode", OPTIMIZE_GOLDEN_MODES, ids=" ".join)
     def test_golden_data_file_bytes(self, mode):
-        assert optimize_data_file_digests(mode) == self.GOLDEN_DATA_FILES[mode]
+        key = " ".join(mode)
+        assert optimize_data_file_digests([mode]) == \
+            {key: CPU_PINS["optimize data files"][1][key]}
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,13 +15,15 @@ information of the optimizer's float tables, as ``optimize`` writes them, in 60-
 to 1 only within rounding, and at S = 2 + 1e-12 the marginals of the joint as written
 (total 1 + 5.6e-17) would give -8.0e-17 bits, not 6.0e-26.  Its error is absolute,
 in ulps of 1: near S = 2 the exact value falls far below the error, and the relative
-error reaches 1.3e9 at S = 2 + 1e-12.  On the same models ``normalized`` is measured
-against that exact value over the exact entropy of the setting marginal, absolute, and
-``setting_entropy_bits`` against that entropy.  The ``predict`` rows take the model's stored
-floats, with p(-1 | setting, lambda) = 1 - p(+1 | setting, lambda) exactly, not as the kernel rounds
-it (on this sweep both give the same maxima), and sum_lambda p(lambda | a, b) p(x | a, lambda)
-p(y | b, lambda) in ``Fraction``; the joint and the correlators are measured in ulps of 1, and
-the ``chsh_value`` that ``chsh --model`` prints from them in ulps of the exact S.
+error reaches 1.3e9 at S = 2 + 1e-12.  The second ``cmd`` row measures ``raw_bits`` the same
+way on the first models of the scoring kernel's sweep (``children.scoring_models``).  On the
+optimizer's models ``normalized`` is measured against that exact value over the exact entropy
+of the setting marginal, absolute, and ``setting_entropy_bits`` against that entropy.  The
+``predict`` rows take the model's stored floats, with p(-1 | setting, lambda) = 1 - p(+1 |
+setting, lambda) exactly, not as the kernel rounds it (on this sweep both give the same
+maxima), and sum_lambda p(lambda | a, b) p(x | a, lambda) p(y | b, lambda) in ``Fraction``;
+the joint and the correlators are measured in ulps of 1, and the ``chsh_value`` that ``chsh
+--model`` prints from them in ulps of the exact S.
 The ``mi --table`` row takes the parsed floats of each table, normalizes them once, exactly,
 and evaluates their mutual information in 60-digit ``decimal``; its error is absolute, in ulps
 of 1, since near independence the printed value is rounding residue: ``0.25,0.25,0.25,
@@ -49,9 +51,11 @@ from bellmd.cli import main
 from bellmd.hilbert import StateVector
 from bellmd.inequalities import (ChshScenario, KcbsScenario, chsh_quantum, chsh_value,
                                  kcbs_pentagram, kcbs_value)
+from bellmd.infotheory import cmd
 from bellmd.lhv import LhvModel, SettingSpace, predict
 from bellmd.mdsearch import max_chsh_under_budget, min_cmd_for_chsh
 from bellmd.serialize import read_chsh_scenario, read_kcbs_scenario, read_model
+from children import scoring_models
 
 TELEPORT_SEEDS = range(200)
 # the quantum sweeps: CHSH_SCENARIOS random CHSH scenarios, then, from a fresh generator,
@@ -60,6 +64,8 @@ QUANTUM_SEED, CHSH_SCENARIOS, KCBS_SCENARIOS = 20250810, 64, 100
 # the optimizer's models: targets S = 2 + 10^-k and budgets 10^-k bits; the optimize row
 # adds the target 2 sqrt(2)
 OPTIMIZER_EXPONENTS = range(1, 13)
+# the random models of the second cmd row: the first SCORING_MODELS of the scoring kernel's sweep
+SCORING_MODELS = 25
 # the predict sweep: random 2x2 models, MODELS_PER_KIND for each hidden-variable count in
 # LAMBDA_COUNTS, with deterministic or stochastic responses and uniform or random marginals
 PREDICT_SEED, LAMBDA_COUNTS, MODELS_PER_KIND = 31, range(2, 17), 2
@@ -86,6 +92,9 @@ LEDGER = {
     "cmd raw_bits of optimizer models, ulps of 1": (2.0, "measured: 1.44 (3.2e-16 bits), at "
                                                          "S = 2 + 1e-4 and 2 + 1e-7 and at "
                                                          "budgets 1e-4, 1e-6 and 1e-11"),
+    "cmd raw_bits of random models, ulps of 1": (4.0, "measured: 3.42, at an exact value of "
+                                                      "0.177 (model 14, from 0), under every "
+                                                      "CPU set-up tried"),
     "cmd normalized of optimizer models, ulps of 1": (1.0, "measured: 0.72, half the raw_bits "
                                                            "row's: the setting entropy is 2"),
     "cmd setting_entropy_bits of optimizer models": (0.0, "exact by construction: a uniform "
@@ -277,6 +286,13 @@ def cmd_errors() -> dict[str, float]:
             "cmd setting_entropy_bits of optimizer models": worst_entropy}
 
 
+def random_cmd_errors() -> dict[str, float]:
+    """Largest absolute error of the reported ``raw_bits`` over the scoring kernel's models."""
+    worst = max(abs(Decimal(cmd(model).raw_bits) - exact_dependence_bits(model))
+                for model in scoring_models(SCORING_MODELS))
+    return {"cmd raw_bits of random models, ulps of 1": float(worst / Decimal(math.ulp(1.0)))}
+
+
 def _predict_models() -> list[LhvModel]:
     """The random 2x2 models of the predict sweep, then the optimizer's at S = 2 + 10^-k."""
     rng = np.random.default_rng(PREDICT_SEED)
@@ -374,7 +390,8 @@ def optimize_errors(tmp_path) -> dict[str, float]:
 @pytest.fixture(scope="module")
 def measured(tmp_path_factory) -> dict[str, float]:
     return {**teleport_errors(tmp_path_factory.mktemp("ledger")), **chsh_errors(),
-            **kcbs_errors(), **cmd_errors(), **predict_errors(), **mi_errors(),
+            **kcbs_errors(), **cmd_errors(), **random_cmd_errors(), **predict_errors(),
+            **mi_errors(),
             **optimize_errors(tmp_path_factory.mktemp("optimize"))}
 
 

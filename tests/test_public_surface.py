@@ -141,20 +141,6 @@ def _foreign_private_names(source: str) -> list[str]:
     return found
 
 
-def test_the_scan_sees_private_names_of_other_modules():
-    source = ("import json\nimport numpy as np\nfrom json.encoder import _make_iterencode\n"
-              "from . import lhv\nfrom .hilbert import _hermitian_parts\n"
-              "json.encoder._make_iterencode, np._x, np.__version__, lhv._ROW_ATOL, self._y\n")
-    assert _foreign_private_names(source) == ["from json.encoder import _make_iterencode",
-                                              "json.encoder._make_iterencode", "np._x"]
-
-
-def test_no_private_names_of_other_modules():
-    found = {path.name: names for path in SOURCES
-             if (names := _foreign_private_names(path.read_text(encoding="utf-8")))}
-    assert SOURCES and not found
-
-
 def _dataclasses_imports(source: str) -> list[int]:
     """Lines of ``source`` that import ``dataclasses`` or a name from it."""
     return [node.lineno for node in ast.walk(ast.parse(source))
@@ -164,37 +150,11 @@ def _dataclasses_imports(source: str) -> list[int]:
             and node.module.split(".")[0] == "dataclasses"]
 
 
-def test_the_scan_sees_dataclasses_imports():
-    source = ("import json\nfrom dataclasses import dataclass\nimport dataclasses as dc\n"
-              "from .errors import Frozen\n")
-    assert _dataclasses_imports(source) == [2, 3]
-
-
-def test_no_dataclasses_import():
-    found = {path.name: lines for path in SOURCES
-             if (lines := _dataclasses_imports(path.read_text(encoding="utf-8")))}
-    assert SOURCES and not found
-
-
 def _whole_file_reads(source: str) -> list[int]:
     """Lines of ``source`` that call a ``.read_bytes()`` or ``.read_text()`` method."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr in ("read_bytes", "read_text")]
-
-
-def test_the_scan_sees_whole_file_reads():
-    source = ("from pathlib import Path\nPath(p).read_bytes()\nread_bytes(p)\n"
-              "data = path.read_text(encoding='utf-8')\nreader = path.read_bytes\n"
-              "_read_bytes(p)\n")
-    assert _whole_file_reads(source) == [2, 4]
-
-
-def test_every_input_file_is_read_by_read_bytes():
-    # serialize._read_bytes is the one reader: one unbuffered read, no pathlib reader
-    found = {path.name: lines for path in SOURCES
-             if (lines := _whole_file_reads(path.read_text(encoding="utf-8")))}
-    assert SOURCES and not found
 
 
 def _json_writer_calls(source: str) -> list[int]:
@@ -210,19 +170,6 @@ def _json_writer_calls(source: str) -> list[int]:
         isinstance(node.func, ast.Attribute) and node.func.attr in ("dump", "dumps")
         and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
         or isinstance(node.func, ast.Name) and node.func.id in writers)]
-
-
-def test_the_scan_sees_json_writer_calls():
-    source = ("import json\nimport json as js\nfrom json import dumps as d, loads\n"
-              "json.dumps(doc)\njs.dump(doc, f)\nd(doc)\njson.loads(text)\nloads(text)\n"
-              "text.dumps(doc)\ndumps_json(doc)\nwriter = json.dumps\n")
-    assert _json_writer_calls(source) == [4, 5, 6]
-
-
-def test_dumps_json_is_the_one_json_writer():
-    found = {path.name: lines for path in SOURCES
-             if (lines := _json_writer_calls(path.read_text(encoding="utf-8")))}
-    assert SOURCES and not found
 
 
 _JSON_INTERNALS = ("encoder", "decoder", "scanner")
@@ -247,16 +194,44 @@ def _json_internal_uses(source: str) -> list[int]:
     return sorted(set(found))
 
 
-def test_the_scan_sees_json_internal_modules():
-    source = ("import json\nfrom json.encoder import encode_basestring_ascii\n"
-              "from json import decoder, JSONDecoder\nimport json.scanner\n"
-              "json.encoder.INFINITY\njson.JSONEncoder().encode('x')\njson.JSONDecodeError\n")
-    assert _json_internal_uses(source) == [2, 3, 4, 5]
+# rule -> (its scanner, a planted source, what the scanner finds in it)
+SOURCE_RULES = {
+    "private names": (_foreign_private_names, (
+        "import json\nimport numpy as np\nfrom json.encoder import _make_iterencode\n"
+        "from . import lhv\nfrom .hilbert import _hermitian_parts\n"
+        "json.encoder._make_iterencode, np._x, np.__version__, lhv._ROW_ATOL, self._y\n"),
+        ["from json.encoder import _make_iterencode", "json.encoder._make_iterencode", "np._x"]),
+    "dataclasses": (_dataclasses_imports, (
+        "import json\nfrom dataclasses import dataclass\nimport dataclasses as dc\n"
+        "from .errors import Frozen\n"), [2, 3]),
+    # serialize._read_bytes is the one reader: one unbuffered read, no pathlib reader
+    "whole-file reads": (_whole_file_reads, (
+        "from pathlib import Path\nPath(p).read_bytes()\nread_bytes(p)\n"
+        "data = path.read_text(encoding='utf-8')\nreader = path.read_bytes\n"
+        "_read_bytes(p)\n"), [2, 4]),
+    "JSON writers": (_json_writer_calls, (
+        "import json\nimport json as js\nfrom json import dumps as d, loads\n"
+        "json.dumps(doc)\njs.dump(doc, f)\nd(doc)\njson.loads(text)\nloads(text)\n"
+        "text.dumps(doc)\ndumps_json(doc)\nwriter = json.dumps\n"), [4, 5, 6]),
+    "JSON internals": (_json_internal_uses, (
+        "import json\nfrom json.encoder import encode_basestring_ascii\n"
+        "from json import decoder, JSONDecoder\nimport json.scanner\n"
+        "json.encoder.INFINITY\njson.JSONEncoder().encode('x')\njson.JSONDecodeError\n"),
+        [2, 3, 4, 5]),
+}
 
 
-def test_no_module_uses_json_internal_modules():
-    found = {path.name: lines for path in SOURCES
-             if (lines := _json_internal_uses(path.read_text(encoding="utf-8")))}
+@pytest.mark.parametrize("rule", SOURCE_RULES)
+def test_the_scan_sees_its_planted_cases(rule):
+    scan, source, expected = SOURCE_RULES[rule]
+    assert scan(source) == expected
+
+
+@pytest.mark.parametrize("rule", SOURCE_RULES)
+def test_no_module_breaks_the_rule(rule):
+    scan = SOURCE_RULES[rule][0]
+    found = {path.name: hits for path in SOURCES
+             if (hits := scan(path.read_text(encoding="utf-8")))}
     assert SOURCES and not found
 
 
